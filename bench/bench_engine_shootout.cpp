@@ -3,14 +3,13 @@
 /// budget through the uniform `mc::Engine` interface. BMC never proves,
 /// k-induction needs the design to be inductive (or externally supplied
 /// lemmas), and PDR discovers clause strengthenings on its own — each wins
-/// somewhere, which is why the portfolio races them, the sharded PDR rows
-/// (`pdr w=2`, `pdr w=4`) show the obligation/propagation sharding paying
-/// for itself on blocking-heavy designs, and the `+lift` rows show
-/// ternary-simulation cube lifting (--pdr-ternary) cutting SAT conflicts by
-/// shrinking every extracted cube before generalization.
+/// somewhere, which is why the portfolio races them. The `+lift` rows
+/// measure ternary-simulation cube lifting (--pdr-ternary), which shrinks
+/// every extracted cube before generalization, and the `-inproc` rows the
+/// SAT tier's inprocessing.
 ///
 /// `--json <path>` additionally writes machine-readable records (design,
-/// engine, workers, verdict, wall-ms, solver stats, and per-phase wall
+/// engine, verdict, wall-ms, solver stats, and per-phase wall
 /// times read as metrics-registry deltas around each cell) for
 /// BENCH_*.json trajectory tracking; scripts/check_shootout.py consumes
 /// them in CI. `--trace-out <path>` records every cell's spans and writes
@@ -68,8 +67,8 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       "E8: engine shootout over the mc::Engine interface",
       "Peled et al. IJCAI'26 motivation, Kumar-Gadde §II-A background",
       "BMC / k-induction / IC3-PDR on identical designs and step budgets; "
-      "PDR proves designs the others cannot at this bound, and sharded PDR "
-      "(--pdr-workers) cuts wall-clock on blocking-heavy designs.");
+      "PDR proves designs the others cannot at this bound, and the portfolio "
+      "races all three.");
 
   const bool phases = util::telemetry_on();
   std::vector<std::string> columns = {"design",    "engine",    "verdict", "depth",
@@ -83,34 +82,29 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
     const char* label;
     mc::EngineKind kind;
     bool exchange;
-    std::size_t pdr_workers;
     bool pdr_ternary = false;
     bool sat_inprocess = true;
   };
   const std::vector<Contender> contenders = {
-      {"bmc", mc::EngineKind::Bmc, false, 1},
-      {"k-induction", mc::EngineKind::KInduction, false, 1},
-      {"pdr", mc::EngineKind::Pdr, false, 1},
-      // The SAT-tier ablation: the same single-worker PDR with inprocessing
-      // and the LBD-tiered clause DB switched off (--sat-inprocess off) —
-      // bit-for-bit the pre-tier solver. The conflict delta against the
-      // plain "pdr" row is what check_shootout.py gates.
-      {"pdr -inproc", mc::EngineKind::Pdr, false, 1, false, false},
-      {"pdr +lift", mc::EngineKind::Pdr, false, 1, true},
-      {"pdr w=2", mc::EngineKind::Pdr, false, 2},
-      {"pdr w=4", mc::EngineKind::Pdr, false, 4},
-      {"pdr w=4 +lift", mc::EngineKind::Pdr, false, 4, true},
-      {"portfolio -exch", mc::EngineKind::Portfolio, false, 1},
-      {"portfolio +exch", mc::EngineKind::Portfolio, true, 1},
+      {"bmc", mc::EngineKind::Bmc, false},
+      {"k-induction", mc::EngineKind::KInduction, false},
+      {"pdr", mc::EngineKind::Pdr, false},
+      // The SAT-tier ablation: the same PDR with inprocessing and the
+      // LBD-tiered clause DB switched off (--sat-inprocess off) — bit-for-bit
+      // the pre-tier solver. The conflict delta against the plain "pdr" row
+      // is what check_shootout.py gates.
+      {"pdr -inproc", mc::EngineKind::Pdr, false, false, false},
+      {"pdr +lift", mc::EngineKind::Pdr, false, true},
+      {"portfolio -exch", mc::EngineKind::Portfolio, false},
+      {"portfolio +exch", mc::EngineKind::Portfolio, true},
   };
 
   // fifo_ctrl is the blocking-heavy row: thousands of obligations at this
-  // bound, which is exactly the workload the sharded engine spreads out.
-  // dual_accumulator is the SAT-heavy row — 16-bit adder chains make every
-  // query a real CDCL fight, which is where the SAT-tier ablation (pdr vs
-  // pdr -inproc) shows up. Its budget is 6: PDR closes the proof at depth 4
-  // either way, while BMC/k-induction unrollings past 6 frames of the wide
-  // datapath burn minutes without changing any verdict.
+  // bound. dual_accumulator is the SAT-heavy row — 16-bit adder chains make
+  // every query a real CDCL fight, which is where the SAT-tier ablation (pdr
+  // vs pdr -inproc) shows up. Its budget is 6: PDR closes the proof within
+  // it either way, while BMC/k-induction unrollings past 6 frames of the
+  // wide datapath burn minutes without changing any verdict.
   std::vector<DesignSource> sources = {
       {"sync_counters", ""}, {"sequencer", ""},    {"token_ring", ""},
       {"updown_pair", ""},   {"lfsr16", ""},       {"gray_counter", ""},
@@ -127,7 +121,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       mc::EngineOptions options;
       options.max_steps = source.max_steps;
       options.exchange = contender.exchange;
-      options.pdr_workers = contender.pdr_workers;
       options.pdr_ternary_lifting = contender.pdr_ternary;
       options.sat_inprocess = contender.sat_inprocess;
       auto engine = mc::make_engine(contender.kind, task.ts, options);
@@ -166,7 +159,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
             .field("design", name)
             .field("engine", std::string(contender.label))
             .field("kind", mc::to_string(contender.kind))
-            .field("workers", static_cast<std::uint64_t>(contender.pdr_workers))
             .field("exchange", contender.exchange)
             .field("ternary", contender.pdr_ternary)
             .field("inprocess", contender.sat_inprocess)
@@ -177,7 +169,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
             .field("conflicts", r.stats.conflicts)
             .field("learnt_clauses", r.stats.learnt_clauses)
             .field("retired_gates", r.stats.retired_gates)
-            .field("solver_rebuilds", r.stats.solver_rebuilds)
             .field("lifted_bits", r.stats.lifted_bits)
             .field("inprocessings", r.stats.inprocessings)
             .field("subsumed_clauses", r.stats.subsumed_clauses)
@@ -189,8 +180,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
               .field("propagate_ms", delta_ms("pdr.propagate_ns"))
               .field("may_proof_ms", delta_ms("pdr.may_proof_ns"))
               .field("push_infinity_ms", delta_ms("pdr.push_infinity_ns"))
-              .field("sat_solve_ms", delta_ms("sat.solve_ns"))
-              .field("framedb_wait_ms", delta_ms("pdr.framedb_mutex_wait_ns"));
+              .field("sat_solve_ms", delta_ms("sat.solve_ns"));
         }
       }
     }
@@ -199,8 +189,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
   std::printf("Same bound, same designs: PDR closes proofs k-induction leaves "
               "open because it mines its own frame strengthenings; live "
               "exchange (+exch) feeds those clauses to the other members "
-              "mid-race, and the sharded rows spread obligation blocking and "
-              "clause propagation across a concurrent solver pool.\n\n");
+              "mid-race.\n\n");
 }
 
 /// The proof-cache experiment behind genfv_serve (docs/serve.md): for every
@@ -208,7 +197,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
 /// exact cache hit replayed through one-step recertification and (b) a
 /// near-miss warm start on an edited copy of the design, where the cached
 /// clauses enter PDR as retractable candidates. Rows carry kind="pdr-cache"
-/// so the PDR sharding/lifting/inprocessing reports in
+/// so the PDR lifting/inprocessing reports in
 /// scripts/check_shootout.py ignore them; the checker instead gates the
 /// warm rows directly (verdict parity everywhere, >=5x fewer conflicts on
 /// the recertified hits for at least two designs, candidates seeded on
@@ -250,7 +239,6 @@ void run_cache_experiment(bench::JsonRecords* json) {
           .field("design", design)
           .field("engine", std::string(label))
           .field("kind", std::string("pdr-cache"))
-          .field("workers", static_cast<std::uint64_t>(1))
           .field("cache", outcome)
           .field("similarity", similarity)
           .field("verdict", mc::to_string(r.verdict))
@@ -334,19 +322,6 @@ BENCHMARK(BM_EngineProve)
     ->Arg(static_cast<int>(mc::EngineKind::KInduction))
     ->Arg(static_cast<int>(mc::EngineKind::Pdr))
     ->Arg(static_cast<int>(mc::EngineKind::Portfolio));
-
-void BM_PdrWorkers(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto task = designs::make_task("fifo_ctrl");
-    mc::EngineOptions options;
-    options.max_steps = kMaxSteps;
-    options.pdr_workers = workers;
-    auto engine = mc::make_engine(mc::EngineKind::Pdr, task.ts, options);
-    benchmark::DoNotOptimize(engine->prove_all(task.target_exprs()));
-  }
-}
-BENCHMARK(BM_PdrWorkers)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 }  // namespace genfv

@@ -7,9 +7,8 @@ The shootout (bench_engine_shootout --json) records one object per
 (design, engine) cell. This checker fails CI when any cell's verdict
 regresses from the expectations pinned below — soundness bugs and lost
 proofs show up here before anything else. Wall-clock numbers are reported
-(including the single- vs multi-worker PDR comparison and the ternary-
-lifting ablation) but never gate the build: CI machines are too noisy for
-timing assertions.
+(including the ternary-lifting ablation) but never gate the build: CI
+machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
 BENCH_PR5.json (see docs/benchmarks.md) — every (design, engine) cell
@@ -130,35 +129,10 @@ def main() -> int:
                 f"baseline {sys.argv[2]} shares no cells with this run")
         print(f"baseline diff vs {sys.argv[2]}: {compared} cells compared")
 
-    # Report (never gate) the sharded-PDR speedup per design (lifting-off,
-    # inprocessing-on rows only, so the ablations don't contaminate each
-    # other).
-    by_design = {}
-    for record in records:
-        if (record["kind"] == "pdr" and not record.get("ternary", False)
-                and record.get("inprocess", True)):
-            by_design.setdefault(record["design"], {})[record["workers"]] = \
-                record["wall_ms"]
-    wins = 0
-    for design, cells in sorted(by_design.items()):
-        if 1 not in cells:
-            continue
-        best_multi = min((ms for w, ms in cells.items() if w > 1), default=None)
-        if best_multi is None:
-            continue
-        ratio = cells[1] / best_multi if best_multi > 0 else float("inf")
-        marker = "faster" if ratio > 1.0 else "slower"
-        if ratio > 1.0:
-            wins += 1
-        print(f"pdr sharding on {design}: w=1 {cells[1]:.1f} ms, "
-              f"best multi {best_multi:.1f} ms ({ratio:.2f}x, {marker})")
-    print(f"pdr sharding beats single-worker on {wins}/{len(by_design)} designs")
-
-    # Report (never gate) the ternary-lifting ablation at w=1.
+    # Report (never gate) the ternary-lifting ablation.
     lift_cells = {}
     for record in records:
-        if (record["kind"] == "pdr" and record["workers"] == 1
-                and record.get("inprocess", True)):
+        if record["kind"] == "pdr" and record.get("inprocess", True):
             lift_cells.setdefault(record["design"], {})[record.get("ternary", False)] = \
                 record
     lift_wins = 0
@@ -177,7 +151,7 @@ def main() -> int:
         print(f"pdr ternary lifting improves conflicts or wall-clock on "
               f"{lift_wins}/{len(lift_cells)} designs")
 
-    # The SAT-tier ablation: single-worker lifting-off PDR with inprocessing
+    # The SAT-tier ablation: lifting-off PDR with inprocessing
     # on ("pdr") vs off ("pdr -inproc"). Conflict counts in this
     # configuration are deterministic, so unlike the wall-clock reports this
     # one *gates*: on the designs listed below the inprocessing tier must cut
@@ -186,8 +160,7 @@ def main() -> int:
     INPROCESS_GATE = {"fifo_ctrl", "dual_accumulator"}
     inproc_cells = {}
     for record in records:
-        if (record["kind"] == "pdr" and record["workers"] == 1
-                and not record.get("ternary", False)):
+        if record["kind"] == "pdr" and not record.get("ternary", False):
             inproc_cells.setdefault(record["design"], {})[
                 record.get("inprocess", True)] = record
     for design, cells in sorted(inproc_cells.items()):

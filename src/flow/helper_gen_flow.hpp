@@ -27,9 +27,7 @@ struct FlowOptions {
   /// Live lemma exchange between portfolio members (only meaningful when
   /// `target_engine` is Portfolio); mirrors EngineOptions::exchange.
   bool exchange = true;
-  /// PDR worker shards for target proofs (and PDR portfolio members);
-  /// mirrors EngineOptions::pdr_workers. 1 = single-threaded PDR,
-  /// 0 = auto (mc::auto_pdr_workers resolves per design).
+  /// Ignored: no flow reads it; it survives only because perfbench/ sets it.
   std::size_t pdr_workers = 1;
   /// PDR ternary-simulation cube lifting for target proofs; mirrors
   /// EngineOptions::pdr_ternary_lifting.

@@ -1,8 +1,6 @@
 #include "mc/engine.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "mc/bmc.hpp"
 #include "mc/kinduction.hpp"
@@ -33,20 +31,7 @@ std::optional<EngineKind> engine_kind_from_string(const std::string& name) {
   return std::nullopt;
 }
 
-std::size_t auto_pdr_workers(const ir::TransitionSystem& ts) noexcept {
-  // Sharding pays for its thread + system-clone + solver-context setup only
-  // when the design promises enough blocking work. The real driver
-  // (obligation volume) is unknowable upfront, so gate on the cheapest
-  // static proxy available: word-level node count. The zoo calibrates the
-  // threshold — sync_counters (15 nodes) solves in ~2.4 ms and regresses to
-  // ~5.2 ms under w=4, while updown_pair (22 nodes) gains ~1.7x — so the
-  // cut sits between the two. Misclassification costs milliseconds of
-  // wall-clock, never a verdict.
-  constexpr std::size_t kMinNodesForSharding = 20;
-  if (ts.nm().num_nodes() < kMinNodesForSharding) return 1;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::min<std::size_t>(4, hw == 0 ? 1 : hw);
-}
+std::size_t auto_pdr_workers(const ir::TransitionSystem&) noexcept { return 1; }
 
 std::string EngineResult::summary() const {
   std::ostringstream out;
@@ -173,9 +158,6 @@ class PdrEngineAdapter final : public Engine {
     opts.exchange = options_.exchange_mailbox;
     opts.exchange_slot = options_.exchange_slot;
     opts.publish_frame_clauses = options_.exchange_frame_clauses;
-    opts.workers = options_.pdr_workers == 0 ? auto_pdr_workers(ts_)
-                                             : options_.pdr_workers;
-    opts.rebuild_gate_limit = options_.pdr_rebuild_gate_limit;
     opts.ternary_lifting = options_.pdr_ternary_lifting;
     opts.seed_candidates = options_.pdr_seed_candidates;
     opts.candidate_lemmas = options_.pdr_candidate_lemmas;

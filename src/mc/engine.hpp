@@ -56,21 +56,11 @@ struct EngineOptions {
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// PDR only: worker shards for obligation blocking / clause propagation.
-  /// 1 (the default) is the single-threaded engine, bit for bit; n > 1 runs
-  /// n query contexts over private system clones sharing one frame database
-  /// — verdicts are unchanged, wall-clock and frame trajectory are not.
-  /// 0 = auto: resolved per design via auto_pdr_workers(), which keeps small
-  /// designs sequential (thread + clone + solver setup dominates their whole
-  /// solve) and shards the rest. Other engines ignore the knob.
+  /// Ignored: no engine reads it; it survives only because perfbench/ sets it.
   std::size_t pdr_workers = 1;
-  /// PDR only: rebuild a query context's transition solver in place after it
-  /// has retired this many one-shot activation gates (query litter). 0 (the
-  /// default) never rebuilds. See PdrOptions::rebuild_gate_limit.
-  std::size_t pdr_rebuild_gate_limit = 0;
   /// PDR only: ternary-simulation cube lifting — shrink extracted
   /// predecessor / bad-state cubes before generalization. Off (the default)
-  /// keeps the single-worker engine bit-for-bit legacy; on perturbs the
+  /// keeps the engine bit-for-bit legacy; on perturbs the
   /// frame trajectory but never a verdict. See PdrOptions::ternary_lifting.
   bool pdr_ternary_lifting = false;
   /// PDR only: seed frames with *candidate* (unproven) clauses under the
@@ -207,12 +197,7 @@ class Engine {
 std::unique_ptr<Engine> make_engine(EngineKind kind, const ir::TransitionSystem& ts,
                                     const EngineOptions& options = {});
 
-/// Resolve `pdr_workers == 0` (auto) for `ts`: 1 for small designs — their
-/// whole solve is cheaper than spawning shard threads and cloning solver
-/// contexts (BENCH_PR5: w=4 on sync_counters regresses 2.4 ms -> 5.2 ms) —
-/// otherwise a small shard count capped by hardware concurrency. The size
-/// estimate is deliberately crude (word-level node count); the verdict never
-/// depends on the answer, only wall-clock does.
+/// Returns 1; it survives only because perfbench/ calls it.
 std::size_t auto_pdr_workers(const ir::TransitionSystem& ts) noexcept;
 
 struct KInductionOptions;

@@ -1,12 +1,8 @@
 #include "mc/pdr/blocking.hpp"
 
-#include <optional>
-#include <thread>
-
 #include "mc/pdr/generalize.hpp"
 #include "util/status.hpp"
 #include "util/telemetry.hpp"
-#include "util/thread_safety.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -26,118 +22,71 @@ void record_blocked(FrameDb& db, const PdrOptions& options, const Cube& cube,
   }
 }
 
-namespace {
-
-/// Outcome of the solver-side work for one popped obligation — everything
-/// that must be applied back to the (possibly shared) queue afterwards. The
-/// flags are mutually exclusive except that none may be set (the cube was
-/// already blocked: drop the obligation, its parent retry is queued
-/// separately).
-struct BlockStep {
-  bool budget = false;        ///< conflict budget / stop flag fired mid-step
-  bool requeue_self = false;  ///< re-schedule the obligation at retry_level
-  std::size_t retry_level = 0;
-  std::optional<Obligation> pred;  ///< predecessor extending the chain
-  bool pred_is_cex = false;        ///< pred is an initial state: real CEX
-  bool push_pred = false;          ///< schedule pred, then retry self
-};
-
-/// The SAT work for one obligation — the shared core of the sequential and
-/// sharded drains; touches the database and the worker's context, never the
-/// queue. Blocks `cube` at `level` with a generalized clause pushed as far
-/// forward as it stays relatively inductive, or extracts the predecessor
-/// that extends the chain towards init.
-BlockStep block_one(QueryContext& ctx, FrameDb& db, const PdrOptions& options,
-                    const Cube& cube, std::size_t level, std::size_t frontier,
-                    std::size_t index) {
-  GENFV_TRACE_SPAN("pdr", "block_one");
-  BlockStep step;
-  if (db.is_blocked(cube, level)) return step;
-
-  std::vector<sat::Lit> core;
-  const sat::LBool answer =
-      ctx.relative_query(cube, level, /*assume_not_cube=*/true, &core);
-  if (answer == sat::LBool::Undef) {
-    step.budget = true;
-    return step;
-  }
-
-  if (answer == sat::LBool::False) {
-    // Unreachable from F_{level-1}: learn a generalized blocking clause and
-    // push it as far forward as it stays relatively inductive.
-    Cube g = generalize(ctx, cube, level, core, options);
-    std::size_t at = level;
-    while (at < frontier &&
-           ctx.relative_query(g, at + 1, /*assume_not_cube=*/true, nullptr) ==
-               sat::LBool::False) {
-      ++at;
-    }
-    record_blocked(db, options, g, at);
-    if (at < frontier) {
-      step.requeue_self = true;
-      step.retry_level = at + 1;
-    }
-    return step;
-  }
-
-  // A predecessor inside F_{level-1} extends the chain towards init.
-  step.pred.emplace();
-  ctx.extract_state(*step.pred);
-  // Ternary lifting: shrink the predecessor cube to the bits that force the
-  // transition into `cube` under the recorded inputs (no-op when off).
-  ctx.lift_pred(*step.pred, cube);
-  step.pred->level = level - 1;
-  step.pred->parent = static_cast<std::ptrdiff_t>(index);
-  const sat::LBool initial = ctx.intersects_init(step.pred->cube);
-  if (initial == sat::LBool::Undef) {
-    step.budget = true;
-  } else if (initial == sat::LBool::True) {
-    step.pred_is_cex = true;  // the (lifted) predecessor cube holds an initial state
-    ctx.extract_init_witness(*step.pred);
-  } else {
-    step.push_pred = true;
-  }
-  return step;
-}
-
-}  // namespace
-
 BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
                                 const PdrOptions& options, std::size_t* cex_index) {
   while (!queue.empty()) {
     if (queue.created() > options.max_obligations) return BlockOutcome::Budget;
     if (ctx.stopped()) return BlockOutcome::Budget;
     const std::size_t index = queue.pop();
-    const Cube cube = queue.at(index).cube;
+    const Cube cube = queue.at(index).cube;  // copy: add() may reallocate
     const std::size_t level = queue.at(index).level;
     GENFV_ASSERT(level >= 1, "level-0 obligations are counterexamples at creation");
 
-    BlockStep step = block_one(ctx, db, options, cube, level, db.frontier(), index);
-    if (step.budget) return BlockOutcome::Budget;
-    if (step.pred_is_cex) {
-      *cex_index = queue.add(std::move(*step.pred));
+    GENFV_TRACE_SPAN("pdr", "block_one");
+    // Already blocked: drop the obligation; its parent retry is queued
+    // separately.
+    if (db.is_blocked(cube, level)) continue;
+
+    std::vector<sat::Lit> core;
+    const sat::LBool answer =
+        ctx.relative_query(cube, level, /*assume_not_cube=*/true, &core);
+    if (answer == sat::LBool::Undef) return BlockOutcome::Budget;
+
+    if (answer == sat::LBool::False) {
+      // Unreachable from F_{level-1}: learn a generalized blocking clause and
+      // push it as far forward as it stays relatively inductive.
+      const Cube g = generalize(ctx, cube, level, core, options);
+      const std::size_t frontier = db.frontier();
+      std::size_t at = level;
+      while (at < frontier &&
+             ctx.relative_query(g, at + 1, /*assume_not_cube=*/true, nullptr) ==
+                 sat::LBool::False) {
+        ++at;
+      }
+      record_blocked(db, options, g, at);
+      if (at < frontier) {
+        queue.at(index).level = at + 1;
+        queue.push(index);
+      }
+      continue;
+    }
+
+    // A predecessor inside F_{level-1} extends the chain towards init.
+    Obligation pred;
+    ctx.extract_state(pred);
+    // Ternary lifting: shrink the predecessor cube to the bits that force the
+    // transition into `cube` under the recorded inputs (no-op when off).
+    ctx.lift_pred(pred, cube);
+    pred.level = level - 1;
+    pred.parent = static_cast<std::ptrdiff_t>(index);
+    const sat::LBool initial = ctx.intersects_init(pred.cube);
+    if (initial == sat::LBool::Undef) return BlockOutcome::Budget;
+    if (initial == sat::LBool::True) {
+      // The (lifted) predecessor cube holds an initial state: a real CEX.
+      ctx.extract_init_witness(pred);
+      *cex_index = queue.add(std::move(pred));
       return BlockOutcome::Counterexample;
     }
-    if (step.push_pred) {
-      const std::size_t pred_index = queue.add(std::move(*step.pred));
-      queue.push(pred_index);
-      queue.push(index);  // retry once the predecessor is blocked
-    }
-    if (step.requeue_self) {
-      queue.at(index).level = step.retry_level;
-      queue.push(index);
-    }
+    const std::size_t pred_index = queue.add(std::move(pred));
+    queue.push(pred_index);
+    queue.push(index);  // retry once the predecessor is blocked
   }
   return BlockOutcome::Blocked;
 }
 
-namespace {
-
-/// The sequential frontier phase — bit for bit the legacy engine: one bad
-/// state at a time, each fully blocked (or refuted) before the next query.
-BlockOutcome strengthen_sequential(QueryContext& ctx, FrameDb& db,
-                                   ObligationQueue& queue, const PdrOptions& options,
-                                   std::size_t frontier, std::size_t* cex_index) {
+BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
+                                 const PdrOptions& options, std::size_t frontier,
+                                 std::size_t* cex_index) {
   while (true) {
     if (ctx.stopped()) return BlockOutcome::Budget;
     const sat::LBool answer = ctx.solve_frontier_bad(frontier);
@@ -169,168 +118,6 @@ BlockOutcome strengthen_sequential(QueryContext& ctx, FrameDb& db,
         handle_obligations(ctx, db, queue, options, cex_index);
     if (outcome != BlockOutcome::Blocked) return outcome;
   }
-}
-
-/// Cross-worker state of one sharded frontier phase. Everything here is
-/// guarded by `mu`; the obligation queue shares the same lock (workers copy
-/// what they need out of the arena before unlocking).
-struct ShardState {
-  enum class Phase { Running, Cex, Budget };
-  util::Mutex mu{"pdr.shard"};
-  util::CondVar cv;
-  /// Obligations popped but not yet resolved.
-  std::size_t in_flight GENFV_GUARDED_BY(mu) = 0;
-  /// Worker 0 certified SAT(F_N ∧ ¬P) empty.
-  bool frontier_clean GENFV_GUARDED_BY(mu) = false;
-  Phase phase GENFV_GUARDED_BY(mu) = Phase::Running;
-  std::size_t cex_index GENFV_GUARDED_BY(mu) = 0;
-};
-
-/// One worker of the sharded phase. Worker 0 (the caller's thread) doubles
-/// as the frontier enumerator: whenever the queue is drained and nothing is
-/// in flight it asks its solver for the next frontier bad state — issuing
-/// that query only at quiescent points keeps it equivalent to the legacy
-/// enumeration (all previously found bad states are already blocked).
-void shard_worker(std::size_t worker, QueryContext& ctx, FrameDb& db,
-                  ObligationQueue& queue, const PdrOptions& options,
-                  std::size_t frontier, ShardState& st) {
-  if (worker != 0 && util::tracing_on()) {
-    util::set_trace_thread_name("pdr-worker-" + std::to_string(worker));
-  }
-  GENFV_TRACE_SPAN("pdr", "shard_worker");
-  util::MutexLock lock(st.mu);
-  for (;;) {
-    // Explicit wait loop rather than the predicate-lambda overload: clang's
-    // thread-safety analysis cannot look into a predicate lambda, but it
-    // checks these guarded reads directly.
-    while (!(st.phase != ShardState::Phase::Running || !queue.empty() ||
-             (st.frontier_clean && st.in_flight == 0) ||
-             (worker == 0 && !st.frontier_clean && st.in_flight == 0))) {
-      st.cv.wait(st.mu);
-    }
-    if (st.phase != ShardState::Phase::Running) return;
-    if (st.frontier_clean && queue.empty() && st.in_flight == 0) {
-      st.cv.notify_all();
-      return;
-    }
-
-    if (!queue.empty()) {
-      if (queue.created() > options.max_obligations || ctx.stopped()) {
-        st.phase = ShardState::Phase::Budget;
-        st.cv.notify_all();
-        return;
-      }
-      const std::size_t index = queue.pop();
-      const Cube cube = queue.at(index).cube;  // copy: add() may reallocate
-      const std::size_t level = queue.at(index).level;
-      GENFV_ASSERT(level >= 1, "level-0 obligations are counterexamples at creation");
-      ++st.in_flight;
-      lock.Unlock();
-
-      // Solver work with no lock held; queue mutations re-applied under the
-      // lock afterwards. `frontier` is phase-constant (push_level only runs
-      // between phases), so passing the cached value matches the sequential
-      // drain's live db.frontier() reads.
-      BlockStep step = block_one(ctx, db, options, cube, level, frontier, index);
-
-      lock.Lock();
-      --st.in_flight;
-      if (st.phase == ShardState::Phase::Running) {
-        if (step.budget) {
-          st.phase = ShardState::Phase::Budget;
-        } else if (step.pred_is_cex) {
-          st.cex_index = queue.add(std::move(*step.pred));
-          st.phase = ShardState::Phase::Cex;
-        } else {
-          if (step.push_pred) {
-            const std::size_t pred_index = queue.add(std::move(*step.pred));
-            queue.push(pred_index);
-            queue.push(index);  // retry once the predecessor is blocked
-          }
-          if (step.requeue_self) {
-            queue.at(index).level = step.retry_level;
-            queue.push(index);
-          }
-        }
-      }
-      st.cv.notify_all();
-      continue;
-    }
-
-    // Worker 0, queue drained, nothing in flight: enumerate the next
-    // frontier bad state or certify the frontier clean.
-    lock.Unlock();
-    bool budget = ctx.stopped();
-    bool clean = false;
-    std::optional<Obligation> bad;
-    bool bad_is_cex = false;
-    if (!budget) {
-      const sat::LBool answer = ctx.solve_frontier_bad(frontier);
-      if (answer == sat::LBool::Undef) {
-        budget = true;
-      } else if (answer == sat::LBool::False) {
-        clean = true;
-      } else {
-        bad.emplace();
-        ctx.extract_state(*bad);
-        ctx.lift_bad(*bad);
-        bad->level = frontier;
-        bad->parent = -1;
-        const sat::LBool initial = ctx.intersects_init(bad->cube);
-        if (initial == sat::LBool::Undef) {
-          budget = true;
-        } else if (initial == sat::LBool::True) {
-          bad_is_cex = true;  // defensive, see strengthen_sequential
-          ctx.extract_init_witness(*bad);
-        }
-      }
-    }
-    lock.Lock();
-    if (st.phase == ShardState::Phase::Running) {
-      if (budget) {
-        st.phase = ShardState::Phase::Budget;
-      } else if (clean) {
-        st.frontier_clean = true;
-      } else if (bad_is_cex) {
-        st.cex_index = queue.add(std::move(*bad));
-        st.phase = ShardState::Phase::Cex;
-      } else {
-        const std::size_t index = queue.add(std::move(*bad));
-        queue.push(index);
-      }
-    }
-    st.cv.notify_all();
-  }
-}
-
-}  // namespace
-
-BlockOutcome strengthen_frontier(const std::vector<QueryContext*>& contexts, FrameDb& db,
-                                 ObligationQueue& queue, const PdrOptions& options,
-                                 std::size_t frontier, std::size_t* cex_index) {
-  GENFV_ASSERT(!contexts.empty(), "strengthen_frontier needs at least one context");
-  if (contexts.size() == 1) {
-    return strengthen_sequential(*contexts[0], db, queue, options, frontier, cex_index);
-  }
-
-  ShardState st;
-  std::vector<std::thread> workers;
-  workers.reserve(contexts.size() - 1);
-  for (std::size_t i = 1; i < contexts.size(); ++i) {
-    workers.emplace_back(shard_worker, i, std::ref(*contexts[i]), std::ref(db),
-                         std::ref(queue), std::cref(options), frontier, std::ref(st));
-  }
-  shard_worker(0, *contexts[0], db, queue, options, frontier, st);
-  for (std::thread& t : workers) t.join();
-
-  switch (st.phase) {
-    case ShardState::Phase::Cex:
-      *cex_index = st.cex_index;
-      return BlockOutcome::Counterexample;
-    case ShardState::Phase::Budget: return BlockOutcome::Budget;
-    case ShardState::Phase::Running: return BlockOutcome::Blocked;
-  }
-  return BlockOutcome::Blocked;
 }
 
 }  // namespace genfv::mc::pdr

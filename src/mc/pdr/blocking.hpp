@@ -2,25 +2,14 @@
 
 /// \file blocking.hpp
 /// Proof-obligation blocking — the heart of the PDR main loop. Given the
-/// shared `FrameDb` and obligation queue, `strengthen_frontier` enumerates
+/// `FrameDb` and obligation queue, `strengthen_frontier` enumerates
 /// frontier states that violate the property and blocks each backwards-
 /// reachable predecessor with a generalized relatively-inductive clause,
 /// until the frontier is clean (Blocked), a concrete chain reaches the
 /// initial states (Counterexample), or a budget/stop condition fires.
 ///
-/// Two execution shapes behind one entry point:
-///  * one context: the exact legacy single-threaded algorithm — pop the
-///    lowest-level obligation, block or extend the chain, repeat;
-///  * n contexts: the sharded engine — every context drains the same queue
-///    from its own worker thread (the caller's thread drives context 0 and
-///    additionally enumerates frontier bad states whenever the queue runs
-///    dry). Contexts may mirror the FrameDb at slightly different epochs;
-///    a stale mirror only weakens the frame a query assumes, which can cost
-///    extra obligations but never soundness — a SAT answer is a real
-///    transition into the obligation's concrete state, an UNSAT answer
-///    yields a clause inductive relative to a subset of F_{level-1}.
-
-#include <vector>
+/// Obligations are handled lowest level first: pop, then block the cube
+/// or extend the chain with its predecessor, and repeat.
 
 #include "mc/pdr/context.hpp"
 #include "mc/pdr/frame_db.hpp"
@@ -37,24 +26,20 @@ enum class BlockOutcome {
 /// Translate a manager-neutral cube into the exchange wire form.
 ExchangedClause to_exchanged(const Cube& cube, std::size_t level);
 
-/// Record `cube` as blocked at `level` in the shared database and (when
+/// Record `cube` as blocked at `level` in the frame database and (when
 /// frame-clause publishing is on) push it to the exchange mailbox.
 void record_blocked(FrameDb& db, const PdrOptions& options, const Cube& cube,
                     std::size_t level);
 
-/// Drain the obligation queue with a single context (legacy algorithm).
-/// On Counterexample, `*cex_index` is the arena index of the init-state end
+/// Drain the obligation queue. On Counterexample, `*cex_index` is the arena index of the init-state end
 /// of the chain.
 BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
                                 const PdrOptions& options, std::size_t* cex_index);
 
-/// One full frontier-strengthening phase: enumerate frontier bad states and
-/// drain every resulting obligation, over `contexts.size()` workers.
-/// `contexts[0]` runs on the calling thread; each additional context gets a
-/// dedicated thread for the duration of the phase (the caller must own every
-/// context — no other thread may touch them while this runs).
-BlockOutcome strengthen_frontier(const std::vector<QueryContext*>& contexts, FrameDb& db,
-                                 ObligationQueue& queue, const PdrOptions& options,
-                                 std::size_t frontier, std::size_t* cex_index);
+/// One full frontier-strengthening phase: enumerate frontier bad states one
+/// at a time and fully block (or refute) each before the next query.
+BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
+                                 const PdrOptions& options, std::size_t frontier,
+                                 std::size_t* cex_index);
 
 }  // namespace genfv::mc::pdr

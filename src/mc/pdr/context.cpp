@@ -5,16 +5,30 @@
 
 namespace genfv::mc::pdr {
 
+namespace {
+
+std::unique_ptr<sat::Backend> make_solver(const PdrOptions& options,
+                                          const std::string& drat_path) {
+  auto solver = sat::make_backend(options.sat_backend);
+  solver->set_conflict_budget(options.conflict_budget);
+  solver->set_stop_flag(options.stop.get());
+  solver->set_inprocessing(options.sat_inprocess);
+  if (!drat_path.empty()) solver->start_proof(drat_path);
+  return solver;
+}
+
+}  // namespace
+
 QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                            const std::vector<ir::NodeRef>& lemmas,
-                           const PdrOptions& options, sat::SolverPool& pool, FrameDb& db)
-    : ts_(ts), options_(options), pool_(pool), db_(db), property_(property),
-      lemmas_(lemmas) {
-  solver_handle_ = pool_.acquire();
-  init_handle_ = pool_.acquire();
-
-  // Initiation solver: frame 0 under init. Never rebuilt — intersects_init
-  // runs on assumptions only, so no gate litter ever accumulates here.
+                           const PdrOptions& options, FrameDb& db)
+    : ts_(ts), options_(options), db_(db), property_(property), lemmas_(lemmas),
+      solver_(make_solver(options, options.drat_path)),
+      init_solver_(make_solver(options, options.drat_path.empty()
+                                            ? std::string()
+                                            : options.drat_path + "-p1")) {
+  // Initiation solver: frame 0 under init. intersects_init runs on
+  // assumptions only, so no gate litter ever accumulates here.
   init_unr_ = std::make_unique<Unroller>(ts_, init_solver());
   init_unr_->assert_init();
   for (const ir::NodeRef lemma : lemmas_) init_unr_->assert_at(lemma, 0);
@@ -58,31 +72,7 @@ void QueryContext::bootstrap() {
   prop0_ = unr_->lit_at(property_, 0);
 }
 
-void QueryContext::rebuild() {
-  GENFV_TRACE_SPAN("pdr", "context_rebuild");
-  // Snapshot first: the snapshot's epoch and contents are consistent, so the
-  // rebuilt mirror resumes syncing exactly where the snapshot ends.
-  const FrameDb::Snapshot snapshot = db_.snapshot();
-  pool_.rebuild(solver_handle_);
-  bootstrap();
-  may_.clear();  // the old gates died with the old solver
-  for (std::size_t level = 1; level < snapshot.levels.size(); ++level) {
-    activations_.push_back(new_gate());
-  }
-  for (std::size_t level = 1; level < snapshot.levels.size(); ++level) {
-    for (const Cube& cube : snapshot.levels[level]) assert_blocked(cube, level);
-  }
-  for (const Cube& cube : snapshot.infinity) assert_infinity(cube);
-  for (const FrameDb::MayClause& m : snapshot.may) assert_may(m.cube, m.id);
-  synced_epoch_ = snapshot.epoch;
-  retired_gates_since_rebuild_ = 0;
-}
-
 void QueryContext::sync() {
-  if (options_.rebuild_gate_limit > 0 &&
-      retired_gates_since_rebuild_ >= options_.rebuild_gate_limit) {
-    rebuild();
-  }
   std::vector<FrameDb::Event> events;
   synced_epoch_ = db_.events_since(synced_epoch_, &events);
   for (const FrameDb::Event& event : events) apply_event(event);
@@ -214,9 +204,8 @@ void QueryContext::retract_violated_candidates() {
     if (violated) hit.push_back(id);
   }
   // Strike through the database: sub-limit strikes are bookkeeping only; a
-  // repeat offender's RetractMay event replays into every mirror (including
-  // this one) at its next sync. Counting happens in the database, so
-  // concurrent workers never double-count one candidate.
+  // repeat offender's RetractMay event retires its gate here at the next
+  // sync.
   for (const std::size_t id : hit) db_.strike_may(id);
 }
 
@@ -232,13 +221,9 @@ sat::LBool QueryContext::may_consecution_query(
   sync();
   GENFV_ASSERT(level >= 1, "may-proof consecution starts at level 1");
   std::vector<sat::Lit> assumptions = this->assumptions(level - 1);
-  for (const std::size_t id : survivor_ids) {
-    const auto it = may_.find(id);
-    // A survivor retracted by a racing worker mid-pass simply drops out of
-    // the assumption set; the check is then relative to a smaller set, which
-    // only makes an UNSAT answer stronger.
-    if (it != may_.end()) assumptions.push_back(it->second.gate);
-  }
+  // Every survivor is live in the mirror: within a may-proof pass only its
+  // own initiation filter retracts, and it drops those candidates first.
+  for (const std::size_t id : survivor_ids) assumptions.push_back(may_.at(id).gate);
   for (const StateLit& l : cube) assumptions.push_back(cube_lit(1, l));
   return solver().solve(assumptions);
 }
@@ -335,8 +320,7 @@ sat::Lit QueryContext::new_gate() {
 
 void QueryContext::retire_gate(sat::Lit gate) {
   solver().add_clause(~gate);
-  ++retired_gates_since_rebuild_;
-  ++retired_gates_total_;
+  ++retired_gates_;
 }
 
 }  // namespace genfv::mc::pdr

@@ -1,33 +1,24 @@
 #pragma once
 
 /// \file context.hpp
-/// Per-worker PDR query context: one transition solver + one initiation
-/// solver (both owned by a `sat::SolverPool`), their unrollers, the
-/// activation-literal ladder, and a lazily-synced mirror of the shared
+/// The PDR query context: one transition solver + one initiation solver,
+/// their unrollers, the activation-literal ladder, and a mirror of the
 /// `FrameDb`.
 ///
-/// A context is the only place solver literals exist; everything above it
+/// The context is the only place solver literals exist; everything above it
 /// (blocking, generalization, propagation, orchestration) trades in
-/// manager-neutral cubes. One context belongs to exactly one worker at a
-/// time — it is not internally synchronized. The sharded engine gives each
-/// worker a context over a private `ir::SystemClone`; worker 0's context
-/// runs over the caller's own system, so `workers == 1` degenerates to the
-/// legacy single-solver engine with zero threading overhead.
+/// manager-neutral cubes. One run owns one context and drives it on the
+/// calling thread; it is not internally synchronized.
 ///
 /// FrameDb mirroring: `sync()` replays the database journal since the
 /// context's last synced epoch — level pushes allocate activation literals,
 /// blocked cubes become activation-gated clauses, graduations become
-/// ungated F_∞ clauses asserted at both solver frames. A mirror may lag the
-/// database between syncs; that only *weakens* the frame approximation a
-/// query sees, which is sound for every PDR query shape (a stale F_k is
-/// still an over-approximation of the states reachable in ≤ k steps).
+/// ungated F_∞ clauses asserted at both solver frames. Every query entry
+/// point syncs first, so a query always sees the whole database.
 ///
 /// Gate hygiene: finished blocking queries retire their activation gates as
-/// permanently-satisfied unit clauses. The context counts the litter and —
-/// when `PdrOptions::rebuild_gate_limit` is enabled — rebuilds its
-/// transition solver in place at the next `sync()`, re-encoding init,
-/// lemmas, the FrameDb clauses, F_∞ and the live may clauses from a
-/// consistent snapshot. The retired solver's statistics survive in the pool.
+/// permanently-satisfied unit clauses; the context counts that litter for
+/// EngineStats::retired_gates.
 ///
 /// Candidate ("may") clauses mirror through the same journal: SeedMay
 /// allocates a dedicated per-candidate gate and asserts the clause at frame
@@ -35,8 +26,8 @@
 /// and apply the clean-rerun discipline (see relative_query), so no answer
 /// that leaves this context ever depends on an unproven candidate.
 ///
-/// Ternary lifting: the context owns a per-worker `TernarySim` over its own
-/// system (clone), so lifting never shares IR across threads.
+/// Ternary lifting: the context owns the run's `TernarySim`, built lazily on
+/// the first lift.
 
 #include <map>
 #include <memory>
@@ -47,22 +38,24 @@
 #include "mc/pdr/pdr.hpp"
 #include "mc/pdr/ternary.hpp"
 #include "mc/unroller.hpp"
-#include "sat/solver_pool.hpp"
+#include "sat/backend.hpp"
 
 namespace genfv::mc::pdr {
 
 class QueryContext {
  public:
   /// `ts`, `property` and `lemmas` must all live in the same NodeManager
-  /// (the worker's clone, or the caller's system for worker 0) and outlive
-  /// the context; so must `pool`, `db` and `options`.
+  /// and outlive the context; so must `db` and `options`. Both solvers take
+  /// the options' backend, budget, stop flag and inprocessing setting; with
+  /// `drat_path` set, the transition solver logs DRAT to `<drat_path>` and
+  /// the initiation solver to `<drat_path>-p1`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                const std::vector<ir::NodeRef>& lemmas, const PdrOptions& options,
-               sat::SolverPool& pool, FrameDb& db);
+               FrameDb& db);
 
   const ir::TransitionSystem& system() const noexcept { return ts_; }
-  sat::Backend& solver() { return pool_.at(solver_handle_); }
-  sat::Backend& init_solver() { return pool_.at(init_handle_); }
+  sat::Backend& solver() { return *solver_; }
+  sat::Backend& init_solver() { return *init_solver_; }
   Unroller& unroller() { return *unr_; }
   Unroller& init_unroller() { return *init_unr_; }
 
@@ -74,8 +67,7 @@ class QueryContext {
   /// True once cooperative cancellation has been requested.
   bool stopped() const noexcept;
 
-  /// Mirror maintenance: rebuild the transition solver if the gate litter
-  /// crossed the limit, then replay every FrameDb event this mirror has not
+  /// Mirror maintenance: replay every FrameDb event this mirror has not
   /// seen. Called internally by every query entry point; cheap when there is
   /// nothing new.
   void sync();
@@ -151,18 +143,13 @@ class QueryContext {
   /// Permanently satisfy every clause gated by `gate` and count the litter.
   void retire_gate(sat::Lit gate);
 
-  /// Lifetime gate litter (survives rebuilds) — feeds EngineStats.
-  std::size_t retired_gates() const noexcept { return retired_gates_total_; }
+  /// Lifetime gate litter — feeds EngineStats.
+  std::size_t retired_gates() const noexcept { return retired_gates_; }
 
  private:
-  /// Encode the rebuild-invariant base facts into the (fresh) transition
-  /// solver: frames 0/1, the gated init equalities, the seeded lemmas and
-  /// the property literal. Shared by the constructor and rebuild().
+  /// Encode the base facts into the transition solver: frames 0/1, the
+  /// gated init equalities, the seeded lemmas and the property literal.
   void bootstrap();
-
-  /// Replace the transition solver with a fresh one and re-encode the base
-  /// facts plus a consistent FrameDb snapshot.
-  void rebuild();
 
   void apply_event(const FrameDb::Event& event);
   void assert_blocked(const Cube& cube, std::size_t level);
@@ -183,13 +170,12 @@ class QueryContext {
 
   const ir::TransitionSystem& ts_;
   const PdrOptions& options_;
-  sat::SolverPool& pool_;
   FrameDb& db_;
   ir::NodeRef property_;
   std::vector<ir::NodeRef> lemmas_;
 
-  std::size_t solver_handle_ = 0;
-  std::size_t init_handle_ = 0;
+  std::unique_ptr<sat::Backend> solver_;
+  std::unique_ptr<sat::Backend> init_solver_;
   std::unique_ptr<Unroller> unr_;
   std::unique_ptr<Unroller> init_unr_;
   /// activations_[0] gates the init-value equalities; activations_[k] gates
@@ -207,13 +193,12 @@ class QueryContext {
   };
   std::map<std::size_t, MayEntry> may_;
 
-  /// Lazily-constructed per-worker ternary simulator (ternary_lifting only).
+  /// Lazily-constructed ternary simulator (ternary_lifting only).
   std::unique_ptr<TernarySim> ternary_;
   std::size_t lifted_bits_ = 0;
   std::size_t lifted_input_bits_ = 0;
 
-  std::size_t retired_gates_since_rebuild_ = 0;
-  std::size_t retired_gates_total_ = 0;
+  std::size_t retired_gates_ = 0;
 };
 
 }  // namespace genfv::mc::pdr

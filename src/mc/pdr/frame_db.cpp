@@ -7,29 +7,14 @@
 
 namespace genfv::mc::pdr {
 
-FrameDb::FrameDb() {
-  util::MutexLock lock(mu_);
-  levels_.emplace_back();
-}
-
-std::size_t FrameDb::levels() const {
-  util::MutexLock lock(mu_);
-  return levels_.size();
-}
-
-std::size_t FrameDb::frontier() const {
-  util::MutexLock lock(mu_);
-  return levels_.size() - 1;
-}
+FrameDb::FrameDb() { levels_.emplace_back(); }
 
 void FrameDb::push_level() {
-  util::MutexLock lock(mu_);
   levels_.emplace_back();
   journal_.push_back({Event::Kind::PushLevel, {}, levels_.size() - 1});
 }
 
 void FrameDb::add_blocked(Cube cube, std::size_t level) {
-  util::MutexLock lock(mu_);
   GENFV_ASSERT(level >= 1 && level < levels_.size(), "cubes live at levels 1..N");
   // The new clause subsumes any weaker clause it implies at this level or
   // below; drop those from the bookkeeping (their mirrored solver clauses
@@ -42,7 +27,6 @@ void FrameDb::add_blocked(Cube cube, std::size_t level) {
 }
 
 bool FrameDb::is_blocked(const Cube& cube, std::size_t level) const {
-  util::MutexLock lock(mu_);
   for (std::size_t i = level; i < levels_.size(); ++i) {
     for (const Cube& blocked : levels_[i]) {
       if (subsumes(blocked, cube)) return true;
@@ -52,7 +36,6 @@ bool FrameDb::is_blocked(const Cube& cube, std::size_t level) const {
 }
 
 void FrameDb::graduate(const Cube& cube, std::size_t level) {
-  util::MutexLock lock(mu_);
   GENFV_ASSERT(level >= 1 && level < levels_.size(), "graduation from levels 1..N");
   std::erase_if(levels_[level], [&](const Cube& old) { return old == cube; });
   infinity_.push_back(cube);
@@ -60,13 +43,11 @@ void FrameDb::graduate(const Cube& cube, std::size_t level) {
 }
 
 void FrameDb::add_infinity(Cube cube) {
-  util::MutexLock lock(mu_);
   infinity_.push_back(cube);
   journal_.push_back({Event::Kind::Graduate, std::move(cube), kInfinityLevel});
 }
 
 std::optional<std::size_t> FrameDb::seed_may(Cube cube) {
-  util::MutexLock lock(mu_);
   // Keyed on the same encoder as the mailbox AbsorbFilter (exchange_key), so
   // the two dedupe layers can never disagree on what "the same clause" is.
   // kInfinityLevel stands in for "level-less": may clauses carry no bound.
@@ -80,11 +61,6 @@ std::optional<std::size_t> FrameDb::seed_may(Cube cube) {
 }
 
 bool FrameDb::remove_may(std::size_t id, std::size_t* counter) {
-  util::MutexLock lock(mu_);
-  return remove_may_locked(id, counter);
-}
-
-bool FrameDb::remove_may_locked(std::size_t id, std::size_t* counter) {
   const auto before = may_.size();
   std::erase_if(may_, [&](const MayClause& m) { return m.id == id; });
   if (may_.size() == before) return false;
@@ -98,84 +74,43 @@ bool FrameDb::remove_may_locked(std::size_t id, std::size_t* counter) {
 bool FrameDb::retract_may(std::size_t id) { return remove_may(id, &may_retracted_); }
 
 bool FrameDb::strike_may(std::size_t id) {
-  util::MutexLock lock(mu_);
   for (MayClause& m : may_) {
     if (m.id != id) continue;
     if (++m.strikes < candidate_strikes_) return false;  // keep it, on notice
-    return remove_may_locked(id, &may_retracted_);
+    return remove_may(id, &may_retracted_);
   }
   return false;  // already retracted/graduated
 }
 
 void FrameDb::set_candidate_strikes(std::size_t limit) {
-  util::MutexLock lock(mu_);
   candidate_strikes_ = std::max<std::size_t>(1, limit);
 }
 
 bool FrameDb::graduate_may(std::size_t id) { return remove_may(id, &may_graduated_); }
 
 void FrameDb::mark_may_init_ok(std::size_t id) {
-  util::MutexLock lock(mu_);
   for (MayClause& m : may_) {
     if (m.id == id) m.init_ok = true;
   }
 }
 
-std::vector<FrameDb::MayClause> FrameDb::may_clauses() const {
-  util::MutexLock lock(mu_);
-  return may_;
-}
-
-std::size_t FrameDb::may_seeded() const {
-  util::MutexLock lock(mu_);
-  return next_may_id_;
-}
-
-std::size_t FrameDb::may_graduated() const {
-  util::MutexLock lock(mu_);
-  return may_graduated_;
-}
-
-std::size_t FrameDb::may_retracted() const {
-  util::MutexLock lock(mu_);
-  return may_retracted_;
-}
-
-std::vector<Cube> FrameDb::cubes_at(std::size_t level) const {
-  util::MutexLock lock(mu_);
+const std::vector<Cube>& FrameDb::cubes_at(std::size_t level) const {
   GENFV_ASSERT(level < levels_.size(), "frame level out of range");
   return levels_[level];
 }
 
-std::vector<Cube> FrameDb::infinity() const {
-  util::MutexLock lock(mu_);
-  return infinity_;
-}
-
 std::size_t FrameDb::total_cubes() const {
-  util::MutexLock lock(mu_);
   std::size_t n = 0;
   for (const auto& level : levels_) n += level.size();
   return n;
 }
 
-std::size_t FrameDb::epoch() const {
-  util::MutexLock lock(mu_);
-  return journal_.size();
-}
-
 std::size_t FrameDb::events_since(std::size_t from, std::vector<Event>* out) const {
-  util::MutexLock lock(mu_);
   GENFV_ASSERT(out != nullptr, "events_since needs an output vector");
   GENFV_ASSERT(from <= journal_.size(), "epoch from the future");
   out->insert(out->end(), journal_.begin() + static_cast<std::ptrdiff_t>(from),
               journal_.end());
   return journal_.size();
-}
-
-FrameDb::Snapshot FrameDb::snapshot() const {
-  util::MutexLock lock(mu_);
-  return {levels_, infinity_, may_, journal_.size()};
 }
 
 }  // namespace genfv::mc::pdr

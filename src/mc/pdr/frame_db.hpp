@@ -1,30 +1,29 @@
 #pragma once
 
 /// \file frame_db.hpp
-/// The shared, solver-neutral PDR frame database F_0 ⊆ F_1 ⊆ … ⊆ F_N ⊆ F_∞.
+/// The solver-neutral PDR frame database F_0 ⊆ F_1 ⊆ … ⊆ F_N ⊆ F_∞.
 ///
 /// Blocked cubes are kept in delta encoding exactly like the classic frame
 /// trace — each cube is stored only at the highest level where its clause is
 /// known to hold, and the semantic frame F_i is the conjunction of all
-/// clauses stored at levels ≥ i (plus everything in F_∞). Unlike the old
-/// `FrameTrace`, the database holds **no solver state at all**: cubes are
-/// `{state-index, bit, polarity}` literals (`StateLit`, the same
-/// manager-neutral currency as `mc::ExchangedClause`), so the one structure
-/// can be shared by any number of per-worker query contexts over any number
-/// of system clones.
+/// clauses stored at levels ≥ i (plus everything in F_∞). The database holds
+/// **no solver state at all**: cubes are `{state-index, bit, polarity}`
+/// literals (`StateLit`, the same manager-neutral currency as
+/// `mc::ExchangedClause`), so the algorithm layers above the query context
+/// never see a solver literal.
 ///
-/// Thread-safety: every method is internally synchronized by one mutex; any
-/// worker may add/query at any time. Accessors return snapshots by value.
+/// Not thread-safe: one database belongs to one PDR run on one thread.
 ///
 /// Epoch sync: every mutation appends an event to an append-only journal and
-/// the epoch is the journal length. A `QueryContext` mirrors the database
-/// into its private solver by replaying `events_since` its last synced
+/// the epoch is the journal length. The run's `QueryContext` mirrors the
+/// database into its solver by replaying `events_since` its last synced
 /// epoch — level pushes allocate activation literals, blocked cubes become
-/// activation-gated clauses, graduations become ungated F_∞ clauses. The
+/// activation-gated clauses, graduations become ungated F_∞ clauses. Replay
+/// order fixes when each activation gate is minted, which is what keeps the
+/// solver's variable numbering (and so its SAT trajectory) deterministic. The
 /// journal records only additions: subsumption and graduation remove cubes
-/// from the *bookkeeping*, but the solver clauses they already produced in
-/// some mirror remain sound (merely redundant), exactly as in the
-/// single-solver engine.
+/// from the *bookkeeping*, but the solver clauses they already produced
+/// remain sound (merely redundant).
 
 #include <cstddef>
 #include <limits>
@@ -34,7 +33,6 @@
 #include <vector>
 
 #include "mc/pdr/cube.hpp"
-#include "util/thread_safety.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -63,7 +61,7 @@ class FrameDb {
   };
 
   /// One live candidate ("may") clause: the cube it blocks plus its stable
-  /// id (gates in every mirror are keyed on it). `init_ok` caches the
+  /// id (the mirror's gates are keyed on it). `init_ok` caches the
   /// outcome of the (immutable) initiation check so the may-proof pass runs
   /// it once per candidate, not once per frame iteration.
   struct MayClause {
@@ -74,22 +72,12 @@ class FrameDb {
     std::size_t strikes = 0;
   };
 
-  /// A consistent copy of the whole database, used for solver rebuilds: the
-  /// rebuilt mirror re-encodes `levels`/`infinity`/`may` and resumes syncing
-  /// from `epoch`.
-  struct Snapshot {
-    std::vector<std::vector<Cube>> levels;  ///< blocked cubes per level
-    std::vector<Cube> infinity;
-    std::vector<MayClause> may;             ///< live (unretracted) candidates
-    std::size_t epoch = 0;
-  };
-
   /// Starts with level 0 only (the initial-state frame, which never holds
   /// cubes) and an empty journal.
   FrameDb();
 
-  std::size_t levels() const;
-  std::size_t frontier() const;  ///< levels() - 1
+  std::size_t levels() const noexcept { return levels_.size(); }
+  std::size_t frontier() const noexcept { return levels_.size() - 1; }
 
   /// Append a new (empty) frontier level.
   void push_level();
@@ -135,8 +123,8 @@ class FrameDb {
   /// retracted the candidate.
   bool strike_may(std::size_t id);
 
-  /// Strikes before strike_may retracts (minimum 1; default 2). Set before
-  /// workers start; see PdrOptions::candidate_strikes.
+  /// Strikes before strike_may retracts (minimum 1; default 2). See
+  /// PdrOptions::candidate_strikes.
   void set_candidate_strikes(std::size_t limit);
 
   /// Remove candidate `id` from the may set because a clean may-proof
@@ -151,57 +139,40 @@ class FrameDb {
   void mark_may_init_ok(std::size_t id);
 
   /// Live (seeded, not yet retracted/graduated) candidates.
-  std::vector<MayClause> may_clauses() const;
+  const std::vector<MayClause>& may_clauses() const noexcept { return may_; }
 
   /// Lifetime counters for EngineStats.
-  std::size_t may_seeded() const;
-  std::size_t may_graduated() const;
-  std::size_t may_retracted() const;
+  std::size_t may_seeded() const noexcept { return next_may_id_; }
+  std::size_t may_graduated() const noexcept { return may_graduated_; }
+  std::size_t may_retracted() const noexcept { return may_retracted_; }
 
-  std::vector<Cube> cubes_at(std::size_t level) const;
-  std::vector<Cube> infinity() const;
+  /// References are invalidated by the next mutation; copy before mutating.
+  const std::vector<Cube>& cubes_at(std::size_t level) const;
+  const std::vector<Cube>& infinity() const noexcept { return infinity_; }
 
   /// Total live (non-subsumed, non-graduated) cubes across all levels.
   std::size_t total_cubes() const;
 
   /// Journal length; grows monotonically with every mutation.
-  std::size_t epoch() const;
+  std::size_t epoch() const noexcept { return journal_.size(); }
 
   /// Append journal entries [from, epoch()) to `out`; returns the new epoch.
   std::size_t events_since(std::size_t from, std::vector<Event>* out) const;
 
-  Snapshot snapshot() const;
-
-#if defined(GENFV_TSA_NEGATIVE_TEST)
-  /// Negative-compile probe (scripts/check_thread_safety.sh): reads a
-  /// guarded field without taking mu_. MUST fail to compile under
-  /// -Werror=thread-safety — if it ever compiles, the annotation coverage
-  /// has rotted and the whole clang leg is vacuous. Never defined in real
-  /// builds.
-  std::size_t tsa_probe_unguarded() const { return levels_.size(); }
-#endif
-
  private:
   /// Shared body of retract_may/strike_may/graduate_may: erase, bump
   /// `counter`, journal a RetractMay (mirrors handle all cases identically).
-  bool remove_may(std::size_t id, std::size_t* counter) GENFV_EXCLUDES(mu_);
-  bool remove_may_locked(std::size_t id, std::size_t* counter) GENFV_REQUIRES(mu_);
+  bool remove_may(std::size_t id, std::size_t* counter);
 
-  /// The named mutex subsumes the old lock_timed(): util::Mutex attributes
-  /// lock waits to `pdr.framedb_mutex_wait_ns` / `pdr.framedb_mutex_locks`
-  /// whenever telemetry is on. The one-mutex design was flagged as a
-  /// contention risk when sharded PDR landed; the counters keep the actual
-  /// cost measurable.
-  mutable util::Mutex mu_{"pdr.framedb"};
-  std::vector<std::vector<Cube>> levels_ GENFV_GUARDED_BY(mu_);  ///< delta-encoded
-  std::vector<Cube> infinity_ GENFV_GUARDED_BY(mu_);
-  std::vector<MayClause> may_ GENFV_GUARDED_BY(mu_);              ///< live candidates
-  std::unordered_set<std::string> may_keys_ GENFV_GUARDED_BY(mu_);  ///< ever-seeded keys
-  std::size_t next_may_id_ GENFV_GUARDED_BY(mu_) = 0;
-  std::size_t candidate_strikes_ GENFV_GUARDED_BY(mu_) = 2;
-  std::size_t may_graduated_ GENFV_GUARDED_BY(mu_) = 0;
-  std::size_t may_retracted_ GENFV_GUARDED_BY(mu_) = 0;
-  std::vector<Event> journal_ GENFV_GUARDED_BY(mu_);
+  std::vector<std::vector<Cube>> levels_;  ///< delta-encoded
+  std::vector<Cube> infinity_;
+  std::vector<MayClause> may_;                  ///< live candidates
+  std::unordered_set<std::string> may_keys_;    ///< ever-seeded keys
+  std::size_t next_may_id_ = 0;
+  std::size_t candidate_strikes_ = 2;
+  std::size_t may_graduated_ = 0;
+  std::size_t may_retracted_ = 0;
+  std::vector<Event> journal_;
 };
 
 }  // namespace genfv::mc::pdr

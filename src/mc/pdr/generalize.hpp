@@ -4,7 +4,7 @@
 /// Inductive generalization: shrink a relatively-inductive cube so the
 /// learnt clause ¬cube blocks as many states as possible. Unsat-core filter
 /// first, then initiation repair, then (optionally) MIC-style greedy literal
-/// dropping. All SAT work runs in the calling worker's `QueryContext`; the
+/// dropping. All SAT work runs in the run's `QueryContext`; the
 /// result is a manager-neutral cube ready for `FrameDb::add_blocked`.
 
 #include <vector>

@@ -1,16 +1,13 @@
 #include "mc/pdr/pdr.hpp"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
-#include "ir/clone.hpp"
 #include "mc/pdr/blocking.hpp"
 #include "mc/pdr/context.hpp"
 #include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 #include "mc/pdr/propagate.hpp"
-#include "sat/solver_pool.hpp"
 #include "sim/interpreter.hpp"
 #include "util/status.hpp"
 #include "util/stopwatch.hpp"
@@ -36,54 +33,6 @@ bool references_input(ir::NodeRef root) {
   }
   return false;
 }
-
-/// All mutable state of one prove_all() run: the shared solver-neutral
-/// structures (frame database, obligation arena, solver pool) plus one query
-/// context per worker. Context 0 always runs over the caller's own system
-/// on the calling thread; contexts 1..n-1 each own a private `ir::SystemClone`
-/// so no NodeManager ever crosses a thread — the portfolio's clone
-/// discipline applied inside one engine.
-struct PdrRun {
-  FrameDb db;
-  ObligationQueue queue;
-  sat::SolverPool pool;
-  std::vector<std::unique_ptr<ir::SystemClone>> clones;
-  std::vector<std::unique_ptr<QueryContext>> contexts;
-  /// Candidate intake from the exchange mailbox (seed_candidates only):
-  /// caller-owned cursor plus the standard consumer-side dedupe.
-  std::size_t mailbox_cursor = 0;
-  AbsorbFilter absorb_filter;
-
-  PdrRun(const ir::TransitionSystem& ts, const PdrOptions& options, ir::NodeRef prop)
-      : pool(sat::SolverConfig{options.conflict_budget, options.stop.get(),
-                               options.sat_inprocess, options.sat_backend,
-                               options.drat_path}) {
-    db.set_candidate_strikes(options.candidate_strikes);
-    const std::size_t n = std::max<std::size_t>(1, options.workers);
-    contexts.reserve(n);
-    contexts.push_back(std::make_unique<QueryContext>(ts, prop, options.lemmas,
-                                                      options, pool, db));
-    for (std::size_t i = 1; i < n; ++i) {
-      clones.push_back(std::make_unique<ir::SystemClone>(ts));
-      ir::SystemClone& clone = *clones.back();
-      std::vector<ir::NodeRef> lemmas;
-      lemmas.reserve(options.lemmas.size());
-      for (const ir::NodeRef l : options.lemmas) lemmas.push_back(clone.to_clone(l));
-      contexts.push_back(std::make_unique<QueryContext>(
-          clone.system(), clone.to_clone(prop), lemmas, options, pool, db));
-    }
-    db.push_level();  // level 1: the first frontier
-  }
-
-  QueryContext& main() { return *contexts.front(); }
-
-  std::vector<QueryContext*> context_ptrs() {
-    std::vector<QueryContext*> out;
-    out.reserve(contexts.size());
-    for (const auto& ctx : contexts) out.push_back(ctx.get());
-    return out;
-  }
-};
 
 /// Bounds-check a mailbox clause against `ts` and return its canonical cube;
 /// nullopt when it does not fit (foreign-system clause) or is a tautology.
@@ -136,23 +85,28 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     }
   }
 
-  PdrRun run(ts_, options_, prop);
-  QueryContext& main = run.main();
-  const std::vector<QueryContext*> contexts = run.context_ptrs();
+  // All mutable state of the run: the solver-neutral frame database and
+  // obligation arena, the one query context mirroring the database, and the
+  // candidate intake cursor plus consumer-side dedupe for the mailbox.
+  FrameDb db;
+  db.set_candidate_strikes(options_.candidate_strikes);
+  QueryContext ctx(ts_, prop, options_.lemmas, options_, db);
+  db.push_level();  // level 1: the first frontier
+  ObligationQueue queue;
+  std::size_t mailbox_cursor = 0;
+  AbsorbFilter absorb_filter;
 
   auto finish = [&](Verdict verdict, std::size_t depth) {
     result.verdict = verdict;
     result.depth = depth;
-    result.stats.absorb(run.pool.total_stats());
-    for (const QueryContext* ctx : contexts) {
-      result.stats.retired_gates += ctx->retired_gates();
-      result.stats.lifted_bits += ctx->lifted_bits();
-      result.stats.lifted_input_bits += ctx->lifted_input_bits();
-    }
-    result.stats.solver_rebuilds += run.pool.rebuilds();
-    result.stats.candidates_seeded += run.db.may_seeded();
-    result.stats.candidates_graduated += run.db.may_graduated();
-    result.stats.candidates_retracted += run.db.may_retracted();
+    result.stats.absorb(ctx.solver().stats());
+    result.stats.absorb(ctx.init_solver().stats());
+    result.stats.retired_gates += ctx.retired_gates();
+    result.stats.lifted_bits += ctx.lifted_bits();
+    result.stats.lifted_input_bits += ctx.lifted_input_bits();
+    result.stats.candidates_seeded += db.may_seeded();
+    result.stats.candidates_graduated += db.may_graduated();
+    result.stats.candidates_retracted += db.may_retracted();
     result.stats.seconds = watch.seconds();
     return result;
   };
@@ -162,7 +116,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // frame database trades exclusively in state-bit clauses.
   if (options_.seed_candidates) {
     for (const ir::NodeRef cand : options_.candidate_lemmas) {
-      if (const auto cube = cube_of_clause(ts_, cand)) run.db.seed_may(*cube);
+      if (const auto cube = cube_of_clause(ts_, cand)) db.seed_may(*cube);
     }
   }
 
@@ -174,16 +128,16 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   auto poll_mailbox = [&] {
     if (!options_.seed_candidates || options_.exchange == nullptr) return;
     const auto fetched =
-        options_.exchange->fetch(options_.exchange_slot, &run.mailbox_cursor);
+        options_.exchange->fetch(options_.exchange_slot, &mailbox_cursor);
     std::size_t absorbed = 0;
     for (const ExchangedClause& clause : fetched) {
-      if (!run.absorb_filter.admit(clause)) continue;
+      if (!absorb_filter.admit(clause)) continue;
       const auto cube = mailbox_cube(clause, ts_);
       if (!cube.has_value()) continue;
       if (clause.proven()) {
-        run.db.add_infinity(*cube);
+        db.add_infinity(*cube);
         ++absorbed;
-      } else if (run.db.seed_may(*cube).has_value()) {
+      } else if (db.seed_may(*cube).has_value()) {
         ++absorbed;
       }
     }
@@ -194,9 +148,9 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
   // 0-step: a property violation inside the initial states themselves.
   {
-    const sat::LBool answer = main.init_solver().solve({~main.init_prop_lit()});
+    const sat::LBool answer = ctx.init_solver().solve({~ctx.init_prop_lit()});
     if (answer == sat::LBool::True) {
-      result.cex = main.init_unroller().extract_trace(1);
+      result.cex = ctx.init_unroller().extract_trace(1);
       return finish(Verdict::Falsified, 0);
     }
     if (answer == sat::LBool::Undef) return finish(Verdict::Unknown, 0);
@@ -205,8 +159,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // Reconstruct a trace from a level-0 obligation chain: the chain's states
   // run from an initial state to the property violation, and each stored
   // input vector drives its state into the next one. Obligations carry only
-  // manager-neutral values, so this works no matter which worker's context
-  // discovered each link.
+  // manager-neutral values (state and input values per link).
   //
   // With ternary lifting the stored per-link state values are witnesses of
   // *cubes*, not one execution: the init-end link holds a genuine initial
@@ -220,12 +173,12 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     sim::Trace trace(&ts_);
     std::vector<std::size_t> chain;
     for (std::ptrdiff_t at = static_cast<std::ptrdiff_t>(index); at >= 0;
-         at = run.queue.at(static_cast<std::size_t>(at)).parent) {
+         at = queue.at(static_cast<std::size_t>(at)).parent) {
       chain.push_back(static_cast<std::size_t>(at));
     }
     if (!options_.ternary_lifting) {
       for (const std::size_t at : chain) {
-        const Obligation& o = run.queue.at(at);
+        const Obligation& o = queue.at(at);
         sim::Assignment env;
         for (std::size_t si = 0; si < ts_.states().size(); ++si) {
           env[ts_.states()[si].var] = o.state_values[si];
@@ -239,10 +192,10 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     }
     sim::Assignment states;
     for (std::size_t si = 0; si < ts_.states().size(); ++si) {
-      states[ts_.states()[si].var] = run.queue.at(chain.front()).state_values[si];
+      states[ts_.states()[si].var] = queue.at(chain.front()).state_values[si];
     }
     for (const std::size_t at : chain) {
-      const Obligation& o = run.queue.at(at);
+      const Obligation& o = queue.at(at);
       sim::Assignment env = states;
       for (std::size_t ii = 0; ii < ts_.inputs().size(); ++ii) {
         env[ts_.inputs()[ii]] = o.input_values[ii];
@@ -261,9 +214,9 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
   GENFV_TRACE_SPAN("pdr", "prove_all");
   while (true) {
-    const std::size_t frontier = run.db.frontier();
+    const std::size_t frontier = db.frontier();
     if (util::telemetry_on()) frontier_gauge.set(static_cast<std::int64_t>(frontier));
-    if (main.stopped()) return finish(Verdict::Unknown, frontier);
+    if (ctx.stopped()) return finish(Verdict::Unknown, frontier);
 
     // Absorb new candidate material before the SAT-heavy phases: proven
     // clauses strengthen every query unconditionally, fresh candidates ride
@@ -279,20 +232,18 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "may_proof");
       util::ScopedTimerNs timer(may_proof_ns);
-      if (!may_proof_pass(main, run.db, options_)) {
+      if (!may_proof_pass(ctx, db, options_)) {
         return finish(Verdict::Unknown, frontier);
       }
     }
 
     // Strengthen the frontier: block every state that violates the property
-    // (and every predecessor chain those states drag in) — sequentially on
-    // context 0 for workers == 1, sharded across the pool otherwise.
+    // (and every predecessor chain those states drag in).
     std::size_t cex_index = 0;
     {
       GENFV_TRACE_SPAN("pdr", "blocking");
       util::ScopedTimerNs timer(blocking_ns);
-      switch (strengthen_frontier(contexts, run.db, run.queue, options_, frontier,
-                                  &cex_index)) {
+      switch (strengthen_frontier(ctx, db, queue, options_, frontier, &cex_index)) {
         case BlockOutcome::Blocked: break;
         case BlockOutcome::Counterexample:
           result.cex = build_cex(cex_index);
@@ -305,10 +256,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "propagate");
       util::ScopedTimerNs timer(propagate_ns);
-      const PropagateOutcome propagated =
-          contexts.size() == 1 ? propagate_all(main, run.db, options_)
-                               : propagate_sharded(contexts, run.db, options_);
-      if (propagated == PropagateOutcome::Budget) {
+      if (propagate_all(ctx, db, options_) == PropagateOutcome::Budget) {
         return finish(Verdict::Unknown, frontier);
       }
     }
@@ -320,7 +268,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "push_infinity");
       util::ScopedTimerNs timer(push_infinity_ns);
-      if (!push_to_infinity(main, run.db, options_)) {
+      if (!push_to_infinity(ctx, db, options_)) {
         return finish(Verdict::Unknown, frontier);
       }
     }
@@ -329,12 +277,12 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     // agreeing frame is an inductive invariant implying the property. F_∞
     // clauses are part of every frame, so they belong to the certificate.
     for (std::size_t i = 1; i < frontier; ++i) {
-      if (!run.db.cubes_at(i).empty()) continue;
-      for (const Cube& cube : run.db.infinity()) {
+      if (!db.cubes_at(i).empty()) continue;
+      for (const Cube& cube : db.infinity()) {
         result.invariant.push_back(clause_expr(ts_, cube));
       }
       for (std::size_t j = i + 1; j <= frontier; ++j) {
-        for (const Cube& cube : run.db.cubes_at(j)) {
+        for (const Cube& cube : db.cubes_at(j)) {
           result.invariant.push_back(clause_expr(ts_, cube));
         }
       }
@@ -343,7 +291,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
     if (frontier >= options_.max_frames) return finish(Verdict::Unknown, frontier);
     GENFV_TRACE_INSTANT("pdr", "push_level");
-    run.db.push_level();
+    db.push_level();
   }
 }
 

@@ -19,16 +19,15 @@
 ///    invariant`) so the helper-generation flow can re-use them as proven
 ///    lemmas.
 ///
-/// The engine is layered for sharding (this header is only the façade):
-///  * `frame_db.hpp` — the shared, solver-neutral frame database;
-///  * `context.hpp` — per-worker query contexts (solver + unroller +
-///    activation literals + gate-litter rebuild) over a `sat::SolverPool`;
+/// The engine is layered (this header is only the façade):
+///  * `frame_db.hpp` — the solver-neutral frame database;
+///  * `context.hpp` — the query context (transition + initiation solvers,
+///    unrollers, activation literals, the FrameDb mirror);
 ///  * `blocking.hpp` / `generalize.hpp` / `propagate.hpp` — the algorithm
 ///    split into frontier strengthening, inductive generalization and
 ///    forward propagation / F_∞ graduation;
-///  * `pdr.cpp` — orchestration. `PdrOptions::workers == 1` reproduces the
-///    legacy single-threaded engine bit for bit; more workers shard
-///    obligation blocking and propagation over private system clones.
+///  * `pdr.cpp` — orchestration. One run is one query context on the
+///    caller's thread.
 
 #include <atomic>
 #include <cstdint>
@@ -93,31 +92,17 @@ struct PdrOptions {
   /// disjunctions of state-bit literals — can seed; others are skipped.
   /// Ignored unless `seed_candidates` is set.
   std::vector<ir::NodeRef> candidate_lemmas;
-  /// Worker shards for obligation blocking and clause propagation. 1 (the
-  /// default) runs a single query context on the caller's system — bit for
-  /// bit the legacy single-threaded engine. n > 1 runs n query contexts,
-  /// each over a private `ir::SystemClone` (no NodeManager ever crosses a
-  /// thread), sharing the solver-neutral `FrameDb` and obligation queue;
-  /// verdicts are unchanged, wall-clock and trajectory are not.
-  std::size_t workers = 1;
-  /// Query-gate hygiene: every finished blocking query retires its
-  /// activation gate as a permanently-satisfied unit clause, and those
-  /// accumulate without bound on long runs. When a context has retired this
-  /// many gates it rebuilds its transition solver in place, re-encoding only
-  /// the live facts (init, lemmas, FrameDb clauses, F_∞). 0 (the default)
-  /// never rebuilds — rebuilds keep verdicts but perturb SAT models, i.e.
-  /// the exact frame trajectory.
-  std::size_t rebuild_gate_limit = 0;
   /// Strikes before a may-candidate is retracted: a candidate implicated in
   /// a spurious "blocked" answer is only dropped after this many offenses,
   /// tolerating one-off collisions with rare backward-reachable states.
   /// 1 = retract on first offense (the legacy policy).
   std::size_t candidate_strikes = 2;
   /// SAT backend name (see sat::make_backend) and inprocessing toggle,
-  /// stamped onto every solver the run's pool creates.
+  /// stamped onto both of the run's solvers.
   std::string sat_backend = "internal";
   bool sat_inprocess = true;
-  /// When non-empty, pool solvers log DRAT proofs under this path base.
+  /// When non-empty, the transition solver logs a DRAT proof to this path
+  /// base and the initiation solver to `<drat_path>-p1`.
   std::string drat_path;
 };
 

@@ -1,8 +1,5 @@
 #include "mc/pdr/propagate.hpp"
 
-#include <atomic>
-#include <thread>
-
 #include "mc/pdr/blocking.hpp"
 
 namespace genfv::mc::pdr {
@@ -19,53 +16,6 @@ PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db,
           ctx.relative_query(cube, i + 1, /*assume_not_cube=*/false, nullptr);
       if (answer == sat::LBool::Undef) return PropagateOutcome::Budget;
       if (answer == sat::LBool::False) record_blocked(db, options, cube, i + 1);
-    }
-  }
-  return PropagateOutcome::Done;
-}
-
-PropagateOutcome propagate_sharded(const std::vector<QueryContext*>& contexts,
-                                   FrameDb& db, const PdrOptions& options) {
-  const std::size_t frontier = db.frontier();
-  const std::size_t n = contexts.size();
-  for (std::size_t i = 1; i < frontier; ++i) {
-    if (contexts[0]->stopped()) return PropagateOutcome::Budget;
-    const std::vector<Cube> snapshot = db.cubes_at(i);
-    if (snapshot.empty()) continue;
-
-    std::atomic<bool> interrupted{false};
-    std::vector<std::vector<Cube>> pushed(n);
-    auto shard = [&](std::size_t w) {
-      QueryContext& ctx = *contexts[w];
-      for (std::size_t idx = w; idx < snapshot.size(); idx += n) {
-        if (interrupted.load(std::memory_order_relaxed) || ctx.stopped()) return;
-        const Cube& cube = snapshot[idx];
-        if (db.is_blocked(cube, i + 1)) continue;
-        const sat::LBool answer =
-            ctx.relative_query(cube, i + 1, /*assume_not_cube=*/false, nullptr);
-        if (answer == sat::LBool::Undef) {
-          interrupted.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (answer == sat::LBool::False) pushed[w].push_back(cube);
-      }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(n - 1);
-    for (std::size_t w = 1; w < n; ++w) threads.emplace_back(shard, w);
-    shard(0);
-    for (std::thread& t : threads) t.join();
-    if (interrupted.load(std::memory_order_relaxed) || contexts[0]->stopped()) {
-      return PropagateOutcome::Budget;
-    }
-    // Merge under the caller's thread: the database dedupes via subsumption,
-    // and the is_blocked re-check skips cubes another shard also pushed.
-    for (std::size_t w = 0; w < n; ++w) {
-      for (const Cube& cube : pushed[w]) {
-        if (db.is_blocked(cube, i + 1)) continue;
-        record_blocked(db, options, cube, i + 1);
-      }
     }
   }
   return PropagateOutcome::Done;
@@ -122,7 +72,7 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const PdrOptions& options) {
   for (const FrameDb::MayClause& m : live) {
     // Graduation order matters: remove the may entry first so the frame
     // clause that replaces it is never double-counted by is_blocked.
-    if (!db.graduate_may(m.id)) continue;  // a racing worker retracted it
+    db.graduate_may(m.id);
     if (!db.is_blocked(m.cube, level)) record_blocked(db, options, m.cube, level);
   }
   return true;

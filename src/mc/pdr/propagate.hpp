@@ -7,12 +7,7 @@
 /// level one level forward; clauses that reach the frontier become
 /// candidates for F_∞, where a mutual-induction fixpoint certifies the
 /// inductive subset invariant (and publishes each survivor to the lemma
-/// exchange). Both passes operate on the shared `FrameDb`; the sharded
-/// variant partitions each level's snapshot across worker contexts with a
-/// barrier per level, so the per-level delta semantics match the
-/// single-context pass.
-
-#include <vector>
+/// exchange). Both passes operate on the run's `FrameDb`.
 
 #include "mc/pdr/context.hpp"
 #include "mc/pdr/frame_db.hpp"
@@ -24,16 +19,8 @@ enum class PropagateOutcome {
   Budget,  ///< conflict budget or stop flag interrupted the pass
 };
 
-/// Single-context propagation over levels 1..frontier-1 (legacy behavior).
+/// Propagation over levels 1..frontier-1.
 PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db, const PdrOptions& options);
-
-/// Sharded propagation: each level's cube snapshot is partitioned
-/// round-robin across `contexts`; `contexts[0]` runs on the calling thread,
-/// the rest get a thread per level. Push results are merged into the
-/// database between levels (a barrier), so every worker sees level i fully
-/// propagated before level i+1 starts.
-PropagateOutcome propagate_sharded(const std::vector<QueryContext*>& contexts,
-                                   FrameDb& db, const PdrOptions& options);
 
 /// The may-proof pass (PdrOptions::seed_candidates; no-op otherwise): try to
 /// graduate candidate ("may") clauses into ordinary frame clauses.

@@ -24,9 +24,8 @@
 /// inputs, because counterexample chains are rebuilt by re-simulation
 /// through those cubes (see `docs/lemmas.md`).
 ///
-/// `TernarySim` is per-worker state (each `QueryContext` owns one over its
-/// private system clone); it is not internally synchronized and never
-/// touches a solver.
+/// `TernarySim` is per-run state (the `QueryContext` owns one over the run's
+/// system); it is not internally synchronized and never touches a solver.
 
 #include <cstdint>
 #include <unordered_map>

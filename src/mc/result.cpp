@@ -44,7 +44,6 @@ void EngineStats::publish_metrics(const std::string& prefix) const {
   reg.counter(prefix + "restarts").add(restarts);
   reg.counter(prefix + "learnt_clauses").add(learnt_clauses);
   reg.counter(prefix + "retired_gates").add(retired_gates);
-  reg.counter(prefix + "solver_rebuilds").add(solver_rebuilds);
   reg.counter(prefix + "lifted_bits").add(lifted_bits);
   reg.counter(prefix + "lifted_input_bits").add(lifted_input_bits);
   reg.counter(prefix + "inprocessings").add(inprocessings);

@@ -8,7 +8,7 @@
 /// and failed-assumption-core extraction, conflict budgets and cooperative
 /// cancellation — exactly the surface `sat::Solver` (the in-tree CDCL core,
 /// the default backend) has always exposed. Extracting it lets an external
-/// MiniSat/CaDiCaL-style solver be dropped in per `SolverPool` worker and
+/// MiniSat/CaDiCaL-style solver be dropped in under every engine and
 /// raced inside the portfolio without touching any engine code.
 ///
 /// Optional capabilities degrade gracefully: a backend without inprocessing

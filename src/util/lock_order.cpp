@@ -30,16 +30,13 @@ namespace {
 struct Graph {
   std::mutex mu;
   // Lock classes keyed by *name content*, not literal address: a header-inline
-  // `Mutex mu_{"pdr.framedb"}` materializes the literal in several TUs, and
+  // `Mutex mu_{"mc.mailbox"}` materializes the literal in several TUs, and
   // all instances must share one node for cross-TU cycles to be visible.
   std::map<std::string, int> class_ids;
   std::vector<std::string> class_names;
   // edges[a] = classes acquired while holding a.
   std::vector<std::set<int>> edges;
   std::vector<std::string> cycles;
-  std::vector<std::string> hazards;
-  // Hazard dedup: one report per (region, held-class-set signature).
-  std::set<std::string> hazard_keys;
 };
 
 Graph& graph() {
@@ -174,30 +171,6 @@ void on_release(const void* mutex, const char* /*site*/) noexcept {
   if (held.overflow > 0) --held.overflow;
 }
 
-void check_no_locks_held(const char* what) noexcept {
-  HeldStack& held = t_held;
-  if (held.n == 0 && held.overflow == 0) return;
-  std::string held_names;
-  for (int i = 0; i < held.n; ++i) {
-    if (!held_names.empty()) held_names += ", ";
-    held_names += held.entries[i].site;
-  }
-  std::string report = "lockdep hazard: ";
-  report += what;
-  report += " entered while holding: ";
-  report += held_names;
-  bool fresh = false;
-  {
-    Graph& g = graph();
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.hazard_keys.insert(report).second) {
-      g.hazards.push_back(report);
-      fresh = true;
-    }
-  }
-  if (fresh) log_line(LogLevel::Error, "lockdep", report);
-}
-
 bool enabled() noexcept { return true; }
 
 std::size_t cycle_count() noexcept {
@@ -212,18 +185,6 @@ std::vector<std::string> cycle_reports() {
   return g.cycles;
 }
 
-std::size_t hazard_count() noexcept {
-  Graph& g = graph();
-  std::lock_guard<std::mutex> lock(g.mu);
-  return g.hazards.size();
-}
-
-std::vector<std::string> hazard_reports() {
-  Graph& g = graph();
-  std::lock_guard<std::mutex> lock(g.mu);
-  return g.hazards;
-}
-
 std::size_t held_by_this_thread() noexcept {
   return static_cast<std::size_t>(t_held.n + t_held.overflow);
 }
@@ -235,8 +196,6 @@ void reset() {
   g.class_names.clear();
   g.edges.clear();
   g.cycles.clear();
-  g.hazards.clear();
-  g.hazard_keys.clear();
 }
 
 }  // namespace genfv::util::lockdep
@@ -248,9 +207,6 @@ namespace genfv::util::lockdep {
 bool enabled() noexcept { return false; }
 std::size_t cycle_count() noexcept { return 0; }
 std::vector<std::string> cycle_reports() { return {}; }
-std::size_t hazard_count() noexcept { return 0; }
-std::vector<std::string> hazard_reports() { return {}; }
-void check_no_locks_held(const char*) noexcept {}
 std::size_t held_by_this_thread() noexcept { return 0; }
 void reset() {}
 

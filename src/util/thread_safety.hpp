@@ -16,7 +16,7 @@
 ///     acquisition graph and flags cycles (potential deadlocks).
 ///  3. **Contention telemetry** — a named Mutex attributes its lock-wait
 ///     time to `<name>_mutex_wait_ns` / `<name>_mutex_locks` when telemetry
-///     is on (this subsumes the old FrameDb::lock_timed()).
+///     is on.
 ///
 /// Annotation conventions (docs/static-analysis.md):
 ///  * every mutex-protected field carries GENFV_GUARDED_BY(mu_);
@@ -92,8 +92,8 @@ void mutex_contention_record(const char* name, std::uint64_t wait_ns) noexcept;
 
 /// Annotated mutex. Wraps std::mutex; adds the capability attributes, the
 /// Debug lock-order hooks, and (for named instances) contention telemetry:
-/// a Mutex constructed with name "pdr.framedb" attributes its lock waits to
-/// the `pdr.framedb_mutex_wait_ns` / `pdr.framedb_mutex_locks` counters
+/// a Mutex constructed with name "mc.mailbox" attributes its lock waits to
+/// the `mc.mailbox_mutex_wait_ns` / `mc.mailbox_mutex_locks` counters
 /// whenever telemetry is on.
 class GENFV_CAPABILITY("mutex") Mutex {
  public:
@@ -137,9 +137,9 @@ class GENFV_CAPABILITY("mutex") Mutex {
 };
 
 /// RAII scoped lock over Mutex — the only sanctioned way to hold one.
-/// Supports the mid-scope Unlock()/Lock() cycle the sharded-PDR worker loop
-/// needs (solver work happens unlocked), in the exact shape clang's analysis
-/// understands for scoped capabilities.
+/// Supports the mid-scope Unlock()/Lock() cycle the telemetry heartbeat
+/// needs (status emission happens unlocked), in the exact shape clang's
+/// analysis understands for scoped capabilities.
 class GENFV_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) GENFV_ACQUIRE(mu) : mu_(&mu), held_(true) {

@@ -1,7 +1,6 @@
 /// Debug lockdep tests (util/lock_order.hpp): the acquisition-graph checker
-/// must detect a seeded A->B / B->A inversion and a same-class nesting, stay
-/// silent on clean ordered nesting, and flag a lock held across
-/// sat::SolverPool::rebuild(). Every test is skipped in configurations that
+/// must detect a seeded A->B / B->A inversion and a same-class nesting, and
+/// stay silent on clean ordered nesting. Every test is skipped in configurations that
 /// compile the lockdep layer away (Release without -DGENFV_LOCK_ORDER=ON);
 /// the Debug ctest runs — including the sanitizer CI legs — exercise it for
 /// real. Tests reset the global graph on entry and exit so the process-wide
@@ -13,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "sat/solver_pool.hpp"
 #include "util/lock_order.hpp"
 #include "util/thread_safety.hpp"
 
@@ -41,7 +39,6 @@ TEST_F(LockOrder, CleanNestingReportsNothing) {
   }
   { MutexLock lb(b); }
   EXPECT_EQ(ld::cycle_count(), 0u);
-  EXPECT_EQ(ld::hazard_count(), 0u);
   EXPECT_EQ(ld::held_by_this_thread(), 0u);
 }
 
@@ -99,33 +96,6 @@ TEST_F(LockOrder, SameClassNestingIsFlagged) {
   ASSERT_EQ(ld::cycle_count(), 1u);
   EXPECT_NE(ld::cycle_reports().front().find("lockdep_test.same"),
             std::string::npos);
-}
-
-TEST_F(LockOrder, LockHeldAcrossSolverRebuildIsAHazard) {
-  // SolverPool::rebuild() frees and reallocates a solver; a caller entering
-  // it with any lock held risks both lock-order surprises and long critical
-  // sections, so rebuild() declares itself a no-locks-held region.
-  sat::SolverPool pool;
-  const std::size_t handle = pool.acquire();
-  { pool.rebuild(handle); }  // clean call: no hazard
-  EXPECT_EQ(ld::hazard_count(), 0u);
-
-  Mutex outer{"lockdep_test.outer"};
-  {
-    MutexLock lock(outer);
-    pool.rebuild(handle);
-  }
-  ASSERT_EQ(ld::hazard_count(), 1u);
-  const std::string report = ld::hazard_reports().front();
-  EXPECT_NE(report.find("SolverPool::rebuild"), std::string::npos) << report;
-  EXPECT_NE(report.find("lockdep_test.outer"), std::string::npos) << report;
-
-  // Identical repeat offenses are deduplicated, not re-reported.
-  {
-    MutexLock lock(outer);
-    pool.rebuild(handle);
-  }
-  EXPECT_EQ(ld::hazard_count(), 1u);
 }
 
 TEST_F(LockOrder, HeldCountTracksScopedLocks) {

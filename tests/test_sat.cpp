@@ -12,7 +12,6 @@
 #include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
-#include "sat/solver_pool.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -341,41 +340,6 @@ TEST(SolverStats, CountersAdvance) {
   (void)s.solve();
   EXPECT_GE(s.stats().solves, 1u);
   EXPECT_GE(s.stats().propagations + s.stats().decisions, 1u);
-}
-
-TEST(SolverPoolTest, HandsOutConfiguredSolvers) {
-  SolverPool pool;
-  const std::size_t a = pool.acquire();
-  const std::size_t b = pool.acquire();
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_NE(&pool.at(a), &pool.at(b));
-
-  const Var v = pool.at(a).new_var();
-  ASSERT_TRUE(pool.at(a).add_clause(pos(v)));
-  EXPECT_EQ(pool.at(a).solve(), LBool::True);
-  EXPECT_EQ(pool.at(b).num_vars(), 0);  // handles are independent
-}
-
-TEST(SolverPoolTest, RebuildFoldsRetiredStats) {
-  SolverPool pool;
-  const std::size_t h = pool.acquire();
-  const Var v = pool.at(h).new_var();
-  ASSERT_TRUE(pool.at(h).add_clause(pos(v)));
-  (void)pool.at(h).solve();
-  const std::uint64_t solves_before = pool.total_stats().solves;
-  EXPECT_GE(solves_before, 1u);
-
-  Backend& fresh = pool.rebuild(h);
-  EXPECT_EQ(&fresh, &pool.at(h));
-  EXPECT_EQ(fresh.num_vars(), 0);  // genuinely fresh
-  EXPECT_EQ(pool.rebuilds(), 1u);
-  // The retired solver's lifetime counters survive the rebuild...
-  EXPECT_EQ(pool.total_stats().solves, solves_before);
-  // ...and keep accumulating with the replacement's work.
-  const Var w = fresh.new_var();
-  ASSERT_TRUE(fresh.add_clause(pos(w)));
-  (void)fresh.solve();
-  EXPECT_EQ(pool.total_stats().solves, solves_before + 1);
 }
 
 // --- inprocessing soundness ---------------------------------------------------
@@ -766,20 +730,6 @@ TEST(BackendRegistry, InternalIsDefaultAndUnknownNamesThrow) {
   EXPECT_EQ(backend->model_value(v), LBool::True);
 
   EXPECT_THROW((void)make_backend("cadical-from-the-future"), UsageError);
-}
-
-TEST(SolverPoolTest, ConfigAppliesToRebuiltSolvers) {
-  std::atomic<bool> stop{true};
-  SolverPool pool(SolverConfig{-1, &stop});
-  const std::size_t h = pool.acquire();
-  // A raised stop flag makes every solve abandon immediately with Undef.
-  const Var v = pool.at(h).new_var();
-  ASSERT_TRUE(pool.at(h).add_clause(pos(v), neg(v)));
-  EXPECT_EQ(pool.at(h).solve(), LBool::Undef);
-  Backend& fresh = pool.rebuild(h);
-  const Var w = fresh.new_var();
-  ASSERT_TRUE(fresh.add_clause(pos(w), neg(w)));
-  EXPECT_EQ(fresh.solve(), LBool::Undef);
 }
 
 }  // namespace

@@ -29,11 +29,6 @@
 ///   --exchange on|off                live lemma exchange between portfolio
 ///                                    members (default: on; no effect on
 ///                                    single engines)
-///   --pdr-workers <n>|auto           PDR worker shards for obligation
-///                                    blocking / clause propagation
-///                                    (default: auto — small designs stay on
-///                                    the single-threaded engine, larger ones
-///                                    shard; 1 forces single-threaded PDR)
 ///   --pdr-ternary on|off             PDR ternary-simulation cube lifting:
 ///                                    shrink extracted cubes before
 ///                                    generalization (default: off)
@@ -50,7 +45,7 @@
 ///                                    LBD-tiered learnt-clause DB (default:
 ///                                    on; off pins the plain-CDCL behavior)
 ///   --drat-out <path>                log DRAT proofs: each solver writes
-///                                    <path>[-p..][-r..].cnf/.drat; check
+///                                    <path>[-p..].cnf/.drat; check
 ///                                    with scripts/check_drat.py (docs/sat.md)
 ///   --property "<sva>"               may repeat; an `<engine>:` prefix (e.g.
 ///                                    "pdr:count <= 8") overrides the engine
@@ -118,7 +113,6 @@ struct CliOptions {
   std::string flow = "cex";
   mc::EngineKind engine = mc::EngineKind::KInduction;
   bool exchange = true;
-  std::size_t pdr_workers = 0;  ///< 0 = auto (mc::auto_pdr_workers per design)
   bool pdr_ternary = false;
   bool seed_candidates = false;
   std::size_t pdr_strikes = 2;
@@ -151,7 +145,7 @@ struct CliOptions {
                "  genfv_cli sat <file.cnf> [--sat-backend <name>] [--drat-out <path>]\n"
                "  genfv_cli designs | models\n"
                "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-               "         --exchange on|off  --pdr-workers <n>|auto  --pdr-ternary on|off\n"
+               "         --exchange on|off  --pdr-ternary on|off\n"
                "         --seed-candidates on|off  --pdr-strikes <n>\n"
                "         --sat-backend <name>  --sat-inprocess on|off  --drat-out <path>\n"
                "         --emit-lemmas <file>  --use-lemmas <file>\n"
@@ -235,16 +229,6 @@ CliOptions parse_args(int argc, char** argv) {
       if (value == "on") opts.exchange = true;
       else if (value == "off") opts.exchange = false;
       else usage("--exchange takes 'on' or 'off'");
-    }
-    else if (arg == "--pdr-workers") {
-      const std::string value = need_value("--pdr-workers");
-      if (value == "auto") opts.pdr_workers = 0;
-      else {
-        opts.pdr_workers = std::stoull(value);
-        if (opts.pdr_workers == 0) {
-          usage("--pdr-workers takes a worker count >= 1 or 'auto'");
-        }
-      }
     }
     else if (arg == "--pdr-ternary") {
       const std::string value = need_value("--pdr-ternary");
@@ -341,18 +325,16 @@ std::string telemetry_summary_line() {
   const std::uint64_t solve_ms = reg.counter("sat.solve_ns").value() / 1000000;
   const std::uint64_t blocking_ms = reg.counter("pdr.blocking_ns").value() / 1000000;
   const std::uint64_t propagate_ms = reg.counter("pdr.propagate_ns").value() / 1000000;
-  const std::uint64_t lock_wait_us = reg.counter("pdr.framedb_mutex_wait_ns").value() / 1000;
   const std::uint64_t published = reg.counter("exchange.published").value();
   const std::uint64_t absorbed = reg.counter("exchange.absorbed").value();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
                 "telemetry: sat %llu solves / %llu ms, pdr blocking %llu ms propagate %llu ms, "
-                "framedb wait %llu us, exchange %llu pub / %llu abs",
+                "exchange %llu pub / %llu abs",
                 static_cast<unsigned long long>(solves),
                 static_cast<unsigned long long>(solve_ms),
                 static_cast<unsigned long long>(blocking_ms),
                 static_cast<unsigned long long>(propagate_ms),
-                static_cast<unsigned long long>(lock_wait_us),
                 static_cast<unsigned long long>(published),
                 static_cast<unsigned long long>(absorbed));
   return buf;
@@ -381,7 +363,6 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   mc::EngineOptions base;
   base.max_steps = opts.max_k;
   base.exchange = opts.exchange;
-  base.pdr_workers = opts.pdr_workers;
   base.pdr_ternary_lifting = opts.pdr_ternary;
   base.pdr_seed_candidates = opts.seed_candidates;
   base.pdr_candidate_strikes = opts.pdr_strikes;
@@ -484,7 +465,6 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.review.sim_screen = opts.sim_screen;
   options.target_engine = opts.engine;
   options.exchange = opts.exchange;
-  options.pdr_workers = opts.pdr_workers;
   options.pdr_ternary = opts.pdr_ternary;
   options.pdr_seed_candidates = opts.seed_candidates;
   options.pdr_candidate_strikes = opts.pdr_strikes;
