@@ -11,13 +11,21 @@ proofs show up here before anything else. Wall-clock numbers are reported
 machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
-BENCH_PR5.json (see docs/benchmarks.md) — every (design, engine) cell
+BENCH_PR13.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
-run can never silently drift from the checked-in trajectory.
+run can never silently drift from the checked-in trajectory. Cells whose
+kind is not "portfolio" must also agree exactly on the deterministic work
+counters (DETERMINISTIC_COUNTERS): single-threaded engines replay the same
+search on every machine, so any drift there means the search itself
+changed. Portfolio cells race threads and keep only the verdict gate.
 """
 
 import json
 import sys
+
+# Work counters that single-threaded (non-portfolio) cells reproduce exactly
+# from run to run and machine to machine; gated against the baseline.
+DETERMINISTIC_COUNTERS = ("sat_calls", "conflicts", "depth")
 
 # verdict expected from every engine that can conclude on the design at the
 # shootout's step budget (max_steps = 12). "unknown" rows are design/engine
@@ -108,7 +116,7 @@ def main() -> int:
     # alongside such a change), not silently vacate the gate.
     if len(sys.argv) == 3:
         with open(sys.argv[2], encoding="utf-8") as f:
-            baseline = {(r["design"], r["engine"]): r["verdict"] for r in json.load(f)}
+            baseline = {(r["design"], r["engine"]): r for r in json.load(f)}
         fresh_keys = {(r["design"], r["engine"]) for r in records}
         compared = 0
         for record in records:
@@ -116,10 +124,19 @@ def main() -> int:
             if key not in baseline:
                 continue
             compared += 1
-            if record["verdict"] != baseline[key]:
+            base = baseline[key]
+            if record["verdict"] != base["verdict"]:
                 failures.append(
                     f"{key[0]} / {key[1]}: baseline {sys.argv[2]} says "
-                    f"{baseline[key]}, this run says {record['verdict']}")
+                    f"{base['verdict']}, this run says {record['verdict']}")
+            if record["kind"] == "portfolio":
+                continue
+            for counter in DETERMINISTIC_COUNTERS:
+                if record[counter] != base[counter]:
+                    failures.append(
+                        f"{key[0]} / {key[1]}: {counter} {record[counter]} "
+                        f"!= baseline {base[counter]} in {sys.argv[2]} — the "
+                        f"search changed; regenerate the snapshot if intended")
         for key in sorted(baseline.keys() - fresh_keys):
             failures.append(
                 f"{key[0]} / {key[1]}: in baseline {sys.argv[2]} but missing "

@@ -28,6 +28,7 @@ void EngineStats::absorb(const sat::SolverStats& solver) {
   propagations += solver.propagations;
   restarts += solver.restarts;
   learnt_clauses += solver.learnt_clauses;
+  deleted_clauses += solver.deleted_clauses;
   inprocessings += solver.inprocessings;
   subsumed_clauses += solver.subsumed_clauses;
   strengthened_clauses += solver.strengthened_clauses;
@@ -43,6 +44,7 @@ void EngineStats::publish_metrics(const std::string& prefix) const {
   reg.counter(prefix + "propagations").add(propagations);
   reg.counter(prefix + "restarts").add(restarts);
   reg.counter(prefix + "learnt_clauses").add(learnt_clauses);
+  reg.counter(prefix + "deleted_clauses").add(deleted_clauses);
   reg.counter(prefix + "retired_gates").add(retired_gates);
   reg.counter(prefix + "lifted_bits").add(lifted_bits);
   reg.counter(prefix + "lifted_input_bits").add(lifted_input_bits);

@@ -40,6 +40,8 @@ struct EngineStats {
   std::uint64_t restarts = 0;
   /// Clauses learnt from conflict analysis across every absorbed solver.
   std::uint64_t learnt_clauses = 0;
+  /// Learnt clauses retired by clause-database reduction.
+  std::uint64_t deleted_clauses = 0;
   /// PDR query hygiene: one-shot activation gates retired as permanently-
   /// satisfied unit clauses.
   std::uint64_t retired_gates = 0;
@@ -82,6 +84,7 @@ struct EngineStats {
     propagations += other.propagations;
     restarts += other.restarts;
     learnt_clauses += other.learnt_clauses;
+    deleted_clauses += other.deleted_clauses;
     retired_gates += other.retired_gates;
     lifted_bits += other.lifted_bits;
     lifted_input_bits += other.lifted_input_bits;

@@ -40,6 +40,7 @@ struct SolverStats {
   std::uint64_t learnt_literals = 0;
   std::uint64_t minimized_literals = 0;
   std::uint64_t deleted_clauses = 0;
+  std::uint64_t reductions = 0;  // clause-database reductions run
   // Inprocessing (sessions between restarts; see sat/inprocess.hpp).
   std::uint64_t inprocessings = 0;
   std::uint64_t subsumed_clauses = 0;
@@ -58,6 +59,7 @@ struct SolverStats {
     learnt_literals += other.learnt_literals;
     minimized_literals += other.minimized_literals;
     deleted_clauses += other.deleted_clauses;
+    reductions += other.reductions;
     inprocessings += other.inprocessings;
     subsumed_clauses += other.subsumed_clauses;
     strengthened_clauses += other.strengthened_clauses;

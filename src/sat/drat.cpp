@@ -12,7 +12,7 @@ DratWriter::DratWriter(std::string base) : base_(std::move(base)) {
 
 DratWriter::~DratWriter() { flush(); }
 
-void DratWriter::append_clause(std::ostream& os, const std::vector<Lit>& lits) {
+void DratWriter::append_clause(std::ostream& os, std::span<const Lit> lits) {
   for (const Lit p : lits) {
     const int v = var(p) + 1;  // DIMACS is 1-based
     if (v > max_var_) max_var_ = v;
@@ -21,18 +21,18 @@ void DratWriter::append_clause(std::ostream& os, const std::vector<Lit>& lits) {
   os << "0\n";
 }
 
-void DratWriter::input_clause(const std::vector<Lit>& lits) {
+void DratWriter::input_clause(std::span<const Lit> lits) {
   if (!ok_) return;
   append_clause(cnf_body_, lits);
   ++cnf_clauses_;
 }
 
-void DratWriter::add(const std::vector<Lit>& lits) {
+void DratWriter::add(std::span<const Lit> lits) {
   if (!ok_) return;
   append_clause(drat_, lits);
 }
 
-void DratWriter::remove(const std::vector<Lit>& lits) {
+void DratWriter::remove(std::span<const Lit> lits) {
   if (!ok_) return;
   drat_ << "d ";
   append_clause(drat_, lits);

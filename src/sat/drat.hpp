@@ -25,9 +25,9 @@
 /// stream is written through directly.
 
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "sat/types.hpp"
 
@@ -47,22 +47,21 @@ class DratWriter {
   bool ok() const noexcept { return ok_; }
 
   /// Record a caller-supplied clause into `<base>.cnf`.
-  void input_clause(const std::vector<Lit>& lits);
+  void input_clause(std::span<const Lit> lits);
 
   /// Record a derived (RUP) clause into `<base>.drat`.
-  void add(const std::vector<Lit>& lits);
-  void add_unit(Lit p) { add(std::vector<Lit>{p}); }
-  void add_empty() { add(std::vector<Lit>{}); }
+  void add(std::span<const Lit> lits);
+  void add_empty() { add({}); }
 
   /// Record the deletion of a (learnt) clause.
-  void remove(const std::vector<Lit>& lits);
+  void remove(std::span<const Lit> lits);
 
   /// Write `<base>.cnf` (header + buffered clauses) and flush the proof
   /// stream. Called from the destructor; idempotent.
   void flush();
 
  private:
-  void append_clause(std::ostream& os, const std::vector<Lit>& lits);
+  void append_clause(std::ostream& os, std::span<const Lit> lits);
 
   std::string base_;
   bool ok_ = false;

@@ -35,6 +35,7 @@ void Inprocessor::run() {
     return;
   }
   clear_level0_reasons();
+  s_.compact_learnts();  // the passes below walk learnts_ and expect no holes
   top_level_simplify();
   if (s_.ok_) {
     build_occurrence_lists();
@@ -55,20 +56,19 @@ void Inprocessor::kill(Clause* c) {
   GENFV_ASSERT(!c->dead, "double kill");
   s_.detach_clause(c);
   c->dead = true;
-  if (c->learnt && s_.drat_ != nullptr) s_.drat_->remove(c->lits);
+  if (c->learnt && s_.drat_ != nullptr) s_.drat_->remove(c->lits());
 }
 
 void Inprocessor::sweep() {
-  const auto dead = [](const std::unique_ptr<Clause>& c) { return c->dead; };
+  const auto dead = [](const Solver::ClausePtr& c) { return c->dead; };
   s_.clauses_.erase(std::remove_if(s_.clauses_.begin(), s_.clauses_.end(), dead),
                     s_.clauses_.end());
-  s_.learnts_.erase(std::remove_if(s_.learnts_.begin(), s_.learnts_.end(), dead),
-                    s_.learnts_.end());
+  s_.compact_learnts();
 }
 
 void Inprocessor::top_level_simplify() {
   const auto satisfied = [this](const Clause* c) {
-    for (const Lit p : c->lits) {
+    for (const Lit p : c->lits()) {
       if (s_.value(p) == LBool::True) return true;
     }
     return false;
@@ -91,7 +91,7 @@ void Inprocessor::top_level_simplify() {
       continue;
     }
     bool has_false = false;
-    for (const Lit p : c->lits) {
+    for (const Lit p : c->lits()) {
       if (s_.value(p) == LBool::False) {
         has_false = true;
         break;
@@ -99,12 +99,12 @@ void Inprocessor::top_level_simplify() {
     }
     if (!has_false) continue;
     s_.detach_clause(c);
-    c->lits.erase(std::remove_if(c->lits.begin(), c->lits.end(),
-                                 [this](Lit p) { return s_.value(p) == LBool::False; }),
-                  c->lits.end());
-    GENFV_ASSERT(!c->lits.empty(), "an all-false clause would have conflicted");
-    if (c->lits.size() == 1) {
-      const Lit unit = c->lits[0];
+    const Lit* kept_end = std::remove_if(
+        c->begin(), c->end(), [this](Lit p) { return s_.value(p) == LBool::False; });
+    c->assign({c->begin(), kept_end});
+    GENFV_ASSERT(c->size() > 0, "an all-false clause would have conflicted");
+    if (c->size() == 1) {
+      const Lit unit = (*c)[0];
       c->dead = true;
       s_.unchecked_enqueue(unit);
       if (s_.propagate() != nullptr) {
@@ -120,10 +120,10 @@ void Inprocessor::top_level_simplify() {
 
 void Inprocessor::build_occurrence_lists() {
   occ_.assign(static_cast<std::size_t>(s_.num_vars()), {});
-  const auto reg = [this](const std::unique_ptr<Clause>& c) {
+  const auto reg = [this](const Solver::ClausePtr& c) {
     if (c->dead) return;
-    c->sig = signature(c->lits);
-    for (const Lit p : c->lits) occ_[static_cast<std::size_t>(var(p))].push_back(c.get());
+    c->sig = signature(c->lits());
+    for (const Lit p : c->lits()) occ_[static_cast<std::size_t>(var(p))].push_back(c.get());
   };
   for (const auto& c : s_.clauses_) reg(c);
   for (const auto& c : s_.learnts_) reg(c);
@@ -132,14 +132,14 @@ void Inprocessor::build_occurrence_lists() {
 Inprocessor::Subsumes Inprocessor::subsumes(const Clause* c, const Clause* d,
                                             Lit* strengthen_out,
                                             std::uint64_t* budget) const {
-  if (c->lits.size() > d->lits.size()) return Subsumes::kNo;
+  if (c->size() > d->size()) return Subsumes::kNo;
   if ((c->sig & ~d->sig) != 0) return Subsumes::kNo;
-  const std::uint64_t cost = c->lits.size() * d->lits.size();
+  const std::uint64_t cost = c->size() * d->size();
   *budget -= std::min(*budget, cost);
   Lit flipped = kUndefLit;
-  for (const Lit p : c->lits) {
+  for (const Lit p : c->lits()) {
     bool found = false;
-    for (const Lit q : d->lits) {
+    for (const Lit q : d->lits()) {
       if (q == p) {
         found = true;
         break;
@@ -161,13 +161,13 @@ Inprocessor::Subsumes Inprocessor::subsumes(const Clause* c, const Clause* d,
 void Inprocessor::strengthen(Clause* d, Lit rem) {
   ++s_.stats_.strengthened_clauses;
   std::vector<Lit> new_lits;
-  new_lits.reserve(d->lits.size() - 1);
-  for (const Lit p : d->lits) {
+  new_lits.reserve(d->size() - 1);
+  for (const Lit p : d->lits()) {
     if (p != rem) new_lits.push_back(p);
   }
   if (s_.drat_ != nullptr) {
     s_.drat_->add(new_lits);
-    if (d->learnt) s_.drat_->remove(d->lits);
+    if (d->learnt) s_.drat_->remove(d->lits());
   }
   s_.detach_clause(d);
   if (new_lits.size() == 1) {
@@ -187,8 +187,8 @@ void Inprocessor::strengthen(Clause* d, Lit rem) {
     }
     return;
   }
-  d->lits = std::move(new_lits);
-  d->sig = signature(d->lits);
+  d->assign(new_lits);
+  d->sig = signature(d->lits());
   s_.attach_clause(d);
 }
 
@@ -203,10 +203,10 @@ void Inprocessor::subsume_all() {
 
   for (std::size_t qi = 0; qi < queue.size() && budget > 0 && s_.ok_; ++qi) {
     Clause* c = queue[qi];
-    if (c->dead || c->lits.empty()) continue;
+    if (c->dead || c->size() == 0) continue;
     // Scan the occurrence list of c's rarest variable.
-    Var best = var(c->lits[0]);
-    for (const Lit p : c->lits) {
+    Var best = var((*c)[0]);
+    for (const Lit p : c->lits()) {
       if (occ_[static_cast<std::size_t>(var(p))].size() <
           occ_[static_cast<std::size_t>(best)].size()) {
         best = var(p);
@@ -237,10 +237,10 @@ void Inprocessor::subsume_all() {
 bool Inprocessor::resolve(const Clause* p, const Clause* n, Var v,
                           std::vector<Lit>* out) const {
   out->clear();
-  for (const Lit q : p->lits) {
+  for (const Lit q : p->lits()) {
     if (var(q) != v) out->push_back(q);
   }
-  for (const Lit q : n->lits) {
+  for (const Lit q : n->lits()) {
     if (var(q) != v) out->push_back(q);
   }
   std::sort(out->begin(), out->end());
@@ -270,7 +270,7 @@ void Inprocessor::eliminate_vars() {
       bool mentions = false;
       bool positive = false;
       bool satisfied = false;
-      for (const Lit q : c->lits) {
+      for (const Lit q : c->lits()) {
         if (var(q) == v) {
           mentions = true;
           positive = !sign(q);
@@ -303,7 +303,7 @@ void Inprocessor::eliminate_vars() {
     bool abort = false;
     for (const Clause* cp : pos) {
       for (const Clause* cn : neg) {
-        budget -= std::min<std::uint64_t>(budget, cp->lits.size() + cn->lits.size());
+        budget -= std::min<std::uint64_t>(budget, cp->size() + cn->size());
         if (!resolve(cp, cn, v, &resolvent)) continue;
         if (resolvent.size() > kMaxResolventLits ||
             resolvents.size() >= pos.size() + neg.size() || budget == 0) {
@@ -321,8 +321,8 @@ void Inprocessor::eliminate_vars() {
     Solver::ElimEntry entry;
     entry.v = v;
     entry.was_decision = s_.decision_[vi] != 0;
-    for (const Clause* c : pos) entry.clauses.push_back(c->lits);
-    for (const Clause* c : neg) entry.clauses.push_back(c->lits);
+    for (const Clause* c : pos) entry.clauses.emplace_back(c->begin(), c->end());
+    for (const Clause* c : neg) entry.clauses.emplace_back(c->begin(), c->end());
     for (Clause* c : pos) kill(c);
     for (Clause* c : neg) kill(c);
     for (Clause* c : learnts) kill(c);
@@ -335,8 +335,8 @@ void Inprocessor::eliminate_vars() {
       Clause* nc = s_.add_clause_impl(std::move(r), Solver::ClauseOrigin::kDerived);
       if (!s_.ok_) return;
       if (nc != nullptr) {
-        nc->sig = signature(nc->lits);
-        for (const Lit q : nc->lits) {
+        nc->sig = signature(nc->lits());
+        for (const Lit q : nc->lits()) {
           occ_[static_cast<std::size_t>(var(q))].push_back(nc);
         }
       } else {
@@ -351,7 +351,7 @@ void Inprocessor::eliminate_vars() {
 void Inprocessor::vivify() {
   std::vector<Clause*> candidates;
   for (const auto& c : s_.clauses_) {
-    if (!c->dead && c->lits.size() >= 3 && c->lits.size() <= kMaxVivifySize) {
+    if (!c->dead && c->size() >= 3 && c->size() <= kMaxVivifySize) {
       candidates.push_back(c.get());
     }
   }
@@ -369,7 +369,7 @@ void Inprocessor::vivify() {
     // Pre-clean against level-0 facts accumulated this session.
     bool satisfied = false;
     lits.clear();
-    for (const Lit p : c->lits) {
+    for (const Lit p : c->lits()) {
       const LBool val = s_.value(p);
       if (val == LBool::True) {
         satisfied = true;
@@ -381,7 +381,7 @@ void Inprocessor::vivify() {
       kill(c);
       continue;
     }
-    const bool precleaned = lits.size() < c->lits.size();
+    const bool precleaned = lits.size() < c->size();
     if (lits.size() < 3) {
       // Too short to probe; just apply the pre-clean if it shrank.
       if (!precleaned) continue;
@@ -389,7 +389,7 @@ void Inprocessor::vivify() {
       GENFV_ASSERT(!lits.empty(), "an all-false clause would have conflicted");
       if (lits.size() == 1) {
         c->dead = true;
-        if (c->learnt && s_.drat_ != nullptr) s_.drat_->remove(c->lits);
+        if (c->learnt && s_.drat_ != nullptr) s_.drat_->remove(c->lits());
         s_.unchecked_enqueue(lits[0]);
         if (s_.propagate() != nullptr) {
           s_.mark_unsat();
@@ -397,7 +397,7 @@ void Inprocessor::vivify() {
         }
         clear_level0_reasons();
       } else {
-        c->lits = lits;
+        c->assign(lits);
         s_.attach_clause(c);
       }
       continue;
@@ -448,7 +448,7 @@ void Inprocessor::vivify() {
     GENFV_ASSERT(!kept.empty(), "vivification cannot empty a clause");
     if (s_.drat_ != nullptr) {
       s_.drat_->add(kept);
-      if (c->learnt) s_.drat_->remove(c->lits);
+      if (c->learnt) s_.drat_->remove(c->lits());
     }
     if (kept.size() == 1) {
       c->dead = true;
@@ -466,7 +466,7 @@ void Inprocessor::vivify() {
       }
       continue;
     }
-    c->lits = kept;
+    c->assign(kept);
     s_.attach_clause(c);
   }
 }

@@ -35,6 +35,7 @@
 /// search effort that scheduled it.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sat/solver.hpp"
@@ -53,7 +54,7 @@ class Inprocessor {
  private:
   using Clause = Solver::Clause;
 
-  static std::uint64_t signature(const std::vector<Lit>& lits) noexcept {
+  static std::uint64_t signature(std::span<const Lit> lits) noexcept {
     std::uint64_t sig = 0;
     for (const Lit p : lits) sig |= std::uint64_t{1} << (var(p) & 63);
     return sig;

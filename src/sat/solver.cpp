@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 
 #include "sat/drat.hpp"
 #include "sat/inprocess.hpp"
@@ -13,6 +14,26 @@ namespace genfv::sat {
 
 Solver::Solver() : order_heap_(activity_) {}
 Solver::~Solver() = default;
+
+void Solver::Clause::assign(std::span<const Lit> lits) {
+  GENFV_ASSERT(lits.size() <= count, "a clause never grows in place");
+  if (lits.data() != begin()) std::copy(lits.begin(), lits.end(), begin());
+  count = static_cast<std::uint32_t>(lits.size());
+}
+
+void Solver::ClauseDeleter::operator()(Clause* c) const noexcept {
+  c->~Clause();
+  ::operator delete(c);
+}
+
+Solver::ClausePtr Solver::make_clause(std::span<const Lit> lits, bool learnt) {
+  void* memory = ::operator new(sizeof(Clause) + lits.size() * sizeof(Lit));
+  ClausePtr c(new (memory) Clause{});
+  c->count = static_cast<std::uint32_t>(lits.size());
+  c->learnt = learnt;
+  std::uninitialized_copy(lits.begin(), lits.end(), c->begin());
+  return c;
+}
 
 Var Solver::new_var(bool decision) {
   const Var v = static_cast<Var>(assigns_.size());
@@ -78,35 +99,33 @@ Solver::Clause* Solver::add_clause_impl(std::vector<Lit> lits, ClauseOrigin orig
   }
   if (!ok_) return nullptr;
 
-  // Normalize: sort, drop duplicates and false literals, detect tautologies
-  // and already-satisfied clauses.
+  // Normalize in place: sort, drop duplicates and false literals, detect
+  // tautologies and already-satisfied clauses.
   std::sort(lits.begin(), lits.end());
-  std::vector<Lit> cleaned;
-  cleaned.reserve(lits.size());
+  std::size_t kept = 0;
   Lit prev = kUndefLit;
   for (const Lit p : lits) {
     GENFV_ASSERT(var(p) >= 0 && var(p) < num_vars(), "literal out of range");
     if (value(p) == LBool::True || p == ~prev) return nullptr;  // satisfied / tautology
     if (value(p) != LBool::False && p != prev) {
-      cleaned.push_back(p);
+      lits[kept++] = p;
       prev = p;
     }
   }
+  lits.resize(kept);
 
-  if (cleaned.empty()) {
+  if (lits.empty()) {
     mark_unsat();
     return nullptr;
   }
-  if (cleaned.size() == 1) {
-    unchecked_enqueue(cleaned[0]);
+  if (lits.size() == 1) {
+    unchecked_enqueue(lits[0]);
     if (propagate() != nullptr) mark_unsat();
     return nullptr;
   }
 
-  auto clause = std::make_unique<Clause>();
-  clause->lits = std::move(cleaned);
-  attach_clause(clause.get());
-  clauses_.push_back(std::move(clause));
+  clauses_.push_back(make_clause(lits, /*learnt=*/false));
+  attach_clause(clauses_.back().get());
   return clauses_.back().get();
 }
 
@@ -167,9 +186,10 @@ void Solver::extend_model() {
 }
 
 void Solver::attach_clause(Clause* c) {
-  GENFV_ASSERT(c->lits.size() >= 2, "attach requires a binary-or-larger clause");
-  watches_[static_cast<std::size_t>(index(~c->lits[0]))].push_back({c, c->lits[1]});
-  watches_[static_cast<std::size_t>(index(~c->lits[1]))].push_back({c, c->lits[0]});
+  GENFV_ASSERT(c->size() >= 2, "attach requires a binary-or-larger clause");
+  const Clause& cl = *c;
+  watches_[static_cast<std::size_t>(index(~cl[0]))].push_back({c, cl[1]});
+  watches_[static_cast<std::size_t>(index(~cl[1]))].push_back({c, cl[0]});
 }
 
 void Solver::detach_clause(Clause* c) {
@@ -183,8 +203,9 @@ void Solver::detach_clause(Clause* c) {
     }
     GENFV_ASSERT(false, "detach: watcher not found");
   };
-  remove_from(watches_[static_cast<std::size_t>(index(~c->lits[0]))]);
-  remove_from(watches_[static_cast<std::size_t>(index(~c->lits[1]))]);
+  const Clause& cl = *c;
+  remove_from(watches_[static_cast<std::size_t>(index(~cl[0]))]);
+  remove_from(watches_[static_cast<std::size_t>(index(~cl[1]))]);
 }
 
 void Solver::unchecked_enqueue(Lit p, Clause* from) {
@@ -210,21 +231,22 @@ Solver::Clause* Solver::propagate() {
         ws[keep++] = w;
         continue;
       }
-      Clause& c = *w.clause;
+      Lit* lits = w.clause->begin();
+      const std::size_t size = w.clause->size();
       const Lit false_lit = ~p;
-      if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-      // Invariant: c.lits[1] == false_lit.
-      const Lit first = c.lits[0];
+      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+      // Invariant: lits[1] == false_lit.
+      const Lit first = lits[0];
       if (first != w.blocker && value(first) == LBool::True) {
         ws[keep++] = {w.clause, first};
         continue;
       }
       // Look for a replacement watch.
       bool found = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != LBool::False) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<std::size_t>(index(~c.lits[1]))].push_back({w.clause, first});
+      for (std::size_t k = 2; k < size; ++k) {
+        if (value(lits[k]) != LBool::False) {
+          std::swap(lits[1], lits[k]);
+          watches_[static_cast<std::size_t>(index(~lits[1]))].push_back({w.clause, first});
           found = true;
           break;
         }
@@ -260,12 +282,14 @@ void Solver::var_bump_activity(Var v) {
 void Solver::cla_bump_activity(Clause& c) {
   c.activity += cla_inc_;
   if (c.activity > 1e20f) {
-    for (auto& learnt : learnts_) learnt->activity *= 1e-20f;
+    for (auto& learnt : learnts_) {
+      if (learnt != nullptr) learnt->activity *= 1e-20f;
+    }
     cla_inc_ *= 1e-20f;
   }
 }
 
-std::uint32_t Solver::compute_lbd(const std::vector<Lit>& lits) {
+std::uint32_t Solver::compute_lbd(std::span<const Lit> lits) {
   ++lbd_stamp_;
   if (lbd_seen_.size() <= static_cast<std::size_t>(decision_level())) {
     lbd_seen_.resize(static_cast<std::size_t>(decision_level()) + 1, 0);
@@ -297,12 +321,13 @@ void Solver::analyze(Clause* conflict, std::vector<Lit>& out_learnt, int& out_bt
       // Age the glue: a learnt clause re-entering analysis gets its LBD
       // recomputed and keeps the minimum (glucose-style aging).
       if (inprocess_on_ && c->lbd > kCoreLbd) {
-        const std::uint32_t lbd = compute_lbd(c->lits);
+        const std::uint32_t lbd = compute_lbd(c->lits());
         if (lbd < c->lbd) c->lbd = lbd;
       }
     }
-    for (std::size_t j = (p == kUndefLit) ? 0 : 1; j < c->lits.size(); ++j) {
-      const Lit q = c->lits[j];
+    const Clause& cl = *c;
+    for (std::size_t j = (p == kUndefLit) ? 0 : 1; j < cl.size(); ++j) {
+      const Lit q = cl[j];
       const auto vq = static_cast<std::size_t>(var(q));
       if (seen_[vq] == 0 && level_[vq] > 0) {
         var_bump_activity(var(q));
@@ -358,8 +383,8 @@ void Solver::analyze(Clause* conflict, std::vector<Lit>& out_learnt, int& out_bt
 bool Solver::literal_redundant(Lit p) const {
   const Clause* reason = reason_of(var(p));
   GENFV_ASSERT(reason != nullptr, "redundancy check needs a reason clause");
-  for (std::size_t j = 1; j < reason->lits.size(); ++j) {
-    const Lit q = reason->lits[j];
+  for (std::size_t j = 1; j < reason->size(); ++j) {
+    const Lit q = (*reason)[j];
     const auto vq = static_cast<std::size_t>(var(q));
     if (seen_[vq] == 0 && level_[vq] > 0) return false;
   }
@@ -381,8 +406,8 @@ void Solver::analyze_final(Lit failed_assumption) {
       core_.push_back(t);
     } else {
       const Clause& c = *reason_[v];
-      for (std::size_t j = 1; j < c.lits.size(); ++j) {
-        const auto vq = static_cast<std::size_t>(var(c.lits[j]));
+      for (std::size_t j = 1; j < c.size(); ++j) {
+        const auto vq = static_cast<std::size_t>(var(c[j]));
         if (level_[vq] > 0) seen_[vq] = 1;
       }
     }
@@ -428,60 +453,107 @@ Lit Solver::pick_branch_lit() {
 }
 
 bool Solver::locked(const Clause* c) const noexcept {
-  const Var v = var(c->lits[0]);
-  return reason_of(v) == c && value(c->lits[0]) == LBool::True;
+  const Lit first = (*c)[0];
+  return reason_of(var(first)) == c && value(first) == LBool::True;
 }
 
 void Solver::reduce_db() {
-  std::vector<Clause*> sorted;
-  sorted.reserve(learnts_.size());
-  const std::size_t target = learnts_.size() / 2;
+  ++stats_.reductions;
+  const std::size_t target = num_learnts() / 2;
   std::size_t doomed = 0;
 
   if (inprocess_on_) {
     // LBD tiers: core clauses (lbd <= kCoreLbd) and binaries are immortal;
-    // the rest die worst-glue-first, activity as the tie-break.
-    for (const auto& c : learnts_) {
-      if (c->lits.size() > 2 && c->lbd > kCoreLbd && !locked(c.get())) {
-        sorted.push_back(c.get());
-      }
+    // the rest die worst-glue-first, activity as the tie-break. The index
+    // yields the unlocked reducible learnts in learn order — the same
+    // sequence a scan of the whole database would — dropping entries that
+    // aged or shrank out of the tier for good.
+    reduce_order_.clear();
+    std::size_t kept = 0;
+    for (const std::uint32_t pos : reducible_) {
+      Clause* c = learnts_[pos].get();
+      if (!reducible(*c)) continue;
+      reducible_[kept++] = pos;
+      if (!locked(c)) reduce_order_.push_back(c);
     }
-    std::sort(sorted.begin(), sorted.end(), [](const Clause* a, const Clause* b) {
-      if (a->lbd != b->lbd) return a->lbd > b->lbd;  // worst glue first
-      return a->activity < b->activity;
-    });
-    for (Clause* c : sorted) {
-      if (doomed >= target) break;
-      c->dead = true;
-      ++doomed;
+    reducible_.resize(kept);
+    // When every candidate dies, their ranking is moot.
+    doomed = std::min(target, reduce_order_.size());
+    if (doomed < reduce_order_.size()) {
+      std::sort(reduce_order_.begin(), reduce_order_.end(),
+                [](const Clause* a, const Clause* b) {
+                  if (a->lbd != b->lbd) return a->lbd > b->lbd;  // worst glue first
+                  return a->activity < b->activity;
+                });
+    }
+    for (std::size_t i = 0; i < doomed; ++i) reduce_order_[i]->dead = true;
+    if (doomed > 0) {
+      // Retire in learn order (the proof's `d` lines and the watch lists
+      // depend on it) and free each clause at once.
+      kept = 0;
+      for (const std::uint32_t pos : reducible_) {
+        ClausePtr& c = learnts_[pos];
+        if (!c->dead) {
+          reducible_[kept++] = pos;
+          continue;
+        }
+        if (drat_ != nullptr) drat_->remove(c->lits());
+        detach_clause(c.get());
+        c.reset();
+        ++learnt_holes_;
+      }
+      reducible_.resize(kept);
+      if (learnt_holes_ > learnts_.size() / 2) compact_learnts();
     }
   } else {
     // Legacy order: sort learnts by (size > 2, activity); glue-ish survive.
-    for (const auto& c : learnts_) sorted.push_back(c.get());
-    std::sort(sorted.begin(), sorted.end(), [](const Clause* a, const Clause* b) {
-      const bool a_big = a->lits.size() > 2;
-      const bool b_big = b->lits.size() > 2;
+    reduce_order_.clear();
+    for (const auto& c : learnts_) {
+      if (c != nullptr) reduce_order_.push_back(c.get());
+    }
+    std::sort(reduce_order_.begin(), reduce_order_.end(), [](const Clause* a, const Clause* b) {
+      const bool a_big = a->size() > 2;
+      const bool b_big = b->size() > 2;
       if (a_big != b_big) return a_big;  // big clauses first (delete candidates)
       return a->activity < b->activity;
     });
-    for (Clause* c : sorted) {
+    for (Clause* c : reduce_order_) {
       if (doomed >= target) break;
-      if (c->lits.size() > 2 && !locked(c)) {
+      if (c->size() > 2 && !locked(c)) {
         c->dead = true;
         ++doomed;
       }
     }
+    for (const auto& c : learnts_) {
+      if (c == nullptr || !c->dead) continue;
+      if (drat_ != nullptr) drat_->remove(c->lits());
+      detach_clause(c.get());
+    }
+    compact_learnts();
   }
-
-  for (const auto& c : learnts_) {
-    if (!c->dead) continue;
-    if (drat_ != nullptr) drat_->remove(c->lits);
-    detach_clause(c.get());
-  }
-  learnts_.erase(std::remove_if(learnts_.begin(), learnts_.end(),
-                                [](const std::unique_ptr<Clause>& c) { return c->dead; }),
-                 learnts_.end());
   stats_.deleted_clauses += doomed;
+}
+
+void Solver::compact_learnts() {
+  std::size_t kept = 0;
+  std::size_t indexed = 0;
+  std::size_t next = 0;  // cursor into reducible_ (ascending positions)
+  for (std::size_t pos = 0; pos < learnts_.size(); ++pos) {
+    const bool in_index = next < reducible_.size() && reducible_[next] == pos;
+    if (in_index) ++next;
+    ClausePtr& c = learnts_[pos];
+    if (c == nullptr || c->dead) {
+      // The index entry is already gone (not copied) when the clause is freed.
+      c.reset();
+      continue;
+    }
+    if (in_index) reducible_[indexed++] = static_cast<std::uint32_t>(kept);
+    if (kept != pos) learnts_[kept] = std::move(c);
+    ++kept;
+  }
+  learnts_.resize(kept);
+  reducible_.resize(indexed);
+  learnt_holes_ = 0;
 }
 
 LBool Solver::search(int conflicts_before_restart, const std::vector<Lit>& assumptions) {
@@ -514,13 +586,12 @@ LBool Solver::search(int conflicts_before_restart, const std::vector<Lit>& assum
       if (learnt.size() == 1) {
         unchecked_enqueue(learnt[0]);
       } else {
-        auto clause = std::make_unique<Clause>();
-        clause->learnt = true;
+        ClausePtr clause = make_clause(learnt, /*learnt=*/true);
         clause->lbd = lbd;
-        clause->lits = learnt;
         attach_clause(clause.get());
         cla_bump_activity(*clause);
         unchecked_enqueue(learnt[0], clause.get());
+        if (reducible(*clause)) reducible_.push_back(static_cast<std::uint32_t>(learnts_.size()));
         learnts_.push_back(std::move(clause));
       }
       var_decay_activity();
@@ -539,7 +610,7 @@ LBool Solver::search(int conflicts_before_restart, const std::vector<Lit>& assum
       cancel_until(0);
       return LBool::Undef;
     }
-    if (static_cast<double>(learnts_.size()) - static_cast<double>(trail_.size()) >=
+    if (static_cast<double>(num_learnts()) - static_cast<double>(trail_.size()) >=
         max_learnts_) {
       reduce_db();
     }
@@ -574,6 +645,7 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
   // --metrics-out see live solver effort, not just end-of-run stats.
   static util::Counter& solves = util::metrics().counter("sat.solves");
   static util::Counter& conflicts = util::metrics().counter("sat.conflicts");
+  static util::Counter& reductions = util::metrics().counter("sat.reductions");
   static util::Counter& decisions = util::metrics().counter("sat.decisions");
   static util::Counter& propagations = util::metrics().counter("sat.propagations");
   static util::Counter& restarts = util::metrics().counter("sat.restarts");
@@ -586,6 +658,7 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
   const std::uint64_t elapsed = util::telemetry_now_ns() - t0;
   solves.increment();
   conflicts.add(stats_.conflicts - before.conflicts);
+  reductions.add(stats_.reductions - before.reductions);
   decisions.add(stats_.decisions - before.decisions);
   propagations.add(stats_.propagations - before.propagations);
   restarts.add(stats_.restarts - before.restarts);

@@ -10,8 +10,11 @@
 ///  * VSIDS variable activities with phase saving,
 ///  * Luby restarts,
 ///  * learnt-clause database reduction — LBD-tiered (glue clauses are
-///    immortal, the rest ranked by LBD then activity) when inprocessing is
-///    enabled, the legacy activity order when it is off,
+///    immortal, the rest ranked by LBD then activity, found through an
+///    index of the deletable learnts) when inprocessing is enabled, the
+///    legacy activity order when it is off,
+///  * clauses stored as one allocation each: a small header followed
+///    inline by the literals,
 ///  * inprocessing between restarts (sat/inprocess.hpp): top-level
 ///    simplification, clause subsumption + self-subsuming strengthening,
 ///    bounded variable elimination and vivification, scheduled on a
@@ -33,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sat/backend.hpp"
@@ -58,7 +62,7 @@ class Solver final : public Backend {
 
   int num_vars() const noexcept override { return static_cast<int>(assigns_.size()); }
   std::size_t num_clauses() const noexcept { return clauses_.size(); }
-  std::size_t num_learnts() const noexcept { return learnts_.size(); }
+  std::size_t num_learnts() const noexcept { return learnts_.size() - learnt_holes_; }
 
   /// Add a clause (consumed). Returns false iff the formula is now known
   /// UNSAT at level 0. Must be called at decision level 0. A clause
@@ -137,15 +141,34 @@ class Solver final : public Backend {
 
   LBool solve_core(const std::vector<Lit>& assumptions);
 
+  /// A clause is one allocation: this header, then its literals inline
+  /// (`make_clause`). The literal count never grows after creation, so
+  /// every rewrite (strengthening, vivification, level-0 stripping) fits in
+  /// place.
   struct Clause {
     float activity = 0.0f;
     std::uint32_t lbd = 0;  // glue: distinct decision levels at learn time,
                             // aged down when the clause re-enters analysis
+    std::uint64_t sig = 0;  // inprocessing scratch: variable signature
+    std::uint32_t count = 0;  // literals stored after the header
     bool learnt = false;
-    bool dead = false;           // inprocessing scratch: detached, awaiting sweep
-    std::uint64_t sig = 0;       // inprocessing scratch: variable signature
-    std::vector<Lit> lits;
+    bool dead = false;  // detached, awaiting sweep / compaction
+
+    std::size_t size() const noexcept { return count; }
+    Lit* begin() noexcept { return reinterpret_cast<Lit*>(this + 1); }
+    Lit* end() noexcept { return begin() + count; }
+    const Lit* begin() const noexcept { return reinterpret_cast<const Lit*>(this + 1); }
+    const Lit* end() const noexcept { return begin() + count; }
+    Lit operator[](std::size_t i) const noexcept { return begin()[i]; }
+    std::span<const Lit> lits() const noexcept { return {begin(), count}; }
+    /// Overwrite the literals with `lits`, which must be no longer.
+    void assign(std::span<const Lit> lits);
   };
+  struct ClauseDeleter {
+    void operator()(Clause* c) const noexcept;
+  };
+  using ClausePtr = std::unique_ptr<Clause, ClauseDeleter>;
+  static ClausePtr make_clause(std::span<const Lit> lits, bool learnt);
 
   struct Watcher {
     Clause* clause = nullptr;
@@ -177,7 +200,7 @@ class Solver final : public Backend {
   void analyze(Clause* conflict, std::vector<Lit>& out_learnt, int& out_btlevel);
   bool literal_redundant(Lit p) const;
   void analyze_final(Lit failed_assumption);
-  std::uint32_t compute_lbd(const std::vector<Lit>& lits);
+  std::uint32_t compute_lbd(std::span<const Lit> lits);
 
   // --- search --------------------------------------------------------------
   LBool search(int conflicts_before_restart, const std::vector<Lit>& assumptions);
@@ -193,6 +216,14 @@ class Solver final : public Backend {
   void cla_decay_activity() { cla_inc_ *= (1.0f / kClaDecay); }
   void reduce_db();
   bool locked(const Clause* c) const noexcept;
+  /// Reduction candidates: learnts of more than two literals above the core
+  /// glue. Both only ever shrink, so a clause that leaves never returns.
+  static bool reducible(const Clause& c) noexcept {
+    return c.size() > 2 && c.lbd > kCoreLbd;
+  }
+  /// Squeeze the null (freed) and dead slots out of `learnts_`, freeing the
+  /// dead clauses and renumbering `reducible_`; learn order is kept.
+  void compact_learnts();
 
   // --- inprocessing support -------------------------------------------------
   /// Shared clause-entry path; returns the attached clause (nullptr when the
@@ -225,8 +256,15 @@ class Solver final : public Backend {
 
   bool ok_ = true;
 
-  std::vector<std::unique_ptr<Clause>> clauses_;
-  std::vector<std::unique_ptr<Clause>> learnts_;
+  std::vector<ClausePtr> clauses_;
+  /// Learnt clauses in learn order. reduce_db frees a deleted clause at once
+  /// and leaves its slot null; compact_learnts drops the holes lazily.
+  std::vector<ClausePtr> learnts_;
+  std::size_t learnt_holes_ = 0;
+  /// The reduction index: positions in `learnts_` of the reducible learnts,
+  /// ascending (so in learn order). Entries always name non-null slots.
+  std::vector<std::uint32_t> reducible_;
+  std::vector<Clause*> reduce_order_;  // reduce_db scratch
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal index
 
   std::vector<LBool> assigns_;

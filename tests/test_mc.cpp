@@ -6,6 +6,7 @@
 
 #include "util/status.hpp"
 
+#include "designs/design.hpp"
 #include "mc/bmc.hpp"
 #include "sat/solver.hpp"
 #include "mc/kinduction.hpp"
@@ -279,6 +280,43 @@ TEST(KInduction, ProvenPropertiesSurviveLongRandomSimulation) {
   ASSERT_EQ(engine.prove(helper).verdict, Verdict::Proven);
   sim::RandomSimulator simulator(ts, 77);
   EXPECT_FALSE(simulator.falsify(helper, 500, 4).has_value());
+}
+
+// --- the pinned k-induction trajectory ----------------------------------------
+
+/// SAT work of k-induction on dual_accumulator at max_k 8, recorded before
+/// the clause database moved to inline literals and an indexed reduction.
+/// That change only re-expresses the same search, so any drift in these
+/// counters means a decision, propagation or deletion moved.
+struct KInductionExpectation {
+  bool inprocess;
+  std::uint64_t solves;
+  std::uint64_t decisions;
+  std::uint64_t propagations;
+  std::uint64_t conflicts;
+  std::uint64_t learnt_clauses;
+  std::uint64_t deleted_clauses;
+};
+constexpr KInductionExpectation kDualAccumulatorK8[] = {
+    {true, 16, 109456, 2350578, 52937, 52937, 42539},
+    {false, 16, 110331, 4862937, 55201, 55201, 51727},
+};
+
+TEST(KInductionTrajectory, ReproducesPinnedDualAccumulatorTrajectory) {
+  const auto task = designs::make_task("dual_accumulator");
+  for (const KInductionExpectation& expected : kDualAccumulatorK8) {
+    KInductionEngine engine(task.ts, {.max_k = 8, .sat_inprocess = expected.inprocess});
+    const InductionResult result = engine.prove_all(task.target_exprs());
+    const EngineStats& stats = result.stats;
+    const std::string label = expected.inprocess ? "inprocess on" : "inprocess off";
+    EXPECT_EQ(result.verdict, Verdict::Unknown) << label;
+    EXPECT_EQ(stats.sat_calls, expected.solves) << label;
+    EXPECT_EQ(stats.decisions, expected.decisions) << label;
+    EXPECT_EQ(stats.propagations, expected.propagations) << label;
+    EXPECT_EQ(stats.conflicts, expected.conflicts) << label;
+    EXPECT_EQ(stats.learnt_clauses, expected.learnt_clauses) << label;
+    EXPECT_EQ(stats.deleted_clauses, expected.deleted_clauses) << label;
+  }
 }
 
 TEST(Result, SummaryMentionsVerdictAndDepth) {

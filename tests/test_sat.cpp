@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "sat/backend.hpp"
@@ -556,71 +557,142 @@ TEST(Inprocess, SubsumptionAndStrengtheningShrinkTheDatabase) {
 
 // --- DRAT proofs ---------------------------------------------------------------
 
-/// Minimal forward RUP checker mirroring scripts/check_drat.py: naive
-/// counting propagation is plenty for test-sized proofs, and sharing no
-/// code with the solver keeps the check independent.
-struct RupChecker {
-  std::vector<std::vector<int>> active;
-
-  static bool unit_propagates_to_conflict(std::vector<std::vector<int>> clauses,
-                                          std::vector<int> assignment) {
-    bool changed = true;
-    auto value = [&](int lit) -> int {
-      for (const int a : assignment) {
-        if (a == lit) return 1;
-        if (a == -lit) return -1;
-      }
-      return 0;
-    };
-    while (changed) {
-      changed = false;
-      for (const auto& clause : clauses) {
-        int unassigned = 0;
-        int last = 0;
-        bool satisfied = false;
-        for (const int lit : clause) {
-          const int v = value(lit);
-          if (v == 1) {
-            satisfied = true;
-            break;
-          }
-          if (v == 0) {
-            ++unassigned;
-            last = lit;
-          }
-        }
-        if (satisfied) continue;
-        if (unassigned == 0) return true;  // conflict
-        if (unassigned == 1) {
-          assignment.push_back(last);
-          changed = true;
-        }
-      }
-    }
-    return false;
+/// Forward RUP checker mirroring scripts/check_drat.py, sharing no code with
+/// the solver so the check stays independent. Two watched literals per
+/// clause keep replaying the tens of thousands of lemmas of a
+/// reduction-heavy proof cheap. Like that script (and drat-trim), it keeps
+/// the units implied at the root for good: deleting a clause never retracts
+/// a root fact it once implied, and the solver's level-0 trail relies on
+/// exactly that.
+class RupChecker {
+ public:
+  explicit RupChecker(const std::vector<std::vector<int>>& inputs) {
+    for (const auto& clause : inputs) insert(clause);
   }
 
+  /// Accept `clause` when it is RUP against the active set.
   bool check_add(const std::vector<int>& clause) {
-    std::vector<int> negated;
-    for (const int lit : clause) negated.push_back(-lit);
-    if (!unit_propagates_to_conflict(active, negated)) return false;
-    active.push_back(clause);
+    if (!implied(clause)) return false;
+    insert(clause);
     return true;
   }
 
+  /// Retire one active copy of `clause` (any literal order).
   bool check_delete(const std::vector<int>& clause) {
-    std::vector<int> key = clause;
-    std::sort(key.begin(), key.end());
-    for (auto it = active.begin(); it != active.end(); ++it) {
-      std::vector<int> have = *it;
-      std::sort(have.begin(), have.end());
-      if (have == key) {
-        active.erase(it);
-        return true;
+    const auto it = by_key_.find(sorted(clause));
+    if (it == by_key_.end() || it->second.empty()) return false;
+    alive_[it->second.back()] = false;
+    it->second.pop_back();
+    return true;
+  }
+
+ private:
+  static std::vector<int> sorted(std::vector<int> clause) {
+    std::sort(clause.begin(), clause.end());
+    return clause;
+  }
+  static std::size_t slot(int lit) {
+    return 2 * static_cast<std::size_t>(std::abs(lit)) + (lit < 0 ? 1 : 0);
+  }
+  int value(int lit) const {
+    const int v = values_[static_cast<std::size_t>(std::abs(lit))];
+    return lit > 0 ? v : -v;
+  }
+  void grow(int lit) {
+    const auto v = static_cast<std::size_t>(std::abs(lit));
+    if (v >= values_.size()) {
+      values_.resize(v + 1, 0);
+      watches_.resize(2 * (v + 1));
+    }
+  }
+  /// Make `lit` true; false when it already is false.
+  bool assign(int lit) {
+    const int v = value(lit);
+    if (v != 0) return v > 0;
+    values_[static_cast<std::size_t>(std::abs(lit))] = lit > 0 ? 1 : -1;
+    trail_.push_back(lit);
+    return true;
+  }
+  /// Add to the active set and extend the root trail with what it implies.
+  void insert(std::vector<int> clause) {
+    for (const int lit : clause) grow(lit);
+    const std::size_t id = clauses_.size();
+    by_key_[sorted(clause)].push_back(id);
+    alive_.push_back(true);
+    // Watch non-false literals first, so root facts cannot hide a unit.
+    std::stable_partition(clause.begin(), clause.end(), [this](int l) { return value(l) >= 0; });
+    bool ok = true;
+    if (clause.empty() || value(clause[0]) < 0) {
+      ok = false;
+    } else if (clause.size() == 1 || value(clause[1]) < 0) {
+      ok = assign(clause[0]);
+    }
+    if (clause.size() >= 2) {
+      watches_[slot(clause[0])].push_back(id);
+      watches_[slot(clause[1])].push_back(id);
+    }
+    clauses_.push_back(std::move(clause));
+    if (!ok || propagates_to_conflict(root_size_)) contradiction_ = true;
+    root_size_ = trail_.size();
+  }
+  bool propagates_to_conflict(std::size_t head) {
+    for (; head < trail_.size(); ++head) {
+      const int falsified = -trail_[head];
+      std::vector<std::size_t>& ws = watches_[slot(falsified)];
+      for (std::size_t i = 0; i < ws.size();) {
+        const std::size_t id = ws[i];
+        std::vector<int>& c = clauses_[id];
+        if (!alive_[id]) {
+          ws[i] = ws.back();
+          ws.pop_back();
+          continue;
+        }
+        if (c[0] == falsified) std::swap(c[0], c[1]);
+        if (value(c[0]) > 0) {  // satisfied: keep the watch
+          ++i;
+          continue;
+        }
+        bool moved = false;
+        for (std::size_t k = 2; k < c.size(); ++k) {
+          if (value(c[k]) >= 0) {
+            std::swap(c[1], c[k]);
+            watches_[slot(c[1])].push_back(id);
+            ws[i] = ws.back();
+            ws.pop_back();
+            moved = true;
+            break;
+          }
+        }
+        if (moved) continue;
+        if (!assign(c[0])) return true;  // every literal false
+        ++i;
       }
     }
     return false;
   }
+  bool implied(const std::vector<int>& clause) {
+    if (contradiction_) return true;
+    for (const int lit : clause) grow(lit);
+    bool conflict = false;
+    for (const int lit : clause) {
+      if (!assign(-lit)) conflict = true;
+    }
+    if (!conflict) conflict = propagates_to_conflict(root_size_);
+    while (trail_.size() > root_size_) {
+      values_[static_cast<std::size_t>(std::abs(trail_.back()))] = 0;
+      trail_.pop_back();
+    }
+    return conflict;
+  }
+
+  std::vector<std::vector<int>> clauses_;
+  std::vector<bool> alive_;
+  std::map<std::vector<int>, std::vector<std::size_t>> by_key_;
+  std::vector<std::vector<std::size_t>> watches_;  // by slot(lit)
+  std::vector<int> values_;                        // by variable: 1, -1, 0
+  std::vector<int> trail_;  // root facts first, then one check's assignments
+  std::size_t root_size_ = 0;
+  bool contradiction_ = false;  // the active set is refuted at the root
 };
 
 std::string slurp(const std::string& path) {
@@ -629,6 +701,52 @@ std::string slurp(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// What replaying a `.drat` stream through RupChecker found.
+struct ProofReplay {
+  std::size_t adds = 0;
+  std::size_t deletions = 0;
+  bool empty_derived = false;
+  std::string bad_line;  // first non-RUP add or unmatched deletion
+};
+
+/// Check every add of `proof` for RUP and every deletion for a match,
+/// starting from `inputs`; stops at the empty clause or the first bad line.
+ProofReplay replay_proof(const std::vector<std::vector<int>>& inputs, const std::string& proof) {
+  ProofReplay replay;
+  RupChecker checker(inputs);
+  std::istringstream lines(proof);
+  std::string line;
+  while (std::getline(lines, line)) {
+    std::istringstream fields(line);
+    std::string first;
+    fields >> first;
+    if (first.empty() || first == "c") continue;
+    const bool deletion = first == "d";
+    std::vector<int> lits;
+    int lit = 0;
+    if (!deletion && first != "0") lits.push_back(std::stoi(first));
+    while (fields >> lit && lit != 0) lits.push_back(lit);
+    if (deletion) {
+      ++replay.deletions;
+      if (!checker.check_delete(lits)) {
+        replay.bad_line = line;
+        break;
+      }
+      continue;
+    }
+    ++replay.adds;
+    if (!checker.check_add(lits)) {
+      replay.bad_line = line;
+      break;
+    }
+    if (lits.empty()) {
+      replay.empty_derived = true;
+      break;
+    }
+  }
+  return replay;
 }
 
 TEST(Drat, UnsatProofIsRupValidAndDerivesEmptyClause) {
@@ -660,38 +778,10 @@ TEST(Drat, UnsatProofIsRupValidAndDerivesEmptyClause) {
   // must be RUP against the growing active set, ending in the empty clause.
   const Cnf logged = parse_dimacs(slurp(base + ".cnf"));
   ASSERT_EQ(logged.clauses.size(), clauses.size());
-  RupChecker checker;
-  checker.active = logged.clauses;
-
-  bool empty_derived = false;
-  std::istringstream proof(slurp(base + ".drat"));
-  std::string line;
-  std::size_t steps = 0;
-  while (std::getline(proof, line)) {
-    std::istringstream fields(line);
-    std::string first;
-    fields >> first;
-    if (first.empty() || first == "c") continue;
-    const bool deletion = first == "d";
-    std::vector<int> lits;
-    int lit = 0;
-    if (!deletion) lits.push_back(std::stoi(first));
-    while (fields >> lit && lit != 0) lits.push_back(lit);
-    if (!deletion && !lits.empty() && lits.back() == 0) lits.pop_back();
-    if (!deletion && lits.size() == 1 && lits[0] == 0) lits.clear();
-    ++steps;
-    if (deletion) {
-      ASSERT_TRUE(checker.check_delete(lits)) << "bad deletion: " << line;
-    } else {
-      ASSERT_TRUE(checker.check_add(lits)) << "non-RUP step: " << line;
-      if (lits.empty()) {
-        empty_derived = true;
-        break;
-      }
-    }
-  }
-  EXPECT_GT(steps, 0u);
-  EXPECT_TRUE(empty_derived) << "UNSAT run never logged the empty clause";
+  const ProofReplay replay = replay_proof(logged.clauses, slurp(base + ".drat"));
+  EXPECT_EQ(replay.bad_line, "");
+  EXPECT_GT(replay.adds, 0u);
+  EXPECT_TRUE(replay.empty_derived) << "UNSAT run never logged the empty clause";
 }
 
 TEST(Drat, SatRunLogsInputsButNoEmptyClause) {
@@ -712,6 +802,70 @@ TEST(Drat, SatRunLogsInputsButNoEmptyClause) {
   std::istringstream proof(slurp(base + ".drat"));
   std::string line;
   while (std::getline(proof, line)) EXPECT_NE(line, "0");
+}
+
+// --- clause-database reduction ------------------------------------------------
+
+/// Uniform random 3-CNF: three distinct variables per clause.
+std::vector<std::vector<int>> random_3cnf(util::Xoshiro256& rng, int num_vars, int num_clauses) {
+  std::vector<std::vector<int>> clauses;
+  for (int c = 0; c < num_clauses; ++c) {
+    std::vector<int> clause;
+    while (clause.size() < 3) {
+      const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(num_vars)));
+      if (std::none_of(clause.begin(), clause.end(), [v](int l) { return std::abs(l) == v; })) {
+        clause.push_back(rng.chance(0.5) ? -v : v);
+      }
+    }
+    clauses.push_back(std::move(clause));
+  }
+  return clauses;
+}
+
+TEST(ClauseDbReduction, ReductionsInterleavedWithSessionsKeepProofAndVerdict) {
+  // Random 3-SAT at the threshold, hard enough that the learnt database
+  // crosses the 4000-clause reduction trigger again and again. The solve
+  // runs in conflict-budget slices with a forced inprocessing session
+  // between them, so reductions (which free clauses and leave holes in the
+  // learnt list) keep alternating with sessions (which compact it, kill
+  // learnts and sweep them) — with a DRAT proof logging every step.
+  util::Xoshiro256 rng(8);
+  const int num_vars = 200;
+  const auto clauses = random_3cnf(rng, num_vars, 852);
+  const std::string base = testing::TempDir() + "genfv_drat_reduce";
+  LBool answer = LBool::Undef;
+  SolverStats stats;
+  int reducing_slices = 0;
+  {
+    Solver on;
+    ASSERT_TRUE(on.start_proof(base));
+    ASSERT_TRUE(load_raw(on, num_vars, clauses));
+    on.set_conflict_budget(1000);
+    while (answer == LBool::Undef) {
+      const std::uint64_t reductions_before = on.stats().reductions;
+      answer = on.solve();
+      if (on.stats().reductions > reductions_before) ++reducing_slices;
+      if (answer == LBool::Undef) on.simplify_now();
+    }
+    if (answer == LBool::True) expect_model_satisfies(on, clauses);
+    stats = on.stats();
+  }  // the writer finalizes the .cnf when the solver dies
+
+  Solver off;
+  off.set_inprocessing(false);
+  ASSERT_TRUE(load_raw(off, num_vars, clauses));
+  EXPECT_EQ(off.solve(), answer);
+  if (answer == LBool::True) expect_model_satisfies(off, clauses);
+
+  EXPECT_GE(reducing_slices, 2) << "reductions never straddled a session";
+  EXPECT_GT(stats.deleted_clauses, 0u);
+  EXPECT_GT(stats.inprocessings, 0u);
+
+  const ProofReplay replay =
+      replay_proof(parse_dimacs(slurp(base + ".cnf")).clauses, slurp(base + ".drat"));
+  EXPECT_EQ(replay.bad_line, "");
+  EXPECT_GT(replay.deletions, 0u);
+  EXPECT_EQ(replay.empty_derived, answer == LBool::False);
 }
 
 // --- backend registry -----------------------------------------------------------
