@@ -3,10 +3,8 @@
 /// budget through the uniform `mc::Engine` interface. BMC never proves,
 /// k-induction needs the design to be inductive (or externally supplied
 /// lemmas), and PDR discovers clause strengthenings on its own — each wins
-/// somewhere, which is why the portfolio races them. The `+lift` rows
-/// measure ternary-simulation cube lifting (--pdr-ternary), which shrinks
-/// every extracted cube before generalization, and the `-inproc` rows the
-/// SAT tier's inprocessing.
+/// somewhere, which is why the portfolio races them. The `-inproc` rows
+/// measure the SAT tier's inprocessing.
 ///
 /// `--json <path>` additionally writes machine-readable records (design,
 /// engine, verdict, wall-ms, solver stats, and per-phase wall
@@ -82,7 +80,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
     const char* label;
     mc::EngineKind kind;
     bool exchange;
-    bool pdr_ternary = false;
     bool sat_inprocess = true;
   };
   const std::vector<Contender> contenders = {
@@ -93,8 +90,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       // LBD-tiered clause DB switched off (--sat-inprocess off) — bit-for-bit
       // the pre-tier solver. The conflict delta against the plain "pdr" row
       // is what check_shootout.py gates.
-      {"pdr -inproc", mc::EngineKind::Pdr, false, false, false},
-      {"pdr +lift", mc::EngineKind::Pdr, false, true},
+      {"pdr -inproc", mc::EngineKind::Pdr, false, false},
       {"portfolio -exch", mc::EngineKind::Portfolio, false},
       {"portfolio +exch", mc::EngineKind::Portfolio, true},
   };
@@ -121,7 +117,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       mc::EngineOptions options;
       options.max_steps = source.max_steps;
       options.exchange = contender.exchange;
-      options.pdr_ternary_lifting = contender.pdr_ternary;
       options.sat_inprocess = contender.sat_inprocess;
       auto engine = mc::make_engine(contender.kind, task.ts, options);
       const auto before = phases ? util::metrics().snapshot_values()
@@ -160,7 +155,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
             .field("engine", std::string(contender.label))
             .field("kind", mc::to_string(contender.kind))
             .field("exchange", contender.exchange)
-            .field("ternary", contender.pdr_ternary)
             .field("inprocess", contender.sat_inprocess)
             .field("verdict", mc::to_string(r.verdict))
             .field("depth", static_cast<std::uint64_t>(r.depth))
@@ -169,7 +163,6 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
             .field("conflicts", r.stats.conflicts)
             .field("learnt_clauses", r.stats.learnt_clauses)
             .field("retired_gates", r.stats.retired_gates)
-            .field("lifted_bits", r.stats.lifted_bits)
             .field("inprocessings", r.stats.inprocessings)
             .field("subsumed_clauses", r.stats.subsumed_clauses)
             .field("strengthened_clauses", r.stats.strengthened_clauses)
@@ -197,8 +190,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
 /// exact cache hit replayed through one-step recertification and (b) a
 /// near-miss warm start on an edited copy of the design, where the cached
 /// clauses enter PDR as retractable candidates. Rows carry kind="pdr-cache"
-/// so the PDR lifting/inprocessing reports in
-/// scripts/check_shootout.py ignore them; the checker instead gates the
+/// so the PDR inprocessing report in scripts/check_shootout.py ignores them; the checker instead gates the
 /// warm rows directly (verdict parity everywhere, >=5x fewer conflicts on
 /// the recertified hits for at least two designs, candidates seeded on
 /// every warm-edit row).

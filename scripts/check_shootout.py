@@ -7,11 +7,10 @@ The shootout (bench_engine_shootout --json) records one object per
 (design, engine) cell. This checker fails CI when any cell's verdict
 regresses from the expectations pinned below — soundness bugs and lost
 proofs show up here before anything else. Wall-clock numbers are reported
-(including the ternary-lifting ablation) but never gate the build: CI
-machines are too noisy for timing assertions.
+but never gate the build: CI machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
-BENCH_PR13.json (see docs/benchmarks.md) — every (design, engine) cell
+BENCH_PR14.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
 run can never silently drift from the checked-in trajectory. Cells whose
 kind is not "portfolio" must also agree exactly on the deterministic work
@@ -146,30 +145,8 @@ def main() -> int:
                 f"baseline {sys.argv[2]} shares no cells with this run")
         print(f"baseline diff vs {sys.argv[2]}: {compared} cells compared")
 
-    # Report (never gate) the ternary-lifting ablation.
-    lift_cells = {}
-    for record in records:
-        if record["kind"] == "pdr" and record.get("inprocess", True):
-            lift_cells.setdefault(record["design"], {})[record.get("ternary", False)] = \
-                record
-    lift_wins = 0
-    for design, cells in sorted(lift_cells.items()):
-        if True not in cells or False not in cells:
-            continue
-        off, on = cells[False], cells[True]
-        better = (on["conflicts"] < off["conflicts"]
-                  or on["wall_ms"] < off["wall_ms"])
-        if better:
-            lift_wins += 1
-        print(f"pdr lifting on {design}: conflicts {off['conflicts']} -> "
-              f"{on['conflicts']}, wall {off['wall_ms']:.1f} -> "
-              f"{on['wall_ms']:.1f} ms, lifted_bits={on.get('lifted_bits', 0)}")
-    if lift_cells:
-        print(f"pdr ternary lifting improves conflicts or wall-clock on "
-              f"{lift_wins}/{len(lift_cells)} designs")
-
-    # The SAT-tier ablation: lifting-off PDR with inprocessing
-    # on ("pdr") vs off ("pdr -inproc"). Conflict counts in this
+    # The SAT-tier ablation: PDR with inprocessing on ("pdr") vs off
+    # ("pdr -inproc"). Conflict counts in this
     # configuration are deterministic, so unlike the wall-clock reports this
     # one *gates*: on the designs listed below the inprocessing tier must cut
     # conflicts by at least 25% or the build fails. (Wall time is still
@@ -177,7 +154,7 @@ def main() -> int:
     INPROCESS_GATE = {"fifo_ctrl", "dual_accumulator"}
     inproc_cells = {}
     for record in records:
-        if record["kind"] == "pdr" and not record.get("ternary", False):
+        if record["kind"] == "pdr":
             inproc_cells.setdefault(record["design"], {})[
                 record.get("inprocess", True)] = record
     for design, cells in sorted(inproc_cells.items()):

@@ -29,9 +29,7 @@ FlowReport CexRepairFlow::run(VerificationTask& task) {
     // Attempt the proof with everything admitted so far.
     mc::EngineOptions opts = mc::to_engine_options(options_.engine);
     opts.exchange = options_.exchange;
-    opts.pdr_ternary_lifting = options_.pdr_ternary;
     opts.pdr_seed_candidates = options_.pdr_seed_candidates;
-    opts.pdr_candidate_strikes = options_.pdr_candidate_strikes;
     if (options_.pdr_seed_candidates) {
       // Candidates the proof gate rejected (but simulation did not refute)
       // still seed PDR frames as may clauses — per iteration, so each repair

@@ -61,9 +61,7 @@ FlowReport HelperGenFlow::run(VerificationTask& task) {
     const auto& prop = task.ts.property(i);
     mc::EngineOptions target_opts = mc::to_engine_options(options_.engine);
     target_opts.exchange = options_.exchange;
-    target_opts.pdr_ternary_lifting = options_.pdr_ternary;
     target_opts.pdr_seed_candidates = options_.pdr_seed_candidates;
-    target_opts.pdr_candidate_strikes = options_.pdr_candidate_strikes;
     if (options_.pdr_seed_candidates) {
       // Rejected-but-plausible helpers get a second life as PDR may clauses.
       target_opts.pdr_candidate_lemmas = lemmas.candidate_exprs();

@@ -27,18 +27,16 @@ struct FlowOptions {
   /// Live lemma exchange between portfolio members (only meaningful when
   /// `target_engine` is Portfolio); mirrors EngineOptions::exchange.
   bool exchange = true;
-  /// Ignored: no flow reads it; it survives only because perfbench/ sets it.
-  std::size_t pdr_workers = 1;
-  /// PDR ternary-simulation cube lifting for target proofs; mirrors
-  /// EngineOptions::pdr_ternary_lifting.
-  bool pdr_ternary = false;
   /// Seed PDR frames with the LemmaManager's *unproven* candidates (the
   /// helpers that failed their k-induction proof) as may clauses; mirrors
   /// EngineOptions::pdr_seed_candidates. A hallucinated candidate costs SAT
   /// work, never soundness — see docs/lemmas.md.
   bool pdr_seed_candidates = false;
-  /// Strikes before a seeded candidate is retracted from the may tier;
-  /// mirrors EngineOptions::pdr_candidate_strikes.
+
+  // --- ignored; kept only for perfbench/ ------------------------------------
+  // No flow reads these; the frozen perfbench/ benchmark still sets them.
+  std::size_t pdr_workers = 1;
+  bool pdr_ternary = false;
   std::size_t pdr_candidate_strikes = 2;
 };
 

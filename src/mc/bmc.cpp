@@ -22,12 +22,9 @@ BmcResult BmcEngine::check(ir::NodeRef property) {
   Unroller unroller(ts_, solver);
   unroller.assert_init();
 
-  // Invariants (seeded lemmas + absorbed proven exchange clauses) asserted
-  // at every frame; level-tagged exchange clauses only at frames <= level.
-  // Both are sound here — every BMC frame is init-rooted, so frame f only
-  // holds states reachable in exactly f steps.
+  // Invariants (seeded lemmas + absorbed exchange clauses) asserted at every
+  // frame.
   std::vector<ir::NodeRef> invariants = options_.lemmas;
-  std::vector<std::pair<ir::NodeRef, std::size_t>> bounded;
   std::size_t exchange_cursor = 0;
   // The backlog may carry the same clause many times (re-publishing slices,
   // independent members); assert each distinct fact once per run.
@@ -42,15 +39,8 @@ BmcResult BmcEngine::check(ir::NodeRef property) {
       if (expr == nullptr) continue;
       // Back-fill the frames materialized before this clause arrived; the
       // per-depth loop below covers the current and future frames.
-      if (clause.proven()) {
-        invariants.push_back(expr);
-        for (std::size_t f = 0; f < depth; ++f) unroller.assert_at(expr, f);
-      } else {
-        bounded.emplace_back(expr, clause.level);
-        for (std::size_t f = 0; f < depth && f <= clause.level; ++f) {
-          unroller.assert_at(expr, f);
-        }
-      }
+      invariants.push_back(expr);
+      for (std::size_t f = 0; f < depth; ++f) unroller.assert_at(expr, f);
       ++absorbed;
     }
     options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
@@ -65,9 +55,6 @@ BmcResult BmcEngine::check(ir::NodeRef property) {
     poll_exchange(depth);
     for (const ir::NodeRef inv : invariants) {
       unroller.assert_at(inv, depth);
-    }
-    for (const auto& [expr, level] : bounded) {
-      if (depth <= level) unroller.assert_at(expr, depth);
     }
 
     // Query: can the property fail exactly at `depth`?

@@ -30,9 +30,8 @@ struct BmcOptions {
   /// boundaries; when it reads true the run returns Unknown. See
   /// EngineOptions::stop for the full contract.
   std::shared_ptr<std::atomic<bool>> stop;
-  /// Portfolio lemma exchange: polled once per depth; proven clauses are
-  /// asserted on every frame, level-tagged clauses only on frames <= level
-  /// (every BMC frame is init-rooted, so both are sound). nullptr = off.
+  /// Portfolio lemma exchange: polled once per depth; absorbed clauses are
+  /// asserted on every frame. nullptr = off.
   std::shared_ptr<LemmaMailbox> exchange;
   std::size_t exchange_slot = 0;
   /// SAT backend name (see sat::make_backend) and inprocessing toggle.

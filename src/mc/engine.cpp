@@ -157,11 +157,8 @@ class PdrEngineAdapter final : public Engine {
     opts.stop = options_.stop;
     opts.exchange = options_.exchange_mailbox;
     opts.exchange_slot = options_.exchange_slot;
-    opts.publish_frame_clauses = options_.exchange_frame_clauses;
-    opts.ternary_lifting = options_.pdr_ternary_lifting;
     opts.seed_candidates = options_.pdr_seed_candidates;
     opts.candidate_lemmas = options_.pdr_candidate_lemmas;
-    opts.candidate_strikes = options_.pdr_candidate_strikes;
     opts.sat_backend = options_.sat_backend;
     opts.sat_inprocess = options_.sat_inprocess;
     opts.drat_path = options_.drat_path;

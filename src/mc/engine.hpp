@@ -56,16 +56,8 @@ struct EngineOptions {
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// Ignored: no engine reads it; it survives only because perfbench/ sets it.
-  std::size_t pdr_workers = 1;
-  /// PDR only: ternary-simulation cube lifting — shrink extracted
-  /// predecessor / bad-state cubes before generalization. Off (the default)
-  /// keeps the engine bit-for-bit legacy; on perturbs the
-  /// frame trajectory but never a verdict. See PdrOptions::ternary_lifting.
-  bool pdr_ternary_lifting = false;
-  /// PDR only: seed frames with *candidate* (unproven) clauses under the
-  /// may-proof discipline — from `pdr_candidate_lemmas` and, inside an
-  /// exchanging portfolio, from level-tagged mailbox clauses. Candidates are
+  /// PDR only: seed frames with *candidate* (unproven) clauses from
+  /// `pdr_candidate_lemmas` under the may-proof discipline. Candidates are
   /// assumed behind retractable gates, never exported, and only graduate
   /// into real frame clauses through a clean relative-induction proof; a
   /// wrong candidate can cost work, never soundness (docs/lemmas.md).
@@ -95,8 +87,11 @@ struct EngineOptions {
   /// spawns several solvers). An UNSAT run's proof validates with
   /// scripts/check_drat.py. Meant for single-engine runs.
   std::string drat_path;
-  /// PDR only: spurious-blocked offenses a candidate ("may") clause is
-  /// allowed before retraction. See PdrOptions::candidate_strikes.
+
+  // --- ignored; kept only for perfbench/ ------------------------------------
+  // No engine reads these; the frozen perfbench/ benchmark still sets them.
+  std::size_t pdr_workers = 1;
+  bool pdr_ternary_lifting = false;
   std::size_t pdr_candidate_strikes = 2;
 
   // --- portfolio only -------------------------------------------------------
@@ -113,10 +108,6 @@ struct EngineOptions {
   /// members absorb them mid-race. Sound — exchange can change which member
   /// wins and how fast, never the verdict. Ignored outside the portfolio.
   bool exchange = true;
-  /// Additionally exchange PDR's level-tagged frame clauses (facts bounded
-  /// to "reachable in <= level steps"). Consumers assert them only on
-  /// init-rooted frames <= level — see exchange.hpp for the soundness rules.
-  bool exchange_frame_clauses = false;
 
   // --- portfolio-member wiring (set by the portfolio, not by callers) -------
   /// Mailbox this engine publishes to / polls from; nullptr = no exchange.

@@ -26,20 +26,13 @@
 ///    through an `AbsorbFilter`, because re-publishing slices can load the
 ///    board with many copies of the same fact.
 ///
-/// Soundness rules for absorbing a clause:
-///  * `proven()` clauses are invariants — they hold in every reachable
-///    state. Consumers may assert them on every frame of every query
-///    (exactly like `EngineOptions::lemmas`).
-///  * Level-tagged clauses (level = k) only over-approximate the states
-///    reachable in at most k steps (PDR's frame F_k). They may be asserted
-///    only on *init-rooted* frames f <= k (BMC frames, the k-induction base
-///    case): a state at such a frame is reachable in exactly f steps, hence
-///    inside F_k. They must never reach the k-induction *step* case, whose
-///    frames start from an arbitrary state of unbounded reachability depth.
+/// Soundness rule for absorbing a clause: every mailbox clause is an
+/// invariant — it holds in every reachable state (publishers only post
+/// PDR's F_∞ survivors) — so consumers may assert it on every frame of every
+/// query, exactly like `EngineOptions::lemmas`.
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -48,10 +41,6 @@
 #include "util/thread_safety.hpp"
 
 namespace genfv::mc {
-
-/// Level tag of a clause that holds in every reachable state (F_∞).
-inline constexpr std::size_t kExchangeProvenLevel =
-    std::numeric_limits<std::size_t>::max();
 
 /// One cube literal in manager-neutral form: bit `bit` of the state variable
 /// at declaration index `state`; `negated` means the cube requires 0. The
@@ -62,15 +51,10 @@ struct ExchangedLit {
   bool negated = false;
 };
 
-/// A clause published into the mailbox, as the cube it blocks.
+/// A clause published into the mailbox, as the cube it blocks. It holds in
+/// every reachable state.
 struct ExchangedClause {
   std::vector<ExchangedLit> lits;
-  /// `kExchangeProvenLevel`: holds in every reachable state. Otherwise the
-  /// clause holds in PDR's frame F_level (all states reachable in <= level
-  /// steps) — see the soundness rules above.
-  std::size_t level = kExchangeProvenLevel;
-
-  bool proven() const noexcept { return level == kExchangeProvenLevel; }
 };
 
 /// Re-create the clause ¬cube as a width-1 expression over `ts`, creating
@@ -80,9 +64,9 @@ struct ExchangedClause {
 ir::NodeRef materialize(const ExchangedClause& clause,
                         const ir::TransitionSystem& ts);
 
-/// Canonical key of a clause's manager-neutral form (literals + level).
-/// Equal keys ⇔ the clauses assert the same fact with the same soundness
-/// scope, no matter which member published them or how often.
+/// Canonical key of a clause's manager-neutral form. Equal keys ⇔ the
+/// clauses assert the same fact, no matter which member published them or
+/// how often.
 ///
 /// This template is the *single* encoder of the `{state-index, bit,
 /// polarity}` currency: `ExchangedLit` ranges (the mailbox / AbsorbFilter)
@@ -90,8 +74,8 @@ ir::NodeRef materialize(const ExchangedClause& clause,
 /// through it, so an encoding change can never desynchronize the two sides.
 /// `LitRange` is any range of structs exposing `state`, `bit` and `negated`.
 template <typename LitRange>
-std::string exchange_key(const LitRange& lits, std::size_t level) {
-  std::string key = std::to_string(level);
+std::string exchange_key(const LitRange& lits) {
+  std::string key;
   for (const auto& lit : lits) {
     key += '|';
     key += std::to_string(lit.state);
@@ -103,7 +87,7 @@ std::string exchange_key(const LitRange& lits, std::size_t level) {
 }
 
 inline std::string exchange_key(const ExchangedClause& clause) {
-  return exchange_key(clause.lits, clause.level);
+  return exchange_key(clause.lits);
 }
 
 /// Consumer-side duplicate filter. The mailbox backlog may carry the same

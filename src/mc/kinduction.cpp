@@ -42,17 +42,11 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
   // Invariants asserted on every materialized frame of both cases: the
   // seeded lemmas plus any proven clauses absorbed from the live exchange.
   std::vector<ir::NodeRef> invariants = options_.lemmas;
-  // Level-tagged exchange clauses: sound only on init-rooted frames <= level
-  // (base case), never in the arbitrary-start step case.
-  std::vector<std::pair<ir::NodeRef, std::size_t>> bounded;
   std::size_t base_lemma_frames = 0;
   std::size_t step_lemma_frames = 0;
   auto assert_base_upto = [&](std::size_t frame) {
     for (; base_lemma_frames <= frame; ++base_lemma_frames) {
       for (const ir::NodeRef inv : invariants) base.assert_at(inv, base_lemma_frames);
-      for (const auto& [expr, level] : bounded) {
-        if (base_lemma_frames <= level) base.assert_at(expr, base_lemma_frames);
-      }
     }
   };
   auto assert_step_upto = [&](std::size_t frame) {
@@ -75,17 +69,10 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
       if (!absorb_filter.admit(clause)) continue;
       const ir::NodeRef expr = materialize(clause, ts_);
       if (expr == nullptr) continue;
-      if (clause.proven()) {
-        invariants.push_back(expr);
-        result.invariant.push_back(expr);
-        for (std::size_t f = 0; f < base_lemma_frames; ++f) base.assert_at(expr, f);
-        for (std::size_t f = 0; f < step_lemma_frames; ++f) step.assert_at(expr, f);
-      } else {
-        bounded.emplace_back(expr, clause.level);
-        for (std::size_t f = 0; f < base_lemma_frames && f <= clause.level; ++f) {
-          base.assert_at(expr, f);
-        }
-      }
+      invariants.push_back(expr);
+      result.invariant.push_back(expr);
+      for (std::size_t f = 0; f < base_lemma_frames; ++f) base.assert_at(expr, f);
+      for (std::size_t f = 0; f < step_lemma_frames; ++f) step.assert_at(expr, f);
       ++absorbed;
     }
     options_.exchange->note_absorbed(options_.exchange_slot, absorbed);

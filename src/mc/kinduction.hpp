@@ -43,11 +43,8 @@ struct KInductionOptions {
   /// boundaries; when it reads true the run returns Unknown. See
   /// EngineOptions::stop for the full contract.
   std::shared_ptr<std::atomic<bool>> stop;
-  /// Portfolio lemma exchange: polled once per k. Proven clauses join the
-  /// lemma set on every frame of both cases; level-tagged clauses are
-  /// asserted on *base-case* frames <= level only — the step case starts
-  /// from an arbitrary state of unbounded depth, where a bounded-reach fact
-  /// would be unsound (see exchange.hpp). nullptr = off.
+  /// Portfolio lemma exchange: polled once per k; absorbed clauses join the
+  /// lemma set on every frame of both cases. nullptr = off.
   std::shared_ptr<LemmaMailbox> exchange;
   std::size_t exchange_slot = 0;
   /// SAT backend name (see sat::make_backend) and inprocessing toggle.

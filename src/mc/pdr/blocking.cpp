@@ -6,22 +6,6 @@
 
 namespace genfv::mc::pdr {
 
-ExchangedClause to_exchanged(const Cube& cube, std::size_t level) {
-  ExchangedClause out;
-  out.level = level;
-  out.lits.reserve(cube.size());
-  for (const StateLit& l : cube) out.lits.push_back({l.state, l.bit, l.negated});
-  return out;
-}
-
-void record_blocked(FrameDb& db, const PdrOptions& options, const Cube& cube,
-                    std::size_t level) {
-  db.add_blocked(cube, level);
-  if (options.exchange != nullptr && options.publish_frame_clauses) {
-    options.exchange->publish(options.exchange_slot, to_exchanged(cube, level));
-  }
-}
-
 BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
                                 const PdrOptions& options, std::size_t* cex_index) {
   while (!queue.empty()) {
@@ -45,7 +29,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
     if (answer == sat::LBool::False) {
       // Unreachable from F_{level-1}: learn a generalized blocking clause and
       // push it as far forward as it stays relatively inductive.
-      const Cube g = generalize(ctx, cube, level, core, options);
+      const Cube g = generalize(ctx, cube, level, core);
       const std::size_t frontier = db.frontier();
       std::size_t at = level;
       while (at < frontier &&
@@ -53,7 +37,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
                  sat::LBool::False) {
         ++at;
       }
-      record_blocked(db, options, g, at);
+      db.add_blocked(g, at);
       if (at < frontier) {
         queue.at(index).level = at + 1;
         queue.push(index);
@@ -64,16 +48,13 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
     // A predecessor inside F_{level-1} extends the chain towards init.
     Obligation pred;
     ctx.extract_state(pred);
-    // Ternary lifting: shrink the predecessor cube to the bits that force the
-    // transition into `cube` under the recorded inputs (no-op when off).
-    ctx.lift_pred(pred, cube);
     pred.level = level - 1;
     pred.parent = static_cast<std::ptrdiff_t>(index);
     const sat::LBool initial = ctx.intersects_init(pred.cube);
     if (initial == sat::LBool::Undef) return BlockOutcome::Budget;
     if (initial == sat::LBool::True) {
-      // The (lifted) predecessor cube holds an initial state: a real CEX.
-      ctx.extract_init_witness(pred);
+      // The predecessor pins every state bit, so it *is* an initial state:
+      // a real CEX.
       *cex_index = queue.add(std::move(pred));
       return BlockOutcome::Counterexample;
     }
@@ -95,19 +76,14 @@ BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue
 
     Obligation bad;
     ctx.extract_state(bad);
-    // Ternary lifting: keep only the bits that force the property violation
-    // under the recorded inputs (no-op when off).
-    ctx.lift_bad(bad);
     bad.level = frontier;
     bad.parent = -1;
     const sat::LBool initial = ctx.intersects_init(bad.cube);
     if (initial == sat::LBool::Undef) return BlockOutcome::Budget;
     if (initial == sat::LBool::True) {
       // Defensive: with input-independent init values the 0-step check
-      // already excludes initial bad states (lifted or not — every state in
-      // a lifted bad cube violates the property under these inputs), so this
-      // cannot trigger; if it ever does, the state is a chain of one.
-      ctx.extract_init_witness(bad);
+      // already excludes initial bad states, so this cannot trigger; if it
+      // ever does, the state is a chain of one.
       *cex_index = queue.add(std::move(bad));
       return BlockOutcome::Counterexample;
     }

@@ -23,14 +23,6 @@ enum class BlockOutcome {
   Budget,           ///< conflict/obligation budget or the stop flag fired
 };
 
-/// Translate a manager-neutral cube into the exchange wire form.
-ExchangedClause to_exchanged(const Cube& cube, std::size_t level);
-
-/// Record `cube` as blocked at `level` in the frame database and (when
-/// frame-clause publishing is on) push it to the exchange mailbox.
-void record_blocked(FrameDb& db, const PdrOptions& options, const Cube& cube,
-                    std::size_t level);
-
 /// Drain the obligation queue. On Counterexample, `*cex_index` is the arena index of the init-state end
 /// of the chain.
 BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,

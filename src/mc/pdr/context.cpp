@@ -1,7 +1,6 @@
 #include "mc/pdr/context.hpp"
 
 #include "util/status.hpp"
-#include "util/telemetry.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -251,29 +250,6 @@ void QueryContext::extract_state(Obligation& out) {
   for (const ir::NodeRef in : ts_.inputs()) {
     out.input_values.push_back(unr_->model_value(in, 0));
   }
-}
-
-void QueryContext::extract_init_witness(Obligation& out) {
-  out.state_values.clear();
-  for (const auto& s : ts_.states()) {
-    out.state_values.push_back(init_unr_->model_value(s.var, 0));
-  }
-}
-
-void QueryContext::lift_bad(Obligation& o) {
-  GENFV_TRACE_SPAN("pdr", "lift_bad");
-  if (!options_.ternary_lifting) return;
-  if (ternary_ == nullptr) ternary_ = std::make_unique<TernarySim>(ts_);
-  lifted_bits_ += lift_obligation(*ternary_, ts_, o, nullptr, property_,
-                                  &lifted_input_bits_);
-}
-
-void QueryContext::lift_pred(Obligation& o, const Cube& successor) {
-  GENFV_TRACE_SPAN("pdr", "lift_pred");
-  if (!options_.ternary_lifting) return;
-  if (ternary_ == nullptr) ternary_ = std::make_unique<TernarySim>(ts_);
-  lifted_bits_ += lift_obligation(*ternary_, ts_, o, &successor, nullptr,
-                                  &lifted_input_bits_);
 }
 
 sat::LBool QueryContext::intersects_init(const Cube& cube) {

@@ -25,9 +25,6 @@
 /// 0 behind it; RetractMay retires that gate. Queries assume the live gates
 /// and apply the clean-rerun discipline (see relative_query), so no answer
 /// that leaves this context ever depends on an unproven candidate.
-///
-/// Ternary lifting: the context owns the run's `TernarySim`, built lazily on
-/// the first lift.
 
 #include <map>
 #include <memory>
@@ -36,7 +33,6 @@
 #include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 #include "mc/pdr/pdr.hpp"
-#include "mc/pdr/ternary.hpp"
 #include "mc/unroller.hpp"
 #include "sat/backend.hpp"
 
@@ -86,26 +82,6 @@ class QueryContext {
   /// Fill `out` with the full frame-0 state cube and the concrete
   /// state/input values of the current model of the transition solver.
   void extract_state(Obligation& out);
-
-  /// After intersects_init returned True: overwrite `out.state_values` with
-  /// the initial-state witness from the init solver's model. With ternary
-  /// lifting, a lifted cube can contain initial states other than the
-  /// concrete predecessor — counterexample re-simulation must start from a
-  /// state that actually satisfies init (see pdr.cpp's build_cex).
-  void extract_init_witness(Obligation& out);
-
-  /// Ternary-lift an extracted frontier bad state (goal: the property stays
-  /// forced false) / predecessor (goal: `successor` stays forced), dropping
-  /// state-bit literals from `o.cube`. No-ops unless
-  /// PdrOptions::ternary_lifting is set. Feeds the lifted_bits counter.
-  void lift_bad(Obligation& o);
-  void lift_pred(Obligation& o, const Cube& successor);
-
-  /// State-bit literals dropped by this context's lifting — feeds
-  /// EngineStats::lifted_bits. Input bits proven irrelevant by the trailing
-  /// input pass feed EngineStats::lifted_input_bits.
-  std::size_t lifted_bits() const noexcept { return lifted_bits_; }
-  std::size_t lifted_input_bits() const noexcept { return lifted_input_bits_; }
 
   /// SAT(init ∧ cube)? — does the cube contain an initial state.
   /// Never assumes may clauses: initiation checks must be exact.
@@ -192,11 +168,6 @@ class QueryContext {
     Cube cube;
   };
   std::map<std::size_t, MayEntry> may_;
-
-  /// Lazily-constructed ternary simulator (ternary_lifting only).
-  std::unique_ptr<TernarySim> ternary_;
-  std::size_t lifted_bits_ = 0;
-  std::size_t lifted_input_bits_ = 0;
 
   std::size_t retired_gates_ = 0;
 };

@@ -50,8 +50,7 @@ void FrameDb::add_infinity(Cube cube) {
 std::optional<std::size_t> FrameDb::seed_may(Cube cube) {
   // Keyed on the same encoder as the mailbox AbsorbFilter (exchange_key), so
   // the two dedupe layers can never disagree on what "the same clause" is.
-  // kInfinityLevel stands in for "level-less": may clauses carry no bound.
-  if (!may_keys_.insert(mc::exchange_key(cube, kInfinityLevel)).second) {
+  if (!may_keys_.insert(mc::exchange_key(cube)).second) {
     return std::nullopt;
   }
   const std::size_t id = next_may_id_++;
@@ -76,14 +75,10 @@ bool FrameDb::retract_may(std::size_t id) { return remove_may(id, &may_retracted
 bool FrameDb::strike_may(std::size_t id) {
   for (MayClause& m : may_) {
     if (m.id != id) continue;
-    if (++m.strikes < candidate_strikes_) return false;  // keep it, on notice
+    if (++m.strikes < kCandidateStrikes) return false;  // keep it, on notice
     return remove_may(id, &may_retracted_);
   }
   return false;  // already retracted/graduated
-}
-
-void FrameDb::set_candidate_strikes(std::size_t limit) {
-  candidate_strikes_ = std::max<std::size_t>(1, limit);
 }
 
 bool FrameDb::graduate_may(std::size_t id) { return remove_may(id, &may_graduated_); }

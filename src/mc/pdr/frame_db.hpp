@@ -36,10 +36,13 @@
 
 namespace genfv::mc::pdr {
 
-/// Pseudo-level of F_∞ (clauses certified invariant). Numerically equal to
-/// `mc::kExchangeProvenLevel`, so graduation events translate directly into
-/// proven exchange clauses.
+/// Pseudo-level of F_∞ (clauses certified invariant).
 inline constexpr std::size_t kInfinityLevel = std::numeric_limits<std::size_t>::max();
+
+/// Spurious-blocked offenses before strike_may retracts a candidate: one
+/// collision with a rare backward-reachable state is tolerated, a repeat
+/// offender is dropped.
+inline constexpr std::size_t kCandidateStrikes = 2;
 
 class FrameDb {
  public:
@@ -116,16 +119,12 @@ class FrameDb {
   bool retract_may(std::size_t id);
 
   /// Record one spurious-blocked offense against candidate `id` and retract
-  /// it once its strikes reach the configured limit. Sub-limit strikes are
+  /// it once its strikes reach kCandidateStrikes. Sub-limit strikes are
   /// bookkeeping only (no journal event, mirrors unaffected) — a candidate
   /// that collides once with a rare backward-reachable state keeps helping
   /// until it proves itself a repeat offender. Returns true iff this strike
   /// retracted the candidate.
   bool strike_may(std::size_t id);
-
-  /// Strikes before strike_may retracts (minimum 1; default 2). See
-  /// PdrOptions::candidate_strikes.
-  void set_candidate_strikes(std::size_t limit);
 
   /// Remove candidate `id` from the may set because a clean may-proof
   /// succeeded — the caller follows up with add_blocked for the cube.
@@ -169,7 +168,6 @@ class FrameDb {
   std::vector<MayClause> may_;                  ///< live candidates
   std::unordered_set<std::string> may_keys_;    ///< ever-seeded keys
   std::size_t next_may_id_ = 0;
-  std::size_t candidate_strikes_ = 2;
   std::size_t may_graduated_ = 0;
   std::size_t may_retracted_ = 0;
   std::vector<Event> journal_;

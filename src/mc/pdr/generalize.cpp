@@ -17,7 +17,7 @@ void repair_initiation(QueryContext& ctx, Cube& g, const Cube& full) {
 }
 
 Cube generalize(QueryContext& ctx, const Cube& cube, std::size_t level,
-                const std::vector<sat::Lit>& core, const PdrOptions& options) {
+                const std::vector<sat::Lit>& core) {
   GENFV_TRACE_SPAN("pdr", "generalize");
   std::unordered_set<std::int32_t> needed;
   for (const sat::Lit p : core) needed.insert(p.code);
@@ -28,17 +28,16 @@ Cube generalize(QueryContext& ctx, const Cube& cube, std::size_t level,
   if (g.empty()) g = cube;
   repair_initiation(ctx, g, cube);
 
-  if (options.generalize_drop) {
-    for (std::size_t i = 0; i < g.size() && g.size() > 1;) {
-      Cube cand = g;
-      cand.erase(cand.begin() + static_cast<std::ptrdiff_t>(i));
-      if (!ctx.may_intersect_init(cand) &&
-          ctx.relative_query(cand, level, /*assume_not_cube=*/true, nullptr) ==
-              sat::LBool::False) {
-        g = std::move(cand);
-      } else {
-        ++i;
-      }
+  // MIC-style literal dropping: more SAT calls, stronger clauses.
+  for (std::size_t i = 0; i < g.size() && g.size() > 1;) {
+    Cube cand = g;
+    cand.erase(cand.begin() + static_cast<std::ptrdiff_t>(i));
+    if (!ctx.may_intersect_init(cand) &&
+        ctx.relative_query(cand, level, /*assume_not_cube=*/true, nullptr) ==
+            sat::LBool::False) {
+      g = std::move(cand);
+    } else {
+      ++i;
     }
   }
   return g;

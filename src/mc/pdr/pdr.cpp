@@ -89,7 +89,6 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // obligation arena, the one query context mirroring the database, and the
   // candidate intake cursor plus consumer-side dedupe for the mailbox.
   FrameDb db;
-  db.set_candidate_strikes(options_.candidate_strikes);
   QueryContext ctx(ts_, prop, options_.lemmas, options_, db);
   db.push_level();  // level 1: the first frontier
   ObligationQueue queue;
@@ -102,8 +101,6 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     result.stats.absorb(ctx.solver().stats());
     result.stats.absorb(ctx.init_solver().stats());
     result.stats.retired_gates += ctx.retired_gates();
-    result.stats.lifted_bits += ctx.lifted_bits();
-    result.stats.lifted_input_bits += ctx.lifted_input_bits();
     result.stats.candidates_seeded += db.may_seeded();
     result.stats.candidates_graduated += db.may_graduated();
     result.stats.candidates_retracted += db.may_retracted();
@@ -120,11 +117,10 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     }
   }
 
-  // Mailbox intake (seed_candidates only): proven clauses are invariants of
-  // this very system and join F_∞ directly — each publisher's F_∞ set is
-  // mutually inductive relative to the shared lemmas, so the exported
-  // certificate stays inductive (docs/lemmas.md). Level-tagged clauses are
-  // merely bounded facts here and enter as candidates instead.
+  // Mailbox intake (seed_candidates only): every mailbox clause is an
+  // invariant of this very system and joins F_∞ directly — each publisher's
+  // F_∞ set is mutually inductive relative to the shared lemmas, so the
+  // exported certificate stays inductive (docs/lemmas.md).
   auto poll_mailbox = [&] {
     if (!options_.seed_candidates || options_.exchange == nullptr) return;
     const auto fetched =
@@ -134,12 +130,8 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
       if (!absorb_filter.admit(clause)) continue;
       const auto cube = mailbox_cube(clause, ts_);
       if (!cube.has_value()) continue;
-      if (clause.proven()) {
-        db.add_infinity(*cube);
-        ++absorbed;
-      } else if (db.seed_may(*cube).has_value()) {
-        ++absorbed;
-      }
+      db.add_infinity(*cube);
+      ++absorbed;
     }
     if (absorbed != 0) {
       options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
@@ -160,47 +152,18 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // run from an initial state to the property violation, and each stored
   // input vector drives its state into the next one. Obligations carry only
   // manager-neutral values (state and input values per link).
-  //
-  // With ternary lifting the stored per-link state values are witnesses of
-  // *cubes*, not one execution: the init-end link holds a genuine initial
-  // state inside its lifted cube (extract_init_witness), but the later
-  // links' concrete states need not be its successors. Lifting guarantees
-  // every state of a link's cube steps — under the stored inputs — into the
-  // next link's cube (and the last cube forces the violation), so the real
-  // trace is recovered by re-simulating forward from the initial witness
-  // through the stored input vectors.
   auto build_cex = [&](std::size_t index) {
     sim::Trace trace(&ts_);
-    std::vector<std::size_t> chain;
     for (std::ptrdiff_t at = static_cast<std::ptrdiff_t>(index); at >= 0;
          at = queue.at(static_cast<std::size_t>(at)).parent) {
-      chain.push_back(static_cast<std::size_t>(at));
-    }
-    if (!options_.ternary_lifting) {
-      for (const std::size_t at : chain) {
-        const Obligation& o = queue.at(at);
-        sim::Assignment env;
-        for (std::size_t si = 0; si < ts_.states().size(); ++si) {
-          env[ts_.states()[si].var] = o.state_values[si];
-        }
-        for (std::size_t ii = 0; ii < ts_.inputs().size(); ++ii) {
-          env[ts_.inputs()[ii]] = o.input_values[ii];
-        }
-        trace.append(std::move(env));
+      const Obligation& o = queue.at(static_cast<std::size_t>(at));
+      sim::Assignment env;
+      for (std::size_t si = 0; si < ts_.states().size(); ++si) {
+        env[ts_.states()[si].var] = o.state_values[si];
       }
-      return trace;
-    }
-    sim::Assignment states;
-    for (std::size_t si = 0; si < ts_.states().size(); ++si) {
-      states[ts_.states()[si].var] = queue.at(chain.front()).state_values[si];
-    }
-    for (const std::size_t at : chain) {
-      const Obligation& o = queue.at(at);
-      sim::Assignment env = states;
       for (std::size_t ii = 0; ii < ts_.inputs().size(); ++ii) {
         env[ts_.inputs()[ii]] = o.input_values[ii];
       }
-      states = sim::step(ts_, env);
       trace.append(std::move(env));
     }
     return trace;
@@ -256,7 +219,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "propagate");
       util::ScopedTimerNs timer(propagate_ns);
-      if (propagate_all(ctx, db, options_) == PropagateOutcome::Budget) {
+      if (propagate_all(ctx, db) == PropagateOutcome::Budget) {
         return finish(Verdict::Unknown, frontier);
       }
     }

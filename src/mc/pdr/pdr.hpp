@@ -49,9 +49,6 @@ struct PdrOptions {
   std::vector<ir::NodeRef> lemmas;
   /// Best-effort cap on SAT conflicts per solve; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// After the unsat-core shrink, greedily try dropping the remaining cube
-  /// literals one at a time (MIC-style). More SAT calls, stronger clauses.
-  bool generalize_drop = true;
   /// Safety valve: total proof obligations before giving up (Unknown).
   std::size_t max_obligations = 100000;
   /// Cooperative cancellation: polled per obligation, per propagation pass
@@ -66,37 +63,22 @@ struct PdrOptions {
   /// strengthens PDR itself).
   std::shared_ptr<LemmaMailbox> exchange;
   std::size_t exchange_slot = 0;
-  /// Also publish every frame-k blocked clause, tagged with its level
-  /// (bounded facts; consumers restrict them to init-rooted frames <= k).
-  bool publish_frame_clauses = false;
-  /// Ternary-simulation cube lifting: shrink every extracted predecessor /
-  /// frontier bad-state cube by dropping state bits whose X-valuation still
-  /// forces the bad successor (or the property violation) before
-  /// generalization sees the cube. Off (the default) preserves the legacy
-  /// engine bit for bit; on changes the frame trajectory (usually for the
-  /// better) but never a verdict. Counterexample chains are rebuilt by
-  /// re-simulating through the lifted cubes — see ternary.hpp.
-  bool ternary_lifting = false;
   /// Candidate-lemma frame seeding: admit *unproven* candidate clauses
-  /// (`candidate_lemmas`, plus level-tagged clauses fetched from `exchange`)
-  /// into the frame database as "may" clauses — assumed in queries behind
-  /// dedicated activation gates, never exported, never pushed to F_∞.
-  /// A may-proof pass graduates candidates whose mutual relative-induction
-  /// check succeeds into ordinary frame clauses; a candidate implicated in a
-  /// spurious "blocked" answer (a may-contaminated UNSAT whose clean re-run
-  /// finds a state the candidate excludes) has its gate retracted. See
-  /// docs/lemmas.md for the full soundness story.
+  /// (`candidate_lemmas`) into the frame database as "may" clauses —
+  /// assumed in queries behind dedicated activation gates, never exported,
+  /// never pushed to F_∞. A may-proof pass graduates candidates whose mutual
+  /// relative-induction check succeeds into ordinary frame clauses; a
+  /// candidate implicated in a spurious "blocked" answer (a may-contaminated
+  /// UNSAT whose clean re-run finds a state the candidate excludes) is
+  /// struck, and retracted on its second strike. Also turns on `exchange`
+  /// intake: fetched proven clauses join F_∞. See docs/lemmas.md for the
+  /// full soundness story.
   bool seed_candidates = false;
   /// Unproven candidate helper lemmas (e.g. LemmaManager candidates that
   /// failed their k-induction proof). Only clause-shaped expressions —
   /// disjunctions of state-bit literals — can seed; others are skipped.
   /// Ignored unless `seed_candidates` is set.
   std::vector<ir::NodeRef> candidate_lemmas;
-  /// Strikes before a may-candidate is retracted: a candidate implicated in
-  /// a spurious "blocked" answer is only dropped after this many offenses,
-  /// tolerating one-off collisions with rare backward-reachable states.
-  /// 1 = retract on first offense (the legacy policy).
-  std::size_t candidate_strikes = 2;
   /// SAT backend name (see sat::make_backend) and inprocessing toggle,
   /// stamped onto both of the run's solvers.
   std::string sat_backend = "internal";

@@ -46,8 +46,6 @@ void EngineStats::publish_metrics(const std::string& prefix) const {
   reg.counter(prefix + "learnt_clauses").add(learnt_clauses);
   reg.counter(prefix + "deleted_clauses").add(deleted_clauses);
   reg.counter(prefix + "retired_gates").add(retired_gates);
-  reg.counter(prefix + "lifted_bits").add(lifted_bits);
-  reg.counter(prefix + "lifted_input_bits").add(lifted_input_bits);
   reg.counter(prefix + "inprocessings").add(inprocessings);
   reg.counter(prefix + "subsumed_clauses").add(subsumed_clauses);
   reg.counter(prefix + "strengthened_clauses").add(strengthened_clauses);

@@ -45,11 +45,6 @@ struct EngineStats {
   /// PDR query hygiene: one-shot activation gates retired as permanently-
   /// satisfied unit clauses.
   std::uint64_t retired_gates = 0;
-  /// PDR ternary lifting: state-bit literals dropped from extracted cubes
-  /// before generalization (PdrOptions::ternary_lifting), and input bits
-  /// freed to X by the input-lifting pass that follows it.
-  std::uint64_t lifted_bits = 0;
-  std::uint64_t lifted_input_bits = 0;
   /// SAT inprocessing (sat/inprocess.hpp), summed over absorbed solvers:
   /// sessions run, clauses subsumed / strengthened / vivified, variables
   /// eliminated by BVE.
@@ -86,8 +81,6 @@ struct EngineStats {
     learnt_clauses += other.learnt_clauses;
     deleted_clauses += other.deleted_clauses;
     retired_gates += other.retired_gates;
-    lifted_bits += other.lifted_bits;
-    lifted_input_bits += other.lifted_input_bits;
     inprocessings += other.inprocessings;
     subsumed_clauses += other.subsumed_clauses;
     strengthened_clauses += other.strengthened_clauses;

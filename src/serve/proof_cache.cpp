@@ -137,7 +137,6 @@ bool ProofCache::store(const std::string& design, const ir::TransitionSystem& ts
       return false;
     }
     mc::ExchangedClause clause;
-    clause.level = mc::kExchangeProvenLevel;
     clause.lits.reserve(cube->size());
     for (const auto& lit : *cube) {
       clause.lits.push_back(mc::ExchangedLit{lit.state, lit.bit, lit.negated});
@@ -299,7 +298,6 @@ class EntryParser {
 
   mc::ExchangedClause parse_clause(const std::string& body) {
     mc::ExchangedClause clause;
-    clause.level = mc::kExchangeProvenLevel;
     std::istringstream fields(body);
     std::string token;
     while (fields >> token) {

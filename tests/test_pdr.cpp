@@ -2,9 +2,8 @@
 /// designs, counterexample reconstruction, cube generalization, lemma
 /// seeding, inductive-invariant export (with an independent SAT check and an
 /// SVA printer round-trip), the FrameDb + QueryContext layering (epoch
-/// sync, the pinned registry trajectory), ternary-simulation cube lifting,
-/// candidate-lemma frame seeding under the may-proof discipline, and the
-/// uniform mc::Engine interface.
+/// sync, the pinned registry trajectory), candidate-lemma frame seeding under
+/// the may-proof discipline, and the uniform mc::Engine interface.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +19,6 @@
 #include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 #include "mc/pdr/pdr.hpp"
-#include "mc/pdr/ternary.hpp"
 #include "ir/printer.hpp"
 #include "sat/solver.hpp"
 #include "sim/interpreter.hpp"
@@ -204,22 +202,21 @@ TEST(PdrFrameDb, EpochSyncIntoContext) {
 }
 
 TEST(PdrFrameDb, StrikesRetractCandidatesOnlyAtTheLimit) {
+  static_assert(kCandidateStrikes == 2);
   FrameDb db;
-  db.set_candidate_strikes(3);
   const Cube cube{{0, 0, false}};
   const auto id = db.seed_may(cube);
   ASSERT_TRUE(id.has_value());
   const std::uint64_t epoch_after_seed = db.epoch();
 
-  // Two sub-limit strikes: candidate stays live, mirrors see nothing.
-  EXPECT_FALSE(db.strike_may(*id));
+  // A sub-limit strike: candidate stays live, mirrors see nothing.
   EXPECT_FALSE(db.strike_may(*id));
   EXPECT_EQ(db.may_clauses().size(), 1u);
-  EXPECT_EQ(db.may_clauses()[0].strikes, 2u);
+  EXPECT_EQ(db.may_clauses()[0].strikes, 1u);
   EXPECT_EQ(db.epoch(), epoch_after_seed);
   EXPECT_EQ(db.may_retracted(), 0u);
 
-  // The third strike retracts and journals a RetractMay for the mirrors.
+  // The second strike retracts and journals a RetractMay for the mirrors.
   EXPECT_TRUE(db.strike_may(*id));
   EXPECT_TRUE(db.may_clauses().empty());
   EXPECT_EQ(db.may_retracted(), 1u);
@@ -231,15 +228,6 @@ TEST(PdrFrameDb, StrikesRetractCandidatesOnlyAtTheLimit) {
   // Striking a retracted candidate is a no-op, and the cube stays refused.
   EXPECT_FALSE(db.strike_may(*id));
   EXPECT_FALSE(db.seed_may(cube).has_value());
-}
-
-TEST(PdrFrameDb, StrikeLimitFloorsAtOne) {
-  FrameDb db;
-  db.set_candidate_strikes(0);  // clamped to 1: first offense retracts
-  const auto id = db.seed_may(Cube{{0, 1, true}});
-  ASSERT_TRUE(id.has_value());
-  EXPECT_TRUE(db.strike_may(*id));
-  EXPECT_TRUE(db.may_clauses().empty());
 }
 
 TEST(PdrObligations, LowestLevelFirst) {
@@ -431,8 +419,7 @@ struct LegacyExpectation {
   std::size_t depth;
   std::size_t sat_calls;
   std::uint64_t conflicts;
-  /// Skipped by the lifting and seeding sweeps unless GENFV_SLOW_TESTS is
-  /// set (lifting takes seconds there).
+  /// Skipped by the seeding sweep unless GENFV_SLOW_TESTS is set.
   bool slow;
 };
 constexpr LegacyExpectation kLegacyRegistry[] = {
@@ -500,243 +487,6 @@ TEST(PdrGateHygiene, GateLitterIsCountedInStats) {
   EXPECT_EQ(result.stats.learnt_clauses, result.stats.conflicts);
 }
 
-// --- ternary-simulation cube lifting -----------------------------------------
-
-TEST(PdrTernary, OperatorXPropagation) {
-  using W = TernaryWord;
-  const auto k = [](std::uint64_t v, unsigned w) { return W::constant(v, w); };
-  const W x4 = W::unknown(4);
-
-  // And: a known 0 dominates any X; known 1s survive only against known 1s.
-  EXPECT_EQ(ternary_op(ir::Op::And, 4, 0, 0, {k(0b0101, 4), x4}, {4, 4}),
-            (W{0b0000, 0b1010}));
-  // Or: a known 1 dominates any X.
-  EXPECT_EQ(ternary_op(ir::Op::Or, 4, 0, 0, {k(0b0101, 4), x4}, {4, 4}),
-            (W{0b0101, 0b0101}));
-  // Xor through an X is X.
-  EXPECT_EQ(ternary_op(ir::Op::Xor, 4, 0, 0, {k(0b1111, 4), x4}, {4, 4}).known, 0u);
-  // Not keeps knowledge bit for bit.
-  EXPECT_EQ(ternary_op(ir::Op::Not, 4, 0, 0, {W{0b0001, 0b0011}}, {4}),
-            (W{0b0010, 0b0011}));
-  // Add: exact below the lowest unknown operand bit (carry prefix).
-  EXPECT_EQ(ternary_op(ir::Op::Add, 4, 0, 0, {k(0b0011, 4), W{0b0001, 0b0111}}, {4, 4}),
-            (W{0b0100, 0b0111}));
-  // Eq decides false on any known differing bit, even with X elsewhere.
-  EXPECT_EQ(ternary_op(ir::Op::Eq, 1, 0, 0, {W{0b0001, 0b0001}, k(0b0000, 4)}, {4, 4}),
-            (W{0, 1}));
-  // ...but cannot decide true without full knowledge.
-  EXPECT_EQ(ternary_op(ir::Op::Eq, 1, 0, 0, {W{0b0001, 0b0001}, k(0b0001, 4)}, {4, 4}),
-            W::unknown(1));
-  // Ite with an agreeing bit under an unknown selector.
-  EXPECT_EQ(ternary_op(ir::Op::Ite, 4, 0, 0,
-                       {W::unknown(1), k(0b0110, 4), k(0b0010, 4)}, {1, 4, 4}),
-            (W{0b0010, 0b1011}));
-  // Reductions: RedOr fires on any known 1, RedAnd on any known 0.
-  EXPECT_EQ(ternary_op(ir::Op::RedOr, 1, 0, 0, {W{0b0100, 0b0100}}, {4}), (W{1, 1}));
-  EXPECT_EQ(ternary_op(ir::Op::RedAnd, 1, 0, 0, {W{0b0000, 0b0100}}, {4}), (W{0, 1}));
-  // Unsigned comparison via bounds: [8,15] is never below [0,7].
-  EXPECT_EQ(ternary_op(ir::Op::Ult, 1, 0, 0, {W{0b1000, 0b1000}, W{0b0000, 0b1000}},
-                       {4, 4}),
-            (W{0, 1}));
-  // Fully-known operands defer to the exact evaluator.
-  EXPECT_EQ(ternary_op(ir::Op::Mul, 4, 0, 0, {k(3, 4), k(5, 4)}, {4, 4}), k(15, 4));
-}
-
-TEST(PdrTernary, SimulatorPropagatesXThroughNextFunctions) {
-  auto ts = stride_counter(4, 2);
-  TernarySim sim(ts);
-  sim.load({0b0101}, {});
-  // Fully concrete: next = 0b0111, all bits known.
-  EXPECT_EQ(sim.evaluate(ts.states()[0].next), TernaryWord::constant(0b0111, 4));
-  // X-ing bit 3 leaves the low bits of count+2 forced (carry prefix), bit 3 X.
-  sim.set_state_bit_unknown(0, 3);
-  const TernaryWord next = sim.evaluate(ts.states()[0].next);
-  EXPECT_EQ(next.known, 0b0111u);
-  EXPECT_EQ(next.value, 0b0111u);
-}
-
-TEST(PdrTernary, LiftDropsIrrelevantStateBits) {
-  // Two registers; the property only constrains `a`, so every `b` bit lifts.
-  ir::TransitionSystem ts;
-  auto& nm = ts.nm();
-  const NodeRef a = ts.add_state("a", 4);
-  const NodeRef b = ts.add_state("b", 4);
-  ts.set_init(a, nm.mk_const(0, 4));
-  ts.set_init(b, nm.mk_const(0, 4));
-  ts.set_next(a, a);
-  ts.set_next(b, b);
-  const NodeRef prop = nm.mk_ne(a, nm.mk_const(5, 4));
-
-  TernarySim sim(ts);
-  Obligation o;
-  o.state_values = {5, 9};
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    for (std::uint32_t bit = 0; bit < 4; ++bit) {
-      o.cube.push_back({s, bit, ((o.state_values[s] >> bit) & 1) == 0});
-    }
-  }
-  const std::size_t dropped = lift_obligation(sim, ts, o, nullptr, prop);
-  EXPECT_EQ(dropped, 4u);  // all of b
-  ASSERT_EQ(o.cube.size(), 4u);
-  for (const StateLit& l : o.cube) EXPECT_EQ(l.state, 0u);
-
-  // Semantic contract: every concretization of the dropped bits still
-  // violates the property.
-  for (std::uint64_t bval : {0ULL, 3ULL, 15ULL}) {
-    sim::Assignment env{{a, 5}, {b, bval}};
-    EXPECT_EQ(sim::evaluate(prop, env), 0u);
-  }
-
-  // Predecessor shape: force the successor cube a' == 5 through next(a)=a.
-  Obligation pred;
-  pred.state_values = {5, 9};
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    for (std::uint32_t bit = 0; bit < 4; ++bit) {
-      pred.cube.push_back({s, bit, ((pred.state_values[s] >> bit) & 1) == 0});
-    }
-  }
-  Cube successor;
-  for (std::uint32_t bit = 0; bit < 4; ++bit) {
-    successor.push_back({0, bit, ((5u >> bit) & 1) == 0});
-  }
-  EXPECT_EQ(lift_obligation(sim, ts, pred, &successor, nullptr), 4u);
-  for (const StateLit& l : pred.cube) EXPECT_EQ(l.state, 0u);
-}
-
-TEST(PdrTernary, LiftCountsIrrelevantInputBits) {
-  // next(a) = a ignores the input entirely, so every input bit is provably
-  // irrelevant to the bad state a == 5; the input pass counts all 4 while
-  // the recorded concrete input values stay untouched (CEX re-simulation
-  // depends on them).
-  ir::TransitionSystem ts;
-  auto& nm = ts.nm();
-  const NodeRef a = ts.add_state("a", 4);
-  (void)ts.add_input("i", 4);
-  ts.set_init(a, nm.mk_const(0, 4));
-  ts.set_next(a, a);
-  const NodeRef prop = nm.mk_ne(a, nm.mk_const(5, 4));
-
-  TernarySim sim(ts);
-  Obligation o;
-  o.state_values = {5};
-  o.input_values = {9};
-  for (std::uint32_t bit = 0; bit < 4; ++bit) {
-    o.cube.push_back({0, bit, ((5u >> bit) & 1) == 0});
-  }
-  std::size_t lifted_inputs = 0;
-  lift_obligation(sim, ts, o, nullptr, prop, &lifted_inputs);
-  EXPECT_EQ(lifted_inputs, 4u);
-  ASSERT_EQ(o.input_values.size(), 1u);
-  EXPECT_EQ(o.input_values[0], 9u);  // concrete witness survives
-}
-
-TEST(PdrTernary, LiftKeepsInputBitsThatForceTheSuccessor) {
-  // next(a) = i and next(b) = b: the successor literal a' == 5 is forced
-  // *only* by the input bits (none may lift), while b' == 2 is forced only
-  // by b's state bits — so all of a's state bits drop and all of b's stay.
-  // The split proves the input pass probes forcing, not state relevance.
-  ir::TransitionSystem ts;
-  auto& nm = ts.nm();
-  const NodeRef a = ts.add_state("a", 4);
-  const NodeRef b = ts.add_state("b", 4);
-  const NodeRef i = ts.add_input("i", 4);
-  ts.set_init(a, nm.mk_const(0, 4));
-  ts.set_init(b, nm.mk_const(0, 4));
-  ts.set_next(a, i);
-  ts.set_next(b, b);
-
-  TernarySim sim(ts);
-  Obligation pred;
-  pred.state_values = {3, 2};
-  pred.input_values = {5};
-  for (std::uint32_t s = 0; s < 2; ++s) {
-    for (std::uint32_t bit = 0; bit < 4; ++bit) {
-      pred.cube.push_back({s, bit, ((pred.state_values[s] >> bit) & 1) == 0});
-    }
-  }
-  Cube successor;
-  for (std::uint32_t bit = 0; bit < 4; ++bit) {
-    successor.push_back({0, bit, ((5u >> bit) & 1) == 0});
-    successor.push_back({1, bit, ((2u >> bit) & 1) == 0});
-  }
-  std::size_t lifted_inputs = 0;
-  const std::size_t dropped =
-      lift_obligation(sim, ts, pred, &successor, nullptr, &lifted_inputs);
-  EXPECT_EQ(dropped, 4u);  // all of a's state bits
-  EXPECT_EQ(lifted_inputs, 0u);
-  for (const StateLit& l : pred.cube) EXPECT_EQ(l.state, 1u);
-  EXPECT_EQ(pred.input_values[0], 5u);
-}
-
-TEST(PdrTernary, LiftRespectsEnvironmentConstraints) {
-  // The constraint ties `b` to the inputs-free expression b == 3; lifting
-  // must keep enough of `b` to keep the constraint forced.
-  ir::TransitionSystem ts;
-  auto& nm = ts.nm();
-  const NodeRef a = ts.add_state("a", 2);
-  const NodeRef b = ts.add_state("b", 2);
-  ts.set_init(a, nm.mk_const(0, 2));
-  ts.set_init(b, nm.mk_const(3, 2));
-  ts.set_next(a, a);
-  ts.set_next(b, b);
-  ts.add_constraint(nm.mk_eq(b, nm.mk_const(3, 2)));
-  const NodeRef prop = nm.mk_ne(a, nm.mk_const(1, 2));
-
-  TernarySim sim(ts);
-  Obligation o;
-  o.state_values = {1, 3};
-  o.cube = {{0, 0, false}, {0, 1, true}, {1, 0, false}, {1, 1, false}};
-  lift_obligation(sim, ts, o, nullptr, prop);
-  // a's bits stay (property), b's bits stay (constraint forcing needs them).
-  EXPECT_EQ(o.cube.size(), 4u);
-}
-
-TEST(PdrTernary, FalsifiedWithConsistentTraceUnderLifting) {
-  auto ts = stride_counter(4, 1);
-  auto& nm = ts.nm();
-  const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(9, 4));
-  PdrOptions options;
-  options.max_frames = 32;
-  options.ternary_lifting = true;
-  PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
-  ASSERT_EQ(result.verdict, Verdict::Falsified);
-  ASSERT_TRUE(result.cex.has_value());
-  EXPECT_TRUE(result.cex->is_consistent());
-  const auto violation = result.cex->first_violation(prop);
-  ASSERT_TRUE(violation.has_value());
-  // The deterministic counter admits exactly one execution, lifted or not.
-  EXPECT_EQ(result.cex->size(), 10u);
-  EXPECT_EQ(*violation, 9u);
-}
-
-TEST(PdrTernary, RegistryVerdictsAgreeWithLifting) {
-  // Lifting perturbs the frame trajectory but never a verdict; proofs keep
-  // exporting independently-checked invariants and lifted_bits shows up.
-  const bool slow_ok = std::getenv("GENFV_SLOW_TESTS") != nullptr;
-  std::uint64_t total_lifted = 0;
-  for (const LegacyExpectation& expected : kLegacyRegistry) {
-    if (expected.slow && !slow_ok) continue;
-    auto task = designs::make_task(expected.design);
-    mc::EngineOptions options;
-    options.max_steps = 12;
-    options.pdr_ternary_lifting = true;
-    auto engine = mc::make_engine(mc::EngineKind::Pdr, task.ts, options);
-    const mc::EngineResult result = engine->prove_all(task.target_exprs());
-    EXPECT_EQ(result.verdict, expected.verdict) << expected.design;
-    total_lifted += result.stats.lifted_bits;
-    if (result.verdict == Verdict::Proven) {
-      ASSERT_FALSE(result.invariant.empty()) << expected.design;
-      auto nm = task.ts.nm_ptr();
-      ir::NodeRef conj = nm->mk_true();
-      for (const NodeRef t : task.target_exprs()) conj = nm->mk_and(conj, t);
-      EXPECT_TRUE(check_invariant(task.ts, result.invariant, {}, conj))
-          << expected.design;
-    }
-  }
-  EXPECT_GT(total_lifted, 0u);  // the registry is not lifting-proof
-}
-
 // --- candidate-lemma frame seeding -------------------------------------------
 
 TEST(PdrFrameDb, MayClauseLifecycleAndJournal) {
@@ -782,10 +532,9 @@ TEST(PdrCube, ExchangeKeyIsSharedBetweenCubesAndMailboxClauses) {
   // the same fact identically, whichever lit struct carries it.
   const Cube cube{{2, 5, true}, {0, 1, false}};
   mc::ExchangedClause clause;
-  clause.level = 7;
   for (const StateLit& l : cube) clause.lits.push_back({l.state, l.bit, l.negated});
-  EXPECT_EQ(mc::exchange_key(cube, 7), mc::exchange_key(clause));
-  EXPECT_NE(mc::exchange_key(cube, 7), mc::exchange_key(cube, 8));
+  EXPECT_EQ(mc::exchange_key(cube), mc::exchange_key(clause));
+  EXPECT_NE(mc::exchange_key(cube), mc::exchange_key(Cube{{2, 5, true}}));
 }
 
 TEST(PdrCube, CubeOfClauseRoundTripsAndRejectsNonClauses) {
@@ -922,23 +671,21 @@ TEST(PdrSeeding, NonClauseCandidatesAreSkipped) {
   EXPECT_EQ(result.stats.candidates_seeded, 0u);
 }
 
-TEST(PdrSeeding, MailboxFeedsInfinityAndCandidates) {
-  // A racing publisher's proven clause joins F_∞ directly; its level-tagged
-  // clause only ever enters as a may candidate. Both count as absorbed.
+TEST(PdrSeeding, MailboxFeedsInfinity) {
+  // A racing publisher's proven clauses join F_∞ directly — never as may
+  // candidates — and count as absorbed.
   auto ts = stride_counter(8, 2);
   auto& nm = ts.nm();
   const NodeRef count = ts.lookup("count");
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
 
   auto mailbox = std::make_shared<LemmaMailbox>(2);
-  mc::ExchangedClause proven;
-  proven.lits = {{0, 0, false}};  // clause !count[0], a true invariant
-  proven.level = kExchangeProvenLevel;
-  mc::ExchangedClause bounded;
-  bounded.lits = {{0, 2, false}};  // clause !count[2]: true only within 1 step
-  bounded.level = 1;
+  mc::ExchangedClause even;
+  even.lits = {{0, 0, false}};  // clause !count[0], a true invariant
+  mc::ExchangedClause high;
+  high.lits = {{0, 7, true}, {0, 0, false}};  // clause count[7] | !count[0]
   // Batch publish, as push_to_infinity does for jointly-inductive sets.
-  mailbox->publish_batch(1, {proven, bounded});
+  mailbox->publish_batch(1, {even, high});
   EXPECT_EQ(mailbox->published_by(1), 2u);
 
   PdrOptions options;
@@ -950,7 +697,7 @@ TEST(PdrSeeding, MailboxFeedsInfinityAndCandidates) {
   const PdrResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_GE(mailbox->absorbed_by(0), 2u);
-  EXPECT_EQ(result.stats.candidates_seeded, 1u);  // only the bounded clause
+  EXPECT_EQ(result.stats.candidates_seeded, 0u);
   EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
 }
 
@@ -961,7 +708,6 @@ TEST(PdrSeeding, EngineInterfaceThreadsCandidateOptions) {
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
   mc::EngineOptions options;
   options.max_steps = 16;
-  options.pdr_ternary_lifting = true;
   options.pdr_seed_candidates = true;
   options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
   auto engine = mc::make_engine(mc::EngineKind::Pdr, ts, options);
@@ -971,8 +717,8 @@ TEST(PdrSeeding, EngineInterfaceThreadsCandidateOptions) {
   EXPECT_EQ(result.stats.candidates_graduated, 1u);
 }
 
-TEST(PdrSeeding, LiftingAndSeedingAgreeOnRegistry) {
-  // The full registry with both knobs on and a deliberately mixed
+TEST(PdrSeeding, SeedingAgreesOnRegistry) {
+  // The full registry with candidate seeding on and a deliberately mixed
   // candidate diet (one clause per polarity of the first state bit: at most
   // one can be true; the initiation filter and spurious-obligation
   // retraction must sort them out on every design).
@@ -984,7 +730,6 @@ TEST(PdrSeeding, LiftingAndSeedingAgreeOnRegistry) {
     const NodeRef first = task.ts.states().front().var;
     mc::EngineOptions options;
     options.max_steps = 12;
-    options.pdr_ternary_lifting = true;
     options.pdr_seed_candidates = true;
     options.pdr_candidate_lemmas = {nm->mk_bit(first, 0),
                                     nm->mk_not(nm->mk_bit(first, 0))};

@@ -29,15 +29,9 @@
 ///   --exchange on|off                live lemma exchange between portfolio
 ///                                    members (default: on; no effect on
 ///                                    single engines)
-///   --pdr-ternary on|off             PDR ternary-simulation cube lifting:
-///                                    shrink extracted cubes before
-///                                    generalization (default: off)
 ///   --seed-candidates on|off         seed PDR frames with unproven candidate
 ///                                    lemmas under the may-proof discipline
 ///                                    (default: off; see docs/lemmas.md)
-///   --pdr-strikes <n>                retract a seeded candidate after it is
-///                                    struck by <n> refuting obligations
-///                                    (default: 2; min 1; see docs/lemmas.md)
 ///   --sat-backend <name>             SAT backend for every engine solver
 ///                                    (default: internal — the in-tree CDCL
 ///                                    core; see docs/sat.md)
@@ -76,11 +70,15 @@
 ///                                    level every <seconds> (implies metrics)
 ///   --verbose                        info-level logging
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "designs/design.hpp"
 #include "flow/cex_repair_flow.hpp"
@@ -113,9 +111,7 @@ struct CliOptions {
   std::string flow = "cex";
   mc::EngineKind engine = mc::EngineKind::KInduction;
   bool exchange = true;
-  bool pdr_ternary = false;
   bool seed_candidates = false;
-  std::size_t pdr_strikes = 2;
   std::string sat_backend = "internal";
   bool sat_inprocess = true;
   std::string drat_out;
@@ -145,8 +141,7 @@ struct CliOptions {
                "  genfv_cli sat <file.cnf> [--sat-backend <name>] [--drat-out <path>]\n"
                "  genfv_cli designs | models\n"
                "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-               "         --exchange on|off  --pdr-ternary on|off\n"
-               "         --seed-candidates on|off  --pdr-strikes <n>\n"
+               "         --exchange on|off  --seed-candidates on|off\n"
                "         --sat-backend <name>  --sat-inprocess on|off  --drat-out <path>\n"
                "         --emit-lemmas <file>  --use-lemmas <file>\n"
                "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
@@ -155,6 +150,23 @@ struct CliOptions {
                "         --progress <seconds>\n"
                "full reference: docs/cli.md\n");
   std::exit(2);
+}
+
+/// The value of numeric flag `flag`: all of `text` must be one number in
+/// T's range (no sign for unsigned T, finite for floating-point T);
+/// anything else is a usage error naming the flag.
+template <typename T>
+T parse_number(const char* flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const char* kind = std::is_floating_point_v<T> ? "a number" : "a non-negative integer";
+    usage((std::string(flag) + " takes " + kind + ", got '" + text + "'").c_str());
+  }
+  return value;
 }
 
 CliOptions parse_args(int argc, char** argv) {
@@ -230,21 +242,11 @@ CliOptions parse_args(int argc, char** argv) {
       else if (value == "off") opts.exchange = false;
       else usage("--exchange takes 'on' or 'off'");
     }
-    else if (arg == "--pdr-ternary") {
-      const std::string value = need_value("--pdr-ternary");
-      if (value == "on") opts.pdr_ternary = true;
-      else if (value == "off") opts.pdr_ternary = false;
-      else usage("--pdr-ternary takes 'on' or 'off'");
-    }
     else if (arg == "--seed-candidates") {
       const std::string value = need_value("--seed-candidates");
       if (value == "on") opts.seed_candidates = true;
       else if (value == "off") opts.seed_candidates = false;
       else usage("--seed-candidates takes 'on' or 'off'");
-    }
-    else if (arg == "--pdr-strikes") {
-      opts.pdr_strikes = std::stoull(need_value("--pdr-strikes"));
-      if (opts.pdr_strikes == 0) usage("--pdr-strikes takes a strike limit >= 1");
     }
     else if (arg == "--sat-backend") opts.sat_backend = need_value("--sat-backend");
     else if (arg == "--sat-inprocess") {
@@ -255,8 +257,12 @@ CliOptions parse_args(int argc, char** argv) {
     }
     else if (arg == "--drat-out") opts.drat_out = need_value("--drat-out");
     else if (arg == "--model") opts.model = need_value("--model");
-    else if (arg == "--seed") opts.seed = std::stoull(need_value("--seed"));
-    else if (arg == "--max-k") opts.max_k = std::stoull(need_value("--max-k"));
+    else if (arg == "--seed") {
+      opts.seed = parse_number<std::uint64_t>("--seed", need_value("--seed"));
+    }
+    else if (arg == "--max-k") {
+      opts.max_k = parse_number<std::size_t>("--max-k", need_value("--max-k"));
+    }
     else if (arg == "--no-screen") { no_value("--no-screen"); opts.sim_screen = false; }
     else if (arg == "--dump-ts") opts.dump_ts_path = need_value("--dump-ts");
     else if (arg == "--dump-aiger") opts.dump_aiger_path = need_value("--dump-aiger");
@@ -264,8 +270,11 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--trace-out") opts.trace_out_path = need_value("--trace-out");
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
     else if (arg == "--progress") {
-      opts.progress_seconds = std::stod(need_value("--progress"));
-      if (opts.progress_seconds <= 0.0) usage("--progress requires a positive interval");
+      const std::string value = need_value("--progress");
+      opts.progress_seconds = parse_number<double>("--progress", value);
+      if (opts.progress_seconds <= 0.0) {
+        usage(("--progress takes a positive number of seconds, got '" + value + "'").c_str());
+      }
     }
     else if (arg == "--emit-lemmas") opts.emit_lemmas_path = need_value("--emit-lemmas");
     else if (arg == "--use-lemmas") opts.use_lemmas_path = need_value("--use-lemmas");
@@ -363,9 +372,7 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   mc::EngineOptions base;
   base.max_steps = opts.max_k;
   base.exchange = opts.exchange;
-  base.pdr_ternary_lifting = opts.pdr_ternary;
   base.pdr_seed_candidates = opts.seed_candidates;
-  base.pdr_candidate_strikes = opts.pdr_strikes;
   base.sat_backend = opts.sat_backend;
   base.sat_inprocess = opts.sat_inprocess;
   base.drat_path = opts.drat_out;
@@ -465,9 +472,7 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.review.sim_screen = opts.sim_screen;
   options.target_engine = opts.engine;
   options.exchange = opts.exchange;
-  options.pdr_ternary = opts.pdr_ternary;
   options.pdr_seed_candidates = opts.seed_candidates;
-  options.pdr_candidate_strikes = opts.pdr_strikes;
   options.engine.sat_backend = opts.sat_backend;
   options.engine.sat_inprocess = opts.sat_inprocess;
   options.engine.drat_path = opts.drat_out;
