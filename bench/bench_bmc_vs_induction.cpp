@@ -29,12 +29,8 @@ void run_experiment() {
     // BMC sweep.
     for (const std::size_t depth : {8u, 16u, 32u, 64u}) {
       auto task = designs::make_task(name);
-      ir::NodeRef conjunction = task.ts.nm().mk_true();
-      for (const ir::NodeRef t : task.target_exprs()) {
-        conjunction = task.ts.nm().mk_and(conjunction, t);
-      }
-      mc::BmcEngine bmc(task.ts, {.max_depth = depth});
-      const auto r = bmc.check(conjunction);
+      mc::BmcEngine bmc(task.ts, {.max_steps = depth});
+      const auto r = bmc.prove_all(task.target_exprs());
       table.add_row({name, "BMC", std::to_string(depth), mc::to_string(r.verdict),
                      util::format_duration(r.stats.seconds),
                      std::to_string(r.stats.conflicts)});
@@ -42,7 +38,7 @@ void run_experiment() {
     // Plain k-induction (generous k).
     {
       auto task = designs::make_task(name);
-      mc::KInductionEngine engine(task.ts, {.max_k = 16});
+      mc::KInductionEngine engine(task.ts, {.max_steps = 16});
       const auto r = engine.prove_all(task.target_exprs());
       table.add_row({name, "k-induction", "k<=16", mc::to_string(r.verdict),
                      util::format_duration(r.stats.seconds),
@@ -69,8 +65,8 @@ void run_experiment() {
 void BM_BmcDepthSweep(benchmark::State& state) {
   for (auto _ : state) {
     auto task = designs::make_task("sync_counters");
-    mc::BmcEngine bmc(task.ts, {.max_depth = static_cast<std::size_t>(state.range(0))});
-    benchmark::DoNotOptimize(bmc.check(task.target_exprs()[0]));
+    mc::BmcEngine bmc(task.ts, {.max_steps = static_cast<std::size_t>(state.range(0))});
+    benchmark::DoNotOptimize(bmc.prove(task.target_exprs()[0]));
   }
 }
 BENCHMARK(BM_BmcDepthSweep)->Arg(8)->Arg(16)->Arg(32);

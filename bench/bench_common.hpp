@@ -18,6 +18,7 @@
 #include "flow/cex_repair_flow.hpp"
 #include "flow/helper_gen_flow.hpp"
 #include "genai/simulated_llm.hpp"
+#include "mc/result.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -88,6 +89,14 @@ class JsonRecords {
 
   JsonRecords& field(const std::string& key, Value value) {
     records_.back().emplace_back(key, std::move(value));
+    return *this;
+  }
+
+  /// One field per EngineStats counter, named after the counter.
+  JsonRecords& counters(const mc::EngineStats& stats) {
+    mc::EngineStats::for_each_counter(
+        [&](const char* name, auto value) { field(name, static_cast<std::uint64_t>(value)); },
+        stats);
     return *this;
   }
 

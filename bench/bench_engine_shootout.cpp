@@ -159,15 +159,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
             .field("verdict", mc::to_string(r.verdict))
             .field("depth", static_cast<std::uint64_t>(r.depth))
             .field("wall_ms", r.stats.seconds * 1e3)
-            .field("sat_calls", static_cast<std::uint64_t>(r.stats.sat_calls))
-            .field("conflicts", r.stats.conflicts)
-            .field("learnt_clauses", r.stats.learnt_clauses)
-            .field("retired_gates", r.stats.retired_gates)
-            .field("inprocessings", r.stats.inprocessings)
-            .field("subsumed_clauses", r.stats.subsumed_clauses)
-            .field("strengthened_clauses", r.stats.strengthened_clauses)
-            .field("eliminated_vars", r.stats.eliminated_vars)
-            .field("vivified_clauses", r.stats.vivified_clauses);
+            .counters(r.stats);
         if (phases) {
           json->field("blocking_ms", delta_ms("pdr.blocking_ns"))
               .field("propagate_ms", delta_ms("pdr.propagate_ns"))
@@ -236,10 +228,7 @@ void run_cache_experiment(bench::JsonRecords* json) {
           .field("verdict", mc::to_string(r.verdict))
           .field("depth", static_cast<std::uint64_t>(r.depth))
           .field("wall_ms", r.stats.seconds * 1e3)
-          .field("sat_calls", static_cast<std::uint64_t>(r.stats.sat_calls))
-          .field("conflicts", r.stats.conflicts)
-          .field("candidates_seeded", r.stats.candidates_seeded)
-          .field("candidates_graduated", r.stats.candidates_graduated);
+          .counters(r.stats);
     }
   };
 

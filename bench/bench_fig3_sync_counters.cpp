@@ -33,24 +33,24 @@ void run_experiment() {
 
   util::Table table({"proof attempt", "verdict", "k", "SAT calls", "conflicts", "time"});
 
-  mc::KInductionEngine without(task.ts, {.max_k = 10});
+  mc::KInductionEngine without(task.ts, {.max_steps = 10});
   const auto r_without = without.prove(target);
   table.add_row({"target, no helper", mc::to_string(r_without.verdict),
-                 std::to_string(r_without.k), std::to_string(r_without.stats.sat_calls),
+                 std::to_string(r_without.depth), std::to_string(r_without.stats.sat_calls),
                  std::to_string(r_without.stats.conflicts),
                  util::format_duration(r_without.stats.seconds)});
 
-  mc::KInductionEngine helper_engine(task.ts, {.max_k = 10});
+  mc::KInductionEngine helper_engine(task.ts, {.max_steps = 10});
   const auto r_helper = helper_engine.prove(helper);
   table.add_row({"helper (Listing 3)", mc::to_string(r_helper.verdict),
-                 std::to_string(r_helper.k), std::to_string(r_helper.stats.sat_calls),
+                 std::to_string(r_helper.depth), std::to_string(r_helper.stats.sat_calls),
                  std::to_string(r_helper.stats.conflicts),
                  util::format_duration(r_helper.stats.seconds)});
 
-  mc::KInductionEngine with(task.ts, {.max_k = 10, .lemmas = {helper}});
+  mc::KInductionEngine with(task.ts, {.max_steps = 10, .lemmas = {helper}});
   const auto r_with = with.prove(target);
   table.add_row({"target + helper lemma", mc::to_string(r_with.verdict),
-                 std::to_string(r_with.k), std::to_string(r_with.stats.sat_calls),
+                 std::to_string(r_with.depth), std::to_string(r_with.stats.sat_calls),
                  std::to_string(r_with.stats.conflicts),
                  util::format_duration(r_with.stats.seconds)});
 
@@ -78,7 +78,7 @@ void BM_ProveTargetWithoutHelper(benchmark::State& state) {
   const ir::NodeRef target = task.target_exprs()[0];
   for (auto _ : state) {
     mc::KInductionEngine engine(task.ts,
-                                {.max_k = static_cast<std::size_t>(state.range(0))});
+                                {.max_steps = static_cast<std::size_t>(state.range(0))});
     benchmark::DoNotOptimize(engine.prove(target));
   }
 }
@@ -91,7 +91,7 @@ void BM_ProveTargetWithHelper(benchmark::State& state) {
   const ir::NodeRef helper =
       nm.mk_eq(task.ts.lookup("count1"), task.ts.lookup("count2"));
   for (auto _ : state) {
-    mc::KInductionEngine engine(task.ts, {.max_k = 10, .lemmas = {helper}});
+    mc::KInductionEngine engine(task.ts, {.max_steps = 10, .lemmas = {helper}});
     benchmark::DoNotOptimize(engine.prove(target));
   }
 }

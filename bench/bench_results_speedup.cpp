@@ -19,11 +19,11 @@
 namespace genfv {
 namespace {
 
-std::string verdict_cell(const mc::InductionResult& r) {
+std::string verdict_cell(const mc::EngineResult& r) {
   if (r.verdict == mc::Verdict::Proven) {
-    return "proven k=" + std::to_string(r.k) + " " + util::format_duration(r.stats.seconds);
+    return "proven k=" + std::to_string(r.depth) + " " + util::format_duration(r.stats.seconds);
   }
-  return mc::to_string(r.verdict) + " @k=" + std::to_string(r.k) + " " +
+  return mc::to_string(r.verdict) + " @k=" + std::to_string(r.depth) + " " +
          util::format_duration(r.stats.seconds);
 }
 
@@ -37,18 +37,18 @@ void run_experiment() {
                      "direct miner (no LLM)", "GenAI flow", "GenAI engine time"});
   for (const auto& info : designs::all_designs()) {
     auto plain_task = designs::make_task(info);
-    mc::KInductionEngine plain(plain_task.ts, {.max_k = 12});
+    mc::KInductionEngine plain(plain_task.ts, {.max_steps = 12});
     const auto r_plain = plain.prove_all(plain_task.target_exprs());
 
     auto sp_task = designs::make_task(info);
-    mc::KInductionEngine simple_path(sp_task.ts, {.max_k = 12, .simple_path = true,
+    mc::KInductionEngine simple_path(sp_task.ts, {.max_steps = 12, .simple_path = true,
                                                   .conflict_budget = 2'000'000});
     const auto r_sp = simple_path.prove_all(sp_task.target_exprs());
 
     // The classical comparator: same analyses, no LLM in the loop.
     auto miner_task = designs::make_task(info);
     flow::DirectMinerOptions miner_options;
-    miner_options.engine = bench::default_flow_options().engine;
+    miner_options.flow = bench::default_flow_options();
     flow::DirectMinerFlow miner(miner_options);
     const auto miner_report = miner.run(miner_task);
     const std::string miner_cell =
@@ -81,7 +81,7 @@ void BM_PlainInductionSequencer(benchmark::State& state) {
   for (auto _ : state) {
     auto task = designs::make_task("sequencer");
     mc::KInductionEngine engine(task.ts,
-                                {.max_k = static_cast<std::size_t>(state.range(0))});
+                                {.max_steps = static_cast<std::size_t>(state.range(0))});
     benchmark::DoNotOptimize(engine.prove_all(task.target_exprs()));
   }
 }

@@ -104,7 +104,7 @@ void BM_KInductionWithLemma(benchmark::State& state) {
   const ir::NodeRef helper =
       nm.mk_eq(task.ts.lookup("count1"), task.ts.lookup("count2"));
   for (auto _ : state) {
-    mc::KInductionEngine engine(task.ts, {.max_k = 4, .lemmas = {helper}});
+    mc::KInductionEngine engine(task.ts, {.max_steps = 4, .lemmas = {helper}});
     benchmark::DoNotOptimize(engine.prove(task.target_exprs()[0]));
   }
 }

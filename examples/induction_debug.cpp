@@ -25,8 +25,8 @@ int main() {
   const ir::NodeRef target = task.target_exprs()[0];
 
   std::printf("=== Step 1: attempt the proof by k-induction ===\n");
-  mc::KInductionEngine engine(task.ts, {.max_k = 6});
-  const mc::InductionResult attempt = engine.prove(target);
+  mc::KInductionEngine engine(task.ts, {.max_steps = 6});
+  const mc::EngineResult attempt = engine.prove(target);
   std::printf("verdict: %s\n\n", attempt.summary().c_str());
 
   if (!attempt.step_cex.has_value()) {
@@ -58,7 +58,7 @@ int main() {
   inputs.target_properties = task.target_svas();
   inputs.failed_property = task.target_svas()[0];
   inputs.cex_waveform = waveform;
-  inputs.induction_depth = attempt.k;
+  inputs.induction_depth = attempt.depth;
   const genai::Prompt prompt = genai::render_cex_repair_prompt(inputs);
 
   genai::SimulatedLlm llm(genai::profile_by_name("gpt-4-turbo"), 2024);
@@ -74,7 +74,7 @@ int main() {
   for (const std::string& text : genai::extract_assertions(completion.text)) {
     try {
       const auto compiled = compiler.compile(text);
-      mc::KInductionEngine helper_engine(task.ts, {.max_k = 6, .lemmas = lemmas});
+      mc::KInductionEngine helper_engine(task.ts, {.max_steps = 6, .lemmas = lemmas});
       const auto proof = helper_engine.prove(compiled.expr);
       std::printf("  %-50s -> %s\n", compiled.source.substr(0, 50).c_str(),
                   proof.summary().c_str());
@@ -84,7 +84,7 @@ int main() {
     }
   }
 
-  mc::KInductionEngine final_engine(task.ts, {.max_k = 6, .lemmas = lemmas});
+  mc::KInductionEngine final_engine(task.ts, {.max_steps = 6, .lemmas = lemmas});
   const auto final_result = final_engine.prove(target);
   std::printf("\nfinal verdict with %zu lemma(s): %s\n", lemmas.size(),
               final_result.summary().c_str());

@@ -26,18 +26,10 @@ FlowReport CexRepairFlow::run(VerificationTask& task) {
 
   mc::EngineResult last_result;
   for (std::size_t iter = 1; iter <= options_.max_iterations + 1; ++iter) {
-    // Attempt the proof with everything admitted so far.
-    mc::EngineOptions opts = mc::to_engine_options(options_.engine);
-    opts.exchange = options_.exchange;
-    opts.pdr_seed_candidates = options_.pdr_seed_candidates;
-    if (options_.pdr_seed_candidates) {
-      // Candidates the proof gate rejected (but simulation did not refute)
-      // still seed PDR frames as may clauses — per iteration, so each repair
-      // round's fresh candidates ride into the next proof attempt.
-      opts.pdr_candidate_lemmas = lemmas.candidate_exprs();
-    }
-    opts.lemmas.insert(opts.lemmas.end(), lemmas.lemma_exprs().begin(),
-                       lemmas.lemma_exprs().end());
+    // Attempt the proof with everything admitted so far. Built per
+    // iteration, so each repair round's fresh candidates (with
+    // pdr_seed_candidates) ride into the next proof attempt.
+    const mc::EngineOptions opts = target_engine_options(options_, lemmas);
     auto engine = mc::make_engine(options_.target_engine, task.ts, opts);
     last_result = [&] {
       GENFV_TRACE_SPAN("flow", "prove_targets");

@@ -15,6 +15,7 @@ FlowReport DirectMinerFlow::run(VerificationTask& task) {
   report.flow = "direct_miner";
   report.design = task.name;
   report.model = "none (structural + simulation mining)";
+  report.engine = mc::to_string(options_.flow.target_engine);
   report.seed = options_.seed;
 
   // Mine candidates straight off the design — all passes, no noise.
@@ -32,7 +33,8 @@ FlowReport DirectMinerFlow::run(VerificationTask& task) {
   texts.reserve(candidates.size());
   for (const auto& c : candidates) texts.push_back(c.sva);
 
-  LemmaManager lemmas(task, {options_.engine, options_.review, options_.joint_induction});
+  const FlowOptions& flow = options_.flow;
+  LemmaManager lemmas(task, {flow.engine, flow.review, flow.joint_induction});
   IterationReport iteration;
   iteration.index = 1;
   iteration.candidates = [&] {
@@ -46,15 +48,13 @@ FlowReport DirectMinerFlow::run(VerificationTask& task) {
   report.admitted_lemmas = lemmas.lemma_svas();
   report.prove_seconds += lemmas.prove_seconds();
 
-  mc::KInductionOptions target_opts = options_.engine;
-  target_opts.lemmas.insert(target_opts.lemmas.end(), lemmas.lemma_exprs().begin(),
-                            lemmas.lemma_exprs().end());
+  const mc::EngineOptions target_opts = target_engine_options(flow, lemmas);
   for (const std::size_t i : task.target_indices) {
     const auto& prop = task.ts.property(i);
-    mc::KInductionEngine engine(task.ts, target_opts);
+    auto engine = mc::make_engine(flow.target_engine, task.ts, target_opts);
     TargetReport tr;
     tr.name = prop.name;
-    tr.result = engine.prove(prop.expr);
+    tr.result = mc::to_induction_result(engine->prove(prop.expr));
     report.prove_seconds += tr.result.stats.seconds;
     report.targets.push_back(std::move(tr));
   }

@@ -11,14 +11,15 @@
 /// packaging" — and it doubles as an upper bound on what any simulated
 /// model profile can achieve.
 
-#include "flow/lemma_manager.hpp"
+#include "flow/helper_gen_flow.hpp"
 
 namespace genfv::flow {
 
 struct DirectMinerOptions {
-  mc::KInductionOptions engine;
-  ReviewPolicy review;
-  bool joint_induction = true;
+  /// Proof bounds, review policy, joint induction and the target-proof
+  /// engine, read exactly as the LLM flows read them; the prompt/iteration
+  /// fields are unused.
+  FlowOptions flow;
   /// Random-simulation sampling for the miners.
   std::size_t sample_steps = 48;
   std::size_t sample_restarts = 6;

@@ -9,6 +9,20 @@
 
 namespace genfv::flow {
 
+mc::EngineOptions target_engine_options(const FlowOptions& options,
+                                        const LemmaManager& lemmas) {
+  mc::EngineOptions out = mc::to_engine_options(options.engine);
+  out.lemmas.insert(out.lemmas.end(), lemmas.lemma_exprs().begin(),
+                    lemmas.lemma_exprs().end());
+  out.exchange = options.exchange;
+  out.pdr_seed_candidates = options.pdr_seed_candidates;
+  if (options.pdr_seed_candidates) {
+    // Rejected-but-plausible helpers get a second life as PDR may clauses.
+    out.pdr_candidate_lemmas = lemmas.candidate_exprs();
+  }
+  return out;
+}
+
 HelperGenFlow::HelperGenFlow(genai::LlmClient& llm, FlowOptions options)
     : llm_(llm), options_(std::move(options)) {}
 
@@ -59,16 +73,8 @@ FlowReport HelperGenFlow::run(VerificationTask& task) {
   // final inductive frame are admitted as lemmas for later targets.
   for (const std::size_t i : task.target_indices) {
     const auto& prop = task.ts.property(i);
-    mc::EngineOptions target_opts = mc::to_engine_options(options_.engine);
-    target_opts.exchange = options_.exchange;
-    target_opts.pdr_seed_candidates = options_.pdr_seed_candidates;
-    if (options_.pdr_seed_candidates) {
-      // Rejected-but-plausible helpers get a second life as PDR may clauses.
-      target_opts.pdr_candidate_lemmas = lemmas.candidate_exprs();
-    }
-    target_opts.lemmas.insert(target_opts.lemmas.end(), lemmas.lemma_exprs().begin(),
-                              lemmas.lemma_exprs().end());
-    auto engine = mc::make_engine(options_.target_engine, task.ts, target_opts);
+    auto engine = mc::make_engine(options_.target_engine, task.ts,
+                                  target_engine_options(options_, lemmas));
     const mc::EngineResult result = [&] {
       GENFV_TRACE_SPAN("flow", "prove_target");
       return engine->prove(prop.expr);

@@ -40,6 +40,15 @@ struct FlowOptions {
   std::size_t pdr_candidate_strikes = 2;
 };
 
+/// The options of a target proof, built in one place for every flow:
+/// `options.engine` first, then the admitted lemmas of `lemmas` as
+/// assumptions, the portfolio exchange switch and — with
+/// pdr_seed_candidates — the manager's unproven candidates as PDR may
+/// clauses. Flows hand the result to `mc::make_engine(options.target_engine,
+/// ...)`.
+mc::EngineOptions target_engine_options(const FlowOptions& options,
+                                        const LemmaManager& lemmas);
+
 class HelperGenFlow {
  public:
   HelperGenFlow(genai::LlmClient& llm, FlowOptions options = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "mc/kinduction.hpp"
 #include "sva/compiler.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -23,8 +24,8 @@ bool LemmaManager::known_fact(ir::NodeRef expr) const {
   return false;
 }
 
-mc::KInductionOptions LemmaManager::engine_with_lemmas() const {
-  mc::KInductionOptions opts = options_.engine;
+mc::EngineOptions LemmaManager::engine_with_lemmas() const {
+  mc::EngineOptions opts = mc::to_engine_options(options_.engine);
   opts.lemmas.insert(opts.lemmas.end(), lemma_exprs_.begin(), lemma_exprs_.end());
   return opts;
 }
@@ -111,7 +112,7 @@ std::vector<CandidateOutcome> LemmaManager::process(
 
     // Stage 2: the proof gate.
     mc::KInductionEngine engine(task_.ts, engine_with_lemmas());
-    const mc::InductionResult result = [&] {
+    const mc::EngineResult result = [&] {
       GENFV_TRACE_SPAN("flow", "prove_candidate");
       static util::Counter& prove_ns = util::metrics().counter("flow.prove_ns");
       util::ScopedTimerNs timer(prove_ns);
@@ -119,17 +120,17 @@ std::vector<CandidateOutcome> LemmaManager::process(
     }();
     prove_seconds_ += result.stats.seconds;
     outcome.prove_seconds = result.stats.seconds;
-    outcome.proof_k = result.k;
+    outcome.proof_k = result.depth;
     if (result.verdict == mc::Verdict::Proven) {
       outcome.status = CandidateStatus::Proven;
-      outcome.detail = "k=" + std::to_string(result.k);
+      outcome.detail = "k=" + std::to_string(result.depth);
       lemma_exprs_.push_back(expr);
       lemma_svas_.push_back(prop_source);
     } else {
       outcome.status = CandidateStatus::ProofFailed;
       outcome.detail = result.verdict == mc::Verdict::Falsified
                            ? "base case fails (not an invariant)"
-                           : "not inductive up to k=" + std::to_string(result.k);
+                           : "not inductive up to k=" + std::to_string(result.depth);
       if (result.verdict != mc::Verdict::Falsified) {
         proof_failed.push_back({outcomes.size(), expr});
       }
@@ -146,18 +147,18 @@ std::vector<CandidateOutcome> LemmaManager::process(
     joint.insert(joint.end(), targets.begin(), targets.end());
 
     mc::KInductionEngine engine(task_.ts, engine_with_lemmas());
-    const mc::InductionResult result = [&] {
+    const mc::EngineResult result = [&] {
       GENFV_TRACE_SPAN("flow", "prove_joint");
       return engine.prove_all(joint);
     }();
     prove_seconds_ += result.stats.seconds;
     if (result.verdict == mc::Verdict::Proven) {
       GENFV_LOG(Info, "lemma") << "joint induction rescued " << proof_failed.size()
-                               << " candidate(s) at k=" << result.k;
+                               << " candidate(s) at k=" << result.depth;
       for (const auto& p : proof_failed) {
         outcomes[p.outcome_index].status = CandidateStatus::Proven;
         outcomes[p.outcome_index].detail =
-            "joint induction, k=" + std::to_string(result.k);
+            "joint induction, k=" + std::to_string(result.depth);
         lemma_exprs_.push_back(p.expr);
         lemma_svas_.push_back(outcomes[p.outcome_index].sva);
       }

@@ -13,7 +13,7 @@
 #include "flow/report.hpp"
 #include "flow/review_policy.hpp"
 #include "flow/session.hpp"
-#include "mc/kinduction.hpp"
+#include "mc/engine.hpp"
 
 namespace genfv::flow {
 
@@ -73,7 +73,7 @@ class LemmaManager {
 
  private:
   bool known_fact(ir::NodeRef expr) const;
-  mc::KInductionOptions engine_with_lemmas() const;
+  mc::EngineOptions engine_with_lemmas() const;
 
   VerificationTask& task_;
   LemmaManagerOptions options_;

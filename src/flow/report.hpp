@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "mc/result.hpp"
+#include "mc/engine.hpp"
 
 namespace genfv::flow {
 

@@ -1,17 +1,19 @@
 #include "mc/bmc.hpp"
 
+#include "mc/unroller.hpp"
 #include "util/stopwatch.hpp"
 #include "util/telemetry.hpp"
 
 namespace genfv::mc {
 
-BmcEngine::BmcEngine(const ir::TransitionSystem& ts, BmcOptions options)
+BmcEngine::BmcEngine(const ir::TransitionSystem& ts, EngineOptions options)
     : ts_(ts), options_(std::move(options)) {}
 
-BmcResult BmcEngine::check(ir::NodeRef property) {
+EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   GENFV_TRACE_SPAN("mc", "bmc_check");
   util::Stopwatch watch;
-  BmcResult result;
+  EngineResult result;
+  const ir::NodeRef property = conjoin_properties(ts_, properties);
 
   const std::unique_ptr<sat::Backend> solver_ptr = sat::make_backend(options_.sat_backend);
   sat::Backend& solver = *solver_ptr;
@@ -30,10 +32,10 @@ BmcResult BmcEngine::check(ir::NodeRef property) {
   // independent members); assert each distinct fact once per run.
   AbsorbFilter absorb_filter;
   auto poll_exchange = [&](std::size_t depth) {
-    if (options_.exchange == nullptr) return;
+    if (options_.exchange_mailbox == nullptr) return;
     std::size_t absorbed = 0;
     for (const ExchangedClause& clause :
-         options_.exchange->fetch(options_.exchange_slot, &exchange_cursor)) {
+         options_.exchange_mailbox->fetch(options_.exchange_slot, &exchange_cursor)) {
       if (!absorb_filter.admit(clause)) continue;
       const ir::NodeRef expr = materialize(clause, ts_);
       if (expr == nullptr) continue;
@@ -43,10 +45,10 @@ BmcResult BmcEngine::check(ir::NodeRef property) {
       for (std::size_t f = 0; f < depth; ++f) unroller.assert_at(expr, f);
       ++absorbed;
     }
-    options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
+    options_.exchange_mailbox->note_absorbed(options_.exchange_slot, absorbed);
   };
 
-  for (std::size_t depth = 0; depth <= options_.max_depth; ++depth) {
+  for (std::size_t depth = 0; depth <= options_.max_steps; ++depth) {
     if (options_.stop != nullptr && options_.stop->load(std::memory_order_relaxed)) {
       result.verdict = Verdict::Unknown;
       break;

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file engine.hpp
-/// The abstract model-checking engine interface. BMC, k-induction, IC3/PDR
-/// and the portfolio scheduler all implement it, so the flows, the CLI and
-/// the benches can select an engine at runtime. Engine-specific entry points
-/// (`BmcEngine`, `KInductionEngine`, `PdrEngine`) remain available for
-/// callers that need the native result shapes.
+/// The abstract model-checking engine interface. BMC (`BmcEngine`),
+/// k-induction (`KInductionEngine`), IC3/PDR (`pdr::PdrEngine`) and the
+/// portfolio scheduler all implement it, so the flows, the CLI and the
+/// benches can select an engine at runtime. Every engine reads its knobs
+/// from one `EngineOptions` and answers with one `EngineResult`.
 ///
 /// Contracts shared by every implementation:
 ///  * Engines never mutate the transition system, but they DO create nodes
@@ -29,6 +29,7 @@
 #include "ir/transition_system.hpp"
 #include "mc/exchange.hpp"
 #include "mc/result.hpp"
+#include "sim/trace.hpp"
 
 namespace genfv::mc {
 
@@ -45,13 +46,13 @@ std::string to_string(EngineKind kind);
 /// "bmc", "kind"/"kinduction"/"k-induction", "pdr"/"ic3", "portfolio".
 std::optional<EngineKind> engine_kind_from_string(const std::string& name);
 
-/// Engine-independent knobs. Each engine maps `max_steps` onto its own bound:
-/// BMC depth, induction k, PDR frame count.
+/// The one options type every engine reads. Each engine maps `max_steps`
+/// onto its own bound: BMC depth, induction k, PDR frame count.
 struct EngineOptions {
   std::size_t max_steps = 32;
   /// Proven invariants assumed everywhere (sound: they restrict nothing
   /// reachable). PDR additionally uses them to strengthen every frame.
-  std::vector<ir::NodeRef> lemmas;
+  std::vector<ir::NodeRef> lemmas{};
   /// k-induction only: pairwise state-distinctness in the step case.
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
@@ -65,7 +66,7 @@ struct EngineOptions {
   /// PDR only (with pdr_seed_candidates): candidate clause expressions,
   /// e.g. LemmaManager candidates whose k-induction proof failed. Must live
   /// in the engine's NodeManager; non-clause shapes are skipped.
-  std::vector<ir::NodeRef> pdr_candidate_lemmas;
+  std::vector<ir::NodeRef> pdr_candidate_lemmas{};
   /// Cooperative cancellation. Engines poll the flag between solver queries
   /// and hand it to their SAT solvers, which poll it at restart boundaries;
   /// once it reads true the run winds down and reports Verdict::Unknown.
@@ -74,7 +75,7 @@ struct EngineOptions {
   /// alive for detached observers. nullptr (the default) disables
   /// cancellation. The portfolio sets the flag once a member returns a
   /// conclusive verdict, which is what cancels the losing engines.
-  std::shared_ptr<std::atomic<bool>> stop;
+  std::shared_ptr<std::atomic<bool>> stop{};
   /// SAT backend every engine solves through (see sat::make_backend);
   /// "internal" = the in-tree CDCL core, the only built-in.
   std::string sat_backend = "internal";
@@ -83,10 +84,11 @@ struct EngineOptions {
   /// Off pins the solver bit-for-bit to the plain-CDCL behavior.
   bool sat_inprocess = true;
   /// When non-empty, SAT solvers log DRAT proofs under this path base
-  /// (`<path>.cnf` + `<path>.drat`, engine-specific suffixes when one run
-  /// spawns several solvers). An UNSAT run's proof validates with
-  /// scripts/check_drat.py. Meant for single-engine runs.
-  std::string drat_path;
+  /// (`<path>.cnf` + `<path>.drat`). BMC uses the base as is, k-induction
+  /// appends `_base` / `_step`, PDR's initiation solver appends `-p1`. An
+  /// UNSAT run's proof validates with scripts/check_drat.py. Meant for
+  /// single-engine runs.
+  std::string drat_path{};
 
   // --- ignored; kept only for perfbench/ ------------------------------------
   // No engine reads these; the frozen perfbench/ benchmark still sets them.
@@ -97,7 +99,7 @@ struct EngineOptions {
   // --- portfolio only -------------------------------------------------------
   /// Member engines, in launch (threaded) / slice (time-sliced) order.
   /// Empty = {Bmc, KInduction, Pdr}. Must not contain Portfolio itself.
-  std::vector<EngineKind> portfolio_engines;
+  std::vector<EngineKind> portfolio_engines{};
   /// true: one std::thread per member over a private clone of the system;
   /// false: deterministic single-threaded round-robin over doubling step
   /// budgets (reproducible run-to-run; no clones, no threads — meant for CI
@@ -111,7 +113,7 @@ struct EngineOptions {
 
   // --- portfolio-member wiring (set by the portfolio, not by callers) -------
   /// Mailbox this engine publishes to / polls from; nullptr = no exchange.
-  std::shared_ptr<LemmaMailbox> exchange_mailbox;
+  std::shared_ptr<LemmaMailbox> exchange_mailbox{};
   /// This engine's slot in `exchange_mailbox`.
   std::size_t exchange_slot = 0;
 };
@@ -134,22 +136,29 @@ struct EngineBreakdown {
   std::size_t lemmas_absorbed = 0;
 };
 
-/// Engine-independent verdict. Engines fill the fields that apply to them.
+/// The one result type every engine returns. Engines fill the fields that
+/// apply to them.
 struct EngineResult {
   Verdict verdict = Verdict::Unknown;
-  /// BMC: deepest frame explored; k-induction: final k; PDR: frontier frame;
-  /// portfolio: the winner's depth.
+  /// BMC: deepest frame explored (CEX length - 1); k-induction: final k;
+  /// PDR: frontier frame (CEX length - 1); portfolio: the winner's depth.
   std::size_t depth = 0;
   /// Real counterexample from the initial states (verdict == Falsified).
   std::optional<sim::Trace> cex;
-  /// k-induction step-case artefact (the trace the GenAI flow analyzes).
+  /// k-induction step-case artefact: a k+1-frame execution starting from an
+  /// *arbitrary* (possibly unreachable) state that satisfies the property on
+  /// frames 0..k-1 and violates it at frame k. This is exactly the artefact
+  /// the paper feeds to the LLM (Fig. 2 / Fig. 3). Present when the step
+  /// case failed at the last attempted k.
   std::optional<sim::Trace> step_cex;
-  /// PDR, verdict == Proven: clauses of the final inductive frame. Each
-  /// clause individually holds in every reachable state, so each can be
-  /// re-used as a lemma (and printed as SVA via ir::Printer); the
-  /// conjunction is inductive and implies the property relative to any
-  /// lemmas that seeded the run. The portfolio forwards the winner's
-  /// invariant (translated back into the caller's system).
+  /// verdict == Proven: invariant clauses. PDR exports the clauses of its
+  /// final inductive frame; k-induction exports the clauses it absorbed from
+  /// the portfolio's live exchange (none without exchange). Each clause
+  /// individually holds in every reachable state, so each can be re-used as
+  /// a lemma (and printed as SVA via ir::Printer); PDR's conjunction is
+  /// inductive and implies the property relative to any lemmas that seeded
+  /// the run. The portfolio forwards the winner's invariant (translated back
+  /// into the caller's system).
   std::vector<ir::NodeRef> invariant;
   /// Aggregate effort. For the portfolio this sums every member's counters,
   /// while `seconds` is the portfolio's wall-clock time (not the sum — the
@@ -191,15 +200,42 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, const ir::TransitionSystem&
 /// Returns 1; it survives only because perfbench/ calls it.
 std::size_t auto_pdr_workers(const ir::TransitionSystem& ts) noexcept;
 
-struct KInductionOptions;
+// --- flow-facing shapes, kept only for perfbench/ ---------------------------
+// No engine reads KInductionOptions or returns InductionResult. The frozen
+// perfbench/ benchmark sets FlowOptions::engine as a KInductionOptions and
+// reads TargetReport::result as an InductionResult, so both stay until those
+// fields become an EngineOptions and an EngineResult.
 
-/// Map the k-induction option shape (what FlowOptions carries) onto the
-/// engine-independent one: max_k becomes max_steps, lemmas/simple_path/
-/// budget/stop carry over.
+/// The proof bounds the flows carry (FlowOptions::engine,
+/// LemmaManagerOptions::engine). `to_engine_options` is its only reader.
+struct KInductionOptions {
+  std::size_t max_k = 32;
+  /// Proven invariants assumed by every proof.
+  std::vector<ir::NodeRef> lemmas{};
+  std::string sat_backend = "internal";
+  bool sat_inprocess = true;
+  std::string drat_path{};
+};
+
+/// A target's verdict as FlowReport stores it; `to_induction_result` is its
+/// only producer.
+struct InductionResult {
+  Verdict verdict = Verdict::Unknown;
+  std::size_t k = 0;  ///< EngineResult::depth
+  std::optional<sim::Trace> base_cex;  ///< EngineResult::cex
+  std::optional<sim::Trace> step_cex;
+  std::vector<ir::NodeRef> invariant;
+  EngineStats stats;
+
+  bool proven() const noexcept { return verdict == Verdict::Proven; }
+  std::string summary() const;
+};
+
+/// max_k becomes max_steps; lemmas, backend, inprocessing and the DRAT path
+/// carry over; every other field keeps its EngineOptions default.
 EngineOptions to_engine_options(const KInductionOptions& options);
 
-/// Adapt an engine-independent result to the k-induction shape stored in
-/// FlowReport::TargetReport (depth becomes k).
+/// depth becomes k, cex becomes base_cex.
 InductionResult to_induction_result(const EngineResult& result);
 
 }  // namespace genfv::mc

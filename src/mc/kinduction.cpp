@@ -1,22 +1,19 @@
 #include "mc/kinduction.hpp"
 
+#include "mc/unroller.hpp"
 #include "util/status.hpp"
 #include "util/stopwatch.hpp"
 #include "util/telemetry.hpp"
 
 namespace genfv::mc {
 
-KInductionEngine::KInductionEngine(const ir::TransitionSystem& ts, KInductionOptions options)
+KInductionEngine::KInductionEngine(const ir::TransitionSystem& ts, EngineOptions options)
     : ts_(ts), options_(std::move(options)) {}
 
-InductionResult KInductionEngine::prove(ir::NodeRef property) {
-  return prove_all({property});
-}
-
-InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
+EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   GENFV_TRACE_SPAN("mc", "kinduction_prove");
   util::Stopwatch watch;
-  InductionResult result;
+  EngineResult result;
 
   // The conjunction of all properties (and it is what gets assumed on
   // earlier frames, making this *mutual* induction).
@@ -62,10 +59,10 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
   // independent members); assert each distinct fact once per run.
   AbsorbFilter absorb_filter;
   auto poll_exchange = [&] {
-    if (options_.exchange == nullptr) return;
+    if (options_.exchange_mailbox == nullptr) return;
     std::size_t absorbed = 0;
     for (const ExchangedClause& clause :
-         options_.exchange->fetch(options_.exchange_slot, &exchange_cursor)) {
+         options_.exchange_mailbox->fetch(options_.exchange_slot, &exchange_cursor)) {
       if (!absorb_filter.admit(clause)) continue;
       const ir::NodeRef expr = materialize(clause, ts_);
       if (expr == nullptr) continue;
@@ -75,12 +72,12 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
       for (std::size_t f = 0; f < step_lemma_frames; ++f) step.assert_at(expr, f);
       ++absorbed;
     }
-    options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
+    options_.exchange_mailbox->note_absorbed(options_.exchange_slot, absorbed);
   };
 
   auto finish = [&](Verdict verdict, std::size_t k) {
     result.verdict = verdict;
-    result.k = k;
+    result.depth = k;
     if (verdict != Verdict::Proven) result.invariant.clear();
     result.stats.absorb(base_solver.stats());
     result.stats.absorb(step_solver.stats());
@@ -88,7 +85,7 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
     return result;
   };
 
-  for (std::size_t k = 1; k <= options_.max_k; ++k) {
+  for (std::size_t k = 1; k <= options_.max_steps; ++k) {
     if (options_.stop != nullptr && options_.stop->load(std::memory_order_relaxed)) {
       return finish(Verdict::Unknown, k - 1);
     }
@@ -99,7 +96,7 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
     const sat::Lit bad_base = ~base.lit_at(prop, k - 1);
     const sat::LBool base_answer = base_solver.solve({bad_base});
     if (base_answer == sat::LBool::True) {
-      result.base_cex = base.extract_trace(k);
+      result.cex = base.extract_trace(k);
       return finish(Verdict::Falsified, k);
     }
     if (base_answer == sat::LBool::Undef) {
@@ -127,7 +124,7 @@ InductionResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& prop
     result.step_cex = step.extract_trace(k + 1);
   }
 
-  return finish(Verdict::Unknown, options_.max_k);
+  return finish(Verdict::Unknown, options_.max_steps);
 }
 
 }  // namespace genfv::mc

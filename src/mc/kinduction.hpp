@@ -19,56 +19,31 @@
 /// unlock proofs. Optional simple-path constraints provide the classical
 /// (non-AI) completeness improvement for comparison benches.
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "mc/exchange.hpp"
-#include "mc/result.hpp"
-#include "mc/unroller.hpp"
+#include "mc/engine.hpp"
 
 namespace genfv::mc {
 
-struct KInductionOptions {
-  std::size_t max_k = 32;
-  /// Add pairwise state-distinctness constraints to the step case.
-  bool simple_path = false;
-  /// Proven invariants assumed at every frame of both cases.
-  std::vector<ir::NodeRef> lemmas;
-  /// Best-effort SAT conflict cap per run; -1 = unlimited.
-  std::int64_t conflict_budget = -1;
-  /// Cooperative cancellation: polled at every k and at SAT restart
-  /// boundaries; when it reads true the run returns Unknown. See
-  /// EngineOptions::stop for the full contract.
-  std::shared_ptr<std::atomic<bool>> stop;
-  /// Portfolio lemma exchange: polled once per k; absorbed clauses join the
-  /// lemma set on every frame of both cases. nullptr = off.
-  std::shared_ptr<LemmaMailbox> exchange;
-  std::size_t exchange_slot = 0;
-  /// SAT backend name (see sat::make_backend) and inprocessing toggle.
-  std::string sat_backend = "internal";
-  bool sat_inprocess = true;
-  /// When non-empty, log DRAT proofs to `<drat_path>_base` / `<drat_path>_step`.
-  std::string drat_path;
-};
-
-class KInductionEngine {
+/// Reads max_steps (the largest k), lemmas (asserted at every frame of both
+/// cases), simple_path, conflict_budget, stop (polled at every k),
+/// exchange_mailbox (polled once per k; absorbed clauses join the lemma set
+/// and are exported as `EngineResult::invariant` on Proven), sat_backend,
+/// sat_inprocess and drat_path (`<drat_path>_base` / `<drat_path>_step`).
+class KInductionEngine final : public Engine {
  public:
-  KInductionEngine(const ir::TransitionSystem& ts, KInductionOptions options = {});
+  KInductionEngine(const ir::TransitionSystem& ts, EngineOptions options = {});
 
-  /// Attempt to prove a single width-1 property.
-  InductionResult prove(ir::NodeRef property);
+  EngineKind kind() const noexcept override { return EngineKind::KInduction; }
+  std::string name() const override { return "k-induction"; }
 
   /// Joint (mutual) induction: prove the conjunction of `properties`. Some
   /// helper/target pairs are only inductive together; proving the
-  /// conjunction proves every conjunct.
-  InductionResult prove_all(const std::vector<ir::NodeRef>& properties);
+  /// conjunction proves every conjunct. `depth` is the final k; `cex` is the
+  /// base-case counterexample, `step_cex` the last failed step case.
+  EngineResult prove_all(const std::vector<ir::NodeRef>& properties) override;
 
  private:
   const ir::TransitionSystem& ts_;
-  KInductionOptions options_;
+  EngineOptions options_;
 };
 
 }  // namespace genfv::mc

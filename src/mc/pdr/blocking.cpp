@@ -7,9 +7,9 @@
 namespace genfv::mc::pdr {
 
 BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
-                                const PdrOptions& options, std::size_t* cex_index) {
+                                std::size_t max_obligations, std::size_t* cex_index) {
   while (!queue.empty()) {
-    if (queue.created() > options.max_obligations) return BlockOutcome::Budget;
+    if (queue.created() > max_obligations) return BlockOutcome::Budget;
     if (ctx.stopped()) return BlockOutcome::Budget;
     const std::size_t index = queue.pop();
     const Cube cube = queue.at(index).cube;  // copy: add() may reallocate
@@ -66,7 +66,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
 }
 
 BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
-                                 const PdrOptions& options, std::size_t frontier,
+                                 std::size_t max_obligations, std::size_t frontier,
                                  std::size_t* cex_index) {
   while (true) {
     if (ctx.stopped()) return BlockOutcome::Budget;
@@ -91,7 +91,7 @@ BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue
     queue.push(index);
 
     const BlockOutcome outcome =
-        handle_obligations(ctx, db, queue, options, cex_index);
+        handle_obligations(ctx, db, queue, max_obligations, cex_index);
     if (outcome != BlockOutcome::Blocked) return outcome;
   }
 }

@@ -6,7 +6,7 @@ namespace genfv::mc::pdr {
 
 namespace {
 
-std::unique_ptr<sat::Backend> make_solver(const PdrOptions& options,
+std::unique_ptr<sat::Backend> make_solver(const EngineOptions& options,
                                           const std::string& drat_path) {
   auto solver = sat::make_backend(options.sat_backend);
   solver->set_conflict_budget(options.conflict_budget);
@@ -19,9 +19,8 @@ std::unique_ptr<sat::Backend> make_solver(const PdrOptions& options,
 }  // namespace
 
 QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
-                           const std::vector<ir::NodeRef>& lemmas,
-                           const PdrOptions& options, FrameDb& db)
-    : ts_(ts), options_(options), db_(db), property_(property), lemmas_(lemmas),
+                           const EngineOptions& options, FrameDb& db)
+    : ts_(ts), options_(options), db_(db), property_(property),
       solver_(make_solver(options, options.drat_path)),
       init_solver_(make_solver(options, options.drat_path.empty()
                                             ? std::string()
@@ -30,7 +29,7 @@ QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
   // assumptions only, so no gate litter ever accumulates here.
   init_unr_ = std::make_unique<Unroller>(ts_, init_solver());
   init_unr_->assert_init();
-  for (const ir::NodeRef lemma : lemmas_) init_unr_->assert_at(lemma, 0);
+  for (const ir::NodeRef lemma : options_.lemmas) init_unr_->assert_at(lemma, 0);
   init_prop_ = init_unr_->lit_at(property_, 0);
 
   bootstrap();
@@ -63,7 +62,7 @@ void QueryContext::bootstrap() {
 
   // Lemma seeding: proven invariants hold everywhere, i.e. they are clauses
   // of F_∞ and strengthen every frame of every query.
-  for (const ir::NodeRef lemma : lemmas_) {
+  for (const ir::NodeRef lemma : options_.lemmas) {
     unr_->assert_at(lemma, 0);
     unr_->assert_at(lemma, 1);
   }

@@ -32,7 +32,7 @@
 
 #include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
-#include "mc/pdr/pdr.hpp"
+#include "mc/engine.hpp"
 #include "mc/unroller.hpp"
 #include "sat/backend.hpp"
 
@@ -40,14 +40,13 @@ namespace genfv::mc::pdr {
 
 class QueryContext {
  public:
-  /// `ts`, `property` and `lemmas` must all live in the same NodeManager
-  /// and outlive the context; so must `db` and `options`. Both solvers take
-  /// the options' backend, budget, stop flag and inprocessing setting; with
-  /// `drat_path` set, the transition solver logs DRAT to `<drat_path>` and
-  /// the initiation solver to `<drat_path>-p1`.
+  /// `ts`, `property` and `options.lemmas` must all live in the same
+  /// NodeManager and outlive the context; so must `db` and `options`. Both
+  /// solvers take the options' backend, budget, stop flag and inprocessing
+  /// setting; with `drat_path` set, the transition solver logs DRAT to
+  /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
-               const std::vector<ir::NodeRef>& lemmas, const PdrOptions& options,
-               FrameDb& db);
+               const EngineOptions& options, FrameDb& db);
 
   const ir::TransitionSystem& system() const noexcept { return ts_; }
   sat::Backend& solver() { return *solver_; }
@@ -108,7 +107,7 @@ class QueryContext {
   /// SAT(F_{level-1} ∧ survivors ∧ T ∧ cube')? — the may-proof consecution
   /// check: assumes exactly the gates of `survivor_ids` (no other
   /// candidates), so an UNSAT certifies consecution relative to the named
-  /// set only. Requires seed_candidates; `cube` is one survivor's cube.
+  /// set only. Requires pdr_seed_candidates; `cube` is one survivor's cube.
   sat::LBool may_consecution_query(const std::vector<std::size_t>& survivor_ids,
                                    const Cube& cube, std::size_t level);
 
@@ -145,10 +144,9 @@ class QueryContext {
   void retract_violated_candidates();
 
   const ir::TransitionSystem& ts_;
-  const PdrOptions& options_;
+  const EngineOptions& options_;
   FrameDb& db_;
   ir::NodeRef property_;
-  std::vector<ir::NodeRef> lemmas_;
 
   std::unique_ptr<sat::Backend> solver_;
   std::unique_ptr<sat::Backend> init_solver_;

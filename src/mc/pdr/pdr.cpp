@@ -1,6 +1,5 @@
 #include "mc/pdr/pdr.hpp"
 
-#include <sstream>
 #include <unordered_set>
 
 #include "mc/pdr/blocking.hpp"
@@ -12,7 +11,6 @@
 #include "util/status.hpp"
 #include "util/stopwatch.hpp"
 #include "util/telemetry.hpp"
-#include "util/strings.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -51,23 +49,12 @@ std::optional<Cube> mailbox_cube(const ExchangedClause& clause,
 
 }  // namespace
 
-std::string PdrResult::summary() const {
-  std::ostringstream out;
-  out << to_string(verdict) << " (frames=" << depth << ", " << stats.sat_calls
-      << " SAT calls, " << stats.conflicts << " conflicts, "
-      << util::format_duration(stats.seconds) << ")";
-  if (!invariant.empty()) out << " [" << invariant.size() << "-clause invariant]";
-  return out.str();
-}
-
-PdrEngine::PdrEngine(const ir::TransitionSystem& ts, PdrOptions options)
+PdrEngine::PdrEngine(const ir::TransitionSystem& ts, EngineOptions options)
     : ts_(ts), options_(std::move(options)) {}
 
-PdrResult PdrEngine::prove(ir::NodeRef property) { return prove_all({property}); }
-
-PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
+EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   util::Stopwatch watch;
-  PdrResult result;
+  EngineResult result;
 
   const ir::NodeRef prop = conjoin_properties(ts_, properties);
 
@@ -89,7 +76,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // obligation arena, the one query context mirroring the database, and the
   // candidate intake cursor plus consumer-side dedupe for the mailbox.
   FrameDb db;
-  QueryContext ctx(ts_, prop, options_.lemmas, options_, db);
+  QueryContext ctx(ts_, prop, options_, db);
   db.push_level();  // level 1: the first frontier
   ObligationQueue queue;
   std::size_t mailbox_cursor = 0;
@@ -111,20 +98,20 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // Candidate-lemma seeding: admit clause-shaped unproven candidates as
   // "may" clauses (docs/lemmas.md). Non-clause candidates are skipped — the
   // frame database trades exclusively in state-bit clauses.
-  if (options_.seed_candidates) {
-    for (const ir::NodeRef cand : options_.candidate_lemmas) {
+  if (options_.pdr_seed_candidates) {
+    for (const ir::NodeRef cand : options_.pdr_candidate_lemmas) {
       if (const auto cube = cube_of_clause(ts_, cand)) db.seed_may(*cube);
     }
   }
 
-  // Mailbox intake (seed_candidates only): every mailbox clause is an
+  // Mailbox intake (pdr_seed_candidates only): every mailbox clause is an
   // invariant of this very system and joins F_∞ directly — each publisher's
   // F_∞ set is mutually inductive relative to the shared lemmas, so the
   // exported certificate stays inductive (docs/lemmas.md).
   auto poll_mailbox = [&] {
-    if (!options_.seed_candidates || options_.exchange == nullptr) return;
+    if (!options_.pdr_seed_candidates || options_.exchange_mailbox == nullptr) return;
     const auto fetched =
-        options_.exchange->fetch(options_.exchange_slot, &mailbox_cursor);
+        options_.exchange_mailbox->fetch(options_.exchange_slot, &mailbox_cursor);
     std::size_t absorbed = 0;
     for (const ExchangedClause& clause : fetched) {
       if (!absorb_filter.admit(clause)) continue;
@@ -134,7 +121,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
       ++absorbed;
     }
     if (absorbed != 0) {
-      options_.exchange->note_absorbed(options_.exchange_slot, absorbed);
+      options_.exchange_mailbox->note_absorbed(options_.exchange_slot, absorbed);
     }
   };
 
@@ -206,7 +193,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "blocking");
       util::ScopedTimerNs timer(blocking_ns);
-      switch (strengthen_frontier(ctx, db, queue, options_, frontier, &cex_index)) {
+      switch (strengthen_frontier(ctx, db, queue, kMaxObligations, frontier, &cex_index)) {
         case BlockOutcome::Blocked: break;
         case BlockOutcome::Counterexample:
           result.cex = build_cex(cex_index);
@@ -252,7 +239,7 @@ PdrResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
       return finish(Verdict::Proven, frontier);
     }
 
-    if (frontier >= options_.max_frames) return finish(Verdict::Unknown, frontier);
+    if (frontier >= options_.max_steps) return finish(Verdict::Unknown, frontier);
     GENFV_TRACE_INSTANT("pdr", "push_level");
     db.push_level();
   }

@@ -30,8 +30,8 @@ PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db) {
   return PropagateOutcome::Done;
 }
 
-bool may_proof_pass(QueryContext& ctx, FrameDb& db, const PdrOptions& options) {
-  if (!options.seed_candidates) return true;
+bool may_proof_pass(QueryContext& ctx, FrameDb& db, const EngineOptions& options) {
+  if (!options.pdr_seed_candidates) return true;
   std::vector<FrameDb::MayClause> cand = db.may_clauses();
   if (cand.empty()) return true;
 
@@ -87,7 +87,7 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const PdrOptions& options) {
   return true;
 }
 
-bool push_to_infinity(QueryContext& ctx, FrameDb& db, const PdrOptions& options) {
+bool push_to_infinity(QueryContext& ctx, FrameDb& db, const EngineOptions& options) {
   std::vector<Cube> cand = db.cubes_at(db.frontier());
   while (!cand.empty()) {
     if (ctx.stopped()) return false;
@@ -123,15 +123,15 @@ bool push_to_infinity(QueryContext& ctx, FrameDb& db, const PdrOptions& options)
   std::vector<ExchangedClause> batch;
   for (const Cube& c : cand) {
     db.graduate(c, frontier);
-    if (options.exchange != nullptr) {
+    if (options.exchange_mailbox != nullptr) {
       batch.push_back(to_exchanged(c));
     }
   }
   // One atomic publish: the survivors are only *jointly* inductive, and an
   // absorbing PDR run folds fetched proven clauses straight into its F_∞ and
   // its exported certificate — it must never see half of this set.
-  if (options.exchange != nullptr) {
-    options.exchange->publish_batch(options.exchange_slot, std::move(batch));
+  if (options.exchange_mailbox != nullptr) {
+    options.exchange_mailbox->publish_batch(options.exchange_slot, std::move(batch));
   }
   return true;
 }

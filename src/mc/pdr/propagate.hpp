@@ -22,7 +22,7 @@ enum class PropagateOutcome {
 /// Propagation over levels 1..frontier-1.
 PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db);
 
-/// The may-proof pass (PdrOptions::seed_candidates; no-op otherwise): try to
+/// The may-proof pass (EngineOptions::pdr_seed_candidates; no-op otherwise): try to
 /// graduate candidate ("may") clauses into ordinary frame clauses.
 ///  1. Initiation filter: a candidate whose cube contains an initial state
 ///     is refuted outright and retracted.
@@ -35,7 +35,7 @@ PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db);
 ///     level N and graduates into the delta levels, where propagation and
 ///     the F_∞ fixpoint treat it like any other clause.
 /// Returns false when the budget/stop flag interrupted.
-bool may_proof_pass(QueryContext& ctx, FrameDb& db, const PdrOptions& options);
+bool may_proof_pass(QueryContext& ctx, FrameDb& db, const EngineOptions& options);
 
 /// Push frontier clauses to F_∞ when a subset is mutually inductive: the
 /// greatest fixpoint of "drop any clause with a counterexample-to-
@@ -45,6 +45,6 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const PdrOptions& options);
 /// itself converges, which is what makes live exchange useful mid-race.
 /// Returns false when the conflict budget or stop flag interrupted (callers
 /// give up on the whole run, as elsewhere).
-bool push_to_infinity(QueryContext& ctx, FrameDb& db, const PdrOptions& options);
+bool push_to_infinity(QueryContext& ctx, FrameDb& db, const EngineOptions& options);
 
 }  // namespace genfv::mc::pdr

@@ -1,10 +1,7 @@
 #include "mc/result.hpp"
 
-#include <sstream>
-
 #include "sat/solver.hpp"
 #include "util/status.hpp"
-#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 
 namespace genfv::mc {
@@ -38,22 +35,11 @@ void EngineStats::absorb(const sat::SolverStats& solver) {
 
 void EngineStats::publish_metrics(const std::string& prefix) const {
   auto& reg = util::metrics();
-  reg.counter(prefix + "sat_calls").add(sat_calls);
-  reg.counter(prefix + "conflicts").add(conflicts);
-  reg.counter(prefix + "decisions").add(decisions);
-  reg.counter(prefix + "propagations").add(propagations);
-  reg.counter(prefix + "restarts").add(restarts);
-  reg.counter(prefix + "learnt_clauses").add(learnt_clauses);
-  reg.counter(prefix + "deleted_clauses").add(deleted_clauses);
-  reg.counter(prefix + "retired_gates").add(retired_gates);
-  reg.counter(prefix + "inprocessings").add(inprocessings);
-  reg.counter(prefix + "subsumed_clauses").add(subsumed_clauses);
-  reg.counter(prefix + "strengthened_clauses").add(strengthened_clauses);
-  reg.counter(prefix + "eliminated_vars").add(eliminated_vars);
-  reg.counter(prefix + "vivified_clauses").add(vivified_clauses);
-  reg.counter(prefix + "candidates_seeded").add(candidates_seeded);
-  reg.counter(prefix + "candidates_graduated").add(candidates_graduated);
-  reg.counter(prefix + "candidates_retracted").add(candidates_retracted);
+  for_each_counter(
+      [&](const char* name, auto value) {
+        reg.counter(prefix + name).add(static_cast<std::uint64_t>(value));
+      },
+      *this);
   reg.counter(prefix + "seconds_us").add(static_cast<std::uint64_t>(seconds * 1e6));
 }
 
@@ -64,14 +50,6 @@ std::string to_string(Verdict v) {
     case Verdict::Unknown: return "unknown";
   }
   return "?";
-}
-
-std::string InductionResult::summary() const {
-  std::ostringstream out;
-  out << to_string(verdict) << " (k=" << k << ", " << stats.sat_calls << " SAT calls, "
-      << stats.conflicts << " conflicts, " << util::format_duration(stats.seconds) << ")";
-  if (step_cex.has_value()) out << " [induction-step CEX available]";
-  return out.str();
 }
 
 }  // namespace genfv::mc

@@ -1,14 +1,13 @@
 #pragma once
 
 /// \file result.hpp
-/// Verdicts and statistics shared by the BMC and k-induction engines.
+/// Verdicts and effort statistics shared by every engine.
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "sim/trace.hpp"
+#include "ir/transition_system.hpp"
 
 namespace genfv::sat {
 struct SolverStats;
@@ -53,14 +52,38 @@ struct EngineStats {
   std::uint64_t strengthened_clauses = 0;
   std::uint64_t eliminated_vars = 0;
   std::uint64_t vivified_clauses = 0;
-  /// PDR candidate seeding (PdrOptions::seed_candidates): candidate clauses
-  /// admitted as "may" clauses, graduated into real frame clauses by the
-  /// may-proof pass, and retracted (refuted at init or implicated in a
+  /// PDR candidate seeding (EngineOptions::pdr_seed_candidates): candidate
+  /// clauses admitted as "may" clauses, graduated into real frame clauses by
+  /// the may-proof pass, and retracted (refuted at init or implicated in a
   /// spurious blocked answer).
   std::uint64_t candidates_seeded = 0;
   std::uint64_t candidates_graduated = 0;
   std::uint64_t candidates_retracted = 0;
   double seconds = 0.0;
+
+  /// The one list of counters (everything but `seconds`): calls
+  /// `visit(name, s.field...)` once per counter, with that field of every
+  /// record in `stats`. Summing, metrics publishing and the bench JSON all
+  /// iterate this list, so a new counter added here reaches all of them.
+  template <typename Visitor, typename... Stats>
+  static void for_each_counter(Visitor&& visit, Stats&... stats) {
+    visit("sat_calls", stats.sat_calls...);
+    visit("conflicts", stats.conflicts...);
+    visit("decisions", stats.decisions...);
+    visit("propagations", stats.propagations...);
+    visit("restarts", stats.restarts...);
+    visit("learnt_clauses", stats.learnt_clauses...);
+    visit("deleted_clauses", stats.deleted_clauses...);
+    visit("retired_gates", stats.retired_gates...);
+    visit("inprocessings", stats.inprocessings...);
+    visit("subsumed_clauses", stats.subsumed_clauses...);
+    visit("strengthened_clauses", stats.strengthened_clauses...);
+    visit("eliminated_vars", stats.eliminated_vars...);
+    visit("vivified_clauses", stats.vivified_clauses...);
+    visit("candidates_seeded", stats.candidates_seeded...);
+    visit("candidates_graduated", stats.candidates_graduated...);
+    visit("candidates_retracted", stats.candidates_retracted...);
+  }
 
   /// Fold one solver's lifetime counters into this record (sat_calls gains
   /// the solver's solve() count).
@@ -73,57 +96,11 @@ struct EngineStats {
   void publish_metrics(const std::string& prefix) const;
 
   EngineStats& operator+=(const EngineStats& other) {
-    sat_calls += other.sat_calls;
-    conflicts += other.conflicts;
-    decisions += other.decisions;
-    propagations += other.propagations;
-    restarts += other.restarts;
-    learnt_clauses += other.learnt_clauses;
-    deleted_clauses += other.deleted_clauses;
-    retired_gates += other.retired_gates;
-    inprocessings += other.inprocessings;
-    subsumed_clauses += other.subsumed_clauses;
-    strengthened_clauses += other.strengthened_clauses;
-    eliminated_vars += other.eliminated_vars;
-    vivified_clauses += other.vivified_clauses;
-    candidates_seeded += other.candidates_seeded;
-    candidates_graduated += other.candidates_graduated;
-    candidates_retracted += other.candidates_retracted;
+    for_each_counter([](const char*, auto& mine, const auto& theirs) { mine += theirs; },
+                     *this, other);
     seconds += other.seconds;
     return *this;
   }
-};
-
-/// Result of a bounded check.
-struct BmcResult {
-  Verdict verdict = Verdict::Unknown;
-  std::size_t depth = 0;  ///< frames explored / CEX length - 1
-  std::optional<sim::Trace> cex;
-  EngineStats stats;
-};
-
-/// Result of a k-induction proof attempt.
-struct InductionResult {
-  Verdict verdict = Verdict::Unknown;
-  std::size_t k = 0;  ///< induction depth at conclusion (or last attempted)
-  /// Real counterexample from the base case (verdict == Falsified).
-  std::optional<sim::Trace> base_cex;
-  /// Induction-step counterexample: a k+1-frame execution starting from an
-  /// *arbitrary* (possibly unreachable) state that satisfies the property on
-  /// frames 0..k-1 and violates it at frame k. This is exactly the artefact
-  /// the paper feeds to the LLM (Fig. 2 / Fig. 3). Present when the step
-  /// case failed at the last attempted k.
-  std::optional<sim::Trace> step_cex;
-  /// verdict == Proven: invariant clauses absorbed from the portfolio's live
-  /// lemma exchange during this run. Each holds in every reachable state
-  /// (they were proven by the publishing member), so a k-induction win keeps
-  /// feeding the lemma loop just like a PDR win does. Empty without
-  /// exchange — plain k-induction produces no clause artefacts of its own.
-  std::vector<ir::NodeRef> invariant;
-  EngineStats stats;
-
-  bool proven() const noexcept { return verdict == Verdict::Proven; }
-  std::string summary() const;
 };
 
 }  // namespace genfv::mc

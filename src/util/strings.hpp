@@ -1,13 +1,19 @@
 #pragma once
 
 /// \file strings.hpp
-/// Small string utilities shared by the frontends, prompt rendering and
-/// report formatting. Kept dependency-free.
+/// Small string utilities shared by the frontends, prompt rendering, report
+/// formatting and the tools' flag parsing. Kept dependency-free.
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
+
+#include "util/status.hpp"
 
 namespace genfv::util {
 
@@ -41,5 +47,24 @@ std::string format_duration(double seconds);
 
 /// Indent every line of `text` by `spaces` spaces.
 std::string indent(std::string_view text, int spaces);
+
+/// The value of numeric flag `flag`: all of `text` must be one number in
+/// T's range (no sign for unsigned T, finite for floating-point T).
+/// Anything else throws UsageError("<flag> takes ..., got '<text>'").
+template <typename T>
+T parse_number(std::string_view flag, std::string_view text) {
+  static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && ec == std::errc() && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    const char* kind = std::is_floating_point_v<T> ? "a number" : "a non-negative integer";
+    throw UsageError(std::string(flag) + " takes " + kind + ", got '" + std::string(text) +
+                     "'");
+  }
+  return value;
+}
 
 }  // namespace genfv::util

@@ -41,8 +41,8 @@ TEST_P(DesignZoo, TargetsSurviveLongRandomSimulation) {
 TEST_P(DesignZoo, DifficultyMetadataIsAccurate) {
   const DesignInfo& info = design_by_name(GetParam());
   auto task = make_task(info);
-  mc::KInductionEngine engine(task.ts, {.max_k = 4});
-  const mc::InductionResult result = engine.prove_all(task.target_exprs());
+  mc::KInductionEngine engine(task.ts, {.max_steps = 4});
+  const mc::EngineResult result = engine.prove_all(task.target_exprs());
   if (info.inductive_without_lemmas) {
     EXPECT_EQ(result.verdict, mc::Verdict::Proven) << info.name;
   } else {

@@ -9,6 +9,7 @@
 
 #include "designs/design.hpp"
 #include "flow/cex_repair_flow.hpp"
+#include "flow/direct_miner_flow.hpp"
 #include "flow/helper_gen_flow.hpp"
 #include "genai/prompt.hpp"
 #include "genai/simulated_llm.hpp"
@@ -294,6 +295,21 @@ property helper; count1 == count2; endproperty
   ASSERT_EQ(llm.prompts().size(), 1u);  // one repair round trip happened
   EXPECT_TRUE(report.all_targets_proven());
   EXPECT_FALSE(report.admitted_lemmas.empty());
+}
+
+TEST(DirectMinerFlow, TargetEngineProvesTheTargets) {
+  // The direct flow reads the same FlowOptions as the LLM flows, so the
+  // selected target engine — not a hard-coded k-induction — proves the
+  // targets, and the report header names it.
+  auto task = designs::make_task("token_ring");
+  DirectMinerOptions options;
+  options.flow.engine.max_k = 8;
+  options.flow.target_engine = mc::EngineKind::Pdr;
+  const FlowReport report = DirectMinerFlow(options).run(task);
+
+  EXPECT_EQ(report.engine, "pdr");
+  EXPECT_NE(report.to_string().find("engine=pdr"), std::string::npos);
+  EXPECT_TRUE(report.all_targets_proven());
 }
 
 TEST(FlowReport, CountsByStatus) {

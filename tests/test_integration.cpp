@@ -11,6 +11,7 @@
 #include "flow/cex_repair_flow.hpp"
 #include "flow/helper_gen_flow.hpp"
 #include "genai/simulated_llm.hpp"
+#include "mc/kinduction.hpp"
 #include "sim/waveform.hpp"
 #include "sva/compiler.hpp"
 
@@ -29,7 +30,7 @@ TEST(PaperPipeline, Figure3ScenarioEndToEnd) {
   ASSERT_EQ(task.target_indices.size(), 1u);
 
   // 2. Plain k-induction fails the step case and yields the Fig. 3 CEX.
-  mc::KInductionEngine plain(task.ts, {.max_k = 4});
+  mc::KInductionEngine plain(task.ts, {.max_steps = 4});
   const auto unaided = plain.prove_all(task.target_exprs());
   ASSERT_EQ(unaided.verdict, mc::Verdict::Unknown);
   ASSERT_TRUE(unaided.step_cex.has_value());

@@ -1,15 +1,20 @@
 /// Model-checking engine tests: unroller mechanics, BMC counterexample
 /// depth/consistency, k-induction verdicts with and without lemmas, joint
-/// (mutual) induction, simple-path constraints, budgets.
+/// (mutual) induction, simple-path constraints, budgets, and the shared
+/// EngineOptions reaching BMC, k-induction and PDR alike.
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
 
 #include "util/status.hpp"
 
 #include "designs/design.hpp"
 #include "mc/bmc.hpp"
+#include "mc/engine.hpp"
 #include "sat/solver.hpp"
 #include "mc/kinduction.hpp"
+#include "mc/unroller.hpp"
 #include "sim/random_sim.hpp"
 
 namespace genfv::mc {
@@ -88,8 +93,8 @@ TEST(Bmc, FindsShallowBugAtExactDepth) {
   auto ts = free_counter(6);
   auto& nm = ts.nm();
   const NodeRef c = ts.lookup("c");
-  BmcEngine bmc(ts, {.max_depth = 32});
-  const BmcResult result = bmc.check(nm.mk_ne(c, nm.mk_const(13, 6)));
+  BmcEngine bmc(ts, {.max_steps = 32});
+  const EngineResult result = bmc.prove(nm.mk_ne(c, nm.mk_const(13, 6)));
   EXPECT_EQ(result.verdict, Verdict::Falsified);
   EXPECT_EQ(result.depth, 13u);
   ASSERT_TRUE(result.cex.has_value());
@@ -102,9 +107,9 @@ TEST(Bmc, BoundedOnlyNeverProves) {
   auto ts = free_counter(8);
   auto& nm = ts.nm();
   // True invariant: BMC can only report Unknown within its bound.
-  BmcEngine bmc(ts, {.max_depth = 10});
-  const BmcResult result =
-      bmc.check(nm.mk_ule(ts.lookup("c"), nm.mk_ones(8)));
+  BmcEngine bmc(ts, {.max_steps = 10});
+  const EngineResult result =
+      bmc.prove(nm.mk_ule(ts.lookup("c"), nm.mk_ones(8)));
   EXPECT_EQ(result.verdict, Verdict::Unknown);
   EXPECT_EQ(result.depth, 10u);
 }
@@ -118,18 +123,18 @@ TEST(Bmc, RespectsEnvironmentConstraints) {
   ts.set_init(flag, nm.mk_const(0, 1));
   ts.set_next(flag, nm.mk_or(flag, rst));
   ts.add_constraint(nm.mk_eq(rst, nm.mk_const(0, 1)));
-  BmcEngine bmc(ts, {.max_depth = 8});
-  EXPECT_EQ(bmc.check(nm.mk_not(flag)).verdict, Verdict::Unknown);
+  BmcEngine bmc(ts, {.max_steps = 8});
+  EXPECT_EQ(bmc.prove(nm.mk_not(flag)).verdict, Verdict::Unknown);
 }
 
 TEST(KInduction, ProvesInductiveInvariantAtKOne) {
   auto ts = sync_counters(16);
   auto& nm = ts.nm();
   const NodeRef helper = nm.mk_eq(ts.lookup("count1"), ts.lookup("count2"));
-  KInductionEngine engine(ts, {.max_k = 4});
-  const InductionResult result = engine.prove(helper);
+  KInductionEngine engine(ts, {.max_steps = 4});
+  const EngineResult result = engine.prove(helper);
   EXPECT_EQ(result.verdict, Verdict::Proven);
-  EXPECT_EQ(result.k, 1u);
+  EXPECT_EQ(result.depth, 1u);
 }
 
 TEST(KInduction, PaperTargetNeedsTheLemma) {
@@ -140,8 +145,8 @@ TEST(KInduction, PaperTargetNeedsTheLemma) {
   const NodeRef target = nm.mk_implies(nm.mk_redand(c1), nm.mk_redand(c2));
   const NodeRef helper = nm.mk_eq(c1, c2);
 
-  KInductionEngine without(ts, {.max_k = 6});
-  const InductionResult r1 = without.prove(target);
+  KInductionEngine without(ts, {.max_steps = 6});
+  const EngineResult r1 = without.prove(target);
   EXPECT_EQ(r1.verdict, Verdict::Unknown);
   ASSERT_TRUE(r1.step_cex.has_value());
   // The step CEX satisfies the property on all frames but the last, and
@@ -154,23 +159,23 @@ TEST(KInduction, PaperTargetNeedsTheLemma) {
   EXPECT_TRUE(cex.is_consistent());  // it follows the transition relation
   EXPECT_NE(cex.value(c1, 0), cex.value(c2, 0));  // unreachable start
 
-  KInductionEngine with(ts, {.max_k = 6, .lemmas = {helper}});
-  const InductionResult r2 = with.prove(target);
+  KInductionEngine with(ts, {.max_steps = 6, .lemmas = {helper}});
+  const EngineResult r2 = with.prove(target);
   EXPECT_EQ(r2.verdict, Verdict::Proven);
-  EXPECT_EQ(r2.k, 1u);
+  EXPECT_EQ(r2.depth, 1u);
 }
 
 TEST(KInduction, FalsifiedPropertyYieldsRealBaseCex) {
   auto ts = free_counter(5);
   auto& nm = ts.nm();
   const NodeRef c = ts.lookup("c");
-  KInductionEngine engine(ts, {.max_k = 16});
-  const InductionResult result = engine.prove(nm.mk_ne(c, nm.mk_const(6, 5)));
+  KInductionEngine engine(ts, {.max_steps = 16});
+  const EngineResult result = engine.prove(nm.mk_ne(c, nm.mk_const(6, 5)));
   EXPECT_EQ(result.verdict, Verdict::Falsified);
-  ASSERT_TRUE(result.base_cex.has_value());
-  EXPECT_TRUE(result.base_cex->is_consistent());
-  EXPECT_EQ(result.base_cex->value(c, 0), 0u);  // starts at reset
-  EXPECT_EQ(result.base_cex->value(c, result.base_cex->size() - 1), 6u);
+  ASSERT_TRUE(result.cex.has_value());
+  EXPECT_TRUE(result.cex->is_consistent());
+  EXPECT_EQ(result.cex->value(c, 0), 0u);  // starts at reset
+  EXPECT_EQ(result.cex->value(c, result.cex->size() - 1), 6u);
 }
 
 TEST(KInduction, HigherKClosesWithoutLemma) {
@@ -189,20 +194,20 @@ TEST(KInduction, HigherKClosesWithoutLemma) {
   ts.set_next(bad, nm.mk_or(bad, nm.mk_ugt(phase, nm.mk_const(14, 4))));
   const NodeRef target = nm.mk_not(bad);
 
-  KInductionEngine small(ts, {.max_k = 4});
+  KInductionEngine small(ts, {.max_steps = 4});
   EXPECT_EQ(small.prove(target).verdict, Verdict::Unknown);
 
-  KInductionEngine big(ts, {.max_k = 16});
-  const InductionResult r = big.prove(target);
+  KInductionEngine big(ts, {.max_steps = 16});
+  const EngineResult r = big.prove(target);
   EXPECT_EQ(r.verdict, Verdict::Proven);
-  EXPECT_GT(r.k, 4u);
+  EXPECT_GT(r.depth, 4u);
 
   // A range lemma collapses the required depth to 1.
   KInductionEngine with_lemma(
-      ts, {.max_k = 4, .lemmas = {nm.mk_ule(phase, nm.mk_const(5, 4))}});
-  const InductionResult rl = with_lemma.prove(target);
+      ts, {.max_steps = 4, .lemmas = {nm.mk_ule(phase, nm.mk_const(5, 4))}});
+  const EngineResult rl = with_lemma.prove(target);
   EXPECT_EQ(rl.verdict, Verdict::Proven);
-  EXPECT_EQ(rl.k, 1u);
+  EXPECT_EQ(rl.depth, 1u);
 }
 
 TEST(KInduction, JointInductionProvesMutuallyDependentSet) {
@@ -223,10 +228,10 @@ TEST(KInduction, JointInductionProvesMutuallyDependentSet) {
   const NodeRef sum_eq = nm.mk_eq(sum_a, sum_b);
   const NodeRef acc_eq = nm.mk_eq(acc_a, acc_b);
 
-  KInductionEngine solo(ts, {.max_k = 1});
+  KInductionEngine solo(ts, {.max_steps = 1});
   EXPECT_EQ(solo.prove(sum_eq).verdict, Verdict::Unknown);
 
-  KInductionEngine joint(ts, {.max_k = 2});
+  KInductionEngine joint(ts, {.max_steps = 2});
   EXPECT_EQ(joint.prove_all({sum_eq, acc_eq}).verdict, Verdict::Proven);
 }
 
@@ -254,10 +259,10 @@ TEST(KInduction, SimplePathClosesLassoFreeProperty) {
   ts.set_next(err, nm.mk_or(err, nm.mk_and(chk, nm.mk_ne(gray, enc))));
   const NodeRef target = nm.mk_not(err);
 
-  KInductionEngine plain(ts, {.max_k = 12, .simple_path = false});
+  KInductionEngine plain(ts, {.max_steps = 12, .simple_path = false});
   EXPECT_EQ(plain.prove(target).verdict, Verdict::Unknown);
 
-  KInductionEngine pathy(ts, {.max_k = 12, .simple_path = true});
+  KInductionEngine pathy(ts, {.max_steps = 12, .simple_path = true});
   EXPECT_EQ(pathy.prove(target).verdict, Verdict::Proven);
 }
 
@@ -266,8 +271,8 @@ TEST(KInduction, ConflictBudgetYieldsUnknown) {
   auto& nm = ts.nm();
   const NodeRef target = nm.mk_implies(nm.mk_redand(ts.lookup("count1")),
                                        nm.mk_redand(ts.lookup("count2")));
-  KInductionEngine engine(ts, {.max_k = 64, .conflict_budget = 1});
-  const InductionResult result = engine.prove(target);
+  KInductionEngine engine(ts, {.max_steps = 64, .conflict_budget = 1});
+  const EngineResult result = engine.prove(target);
   EXPECT_EQ(result.verdict, Verdict::Unknown);
 }
 
@@ -276,11 +281,89 @@ TEST(KInduction, ProvenPropertiesSurviveLongRandomSimulation) {
   auto ts = sync_counters(12);
   auto& nm = ts.nm();
   const NodeRef helper = nm.mk_eq(ts.lookup("count1"), ts.lookup("count2"));
-  KInductionEngine engine(ts, {.max_k = 4});
+  KInductionEngine engine(ts, {.max_steps = 4});
   ASSERT_EQ(engine.prove(helper).verdict, Verdict::Proven);
   sim::RandomSimulator simulator(ts, 77);
   EXPECT_FALSE(simulator.falsify(helper, 500, 4).has_value());
 }
+
+// --- every option reaches every engine ---------------------------------------
+
+/// BMC, k-induction and PDR read one EngineOptions directly — no adapter
+/// copies fields — so each case below runs all three through make_engine.
+class EngineOptionsReach : public testing::TestWithParam<EngineKind> {
+ protected:
+  /// A 4-bit free-running counter and `c != 5`, which it violates at depth 5.
+  EngineOptionsReach() : ts_(free_counter(4)) {
+    auto& nm = ts_.nm();
+    prop_ = nm.mk_ne(ts_.lookup("c"), nm.mk_const(5, 4));
+  }
+
+  EngineResult prove(const EngineOptions& options) {
+    return make_engine(GetParam(), ts_, options)->prove(prop_);
+  }
+
+  ir::TransitionSystem ts_;
+  NodeRef prop_ = nullptr;
+};
+
+TEST_P(EngineOptionsReach, LemmasChangeTheOutcome) {
+  // Assuming `c <= 3` on every frame (an assumption, not an invariant) cuts
+  // every path before the violation: BMC stops finding it, k-induction and
+  // PDR prove the property.
+  auto& nm = ts_.nm();
+  EXPECT_EQ(prove({.max_steps = 8}).verdict, Verdict::Falsified);
+  const NodeRef low = nm.mk_ule(ts_.lookup("c"), nm.mk_const(3, 4));
+  EXPECT_EQ(prove({.max_steps = 8, .lemmas = {low}}).verdict,
+            GetParam() == EngineKind::Bmc ? Verdict::Unknown : Verdict::Proven);
+}
+
+TEST_P(EngineOptionsReach, ZeroConflictBudgetYieldsUnknown) {
+  EXPECT_EQ(prove({.max_steps = 8, .conflict_budget = 0}).verdict, Verdict::Unknown);
+}
+
+TEST_P(EngineOptionsReach, PresetStopYieldsUnknown) {
+  EngineOptions options{.max_steps = 8};
+  options.stop = std::make_shared<std::atomic<bool>>(true);
+  EXPECT_EQ(prove(options).verdict, Verdict::Unknown);
+}
+
+TEST_P(EngineOptionsReach, InprocessingFollowsTheOption) {
+  // fifo_ctrl at 10 steps costs every engine enough conflicts for
+  // inprocessing sessions to run when the option is on.
+  for (const bool inprocess : {true, false}) {
+    auto task = designs::make_task("fifo_ctrl");
+    auto engine = make_engine(GetParam(), task.ts,
+                              {.max_steps = 10, .sat_inprocess = inprocess});
+    const EngineResult result = engine->prove_all(task.target_exprs());
+    if (inprocess) {
+      EXPECT_GT(result.stats.inprocessings, 0u);
+    } else {
+      EXPECT_EQ(result.stats.inprocessings, 0u);
+    }
+  }
+}
+
+TEST_P(EngineOptionsReach, DratPathWritesAProof) {
+  const std::string base = testing::TempDir() + "genfv_engine_drat";
+  // k-induction names its base-case solver's proof `<base>_base`.
+  const std::string proof =
+      base + (GetParam() == EngineKind::KInduction ? "_base" : "") + ".drat";
+  std::filesystem::remove(proof);
+  EngineOptions options{.max_steps = 8};
+  options.drat_path = base;
+  prove(options);
+  EXPECT_TRUE(std::filesystem::exists(proof)) << proof;
+}
+
+INSTANTIATE_TEST_SUITE_P(SingleEngines, EngineOptionsReach,
+                         testing::Values(EngineKind::Bmc, EngineKind::KInduction,
+                                         EngineKind::Pdr),
+                         [](const testing::TestParamInfo<EngineKind>& info) {
+                           return info.param == EngineKind::KInduction
+                                      ? std::string("kinduction")
+                                      : to_string(info.param);
+                         });
 
 // --- the pinned k-induction trajectory ----------------------------------------
 
@@ -305,8 +388,8 @@ constexpr KInductionExpectation kDualAccumulatorK8[] = {
 TEST(KInductionTrajectory, ReproducesPinnedDualAccumulatorTrajectory) {
   const auto task = designs::make_task("dual_accumulator");
   for (const KInductionExpectation& expected : kDualAccumulatorK8) {
-    KInductionEngine engine(task.ts, {.max_k = 8, .sat_inprocess = expected.inprocess});
-    const InductionResult result = engine.prove_all(task.target_exprs());
+    KInductionEngine engine(task.ts, {.max_steps = 8, .sat_inprocess = expected.inprocess});
+    const EngineResult result = engine.prove_all(task.target_exprs());
     const EngineStats& stats = result.stats;
     const std::string label = expected.inprocess ? "inprocess on" : "inprocess off";
     EXPECT_EQ(result.verdict, Verdict::Unknown) << label;

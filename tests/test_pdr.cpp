@@ -14,6 +14,7 @@
 #include "designs/design.hpp"
 #include "mc/engine.hpp"
 #include "mc/kinduction.hpp"
+#include "mc/pdr/blocking.hpp"
 #include "mc/pdr/context.hpp"
 #include "mc/pdr/cube.hpp"
 #include "mc/pdr/frame_db.hpp"
@@ -176,9 +177,9 @@ TEST(PdrFrameDb, EpochSyncIntoContext) {
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_true();
 
-  PdrOptions options;
+  EngineOptions options;
   FrameDb db;
-  QueryContext ctx(ts, prop, {}, options, db);
+  QueryContext ctx(ts, prop, options, db);
   db.push_level();
 
   // count == 3, as a full 4-bit cube.
@@ -250,13 +251,13 @@ TEST(PdrEngineTest, ProvesStrideCounterParity) {
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(7, 8));
 
-  PdrEngine engine(ts, {.max_frames = 16});
-  const PdrResult result = engine.prove(prop);
+  PdrEngine engine(ts, {.max_steps = 16});
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   ASSERT_FALSE(result.invariant.empty());
   EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
 
-  KInductionEngine kind(ts, {.max_k = 16});
+  KInductionEngine kind(ts, {.max_steps = 16});
   EXPECT_EQ(kind.prove(prop).verdict, Verdict::Unknown);
 }
 
@@ -267,8 +268,8 @@ TEST(PdrEngineTest, GeneralizationShrinksCubes) {
   auto ts = stride_counter(8, 2);
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(7, 8));
-  PdrEngine engine(ts, {.max_frames = 16});
-  const PdrResult result = engine.prove(prop);
+  PdrEngine engine(ts, {.max_steps = 16});
+  const EngineResult result = engine.prove(prop);
   ASSERT_EQ(result.verdict, Verdict::Proven);
   EXPECT_LE(result.invariant.size(), 8u);
 }
@@ -278,8 +279,8 @@ TEST(PdrEngineTest, FalsifiedWithConsistentTrace) {
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(9, 4));
 
-  PdrEngine engine(ts, {.max_frames = 32});
-  const PdrResult result = engine.prove(prop);
+  PdrEngine engine(ts, {.max_steps = 32});
+  const EngineResult result = engine.prove(prop);
   ASSERT_EQ(result.verdict, Verdict::Falsified);
   ASSERT_TRUE(result.cex.has_value());
   EXPECT_TRUE(result.cex->is_consistent());
@@ -295,8 +296,8 @@ TEST(PdrEngineTest, FalsifiedInInitialState) {
   auto ts = stride_counter(4, 1);
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_ne(ts.lookup("count"), nm.mk_const(0, 4));
-  PdrEngine engine(ts);
-  const PdrResult result = engine.prove(prop);
+  PdrEngine engine(ts, {.max_steps = 64});
+  const EngineResult result = engine.prove(prop);
   ASSERT_EQ(result.verdict, Verdict::Falsified);
   EXPECT_EQ(result.depth, 0u);
   ASSERT_TRUE(result.cex.has_value());
@@ -310,16 +311,38 @@ TEST(PdrEngineTest, UnknownWhenFramesExhausted) {
   auto ts = walking_one(8);
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_ne(ts.lookup("x"), nm.mk_const(3, 8));
-  PdrEngine engine(ts, {.max_frames = 3});
+  PdrEngine engine(ts, {.max_steps = 3});
   EXPECT_EQ(engine.prove(prop).verdict, Verdict::Unknown);
 }
 
-TEST(PdrEngineTest, UnknownOnObligationBudget) {
+TEST(PdrEngineTest, ObligationCapEndsTheBlockingPhase) {
+  // The engine runs with kMaxObligations; the blocking layer takes the cap
+  // as a parameter, so a small cap exercises the Budget outcome the engine
+  // turns into Unknown. First count what an uncapped phase needs, then cap
+  // it one short of that.
   auto ts = walking_one(8);
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_ne(ts.lookup("x"), nm.mk_const(3, 8));
-  PdrEngine engine(ts, {.max_frames = 64, .max_obligations = 2});
-  EXPECT_EQ(engine.prove(prop).verdict, Verdict::Unknown);
+  const EngineOptions options;
+  const auto run_phase = [&](std::size_t max_obligations, std::size_t* created) {
+    FrameDb db;
+    QueryContext ctx(ts, prop, options, db);
+    db.push_level();
+    db.push_level();
+    ObligationQueue queue;
+    std::size_t cex_index = 0;
+    const BlockOutcome outcome =
+        strengthen_frontier(ctx, db, queue, max_obligations, 2, &cex_index);
+    *created = queue.created();
+    return outcome;
+  };
+  std::size_t needed = 0;
+  ASSERT_EQ(run_phase(kMaxObligations, &needed), BlockOutcome::Blocked);
+  ASSERT_GE(needed, 2u);
+  std::size_t created = 0;
+  EXPECT_EQ(run_phase(needed, &created), BlockOutcome::Blocked);
+  EXPECT_EQ(run_phase(needed - 1, &created), BlockOutcome::Budget);
+  EXPECT_EQ(created, needed);
 }
 
 TEST(PdrEngineTest, SeededLemmaUnlocksBoundedProof) {
@@ -334,11 +357,11 @@ TEST(PdrEngineTest, SeededLemmaUnlocksBoundedProof) {
       nm.mk_and(nm.mk_eq(nm.mk_and(x, nm.mk_sub(x, nm.mk_const(1, 8))), nm.mk_const(0, 8)),
                 nm.mk_ne(x, nm.mk_const(0, 8)));
 
-  PdrOptions options;
-  options.max_frames = 3;
+  EngineOptions options;
+  options.max_steps = 3;
   options.lemmas = {onehot};
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_TRUE(check_invariant(ts, result.invariant, options.lemmas, prop));
 }
@@ -349,7 +372,7 @@ TEST(PdrEngineTest, ProveAllConjunction) {
   const NodeRef count = ts.lookup("count");
   const NodeRef p1 = nm.mk_ne(count, nm.mk_const(7, 8));
   const NodeRef p2 = nm.mk_ne(count, nm.mk_const(5, 8));
-  PdrEngine engine(ts, {.max_frames = 16});
+  PdrEngine engine(ts, {.max_steps = 16});
   EXPECT_EQ(engine.prove_all({p1, p2}).verdict, Verdict::Proven);
 }
 
@@ -360,7 +383,7 @@ TEST(PdrEngineTest, RejectsInputDependentInit) {
   const NodeRef s = ts.add_state("s", 4);
   ts.set_init(s, in);
   ts.set_next(s, s);
-  PdrEngine engine(ts);
+  PdrEngine engine(ts, {.max_steps = 64});
   EXPECT_THROW(engine.prove(nm.mk_ne(s, nm.mk_const(3, 4))), UsageError);
 }
 
@@ -394,8 +417,8 @@ TEST(PdrEngineTest, InvariantRoundTripsThroughSvaPrinter) {
   // exact same hash-consed expressions — the bidirectional lemma exchange
   // the flows rely on.
   auto task = designs::make_task("sequencer");
-  PdrEngine engine(task.ts, {.max_frames = 8});
-  const PdrResult result = engine.prove_all(task.target_exprs());
+  PdrEngine engine(task.ts, {.max_steps = 8});
+  const EngineResult result = engine.prove_all(task.target_exprs());
   ASSERT_EQ(result.verdict, Verdict::Proven);
   ASSERT_FALSE(result.invariant.empty());
   for (const NodeRef clause : result.invariant) {
@@ -569,12 +592,12 @@ TEST(PdrSeeding, CorrectCandidateGraduatesAndSpeedsTheProof) {
   const NodeRef count = ts.lookup("count");
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
 
-  PdrOptions options;
-  options.max_frames = 16;
-  options.seed_candidates = true;
-  options.candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
+  EngineOptions options;
+  options.max_steps = 16;
+  options.pdr_seed_candidates = true;
+  options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_EQ(result.stats.candidates_seeded, 1u);
   EXPECT_EQ(result.stats.candidates_graduated, 1u);
@@ -592,12 +615,12 @@ TEST(PdrSeeding, InitRefutedCandidateIsRetractedAtTheGate) {
   const NodeRef count = ts.lookup("count");
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
 
-  PdrOptions options;
-  options.max_frames = 16;
-  options.seed_candidates = true;
-  options.candidate_lemmas = {nm.mk_bit(count, 0)};  // clause count[0]
+  EngineOptions options;
+  options.max_steps = 16;
+  options.pdr_seed_candidates = true;
+  options.pdr_candidate_lemmas = {nm.mk_bit(count, 0)};  // clause count[0]
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_EQ(result.stats.candidates_seeded, 1u);
   EXPECT_EQ(result.stats.candidates_graduated, 0u);
@@ -616,12 +639,12 @@ TEST(PdrSeeding, SpuriousObligationRetractsTheImplicatedCandidate) {
   const NodeRef count = ts.lookup("count");
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(9, 4));
 
-  PdrOptions options;
-  options.max_frames = 32;
-  options.seed_candidates = true;
-  options.candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
+  EngineOptions options;
+  options.max_steps = 32;
+  options.pdr_seed_candidates = true;
+  options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   ASSERT_EQ(result.verdict, Verdict::Falsified);
   EXPECT_GE(result.stats.candidates_retracted, 1u);
   ASSERT_TRUE(result.cex.has_value());
@@ -639,12 +662,12 @@ TEST(PdrSeeding, WrongCandidateNeverCorruptsTheInvariant) {
   const NodeRef count = ts.lookup("count");
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
 
-  PdrOptions options;
-  options.max_frames = 16;
-  options.seed_candidates = true;
-  options.candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 1))};
+  EngineOptions options;
+  options.max_steps = 16;
+  options.pdr_seed_candidates = true;
+  options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 1))};
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   ASSERT_FALSE(result.invariant.empty());
   EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
@@ -659,14 +682,14 @@ TEST(PdrSeeding, NonClauseCandidatesAreSkipped) {
   const NodeRef count = ts.lookup("count");
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
 
-  PdrOptions options;
-  options.max_frames = 16;
-  options.seed_candidates = true;
+  EngineOptions options;
+  options.max_steps = 16;
+  options.pdr_seed_candidates = true;
   // An equality is no clause over state bits; it must be skipped, not
   // mangled into one.
-  options.candidate_lemmas = {nm.mk_eq(count, nm.mk_const(0, 8))};
+  options.pdr_candidate_lemmas = {nm.mk_eq(count, nm.mk_const(0, 8))};
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_EQ(result.stats.candidates_seeded, 0u);
 }
@@ -688,13 +711,13 @@ TEST(PdrSeeding, MailboxFeedsInfinity) {
   mailbox->publish_batch(1, {even, high});
   EXPECT_EQ(mailbox->published_by(1), 2u);
 
-  PdrOptions options;
-  options.max_frames = 16;
-  options.seed_candidates = true;
-  options.exchange = mailbox;
+  EngineOptions options;
+  options.max_steps = 16;
+  options.pdr_seed_candidates = true;
+  options.exchange_mailbox = mailbox;
   options.exchange_slot = 0;
   PdrEngine engine(ts, options);
-  const PdrResult result = engine.prove(prop);
+  const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_GE(mailbox->absorbed_by(0), 2u);
   EXPECT_EQ(result.stats.candidates_seeded, 0u);

@@ -233,37 +233,34 @@ TEST(Portfolio, TimeSlicedIsDeterministic) {
 
 // --- stats conservation ------------------------------------------------------
 
-/// Per-field check that the merged portfolio stats equal the sum of the
-/// member breakdowns. `seconds` is excluded by design: the merged value is
-/// the race's wall clock, not the sum of concurrent member clocks.
+/// Per-counter check that the merged portfolio stats equal the sum of the
+/// member breakdowns, over EngineStats' one counter list. `seconds` is not
+/// on it by design: the merged value is the race's wall clock, not the sum
+/// of concurrent member clocks.
 testing::AssertionResult stats_conserved(const EngineResult& result) {
   EngineStats sum;
   for (const EngineBreakdown& member : result.breakdown) sum += member.stats;
-  const EngineStats& merged = result.stats;
-  const struct {
-    const char* name;
-    std::uint64_t merged;
-    std::uint64_t summed;
-  } fields[] = {
-      {"sat_calls", merged.sat_calls, sum.sat_calls},
-      {"conflicts", merged.conflicts, sum.conflicts},
-      {"decisions", merged.decisions, sum.decisions},
-      {"propagations", merged.propagations, sum.propagations},
-      {"restarts", merged.restarts, sum.restarts},
-      {"learnt_clauses", merged.learnt_clauses, sum.learnt_clauses},
-      {"retired_gates", merged.retired_gates, sum.retired_gates},
-      {"candidates_seeded", merged.candidates_seeded, sum.candidates_seeded},
-      {"candidates_graduated", merged.candidates_graduated, sum.candidates_graduated},
-      {"candidates_retracted", merged.candidates_retracted, sum.candidates_retracted},
-  };
-  for (const auto& f : fields) {
-    if (f.merged != f.summed) {
-      return testing::AssertionFailure()
-             << f.name << ": merged result reports " << f.merged
-             << " but the member breakdowns sum to " << f.summed;
-    }
-  }
-  return testing::AssertionSuccess();
+  testing::AssertionResult conserved = testing::AssertionSuccess();
+  EngineStats::for_each_counter(
+      [&](const char* name, auto merged, auto summed) {
+        if (conserved && merged != summed) {
+          conserved = testing::AssertionFailure()
+                      << name << ": merged result reports " << merged
+                      << " but the member breakdowns sum to " << summed;
+        }
+      },
+      result.stats, sum);
+  return conserved;
+}
+
+TEST(StatsConservation, CounterListCoversEveryField) {
+  // Every EngineStats member but `seconds` is a 64-bit counter, so a member
+  // missing from the counter list (and hence from +=, publish_metrics and
+  // the bench JSON) shows up as a size mismatch.
+  EngineStats stats;
+  std::size_t listed = 0;
+  EngineStats::for_each_counter([&](const char*, auto&) { ++listed; }, stats);
+  EXPECT_EQ(sizeof(EngineStats), listed * sizeof(std::uint64_t) + sizeof(double));
 }
 
 TEST(StatsConservation, ThreadedPortfolioMergeEqualsMemberSum) {

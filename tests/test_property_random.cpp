@@ -16,6 +16,7 @@
 #include "mc/bmc.hpp"
 #include "mc/kinduction.hpp"
 #include "mc/pdr/pdr.hpp"
+#include "mc/unroller.hpp"
 #include "sat/solver.hpp"
 #include "sim/random_sim.hpp"
 #include "util/rng.hpp"
@@ -99,8 +100,8 @@ TEST_P(RandomSystems, BmcCexesReplayOnTheSimulator) {
   for (int instance = 0; instance < 12; ++instance) {
     RandomSystem sys(rng);
     const NodeRef prop = sys.random_property(rng);
-    mc::BmcEngine bmc(sys.ts, {.max_depth = 12});
-    const mc::BmcResult result = bmc.check(prop);
+    mc::BmcEngine bmc(sys.ts, {.max_steps = 12});
+    const mc::EngineResult result = bmc.prove(prop);
     if (result.verdict != mc::Verdict::Falsified) continue;
     ASSERT_TRUE(result.cex.has_value());
     const sim::Trace& cex = *result.cex;
@@ -126,8 +127,8 @@ TEST_P(RandomSystems, InductionProofsSurviveRandomSimulation) {
   for (int instance = 0; instance < 12; ++instance) {
     RandomSystem sys(rng);
     const NodeRef prop = sys.random_property(rng);
-    mc::KInductionEngine engine(sys.ts, {.max_k = 6, .conflict_budget = 50'000});
-    const mc::InductionResult result = engine.prove(prop);
+    mc::KInductionEngine engine(sys.ts, {.max_steps = 6, .conflict_budget = 50'000});
+    const mc::EngineResult result = engine.prove(prop);
     if (result.verdict == mc::Verdict::Proven) {
       ++proven_count;
       sim::RandomSimulator simulator(sys.ts, rng.next());
@@ -136,9 +137,9 @@ TEST_P(RandomSystems, InductionProofsSurviveRandomSimulation) {
           << "engine claimed 'proven' but simulation falsified (instance "
           << instance << ")";
     } else if (result.verdict == mc::Verdict::Falsified) {
-      ASSERT_TRUE(result.base_cex.has_value());
-      ASSERT_TRUE(result.base_cex->is_consistent());
-      ASSERT_EQ(result.base_cex->value(prop, result.base_cex->size() - 1), 0u);
+      ASSERT_TRUE(result.cex.has_value());
+      ASSERT_TRUE(result.cex->is_consistent());
+      ASSERT_EQ(result.cex->value(prop, result.cex->size() - 1), 0u);
     }
   }
   // The sweep must actually exercise the 'proven' path.
@@ -152,13 +153,13 @@ TEST_P(RandomSystems, BmcAndInductionAgreeOnFalsified) {
   for (int instance = 0; instance < 10; ++instance) {
     RandomSystem sys(rng);
     const NodeRef prop = sys.random_property(rng);
-    mc::BmcEngine bmc(sys.ts, {.max_depth = 10});
-    mc::KInductionEngine kind(sys.ts, {.max_k = 11, .conflict_budget = 50'000});
-    const auto r_bmc = bmc.check(prop);
+    mc::BmcEngine bmc(sys.ts, {.max_steps = 10});
+    mc::KInductionEngine kind(sys.ts, {.max_steps = 11, .conflict_budget = 50'000});
+    const auto r_bmc = bmc.prove(prop);
     const auto r_kind = kind.prove(prop);
     if (r_bmc.verdict == mc::Verdict::Falsified &&
         r_kind.verdict == mc::Verdict::Falsified) {
-      ASSERT_EQ(r_bmc.cex->size(), r_kind.base_cex->size()) << "instance " << instance;
+      ASSERT_EQ(r_bmc.cex->size(), r_kind.cex->size()) << "instance " << instance;
     }
     if (r_kind.verdict == mc::Verdict::Proven) {
       ASSERT_NE(r_bmc.verdict, mc::Verdict::Falsified) << "instance " << instance;
@@ -180,12 +181,10 @@ TEST_P(RandomSystems, PdrAgreesWithBmcAndSimulation) {
   for (int instance = 0; instance < 10; ++instance) {
     RandomSystem sys(rng);
     const NodeRef prop = sys.random_property(rng);
-    mc::pdr::PdrEngine pdr(sys.ts, {.max_frames = 12,
-                                    .conflict_budget = 50'000,
-                                    .max_obligations = 5000});
-    const mc::pdr::PdrResult r = pdr.prove(prop);
-    mc::BmcEngine bmc(sys.ts, {.max_depth = 14});
-    const mc::BmcResult r_bmc = bmc.check(prop);
+    mc::pdr::PdrEngine pdr(sys.ts, {.max_steps = 12, .conflict_budget = 50'000});
+    const mc::EngineResult r = pdr.prove(prop);
+    mc::BmcEngine bmc(sys.ts, {.max_steps = 14});
+    const mc::EngineResult r_bmc = bmc.prove(prop);
 
     if (r.verdict == mc::Verdict::Proven) {
       ++proven;

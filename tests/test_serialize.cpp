@@ -69,7 +69,7 @@ TEST(Serialize, DeserializedSystemIsProvable) {
   ir::TransitionSystem copy = ir::deserialize(ir::serialize(task.ts));
   auto& nm = copy.nm();
   const ir::NodeRef helper = nm.mk_eq(copy.lookup("count1"), copy.lookup("count2"));
-  mc::KInductionEngine engine(copy, {.max_k = 4, .lemmas = {helper}});
+  mc::KInductionEngine engine(copy, {.max_steps = 4, .lemmas = {helper}});
   EXPECT_EQ(engine.prove(copy.property(0).expr).verdict, mc::Verdict::Proven);
 }
 
@@ -129,7 +129,7 @@ TEST(DirectMinerFlow, ClosesTheZooWithoutAnyModel) {
   for (const auto& info : designs::all_designs()) {
     auto task = designs::make_task(info);
     flow::DirectMinerOptions options;
-    options.engine.max_k = 8;
+    options.flow.engine.max_k = 8;
     flow::DirectMinerFlow direct(options);
     const flow::FlowReport report = direct.run(task);
     EXPECT_TRUE(report.all_targets_proven()) << info.name << "\n" << report.to_string();

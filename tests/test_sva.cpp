@@ -96,7 +96,7 @@ TEST(SvaCompiler, PastSemanticsProvenByInduction) {
   // q2 is q1 delayed; $past(q1) == q2 unless reset interfered (rst is
   // constrained inactive, and both start at 0, so it holds outright).
   const auto prop = compiler.compile("$past(q1) == q2");
-  mc::KInductionEngine engine(elab.ts, {.max_k = 4});
+  mc::KInductionEngine engine(elab.ts, {.max_steps = 4});
   EXPECT_EQ(engine.prove(prop.expr).verdict, mc::Verdict::Proven);
 }
 
@@ -104,7 +104,7 @@ TEST(SvaCompiler, PastDepthTwo) {
   auto elab = pipeline_design();
   PropertyCompiler compiler(elab.ts);
   const auto prop = compiler.compile("$past(d, 2) == q2");
-  mc::KInductionEngine engine(elab.ts, {.max_k = 4});
+  mc::KInductionEngine engine(elab.ts, {.max_steps = 4});
   EXPECT_EQ(engine.prove(prop.expr).verdict, mc::Verdict::Proven);
 }
 
@@ -120,12 +120,12 @@ endmodule
   PropertyCompiler compiler(elab.ts);
   // req |=> ack: a request is acknowledged in the following cycle.
   const auto prop = compiler.compile("property p; req |=> ack; endproperty");
-  mc::KInductionEngine engine(elab.ts, {.max_k = 4});
+  mc::KInductionEngine engine(elab.ts, {.max_steps = 4});
   EXPECT_EQ(engine.prove(prop.expr).verdict, mc::Verdict::Proven);
 
   // The overlapping form must NOT hold (ack lags by one cycle).
   const auto bad = compiler.compile("property q; req |-> ack; endproperty");
-  mc::KInductionEngine engine2(elab.ts, {.max_k = 8});
+  mc::KInductionEngine engine2(elab.ts, {.max_steps = 8});
   EXPECT_EQ(engine2.prove(bad.expr).verdict, mc::Verdict::Falsified);
 }
 
@@ -145,7 +145,7 @@ endmodule
   // the init frame via |->.
   const auto fell = compiler.compile("!tog |-> ($fell(tog) || !$past(tog))");
   const auto changed = compiler.compile("$changed(tog) || $stable(tog)");  // tautology
-  mc::KInductionEngine engine(elab.ts, {.max_k = 4});
+  mc::KInductionEngine engine(elab.ts, {.max_steps = 4});
   EXPECT_EQ(engine.prove(rose.expr).verdict, mc::Verdict::Proven);
   EXPECT_EQ(engine.prove(fell.expr).verdict, mc::Verdict::Proven);
   EXPECT_EQ(engine.prove(changed.expr).verdict, mc::Verdict::Proven);

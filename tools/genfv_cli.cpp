@@ -70,15 +70,11 @@
 ///                                    level every <seconds> (implies metrics)
 ///   --verbose                        info-level logging
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "designs/design.hpp"
 #include "flow/cex_repair_flow.hpp"
@@ -95,6 +91,7 @@
 #include "sat/solver.hpp"
 #include "sim/vcd.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -152,23 +149,8 @@ struct CliOptions {
   std::exit(2);
 }
 
-/// The value of numeric flag `flag`: all of `text` must be one number in
-/// T's range (no sign for unsigned T, finite for floating-point T);
-/// anything else is a usage error naming the flag.
-template <typename T>
-T parse_number(const char* flag, const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  bool ok = !text.empty() && ec == std::errc() && stop == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    const char* kind = std::is_floating_point_v<T> ? "a number" : "a non-negative integer";
-    usage((std::string(flag) + " takes " + kind + ", got '" + text + "'").c_str());
-  }
-  return value;
-}
-
+/// Throws UsageError for a malformed numeric flag (util::parse_number); every
+/// other mistake calls usage() directly.
 CliOptions parse_args(int argc, char** argv) {
   CliOptions opts;
   if (argc < 2) usage();
@@ -258,10 +240,10 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--drat-out") opts.drat_out = need_value("--drat-out");
     else if (arg == "--model") opts.model = need_value("--model");
     else if (arg == "--seed") {
-      opts.seed = parse_number<std::uint64_t>("--seed", need_value("--seed"));
+      opts.seed = util::parse_number<std::uint64_t>("--seed", need_value("--seed"));
     }
     else if (arg == "--max-k") {
-      opts.max_k = parse_number<std::size_t>("--max-k", need_value("--max-k"));
+      opts.max_k = util::parse_number<std::size_t>("--max-k", need_value("--max-k"));
     }
     else if (arg == "--no-screen") { no_value("--no-screen"); opts.sim_screen = false; }
     else if (arg == "--dump-ts") opts.dump_ts_path = need_value("--dump-ts");
@@ -271,7 +253,7 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
     else if (arg == "--progress") {
       const std::string value = need_value("--progress");
-      opts.progress_seconds = parse_number<double>("--progress", value);
+      opts.progress_seconds = util::parse_number<double>("--progress", value);
       if (opts.progress_seconds <= 0.0) {
         usage(("--progress takes a positive number of seconds, got '" + value + "'").c_str());
       }
@@ -482,7 +464,7 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
 
   flow::FlowReport report;
   if (opts.flow == "direct") {
-    flow::DirectMinerFlow direct({options.engine, options.review, true, 48, 6, opts.seed});
+    flow::DirectMinerFlow direct({options, 48, 6, opts.seed});
     report = direct.run(task);
   } else {
     genai::SimulatedLlm llm(genai::profile_by_name(opts.model), opts.seed);
@@ -602,7 +584,13 @@ int cmd_models() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opts = parse_args(argc, argv);
+  const CliOptions opts = [&] {
+    try {
+      return parse_args(argc, argv);
+    } catch (const UsageError& e) {
+      usage(e.what());
+    }
+  }();
   if (opts.verbose) util::set_log_level(util::LogLevel::Info);
 
   // Telemetry is process-global: one switch arms every layer's

@@ -21,6 +21,7 @@
 #include "serve/server.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
+#include "util/strings.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -61,6 +62,8 @@ struct ServeCliOptions {
   std::exit(2);
 }
 
+/// Throws UsageError for a malformed numeric flag (util::parse_number); every
+/// other mistake calls usage() directly.
 ServeCliOptions parse_args(int argc, char** argv) {
   ServeCliOptions opts;
   for (int i = 1; i < argc; ++i) {
@@ -86,7 +89,7 @@ ServeCliOptions parse_args(int argc, char** argv) {
         const unsigned hw = std::thread::hardware_concurrency();
         opts.server.workers = hw > 1 ? hw / 2 : 1;
       } else {
-        opts.server.workers = std::stoull(value);
+        opts.server.workers = genfv::util::parse_number<std::size_t>("--workers", value);
         if (opts.server.workers == 0) usage("--workers takes a count >= 1 or 'auto'");
       }
     }
@@ -98,13 +101,15 @@ ServeCliOptions parse_args(int argc, char** argv) {
     }
     else if (arg == "--cache-dir") opts.server.cache_dir = need_value("--cache-dir");
     else if (arg == "--near-threshold") {
-      opts.server.near_threshold = std::stod(need_value("--near-threshold"));
+      opts.server.near_threshold =
+          genfv::util::parse_number<double>("--near-threshold", need_value("--near-threshold"));
       if (opts.server.near_threshold <= 0.0 || opts.server.near_threshold > 1.0) {
         usage("--near-threshold takes a fraction in (0, 1]");
       }
     }
     else if (arg == "--max-k") {
-      opts.server.default_max_steps = std::stoull(need_value("--max-k"));
+      opts.server.default_max_steps =
+          genfv::util::parse_number<std::size_t>("--max-k", need_value("--max-k"));
     }
     else if (arg == "--engine") opts.server.default_engine = need_value("--engine");
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
@@ -120,7 +125,13 @@ ServeCliOptions parse_args(int argc, char** argv) {
 int main(int argc, char** argv) {
   using namespace genfv;
 
-  const ServeCliOptions opts = parse_args(argc, argv);
+  const ServeCliOptions opts = [&] {
+    try {
+      return parse_args(argc, argv);
+    } catch (const UsageError& e) {
+      usage(e.what());
+    }
+  }();
   if (opts.verbose) util::set_log_level(util::LogLevel::Info);
   if (!opts.metrics_out_path.empty()) {
     util::set_telemetry_level(util::TelemetryLevel::Metrics);
