@@ -10,7 +10,7 @@ proofs show up here before anything else. Wall-clock numbers are reported
 but never gate the build: CI machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
-BENCH_PR15.json (see docs/benchmarks.md) — every (design, engine) cell
+BENCH_PR16.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
 run can never silently drift from the checked-in trajectory. Cells whose
 kind is not "portfolio" must also agree exactly on the deterministic work

@@ -16,10 +16,11 @@ Rules (see docs/static-analysis.md for the rationale behind each):
 
   bare-mutex       No `std::mutex` / `std::condition_variable` /
                    `std::lock_guard` / `std::unique_lock` / `std::scoped_lock`
-                   outside util/thread_safety.hpp and util/lock_order.{hpp,cpp}.
-                   Every lock goes through the annotated `util::Mutex` /
-                   `util::MutexLock` / `util::CondVar`, so clang thread-safety
-                   analysis and the Debug lockdep layer see every acquisition.
+                   outside util/thread_safety.hpp. Every lock goes through the
+                   annotated `util::Mutex` / `util::MutexLock` /
+                   `util::CondVar`, so clang thread-safety analysis sees every
+                   acquisition and the lock order documented in
+                   util/thread_safety.hpp covers every mutex.
 
   frontend-throw   Every `throw` in src/frontend/ is either a located
                    `ParseError(location, message)` (two arguments — reader
@@ -48,11 +49,7 @@ import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-BARE_MUTEX_ALLOWED = {
-    "src/util/thread_safety.hpp",
-    "src/util/lock_order.hpp",
-    "src/util/lock_order.cpp",
-}
+BARE_MUTEX_ALLOWED = {"src/util/thread_safety.hpp"}
 
 BARE_MUTEX_TOKENS = [
     "std::mutex",
@@ -218,7 +215,7 @@ def lint_file(path: pathlib.Path, rel: str, violations: list[str]) -> None:
                 violations.append(
                     f"{rel}:{line_of(code, m.start())}: [bare-mutex] {token} outside "
                     "util/thread_safety.hpp; use util::Mutex / util::MutexLock / "
-                    "util::CondVar so thread-safety analysis and lockdep see the lock"
+                    "util::CondVar so thread-safety analysis sees the lock"
                 )
 
     # thread-capture

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "ir/node_manager.hpp"
-#include "sat/backend.hpp"
+#include "sat/solver.hpp"
 
 namespace genfv::bitblast {
 
@@ -24,9 +24,9 @@ using BlastCache = std::unordered_map<ir::NodeRef, Bits>;
 
 class BitBlaster {
  public:
-  explicit BitBlaster(sat::Backend& solver) : solver_(solver) {}
+  explicit BitBlaster(sat::Solver& solver) : solver_(solver) {}
 
-  sat::Backend& solver() noexcept { return solver_; }
+  sat::Solver& solver() noexcept { return solver_; }
 
   /// Blast `node` into literals, memoizing in `cache`. Leaf nodes other than
   /// constants must already be present in `cache`.
@@ -75,7 +75,7 @@ class BitBlaster {
     return value ? p == truth_ : p == ~truth_;
   }
 
-  sat::Backend& solver_;
+  sat::Solver& solver_;
   sat::Lit truth_ = sat::kUndefLit;  // cached constant-true literal
 };
 

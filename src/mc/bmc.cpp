@@ -15,8 +15,7 @@ EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   EngineResult result;
   const ir::NodeRef property = conjoin_properties(ts_, properties);
 
-  const std::unique_ptr<sat::Backend> solver_ptr = sat::make_backend(options_.sat_backend);
-  sat::Backend& solver = *solver_ptr;
+  sat::Solver solver;
   solver.set_conflict_budget(options_.conflict_budget);
   solver.set_stop_flag(options_.stop.get());
   solver.set_inprocessing(options_.sat_inprocess);
@@ -28,8 +27,8 @@ EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // frame.
   std::vector<ir::NodeRef> invariants = options_.lemmas;
   std::size_t exchange_cursor = 0;
-  // The backlog may carry the same clause many times (re-publishing slices,
-  // independent members); assert each distinct fact once per run.
+  // The backlog may carry the same clause many times (independent
+  // publishers); assert each distinct fact once per run.
   AbsorbFilter absorb_filter;
   auto poll_exchange = [&](std::size_t depth) {
     if (options_.exchange_mailbox == nullptr) return;

@@ -14,7 +14,7 @@ namespace genfv::mc {
 /// Reads max_steps (the depth bound), lemmas (asserted at every frame),
 /// conflict_budget, stop (polled at every depth), exchange_mailbox (polled
 /// once per depth; absorbed clauses are asserted on every frame),
-/// sat_backend, sat_inprocess and drat_path.
+/// sat_inprocess and drat_path.
 class BmcEngine final : public Engine {
  public:
   BmcEngine(const ir::TransitionSystem& ts, EngineOptions options = {});

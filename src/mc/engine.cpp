@@ -56,7 +56,6 @@ EngineOptions to_engine_options(const KInductionOptions& options) {
   EngineOptions out;
   out.max_steps = options.max_k;
   out.lemmas = options.lemmas;
-  out.sat_backend = options.sat_backend;
   out.sat_inprocess = options.sat_inprocess;
   out.drat_path = options.drat_path;
   return out;

@@ -76,9 +76,6 @@ struct EngineOptions {
   /// cancellation. The portfolio sets the flag once a member returns a
   /// conclusive verdict, which is what cancels the losing engines.
   std::shared_ptr<std::atomic<bool>> stop{};
-  /// SAT backend every engine solves through (see sat::make_backend);
-  /// "internal" = the in-tree CDCL core, the only built-in.
-  std::string sat_backend = "internal";
   /// SAT inprocessing (subsumption/strengthening, bounded variable
   /// elimination, vivification) plus the LBD-tiered learnt-clause policy.
   /// Off pins the solver bit-for-bit to the plain-CDCL behavior.
@@ -95,16 +92,13 @@ struct EngineOptions {
   std::size_t pdr_workers = 1;
   bool pdr_ternary_lifting = false;
   std::size_t pdr_candidate_strikes = 2;
+  std::string sat_backend = "internal";
 
   // --- portfolio only -------------------------------------------------------
-  /// Member engines, in launch (threaded) / slice (time-sliced) order.
-  /// Empty = {Bmc, KInduction, Pdr}. Must not contain Portfolio itself.
+  /// Member engines, in launch order; each runs on its own thread over a
+  /// private clone of the system. Empty = {Bmc, KInduction, Pdr}. Must not
+  /// contain Portfolio itself.
   std::vector<EngineKind> portfolio_engines{};
-  /// true: one std::thread per member over a private clone of the system;
-  /// false: deterministic single-threaded round-robin over doubling step
-  /// budgets (reproducible run-to-run; no clones, no threads — meant for CI
-  /// and debugging).
-  bool portfolio_threads = true;
   /// Live in-flight lemma exchange between members (mc/exchange.hpp): PDR
   /// publishes clauses the moment they are proven invariant; the other
   /// members absorb them mid-race. Sound — exchange can change which member
@@ -130,8 +124,7 @@ struct EngineBreakdown {
   /// published into / asserted out of the portfolio mailbox. Consumers
   /// dedupe the backlog per run (mc::AbsorbFilter keyed on the manager-
   /// neutral form), so `lemmas_absorbed` counts distinct clauses asserted
-  /// per engine run; a time-sliced member still re-absorbs each distinct
-  /// clause once per slice — its fresh solvers need every fact again.
+  /// per engine run.
   std::size_t lemmas_published = 0;
   std::size_t lemmas_absorbed = 0;
 };
@@ -212,9 +205,11 @@ struct KInductionOptions {
   std::size_t max_k = 32;
   /// Proven invariants assumed by every proof.
   std::vector<ir::NodeRef> lemmas{};
-  std::string sat_backend = "internal";
   bool sat_inprocess = true;
   std::string drat_path{};
+
+  // --- ignored; kept only for perfbench/ ------------------------------------
+  std::string sat_backend = "internal";
 };
 
 /// A target's verdict as FlowReport stores it; `to_induction_result` is its
@@ -231,8 +226,8 @@ struct InductionResult {
   std::string summary() const;
 };
 
-/// max_k becomes max_steps; lemmas, backend, inprocessing and the DRAT path
-/// carry over; every other field keeps its EngineOptions default.
+/// max_k becomes max_steps; lemmas, inprocessing and the DRAT path carry
+/// over; every other field keeps its EngineOptions default.
 EngineOptions to_engine_options(const KInductionOptions& options);
 
 /// depth becomes k, cex becomes base_cex.

@@ -21,10 +21,9 @@
 ///  * Every mailbox method is internally synchronized by one mutex; any
 ///    thread may publish or fetch at any time.
 ///  * Consumers own their read cursor (`fetch`'s in/out parameter), so a
-///    fresh engine instance (e.g. a new time slice of the deterministic
-///    portfolio) starts at 0 and sees the full backlog — and dedupes it
-///    through an `AbsorbFilter`, because re-publishing slices can load the
-///    board with many copies of the same fact.
+///    fresh engine instance starts at 0 and sees the full backlog — and
+///    dedupes it through an `AbsorbFilter`, because the board may hold
+///    several copies of the same fact.
 ///
 /// Soundness rule for absorbing a clause: every mailbox clause is an
 /// invariant — it holds in every reachable state (publishers only post
@@ -91,14 +90,12 @@ inline std::string exchange_key(const ExchangedClause& clause) {
 }
 
 /// Consumer-side duplicate filter. The mailbox backlog may carry the same
-/// clause many times — a time-sliced PDR member re-proves and re-publishes
-/// its F_∞ clauses at every budget, and several members can publish the
-/// same fact independently — so a consumer that asserted every fetched
-/// clause would do quadratic re-assert work across slices. `admit` returns
-/// true exactly once per distinct manager-neutral form; consumers skip (and
-/// do not count as absorbed) everything else. One filter lives per engine
-/// *run*: a fresh run has fresh solvers and genuinely needs each distinct
-/// clause once more.
+/// clause many times — several members can publish the same fact
+/// independently — so a consumer that asserted every fetched clause would
+/// repeat its re-assert work per copy. `admit` returns true exactly once
+/// per distinct manager-neutral form; consumers skip (and do not count as
+/// absorbed) everything else. One filter lives per engine *run*: a fresh run
+/// has fresh solvers and genuinely needs each distinct clause once more.
 class AbsorbFilter {
  public:
   /// True iff `clause` has not been admitted by this filter before.

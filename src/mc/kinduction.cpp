@@ -19,8 +19,7 @@ EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& propert
   // earlier frames, making this *mutual* induction).
   const ir::NodeRef prop = conjoin_properties(ts_, properties);
 
-  const std::unique_ptr<sat::Backend> base_ptr = sat::make_backend(options_.sat_backend);
-  sat::Backend& base_solver = *base_ptr;
+  sat::Solver base_solver;
   base_solver.set_conflict_budget(options_.conflict_budget);
   base_solver.set_stop_flag(options_.stop.get());
   base_solver.set_inprocessing(options_.sat_inprocess);
@@ -28,8 +27,7 @@ EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& propert
   Unroller base(ts_, base_solver);
   base.assert_init();
 
-  const std::unique_ptr<sat::Backend> step_ptr = sat::make_backend(options_.sat_backend);
-  sat::Backend& step_solver = *step_ptr;
+  sat::Solver step_solver;
   step_solver.set_conflict_budget(options_.conflict_budget);
   step_solver.set_stop_flag(options_.stop.get());
   step_solver.set_inprocessing(options_.sat_inprocess);
@@ -55,8 +53,8 @@ EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& propert
   // Absorb newly published exchange clauses: materialize them in our own
   // manager and back-fill every frame the run has already built.
   std::size_t exchange_cursor = 0;
-  // The backlog may carry the same clause many times (re-publishing slices,
-  // independent members); assert each distinct fact once per run.
+  // The backlog may carry the same clause many times (independent
+  // publishers); assert each distinct fact once per run.
   AbsorbFilter absorb_filter;
   auto poll_exchange = [&] {
     if (options_.exchange_mailbox == nullptr) return;

@@ -6,25 +6,22 @@ namespace genfv::mc::pdr {
 
 namespace {
 
-std::unique_ptr<sat::Backend> make_solver(const EngineOptions& options,
-                                          const std::string& drat_path) {
-  auto solver = sat::make_backend(options.sat_backend);
-  solver->set_conflict_budget(options.conflict_budget);
-  solver->set_stop_flag(options.stop.get());
-  solver->set_inprocessing(options.sat_inprocess);
-  if (!drat_path.empty()) solver->start_proof(drat_path);
-  return solver;
+void configure(sat::Solver& solver, const EngineOptions& options,
+               const std::string& drat_path) {
+  solver.set_conflict_budget(options.conflict_budget);
+  solver.set_stop_flag(options.stop.get());
+  solver.set_inprocessing(options.sat_inprocess);
+  if (!drat_path.empty()) solver.start_proof(drat_path);
 }
 
 }  // namespace
 
 QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                            const EngineOptions& options, FrameDb& db)
-    : ts_(ts), options_(options), db_(db), property_(property),
-      solver_(make_solver(options, options.drat_path)),
-      init_solver_(make_solver(options, options.drat_path.empty()
-                                            ? std::string()
-                                            : options.drat_path + "-p1")) {
+    : ts_(ts), options_(options), db_(db), property_(property) {
+  configure(solver_, options, options.drat_path);
+  configure(init_solver_, options,
+            options.drat_path.empty() ? std::string() : options.drat_path + "-p1");
   // Initiation solver: frame 0 under init. intersects_init runs on
   // assumptions only, so no gate litter ever accumulates here.
   init_unr_ = std::make_unique<Unroller>(ts_, init_solver());

@@ -34,7 +34,7 @@
 #include "mc/pdr/obligation.hpp"
 #include "mc/engine.hpp"
 #include "mc/unroller.hpp"
-#include "sat/backend.hpp"
+#include "sat/solver.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -42,15 +42,15 @@ class QueryContext {
  public:
   /// `ts`, `property` and `options.lemmas` must all live in the same
   /// NodeManager and outlive the context; so must `db` and `options`. Both
-  /// solvers take the options' backend, budget, stop flag and inprocessing
+  /// solvers take the options' budget, stop flag and inprocessing
   /// setting; with `drat_path` set, the transition solver logs DRAT to
   /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                const EngineOptions& options, FrameDb& db);
 
   const ir::TransitionSystem& system() const noexcept { return ts_; }
-  sat::Backend& solver() { return *solver_; }
-  sat::Backend& init_solver() { return *init_solver_; }
+  sat::Solver& solver() { return solver_; }
+  sat::Solver& init_solver() { return init_solver_; }
   Unroller& unroller() { return *unr_; }
   Unroller& init_unroller() { return *init_unr_; }
 
@@ -148,8 +148,8 @@ class QueryContext {
   FrameDb& db_;
   ir::NodeRef property_;
 
-  std::unique_ptr<sat::Backend> solver_;
-  std::unique_ptr<sat::Backend> init_solver_;
+  sat::Solver solver_;
+  sat::Solver init_solver_;
   std::unique_ptr<Unroller> unr_;
   std::unique_ptr<Unroller> init_unr_;
   /// activations_[0] gates the init-value equalities; activations_[k] gates

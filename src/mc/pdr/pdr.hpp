@@ -38,8 +38,8 @@ namespace genfv::mc::pdr {
 ///  * lemmas — proven invariants asserted on every frame of the transition
 ///    relation (equivalently, clauses of F_∞);
 ///  * conflict_budget, stop (polled per obligation, per propagation pass and
-///    at SAT restart boundaries), sat_backend, sat_inprocess — stamped onto
-///    both of the run's solvers;
+///    at SAT restart boundaries), sat_inprocess — stamped onto both of the
+///    run's solvers;
 ///  * drat_path — the transition solver logs to `<drat_path>`, the
 ///    initiation solver to `<drat_path>-p1`;
 ///  * exchange_mailbox / exchange_slot — clauses are published the moment

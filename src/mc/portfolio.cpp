@@ -63,8 +63,7 @@ PortfolioEngine::PortfolioEngine(const ir::TransitionSystem& ts, EngineOptions o
 EngineResult PortfolioEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   if (options_.max_steps == 0) {
     // A zero step budget buys no exploration in any member. Report Unknown
-    // uniformly instead of letting the time-sliced mode build a {0} budget
-    // schedule (and the threaded mode race three no-op engines).
+    // uniformly instead of racing three no-op engines.
     EngineResult out;
     for (const EngineKind kind : members_) {
       EngineBreakdown b;
@@ -74,8 +73,7 @@ EngineResult PortfolioEngine::prove_all(const std::vector<ir::NodeRef>& properti
     }
     return out;
   }
-  return options_.portfolio_threads ? run_threaded(properties)
-                                    : run_time_sliced(properties);
+  return run_threaded(properties);
 }
 
 namespace {
@@ -247,87 +245,6 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
   }
   out.stats.seconds = watch.seconds();
   return out;
-}
-
-EngineResult PortfolioEngine::run_time_sliced(const std::vector<ir::NodeRef>& properties) {
-  util::Stopwatch watch;
-  const std::size_t n = members_.size();
-
-  // Iterative deepening: every member gets a slice at each budget before any
-  // member gets a deeper one, so a cheap conclusive verdict at a small bound
-  // beats an expensive one at a large bound — deterministically. The guard
-  // before the final push_back is defensive: the strict `<` walk never lands
-  // on max_steps today, but a duplicated final budget would silently re-run
-  // every member, so the invariant is worth pinning against future edits.
-  // (prove_all short-circuits `max_steps == 0`, which used to degenerate
-  // into a {0} schedule here.)
-  std::vector<std::size_t> budgets;
-  for (std::size_t b = 1; b < options_.max_steps; b *= 2) budgets.push_back(b);
-  if (budgets.empty() || budgets.back() != options_.max_steps) {
-    budgets.push_back(options_.max_steps);
-  }
-
-  // One mailbox across every slice: a member's fresh engine instance at the
-  // next budget re-reads the whole backlog (consumer cursors are per engine
-  // run), so clauses PDR proved at budget b reach k-induction at budget 2b.
-  const std::shared_ptr<LemmaMailbox> mailbox =
-      options_.exchange && n > 1 ? std::make_shared<LemmaMailbox>(n) : nullptr;
-
-  EngineResult out;
-  std::vector<EngineBreakdown> breakdown(n);
-  for (std::size_t i = 0; i < n; ++i) breakdown[i].engine = to_string(members_[i]);
-
-  auto finish = [&](std::ptrdiff_t winner, EngineResult member_result) {
-    if (winner >= 0) {
-      const std::size_t w = static_cast<std::size_t>(winner);
-      out.verdict = member_result.verdict;
-      out.depth = member_result.depth;
-      out.cex = std::move(member_result.cex);
-      out.invariant = std::move(member_result.invariant);
-      out.winner = to_string(members_[w]);
-      out.step_cex.reset();  // stale artefact from an earlier, shallower slice
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      out.stats += breakdown[i].stats;
-      if (winner < 0) out.depth = std::max(out.depth, breakdown[i].depth);
-      if (mailbox != nullptr) {
-        breakdown[i].lemmas_published = mailbox->published_by(i);
-        breakdown[i].lemmas_absorbed = mailbox->absorbed_by(i);
-      }
-    }
-    out.breakdown = std::move(breakdown);
-    out.stats.seconds = watch.seconds();
-    return out;
-  };
-
-  for (const std::size_t budget : budgets) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (options_.stop != nullptr &&
-          options_.stop->load(std::memory_order_relaxed)) {
-        return finish(-1, {});
-      }
-      EngineResult r;
-      GENFV_TRACE_SPAN("portfolio", member_span_name(members_[i]));
-      try {
-        EngineOptions opts = member_options(options_, mailbox, i);
-        opts.max_steps = budget;
-        auto engine = make_engine(members_[i], ts_, opts);
-        r = engine->prove_all(properties);
-      } catch (const std::exception& e) {
-        breakdown[i].note = e.what();
-        continue;
-      }
-      breakdown[i].verdict = r.verdict;
-      breakdown[i].depth = std::max(breakdown[i].depth, r.depth);
-      breakdown[i].stats += r.stats;
-      // Keep the *deepest* step CEX: each slice's artefact supersedes the
-      // shallower one from the previous budget, matching what the threaded
-      // mode (one full-depth run) hands the repair loop.
-      if (r.step_cex.has_value()) out.step_cex = std::move(r.step_cex);
-      if (conclusive(r.verdict)) return finish(static_cast<std::ptrdiff_t>(i), std::move(r));
-    }
-  }
-  return finish(-1, {});
 }
 
 }  // namespace genfv::mc

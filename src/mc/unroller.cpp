@@ -4,7 +4,7 @@
 
 namespace genfv::mc {
 
-Unroller::Unroller(const ir::TransitionSystem& ts, sat::Backend& solver)
+Unroller::Unroller(const ir::TransitionSystem& ts, sat::Solver& solver)
     : ts_(ts), solver_(solver), blaster_(solver) {
   ts_.validate();
   extend_to(0);

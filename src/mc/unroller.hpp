@@ -21,10 +21,10 @@ namespace genfv::mc {
 
 class Unroller {
  public:
-  Unroller(const ir::TransitionSystem& ts, sat::Backend& solver);
+  Unroller(const ir::TransitionSystem& ts, sat::Solver& solver);
 
   const ir::TransitionSystem& system() const noexcept { return ts_; }
-  sat::Backend& solver() noexcept { return solver_; }
+  sat::Solver& solver() noexcept { return solver_; }
   bitblast::BitBlaster& blaster() noexcept { return blaster_; }
 
   /// Number of frames currently materialized (frame indices 0..count-1).
@@ -39,7 +39,7 @@ class Unroller {
   /// Literal/bits of an arbitrary expression evaluated at `frame`
   /// (the frame must already exist). Returned bits are frozen: the caller
   /// holds them as handles it may re-reference (assumptions, new clauses),
-  /// so the backend must never eliminate them.
+  /// so the solver must never eliminate them.
   sat::Lit lit_at(ir::NodeRef expr, std::size_t frame);
   const bitblast::Bits& bits_at(ir::NodeRef expr, std::size_t frame);
 
@@ -61,7 +61,7 @@ class Unroller {
   void freeze_bits(const bitblast::Bits& bits);
 
   const ir::TransitionSystem& ts_;
-  sat::Backend& solver_;
+  sat::Solver& solver_;
   bitblast::BitBlaster blaster_;
   /// Per-frame blast cache; leaf bindings seeded at frame construction.
   std::vector<bitblast::BlastCache> frames_;

@@ -1,5 +1,7 @@
 #include "sat/dimacs.hpp"
 
+#include <charconv>
+#include <climits>
 #include <cstdlib>
 #include <sstream>
 
@@ -8,6 +10,24 @@
 #include "util/strings.hpp"
 
 namespace genfv::sat {
+
+namespace {
+
+/// `token` as a whole int in [lo, hi]; anything else (trailing junk, a
+/// number out of range) throws ParseError naming the token.
+int parse_int(const std::string& token, int lo, int hi, const char* what) {
+  int value = 0;
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || stop != end || value < lo || value > hi) {
+    throw ParseError("dimacs: bad " + std::string(what) + " '" + token +
+                     "' (want a whole integer in [" + std::to_string(lo) + ", " +
+                     std::to_string(hi) + "])");
+  }
+  return value;
+}
+
+}  // namespace
 
 Cnf parse_dimacs(const std::string& text) {
   Cnf cnf;
@@ -23,22 +43,16 @@ Cnf parse_dimacs(const std::string& text) {
       if (fields.size() != 4 || fields[1] != "cnf") {
         throw ParseError("dimacs: malformed problem line: " + trimmed);
       }
-      cnf.num_vars = std::atoi(fields[2].c_str());
-      declared_clauses = std::atoi(fields[3].c_str());
+      cnf.num_vars = parse_int(fields[2], 0, INT_MAX, "variable count");
+      declared_clauses = parse_int(fields[3], 0, INT_MAX, "clause count");
       continue;
     }
     for (const auto& token : util::split_ws(trimmed)) {
-      const int lit = std::atoi(token.c_str());
-      if (lit == 0 && token != "0") {
-        throw ParseError("dimacs: bad literal token: " + token);
-      }
+      const int lit = parse_int(token, -cnf.num_vars, cnf.num_vars, "literal");
       if (lit == 0) {
         cnf.clauses.push_back(current);
         current.clear();
       } else {
-        if (std::abs(lit) > cnf.num_vars) {
-          throw ParseError("dimacs: literal exceeds declared variable count");
-        }
         current.push_back(lit);
       }
     }
@@ -61,7 +75,7 @@ std::string to_dimacs(const Cnf& cnf) {
   return out.str();
 }
 
-bool load_cnf(const Cnf& cnf, Backend& solver) {
+bool load_cnf(const Cnf& cnf, Solver& solver) {
   while (solver.num_vars() < cnf.num_vars) solver.new_var();
   for (const auto& clause : cnf.clauses) {
     std::vector<Lit> lits;

@@ -13,7 +13,7 @@
 
 namespace genfv::sat {
 
-class Backend;
+class Solver;
 
 /// A raw CNF: clauses over 1-based DIMACS variables (negative = negated).
 struct Cnf {
@@ -30,6 +30,6 @@ std::string to_dimacs(const Cnf& cnf);
 /// Load `cnf` into `solver` (creates variables as needed); the literal
 /// mapping is implicit: DIMACS var i -> solver var i-1.
 /// Returns false if the solver became UNSAT while loading.
-bool load_cnf(const Cnf& cnf, Backend& solver);
+bool load_cnf(const Cnf& cnf, Solver& solver);
 
 }  // namespace genfv::sat

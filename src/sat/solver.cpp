@@ -15,6 +15,16 @@ namespace genfv::sat {
 Solver::Solver() : order_heap_(activity_) {}
 Solver::~Solver() = default;
 
+Lit Solver::true_lit() {
+  if (true_var_ == kUndefVar) {
+    true_var_ = new_var(/*decision=*/false);
+    freeze(true_var_);
+    const bool ok = add_clause(mk_lit(true_var_));
+    GENFV_ASSERT(ok, "asserting the constant-true literal cannot fail");
+  }
+  return mk_lit(true_var_);
+}
+
 void Solver::Clause::assign(std::span<const Lit> lits) {
   GENFV_ASSERT(lits.size() <= count, "a clause never grows in place");
   if (lits.data() != begin()) std::copy(lits.begin(), lits.end(), begin());

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file solver.hpp
-/// A from-scratch CDCL SAT solver in the MiniSat lineage — the in-tree
-/// `sat::Backend` implementation and the default everywhere.
+/// A from-scratch CDCL SAT solver in the MiniSat lineage — the one SAT
+/// solver every engine, the bit-blaster and `genfv_cli sat` solve through.
 ///
 /// Features:
 ///  * two-watched-literal unit propagation with blocker literals,
@@ -37,9 +37,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "sat/backend.hpp"
 #include "sat/heap.hpp"
 #include "sat/types.hpp"
 
@@ -48,19 +48,60 @@ namespace genfv::sat {
 class DratWriter;
 class Inprocessor;
 
-class Solver final : public Backend {
+/// Aggregate search statistics, cumulative over a solver's lifetime.
+struct SolverStats {
+  std::uint64_t solves = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t propagations = 0;
+  std::uint64_t conflicts = 0;
+  std::uint64_t restarts = 0;
+  std::uint64_t learnt_clauses = 0;
+  std::uint64_t learnt_literals = 0;
+  std::uint64_t minimized_literals = 0;
+  std::uint64_t deleted_clauses = 0;
+  std::uint64_t reductions = 0;  // clause-database reductions run
+  // Inprocessing (sessions between restarts; see sat/inprocess.hpp).
+  std::uint64_t inprocessings = 0;
+  std::uint64_t subsumed_clauses = 0;
+  std::uint64_t strengthened_clauses = 0;
+  std::uint64_t eliminated_vars = 0;
+  std::uint64_t restored_vars = 0;
+  std::uint64_t vivified_clauses = 0;
+
+  SolverStats& operator+=(const SolverStats& other) noexcept {
+    solves += other.solves;
+    decisions += other.decisions;
+    propagations += other.propagations;
+    conflicts += other.conflicts;
+    restarts += other.restarts;
+    learnt_clauses += other.learnt_clauses;
+    learnt_literals += other.learnt_literals;
+    minimized_literals += other.minimized_literals;
+    deleted_clauses += other.deleted_clauses;
+    reductions += other.reductions;
+    inprocessings += other.inprocessings;
+    subsumed_clauses += other.subsumed_clauses;
+    strengthened_clauses += other.strengthened_clauses;
+    eliminated_vars += other.eliminated_vars;
+    restored_vars += other.restored_vars;
+    vivified_clauses += other.vivified_clauses;
+    return *this;
+  }
+};
+
+class Solver {
  public:
   Solver();
-  ~Solver() override;
+  ~Solver();
 
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
   /// Create a fresh variable and return it. `decision` controls whether the
   /// search may branch on it (auxiliary Tseitin variables still may).
-  Var new_var(bool decision = true) override;
+  Var new_var(bool decision = true);
 
-  int num_vars() const noexcept override { return static_cast<int>(assigns_.size()); }
+  int num_vars() const noexcept { return static_cast<int>(assigns_.size()); }
   std::size_t num_clauses() const noexcept { return clauses_.size(); }
   std::size_t num_learnts() const noexcept { return learnts_.size() - learnt_holes_; }
 
@@ -68,27 +109,29 @@ class Solver final : public Backend {
   /// UNSAT at level 0. Must be called at decision level 0. A clause
   /// mentioning an eliminated variable first restores the whole elimination
   /// stack (restore-on-import).
-  using Backend::add_clause;
-  bool add_clause(std::vector<Lit> lits) override;
+  bool add_clause(std::vector<Lit> lits);
+  bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
+  bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
+  bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
 
   /// Solve under `assumptions`. Returns True (SAT: model available),
   /// False (UNSAT: failed-assumption core available), or Undef when the
   /// conflict budget ran out. Assumption variables are implicitly frozen
   /// for the rest of the solver's life.
-  LBool solve(const std::vector<Lit>& assumptions = {}) override;
+  LBool solve(const std::vector<Lit>& assumptions = {});
 
   /// Value of `p` in the most recent satisfying model. Models cover
   /// eliminated variables (extended through the elimination stack).
-  LBool model_value(Lit p) const noexcept override;
-  LBool model_value(Var v) const noexcept override;
+  LBool model_value(Lit p) const noexcept;
+  LBool model_value(Var v) const noexcept;
 
   /// After an UNSAT answer: a subset of the assumptions whose conjunction is
   /// inconsistent with the clause database.
-  const std::vector<Lit>& failed_assumptions() const noexcept override { return core_; }
+  const std::vector<Lit>& failed_assumptions() const noexcept { return core_; }
 
   /// Limit the next solve() calls to roughly `budget` conflicts; -1 removes
   /// the limit.
-  void set_conflict_budget(std::int64_t budget) noexcept override {
+  void set_conflict_budget(std::int64_t budget) noexcept {
     conflict_budget_ = budget;
   }
 
@@ -99,37 +142,41 @@ class Solver final : public Backend {
   /// and any thread may set it. The pointee must outlive the solver or be
   /// detached with `set_stop_flag(nullptr)` first; nullptr (the default)
   /// disables the check.
-  void set_stop_flag(const std::atomic<bool>* stop) noexcept override { stop_ = stop; }
+  void set_stop_flag(const std::atomic<bool>* stop) noexcept { stop_ = stop; }
 
   /// True iff the clause database has been proven UNSAT outright.
-  bool inconsistent() const noexcept override { return !ok_; }
+  bool inconsistent() const noexcept { return !ok_; }
 
-  const SolverStats& stats() const noexcept override { return stats_; }
+  const SolverStats& stats() const noexcept { return stats_; }
 
   /// Current assignment of `p` (partial during search; level-0 facts between
   /// solves). Exposed for the bit-blaster's constant-literal handling.
-  LBool value(Lit p) const noexcept override {
+  LBool value(Lit p) const noexcept {
     return xor_sign(assigns_[static_cast<std::size_t>(var(p))], sign(p));
   }
-  LBool value(Var v) const noexcept override {
+  LBool value(Var v) const noexcept {
     return assigns_[static_cast<std::size_t>(v)];
   }
 
   /// Pin `v` against variable elimination. Freezing is permanent and has no
   /// effect on the search itself.
-  void freeze(Var v) override { frozen_[static_cast<std::size_t>(v)] = 1; }
+  void freeze(Var v) { frozen_[static_cast<std::size_t>(v)] = 1; }
   bool is_frozen(Var v) const noexcept { return frozen_[static_cast<std::size_t>(v)] != 0; }
   bool is_eliminated(Var v) const noexcept {
     return eliminated_[static_cast<std::size_t>(v)] != 0;
   }
 
   /// Toggle inprocessing + the LBD-tiered clause-DB policy (default on).
-  void set_inprocessing(bool on) override { inprocess_on_ = on; }
+  void set_inprocessing(bool on) { inprocess_on_ = on; }
   bool inprocessing() const noexcept { return inprocess_on_; }
 
   /// Begin DRAT logging to `<path_base>.cnf` / `<path_base>.drat`. Must be
   /// called on a pristine solver (no variables or clauses yet).
-  bool start_proof(const std::string& path_base) override;
+  bool start_proof(const std::string& path_base);
+
+  /// Literal constrained true in every model (lazily created). Lets callers
+  /// encode constants without special cases.
+  Lit true_lit();
 
   /// Run one inprocessing session immediately (level 0, between solves).
   /// Exposed for presimplification (`genfv_cli sat`) and the soundness
@@ -309,6 +356,7 @@ class Solver final : public Backend {
 
   std::unique_ptr<DratWriter> drat_;
   bool empty_clause_logged_ = false;
+  Var true_var_ = kUndefVar;
 
   SolverStats stats_;
 };

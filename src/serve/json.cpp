@@ -149,8 +149,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == Json::kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(Json::kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Json nested = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return nested;
+      }
       case '"': return Json(parse_string());
       case 't':
         if (consume_word("true")) return Json(true);
@@ -310,6 +318,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects currently open
 };
 
 }  // namespace

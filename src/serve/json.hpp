@@ -10,10 +10,15 @@
 /// points at the offending byte — same located-error discipline as the
 /// AIGER/BTOR2 frontends.
 ///
+/// Arrays and objects nest at most `Json::kMaxDepth` levels deep: the
+/// parser recurses once per level, so an unbounded depth would let one
+/// request line of `[` characters overflow the stack of the server.
+///
 /// Numbers are stored as double (the protocol only carries small integers
 /// and millisecond durations; 2^53 integer exactness is plenty). Object keys
 /// keep insertion order so responses render deterministically.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -66,9 +71,12 @@ class Json {
   /// escaped per RFC 8259; integral numbers render without a fraction.
   std::string dump() const;
 
+  /// Deepest array/object nesting `parse` accepts.
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Parse exactly one JSON value from `text` (surrounding whitespace
-  /// allowed, trailing garbage rejected). Throws ParseError, located as
-  /// "json:byte N".
+  /// allowed, trailing garbage rejected, at most kMaxDepth levels of
+  /// nesting). Throws ParseError, located as "json:byte N".
   static Json parse(const std::string& text);
 
  private:

@@ -4,19 +4,32 @@
 /// Clang Thread Safety Analysis capability macros plus the project's
 /// annotated mutex primitives. Every lock in genfv goes through this header
 /// (enforced by scripts/lint_genfv.py: no bare `std::mutex` outside
-/// thread_safety.hpp / lock_order.hpp), which buys three things at once:
+/// thread_safety.hpp), which buys two things at once:
 ///
 ///  1. **Compile-time lock checking** — under clang, `GENFV_GUARDED_BY` /
 ///     `GENFV_REQUIRES` / `GENFV_ACQUIRE` annotations turn the informal
 ///     "guarded by mu_" comments into `-Werror=thread-safety` diagnostics.
 ///     Non-clang compilers see empty macros and plain std::mutex behavior.
-///  2. **Runtime lock-order checking** — Debug builds (GENFV_LOCK_ORDER
-///     defined by CMake) route every acquire/release through the lockdep
-///     layer in util/lock_order.hpp, which records the cross-class
-///     acquisition graph and flags cycles (potential deadlocks).
-///  3. **Contention telemetry** — a named Mutex attributes its lock-wait
+///  2. **Contention telemetry** — a named Mutex attributes its lock-wait
 ///     time to `<name>_mutex_wait_ns` / `<name>_mutex_locks` when telemetry
 ///     is on.
+///
+/// Lock order. Named by the class each Mutex is constructed with; "outer ->
+/// inner" means the inner lock is taken while the outer one is held. The
+/// graph below was recorded by instrumenting every acquisition over the whole
+/// Debug test suite, and it has no cycle:
+///
+///   serve.pool     -> telemetry registry (the unnamed MetricsRegistry mutex)
+///   serve.sessions -> telemetry registry
+///
+/// Every other class is a leaf: nothing is acquired while holding
+/// serve.proof_cache, serve.stdio_out, serve.conn_send, telemetry.trace,
+/// telemetry.heartbeat, log.emit, mc.mailbox, mc.portfolio or the registry
+/// mutex. With telemetry on, a named Mutex's first lock() also resolves its
+/// contention counters under the registry mutex, an edge from every named
+/// class into the registry, which stays innermost. A new nesting must keep
+/// the graph acyclic; TSan's deadlock detector (`detect_deadlocks=1` in CI)
+/// reports an inversion it observes.
 ///
 /// Annotation conventions (docs/static-analysis.md):
 ///  * every mutex-protected field carries GENFV_GUARDED_BY(mu_);
@@ -70,36 +83,22 @@
 
 namespace genfv::util {
 
-namespace lockdep {
-// Hooks implemented in lock_order.cpp; no-op inline stubs otherwise so
-// Release builds pay nothing. `site` identifies the lock *class* (all
-// instances constructed with the same name share one node in the
-// acquisition graph, like Linux lockdep's lock classes).
-#if defined(GENFV_LOCK_ORDER)
-void on_acquire(const void* mutex, const char* site) noexcept;
-void on_release(const void* mutex, const char* site) noexcept;
-#else
-inline void on_acquire(const void*, const char*) noexcept {}
-inline void on_release(const void*, const char*) noexcept {}
-#endif
-}  // namespace lockdep
-
 // Implemented in telemetry.cpp; redeclared here so this header does not need
 // to pull in telemetry.hpp (telemetry.hpp includes *us*).
 bool telemetry_on_for_mutex() noexcept;
 std::uint64_t mutex_now_ns() noexcept;
 void mutex_contention_record(const char* name, std::uint64_t wait_ns) noexcept;
 
-/// Annotated mutex. Wraps std::mutex; adds the capability attributes, the
-/// Debug lock-order hooks, and (for named instances) contention telemetry:
+/// Annotated mutex. Wraps std::mutex; adds the capability attributes and
+/// (for named instances) contention telemetry:
 /// a Mutex constructed with name "mc.mailbox" attributes its lock waits to
 /// the `mc.mailbox_mutex_wait_ns` / `mc.mailbox_mutex_locks` counters
 /// whenever telemetry is on.
 class GENFV_CAPABILITY("mutex") Mutex {
  public:
-  /// `name` doubles as the lockdep class and the telemetry metric prefix.
-  /// It must be a string literal (or otherwise immortal). Unnamed mutexes
-  /// get the shared "mutex" lockdep class and record no telemetry.
+  /// `name` is the lock class in the documented lock order and the
+  /// telemetry metric prefix. It must be a string literal (or otherwise
+  /// immortal). Unnamed mutexes record no telemetry.
   constexpr Mutex() noexcept : name_(nullptr) {}
   constexpr explicit Mutex(const char* name) noexcept : name_(name) {}
 
@@ -114,21 +113,11 @@ class GENFV_CAPABILITY("mutex") Mutex {
     } else {
       mu_.lock();
     }
-    lockdep::on_acquire(this, site());
   }
 
-  void unlock() GENFV_RELEASE() {
-    lockdep::on_release(this, site());
-    mu_.unlock();
-  }
+  void unlock() GENFV_RELEASE() { mu_.unlock(); }
 
-  bool try_lock() GENFV_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-    lockdep::on_acquire(this, site());
-    return true;
-  }
-
-  const char* site() const noexcept { return name_ != nullptr ? name_ : "mutex"; }
+  bool try_lock() GENFV_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
@@ -182,25 +171,19 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   /// Atomically release `mu`, sleep, and re-acquire before returning.
-  /// The lockdep hooks see the release/re-acquire pair, so a wait can never
-  /// masquerade as "held across" in the acquisition graph.
   void wait(Mutex& mu) GENFV_REQUIRES(mu) {
-    lockdep::on_release(&mu, mu.site());
     std::unique_lock<std::mutex> relock(mu.mu_, std::adopt_lock);
     cv_.wait(relock);
     relock.release();
-    lockdep::on_acquire(&mu, mu.site());
   }
 
   /// Returns false on timeout (mutex re-acquired either way).
   template <typename Rep, typename Period>
   bool wait_for(Mutex& mu, const std::chrono::duration<Rep, Period>& dur)
       GENFV_REQUIRES(mu) {
-    lockdep::on_release(&mu, mu.site());
     std::unique_lock<std::mutex> relock(mu.mu_, std::adopt_lock);
     const std::cv_status status = cv_.wait_for(relock, dur);
     relock.release();
-    lockdep::on_acquire(&mu, mu.site());
     return status == std::cv_status::no_timeout;
   }
 

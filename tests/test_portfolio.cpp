@@ -1,5 +1,5 @@
-/// Portfolio engine tests: first-conclusive-verdict scheduling in both the
-/// threaded and the deterministic time-sliced mode, cooperative stop-flag
+/// Portfolio engine tests: first-conclusive-verdict scheduling of the
+/// threaded race, cooperative stop-flag
 /// cancellation of every member engine, system cloning across NodeManagers,
 /// result translation back into the caller's system, the lemma-file round
 /// trip through LemmaManager, and flow-level engine selection.
@@ -139,13 +139,10 @@ TEST(Portfolio, ExternalStopCancelsTheWholeRace) {
   EngineOptions options;
   options.max_steps = 64;
   options.stop = std::make_shared<std::atomic<bool>>(true);  // pre-cancelled
-  for (const bool threads : {true, false}) {
-    options.portfolio_threads = threads;
-    auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-    const EngineResult result = engine->prove_all(task.target_exprs());
-    EXPECT_EQ(result.verdict, Verdict::Unknown) << "threads=" << threads;
-    EXPECT_TRUE(result.winner.empty()) << "threads=" << threads;
-  }
+  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
+  const EngineResult result = engine->prove_all(task.target_exprs());
+  EXPECT_EQ(result.verdict, Verdict::Unknown);
+  EXPECT_TRUE(result.winner.empty());
 }
 
 // --- first-conclusive-verdict scheduling -------------------------------------
@@ -167,23 +164,17 @@ TEST(Portfolio, AgreesWithSingleEnginesOnTheRegistry) {
         single_conclusive = r.verdict;
       }
     }
-    for (const bool threads : {true, false}) {
-      auto task = designs::make_task(name);
-      EngineOptions options;
-      options.max_steps = kMaxSteps;
-      options.portfolio_threads = threads;
-      auto portfolio = make_engine(EngineKind::Portfolio, task.ts, options);
-      const EngineResult r = portfolio->prove_all(task.target_exprs());
-      if (single_conclusive.has_value()) {
-        EXPECT_EQ(r.verdict, *single_conclusive)
-            << name << " threads=" << threads;
-        EXPECT_FALSE(r.winner.empty()) << name;
-      } else {
-        EXPECT_EQ(r.verdict, Verdict::Unknown) << name << " threads=" << threads;
-        EXPECT_TRUE(r.winner.empty()) << name;
-      }
-      EXPECT_EQ(r.breakdown.size(), 3u) << name;
+    auto task = designs::make_task(name);
+    auto portfolio = make_engine(EngineKind::Portfolio, task.ts, {.max_steps = kMaxSteps});
+    const EngineResult r = portfolio->prove_all(task.target_exprs());
+    if (single_conclusive.has_value()) {
+      EXPECT_EQ(r.verdict, *single_conclusive) << name;
+      EXPECT_FALSE(r.winner.empty()) << name;
+    } else {
+      EXPECT_EQ(r.verdict, Verdict::Unknown) << name;
+      EXPECT_TRUE(r.winner.empty()) << name;
     }
+    EXPECT_EQ(r.breakdown.size(), 3u) << name;
   }
 }
 
@@ -202,33 +193,6 @@ TEST(Portfolio, FalsifiedCexTranslatesBackToTheOriginalSystem) {
   EXPECT_TRUE(result.cex->is_consistent());
   const NodeRef target = task.target_exprs().front();
   ASSERT_TRUE(result.cex->first_violation(target).has_value());
-}
-
-TEST(Portfolio, TimeSlicedIsDeterministic) {
-  auto run_once = [] {
-    auto task = designs::make_task("token_ring");
-    EngineOptions options;
-    options.max_steps = 16;
-    options.portfolio_threads = false;
-    auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-    return engine->prove_all(task.target_exprs());
-  };
-  const EngineResult a = run_once();
-  const EngineResult b = run_once();
-  EXPECT_EQ(a.verdict, Verdict::Proven);
-  // Live exchange hands PDR's early F_∞ clauses to k-induction, which now
-  // closes token_ring before PDR's own slice converges — deterministically.
-  EXPECT_EQ(a.winner, "k-induction");
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_EQ(a.winner, b.winner);
-  EXPECT_EQ(a.depth, b.depth);
-  EXPECT_EQ(a.stats.sat_calls, b.stats.sat_calls);
-  EXPECT_EQ(a.invariant.size(), b.invariant.size());
-  ASSERT_EQ(a.breakdown.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(a.breakdown[i].lemmas_published, b.breakdown[i].lemmas_published);
-    EXPECT_EQ(a.breakdown[i].lemmas_absorbed, b.breakdown[i].lemmas_absorbed);
-  }
 }
 
 // --- stats conservation ------------------------------------------------------
@@ -279,21 +243,6 @@ TEST(StatsConservation, ThreadedPortfolioMergeEqualsMemberSum) {
   EXPECT_GT(result.stats.sat_calls, 0u);
   EXPECT_GT(result.stats.conflicts, 0u);
   EXPECT_GT(result.stats.retired_gates, 0u);
-}
-
-TEST(StatsConservation, TimeSlicedPortfolioMergeEqualsMemberSum) {
-  // Same invariant on the deterministic scheduler, whose merge path is
-  // different: per-slice accumulation into the breakdown, summed at finish.
-  auto task = designs::make_task("token_ring");
-  EngineOptions options;
-  options.max_steps = 16;
-  options.portfolio_threads = false;
-  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-  const EngineResult result = engine->prove_all(task.target_exprs());
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  ASSERT_EQ(result.breakdown.size(), 3u);
-  EXPECT_TRUE(stats_conserved(result));
-  EXPECT_GT(result.stats.sat_calls, 0u);
 }
 
 TEST(StatsConservation, AbsorbAccumulatesEveryMappedSolverCounter) {
@@ -350,14 +299,11 @@ TEST(Portfolio, UnknownRaceForwardsAStepCexForTheRepairLoop) {
   auto task = designs::make_task("sync_counters");
   EngineOptions options;
   options.max_steps = 4;
-  for (const bool threads : {true, false}) {
-    options.portfolio_threads = threads;
-    auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-    const EngineResult result = engine->prove_all(task.target_exprs());
-    EXPECT_EQ(result.verdict, Verdict::Unknown) << "threads=" << threads;
-    ASSERT_TRUE(result.step_cex.has_value()) << "threads=" << threads;
-    EXPECT_GT(result.step_cex->size(), 0u);
-  }
+  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
+  const EngineResult result = engine->prove_all(task.target_exprs());
+  EXPECT_EQ(result.verdict, Verdict::Unknown);
+  ASSERT_TRUE(result.step_cex.has_value());
+  EXPECT_GT(result.step_cex->size(), 0u);
 }
 
 // --- live lemma exchange -----------------------------------------------------
@@ -453,30 +399,6 @@ TEST(Exchange, PdrPublishedClausesProveTokenRingForAStuckKInduction) {
   EXPECT_FALSE(result.invariant.empty());
 }
 
-TEST(Exchange, TimeSlicedKInductionAbsorbsPdrClausesMidRace) {
-  // The paper's acceptance scenario, deterministically: k-induction alone is
-  // Unknown on token_ring at this bound (asserted above), but inside the
-  // time-sliced portfolio it observes clauses PDR published during earlier
-  // (inconclusive) slices and closes the proof first.
-  auto task = designs::make_task("token_ring");
-  EngineOptions options;
-  options.max_steps = 16;
-  options.portfolio_threads = false;
-  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-  const EngineResult result = engine->prove_all(task.target_exprs());
-
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  EXPECT_EQ(result.winner, "k-induction");
-  ASSERT_EQ(result.breakdown.size(), 3u);
-  const EngineBreakdown& kind = result.breakdown[1];
-  const EngineBreakdown& pdr = result.breakdown[2];
-  ASSERT_EQ(kind.engine, "k-induction");
-  ASSERT_EQ(pdr.engine, "pdr");
-  EXPECT_GE(pdr.lemmas_published, 1u);
-  EXPECT_GE(kind.lemmas_absorbed, 1u);
-  EXPECT_FALSE(result.invariant.empty());
-}
-
 TEST(Exchange, NeverChangesAConcludedVerdict) {
   // Exchange may upgrade Unknown to a conclusive verdict (that is the
   // point), but where the exchange-off portfolio already concluded, the
@@ -491,7 +413,6 @@ TEST(Exchange, NeverChangesAConcludedVerdict) {
       auto task = designs::make_task(name);
       EngineOptions options;
       options.max_steps = 12;
-      options.portfolio_threads = false;
       options.exchange = exchange;
       auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
       verdicts[exchange ? 1 : 0] = engine->prove_all(task.target_exprs()).verdict;
@@ -506,7 +427,6 @@ TEST(Exchange, DisabledExchangeKeepsTheMailboxOut) {
   auto task = designs::make_task("token_ring");
   EngineOptions options;
   options.max_steps = 16;
-  options.portfolio_threads = false;
   options.exchange = false;
   auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
   const EngineResult result = engine->prove_all(task.target_exprs());
@@ -527,7 +447,6 @@ TEST(Exchange, InprocessOptionReachesMembersThroughWholesaleCopy) {
     auto task = designs::make_task("hamming74");
     EngineOptions options;
     options.max_steps = 12;
-    options.portfolio_threads = false;
     options.sat_inprocess = inprocess;
     auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
     const EngineResult result = engine->prove_all(task.target_exprs());
@@ -582,11 +501,10 @@ TEST(Exchange, AbsorbFilterAdmitsEachManagerNeutralFormOnce) {
 }
 
 TEST(Exchange, ConsumersDedupeTheRepublishedBacklog) {
-  // A time-sliced PDR member re-publishes its F_∞ clauses at every budget,
-  // so the board fills with copies. Each consumer *run* must assert (and
-  // count) every distinct clause exactly once — and a fresh run (the next
-  // slice, with fresh solvers) absorbs each distinct clause exactly once
-  // more. This pins the slice counts the dedupe is meant to bound.
+  // Publishers may post the same clause more than once, so the board can
+  // fill with copies. Each consumer *run* must assert (and count) every
+  // distinct clause exactly once — and a fresh run, with fresh solvers,
+  // absorbs each distinct clause exactly once more.
   auto task = designs::make_task("token_ring");
   std::uint32_t token_index = 0;
   for (std::uint32_t i = 0; i < task.ts.states().size(); ++i) {
@@ -597,7 +515,7 @@ TEST(Exchange, ConsumersDedupeTheRepublishedBacklog) {
   const ExchangedClause mutex01{{{token_index, 0, false}, {token_index, 1, false}}};
   const ExchangedClause mutex02{{{token_index, 0, false}, {token_index, 2, false}}};
   mailbox->publish(0, mutex01);
-  mailbox->publish(0, mutex01);  // re-published by a later slice
+  mailbox->publish(0, mutex01);  // re-published
   mailbox->publish(0, mutex02);
   mailbox->publish(0, mutex01);  // and again
   ASSERT_EQ(mailbox->size(), 4u);
@@ -610,9 +528,9 @@ TEST(Exchange, ConsumersDedupeTheRepublishedBacklog) {
   EXPECT_EQ(first->prove_all(task.target_exprs()).verdict, Verdict::Unknown);
   EXPECT_EQ(mailbox->absorbed_by(1), 2u);  // 2 distinct facts, not 4 entries
 
-  // The next slice is a fresh engine: it re-reads the backlog and absorbs
-  // the 2 distinct facts once more — linear in distinct clauses per slice,
-  // no matter how many duplicates the board accumulates.
+  // A fresh engine re-reads the backlog and absorbs the 2 distinct facts
+  // once more — linear in distinct clauses per run, no matter how many
+  // duplicates the board accumulates.
   auto second = make_engine(EngineKind::Bmc, task.ts, options);
   EXPECT_EQ(second->prove_all(task.target_exprs()).verdict, Verdict::Unknown);
   EXPECT_EQ(mailbox->absorbed_by(1), 4u);
@@ -621,44 +539,20 @@ TEST(Exchange, ConsumersDedupeTheRepublishedBacklog) {
 // --- satellite regressions ---------------------------------------------------
 
 TEST(Portfolio, ZeroStepBudgetIsUniformlyUnknown) {
-  // A zero budget used to build a {0} slice schedule and run every member at
-  // a zero bound; now both modes report Unknown without running anyone.
+  // A zero budget buys no exploration in any member: the portfolio reports
+  // Unknown without running anyone.
   auto task = counter_task("property bound; a != 4'd0; endproperty");  // fails at t0
-  for (const bool threads : {true, false}) {
-    EngineOptions options;
-    options.max_steps = 0;
-    options.portfolio_threads = threads;
-    auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-    const EngineResult result = engine->prove_all(task.target_exprs());
-    EXPECT_EQ(result.verdict, Verdict::Unknown) << "threads=" << threads;
-    EXPECT_TRUE(result.winner.empty());
-    ASSERT_EQ(result.breakdown.size(), 3u);
-    for (const EngineBreakdown& member : result.breakdown) {
-      EXPECT_EQ(member.note, "zero step budget");
-      EXPECT_EQ(member.stats.sat_calls, 0u);
-    }
+  EngineOptions options;
+  options.max_steps = 0;
+  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
+  const EngineResult result = engine->prove_all(task.target_exprs());
+  EXPECT_EQ(result.verdict, Verdict::Unknown);
+  EXPECT_TRUE(result.winner.empty());
+  ASSERT_EQ(result.breakdown.size(), 3u);
+  for (const EngineBreakdown& member : result.breakdown) {
+    EXPECT_EQ(member.note, "zero step budget");
+    EXPECT_EQ(member.stats.sat_calls, 0u);
   }
-}
-
-TEST(Portfolio, PowerOfTwoBudgetRunsTheFinalSliceOnce) {
-  // max_steps = 2 must build the schedule {1, 2}, never {1, 2, 2}: a
-  // duplicated final slice would silently re-run every member and inflate
-  // SAT calls. (Pins the schedule invariant the dedupe guard protects.)
-  auto run_with = [](std::size_t max_steps) {
-    auto task = designs::make_task("sync_counters");  // every member stays Unknown
-    EngineOptions options;
-    options.max_steps = max_steps;
-    options.portfolio_threads = false;
-    options.exchange = false;  // keep the slice workloads identical
-    auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-    return engine->prove_all(task.target_exprs());
-  };
-  const EngineResult two = run_with(2);
-  const EngineResult three = run_with(3);  // schedule {1, 2, 3}
-  EXPECT_EQ(two.verdict, Verdict::Unknown);
-  // {1,2} must do strictly less SAT work than {1,2,3}; a duplicated final
-  // slice at 2 would close most of that gap or invert it.
-  EXPECT_LT(two.stats.sat_calls, three.stats.sat_calls);
 }
 
 TEST(WideRegisters, ElaborationRejectsWiderThan64WithLocation) {

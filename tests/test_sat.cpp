@@ -10,7 +10,6 @@
 #include <map>
 #include <sstream>
 
-#include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "util/rng.hpp"
@@ -319,10 +318,33 @@ TEST(Dimacs, ParsesCommentsAndWhitespace) {
 }
 
 TEST(Dimacs, RejectsMalformedInput) {
-  EXPECT_THROW(parse_dimacs("p cnf x y\n1 0\n"), ParseError);
-  EXPECT_THROW(parse_dimacs("p cnf 1 1\n1\n"), ParseError);     // unterminated
-  EXPECT_THROW(parse_dimacs("p cnf 1 1\n5 0\n"), ParseError);   // var out of range
-  EXPECT_THROW(parse_dimacs("p cnf 1 2\n1 0\n"), ParseError);   // count mismatch
+  // Each error names its cause. Every header field and literal must be a
+  // whole, in-range integer: the last four rows used to parse, because a
+  // prefix-reading number parser took "1x" as 1, "abc" as 0 variables and a
+  // negative count as is, and |INT_MIN| overflowed past the variable bound.
+  struct Row {
+    const char* text;
+    const char* cause;
+  };
+  const Row rows[] = {
+      {"p cnf x y\n1 0\n", "'x'"},
+      {"p cnf 1 1\n1\n", "unterminated"},
+      {"p cnf 1 1\n5 0\n", "'5'"},  // var out of range
+      {"p cnf 1 2\n1 0\n", "mismatch"},
+      {"p cnf 1 1\n1x 0\n", "'1x'"},
+      {"p cnf abc 1\n0\n", "'abc'"},
+      {"p cnf -4 0\n", "'-4'"},
+      {"p cnf 3 1\n-2147483648 0\n", "'-2147483648'"},
+  };
+  for (const Row& row : rows) {
+    try {
+      (void)parse_dimacs(row.text);
+      ADD_FAILURE() << "accepted: " << row.text;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(row.cause), std::string::npos)
+          << row.text << " -> " << e.what();
+    }
+  }
 }
 
 TEST(Dimacs, LoadIntoSolver) {
@@ -866,24 +888,6 @@ TEST(ClauseDbReduction, ReductionsInterleavedWithSessionsKeepProofAndVerdict) {
   EXPECT_EQ(replay.bad_line, "");
   EXPECT_GT(replay.deletions, 0u);
   EXPECT_EQ(replay.empty_derived, answer == LBool::False);
-}
-
-// --- backend registry -----------------------------------------------------------
-
-TEST(BackendRegistry, InternalIsDefaultAndUnknownNamesThrow) {
-  const std::vector<std::string> names = backend_names();
-  ASSERT_FALSE(names.empty());
-  EXPECT_NE(std::find(names.begin(), names.end(), "internal"), names.end());
-
-  const std::unique_ptr<Backend> backend = make_backend("internal");
-  ASSERT_NE(backend, nullptr);
-  EXPECT_NE(dynamic_cast<Solver*>(backend.get()), nullptr);
-  const Var v = backend->new_var();
-  ASSERT_TRUE(backend->add_clause(pos(v)));
-  EXPECT_EQ(backend->solve(), LBool::True);
-  EXPECT_EQ(backend->model_value(v), LBool::True);
-
-  EXPECT_THROW((void)make_backend("cadical-from-the-future"), UsageError);
 }
 
 }  // namespace

@@ -161,6 +161,28 @@ TEST(ServeJson, MalformedInputThrowsLocatedParseError) {
   }
 }
 
+TEST(ServeJson, NestingDeeperThanTheLimitIsALocatedParseError) {
+  // The parser recurses once per level: without a limit a line of '['
+  // characters overflows the stack instead of failing the parse.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(Json::parse(nested(Json::kMaxDepth)).dump(), nested(Json::kMaxDepth));
+  for (const std::string& text :
+       {nested(Json::kMaxDepth + 1), std::string(1000000, '['),
+        std::string(Json::kMaxDepth, '[') + "{\"a\":1}"}) {
+    try {
+      Json::parse(text);
+      ADD_FAILURE() << "parse accepted " << text.size() << " bytes of nesting";
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("json:byte " + std::to_string(Json::kMaxDepth)), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("nesting deeper than"), std::string::npos) << what;
+    }
+  }
+}
+
 // --- protocol ----------------------------------------------------------------
 
 TEST(ServeProtocol, EveryMalformedRequestClassIsLocated) {
@@ -225,6 +247,23 @@ TEST(ServeProtocol, EveryMalformedRequestClassIsLocated) {
   const std::size_t before = log.size();
   server.handle_line("   \t", log.sink());
   EXPECT_EQ(log.size(), before);
+}
+
+TEST(ServeProtocol, TooDeepRequestIsAnErrorAndTheServerKeepsServing) {
+  ServerOptions options;
+  options.workers = 1;
+  ResponseLog log;
+  Server server(options);
+
+  server.handle_line(std::string(1000000, '['), log.sink());
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_FALSE(bool_field(log.last(), "ok"));
+  EXPECT_EQ(string_field(log.last(), "error"), "bad-json");
+  EXPECT_NE(string_field(log.last(), "message").find("nesting deeper than"),
+            std::string::npos);
+
+  server.handle_line(R"({"id":"after","op":"status"})", log.sink());
+  EXPECT_TRUE(bool_field(log.wait_for("\"after\""), "ok"));
 }
 
 TEST(ServeProtocol, VerifyStatusShutdownRoundTrip) {

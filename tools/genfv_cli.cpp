@@ -14,9 +14,9 @@
 ///   genfv_cli demo <design> [options]
 ///       Run a built-in zoo design through the selected flow.
 ///   genfv_cli sat <file.cnf> [options]
-///       Solve a DIMACS CNF with the SAT backend directly (no model
+///       Solve a DIMACS CNF with the SAT solver directly (no model
 ///       checking). Prints "s SATISFIABLE" / "s UNSATISFIABLE"; honours
-///       --sat-backend, --sat-inprocess and --drat-out, which makes it the
+///       --sat-inprocess and --drat-out, which makes it the
 ///       harness the DRAT-certificate CI check drives (scripts/check_drat.py).
 ///   genfv_cli designs
 ///       List the built-in design zoo.
@@ -32,9 +32,6 @@
 ///   --seed-candidates on|off         seed PDR frames with unproven candidate
 ///                                    lemmas under the may-proof discipline
 ///                                    (default: off; see docs/lemmas.md)
-///   --sat-backend <name>             SAT backend for every engine solver
-///                                    (default: internal — the in-tree CDCL
-///                                    core; see docs/sat.md)
 ///   --sat-inprocess on|off           inprocessing between restarts plus the
 ///                                    LBD-tiered learnt-clause DB (default:
 ///                                    on; off pins the plain-CDCL behavior)
@@ -86,7 +83,6 @@
 #include "ir/printer.hpp"
 #include "ir/serialize.hpp"
 #include "mc/engine.hpp"
-#include "sat/backend.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "sim/vcd.hpp"
@@ -109,7 +105,6 @@ struct CliOptions {
   mc::EngineKind engine = mc::EngineKind::KInduction;
   bool exchange = true;
   bool seed_candidates = false;
-  std::string sat_backend = "internal";
   bool sat_inprocess = true;
   std::string drat_out;
   std::string model = "gpt-4o";
@@ -135,11 +130,11 @@ struct CliOptions {
                "  genfv_cli prove --rtl <file.aag|aig|btor|btor2> [--property \"[engine:]<name>\"]\n"
                "  genfv_cli <file.aag|aig|btor|btor2|sv> [options]   (prove shorthand)\n"
                "  genfv_cli demo <design> [options]\n"
-               "  genfv_cli sat <file.cnf> [--sat-backend <name>] [--drat-out <path>]\n"
+               "  genfv_cli sat <file.cnf> [--sat-inprocess on|off] [--drat-out <path>]\n"
                "  genfv_cli designs | models\n"
                "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
                "         --exchange on|off  --seed-candidates on|off\n"
-               "         --sat-backend <name>  --sat-inprocess on|off  --drat-out <path>\n"
+               "         --sat-inprocess on|off  --drat-out <path>\n"
                "         --emit-lemmas <file>  --use-lemmas <file>\n"
                "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
                "         --dump-ts <file>  --dump-aiger <file.aag>  --vcd <file>  --verbose\n"
@@ -230,7 +225,6 @@ CliOptions parse_args(int argc, char** argv) {
       else if (value == "off") opts.seed_candidates = false;
       else usage("--seed-candidates takes 'on' or 'off'");
     }
-    else if (arg == "--sat-backend") opts.sat_backend = need_value("--sat-backend");
     else if (arg == "--sat-inprocess") {
       const std::string value = need_value("--sat-inprocess");
       if (value == "on") opts.sat_inprocess = true;
@@ -355,7 +349,6 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   base.max_steps = opts.max_k;
   base.exchange = opts.exchange;
   base.pdr_seed_candidates = opts.seed_candidates;
-  base.sat_backend = opts.sat_backend;
   base.sat_inprocess = opts.sat_inprocess;
   base.drat_path = opts.drat_out;
   if (!opts.use_lemmas_path.empty()) {
@@ -455,7 +448,6 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.target_engine = opts.engine;
   options.exchange = opts.exchange;
   options.pdr_seed_candidates = opts.seed_candidates;
-  options.engine.sat_backend = opts.sat_backend;
   options.engine.sat_inprocess = opts.sat_inprocess;
   options.engine.drat_path = opts.drat_out;
   if (!opts.use_lemmas_path.empty()) {
@@ -524,31 +516,27 @@ void select_targets(flow::VerificationTask& task, const std::vector<std::string>
   task.target_indices = std::move(selected);
 }
 
-/// `genfv_cli sat <file.cnf>` — solve a DIMACS CNF directly through the
-/// pluggable backend. This is the smallest possible harness around the SAT
-/// core: the CI DRAT check runs it with --drat-out and validates the
-/// resulting certificate with scripts/check_drat.py.
+/// `genfv_cli sat <file.cnf>` — solve a DIMACS CNF directly. This is the
+/// smallest possible harness around the SAT core: the CI DRAT check runs it
+/// with --drat-out and validates the resulting certificate with
+/// scripts/check_drat.py.
 int cmd_sat(const CliOptions& opts) {
   const sat::Cnf cnf = sat::parse_dimacs(read_file(opts.rtl_path));
-  const std::unique_ptr<sat::Backend> backend = sat::make_backend(opts.sat_backend);
-  backend->set_inprocessing(opts.sat_inprocess);
-  if (!opts.drat_out.empty() && !backend->start_proof(opts.drat_out)) {
-    std::fprintf(stderr, "error: backend '%s' cannot write a proof to '%s'\n",
-                 opts.sat_backend.c_str(), opts.drat_out.c_str());
+  sat::Solver solver;
+  solver.set_inprocessing(opts.sat_inprocess);
+  if (!opts.drat_out.empty() && !solver.start_proof(opts.drat_out)) {
+    std::fprintf(stderr, "error: cannot write a proof to '%s'\n", opts.drat_out.c_str());
     return 2;
   }
   sat::LBool verdict = sat::LBool::Undef;
-  if (!sat::load_cnf(cnf, *backend)) {
+  if (!sat::load_cnf(cnf, solver)) {
     verdict = sat::LBool::False;
   } else {
-    // A standalone solve has no assumptions to protect, so let the in-tree
-    // solver run one deterministic inprocessing session up front — the same
-    // passes the incremental path runs between restarts.
-    if (auto* solver = dynamic_cast<sat::Solver*>(backend.get());
-        solver != nullptr && opts.sat_inprocess) {
-      solver->simplify_now();
-    }
-    verdict = backend->inconsistent() ? sat::LBool::False : backend->solve();
+    // A standalone solve has no assumptions to protect, so run one
+    // deterministic inprocessing session up front — the same passes the
+    // incremental path runs between restarts.
+    if (opts.sat_inprocess) solver.simplify_now();
+    verdict = solver.inconsistent() ? sat::LBool::False : solver.solve();
   }
   switch (verdict) {
     case sat::LBool::True: std::printf("s SATISFIABLE\n"); return 0;
