@@ -10,7 +10,7 @@ proofs show up here before anything else. Wall-clock numbers are reported
 but never gate the build: CI machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
-BENCH_PR16.json (see docs/benchmarks.md) — every (design, engine) cell
+BENCH_PR17.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
 run can never silently drift from the checked-in trajectory. Cells whose
 kind is not "portfolio" must also agree exactly on the deterministic work
@@ -23,8 +23,11 @@ import json
 import sys
 
 # Work counters that single-threaded (non-portfolio) cells reproduce exactly
-# from run to run and machine to machine; gated against the baseline.
-DETERMINISTIC_COUNTERS = ("sat_calls", "conflicts", "depth")
+# from run to run and machine to machine; gated against the baseline. The
+# CNF size (variables and problem clauses of the cell's solvers at finish)
+# catches encoding changes that happen to leave the search counts alone.
+DETERMINISTIC_COUNTERS = ("sat_calls", "conflicts", "propagations", "depth",
+                          "cnf_vars", "cnf_clauses")
 
 # verdict expected from every engine that can conclude on the design at the
 # shootout's step budget (max_steps = 12). "unknown" rows are design/engine

@@ -230,9 +230,50 @@ const Bits& BitBlaster::blast(ir::NodeRef node, BlastCache& cache) {
     }
     if (!ready) continue;
     stack.pop_back();
-    cache.emplace(n, blast_uncached(n, cache));
+    cache.emplace(n, blast_node(n, cache));
   }
   return cache.at(node);
+}
+
+std::size_t BitBlaster::MemoKeyHash::operator()(const MemoKey& key) const noexcept {
+  std::uint64_t h = 0x9E3779B97F4A7C15ULL;
+  for (const std::int32_t x : key) {
+    h ^= static_cast<std::uint32_t>(x);
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 32;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+Bits BitBlaster::blast_node(ir::NodeRef n, BlastCache& cache) {
+  switch (n->op()) {
+    case ir::Op::Const:
+    case ir::Op::Input:
+    case ir::Op::State:
+    case ir::Op::Not:
+    case ir::Op::Concat:
+    case ir::Op::Extract:
+    case ir::Op::ZExt:
+    case ir::Op::SExt:
+      return blast_uncached(n, cache);  // no clauses to share
+    default:
+      break;
+  }
+  MemoKey key{static_cast<std::int32_t>(n->op()), static_cast<std::int32_t>(n->width())};
+  for (const ir::NodeRef c : n->children()) {
+    const Bits& bits = cache.at(c);
+    key.push_back(static_cast<std::int32_t>(bits.size()));
+    for (const Lit p : bits) key.push_back(p.code);
+  }
+  const auto it = memo_.find(key);
+  if (it != memo_.end()) {
+    bool live = true;
+    for (const Lit p : it->second) live = live && !solver_.is_eliminated(sat::var(p));
+    if (live) return it->second;
+  }
+  Bits bits = blast_uncached(n, cache);
+  memo_.insert_or_assign(std::move(key), bits);
+  return bits;
 }
 
 sat::Lit BitBlaster::blast_bit(ir::NodeRef node, BlastCache& cache) {

@@ -8,9 +8,21 @@
 ///  * Leaves (Input/State) must be pre-bound in the per-query cache by the
 ///    caller (the unroller binds them per time frame); constants map to the
 ///    solver's constant-true literal and its negation.
-///  * The blaster itself is stateless across queries: all memoization lives
-///    in the caller-provided cache, so one blaster serves many frames.
+///  * Two levels of memoization. The caller-provided cache maps IR nodes to
+///    bits per query (the unroller keeps one per time frame). Under it, the
+///    blaster keeps one word-level structural-hashing memo for its solver,
+///    keyed by (operator, width, operand bits): an operator whose operands
+///    are bit-for-bit those of an earlier one returns the earlier result and
+///    emits no clause. Identical logic in different frames, or two copies of
+///    one datapath fed the same bits, thus share one encoding. Leaves,
+///    constants and the pure-wiring operators (Not, Concat, Extract, ZExt,
+///    SExt) emit no clauses and are not memoized. A hit whose result bits
+///    inprocessing has eliminated is rebuilt as a miss, so re-using a memo
+///    entry never triggers restore-on-import.
+///  * Individual gates are deliberately not hashed, and level-0 facts are
+///    not folded (docs/architecture.md explains why).
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -28,8 +40,9 @@ class BitBlaster {
 
   sat::Solver& solver() noexcept { return solver_; }
 
-  /// Blast `node` into literals, memoizing in `cache`. Leaf nodes other than
-  /// constants must already be present in `cache`.
+  /// Blast `node` into literals, memoizing in `cache` (and in the blaster's
+  /// structural-hashing memo). Leaf nodes other than constants must already
+  /// be present in `cache`.
   const Bits& blast(ir::NodeRef node, BlastCache& cache);
 
   /// Single literal for a width-1 expression.
@@ -57,6 +70,9 @@ class BitBlaster {
   sat::Lit gate_xor_all(const Bits& xs);
 
  private:
+  /// One node whose children are all in `cache`: a memo hit, or a fresh
+  /// encoding recorded in the memo.
+  Bits blast_node(ir::NodeRef node, BlastCache& cache);
   Bits blast_uncached(ir::NodeRef node, BlastCache& cache);
 
   // --- word-level circuit constructions ---------------------------------------
@@ -75,8 +91,15 @@ class BitBlaster {
     return value ? p == truth_ : p == ~truth_;
   }
 
+  /// Memo key: operator, width, then each operand's size and literal codes.
+  using MemoKey = std::vector<std::int32_t>;
+  struct MemoKeyHash {
+    std::size_t operator()(const MemoKey& key) const noexcept;
+  };
+
   sat::Solver& solver_;
   sat::Lit truth_ = sat::kUndefLit;  // cached constant-true literal
+  std::unordered_map<MemoKey, Bits, MemoKeyHash> memo_;
 };
 
 }  // namespace genfv::bitblast

@@ -20,8 +20,7 @@ EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   solver.set_stop_flag(options_.stop.get());
   solver.set_inprocessing(options_.sat_inprocess);
   if (!options_.drat_path.empty()) solver.start_proof(options_.drat_path);
-  Unroller unroller(ts_, solver);
-  unroller.assert_init();
+  Unroller unroller(ts_, solver, FrameZero::Init);
 
   // Invariants (seeded lemmas + absorbed exchange clauses) asserted at every
   // frame.
@@ -79,7 +78,7 @@ EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     result.depth = depth;
   }
 
-  result.stats.absorb(solver.stats());
+  result.stats.absorb(solver);
   result.stats.seconds = watch.seconds();
   return result;
 }

@@ -24,15 +24,14 @@ EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& propert
   base_solver.set_stop_flag(options_.stop.get());
   base_solver.set_inprocessing(options_.sat_inprocess);
   if (!options_.drat_path.empty()) base_solver.start_proof(options_.drat_path + "_base");
-  Unroller base(ts_, base_solver);
-  base.assert_init();
+  Unroller base(ts_, base_solver, FrameZero::Init);
 
   sat::Solver step_solver;
   step_solver.set_conflict_budget(options_.conflict_budget);
   step_solver.set_stop_flag(options_.stop.get());
   step_solver.set_inprocessing(options_.sat_inprocess);
   if (!options_.drat_path.empty()) step_solver.start_proof(options_.drat_path + "_step");
-  Unroller step(ts_, step_solver);  // no init: arbitrary start state
+  Unroller step(ts_, step_solver, FrameZero::Free);  // arbitrary start state
 
   // Invariants asserted on every materialized frame of both cases: the
   // seeded lemmas plus any proven clauses absorbed from the live exchange.
@@ -77,8 +76,8 @@ EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& propert
     result.verdict = verdict;
     result.depth = k;
     if (verdict != Verdict::Proven) result.invariant.clear();
-    result.stats.absorb(base_solver.stats());
-    result.stats.absorb(step_solver.stats());
+    result.stats.absorb(base_solver);
+    result.stats.absorb(step_solver);
     result.stats.seconds = watch.seconds();
     return result;
   };

@@ -24,8 +24,7 @@ QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
             options.drat_path.empty() ? std::string() : options.drat_path + "-p1");
   // Initiation solver: frame 0 under init. intersects_init runs on
   // assumptions only, so no gate litter ever accumulates here.
-  init_unr_ = std::make_unique<Unroller>(ts_, init_solver());
-  init_unr_->assert_init();
+  init_unr_ = std::make_unique<Unroller>(ts_, init_solver(), FrameZero::Init);
   for (const ir::NodeRef lemma : options_.lemmas) init_unr_->assert_at(lemma, 0);
   init_prop_ = init_unr_->lit_at(property_, 0);
 

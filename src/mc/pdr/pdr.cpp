@@ -85,8 +85,8 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   auto finish = [&](Verdict verdict, std::size_t depth) {
     result.verdict = verdict;
     result.depth = depth;
-    result.stats.absorb(ctx.solver().stats());
-    result.stats.absorb(ctx.init_solver().stats());
+    result.stats.absorb(ctx.solver());
+    result.stats.absorb(ctx.init_solver());
     result.stats.retired_gates += ctx.retired_gates();
     result.stats.candidates_seeded += db.may_seeded();
     result.stats.candidates_graduated += db.may_graduated();

@@ -33,6 +33,12 @@ void EngineStats::absorb(const sat::SolverStats& solver) {
   vivified_clauses += solver.vivified_clauses;
 }
 
+void EngineStats::absorb(const sat::Solver& solver) {
+  absorb(solver.stats());
+  cnf_vars += static_cast<std::uint64_t>(solver.num_vars());
+  cnf_clauses += solver.num_clauses();
+}
+
 void EngineStats::publish_metrics(const std::string& prefix) const {
   auto& reg = util::metrics();
   for_each_counter(

@@ -10,6 +10,7 @@
 #include "ir/transition_system.hpp"
 
 namespace genfv::sat {
+class Solver;
 struct SolverStats;
 }
 
@@ -59,6 +60,10 @@ struct EngineStats {
   std::uint64_t candidates_seeded = 0;
   std::uint64_t candidates_graduated = 0;
   std::uint64_t candidates_retracted = 0;
+  /// CNF size: variables and problem clauses of every absorbed solver when
+  /// the engine finished (learnt clauses not included).
+  std::uint64_t cnf_vars = 0;
+  std::uint64_t cnf_clauses = 0;
   double seconds = 0.0;
 
   /// The one list of counters (everything but `seconds`): calls
@@ -83,11 +88,15 @@ struct EngineStats {
     visit("candidates_seeded", stats.candidates_seeded...);
     visit("candidates_graduated", stats.candidates_graduated...);
     visit("candidates_retracted", stats.candidates_retracted...);
+    visit("cnf_vars", stats.cnf_vars...);
+    visit("cnf_clauses", stats.cnf_clauses...);
   }
 
   /// Fold one solver's lifetime counters into this record (sat_calls gains
   /// the solver's solve() count).
   void absorb(const sat::SolverStats& solver);
+  /// The same for a solver the engine owned, plus its CNF size now.
+  void absorb(const sat::Solver& solver);
 
   /// Publish every counter into the global metrics registry under `prefix`
   /// (e.g. "engine." -> "engine.sat_calls"). The CLI's stats printing and

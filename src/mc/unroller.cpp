@@ -1,11 +1,13 @@
 #include "mc/unroller.hpp"
 
+#include "ir/substitute.hpp"
 #include "util/status.hpp"
 
 namespace genfv::mc {
 
-Unroller::Unroller(const ir::TransitionSystem& ts, sat::Solver& solver)
-    : ts_(ts), solver_(solver), blaster_(solver) {
+Unroller::Unroller(const ir::TransitionSystem& ts, sat::Solver& solver,
+                   FrameZero frame_zero)
+    : ts_(ts), solver_(solver), frame_zero_(frame_zero), blaster_(solver) {
   ts_.validate();
   extend_to(0);
 }
@@ -29,11 +31,26 @@ void Unroller::build_frame(std::size_t frame) {
   }
 
   if (frame == 0) {
-    // Frame-0 states: fresh, unconstrained until assert_init().
+    const bool from_init = frame_zero_ == FrameZero::Init;
+    std::vector<const ir::StateVar*> tied;
     for (const auto& s : ts_.states()) {
+      if (from_init && s.init != nullptr && ir::collect_leaves(s.init).empty()) {
+        // Constant init: the frame-0 bits are the constant literals.
+        const bitblast::Bits bits = blaster_.blast(s.init, cache);
+        freeze_bits(bits);
+        cache.emplace(s.var, bits);
+        continue;
+      }
       const auto [it, inserted] =
           cache.emplace(s.var, blaster_.fresh_vector(s.var->width()));
       freeze_bits(it->second);
+      if (from_init && s.init != nullptr) tied.push_back(&s);
+    }
+    // Inits that read other states or inputs, once every leaf is bound.
+    for (const ir::StateVar* s : tied) {
+      const bitblast::Bits state_bits = cache.at(s->var);
+      const bitblast::Bits init_bits = blaster_.blast(s->init, cache);
+      blaster_.assert_equal(state_bits, init_bits);
     }
   } else {
     // Functional unrolling: next-state expressions of the previous frame.
@@ -54,18 +71,6 @@ void Unroller::build_frame(std::size_t frame) {
 
 void Unroller::extend_to(std::size_t frame) {
   while (frames_.size() <= frame) build_frame(frames_.size());
-}
-
-void Unroller::assert_init() {
-  if (init_asserted_) return;
-  init_asserted_ = true;
-  auto& cache = frames_[0];
-  for (const auto& s : ts_.states()) {
-    if (s.init == nullptr) continue;  // unconstrained register
-    const bitblast::Bits init_bits = blaster_.blast(s.init, cache);
-    const bitblast::Bits state_bits = cache.at(s.var);
-    blaster_.assert_equal(state_bits, init_bits);
-  }
 }
 
 sat::Lit Unroller::lit_at(ir::NodeRef expr, std::size_t frame) {

@@ -6,10 +6,16 @@
 /// blasted next-state expressions of frame f (no fresh variables or equality
 /// clauses for registers).
 ///
-/// Frame-0 state bits are fresh variables; `assert_init()` optionally pins
-/// them to the init expressions (BMC / induction base case), while the
-/// induction step leaves them free. Environment constraints are asserted at
-/// every created frame.
+/// Frame 0 is fixed at construction. An unrolling that starts anywhere (the
+/// induction step, PDR's main solver) gives frame-0 state bits fresh
+/// variables. One that starts from init (BMC, the induction base case, PDR's
+/// initiation solver) makes each state's frame-0 bits its blasted init value
+/// when that value is a constant, so the bit-blaster folds the constants
+/// forward through the frames and, through its structural-hashing memo,
+/// identical logic fed identical bits shares one encoding. A state whose
+/// init expression reads other states or inputs keeps fresh frame-0 bits,
+/// tied to its init bits by equality clauses; a state without init is free.
+/// Environment constraints are asserted at every created frame.
 
 #include <vector>
 
@@ -19,9 +25,13 @@
 
 namespace genfv::mc {
 
+/// Where frame 0 starts: any state, or the system's initial states.
+enum class FrameZero { Free, Init };
+
 class Unroller {
  public:
-  Unroller(const ir::TransitionSystem& ts, sat::Solver& solver);
+  Unroller(const ir::TransitionSystem& ts, sat::Solver& solver,
+           FrameZero frame_zero = FrameZero::Free);
 
   const ir::TransitionSystem& system() const noexcept { return ts_; }
   sat::Solver& solver() noexcept { return solver_; }
@@ -32,9 +42,6 @@ class Unroller {
 
   /// Materialize frames up to and including `frame`.
   void extend_to(std::size_t frame);
-
-  /// Constrain frame-0 states to their init expressions. Idempotent.
-  void assert_init();
 
   /// Literal/bits of an arbitrary expression evaluated at `frame`
   /// (the frame must already exist). Returned bits are frozen: the caller
@@ -62,10 +69,10 @@ class Unroller {
 
   const ir::TransitionSystem& ts_;
   sat::Solver& solver_;
+  const FrameZero frame_zero_;
   bitblast::BitBlaster blaster_;
   /// Per-frame blast cache; leaf bindings seeded at frame construction.
   std::vector<bitblast::BlastCache> frames_;
-  bool init_asserted_ = false;
 };
 
 }  // namespace genfv::mc

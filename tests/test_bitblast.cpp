@@ -1,7 +1,9 @@
 /// Bit-blaster tests. The central property: for any expression DAG and any
 /// leaf valuation, the SAT encoding forced to that valuation produces
 /// exactly the reference simulator's value — checked over random DAGs
-/// (TEST_P sweep) and exhaustively for every operator at small widths.
+/// (TEST_P sweep) and exhaustively for every operator at small widths. The
+/// structural-hashing memo is checked alongside: re-blasting over the same
+/// bits must return the same bits and emit nothing.
 
 #include <gtest/gtest.h>
 
@@ -29,8 +31,13 @@ void bind_leaf(BitBlaster& blaster, BlastCache& cache, NodeRef leaf, std::uint64
 }
 
 /// Blast `expr`, force the given leaf values, solve, and read back the
-/// expression's model value.
-std::uint64_t blast_and_eval(NodeRef expr, const std::vector<std::pair<NodeRef, std::uint64_t>>& leaves) {
+/// expression's model value. With `reblast`, the expression is blasted a
+/// second time through a fresh cache whose leaves are bound to the same
+/// bits: the memo must hand back identical bits without a new variable or
+/// clause.
+std::uint64_t blast_and_eval(NodeRef expr,
+                             const std::vector<std::pair<NodeRef, std::uint64_t>>& leaves,
+                             bool reblast = false) {
   sat::Solver solver;
   BitBlaster blaster(solver);
   BlastCache cache;
@@ -39,6 +46,15 @@ std::uint64_t blast_and_eval(NodeRef expr, const std::vector<std::pair<NodeRef, 
     bind_leaf(blaster, cache, leaf, value, assumptions);
   }
   const Bits bits = blaster.blast(expr, cache);
+  if (reblast) {
+    BlastCache second;
+    for (const auto& [leaf, value] : leaves) second.emplace(leaf, cache.at(leaf));
+    const int vars = solver.num_vars();
+    const std::size_t clauses = solver.num_clauses();
+    EXPECT_EQ(blaster.blast(expr, second), bits);
+    EXPECT_EQ(solver.num_vars(), vars);
+    EXPECT_EQ(solver.num_clauses(), clauses);
+  }
   EXPECT_EQ(solver.solve(assumptions), sat::LBool::True);
   std::uint64_t out = 0;
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -193,12 +209,104 @@ TEST_P(BlastVsSimulate, RandomDagsAgreeWithSimulator) {
       env[leaf] = v;
     }
     const std::uint64_t expected = sim::evaluate(expr, env);
-    ASSERT_EQ(blast_and_eval(expr, bound), expected) << "instance " << instance;
+    ASSERT_EQ(blast_and_eval(expr, bound, /*reblast=*/true), expected)
+        << "instance " << instance;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlastVsSimulate,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
+
+TEST(BlastMemo, BitIdenticalOperandsShareOneEncoding) {
+  // x and y are different IR leaves bound to the same bits, so x*z and y*z
+  // are different nodes over bit-identical operands.
+  ir::NodeManager nm;
+  const NodeRef x = nm.mk_input("x", 6);
+  const NodeRef y = nm.mk_input("y", 6);
+  const NodeRef z = nm.mk_input("z", 6);
+  sat::Solver solver;
+  BitBlaster blaster(solver);
+  BlastCache cache;
+  const Bits xbits = blaster.fresh_vector(6);
+  cache.emplace(x, xbits);
+  cache.emplace(y, xbits);
+  cache.emplace(z, blaster.fresh_vector(6));
+
+  const NodeRef xz = nm.mk_mul(x, z);
+  const NodeRef yz = nm.mk_mul(y, z);
+  ASSERT_NE(xz, yz);
+  const Bits first = blaster.blast(xz, cache);
+  const int vars = solver.num_vars();
+  const std::size_t clauses = solver.num_clauses();
+  EXPECT_EQ(blaster.blast(yz, cache), first);
+  EXPECT_EQ(solver.num_vars(), vars);
+  EXPECT_EQ(solver.num_clauses(), clauses);
+
+  // The memo spans caches: an unrolling's next frame over the same bits
+  // hits too, and an equality of the two products folds to constant true.
+  BlastCache other{{x, xbits}, {y, xbits}, {z, cache.at(z)}};
+  EXPECT_EQ(blaster.blast(xz, other), first);
+  EXPECT_EQ(blaster.blast_bit(nm.mk_eq(xz, yz), other), blaster.lit_true());
+  EXPECT_EQ(solver.num_vars(), vars);
+  EXPECT_EQ(solver.num_clauses(), clauses);
+
+  // Different operand bits miss.
+  const NodeRef w = nm.mk_input("w", 6);
+  cache.emplace(w, blaster.fresh_vector(6));
+  EXPECT_NE(blaster.blast(nm.mk_mul(w, z), cache), first);
+  EXPECT_GT(solver.num_clauses(), clauses);
+}
+
+TEST(BlastMemo, EliminatedHitIsRebuiltAndStaysCorrect) {
+  // x + y's result bits are unfrozen Tseitin outputs used by nothing else,
+  // so bounded variable elimination removes them. Blasting the same sum
+  // again (through another leaf bound to x's bits) must build fresh bits
+  // instead of handing back eliminated ones, without restoring anything.
+  ir::NodeManager nm;
+  const NodeRef x = nm.mk_input("x", 5);
+  const NodeRef x2 = nm.mk_input("x2", 5);
+  const NodeRef y = nm.mk_input("y", 5);
+  sat::Solver solver;
+  BitBlaster blaster(solver);
+  BlastCache cache;
+  const Bits xbits = blaster.fresh_vector(5);
+  const Bits ybits = blaster.fresh_vector(5);
+  for (const Bits* leaf : {&xbits, &ybits}) {
+    for (const sat::Lit p : *leaf) solver.freeze(sat::var(p));
+  }
+  cache.emplace(x, xbits);
+  cache.emplace(x2, xbits);
+  cache.emplace(y, ybits);
+
+  const Bits first = blaster.blast(nm.mk_add(x, y), cache);
+  solver.simplify_now();
+  bool eliminated = false;
+  for (const sat::Lit p : first) eliminated = eliminated || solver.is_eliminated(sat::var(p));
+  ASSERT_TRUE(eliminated) << "the scenario needs an eliminated result bit";
+
+  const NodeRef sum = nm.mk_add(x2, y);
+  const Bits rebuilt = blaster.blast(sum, cache);
+  EXPECT_NE(rebuilt, first);
+  for (const sat::Lit p : rebuilt) EXPECT_FALSE(solver.is_eliminated(sat::var(p)));
+  EXPECT_EQ(solver.stats().restored_vars, 0u);
+
+  util::Xoshiro256 rng(77);
+  for (int round = 0; round < 16; ++round) {
+    const std::uint64_t vx = rng.bits(5);
+    const std::uint64_t vy = rng.bits(5);
+    std::vector<sat::Lit> assumptions;
+    for (unsigned i = 0; i < 5; ++i) {
+      assumptions.push_back(xbits[i] ^ !((vx >> i) & 1ULL));
+      assumptions.push_back(ybits[i] ^ !((vy >> i) & 1ULL));
+    }
+    ASSERT_EQ(solver.solve(assumptions), sat::LBool::True);
+    std::uint64_t got = 0;
+    for (std::size_t i = 0; i < rebuilt.size(); ++i) {
+      if (solver.model_value(rebuilt[i]) == sat::LBool::True) got |= 1ULL << i;
+    }
+    EXPECT_EQ(got, sim::evaluate(sum, {{x2, vx}, {y, vy}})) << vx << " + " << vy;
+  }
+}
 
 TEST(BitBlast, AssertEqualForcesEquality) {
   ir::NodeManager nm;

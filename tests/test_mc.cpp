@@ -48,17 +48,79 @@ ir::TransitionSystem sync_counters(unsigned width) {
 TEST(Unroller, FrameCountAndInit) {
   auto ts = free_counter(4);
   sat::Solver solver;
-  Unroller unroller(ts, solver);
+  Unroller unroller(ts, solver, FrameZero::Init);
   EXPECT_EQ(unroller.frame_count(), 1u);
   unroller.extend_to(3);
   EXPECT_EQ(unroller.frame_count(), 4u);
-  unroller.assert_init();
   const NodeRef c = ts.lookup("c");
-  // With init asserted, the counter value at frame f is exactly f.
+  // Started from init, the counter value at frame f is exactly f.
   ASSERT_EQ(solver.solve(), sat::LBool::True);
   for (std::size_t f = 0; f <= 3; ++f) {
     EXPECT_EQ(unroller.model_value(c, f), f);
   }
+}
+
+TEST(Unroller, ConstantInitBindsFrameZeroToConstantLiterals) {
+  ir::TransitionSystem ts;
+  auto& nm = ts.nm();
+  const NodeRef a = ts.add_state("a", 4);
+  ts.set_init(a, nm.mk_const(0b0101, 4));
+  ts.set_next(a, nm.mk_add(a, nm.mk_const(1, 4)));
+  sat::Solver solver;
+  Unroller unroller(ts, solver, FrameZero::Init);
+  const sat::Lit t = solver.true_lit();
+  const bitblast::Bits expected{t, ~t, t, ~t};  // LSB first
+  EXPECT_EQ(unroller.bits_at(a, 0), expected);
+  // With no input in the next-state logic the constants fold forward:
+  // frame 1 is 6 without a single solver clause.
+  unroller.extend_to(1);
+  EXPECT_EQ(unroller.bits_at(a, 1), (bitblast::Bits{~t, t, t, ~t}));
+  EXPECT_EQ(solver.num_clauses(), 0u);
+}
+
+TEST(Unroller, TraceReportsInitValuesAtFrameZero) {
+  ir::TransitionSystem ts;
+  auto& nm = ts.nm();
+  const NodeRef in = ts.add_input("in", 3);
+  const NodeRef acc = ts.add_state("acc", 3);
+  ts.set_init(acc, nm.mk_const(5, 3));
+  ts.set_next(acc, nm.mk_add(acc, in));
+  sat::Solver solver;
+  Unroller unroller(ts, solver, FrameZero::Init);
+  unroller.extend_to(2);
+  ASSERT_EQ(solver.solve({unroller.lit_at(nm.mk_eq(acc, nm.mk_const(0, 3)), 2)}),
+            sat::LBool::True);
+  const sim::Trace trace = unroller.extract_trace(3);
+  EXPECT_EQ(trace.value(acc, 0), 5u);
+  EXPECT_EQ(trace.value(acc, 2), 0u);
+  EXPECT_TRUE(trace.is_consistent());
+}
+
+TEST(Unroller, InitReadingOtherLeavesIsTiedByEquality) {
+  // b's init reads state a, c's init reads an input, d has no init: the
+  // three keep fresh frame-0 handles, b and c tied to their init bits.
+  ir::TransitionSystem ts;
+  auto& nm = ts.nm();
+  const NodeRef in = ts.add_input("in", 4);
+  const NodeRef a = ts.add_state("a", 4);
+  const NodeRef b = ts.add_state("b", 4);
+  const NodeRef c = ts.add_state("c", 4);
+  const NodeRef d = ts.add_state("d", 4);
+  ts.set_init(a, nm.mk_const(6, 4));
+  ts.set_init(b, nm.mk_add(a, nm.mk_const(1, 4)));
+  ts.set_init(c, nm.mk_xor(in, nm.mk_const(0xF, 4)));
+  for (const NodeRef s : {a, b, c, d}) ts.set_next(s, s);
+  sat::Solver solver;
+  Unroller unroller(ts, solver, FrameZero::Init);
+  ASSERT_EQ(solver.solve({unroller.lit_at(nm.mk_eq(in, nm.mk_const(3, 4)), 0),
+                          unroller.lit_at(nm.mk_eq(d, nm.mk_const(9, 4)), 0)}),
+            sat::LBool::True);
+  EXPECT_EQ(unroller.model_value(a, 0), 6u);
+  EXPECT_EQ(unroller.model_value(b, 0), 7u);
+  EXPECT_EQ(unroller.model_value(c, 0), 0xCu);
+  EXPECT_EQ(unroller.model_value(d, 0), 9u);
+  EXPECT_EQ(solver.solve({unroller.lit_at(nm.mk_ne(b, nm.mk_const(7, 4)), 0)}),
+            sat::LBool::False);
 }
 
 TEST(Unroller, WithoutInitFrameZeroIsFree) {
@@ -125,6 +187,18 @@ TEST(Bmc, RespectsEnvironmentConstraints) {
   ts.add_constraint(nm.mk_eq(rst, nm.mk_const(0, 1)));
   BmcEngine bmc(ts, {.max_steps = 8});
   EXPECT_EQ(bmc.prove(nm.mk_not(flag)).verdict, Verdict::Unknown);
+}
+
+TEST(Bmc, DualAccumulatorFoldsToZeroConflicts) {
+  // From reset the two accumulator chains see the same init constants and
+  // the same input bits, so the bit-blaster encodes them once and the
+  // output equality folds to constant true at every depth: no search at all.
+  const auto task = designs::make_task("dual_accumulator");
+  BmcEngine bmc(task.ts, {.max_steps = 8});
+  const EngineResult result = bmc.prove_all(task.target_exprs());
+  EXPECT_EQ(result.verdict, Verdict::Unknown);
+  EXPECT_EQ(result.depth, 8u);
+  EXPECT_EQ(result.stats.conflicts, 0u);
 }
 
 TEST(KInduction, ProvesInductiveInvariantAtKOne) {
@@ -367,9 +441,14 @@ INSTANTIATE_TEST_SUITE_P(SingleEngines, EngineOptionsReach,
 
 // --- the pinned k-induction trajectory ----------------------------------------
 
-/// SAT work of k-induction on dual_accumulator at max_k 8, recorded before
-/// the clause database moved to inline literals and an indexed reduction.
-/// That change only re-expresses the same search, so any drift in these
+/// SAT work of k-induction on dual_accumulator at max_k 8, recorded when
+/// the base case started binding frame 0 to the constant init values and the
+/// bit-blaster began sharing identical word-level operators. Both rows moved
+/// then, from 52,937 (inprocessing on) and 55,201 (off) conflicts to 261: the
+/// two accumulator chains now share one encoding from reset, so the base
+/// case's property literal folds to a constant and only the step case
+/// searches. No inprocessing session and no clause-database reduction runs
+/// in either row, which is why the two rows agree. Any drift in these
 /// counters means a decision, propagation or deletion moved.
 struct KInductionExpectation {
   bool inprocess;
@@ -381,8 +460,8 @@ struct KInductionExpectation {
   std::uint64_t deleted_clauses;
 };
 constexpr KInductionExpectation kDualAccumulatorK8[] = {
-    {true, 16, 109456, 2350578, 52937, 52937, 42539},
-    {false, 16, 110331, 4862937, 55201, 55201, 51727},
+    {true, 16, 9661, 93957, 261, 261, 0},
+    {false, 16, 9661, 93957, 261, 261, 0},
 };
 
 TEST(KInductionTrajectory, ReproducesPinnedDualAccumulatorTrajectory) {

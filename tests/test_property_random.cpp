@@ -225,8 +225,7 @@ TEST_P(RandomSystems, UnrolledEncodingMatchesSimulatorFrameByFrame) {
     constexpr std::size_t kFrames = 6;
 
     sat::Solver solver;
-    mc::Unroller unroller(sys.ts, solver);
-    unroller.assert_init();
+    mc::Unroller unroller(sys.ts, solver, mc::FrameZero::Init);
     unroller.extend_to(kFrames);
 
     // Simulator reference run with concrete inputs.
