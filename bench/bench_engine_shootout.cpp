@@ -3,8 +3,7 @@
 /// budget through the uniform `mc::Engine` interface. BMC never proves,
 /// k-induction needs the design to be inductive (or externally supplied
 /// lemmas), and PDR discovers clause strengthenings on its own — each wins
-/// somewhere, which is why the portfolio races them. The `-inproc` rows
-/// measure the SAT tier's inprocessing.
+/// somewhere, which is why the portfolio races them.
 ///
 /// `--json <path>` additionally writes machine-readable records (design,
 /// engine, verdict, wall-ms, solver stats, and per-phase wall
@@ -76,31 +75,15 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
   if (phases) columns.push_back("b/p/s ms");
   util::Table table(columns);
 
-  struct Contender {
-    const char* label;
-    mc::EngineKind kind;
-    bool exchange;
-    bool sat_inprocess = true;
-  };
-  const std::vector<Contender> contenders = {
-      {"bmc", mc::EngineKind::Bmc, false},
-      {"k-induction", mc::EngineKind::KInduction, false},
-      {"pdr", mc::EngineKind::Pdr, false},
-      // The SAT-tier ablation: the same PDR with inprocessing and the
-      // LBD-tiered clause DB switched off (--sat-inprocess off) — bit-for-bit
-      // the pre-tier solver. The conflict delta against the plain "pdr" row
-      // is what check_shootout.py gates.
-      {"pdr -inproc", mc::EngineKind::Pdr, false, false},
-      {"portfolio -exch", mc::EngineKind::Portfolio, false},
-      {"portfolio +exch", mc::EngineKind::Portfolio, true},
-  };
+  const std::vector<mc::EngineKind> contenders = {
+      mc::EngineKind::Bmc, mc::EngineKind::KInduction, mc::EngineKind::Pdr,
+      mc::EngineKind::Portfolio};
 
   // fifo_ctrl is the blocking-heavy row: thousands of obligations at this
   // bound. dual_accumulator is the SAT-heavy row — 16-bit adder chains make
-  // every query a real CDCL fight, which is where the SAT-tier ablation (pdr
-  // vs pdr -inproc) shows up. Its budget is 6: PDR closes the proof within
-  // it either way, while BMC/k-induction unrollings past 6 frames of the
-  // wide datapath burn minutes without changing any verdict.
+  // every query a real CDCL fight. Its budget is 6: PDR closes the proof
+  // within it, while BMC/k-induction unrollings past 6 frames of the wide
+  // datapath burn minutes without changing any verdict.
   std::vector<DesignSource> sources = {
       {"sync_counters", ""}, {"sequencer", ""},    {"token_ring", ""},
       {"updown_pair", ""},   {"lfsr16", ""},       {"gray_counter", ""},
@@ -111,14 +94,12 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
   }
   for (const DesignSource& source : sources) {
     const std::string& name = source.name;
-    for (const Contender& contender : contenders) {
+    for (const mc::EngineKind kind : contenders) {
       auto task = source.path.empty() ? designs::make_task(name)
                                       : flow::VerificationTask::from_file(source.path);
       mc::EngineOptions options;
       options.max_steps = source.max_steps;
-      options.exchange = contender.exchange;
-      options.sat_inprocess = contender.sat_inprocess;
-      auto engine = mc::make_engine(contender.kind, task.ts, options);
+      auto engine = mc::make_engine(kind, task.ts, options);
       const auto before = phases ? util::metrics().snapshot_values()
                                  : std::map<std::string, std::int64_t>{};
       const mc::EngineResult r = engine->prove_all(task.target_exprs());
@@ -134,7 +115,8 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
         const std::int64_t av = a == after.end() ? 0 : a->second;
         return static_cast<double>(av - bv) / 1e6;
       };
-      std::string shown = contender.label;
+      const std::string label = mc::to_string(kind);
+      std::string shown = label;
       if (!r.winner.empty()) shown += " (" + r.winner + ")";
       std::vector<std::string> row = {name, shown, mc::to_string(r.verdict),
                                       std::to_string(r.depth),
@@ -152,10 +134,8 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       if (json != nullptr) {
         json->record()
             .field("design", name)
-            .field("engine", std::string(contender.label))
-            .field("kind", mc::to_string(contender.kind))
-            .field("exchange", contender.exchange)
-            .field("inprocess", contender.sat_inprocess)
+            .field("engine", label)
+            .field("kind", label)
             .field("verdict", mc::to_string(r.verdict))
             .field("depth", static_cast<std::uint64_t>(r.depth))
             .field("wall_ms", r.stats.seconds * 1e3)
@@ -172,20 +152,18 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("Same bound, same designs: PDR closes proofs k-induction leaves "
-              "open because it mines its own frame strengthenings; live "
-              "exchange (+exch) feeds those clauses to the other members "
-              "mid-race.\n\n");
+              "open because it mines its own frame strengthenings, and the "
+              "portfolio adopts whichever member concludes first.\n\n");
 }
 
 /// The proof-cache experiment behind genfv_serve (docs/serve.md): for every
 /// zoo design PDR proves at its budget, compare a cold run against (a) an
 /// exact cache hit replayed through one-step recertification and (b) a
 /// near-miss warm start on an edited copy of the design, where the cached
-/// clauses enter PDR as retractable candidates. Rows carry kind="pdr-cache"
-/// so the PDR inprocessing report in scripts/check_shootout.py ignores them; the checker instead gates the
-/// warm rows directly (verdict parity everywhere, >=5x fewer conflicts on
-/// the recertified hits for at least two designs, candidates seeded on
-/// every warm-edit row).
+/// clauses enter PDR as retractable candidates. Rows carry
+/// kind="pdr-cache"; scripts/check_shootout.py gates the warm rows directly
+/// (verdict parity everywhere, >=5x fewer conflicts on the recertified hits
+/// for at least two designs, candidates seeded on every warm-edit row).
 void run_cache_experiment(bench::JsonRecords* json) {
   bench::print_header(
       "E9: structural proof cache — cold runs vs warm re-verification",

@@ -10,7 +10,7 @@ proofs show up here before anything else. Wall-clock numbers are reported
 but never gate the build: CI machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
-BENCH_PR17.json (see docs/benchmarks.md) — every (design, engine) cell
+BENCH_PR18.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
 run can never silently drift from the checked-in trajectory. Cells whose
 kind is not "portfolio" must also agree exactly on the deterministic work
@@ -47,21 +47,17 @@ EXPECTED_VERDICTS = {
                   "portfolio": "proven", "pdr-cache": "proven"},
     "token_ring": {"bmc": "unknown", "k-induction": "unknown", "pdr": "proven",
                    "portfolio": "proven", "pdr-cache": "proven"},
-    # updown_pair: k-induction alone is stuck, but inside the exchange-on
-    # portfolio it can absorb PDR clauses and win — accept either outcome for
-    # the portfolio rows; the pdr rows must prove.
     "updown_pair": {"bmc": "unknown", "k-induction": "unknown", "pdr": "proven",
-                    "pdr-cache": "proven"},
-    "lfsr16": {"bmc": "unknown", "pdr": "unknown", "pdr-cache": "proven"},
+                    "portfolio": "proven", "pdr-cache": "proven"},
+    "lfsr16": {"bmc": "unknown", "k-induction": "proven", "pdr": "unknown",
+               "portfolio": "proven", "pdr-cache": "proven"},
     "gray_counter": {"bmc": "unknown", "k-induction": "unknown", "pdr": "unknown",
                      "portfolio": "unknown", "pdr-cache": "proven"},
     "fifo_ctrl": {"bmc": "unknown", "k-induction": "unknown", "pdr": "unknown",
-                  "pdr-cache": "proven"},
+                  "portfolio": "unknown", "pdr-cache": "proven"},
     # dual_accumulator (runs at a step budget of 6, see the bench): the
     # output-equality target is not k-inductive without the stage-1 lemma,
-    # but PDR mines the equality clauses itself — with or without SAT
-    # inprocessing (the "pdr -inproc" ablation row matches the "pdr" prefix
-    # and must prove too, just at a multiple of the conflicts).
+    # but PDR mines the equality clauses itself.
     "dual_accumulator": {"bmc": "unknown", "k-induction": "unknown",
                          "pdr": "proven", "portfolio": "proven",
                          "pdr-cache": "proven"},
@@ -87,7 +83,8 @@ EXPECTED_VERDICTS = {
                   "portfolio": "proven"},
     "token_ring_rt": {"bmc": "unknown", "k-induction": "unknown", "pdr": "proven",
                       "portfolio": "proven"},
-    "updown_pair_rt": {"bmc": "unknown", "k-induction": "unknown", "pdr": "proven"},
+    "updown_pair_rt": {"bmc": "unknown", "k-induction": "unknown", "pdr": "proven",
+                       "portfolio": "proven"},
 }
 
 
@@ -147,34 +144,6 @@ def main() -> int:
             failures.append(
                 f"baseline {sys.argv[2]} shares no cells with this run")
         print(f"baseline diff vs {sys.argv[2]}: {compared} cells compared")
-
-    # The SAT-tier ablation: PDR with inprocessing on ("pdr") vs off
-    # ("pdr -inproc"). Conflict counts in this
-    # configuration are deterministic, so unlike the wall-clock reports this
-    # one *gates*: on the designs listed below the inprocessing tier must cut
-    # conflicts by at least 25% or the build fails. (Wall time is still
-    # reported, never gated.)
-    INPROCESS_GATE = {"fifo_ctrl", "dual_accumulator"}
-    inproc_cells = {}
-    for record in records:
-        if record["kind"] == "pdr":
-            inproc_cells.setdefault(record["design"], {})[
-                record.get("inprocess", True)] = record
-    for design, cells in sorted(inproc_cells.items()):
-        if True not in cells or False not in cells:
-            continue
-        on, off = cells[True], cells[False]
-        cut = (1.0 - on["conflicts"] / off["conflicts"]) if off["conflicts"] else 0.0
-        print(f"sat inprocessing on {design}: conflicts {off['conflicts']} -> "
-              f"{on['conflicts']} ({cut:+.0%}), wall {off['wall_ms']:.1f} -> "
-              f"{on['wall_ms']:.1f} ms, "
-              f"subsumed={on.get('subsumed_clauses', 0)} "
-              f"eliminated={on.get('eliminated_vars', 0)} "
-              f"vivified={on.get('vivified_clauses', 0)}")
-        if design in INPROCESS_GATE and cut < 0.25:
-            failures.append(
-                f"{design} / pdr -inproc ablation: inprocessing cut conflicts "
-                f"by only {cut:.0%} (gate: >= 25%)")
 
     # The proof-cache gate (kind == "pdr-cache", from the E9 experiment and
     # docs/serve.md). Per design the experiment emits three rows: a cold PDR

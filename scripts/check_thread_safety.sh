@@ -5,7 +5,7 @@
 # Two halves, both mandatory:
 #   1. Positive: every TU under src/ and tools/ compiles clean with
 #      -Werror=thread-safety over the util/thread_safety.hpp annotations.
-#   2. Negative: the GENFV_TSA_NEGATIVE_TEST probe in mc/exchange.hpp —
+#   2. Negative: the GENFV_TSA_NEGATIVE_TEST probe in serve/worker_pool.hpp —
 #      an unguarded read of a GENFV_GUARDED_BY field — must FAIL to compile.
 #      This proves the analysis has teeth; without it, a header regression
 #      that silently disables the attributes would leave half 1 green forever.
@@ -36,9 +36,9 @@ echo "thread-safety: all TUs clean under -Werror=thread-safety"
 
 # Negative probe: compiling the guarded-field read without the lock MUST fail.
 if "$CXX" "${FLAGS[@]}" -DGENFV_TSA_NEGATIVE_TEST \
-    src/mc/exchange.cpp 2>/dev/null; then
+    src/serve/worker_pool.cpp 2>/dev/null; then
   echo "thread-safety: NEGATIVE PROBE COMPILED — analysis is toothless" >&2
-  echo "(tsa_probe_unguarded in mc/exchange.hpp should be an error)" >&2
+  echo "(tsa_probe_unguarded in serve/worker_pool.hpp should be an error)" >&2
   exit 1
 fi
 echo "thread-safety: negative probe rejected as expected"

@@ -5,9 +5,9 @@ Rules (see docs/static-analysis.md for the rationale behind each):
 
   thread-capture   No NodeManager access inside a lambda handed to a thread.
                    `NodeManager` is not thread-safe and is never shared; work
-                   crossing a thread boundary must be serialized into
-                   manager-neutral form first (mc/exchange.hpp) or run against
-                   a per-thread `ir::SystemClone`. The lint scans every lambda
+                   crossing a thread boundary runs against a per-thread
+                   `ir::SystemClone` translated before the thread starts
+                   (mc/portfolio.cpp). The lint scans every lambda
                    that appears in a `std::thread(...)` / `std::jthread(...)`
                    / `workers.emplace_back(...)` argument list and rejects
                    bodies that mention `NodeManager`, `nm_ptr(`,

@@ -14,7 +14,6 @@ mc::EngineOptions target_engine_options(const FlowOptions& options,
   mc::EngineOptions out = mc::to_engine_options(options.engine);
   out.lemmas.insert(out.lemmas.end(), lemmas.lemma_exprs().begin(),
                     lemmas.lemma_exprs().end());
-  out.exchange = options.exchange;
   out.pdr_seed_candidates = options.pdr_seed_candidates;
   if (options.pdr_seed_candidates) {
     // Rejected-but-plausible helpers get a second life as PDR may clauses.

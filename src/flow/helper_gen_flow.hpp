@@ -24,9 +24,6 @@ struct FlowOptions {
   /// one from a k-induction run under the same lemmas. When PDR proves a
   /// target, its inductive-frame clauses are admitted back as lemmas.
   mc::EngineKind target_engine = mc::EngineKind::KInduction;
-  /// Live lemma exchange between portfolio members (only meaningful when
-  /// `target_engine` is Portfolio); mirrors EngineOptions::exchange.
-  bool exchange = true;
   /// Seed PDR frames with the LemmaManager's *unproven* candidates (the
   /// helpers that failed their k-induction proof) as may clauses; mirrors
   /// EngineOptions::pdr_seed_candidates. A hallucinated candidate costs SAT
@@ -38,14 +35,14 @@ struct FlowOptions {
   std::size_t pdr_workers = 1;
   bool pdr_ternary = false;
   std::size_t pdr_candidate_strikes = 2;
+  bool exchange = true;
 };
 
 /// The options of a target proof, built in one place for every flow:
 /// `options.engine` first, then the admitted lemmas of `lemmas` as
-/// assumptions, the portfolio exchange switch and — with
-/// pdr_seed_candidates — the manager's unproven candidates as PDR may
-/// clauses. Flows hand the result to `mc::make_engine(options.target_engine,
-/// ...)`.
+/// assumptions and — with pdr_seed_candidates — the manager's unproven
+/// candidates as PDR may clauses. Flows hand the result to
+/// `mc::make_engine(options.target_engine, ...)`.
 mc::EngineOptions target_engine_options(const FlowOptions& options,
                                         const LemmaManager& lemmas);
 

@@ -21,7 +21,7 @@
 ///
 /// `StructDiff` compares two systems — or a system against the stored
 /// signature vector of a cache entry — state by state in declaration order.
-/// Clause reuse is keyed on state declaration indices (mc/exchange.hpp), so
+/// Clause reuse is keyed on state declaration indices (mc/pdr/cube.hpp), so
 /// declaration order is exactly the correspondence that decides which cached
 /// clauses still name the same bits.
 

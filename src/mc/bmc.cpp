@@ -18,33 +18,8 @@ EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   sat::Solver solver;
   solver.set_conflict_budget(options_.conflict_budget);
   solver.set_stop_flag(options_.stop.get());
-  solver.set_inprocessing(options_.sat_inprocess);
   if (!options_.drat_path.empty()) solver.start_proof(options_.drat_path);
   Unroller unroller(ts_, solver, FrameZero::Init);
-
-  // Invariants (seeded lemmas + absorbed exchange clauses) asserted at every
-  // frame.
-  std::vector<ir::NodeRef> invariants = options_.lemmas;
-  std::size_t exchange_cursor = 0;
-  // The backlog may carry the same clause many times (independent
-  // publishers); assert each distinct fact once per run.
-  AbsorbFilter absorb_filter;
-  auto poll_exchange = [&](std::size_t depth) {
-    if (options_.exchange_mailbox == nullptr) return;
-    std::size_t absorbed = 0;
-    for (const ExchangedClause& clause :
-         options_.exchange_mailbox->fetch(options_.exchange_slot, &exchange_cursor)) {
-      if (!absorb_filter.admit(clause)) continue;
-      const ir::NodeRef expr = materialize(clause, ts_);
-      if (expr == nullptr) continue;
-      // Back-fill the frames materialized before this clause arrived; the
-      // per-depth loop below covers the current and future frames.
-      invariants.push_back(expr);
-      for (std::size_t f = 0; f < depth; ++f) unroller.assert_at(expr, f);
-      ++absorbed;
-    }
-    options_.exchange_mailbox->note_absorbed(options_.exchange_slot, absorbed);
-  };
 
   for (std::size_t depth = 0; depth <= options_.max_steps; ++depth) {
     if (options_.stop != nullptr && options_.stop->load(std::memory_order_relaxed)) {
@@ -52,8 +27,8 @@ EngineResult BmcEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
       break;
     }
     unroller.extend_to(depth);
-    poll_exchange(depth);
-    for (const ir::NodeRef inv : invariants) {
+    // Seeded lemmas hold at every frame.
+    for (const ir::NodeRef inv : options_.lemmas) {
       unroller.assert_at(inv, depth);
     }
 

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ir/transition_system.hpp"
-#include "mc/exchange.hpp"
 #include "mc/result.hpp"
 #include "sim/trace.hpp"
 
@@ -76,10 +75,6 @@ struct EngineOptions {
   /// cancellation. The portfolio sets the flag once a member returns a
   /// conclusive verdict, which is what cancels the losing engines.
   std::shared_ptr<std::atomic<bool>> stop{};
-  /// SAT inprocessing (subsumption/strengthening, bounded variable
-  /// elimination, vivification) plus the LBD-tiered learnt-clause policy.
-  /// Off pins the solver bit-for-bit to the plain-CDCL behavior.
-  bool sat_inprocess = true;
   /// When non-empty, SAT solvers log DRAT proofs under this path base
   /// (`<path>.cnf` + `<path>.drat`). BMC uses the base as is, k-induction
   /// appends `_base` / `_step`, PDR's initiation solver appends `-p1`. An
@@ -93,23 +88,14 @@ struct EngineOptions {
   bool pdr_ternary_lifting = false;
   std::size_t pdr_candidate_strikes = 2;
   std::string sat_backend = "internal";
+  bool sat_inprocess = true;
+  bool exchange = true;
 
   // --- portfolio only -------------------------------------------------------
   /// Member engines, in launch order; each runs on its own thread over a
   /// private clone of the system. Empty = {Bmc, KInduction, Pdr}. Must not
   /// contain Portfolio itself.
   std::vector<EngineKind> portfolio_engines{};
-  /// Live in-flight lemma exchange between members (mc/exchange.hpp): PDR
-  /// publishes clauses the moment they are proven invariant; the other
-  /// members absorb them mid-race. Sound — exchange can change which member
-  /// wins and how fast, never the verdict. Ignored outside the portfolio.
-  bool exchange = true;
-
-  // --- portfolio-member wiring (set by the portfolio, not by callers) -------
-  /// Mailbox this engine publishes to / polls from; nullptr = no exchange.
-  std::shared_ptr<LemmaMailbox> exchange_mailbox{};
-  /// This engine's slot in `exchange_mailbox`.
-  std::size_t exchange_slot = 0;
 };
 
 /// One portfolio member's outcome, reported alongside the adopted verdict so
@@ -120,13 +106,6 @@ struct EngineBreakdown {
   std::size_t depth = 0;
   EngineStats stats;
   std::string note;  ///< non-empty when the member aborted (e.g. threw)
-  /// Live-exchange traffic (EngineOptions::exchange): clauses this member
-  /// published into / asserted out of the portfolio mailbox. Consumers
-  /// dedupe the backlog per run (mc::AbsorbFilter keyed on the manager-
-  /// neutral form), so `lemmas_absorbed` counts distinct clauses asserted
-  /// per engine run.
-  std::size_t lemmas_published = 0;
-  std::size_t lemmas_absorbed = 0;
 };
 
 /// The one result type every engine returns. Engines fill the fields that
@@ -145,8 +124,7 @@ struct EngineResult {
   /// case failed at the last attempted k.
   std::optional<sim::Trace> step_cex;
   /// verdict == Proven: invariant clauses. PDR exports the clauses of its
-  /// final inductive frame; k-induction exports the clauses it absorbed from
-  /// the portfolio's live exchange (none without exchange). Each clause
+  /// final inductive frame; BMC and k-induction export none. Each clause
   /// individually holds in every reachable state, so each can be re-used as
   /// a lemma (and printed as SVA via ir::Printer); PDR's conjunction is
   /// inductive and implies the property relative to any lemmas that seeded
@@ -205,11 +183,11 @@ struct KInductionOptions {
   std::size_t max_k = 32;
   /// Proven invariants assumed by every proof.
   std::vector<ir::NodeRef> lemmas{};
-  bool sat_inprocess = true;
   std::string drat_path{};
 
   // --- ignored; kept only for perfbench/ ------------------------------------
   std::string sat_backend = "internal";
+  bool sat_inprocess = true;
 };
 
 /// A target's verdict as FlowReport stores it; `to_induction_result` is its
@@ -226,8 +204,8 @@ struct InductionResult {
   std::string summary() const;
 };
 
-/// max_k becomes max_steps; lemmas, inprocessing and the DRAT path carry
-/// over; every other field keeps its EngineOptions default.
+/// max_k becomes max_steps; lemmas and the DRAT path carry over; every other
+/// field keeps its EngineOptions default.
 EngineOptions to_engine_options(const KInductionOptions& options);
 
 /// depth becomes k, cex becomes base_cex.

@@ -24,10 +24,8 @@
 namespace genfv::mc {
 
 /// Reads max_steps (the largest k), lemmas (asserted at every frame of both
-/// cases), simple_path, conflict_budget, stop (polled at every k),
-/// exchange_mailbox (polled once per k; absorbed clauses join the lemma set
-/// and are exported as `EngineResult::invariant` on Proven), sat_inprocess
-/// and drat_path (`<drat_path>_base` / `<drat_path>_step`).
+/// cases), simple_path, conflict_budget, stop (polled at every k) and
+/// drat_path (`<drat_path>_base` / `<drat_path>_step`).
 class KInductionEngine final : public Engine {
  public:
   KInductionEngine(const ir::TransitionSystem& ts, EngineOptions options = {});

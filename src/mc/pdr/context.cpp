@@ -10,7 +10,6 @@ void configure(sat::Solver& solver, const EngineOptions& options,
                const std::string& drat_path) {
   solver.set_conflict_budget(options.conflict_budget);
   solver.set_stop_flag(options.stop.get());
-  solver.set_inprocessing(options.sat_inprocess);
   if (!drat_path.empty()) solver.start_proof(drat_path);
 }
 

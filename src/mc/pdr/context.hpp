@@ -42,9 +42,9 @@ class QueryContext {
  public:
   /// `ts`, `property` and `options.lemmas` must all live in the same
   /// NodeManager and outlive the context; so must `db` and `options`. Both
-  /// solvers take the options' budget, stop flag and inprocessing
-  /// setting; with `drat_path` set, the transition solver logs DRAT to
-  /// `<drat_path>` and the initiation solver to `<drat_path>-p1`.
+  /// solvers take the options' budget and stop flag; with `drat_path` set,
+  /// the transition solver logs DRAT to `<drat_path>` and the initiation
+  /// solver to `<drat_path>-p1`.
   QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
                const EngineOptions& options, FrameDb& db);
 

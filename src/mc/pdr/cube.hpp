@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "ir/transition_system.hpp"
@@ -33,14 +34,19 @@ inline bool operator<(const StateLit& a, const StateLit& b) noexcept {
 /// Conjunction of state-bit literals, sorted by (state, bit).
 using Cube = std::vector<StateLit>;
 
+/// Canonical text key of a cube's literals, in their stored order. Equal
+/// keys ⇔ equal literal sequences, so on canonical cubes equal keys mean the
+/// same clause. The frame database dedupes candidate clauses on it.
+std::string cube_key(const Cube& cube);
+
 /// Sort + deduplicate into the canonical form the other helpers expect.
 void canonicalize(Cube& cube);
 
-/// Canonicalize a cube that came from a *clause* (candidate lemma, mailbox
-/// traffic) and vet it: returns false for an empty cube or one carrying
-/// both polarities of a bit — such a clause is a tautology and must be
-/// rejected, not approximated. The single gatekeeper for every candidate
-/// intake path, so the policy cannot diverge between them.
+/// Canonicalize a cube that came from a *clause* (a candidate lemma) and
+/// vet it: returns false for an empty cube or one carrying both polarities
+/// of a bit — such a clause is a tautology and must be rejected, not
+/// approximated. The single gatekeeper for every candidate intake path, so
+/// the policy cannot diverge between them.
 bool canonicalize_clause_cube(Cube& cube);
 
 /// True iff every literal of `a` appears in `b` — i.e. `a` is weaker as a

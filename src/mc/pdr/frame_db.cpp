@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "mc/exchange.hpp"
 #include "util/status.hpp"
 
 namespace genfv::mc::pdr {
@@ -42,15 +41,8 @@ void FrameDb::graduate(const Cube& cube, std::size_t level) {
   journal_.push_back({Event::Kind::Graduate, cube, kInfinityLevel});
 }
 
-void FrameDb::add_infinity(Cube cube) {
-  infinity_.push_back(cube);
-  journal_.push_back({Event::Kind::Graduate, std::move(cube), kInfinityLevel});
-}
-
 std::optional<std::size_t> FrameDb::seed_may(Cube cube) {
-  // Keyed on the same encoder as the mailbox AbsorbFilter (exchange_key), so
-  // the two dedupe layers can never disagree on what "the same clause" is.
-  if (!may_keys_.insert(mc::exchange_key(cube)).second) {
+  if (!may_keys_.insert(cube_key(cube)).second) {
     return std::nullopt;
   }
   const std::size_t id = next_may_id_++;

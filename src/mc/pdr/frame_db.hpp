@@ -8,9 +8,9 @@
 /// known to hold, and the semantic frame F_i is the conjunction of all
 /// clauses stored at levels ≥ i (plus everything in F_∞). The database holds
 /// **no solver state at all**: cubes are `{state-index, bit, polarity}`
-/// literals (`StateLit`, the same manager-neutral currency as
-/// `mc::ExchangedClause`), so the algorithm layers above the query context
-/// never see a solver literal.
+/// literals (`StateLit`, a manager-neutral currency the proof cache stores
+/// too), so the algorithm layers above the query context never see a solver
+/// literal.
 ///
 /// Not thread-safe: one database belongs to one PDR run on one thread.
 ///
@@ -99,16 +99,11 @@ class FrameDb {
   /// No-op on the bookkeeping side when the cube is absent from `level`.
   void graduate(const Cube& cube, std::size_t level);
 
-  /// Add a clause directly to F_∞ — for invariants proven *elsewhere* (a
-  /// racing member's published F_∞ clauses). The caller vouches that the
-  /// clause holds in every reachable state of this system.
-  void add_infinity(Cube cube);
-
   // --- candidate ("may") clauses ---------------------------------------------
   // Unproven candidate clauses assumed in queries behind per-candidate
   // activation gates. Never exported, never part of F_∞ or the delta levels;
   // graduation re-enters through add_blocked on a *clean* proof. Duplicate
-  // cubes (keyed on exchange_key) are rejected, including cubes that were
+  // cubes (keyed on cube_key) are rejected, including cubes that were
   // seeded before and since retracted — a refuted candidate stays refuted.
 
   /// Seed `cube` as a candidate. Returns its id, or nullopt for duplicates.

@@ -32,21 +32,6 @@ bool references_input(ir::NodeRef root) {
   return false;
 }
 
-/// Bounds-check a mailbox clause against `ts` and return its canonical cube;
-/// nullopt when it does not fit (foreign-system clause) or is a tautology.
-std::optional<Cube> mailbox_cube(const ExchangedClause& clause,
-                                 const ir::TransitionSystem& ts) {
-  Cube cube;
-  cube.reserve(clause.lits.size());
-  for (const ExchangedLit& lit : clause.lits) {
-    if (lit.state >= ts.states().size()) return std::nullopt;
-    if (lit.bit >= ts.states()[lit.state].var->width()) return std::nullopt;
-    cube.push_back({lit.state, lit.bit, lit.negated});
-  }
-  if (!canonicalize_clause_cube(cube)) return std::nullopt;
-  return cube;
-}
-
 }  // namespace
 
 PdrEngine::PdrEngine(const ir::TransitionSystem& ts, EngineOptions options)
@@ -73,14 +58,11 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   }
 
   // All mutable state of the run: the solver-neutral frame database and
-  // obligation arena, the one query context mirroring the database, and the
-  // candidate intake cursor plus consumer-side dedupe for the mailbox.
+  // obligation arena and the one query context mirroring the database.
   FrameDb db;
   QueryContext ctx(ts_, prop, options_, db);
   db.push_level();  // level 1: the first frontier
   ObligationQueue queue;
-  std::size_t mailbox_cursor = 0;
-  AbsorbFilter absorb_filter;
 
   auto finish = [&](Verdict verdict, std::size_t depth) {
     result.verdict = verdict;
@@ -103,27 +85,6 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
       if (const auto cube = cube_of_clause(ts_, cand)) db.seed_may(*cube);
     }
   }
-
-  // Mailbox intake (pdr_seed_candidates only): every mailbox clause is an
-  // invariant of this very system and joins F_∞ directly — each publisher's
-  // F_∞ set is mutually inductive relative to the shared lemmas, so the
-  // exported certificate stays inductive (docs/lemmas.md).
-  auto poll_mailbox = [&] {
-    if (!options_.pdr_seed_candidates || options_.exchange_mailbox == nullptr) return;
-    const auto fetched =
-        options_.exchange_mailbox->fetch(options_.exchange_slot, &mailbox_cursor);
-    std::size_t absorbed = 0;
-    for (const ExchangedClause& clause : fetched) {
-      if (!absorb_filter.admit(clause)) continue;
-      const auto cube = mailbox_cube(clause, ts_);
-      if (!cube.has_value()) continue;
-      db.add_infinity(*cube);
-      ++absorbed;
-    }
-    if (absorbed != 0) {
-      options_.exchange_mailbox->note_absorbed(options_.exchange_slot, absorbed);
-    }
-  };
 
   // 0-step: a property violation inside the initial states themselves.
   {
@@ -168,11 +129,6 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     if (util::telemetry_on()) frontier_gauge.set(static_cast<std::int64_t>(frontier));
     if (ctx.stopped()) return finish(Verdict::Unknown, frontier);
 
-    // Absorb new candidate material before the SAT-heavy phases: proven
-    // clauses strengthen every query unconditionally, fresh candidates ride
-    // along as may clauses until the may-proof pass decides them.
-    poll_mailbox();
-
     // May-proof pass *before* blocking: candidates that are relatively
     // inductive at the current frontier graduate into real frame clauses
     // right away — before any frontier query can implicate a still-unproven
@@ -212,13 +168,11 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     }
 
     // Clauses that propagated all the way to the frontier are candidates for
-    // F_∞: certify the mutually-inductive subset invariant and publish it to
-    // the exchange mailbox — this is where racing members learn from PDR
-    // long before this run converges.
+    // F_∞: certify the mutually-inductive subset invariant.
     {
       GENFV_TRACE_SPAN("pdr", "push_infinity");
       util::ScopedTimerNs timer(push_infinity_ns);
-      if (!push_to_infinity(ctx, db, options_)) {
+      if (!push_to_infinity(ctx, db)) {
         return finish(Verdict::Unknown, frontier);
       }
     }

@@ -38,15 +38,9 @@ namespace genfv::mc::pdr {
 ///  * lemmas — proven invariants asserted on every frame of the transition
 ///    relation (equivalently, clauses of F_∞);
 ///  * conflict_budget, stop (polled per obligation, per propagation pass and
-///    at SAT restart boundaries), sat_inprocess — stamped onto both of the
-///    run's solvers;
+///    at SAT restart boundaries) — stamped onto both of the run's solvers;
 ///  * drat_path — the transition solver logs to `<drat_path>`, the
 ///    initiation solver to `<drat_path>-p1`;
-///  * exchange_mailbox / exchange_slot — clauses are published the moment
-///    they are pushed to F_∞, i.e. when the post-propagation mutual-induction
-///    fixpoint certifies a frontier clause set inductive, so each published
-///    clause holds in every reachable state well before the full proof
-///    converges;
 ///  * pdr_seed_candidates / pdr_candidate_lemmas — admit *unproven* candidate
 ///    clauses into the frame database as "may" clauses: assumed in queries
 ///    behind dedicated activation gates, never exported, never pushed to
@@ -55,7 +49,6 @@ namespace genfv::mc::pdr {
 ///    implicated in a spurious "blocked" answer is struck, and retracted on
 ///    its kCandidateStrikes-th strike. Only clause-shaped expressions —
 ///    disjunctions of state-bit literals — can seed; others are skipped.
-///    Seeding also turns on mailbox intake: fetched proven clauses join F_∞.
 ///    See docs/lemmas.md for the full soundness story.
 ///
 /// Result contract of `prove_all` (the conjunction of the properties):

@@ -2,18 +2,6 @@
 
 namespace genfv::mc::pdr {
 
-namespace {
-
-/// Translate a manager-neutral cube into the exchange wire form.
-ExchangedClause to_exchanged(const Cube& cube) {
-  ExchangedClause out;
-  out.lits.reserve(cube.size());
-  for (const StateLit& l : cube) out.lits.push_back({l.state, l.bit, l.negated});
-  return out;
-}
-
-}  // namespace
-
 PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db) {
   const std::size_t frontier = db.frontier();
   for (std::size_t i = 1; i < frontier; ++i) {
@@ -87,7 +75,7 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const EngineOptions& options
   return true;
 }
 
-bool push_to_infinity(QueryContext& ctx, FrameDb& db, const EngineOptions& options) {
+bool push_to_infinity(QueryContext& ctx, FrameDb& db) {
   std::vector<Cube> cand = db.cubes_at(db.frontier());
   while (!cand.empty()) {
     if (ctx.stopped()) return false;
@@ -120,19 +108,7 @@ bool push_to_infinity(QueryContext& ctx, FrameDb& db, const EngineOptions& optio
     cand.erase(cand.begin() + failed);
   }
   const std::size_t frontier = db.frontier();
-  std::vector<ExchangedClause> batch;
-  for (const Cube& c : cand) {
-    db.graduate(c, frontier);
-    if (options.exchange_mailbox != nullptr) {
-      batch.push_back(to_exchanged(c));
-    }
-  }
-  // One atomic publish: the survivors are only *jointly* inductive, and an
-  // absorbing PDR run folds fetched proven clauses straight into its F_∞ and
-  // its exported certificate — it must never see half of this set.
-  if (options.exchange_mailbox != nullptr) {
-    options.exchange_mailbox->publish_batch(options.exchange_slot, std::move(batch));
-  }
+  for (const Cube& c : cand) db.graduate(c, frontier);
   return true;
 }
 

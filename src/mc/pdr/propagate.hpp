@@ -6,8 +6,7 @@
 /// Propagation pushes every blocked clause that remains inductive at its
 /// level one level forward; clauses that reach the frontier become
 /// candidates for F_∞, where a mutual-induction fixpoint certifies the
-/// inductive subset invariant (and publishes each survivor to the lemma
-/// exchange). Both passes operate on the run's `FrameDb`.
+/// inductive subset invariant. Both passes operate on the run's `FrameDb`.
 
 #include "mc/pdr/context.hpp"
 #include "mc/pdr/frame_db.hpp"
@@ -42,9 +41,8 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const EngineOptions& options
 /// consecution relative to the remaining set (∧ F_∞ ∧ lemmas)". Survivors
 /// satisfy initiation (blocked cubes never intersect init) and consecution
 /// as a set, so each is an invariant — provable long before the frame trace
-/// itself converges, which is what makes live exchange useful mid-race.
-/// Returns false when the conflict budget or stop flag interrupted (callers
-/// give up on the whole run, as elsewhere).
-bool push_to_infinity(QueryContext& ctx, FrameDb& db, const EngineOptions& options);
+/// itself converges. Returns false when the conflict budget or stop flag
+/// interrupted (callers give up on the whole run, as elsewhere).
+bool push_to_infinity(QueryContext& ctx, FrameDb& db);
 
 }  // namespace genfv::mc::pdr

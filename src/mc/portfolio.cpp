@@ -79,16 +79,11 @@ EngineResult PortfolioEngine::prove_all(const std::vector<ir::NodeRef>& properti
 namespace {
 
 /// Member engines get the portfolio's options wholesale — copying fields one
-/// by one silently dropped every knob added after the copy was written (and
-/// would have dropped the exchange wiring too). Only the genuinely
-/// per-member fields are overridden afterwards.
-EngineOptions member_options(const EngineOptions& portfolio,
-                             const std::shared_ptr<LemmaMailbox>& mailbox,
-                             std::size_t slot) {
+/// by one silently dropped every knob added after the copy was written. Only
+/// the genuinely per-member fields are overridden afterwards.
+EngineOptions member_options(const EngineOptions& portfolio) {
   EngineOptions opts = portfolio;
   opts.portfolio_engines.clear();  // members never recurse into a portfolio
-  opts.exchange_mailbox = mailbox;
-  opts.exchange_slot = slot;
   return opts;
 }
 
@@ -120,10 +115,6 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
 
   // Shared race state. The first conclusive member records itself as the
   // winner and raises `cancel`, which every other member's engine polls.
-  // The mailbox is the only other cross-thread state: it carries clauses in
-  // a manager-neutral form, so no NodeManager is ever shared (exchange.hpp).
-  const std::shared_ptr<LemmaMailbox> mailbox =
-      options_.exchange && n > 1 ? std::make_shared<LemmaMailbox>(n) : nullptr;
   auto cancel = std::make_shared<std::atomic<bool>>(false);
   struct RaceState {
     explicit RaceState(std::size_t members) {
@@ -151,7 +142,7 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
       EngineResult r;
       std::string note;
       try {
-        EngineOptions opts = member_options(options_, mailbox, i);
+        EngineOptions opts = member_options(options_);
         opts.lemmas = member_lemmas[i];  // translated into this member's clone
         opts.pdr_candidate_lemmas = member_candidates[i];
         opts.stop = cancel;
@@ -213,10 +204,6 @@ EngineResult PortfolioEngine::run_threaded(const std::vector<ir::NodeRef>& prope
     b.depth = results[i].depth;
     b.stats = results[i].stats;
     b.note = notes[i];
-    if (mailbox != nullptr) {
-      b.lemmas_published = mailbox->published_by(i);
-      b.lemmas_absorbed = mailbox->absorbed_by(i);
-    }
     out.stats += b.stats;
     out.breakdown.push_back(std::move(b));
   }

@@ -12,18 +12,14 @@
 /// winner's counterexample/invariant are translated back after every thread
 /// has been joined. The first conclusive member sets the shared stop flag
 /// (EngineOptions::stop machinery), which cancels the losers cooperatively
-/// at their next poll.
-///
-/// Live lemma exchange (EngineOptions::exchange, default on): members share
-/// a `mc::LemmaMailbox` carrying clauses in a manager-neutral form. PDR
-/// publishes clauses the moment its mutual-induction fixpoint pushes them to
-/// F_∞; BMC and k-induction poll each solve-loop iteration and re-create the
-/// clauses in their own clone. This is the race's only cross-thread data
-/// path besides the stop flag.
+/// at their next poll. The race is pure: the stop flag is the only state the
+/// members share while they run, so each member's search is exactly the one
+/// it makes alone. Lemmas flow between engines at flow level instead
+/// (LemmaManager, and PDR invariants admitted back; docs/lemmas.md).
 ///
 /// The merged `EngineResult` names the winner, sums every member's
-/// `EngineStats`, and carries a per-member `EngineBreakdown` (including
-/// published/absorbed exchange counters) so reports can show who did what.
+/// `EngineStats`, and carries a per-member `EngineBreakdown` so reports can
+/// show who did what.
 /// An inconclusive portfolio (every member Unknown) forwards a k-induction
 /// step CEX when one was produced, keeping the GenAI repair loop fed even
 /// when no engine concluded.

@@ -330,7 +330,7 @@ void Solver::analyze(Clause* conflict, std::vector<Lit>& out_learnt, int& out_bt
       cla_bump_activity(*c);
       // Age the glue: a learnt clause re-entering analysis gets its LBD
       // recomputed and keeps the minimum (glucose-style aging).
-      if (inprocess_on_ && c->lbd > kCoreLbd) {
+      if (c->lbd > kCoreLbd) {
         const std::uint32_t lbd = compute_lbd(c->lits());
         if (lbd < c->lbd) c->lbd = lbd;
       }
@@ -470,76 +470,48 @@ bool Solver::locked(const Clause* c) const noexcept {
 void Solver::reduce_db() {
   ++stats_.reductions;
   const std::size_t target = num_learnts() / 2;
-  std::size_t doomed = 0;
 
-  if (inprocess_on_) {
-    // LBD tiers: core clauses (lbd <= kCoreLbd) and binaries are immortal;
-    // the rest die worst-glue-first, activity as the tie-break. The index
-    // yields the unlocked reducible learnts in learn order — the same
-    // sequence a scan of the whole database would — dropping entries that
-    // aged or shrank out of the tier for good.
-    reduce_order_.clear();
-    std::size_t kept = 0;
+  // LBD tiers: core clauses (lbd <= kCoreLbd) and binaries are immortal;
+  // the rest die worst-glue-first, activity as the tie-break. The index
+  // yields the unlocked reducible learnts in learn order — the same
+  // sequence a scan of the whole database would — dropping entries that
+  // aged or shrank out of the tier for good.
+  reduce_order_.clear();
+  std::size_t kept = 0;
+  for (const std::uint32_t pos : reducible_) {
+    Clause* c = learnts_[pos].get();
+    if (!reducible(*c)) continue;
+    reducible_[kept++] = pos;
+    if (!locked(c)) reduce_order_.push_back(c);
+  }
+  reducible_.resize(kept);
+  // When every candidate dies, their ranking is moot.
+  const std::size_t doomed = std::min(target, reduce_order_.size());
+  if (doomed < reduce_order_.size()) {
+    std::sort(reduce_order_.begin(), reduce_order_.end(),
+              [](const Clause* a, const Clause* b) {
+                if (a->lbd != b->lbd) return a->lbd > b->lbd;  // worst glue first
+                return a->activity < b->activity;
+              });
+  }
+  for (std::size_t i = 0; i < doomed; ++i) reduce_order_[i]->dead = true;
+  if (doomed > 0) {
+    // Retire in learn order (the proof's `d` lines and the watch lists
+    // depend on it) and free each clause at once.
+    kept = 0;
     for (const std::uint32_t pos : reducible_) {
-      Clause* c = learnts_[pos].get();
-      if (!reducible(*c)) continue;
-      reducible_[kept++] = pos;
-      if (!locked(c)) reduce_order_.push_back(c);
-    }
-    reducible_.resize(kept);
-    // When every candidate dies, their ranking is moot.
-    doomed = std::min(target, reduce_order_.size());
-    if (doomed < reduce_order_.size()) {
-      std::sort(reduce_order_.begin(), reduce_order_.end(),
-                [](const Clause* a, const Clause* b) {
-                  if (a->lbd != b->lbd) return a->lbd > b->lbd;  // worst glue first
-                  return a->activity < b->activity;
-                });
-    }
-    for (std::size_t i = 0; i < doomed; ++i) reduce_order_[i]->dead = true;
-    if (doomed > 0) {
-      // Retire in learn order (the proof's `d` lines and the watch lists
-      // depend on it) and free each clause at once.
-      kept = 0;
-      for (const std::uint32_t pos : reducible_) {
-        ClausePtr& c = learnts_[pos];
-        if (!c->dead) {
-          reducible_[kept++] = pos;
-          continue;
-        }
-        if (drat_ != nullptr) drat_->remove(c->lits());
-        detach_clause(c.get());
-        c.reset();
-        ++learnt_holes_;
+      ClausePtr& c = learnts_[pos];
+      if (!c->dead) {
+        reducible_[kept++] = pos;
+        continue;
       }
-      reducible_.resize(kept);
-      if (learnt_holes_ > learnts_.size() / 2) compact_learnts();
-    }
-  } else {
-    // Legacy order: sort learnts by (size > 2, activity); glue-ish survive.
-    reduce_order_.clear();
-    for (const auto& c : learnts_) {
-      if (c != nullptr) reduce_order_.push_back(c.get());
-    }
-    std::sort(reduce_order_.begin(), reduce_order_.end(), [](const Clause* a, const Clause* b) {
-      const bool a_big = a->size() > 2;
-      const bool b_big = b->size() > 2;
-      if (a_big != b_big) return a_big;  // big clauses first (delete candidates)
-      return a->activity < b->activity;
-    });
-    for (Clause* c : reduce_order_) {
-      if (doomed >= target) break;
-      if (c->size() > 2 && !locked(c)) {
-        c->dead = true;
-        ++doomed;
-      }
-    }
-    for (const auto& c : learnts_) {
-      if (c == nullptr || !c->dead) continue;
       if (drat_ != nullptr) drat_->remove(c->lits());
       detach_clause(c.get());
+      c.reset();
+      ++learnt_holes_;
     }
-    compact_learnts();
+    reducible_.resize(kept);
+    if (learnt_holes_ > learnts_.size() / 2) compact_learnts();
   }
   stats_.deleted_clauses += doomed;
 }
@@ -728,8 +700,7 @@ LBool Solver::solve_core(const std::vector<Lit>& assumptions) {
     // fixed floor.
     const std::uint64_t inprocess_interval = std::max(
         kInprocessInterval, static_cast<std::uint64_t>(clauses_.size()) / 4);
-    if (inprocess_on_ &&
-        stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval) {
+    if (stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval) {
       simplify_now();
       if (!ok_) {
         status = LBool::False;

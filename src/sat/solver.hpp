@@ -9,10 +9,9 @@
 ///  * first-UIP conflict analysis with (local) clause minimization,
 ///  * VSIDS variable activities with phase saving,
 ///  * Luby restarts,
-///  * learnt-clause database reduction — LBD-tiered (glue clauses are
+///  * LBD-tiered learnt-clause database reduction (glue clauses are
 ///    immortal, the rest ranked by LBD then activity, found through an
-///    index of the deletable learnts) when inprocessing is enabled, the
-///    legacy activity order when it is off,
+///    index of the deletable learnts),
 ///  * clauses stored as one allocation each: a small header followed
 ///    inline by the literals,
 ///  * inprocessing between restarts (sat/inprocess.hpp): top-level
@@ -28,10 +27,6 @@
 /// The model checker keeps one live `Solver` per unrolling and extends it
 /// with new frames between `solve()` calls; clauses may be added whenever the
 /// solver is at decision level 0 (which it always is between calls).
-///
-/// `set_inprocessing(false)` pins the solver bit-for-bit to the plain-CDCL
-/// behavior: no inprocessing sessions, legacy reduce_db order, no freezing
-/// side effects on the search.
 
 #include <atomic>
 #include <cstdint>
@@ -166,10 +161,6 @@ class Solver {
     return eliminated_[static_cast<std::size_t>(v)] != 0;
   }
 
-  /// Toggle inprocessing + the LBD-tiered clause-DB policy (default on).
-  void set_inprocessing(bool on) { inprocess_on_ = on; }
-  bool inprocessing() const noexcept { return inprocess_on_; }
-
   /// Begin DRAT logging to `<path_base>.cnf` / `<path_base>.drat`. Must be
   /// called on a pristine solver (no variables or clauses yet).
   bool start_proof(const std::string& path_base);
@@ -293,8 +284,8 @@ class Solver {
   /// interval is max(this, clauses/4) so session cost stays proportional to
   /// the solving done between sessions. Tuned on the shootout's SAT-heavy
   /// rows: 1000 barely fires inside PDR's short budgeted queries, 250 cuts
-  /// fifo_ctrl conflicts ~35% and dual_accumulator ~98% against the
-  /// inprocessing-off ablation; 150 starts to thrash, and a shallower size
+  /// fifo_ctrl conflicts ~35% and dual_accumulator ~98% against plain
+  /// CDCL without sessions; 150 starts to thrash, and a shallower size
   /// scaling (clauses/8) fires zero-payoff sessions on the big low-conflict
   /// BMC-style CNFs (sdiv_props).
   static constexpr std::uint64_t kInprocessInterval = 250;
@@ -350,7 +341,6 @@ class Solver {
   const std::atomic<bool>* stop_ = nullptr;
   std::uint64_t conflicts_at_solve_start_ = 0;
 
-  bool inprocess_on_ = true;
   std::uint64_t last_inprocess_conflicts_ = 0;
   std::size_t vivify_cursor_ = 0;  // round-robin start for vivification
 

@@ -6,13 +6,24 @@
 #include <fstream>
 #include <sstream>
 
-#include "mc/pdr/cube.hpp"
 #include "util/status.hpp"
 #include "util/telemetry.hpp"
 
 namespace genfv::serve {
 
 namespace {
+
+/// The clause ¬cube over `ts`, or nullptr when the cube does not fit `ts`
+/// (empty, or a state index or bit out of range). Entries are outside input,
+/// so this check stands in front of `pdr::clause_expr`, which asserts.
+ir::NodeRef clause_in(const ir::TransitionSystem& ts, const mc::pdr::Cube& cube) {
+  if (cube.empty()) return nullptr;
+  for (const mc::pdr::StateLit& lit : cube) {
+    if (lit.state >= ts.states().size()) return nullptr;
+    if (lit.bit >= ts.states()[lit.state].var->width()) return nullptr;
+  }
+  return mc::pdr::clause_expr(ts, cube);
+}
 
 std::string hex64(std::uint64_t v) {
   char buf[20];
@@ -129,19 +140,14 @@ bool ProofCache::store(const std::string& design, const ir::TransitionSystem& ts
   entry->depth = result.depth;
   entry->clauses.reserve(result.invariant.size());
   for (const ir::NodeRef expr : result.invariant) {
-    const auto cube = mc::pdr::cube_of_clause(ts, expr);
+    auto cube = mc::pdr::cube_of_clause(ts, expr);
     if (!cube.has_value()) {
       // The invariant is only *jointly* inductive; if one clause does not
       // round-trip through the neutral form, a partial store could never
       // recertify — store nothing.
       return false;
     }
-    mc::ExchangedClause clause;
-    clause.lits.reserve(cube->size());
-    for (const auto& lit : *cube) {
-      clause.lits.push_back(mc::ExchangedLit{lit.state, lit.bit, lit.negated});
-    }
-    entry->clauses.push_back(std::move(clause));
+    entry->clauses.push_back(std::move(*cube));
   }
 
   if (!options_.dir.empty()) persist(*entry);
@@ -203,7 +209,7 @@ std::string ProofCache::render_entry(const CacheEntry& entry) {
   out << "clauses " << entry.clauses.size() << "\n";
   for (const auto& clause : entry.clauses) {
     out << "clause";
-    for (const auto& lit : clause.lits) {
+    for (const auto& lit : clause) {
       out << " " << lit.state << "." << lit.bit << (lit.negated ? "-" : "+");
     }
     out << "\n";
@@ -296,8 +302,8 @@ class EntryParser {
     return v;
   }
 
-  mc::ExchangedClause parse_clause(const std::string& body) {
-    mc::ExchangedClause clause;
+  mc::pdr::Cube parse_clause(const std::string& body) {
+    mc::pdr::Cube clause;
     std::istringstream fields(body);
     std::string token;
     while (fields >> token) {
@@ -307,15 +313,15 @@ class EntryParser {
       }
       const char polarity = token.back();
       if (polarity != '+' && polarity != '-') fail("malformed clause literal");
-      mc::ExchangedLit lit;
+      mc::pdr::StateLit lit;
       lit.state = static_cast<std::uint32_t>(
           parse_count(token.substr(0, dot)));
       lit.bit = static_cast<std::uint32_t>(
           parse_count(token.substr(dot + 1, token.size() - dot - 2)));
       lit.negated = polarity == '-';
-      clause.lits.push_back(lit);
+      clause.push_back(lit);
     }
-    if (clause.lits.empty()) fail("empty clause");
+    if (clause.empty()) fail("empty clause");
     return clause;
   }
 
@@ -335,7 +341,7 @@ mc::EngineResult recertify(const ir::TransitionSystem& ts,
   std::vector<ir::NodeRef> goals = targets;
   goals.reserve(targets.size() + entry.clauses.size());
   for (const auto& clause : entry.clauses) {
-    const ir::NodeRef expr = mc::materialize(clause, ts);
+    const ir::NodeRef expr = clause_in(ts, clause);
     if (expr == nullptr) {
       // The clause names a state this system does not have: the entry cannot
       // certify here, report the refutation without burning SAT time.
@@ -362,7 +368,7 @@ std::vector<ir::NodeRef> surviving_clauses(const ir::TransitionSystem& ts,
   std::vector<ir::NodeRef> survivors;
   survivors.reserve(entry.clauses.size());
   for (const auto& clause : entry.clauses) {
-    const ir::NodeRef expr = mc::materialize(clause, ts);
+    const ir::NodeRef expr = clause_in(ts, clause);
     if (expr != nullptr) survivors.push_back(expr);
   }
   return survivors;

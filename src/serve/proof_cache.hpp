@@ -6,11 +6,11 @@
 /// Every (transition system, target set) is keyed on `ir::struct_hash` — a
 /// semantic-structural hash that survives renames, NodeManager clones and
 /// serialize round trips, and changes under any semantic edit. A Proven
-/// run's inductive invariant is stored in the manager-neutral clause form of
-/// `mc::ExchangedClause` (state declaration index + bit + polarity), the
-/// same currency the portfolio's lemma exchange uses: it carries no NodeRef,
-/// so an entry written by one process materializes cleanly into any later
-/// process's NodeManager.
+/// run's inductive invariant is stored as `mc::pdr::Cube`s, one blocked cube
+/// per clause (state declaration index + bit + polarity per literal), the
+/// same manager-neutral currency PDR's frame database uses: it carries no
+/// NodeRef, so an entry written by one process renders cleanly into any
+/// later process's NodeManager (`pdr::clause_expr`).
 ///
 /// Soundness story (the part that makes a *persistent* cache safe):
 /// **cached invariants are candidates, never facts.**
@@ -40,7 +40,7 @@
 #include "ir/struct_hash.hpp"
 #include "ir/transition_system.hpp"
 #include "mc/engine.hpp"
-#include "mc/exchange.hpp"
+#include "mc/pdr/cube.hpp"
 #include "util/thread_safety.hpp"
 
 namespace genfv::serve {
@@ -54,7 +54,7 @@ struct CacheEntry {
   std::uint64_t prop_hash = 0;
   std::vector<ir::StateSig> state_sigs;
   std::size_t depth = 0;  ///< depth of the run that produced the proof
-  std::vector<mc::ExchangedClause> clauses;  ///< the inductive invariant
+  std::vector<mc::pdr::Cube> clauses;  ///< the inductive invariant, as blocked cubes
 };
 
 enum class CacheOutcome {
@@ -130,7 +130,7 @@ class ProofCache {
 };
 
 /// Independent re-certification of a cached invariant over the *current*
-/// system: materialize every clause into `ts`'s manager and run a one-step
+/// system: render every clause into `ts`'s manager and run a one-step
 /// induction (`KInduction`, max_steps = 1) on targets ∧ clauses. Returns the
 /// engine result — Proven means the cached verdict is re-established by a
 /// fresh SAT proof; anything else means the entry must be rejected. Clauses
@@ -140,7 +140,7 @@ mc::EngineResult recertify(const ir::TransitionSystem& ts,
                            const std::vector<ir::NodeRef>& targets,
                            const CacheEntry& entry, const mc::EngineOptions& base);
 
-/// Materialize the subset of `entry.clauses` that still fits `ts` — the
+/// Render the subset of `entry.clauses` that still fits `ts` — the
 /// near-miss warm-start payload for `EngineOptions::pdr_candidate_lemmas`.
 /// Out-of-range clauses are skipped (they name states the edit removed).
 std::vector<ir::NodeRef> surviving_clauses(const ir::TransitionSystem& ts,

@@ -90,6 +90,15 @@ class WorkerPool {
 
   Stats stats() const;
 
+#if defined(GENFV_TSA_NEGATIVE_TEST)
+  /// Negative-compile probe (scripts/check_thread_safety.sh): reads a
+  /// guarded field without taking mu_. MUST fail to compile under
+  /// -Werror=thread-safety — if it ever compiles, the annotation coverage
+  /// has rotted and the whole clang leg is vacuous. Never defined in real
+  /// builds.
+  std::size_t tsa_probe_unguarded() const { return queue_.size(); }
+#endif
+
  private:
   struct Job {
     std::string id;

@@ -553,14 +553,15 @@ TEST(PdrFrameDb, MayClauseLifecycleAndJournal) {
   EXPECT_EQ(db.may_clauses()[0].cube, c3);
 }
 
-TEST(PdrCube, ExchangeKeyIsSharedBetweenCubesAndMailboxClauses) {
-  // The FrameDb's may-clause dedupe and the mailbox AbsorbFilter must key
-  // the same fact identically, whichever lit struct carries it.
-  const Cube cube{{2, 5, true}, {0, 1, false}};
-  mc::ExchangedClause clause;
-  for (const StateLit& l : cube) clause.lits.push_back({l.state, l.bit, l.negated});
-  EXPECT_EQ(mc::exchange_key(cube), mc::exchange_key(clause));
-  EXPECT_NE(mc::exchange_key(cube), mc::exchange_key(Cube{{2, 5, true}}));
+TEST(PdrCube, CubeKeyIsEqualExactlyForEqualCubes) {
+  // The FrameDb's may-clause dedupe keys on cube_key: equal cubes must share
+  // a key, and no two different cubes may collide (state/bit boundaries and
+  // polarity are all part of the key).
+  const Cube cube{{0, 1, false}, {2, 5, true}};
+  EXPECT_EQ(cube_key(cube), cube_key(Cube{{0, 1, false}, {2, 5, true}}));
+  EXPECT_NE(cube_key(cube), cube_key(Cube{{2, 5, true}}));
+  EXPECT_NE(cube_key(Cube{{1, 12, false}}), cube_key(Cube{{11, 2, false}}));
+  EXPECT_NE(cube_key(Cube{{1, 2, false}}), cube_key(Cube{{1, 2, true}}));
 }
 
 TEST(PdrCube, CubeOfClauseRoundTripsAndRejectsNonClauses) {
@@ -695,36 +696,6 @@ TEST(PdrSeeding, NonClauseCandidatesAreSkipped) {
   const EngineResult result = engine.prove(prop);
   EXPECT_EQ(result.verdict, Verdict::Proven);
   EXPECT_EQ(result.stats.candidates_seeded, 0u);
-}
-
-TEST(PdrSeeding, MailboxFeedsInfinity) {
-  // A racing publisher's proven clauses join F_∞ directly — never as may
-  // candidates — and count as absorbed.
-  auto ts = stride_counter(8, 2);
-  auto& nm = ts.nm();
-  const NodeRef count = ts.lookup("count");
-  const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
-
-  auto mailbox = std::make_shared<LemmaMailbox>(2);
-  mc::ExchangedClause even;
-  even.lits = {{0, 0, false}};  // clause !count[0], a true invariant
-  mc::ExchangedClause high;
-  high.lits = {{0, 7, true}, {0, 0, false}};  // clause count[7] | !count[0]
-  // Batch publish, as push_to_infinity does for jointly-inductive sets.
-  mailbox->publish_batch(1, {even, high});
-  EXPECT_EQ(mailbox->published_by(1), 2u);
-
-  EngineOptions options;
-  options.max_steps = 16;
-  options.pdr_seed_candidates = true;
-  options.exchange_mailbox = mailbox;
-  options.exchange_slot = 0;
-  PdrEngine engine(ts, options);
-  const EngineResult result = engine.prove(prop);
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  EXPECT_GE(mailbox->absorbed_by(0), 2u);
-  EXPECT_EQ(result.stats.candidates_seeded, 0u);
-  EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
 }
 
 TEST(PdrSeeding, EngineInterfaceThreadsCandidateOptions) {

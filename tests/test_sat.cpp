@@ -415,35 +415,30 @@ void expect_model_satisfies(const Solver& s,
 
 class InprocessFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(InprocessFuzz, OnOffAndForcedSimplifyAgreeWithBruteForce) {
-  // Three solvers over each instance: inprocessing off (the pinned baseline
-  // path), on (cadence-scheduled — these instances are too small to hit the
-  // conflict cadence, so this mostly checks the LBD-tier path), and on with
-  // an explicit simplify_now() session (forces BVE/subsumption/vivification
-  // through every clause). All must agree with brute force, and every SAT
-  // model must extend over eliminated variables back to the original CNF.
+TEST_P(InprocessFuzz, ScheduledAndForcedSimplifyAgreeWithBruteForce) {
+  // Two solvers over each instance: cadence-scheduled inprocessing (these
+  // instances are too small to hit the conflict cadence, so this mostly
+  // checks the LBD-tier path), and an explicit simplify_now() session
+  // (forces BVE/subsumption/vivification through every clause). Both must
+  // agree with brute force, and every SAT model must extend over eliminated
+  // variables back to the original CNF.
   util::Xoshiro256 rng(GetParam());
   for (int instance = 0; instance < 30; ++instance) {
     const int num_vars = 4 + static_cast<int>(rng.below(9));  // 4..12
     const auto clauses = random_cnf(rng, num_vars);
     const bool expected = brute_force_sat(num_vars, clauses);
 
-    Solver off;
-    off.set_inprocessing(false);
     Solver on;
     Solver forced;
-    const bool off_ok = load_raw(off, num_vars, clauses);
     const bool on_ok = load_raw(on, num_vars, clauses);
     const bool forced_ok = load_raw(forced, num_vars, clauses);
-    ASSERT_EQ(off_ok, on_ok);
-    ASSERT_EQ(off_ok, forced_ok);
-    if (!off_ok) {
+    ASSERT_EQ(on_ok, forced_ok);
+    if (!on_ok) {
       ASSERT_FALSE(expected);
       continue;
     }
     if (!forced.inconsistent()) forced.simplify_now();
 
-    ASSERT_EQ(off.solve() == LBool::True, expected) << "instance " << instance;
     ASSERT_EQ(on.solve() == LBool::True, expected) << "instance " << instance;
     ASSERT_EQ(forced.inconsistent() ? LBool::False : forced.solve(),
               expected ? LBool::True : LBool::False)
@@ -452,7 +447,6 @@ TEST_P(InprocessFuzz, OnOffAndForcedSimplifyAgreeWithBruteForce) {
       expect_model_satisfies(on, clauses);
       expect_model_satisfies(forced, clauses);
     }
-    EXPECT_EQ(off.stats().inprocessings, 0u);
   }
 }
 
@@ -463,50 +457,53 @@ class InprocessIncrementalFuzz : public ::testing::TestWithParam<std::uint64_t> 
 
 TEST_P(InprocessIncrementalFuzz, FrozenAssumptionsSurviveSimplifySessions) {
   // The incremental contract inprocessing must not break: interleave clause
-  // batches, explicit simplify sessions and assumption solves, and compare
-  // every answer against a plain solver with inprocessing off. Assumption
-  // variables are frozen by solve(); a variable the simplifier eliminated
-  // anyway is restored on re-import when a later batch mentions it.
+  // batches, explicit simplify sessions and assumption solves, and check
+  // every answer against brute force over the clauses so far, with the
+  // assumptions added as unit clauses. Assumption variables are frozen by
+  // solve(); a variable the simplifier eliminated anyway is restored on
+  // re-import when a later batch mentions it.
   util::Xoshiro256 rng(GetParam());
   for (int instance = 0; instance < 10; ++instance) {
     const int num_vars = 6 + static_cast<int>(rng.below(6));  // 6..11
     Solver simplified;
-    Solver baseline;
-    baseline.set_inprocessing(false);
     while (simplified.num_vars() < num_vars) (void)simplified.new_var();
-    while (baseline.num_vars() < num_vars) (void)baseline.new_var();
+    std::vector<std::vector<int>> added;
 
-    bool consistent = true;
-    for (int round = 0; round < 4 && consistent; ++round) {
-      const auto batch = random_cnf(rng, num_vars);
-      for (const auto& clause : batch) {
+    for (int round = 0; round < 4; ++round) {
+      bool consistent = true;
+      for (const auto& clause : random_cnf(rng, num_vars)) {
+        added.push_back(clause);
         std::vector<Lit> lits;
         for (const int l : clause) lits.push_back(mk_lit(std::abs(l) - 1, l < 0));
-        const bool a = simplified.add_clause(lits);
-        const bool b = baseline.add_clause(std::move(lits));
-        ASSERT_EQ(a, b) << "level-0 divergence in round " << round;
-        consistent = a;
+        consistent = simplified.add_clause(std::move(lits));
         if (!consistent) break;
       }
-      if (!consistent) break;
-      simplified.simplify_now();
-      if (simplified.inconsistent()) {
-        // The session may find the level-0 conflict before baseline's next
-        // solve does; the baseline must then answer UNSAT too.
-        ASSERT_EQ(baseline.solve(), LBool::False);
-        consistent = false;
+      // A level-0 conflict, found while adding or by the session, must be
+      // a real one.
+      if (consistent) {
+        simplified.simplify_now();
+        consistent = !simplified.inconsistent();
+      }
+      if (!consistent) {
+        ASSERT_FALSE(brute_force_sat(num_vars, added)) << "round " << round;
         break;
       }
 
       std::vector<Lit> assumptions;
+      std::vector<std::vector<int>> with_units = added;
       for (int v = 0; v < num_vars; ++v) {
         if (rng.chance(0.25)) {
-          assumptions.push_back(mk_lit(static_cast<Var>(v), rng.chance(0.5)));
+          const bool negated = rng.chance(0.5);
+          assumptions.push_back(mk_lit(static_cast<Var>(v), negated));
+          with_units.push_back({negated ? -(v + 1) : v + 1});
         }
       }
-      ASSERT_EQ(simplified.solve(assumptions), baseline.solve(assumptions))
+      ASSERT_EQ(simplified.solve(assumptions) == LBool::True,
+                brute_force_sat(num_vars, with_units))
           << "round " << round;
-      ASSERT_EQ(simplified.solve(), baseline.solve()) << "round " << round;
+      const bool expected = brute_force_sat(num_vars, added);
+      ASSERT_EQ(simplified.solve() == LBool::True, expected) << "round " << round;
+      if (expected) expect_model_satisfies(simplified, added);
     }
   }
 }
@@ -859,25 +856,19 @@ TEST(ClauseDbReduction, ReductionsInterleavedWithSessionsKeepProofAndVerdict) {
   SolverStats stats;
   int reducing_slices = 0;
   {
-    Solver on;
-    ASSERT_TRUE(on.start_proof(base));
-    ASSERT_TRUE(load_raw(on, num_vars, clauses));
-    on.set_conflict_budget(1000);
+    Solver solver;
+    ASSERT_TRUE(solver.start_proof(base));
+    ASSERT_TRUE(load_raw(solver, num_vars, clauses));
+    solver.set_conflict_budget(1000);
     while (answer == LBool::Undef) {
-      const std::uint64_t reductions_before = on.stats().reductions;
-      answer = on.solve();
-      if (on.stats().reductions > reductions_before) ++reducing_slices;
-      if (answer == LBool::Undef) on.simplify_now();
+      const std::uint64_t reductions_before = solver.stats().reductions;
+      answer = solver.solve();
+      if (solver.stats().reductions > reductions_before) ++reducing_slices;
+      if (answer == LBool::Undef) solver.simplify_now();
     }
-    if (answer == LBool::True) expect_model_satisfies(on, clauses);
-    stats = on.stats();
+    if (answer == LBool::True) expect_model_satisfies(solver, clauses);
+    stats = solver.stats();
   }  // the writer finalizes the .cnf when the solver dies
-
-  Solver off;
-  off.set_inprocessing(false);
-  ASSERT_TRUE(load_raw(off, num_vars, clauses));
-  EXPECT_EQ(off.solve(), answer);
-  if (answer == LBool::True) expect_model_satisfies(off, clauses);
 
   EXPECT_GE(reducing_slices, 2) << "reductions never straddled a session";
   EXPECT_GT(stats.deleted_clauses, 0u);

@@ -25,7 +25,7 @@
 #include "flow/session.hpp"
 #include "ir/struct_hash.hpp"
 #include "mc/engine.hpp"
-#include "mc/exchange.hpp"
+#include "mc/pdr/cube.hpp"
 #include "serve/json.hpp"
 #include "serve/proof_cache.hpp"
 #include "serve/server.hpp"
@@ -550,12 +550,10 @@ ir::TransitionSystem holding_bit_system() {
   return ts;
 }
 
-/// ExchangedLit literals describe the blocked *cube*; the clause is its
-/// negation, so a negated cube literal materializes as the positive bit.
-mc::ExchangedClause unit_clause(std::size_t state, unsigned bit, bool negated) {
-  mc::ExchangedClause clause;
-  clause.lits.push_back(mc::ExchangedLit{state, bit, negated});
-  return clause;
+/// Cache entries store the blocked *cube*; the clause is its negation, so a
+/// negated cube literal renders as the positive bit.
+mc::pdr::Cube unit_clause(std::uint32_t state, std::uint32_t bit, bool negated) {
+  return {mc::pdr::StateLit{state, bit, negated}};
 }
 
 TEST(ServeCache, RecertifyAcceptsATrueInvariant) {
@@ -587,6 +585,7 @@ TEST(ServeCache, RecertifyFailsClosedOnClausesThatDoNotFit) {
   CacheEntry entry;
   entry.clauses.push_back(unit_clause(0, 0, true));   // clause: c — fits
   entry.clauses.push_back(unit_clause(7, 0, true));   // no such state
+  entry.clauses.push_back(unit_clause(0, 1, true));   // no such bit
   const std::vector<ir::NodeRef> targets{ts.states()[0].var};
   const mc::EngineResult result = recertify(ts, targets, entry, mc::EngineOptions{});
   EXPECT_NE(result.verdict, mc::Verdict::Proven);
@@ -651,12 +650,7 @@ TEST(ServeCache, EntryTextRoundTripsAndEveryCorruptionIsRejected) {
   entry.state_sigs.push_back(ir::StateSig{4, 0x1111222233334444ULL});
   entry.state_sigs.push_back(ir::StateSig{1, 0x5555666677778888ULL});
   entry.clauses.push_back(unit_clause(0, 3, true));
-  mc::ExchangedClause wide;
-  wide.lits.push_back(mc::ExchangedLit{1, 0, false});
-  wide.lits.push_back(mc::ExchangedLit{0, 2, true});
-  // Cache entries hold a final invariant, so the format only carries proven
-  // clauses; a frame level would not survive the round trip.
-  entry.clauses.push_back(wide);
+  entry.clauses.push_back({{1, 0, false}, {0, 2, true}});
 
   const std::string text = ProofCache::render_entry(entry);
   const CacheEntry back = ProofCache::parse_entry(text);
@@ -665,10 +659,7 @@ TEST(ServeCache, EntryTextRoundTripsAndEveryCorruptionIsRejected) {
   EXPECT_EQ(back.prop_hash, entry.prop_hash);
   EXPECT_EQ(back.depth, entry.depth);
   EXPECT_EQ(back.state_sigs, entry.state_sigs);
-  ASSERT_EQ(back.clauses.size(), entry.clauses.size());
-  for (std::size_t i = 0; i < back.clauses.size(); ++i) {
-    EXPECT_EQ(mc::exchange_key(back.clauses[i]), mc::exchange_key(entry.clauses[i]));
-  }
+  EXPECT_EQ(back.clauses, entry.clauses);
   EXPECT_EQ(ProofCache::render_entry(back), text);
 
   const std::string corruptions[] = {
@@ -762,10 +753,8 @@ TEST(ServeCache, BogusSeedCandidatesNeverChangeTheVerdict) {
 
   mc::EngineOptions warm_options = cold_options;
   warm_options.pdr_seed_candidates = true;
-  const ir::NodeRef bit0 = mc::materialize(unit_clause(0, 0, false), ts);
-  const ir::NodeRef not_bit0 = mc::materialize(unit_clause(0, 0, true), ts);
-  ASSERT_NE(bit0, nullptr);
-  ASSERT_NE(not_bit0, nullptr);
+  const ir::NodeRef bit0 = mc::pdr::clause_expr(ts, unit_clause(0, 0, false));
+  const ir::NodeRef not_bit0 = mc::pdr::clause_expr(ts, unit_clause(0, 0, true));
   warm_options.pdr_candidate_lemmas = {bit0, not_bit0};
   const mc::EngineResult warm = session.run_job(mc::EngineKind::Pdr, warm_options);
   // The bogus candidates may cost frames or conflicts, but never the verdict.

@@ -16,8 +16,8 @@
 ///   genfv_cli sat <file.cnf> [options]
 ///       Solve a DIMACS CNF with the SAT solver directly (no model
 ///       checking). Prints "s SATISFIABLE" / "s UNSATISFIABLE"; honours
-///       --sat-inprocess and --drat-out, which makes it the
-///       harness the DRAT-certificate CI check drives (scripts/check_drat.py).
+///       --drat-out, which makes it the harness the DRAT-certificate CI
+///       check drives (scripts/check_drat.py).
 ///   genfv_cli designs
 ///       List the built-in design zoo.
 ///   genfv_cli models
@@ -26,15 +26,9 @@
 /// Options (--opt value and --opt=value are both accepted):
 ///   --flow cex|helper|direct|plain   (default: cex — the paper's Fig. 2 loop)
 ///   --engine bmc|kind|pdr|portfolio  target-proof engine (default: kind)
-///   --exchange on|off                live lemma exchange between portfolio
-///                                    members (default: on; no effect on
-///                                    single engines)
 ///   --seed-candidates on|off         seed PDR frames with unproven candidate
 ///                                    lemmas under the may-proof discipline
 ///                                    (default: off; see docs/lemmas.md)
-///   --sat-inprocess on|off           inprocessing between restarts plus the
-///                                    LBD-tiered learnt-clause DB (default:
-///                                    on; off pins the plain-CDCL behavior)
 ///   --drat-out <path>                log DRAT proofs: each solver writes
 ///                                    <path>[-p..].cnf/.drat; check
 ///                                    with scripts/check_drat.py (docs/sat.md)
@@ -103,9 +97,7 @@ struct CliOptions {
   std::string design;
   std::string flow = "cex";
   mc::EngineKind engine = mc::EngineKind::KInduction;
-  bool exchange = true;
   bool seed_candidates = false;
-  bool sat_inprocess = true;
   std::string drat_out;
   std::string model = "gpt-4o";
   std::uint64_t seed = 42;
@@ -130,11 +122,10 @@ struct CliOptions {
                "  genfv_cli prove --rtl <file.aag|aig|btor|btor2> [--property \"[engine:]<name>\"]\n"
                "  genfv_cli <file.aag|aig|btor|btor2|sv> [options]   (prove shorthand)\n"
                "  genfv_cli demo <design> [options]\n"
-               "  genfv_cli sat <file.cnf> [--sat-inprocess on|off] [--drat-out <path>]\n"
+               "  genfv_cli sat <file.cnf> [--drat-out <path>]\n"
                "  genfv_cli designs | models\n"
                "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-               "         --exchange on|off  --seed-candidates on|off\n"
-               "         --sat-inprocess on|off  --drat-out <path>\n"
+               "         --seed-candidates on|off  --drat-out <path>\n"
                "         --emit-lemmas <file>  --use-lemmas <file>\n"
                "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
                "         --dump-ts <file>  --dump-aiger <file.aag>  --vcd <file>  --verbose\n"
@@ -213,23 +204,11 @@ CliOptions parse_args(int argc, char** argv) {
       if (!kind.has_value()) usage(("unknown engine '" + name + "'").c_str());
       opts.engine = *kind;
     }
-    else if (arg == "--exchange") {
-      const std::string value = need_value("--exchange");
-      if (value == "on") opts.exchange = true;
-      else if (value == "off") opts.exchange = false;
-      else usage("--exchange takes 'on' or 'off'");
-    }
     else if (arg == "--seed-candidates") {
       const std::string value = need_value("--seed-candidates");
       if (value == "on") opts.seed_candidates = true;
       else if (value == "off") opts.seed_candidates = false;
       else usage("--seed-candidates takes 'on' or 'off'");
-    }
-    else if (arg == "--sat-inprocess") {
-      const std::string value = need_value("--sat-inprocess");
-      if (value == "on") opts.sat_inprocess = true;
-      else if (value == "off") opts.sat_inprocess = false;
-      else usage("--sat-inprocess takes 'on' or 'off'");
     }
     else if (arg == "--drat-out") opts.drat_out = need_value("--drat-out");
     else if (arg == "--model") opts.model = need_value("--model");
@@ -310,18 +289,13 @@ std::string telemetry_summary_line() {
   const std::uint64_t solve_ms = reg.counter("sat.solve_ns").value() / 1000000;
   const std::uint64_t blocking_ms = reg.counter("pdr.blocking_ns").value() / 1000000;
   const std::uint64_t propagate_ms = reg.counter("pdr.propagate_ns").value() / 1000000;
-  const std::uint64_t published = reg.counter("exchange.published").value();
-  const std::uint64_t absorbed = reg.counter("exchange.absorbed").value();
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "telemetry: sat %llu solves / %llu ms, pdr blocking %llu ms propagate %llu ms, "
-                "exchange %llu pub / %llu abs",
+                "telemetry: sat %llu solves / %llu ms, pdr blocking %llu ms propagate %llu ms",
                 static_cast<unsigned long long>(solves),
                 static_cast<unsigned long long>(solve_ms),
                 static_cast<unsigned long long>(blocking_ms),
-                static_cast<unsigned long long>(propagate_ms),
-                static_cast<unsigned long long>(published),
-                static_cast<unsigned long long>(absorbed));
+                static_cast<unsigned long long>(propagate_ms));
   return buf;
 }
 
@@ -332,24 +306,17 @@ void print_result(const std::string& label, const mc::EngineResult& result) {
     std::printf("%s\n", telemetry_summary_line().c_str());
   }
   for (const mc::EngineBreakdown& member : result.breakdown) {
-    std::string exchange;
-    if (member.lemmas_published != 0 || member.lemmas_absorbed != 0) {
-      exchange = ", published " + std::to_string(member.lemmas_published) +
-                 " / absorbed " + std::to_string(member.lemmas_absorbed) + " lemmas";
-    }
-    std::printf("  %-12s %s (depth=%zu, %zu SAT calls%s)%s%s\n", member.engine.c_str(),
+    std::printf("  %-12s %s (depth=%zu, %zu SAT calls)%s%s\n", member.engine.c_str(),
                 mc::to_string(member.verdict).c_str(), member.depth,
-                member.stats.sat_calls, exchange.c_str(),
-                member.note.empty() ? "" : " — ", member.note.c_str());
+                member.stats.sat_calls, member.note.empty() ? "" : " — ",
+                member.note.c_str());
   }
 }
 
 int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   mc::EngineOptions base;
   base.max_steps = opts.max_k;
-  base.exchange = opts.exchange;
   base.pdr_seed_candidates = opts.seed_candidates;
-  base.sat_inprocess = opts.sat_inprocess;
   base.drat_path = opts.drat_out;
   if (!opts.use_lemmas_path.empty()) {
     base.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
@@ -446,9 +413,7 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.engine.max_k = opts.max_k;
   options.review.sim_screen = opts.sim_screen;
   options.target_engine = opts.engine;
-  options.exchange = opts.exchange;
   options.pdr_seed_candidates = opts.seed_candidates;
-  options.engine.sat_inprocess = opts.sat_inprocess;
   options.engine.drat_path = opts.drat_out;
   if (!opts.use_lemmas_path.empty()) {
     options.engine.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
@@ -523,7 +488,6 @@ void select_targets(flow::VerificationTask& task, const std::vector<std::string>
 int cmd_sat(const CliOptions& opts) {
   const sat::Cnf cnf = sat::parse_dimacs(read_file(opts.rtl_path));
   sat::Solver solver;
-  solver.set_inprocessing(opts.sat_inprocess);
   if (!opts.drat_out.empty() && !solver.start_proof(opts.drat_out)) {
     std::fprintf(stderr, "error: cannot write a proof to '%s'\n", opts.drat_out.c_str());
     return 2;
@@ -535,7 +499,7 @@ int cmd_sat(const CliOptions& opts) {
     // A standalone solve has no assumptions to protect, so run one
     // deterministic inprocessing session up front — the same passes the
     // incremental path runs between restarts.
-    if (opts.sat_inprocess) solver.simplify_now();
+    solver.simplify_now();
     verdict = solver.inconsistent() ? sat::LBool::False : solver.solve();
   }
   switch (verdict) {
