@@ -17,8 +17,11 @@
 /// point syncs first, so a query always sees the whole database.
 ///
 /// Gate hygiene: finished blocking queries retire their activation gates as
-/// permanently-satisfied unit clauses; the context counts that litter for
-/// EngineStats::retired_gates.
+/// permanently-satisfied unit clauses; the context counts them for
+/// EngineStats::retired_gates. The gated query clauses are then satisfied at
+/// level 0 for good, and the solver's level-0 collection
+/// (sat::Solver::collect_satisfied) removes them from the watch lists at the
+/// start of a later solve(), so they stop costing propagation.
 ///
 /// Candidate ("may") clauses mirror through the same journal: SeedMay
 /// allocates a dedicated per-candidate gate and asserts the clause at frame

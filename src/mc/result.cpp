@@ -26,6 +26,8 @@ void EngineStats::absorb(const sat::SolverStats& solver) {
   restarts += solver.restarts;
   learnt_clauses += solver.learnt_clauses;
   deleted_clauses += solver.deleted_clauses;
+  collections += solver.collections;
+  collected_clauses += solver.collected_clauses;
   inprocessings += solver.inprocessings;
   subsumed_clauses += solver.subsumed_clauses;
   strengthened_clauses += solver.strengthened_clauses;

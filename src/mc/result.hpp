@@ -45,6 +45,10 @@ struct EngineStats {
   /// PDR query hygiene: one-shot activation gates retired as permanently-
   /// satisfied unit clauses.
   std::uint64_t retired_gates = 0;
+  /// Level-0 collections (sat::Solver::collect_satisfied) run, and the
+  /// satisfied clauses they removed — mostly those retired gates' clauses.
+  std::uint64_t collections = 0;
+  std::uint64_t collected_clauses = 0;
   /// SAT inprocessing (sat/inprocess.hpp), summed over absorbed solvers:
   /// sessions run, clauses subsumed / strengthened / vivified, variables
   /// eliminated by BVE.
@@ -80,6 +84,8 @@ struct EngineStats {
     visit("learnt_clauses", stats.learnt_clauses...);
     visit("deleted_clauses", stats.deleted_clauses...);
     visit("retired_gates", stats.retired_gates...);
+    visit("collections", stats.collections...);
+    visit("collected_clauses", stats.collected_clauses...);
     visit("inprocessings", stats.inprocessings...);
     visit("subsumed_clauses", stats.subsumed_clauses...);
     visit("strengthened_clauses", stats.strengthened_clauses...);

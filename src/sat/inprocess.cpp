@@ -20,13 +20,6 @@ constexpr std::size_t kVivifyClauseLimit = 1000;
 constexpr std::size_t kMaxVivifySize = 32;
 }  // namespace
 
-void Inprocessor::clear_level0_reasons() {
-  // Level-0 assignments are permanent facts; their reason pointers are never
-  // dereferenced by analysis (which skips level 0) but would dangle once the
-  // session deletes or shrinks clauses. Null them.
-  for (const Lit p : s_.trail_) s_.reason_[static_cast<std::size_t>(var(p))] = nullptr;
-}
-
 void Inprocessor::run() {
   GENFV_TRACE_SPAN("sat", "inprocess");
   GENFV_ASSERT(s_.decision_level() == 0, "inprocessing requires decision level 0");
@@ -34,7 +27,7 @@ void Inprocessor::run() {
     s_.mark_unsat();
     return;
   }
-  clear_level0_reasons();
+  s_.clear_level0_reasons();
   s_.compact_learnts();  // the passes below walk learnts_ and expect no holes
   top_level_simplify();
   if (s_.ok_) {
@@ -46,7 +39,7 @@ void Inprocessor::run() {
   occ_.clear();
   if (s_.ok_) vivify();
   sweep();
-  clear_level0_reasons();
+  s_.clear_level0_reasons();
   ++s_.stats_.inprocessings;
   GENFV_ASSERT(s_.qhead_ == s_.trail_.size() || !s_.ok_,
                "inprocessing must leave propagation saturated");
@@ -67,17 +60,10 @@ void Inprocessor::sweep() {
 }
 
 void Inprocessor::top_level_simplify() {
-  const auto satisfied = [this](const Clause* c) {
-    for (const Lit p : c->lits()) {
-      if (s_.value(p) == LBool::True) return true;
-    }
-    return false;
-  };
-
   // Learnts: drop the satisfied ones (false-literal stripping there buys
   // little and would cost proof traffic).
   for (const auto& c : s_.learnts_) {
-    if (!c->dead && satisfied(c.get())) kill(c.get());
+    if (!c->dead && s_.satisfied(*c)) kill(c.get());
   }
 
   // Originals: drop satisfied clauses, strip level-0-false literals. The
@@ -86,7 +72,7 @@ void Inprocessor::top_level_simplify() {
   for (std::size_t i = 0; i < s_.clauses_.size(); ++i) {
     Clause* c = s_.clauses_[i].get();
     if (c->dead) continue;
-    if (satisfied(c)) {
+    if (s_.satisfied(*c)) {
       kill(c);
       continue;
     }
@@ -111,7 +97,7 @@ void Inprocessor::top_level_simplify() {
         s_.mark_unsat();
         return;
       }
-      clear_level0_reasons();
+      s_.clear_level0_reasons();
       continue;
     }
     s_.attach_clause(c);
@@ -183,7 +169,7 @@ void Inprocessor::strengthen(Clause* d, Lit rem) {
         s_.mark_unsat();
         return;
       }
-      clear_level0_reasons();
+      s_.clear_level0_reasons();
     }
     return;
   }
@@ -342,7 +328,7 @@ void Inprocessor::eliminate_vars() {
       } else {
         // The resolvent collapsed to a unit or was absorbed; new level-0
         // facts may have appeared.
-        clear_level0_reasons();
+        s_.clear_level0_reasons();
       }
     }
   }
@@ -395,7 +381,7 @@ void Inprocessor::vivify() {
           s_.mark_unsat();
           return;
         }
-        clear_level0_reasons();
+        s_.clear_level0_reasons();
       } else {
         c->assign(lits);
         s_.attach_clause(c);
@@ -462,7 +448,7 @@ void Inprocessor::vivify() {
           s_.mark_unsat();
           return;
         }
-        clear_level0_reasons();
+        s_.clear_level0_reasons();
       }
       continue;
     }

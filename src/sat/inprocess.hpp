@@ -6,7 +6,9 @@
 ///
 /// One session runs, in order:
 ///  1. top-level simplification — satisfied clauses are removed and
-///     level-0-false literals stripped from the originals;
+///     level-0-false literals stripped from the originals (between
+///     sessions, `Solver::collect_satisfied` removes satisfied clauses at
+///     the start of solve() on its own schedule);
 ///  2. forward subsumption + self-subsuming strengthening over
 ///     variable-indexed occurrence lists with signature prefiltering
 ///     (originals subsume/strengthen both originals and learnts);
@@ -60,7 +62,6 @@ class Inprocessor {
     return sig;
   }
 
-  void clear_level0_reasons();
   void top_level_simplify();
   void build_occurrence_lists();
   void subsume_all();

@@ -538,6 +538,55 @@ void Solver::compact_learnts() {
   learnt_holes_ = 0;
 }
 
+bool Solver::satisfied(const Clause& c) const noexcept {
+  return std::any_of(c.begin(), c.end(), [this](Lit p) { return value(p) == LBool::True; });
+}
+
+void Solver::clear_level0_reasons() {
+  for (const Lit p : trail_) reason_[static_cast<std::size_t>(var(p))] = nullptr;
+}
+
+void Solver::collect_satisfied() {
+  GENFV_ASSERT(decision_level() == 0 && qhead_ == trail_.size(),
+               "collection runs at level 0 with propagation saturated");
+  ++stats_.collections;
+  collect_assigns_ = trail_.size();
+  collect_props_ = stats_.propagations;
+
+  // Mark first, remembering the watch lists the dead clauses sit in.
+  std::vector<std::size_t> lists;
+  std::size_t collected = 0;
+  const auto mark = [&](Clause& c) {
+    c.dead = true;
+    ++collected;
+    lists.push_back(static_cast<std::size_t>(index(~c[0])));
+    lists.push_back(static_cast<std::size_t>(index(~c[1])));
+  };
+  for (const ClausePtr& c : learnts_) {
+    if (c == nullptr || !satisfied(*c)) continue;
+    mark(*c);
+    if (drat_ != nullptr) drat_->remove(c->lits());
+  }
+  for (const ClausePtr& c : clauses_) {
+    if (!satisfied(*c)) continue;
+    mark(*c);
+    ++collected_originals_;
+  }
+  stats_.collected_clauses += collected;
+  if (collected == 0) return;
+
+  // Order-preserving purge: the survivors of each list keep their relative
+  // order (a swap-based detach would reorder them and move the search).
+  std::sort(lists.begin(), lists.end());
+  lists.erase(std::unique(lists.begin(), lists.end()), lists.end());
+  for (const std::size_t i : lists) {
+    std::erase_if(watches_[i], [](const Watcher& w) { return w.clause->dead; });
+  }
+  std::erase_if(clauses_, [](const ClausePtr& c) { return c->dead; });
+  compact_learnts();
+  clear_level0_reasons();
+}
+
 LBool Solver::search(int conflicts_before_restart, const std::vector<Lit>& assumptions) {
   int conflict_count = 0;
   std::vector<Lit> learnt;
@@ -628,6 +677,7 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
   static util::Counter& solves = util::metrics().counter("sat.solves");
   static util::Counter& conflicts = util::metrics().counter("sat.conflicts");
   static util::Counter& reductions = util::metrics().counter("sat.reductions");
+  static util::Counter& collections = util::metrics().counter("sat.collections");
   static util::Counter& decisions = util::metrics().counter("sat.decisions");
   static util::Counter& propagations = util::metrics().counter("sat.propagations");
   static util::Counter& restarts = util::metrics().counter("sat.restarts");
@@ -641,6 +691,7 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
   solves.increment();
   conflicts.add(stats_.conflicts - before.conflicts);
   reductions.add(stats_.reductions - before.reductions);
+  collections.add(stats_.collections - before.collections);
   decisions.add(stats_.decisions - before.decisions);
   propagations.add(stats_.propagations - before.propagations);
   restarts.add(stats_.restarts - before.restarts);
@@ -654,6 +705,7 @@ void Solver::simplify_now() {
   if (!ok_) return;
   Inprocessor(*this).run();
   last_inprocess_conflicts_ = stats_.conflicts;
+  collected_originals_ = 0;  // the session swept whatever collection left
 }
 
 LBool Solver::solve_core(const std::vector<Lit>& assumptions) {
@@ -682,8 +734,16 @@ LBool Solver::solve_core(const std::vector<Lit>& assumptions) {
     return LBool::False;
   }
 
+  // Both marks start at 0: before its first call a solver has propagated
+  // only its level-0 units, so a one-shot solver collects only when those
+  // outnumber its clauses.
+  if (trail_.size() > collect_assigns_ &&
+      stats_.propagations - collect_props_ >= clauses_.size() + num_learnts()) {
+    collect_satisfied();
+  }
+
   conflicts_at_solve_start_ = stats_.conflicts;
-  max_learnts_ = std::max(static_cast<double>(clauses_.size()) / 3.0, 4000.0);
+  max_learnts_ = std::max(static_cast<double>(scheduled_clauses()) / 3.0, 4000.0);
 
   LBool status = LBool::Undef;
   for (int restarts = 0; status == LBool::Undef; ++restarts) {
@@ -699,7 +759,7 @@ LBool Solver::solve_core(const std::vector<Lit>& assumptions) {
     // solving, while the small hot databases of PDR queries want the short
     // fixed floor.
     const std::uint64_t inprocess_interval = std::max(
-        kInprocessInterval, static_cast<std::uint64_t>(clauses_.size()) / 4);
+        kInprocessInterval, static_cast<std::uint64_t>(scheduled_clauses()) / 4);
     if (stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval) {
       simplify_now();
       if (!ok_) {

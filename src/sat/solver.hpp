@@ -14,6 +14,9 @@
 ///    index of the deletable learnts),
 ///  * clauses stored as one allocation each: a small header followed
 ///    inline by the literals,
+///  * level-0 collection at the start of solve(): clauses satisfied by a
+///    level-0 literal (e.g. retired activation gates) leave the watch lists,
+///    amortized against the propagations done since the last collection,
 ///  * inprocessing between restarts (sat/inprocess.hpp): top-level
 ///    simplification, clause subsumption + self-subsuming strengthening,
 ///    bounded variable elimination and vivification, scheduled on a
@@ -55,6 +58,10 @@ struct SolverStats {
   std::uint64_t minimized_literals = 0;
   std::uint64_t deleted_clauses = 0;
   std::uint64_t reductions = 0;  // clause-database reductions run
+  // Level-0 collection (collect_satisfied): runs, and the original plus
+  // learnt clauses it removed.
+  std::uint64_t collections = 0;
+  std::uint64_t collected_clauses = 0;
   // Inprocessing (sessions between restarts; see sat/inprocess.hpp).
   std::uint64_t inprocessings = 0;
   std::uint64_t subsumed_clauses = 0;
@@ -74,6 +81,8 @@ struct SolverStats {
     minimized_literals += other.minimized_literals;
     deleted_clauses += other.deleted_clauses;
     reductions += other.reductions;
+    collections += other.collections;
+    collected_clauses += other.collected_clauses;
     inprocessings += other.inprocessings;
     subsumed_clauses += other.subsumed_clauses;
     strengthened_clauses += other.strengthened_clauses;
@@ -263,6 +272,24 @@ class Solver {
   /// dead clauses and renumbering `reducible_`; learn order is kept.
   void compact_learnts();
 
+  // --- level-0 collection ---------------------------------------------------
+  bool satisfied(const Clause& c) const noexcept;
+  /// Remove every original and learnt clause a level-0 literal satisfies
+  /// (level 0, propagation saturated). Watch lists keep the order of their
+  /// surviving watchers, so the search that follows is the one it would
+  /// have been with the clauses still attached.
+  void collect_satisfied();
+  /// Level-0 assignments are permanent facts; their reason pointers are never
+  /// dereferenced by analysis (which skips level 0) but would dangle once a
+  /// collection or an inprocessing session frees clauses. Null them.
+  void clear_level0_reasons();
+  /// The database size the reduction bound and the session interval read:
+  /// originals collected since the last session still count, because the
+  /// session would have removed them itself.
+  std::size_t scheduled_clauses() const noexcept {
+    return clauses_.size() + collected_originals_;
+  }
+
   // --- inprocessing support -------------------------------------------------
   /// Shared clause-entry path; returns the attached clause (nullptr when the
   /// clause was absorbed: satisfied, tautological, unit or empty).
@@ -342,6 +369,12 @@ class Solver {
   std::uint64_t conflicts_at_solve_start_ = 0;
 
   std::uint64_t last_inprocess_conflicts_ = 0;
+  // Level-0 collection trigger (MiniSat's simpDB_assigns / simpDB_props):
+  // collect once the level-0 trail has grown and the propagations since the
+  // last collection reach the database size.
+  std::size_t collect_assigns_ = 0;
+  std::uint64_t collect_props_ = 0;
+  std::size_t collected_originals_ = 0;  // since the last session
   std::size_t vivify_cursor_ = 0;  // round-robin start for vivification
 
   std::unique_ptr<DratWriter> drat_;

@@ -386,14 +386,16 @@ std::vector<std::vector<int>> random_cnf(util::Xoshiro256& rng, int num_vars) {
   return clauses;
 }
 
+std::vector<Lit> to_lits(const std::vector<int>& clause) {
+  std::vector<Lit> lits;
+  for (const int l : clause) lits.push_back(mk_lit(std::abs(l) - 1, l < 0));
+  return lits;
+}
+
 bool load_raw(Solver& s, int num_vars, const std::vector<std::vector<int>>& clauses) {
   while (s.num_vars() < num_vars) (void)s.new_var();
   bool ok = true;
-  for (const auto& clause : clauses) {
-    std::vector<Lit> lits;
-    for (const int l : clause) lits.push_back(mk_lit(std::abs(l) - 1, l < 0));
-    ok = s.add_clause(std::move(lits)) && ok;
-  }
+  for (const auto& clause : clauses) ok = s.add_clause(to_lits(clause)) && ok;
   return ok;
 }
 
@@ -768,15 +770,11 @@ ProofReplay replay_proof(const std::vector<std::vector<int>>& inputs, const std:
   return replay;
 }
 
-TEST(Drat, UnsatProofIsRupValidAndDerivesEmptyClause) {
-  const std::string base = testing::TempDir() + "genfv_drat_ph43";
-  Solver s;
-  ASSERT_TRUE(s.start_proof(base));
-  // Pigeonhole 4-into-3: small, genuinely UNSAT, needs real learning.
-  const int pigeons = 4;
-  const int holes = 3;
+/// Pigeonhole `pigeons` into `holes` over variables first+1.., every clause
+/// prefixed with `gate_lit` when it is non-zero.
+std::vector<std::vector<int>> pigeonhole(int first, int pigeons, int holes, int gate_lit) {
   std::vector<std::vector<int>> clauses;
-  auto v = [&](int p, int h) { return p * holes + h + 1; };
+  auto v = [&](int p, int h) { return first + p * holes + h + 1; };
   for (int p = 0; p < pigeons; ++p) {
     std::vector<int> at_least;
     for (int h = 0; h < holes; ++h) at_least.push_back(v(p, h));
@@ -784,12 +782,22 @@ TEST(Drat, UnsatProofIsRupValidAndDerivesEmptyClause) {
   }
   for (int h = 0; h < holes; ++h) {
     for (int p1 = 0; p1 < pigeons; ++p1) {
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
-        clauses.push_back({-v(p1, h), -v(p2, h)});
-      }
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) clauses.push_back({-v(p1, h), -v(p2, h)});
     }
   }
-  ASSERT_TRUE(load_raw(s, pigeons * holes, clauses));
+  if (gate_lit != 0) {
+    for (auto& clause : clauses) clause.insert(clause.begin(), gate_lit);
+  }
+  return clauses;
+}
+
+TEST(Drat, UnsatProofIsRupValidAndDerivesEmptyClause) {
+  const std::string base = testing::TempDir() + "genfv_drat_ph43";
+  Solver s;
+  ASSERT_TRUE(s.start_proof(base));
+  // Pigeonhole 4-into-3: small, genuinely UNSAT, needs real learning.
+  const auto clauses = pigeonhole(0, 4, 3, 0);
+  ASSERT_TRUE(load_raw(s, 4 * 3, clauses));
   s.simplify_now();
   ASSERT_EQ(s.inconsistent() ? LBool::False : s.solve(), LBool::False);
 
@@ -879,6 +887,172 @@ TEST(ClauseDbReduction, ReductionsInterleavedWithSessionsKeepProofAndVerdict) {
   EXPECT_EQ(replay.bad_line, "");
   EXPECT_GT(replay.deletions, 0u);
   EXPECT_EQ(replay.empty_derived, answer == LBool::False);
+}
+
+// --- level-0 collection -------------------------------------------------------
+
+class LevelZeroCollection : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LevelZeroCollection, GateRetireFuzzAgreesWithBruteForce) {
+  // The PDR query pattern in miniature: gated clause groups are solved under
+  // their gate, then retired with a unit, which leaves every clause of the
+  // group (and every learnt that mentions the gate) satisfied at level 0 for
+  // good. Collection removes them between solves. Every answer is checked
+  // against brute force over all clauses added so far, with the assumptions
+  // as unit clauses, and every model against those clauses.
+  util::Xoshiro256 rng(GetParam());
+  std::uint64_t collected = 0;
+  for (int instance = 0; instance < 40; ++instance) {
+    const int base_vars = 4 + static_cast<int>(rng.below(4));  // 4..7
+    Solver solver;
+    std::vector<std::vector<int>> added;
+    const auto add = [&](std::vector<int> clause) {
+      added.push_back(clause);
+      return solver.add_clause(to_lits(clause));
+    };
+    const auto random_clause = [&] {
+      std::vector<int> clause;
+      const int len = 2 + static_cast<int>(rng.below(2));  // 2..3 literals
+      for (int l = 0; l < len; ++l) {
+        const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(base_vars)));
+        clause.push_back(rng.chance(0.5) ? v : -v);
+      }
+      return clause;
+    };
+    while (solver.num_vars() < base_vars) (void)solver.new_var();
+    bool consistent = true;
+    for (int c = 0; c < base_vars && consistent; ++c) consistent = add(random_clause());
+
+    std::vector<int> live_gates;
+    for (int round = 0; round < 6 && consistent; ++round) {
+      const int gate = solver.new_var() + 1;
+      live_gates.push_back(gate);
+      const int group = 1 + static_cast<int>(rng.below(4));
+      for (int c = 0; c < group && consistent; ++c) {
+        std::vector<int> clause = random_clause();
+        clause.push_back(-gate);
+        consistent = add(std::move(clause));
+      }
+      if (!consistent) break;
+
+      std::vector<Lit> assumptions;
+      std::vector<std::vector<int>> with_units = added;
+      for (const int g : live_gates) {
+        assumptions.push_back(mk_lit(g - 1));
+        with_units.push_back({g});
+      }
+      if (rng.chance(0.5)) {
+        const int v = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(base_vars)));
+        const int lit = rng.chance(0.5) ? v : -v;
+        assumptions.push_back(mk_lit(v - 1, lit < 0));
+        with_units.push_back({lit});
+      }
+      const int num_vars = solver.num_vars();
+      const bool expected_gated = brute_force_sat(num_vars, with_units);
+      ASSERT_EQ(solver.solve(assumptions) == LBool::True, expected_gated)
+          << "instance " << instance << " round " << round;
+      if (expected_gated) expect_model_satisfies(solver, with_units);
+
+      // Retire every live gate but (sometimes) the newest one.
+      const std::size_t keep = rng.chance(0.25) ? 1 : 0;
+      while (live_gates.size() > keep && consistent) {
+        consistent = add({-live_gates.front()});
+        live_gates.erase(live_gates.begin());
+      }
+      const bool expected = brute_force_sat(num_vars, added);
+      if (!consistent) {
+        ASSERT_FALSE(expected) << "instance " << instance << " round " << round;
+        break;
+      }
+      ASSERT_EQ(solver.solve() == LBool::True, expected)
+          << "instance " << instance << " round " << round;
+      if (expected) expect_model_satisfies(solver, added);
+    }
+    collected += solver.stats().collected_clauses;
+  }
+  EXPECT_GT(collected, 0u) << "no retired clause was ever collected";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LevelZeroCollection, ::testing::Values(3, 14, 15, 92));
+
+TEST(LevelZeroCollection, FirstSolveCollectsNothingLaterSolvesShrinkTheDatabase) {
+  // A fresh solver has done no propagation worth amortizing a scan against,
+  // so its first solve() leaves even a satisfied clause in place. Gated
+  // queries retired one after another then pile up propagations and
+  // satisfied clauses until the trigger fires and the database shrinks.
+  Solver s;
+  for (int v = 0; v < 8; ++v) (void)s.new_var();
+  ASSERT_TRUE(s.add_clause(pos(0), pos(1)));  // satisfied by the unit below
+  ASSERT_TRUE(s.add_clause(neg(1), pos(2), pos(3)));
+  ASSERT_TRUE(s.add_clause(neg(2), pos(4), neg(5)));
+  ASSERT_TRUE(s.add_clause(pos(5), pos(6), pos(7)));
+  ASSERT_TRUE(s.add_clause(pos(0)));
+  ASSERT_EQ(s.num_clauses(), 4u);
+  ASSERT_EQ(s.solve(), LBool::True);
+  EXPECT_EQ(s.stats().collections, 0u);
+  EXPECT_EQ(s.stats().collected_clauses, 0u);
+  EXPECT_EQ(s.num_clauses(), 4u);
+
+  std::size_t peak = s.num_clauses();
+  for (int query = 0; query < 30; ++query) {
+    const Var gate = s.new_var();
+    s.freeze(gate);
+    const Var a = static_cast<Var>(1 + query % 7);
+    const Var b = static_cast<Var>(1 + (query + 3) % 7);
+    ASSERT_TRUE(s.add_clause(neg(gate), pos(a), neg(b)));
+    ASSERT_TRUE(s.add_clause(neg(gate), neg(a), pos(b)));
+    peak = std::max(peak, s.num_clauses());
+    ASSERT_EQ(s.solve({pos(gate), pos(a)}), LBool::True);
+    EXPECT_EQ(s.model_value(b), LBool::True);
+    ASSERT_TRUE(s.add_clause(neg(gate)));
+  }
+  ASSERT_EQ(s.solve(), LBool::True);
+  EXPECT_GT(s.stats().collections, 0u);
+  EXPECT_GT(s.stats().collected_clauses, 0u);
+  EXPECT_LT(s.num_clauses(), peak);
+  // Only the three clauses no level-0 literal satisfies can be left.
+  EXPECT_LE(s.num_clauses(), 3u);
+}
+
+TEST(LevelZeroCollection, CollectedLearntsKeepTheDratProofValid) {
+  // Each round solves a gated pigeonhole under its gate (UNSAT, so the
+  // learnts carry the negated gate) and then retires the gate, which
+  // satisfies those learnts for good. Collection deletes them with `d`
+  // lines. The instance is too small for a reduction or an inprocessing
+  // session, so every deletion in the proof comes from collection. A final
+  // ungated pigeonhole makes the formula UNSAT outright; the proof must
+  // replay and derive the empty clause.
+  const int pigeons = 5;
+  const int holes = 4;
+  const int rounds = 6;
+  const int block = pigeons * holes;
+  const std::string base = testing::TempDir() + "genfv_drat_collect";
+  SolverStats stats;
+  {
+    Solver s;
+    ASSERT_TRUE(s.start_proof(base));
+    for (int round = 0; round < rounds; ++round) {
+      const int gate = round * (block + 1) + 1;
+      while (s.num_vars() < gate + block) (void)s.new_var();
+      ASSERT_TRUE(load_raw(s, s.num_vars(), pigeonhole(gate, pigeons, holes, -gate)));
+      ASSERT_EQ(s.solve({mk_lit(gate - 1)}), LBool::False);
+      ASSERT_TRUE(s.add_clause(mk_lit(gate - 1, true)));
+    }
+    const int first = s.num_vars();
+    while (s.num_vars() < first + block) (void)s.new_var();
+    ASSERT_TRUE(load_raw(s, s.num_vars(), pigeonhole(first, pigeons, holes, 0)));
+    ASSERT_EQ(s.solve(), LBool::False);
+    stats = s.stats();
+  }
+  EXPECT_EQ(stats.reductions, 0u);
+  EXPECT_EQ(stats.inprocessings, 0u);
+  EXPECT_GT(stats.collections, 0u);
+
+  const ProofReplay replay =
+      replay_proof(parse_dimacs(slurp(base + ".cnf")).clauses, slurp(base + ".drat"));
+  EXPECT_EQ(replay.bad_line, "");
+  EXPECT_GT(replay.deletions, 0u) << "no collected learnt reached the proof";
+  EXPECT_TRUE(replay.empty_derived);
 }
 
 }  // namespace

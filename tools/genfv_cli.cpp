@@ -114,24 +114,33 @@ struct CliOptions {
   bool verbose = false;
 };
 
+constexpr const char* kUsage =
+    "usage:\n"
+    "  genfv_cli prove --rtl <file.sv> --property \"[engine:]<sva>\" [options]\n"
+    "  genfv_cli prove --rtl <file.aag|aig|btor|btor2> [--property \"[engine:]<name>\"]\n"
+    "  genfv_cli <file.aag|aig|btor|btor2|sv> [options]   (prove shorthand)\n"
+    "  genfv_cli demo <design> [options]\n"
+    "  genfv_cli sat <file.cnf> [--drat-out <path>]\n"
+    "  genfv_cli designs | models\n"
+    "  genfv_cli --help\n"
+    "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
+    "         --seed-candidates on|off  --drat-out <path>\n"
+    "         --emit-lemmas <file>  --use-lemmas <file>\n"
+    "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
+    "         --dump-ts <file>  --dump-aiger <file.aag>  --vcd <file>  --verbose\n"
+    "         --trace-out <file.json>  --metrics-out <file.json>\n"
+    "         --progress <seconds>\n"
+    "full reference: docs/cli.md\n";
+
+/// `--help` / `-h`: the usage text on stdout, exit 0.
+[[noreturn]] void help() {
+  std::fputs(kUsage, stdout);
+  std::exit(0);
+}
+
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage:\n"
-               "  genfv_cli prove --rtl <file.sv> --property \"[engine:]<sva>\" [options]\n"
-               "  genfv_cli prove --rtl <file.aag|aig|btor|btor2> [--property \"[engine:]<name>\"]\n"
-               "  genfv_cli <file.aag|aig|btor|btor2|sv> [options]   (prove shorthand)\n"
-               "  genfv_cli demo <design> [options]\n"
-               "  genfv_cli sat <file.cnf> [--drat-out <path>]\n"
-               "  genfv_cli designs | models\n"
-               "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-               "         --seed-candidates on|off  --drat-out <path>\n"
-               "         --emit-lemmas <file>  --use-lemmas <file>\n"
-               "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
-               "         --dump-ts <file>  --dump-aiger <file.aag>  --vcd <file>  --verbose\n"
-               "         --trace-out <file.json>  --metrics-out <file.json>\n"
-               "         --progress <seconds>\n"
-               "full reference: docs/cli.md\n");
+  std::fputs(kUsage, stderr);
   std::exit(2);
 }
 
@@ -141,6 +150,7 @@ CliOptions parse_args(int argc, char** argv) {
   CliOptions opts;
   if (argc < 2) usage();
   opts.command = argv[1];
+  if (opts.command == "--help" || opts.command == "-h") help();
   int i = 2;
   // Bare-file shorthand: `genfv_cli foo.aag` == `genfv_cli prove --rtl foo.aag`.
   if (opts.command != "prove" && opts.command != "demo" && opts.command != "sat" &&
@@ -234,6 +244,7 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--emit-lemmas") opts.emit_lemmas_path = need_value("--emit-lemmas");
     else if (arg == "--use-lemmas") opts.use_lemmas_path = need_value("--use-lemmas");
     else if (arg == "--verbose") { no_value("--verbose"); opts.verbose = true; }
+    else if (arg == "--help" || arg == "-h") help();
     else usage(("unknown option " + arg).c_str());
   }
   return opts;

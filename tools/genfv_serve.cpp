@@ -41,24 +41,33 @@ struct ServeCliOptions {
   bool verbose = false;
 };
 
+constexpr const char* kUsage =
+    "usage: genfv_serve [options]\n"
+    "\n"
+    "Resident verification server; line-delimited JSON protocol\n"
+    "(docs/serve.md). Without --socket, serves stdin/stdout.\n"
+    "\n"
+    "options:\n"
+    "  --socket <path>      serve an AF_UNIX socket instead of stdio\n"
+    "  --workers <n|auto>   worker pool width (default 2)\n"
+    "  --cache <on|off>     proof cache (default on)\n"
+    "  --cache-dir <dir>    persist cache entries under <dir>\n"
+    "  --near-threshold <f> near-miss similarity threshold (default 0.5)\n"
+    "  --max-k <n>          default step bound for jobs (default 32)\n"
+    "  --engine <name>      default engine for jobs (default pdr)\n"
+    "  --metrics-out <file> write the metrics registry JSON at exit\n"
+    "  --verbose            log at Info\n"
+    "  --help, -h           print this help and exit\n";
+
+/// `--help` / `-h`: the usage text on stdout, exit 0.
+[[noreturn]] void help() {
+  std::fputs(kUsage, stdout);
+  std::exit(0);
+}
+
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fprintf(stderr,
-               "usage: genfv_serve [options]\n"
-               "\n"
-               "Resident verification server; line-delimited JSON protocol\n"
-               "(docs/serve.md). Without --socket, serves stdin/stdout.\n"
-               "\n"
-               "options:\n"
-               "  --socket <path>      serve an AF_UNIX socket instead of stdio\n"
-               "  --workers <n|auto>   worker pool width (default 2)\n"
-               "  --cache <on|off>     proof cache (default on)\n"
-               "  --cache-dir <dir>    persist cache entries under <dir>\n"
-               "  --near-threshold <f> near-miss similarity threshold (default 0.5)\n"
-               "  --max-k <n>          default step bound for jobs (default 32)\n"
-               "  --engine <name>      default engine for jobs (default pdr)\n"
-               "  --metrics-out <file> write the metrics registry JSON at exit\n"
-               "  --verbose            log at Info\n");
+  std::fputs(kUsage, stderr);
   std::exit(2);
 }
 
@@ -114,7 +123,7 @@ ServeCliOptions parse_args(int argc, char** argv) {
     else if (arg == "--engine") opts.server.default_engine = need_value("--engine");
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
     else if (arg == "--verbose") opts.verbose = true;
-    else if (arg == "--help" || arg == "-h") usage();
+    else if (arg == "--help" || arg == "-h") help();
     else usage(("unknown option " + arg).c_str());
   }
   return opts;
