@@ -47,9 +47,7 @@ void run_experiment() {
 
     // The classical comparator: same analyses, no LLM in the loop.
     auto miner_task = designs::make_task(info);
-    flow::DirectMinerOptions miner_options;
-    miner_options.flow = bench::default_flow_options();
-    flow::DirectMinerFlow miner(miner_options);
+    flow::DirectMinerFlow miner(bench::default_flow_options());
     const auto miner_report = miner.run(miner_task);
     const std::string miner_cell =
         std::string(miner_report.all_targets_proven() ? "proven" : "unproven") + " " +

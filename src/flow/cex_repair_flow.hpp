@@ -15,7 +15,7 @@ class CexRepairFlow {
  public:
   CexRepairFlow(genai::LlmClient& llm, FlowOptions options = {});
 
-  /// Iterate prove -> CEX -> LLM -> lemma up to options.max_iterations.
+  /// Iterate prove -> CEX -> LLM -> lemma up to kMaxRepairRounds times.
   FlowReport run(VerificationTask& task);
 
  private:

@@ -4,36 +4,28 @@
 /// The non-LLM comparator: runs the invariant-mining analyses directly
 /// against the design (no prompt rendering, no text channel, no noise
 /// injection, no per-model insight limits) and pushes every proposal
-/// through the same review gate and lemma lifecycle as the paper's flows.
+/// through the same lemma loop as the paper's flows.
 ///
 /// This is what a classical invariant-generation tool would do; benches use
 /// it to separate "value of the invariants" from "value of the LLM
 /// packaging" — and it doubles as an upper bound on what any simulated
 /// model profile can achieve.
 
-#include "flow/helper_gen_flow.hpp"
+#include "flow/lemma_loop.hpp"
 
 namespace genfv::flow {
 
-struct DirectMinerOptions {
-  /// Proof bounds, review policy, joint induction and the target-proof
-  /// engine, read exactly as the LLM flows read them; the prompt/iteration
-  /// fields are unused.
-  FlowOptions flow;
-  /// Random-simulation sampling for the miners.
-  std::size_t sample_steps = 48;
-  std::size_t sample_restarts = 6;
-  std::uint64_t seed = 0xD15EA5E;
-};
-
 class DirectMinerFlow {
  public:
-  explicit DirectMinerFlow(DirectMinerOptions options = {});
+  /// `options` are read exactly as the LLM flows read them; `seed` drives
+  /// the random-simulation sampling the miners work from.
+  explicit DirectMinerFlow(FlowOptions options = {}, std::uint64_t seed = 0xD15EA5E);
 
   FlowReport run(VerificationTask& task);
 
  private:
-  DirectMinerOptions options_;
+  FlowOptions options_;
+  std::uint64_t seed_;
 };
 
 }  // namespace genfv::flow

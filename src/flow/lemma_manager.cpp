@@ -140,7 +140,7 @@ std::vector<CandidateOutcome> LemmaManager::process(
 
   // Joint (mutual) induction rescue: candidates that are not inductive alone
   // may be inductive as a conjunction, possibly together with the targets.
-  if (options_.joint_induction && !proof_failed.empty()) {
+  if (!proof_failed.empty()) {
     std::vector<ir::NodeRef> joint;
     for (const auto& p : proof_failed) joint.push_back(p.expr);
     const std::vector<ir::NodeRef> targets = task_.target_exprs();
@@ -162,7 +162,6 @@ std::vector<CandidateOutcome> LemmaManager::process(
         lemma_exprs_.push_back(p.expr);
         lemma_svas_.push_back(outcomes[p.outcome_index].sva);
       }
-      targets_proven_jointly_ = true;
     }
   }
 

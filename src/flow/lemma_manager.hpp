@@ -18,9 +18,8 @@
 namespace genfv::flow {
 
 struct LemmaManagerOptions {
-  mc::KInductionOptions engine;   ///< bounds for candidate/lemma proofs
+  mc::KInductionOptions engine;  ///< bounds for candidate/lemma proofs
   ReviewPolicy review;
-  bool joint_induction = true;    ///< attempt the mutual-induction rescue pass
 };
 
 /// Not thread-safe. Holds a reference to `task` (which must outlive the
@@ -65,15 +64,14 @@ class LemmaManager {
     return candidate_exprs_;
   }
 
-  /// True when the joint pass incidentally proved the targets as well.
-  bool targets_proven_jointly() const noexcept { return targets_proven_jointly_; }
-
   /// Cumulative prover time spent on candidates.
   double prove_seconds() const noexcept { return prove_seconds_; }
 
+  /// The manager's proof bounds with every admitted lemma assumed.
+  mc::EngineOptions engine_with_lemmas() const;
+
  private:
   bool known_fact(ir::NodeRef expr) const;
-  mc::EngineOptions engine_with_lemmas() const;
 
   VerificationTask& task_;
   LemmaManagerOptions options_;
@@ -81,7 +79,6 @@ class LemmaManager {
   std::vector<ir::NodeRef> lemma_exprs_;
   std::vector<std::string> lemma_svas_;
   std::vector<ir::NodeRef> candidate_exprs_;  ///< screened but unproven
-  bool targets_proven_jointly_ = false;
   double prove_seconds_ = 0.0;
 };
 

@@ -22,9 +22,6 @@ namespace genfv::flow {
 struct ReviewPolicy {
   /// Stage-1 simulation screen on/off (stage 2 is always on).
   bool sim_screen = true;
-  std::size_t sim_steps = 64;
-  std::size_t sim_restarts = 4;
-  std::uint64_t seed = 0x5EED;
 };
 
 class ReviewGate {
@@ -35,8 +32,6 @@ class ReviewGate {
   /// Try to falsify `expr` by random simulation; a witness trace means the
   /// candidate is certainly not an invariant.
   std::optional<sim::Trace> screen(ir::NodeRef expr);
-
-  const ReviewPolicy& policy() const noexcept { return policy_; }
 
  private:
   const ir::TransitionSystem& ts_;

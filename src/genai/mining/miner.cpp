@@ -4,13 +4,6 @@
 
 namespace genfv::genai {
 
-bool holds_on_samples(ir::NodeRef expr, const std::vector<sim::Assignment>& samples) {
-  for (const auto& sample : samples) {
-    if (sim::evaluate(expr, sample) == 0) return false;
-  }
-  return true;
-}
-
 std::uint64_t sample_value(const sim::Assignment& sample, ir::NodeRef leaf) {
   const auto it = sample.find(leaf);
   return it == sample.end() ? 0 : it->second;

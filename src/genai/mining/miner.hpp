@@ -54,9 +54,6 @@ std::vector<std::unique_ptr<InvariantMiner>> standard_miners();
 
 // --- shared helpers used by the pass implementations ---------------------------
 
-/// True iff `expr` (width 1) evaluates to 1 on every sample.
-bool holds_on_samples(ir::NodeRef expr, const std::vector<sim::Assignment>& samples);
-
 /// Value of a leaf in a sample (0 when the sample lacks the leaf).
 std::uint64_t sample_value(const sim::Assignment& sample, ir::NodeRef leaf);
 

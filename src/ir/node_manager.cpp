@@ -231,10 +231,4 @@ NodeRef NodeManager::mk_implies(NodeRef a, NodeRef b) {
   return mk(Op::Implies, {a, b}, 1);
 }
 
-NodeRef NodeManager::mk_and_all(const std::vector<NodeRef>& xs) {
-  NodeRef acc = mk_true();
-  for (const NodeRef x : xs) acc = mk_and(acc, x);
-  return acc;
-}
-
 }  // namespace genfv::ir

@@ -87,11 +87,6 @@ class NodeManager {
   /// Coerce a vector to a boolean: nonzero test (Verilog truthiness).
   NodeRef mk_bool(NodeRef a) { return a->width() == 1 ? a : mk_redor(a); }
 
-  /// Conjunction of a list (true for the empty list).
-  NodeRef mk_and_all(const std::vector<NodeRef>& xs);
-
-  std::size_t num_nodes() const noexcept { return nodes_.size(); }
-
  private:
   friend std::optional<NodeRef> fold(NodeManager& nm, Op op,
                                      const std::vector<NodeRef>& children,

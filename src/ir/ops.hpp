@@ -112,20 +112,4 @@ constexpr bool is_commutative(Op op) noexcept {
   }
 }
 
-constexpr bool is_predicate(Op op) noexcept {
-  switch (op) {
-    case Op::Eq:
-    case Op::Ult:
-    case Op::Ule:
-    case Op::Slt:
-    case Op::Sle:
-    case Op::RedAnd:
-    case Op::RedOr:
-    case Op::RedXor:
-      return true;
-    default:
-      return false;
-  }
-}
-
 }  // namespace genfv::ir

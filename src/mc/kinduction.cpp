@@ -47,6 +47,8 @@ EngineResult KInductionEngine::prove_all(const std::vector<ir::NodeRef>& propert
 
   auto finish = [&](Verdict verdict, std::size_t k) {
     result.verdict = verdict;
+    // The step CEX of k-1 is stale once step k closes the proof.
+    if (verdict == Verdict::Proven) result.step_cex.reset();
     result.depth = k;
     result.stats.absorb(base_solver);
     result.stats.absorb(step_solver);

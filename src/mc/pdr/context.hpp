@@ -57,9 +57,7 @@ class QueryContext {
   Unroller& unroller() { return *unr_; }
   Unroller& init_unroller() { return *init_unr_; }
 
-  /// Property literal at frame 0 of the transition solver / of the
-  /// init-constrained solver.
-  sat::Lit prop_lit() const noexcept { return prop0_; }
+  /// Property literal at frame 0 of the init-constrained solver.
   sat::Lit init_prop_lit() const noexcept { return init_prop_; }
 
   /// True once cooperative cancellation has been requested.

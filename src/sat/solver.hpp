@@ -165,7 +165,6 @@ class Solver {
   /// Pin `v` against variable elimination. Freezing is permanent and has no
   /// effect on the search itself.
   void freeze(Var v) { frozen_[static_cast<std::size_t>(v)] = 1; }
-  bool is_frozen(Var v) const noexcept { return frozen_[static_cast<std::size_t>(v)] != 0; }
   bool is_eliminated(Var v) const noexcept {
     return eliminated_[static_cast<std::size_t>(v)] != 0;
   }

@@ -101,9 +101,6 @@ class Xoshiro256 {
     }
   }
 
-  /// Derive an independent child stream (for per-component determinism).
-  Xoshiro256 fork() noexcept { return Xoshiro256(next() ^ 0xD1B54A32D192ED03ULL); }
-
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));

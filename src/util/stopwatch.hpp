@@ -12,14 +12,10 @@ class Stopwatch {
  public:
   Stopwatch() noexcept : start_(Clock::now()) {}
 
-  void restart() noexcept { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or last restart().
+  /// Elapsed seconds since construction.
   double seconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double millis() const noexcept { return seconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

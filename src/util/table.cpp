@@ -63,11 +63,4 @@ std::string fmt_double(double v, int precision) {
   return buf;
 }
 
-std::string fmt_ratio(double numerator, double denominator) {
-  if (denominator <= 0.0) return "n/a";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.2fx", numerator / denominator);
-  return buf;
-}
-
 }  // namespace genfv::util

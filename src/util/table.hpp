@@ -18,9 +18,6 @@ class Table {
   /// Append one row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats every argument with to_string-ish rules.
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Render with box-drawing separators.
   std::string to_string() const;
 
@@ -34,6 +31,5 @@ class Table {
 
 /// Format helpers used by bench harnesses.
 std::string fmt_double(double v, int precision = 2);
-std::string fmt_ratio(double numerator, double denominator);
 
 }  // namespace genfv::util

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "util/status.hpp"
 
 #include "designs/design.hpp"
@@ -13,6 +15,7 @@
 #include "flow/helper_gen_flow.hpp"
 #include "genai/prompt.hpp"
 #include "genai/simulated_llm.hpp"
+#include "sim/interpreter.hpp"
 
 namespace genfv::flow {
 namespace {
@@ -46,6 +49,15 @@ class ScriptedLlm : public genai::LlmClient {
 
 VerificationTask counters_task() { return designs::make_task("sync_counters"); }
 
+/// counter_wrap.btor2 (count wraps at 5, so `count_hits_seven` holds) plus a
+/// second target that fails: count reaches 3 after three steps.
+VerificationTask two_target_task() {
+  const std::string path = ::testing::TempDir() + "two_targets.btor2";
+  std::ifstream base(std::string(GENFV_TEST_CORPUS_DIR) + "/counter_wrap.btor2");
+  std::ofstream(path) << base.rdbuf() << "15 constd 1 3\n16 eq 2 4 15\n17 bad 16 hits_three\n";
+  return VerificationTask::from_file(path);
+}
+
 TEST(ReviewGate, ScreensOutNonInvariants) {
   auto task = counters_task();
   auto& nm = task.ts.nm();
@@ -72,7 +84,7 @@ TEST(ReviewGate, DisabledScreenPassesEverything) {
 
 TEST(LemmaManager, EveryCandidateStatusIsReachable) {
   auto task = counters_task();
-  LemmaManager manager(task, {{.max_k = 4}, ReviewPolicy{}, true});
+  LemmaManager manager(task, {{.max_k = 4}, ReviewPolicy{}});
   const auto outcomes = manager.process({
       "property good; count1 == count2; endproperty",       // Proven
       "property syn; count1 == ; endproperty",              // SyntaxRejected
@@ -96,7 +108,7 @@ TEST(LemmaManager, EveryCandidateStatusIsReachable) {
 
 TEST(LemmaManager, TargetDuplicateIsDetected) {
   auto task = counters_task();
-  LemmaManager manager(task, {{.max_k = 4}, ReviewPolicy{}, true});
+  LemmaManager manager(task, {{.max_k = 4}, ReviewPolicy{}});
   const auto outcomes =
       manager.process({"property t; &count1 |-> &count2; endproperty"});
   ASSERT_EQ(outcomes.size(), 1u);
@@ -107,7 +119,7 @@ TEST(LemmaManager, JointInductionRescuesMutuallyDependentCandidates) {
   auto task = designs::make_task("dual_accumulator");
   // max_k = 1: sum equality is 2-inductive on its own, so keep k below that
   // to force the rescue path.
-  LemmaManager manager(task, {{.max_k = 1}, ReviewPolicy{}, true});
+  LemmaManager manager(task, {{.max_k = 1}, ReviewPolicy{}});
   // sum equality alone is not inductive; acc equality alone is. Presented in
   // the "wrong" order (sum first), the solo pass fails sum equality, and the
   // joint pass must rescue it together with the target.
@@ -119,16 +131,6 @@ TEST(LemmaManager, JointInductionRescuesMutuallyDependentCandidates) {
   EXPECT_EQ(outcomes[0].status, CandidateStatus::Proven);
   EXPECT_EQ(outcomes[1].status, CandidateStatus::Proven);
   EXPECT_NE(outcomes[0].detail.find("joint"), std::string::npos);
-  EXPECT_TRUE(manager.targets_proven_jointly());
-}
-
-TEST(LemmaManager, WithoutJointInductionSumEqualityFails) {
-  auto task = designs::make_task("dual_accumulator");
-  LemmaManager manager(task, {{.max_k = 1}, ReviewPolicy{}, false});
-  const auto outcomes = manager.process({
-      "property sums; sum_a == sum_b; endproperty",
-  });
-  EXPECT_EQ(outcomes[0].status, CandidateStatus::ProofFailed);
 }
 
 TEST(HelperGenFlow, ProvesPaperExampleWithScriptedHelper) {
@@ -182,7 +184,6 @@ property helper; count1 == count2; endproperty
   });
   FlowOptions options;
   options.engine.max_k = 4;
-  options.max_iterations = 4;
   CexRepairFlow flow(llm, options);
   const FlowReport report = flow.run(task);
 
@@ -196,8 +197,6 @@ property helper; count1 == count2; endproperty
     EXPECT_NE(prompt.user.find(genai::marker::kWaveFenceOpen), std::string::npos);
     EXPECT_NE(prompt.user.find(genai::marker::kFailedProperty), std::string::npos);
   }
-  // Round 2 must list nothing under proven lemmas (none admitted yet) but
-  // round prompts accumulate admitted lemmas once they exist.
 }
 
 TEST(CexRepairFlow, StopsWhenModelMakesNoProgress) {
@@ -205,7 +204,6 @@ TEST(CexRepairFlow, StopsWhenModelMakesNoProgress) {
   ScriptedLlm llm({"no ideas", "still nothing", "sorry"});
   FlowOptions options;
   options.engine.max_k = 4;
-  options.max_iterations = 5;
   CexRepairFlow flow(llm, options);
   const FlowReport report = flow.run(task);
   EXPECT_FALSE(report.all_targets_proven());
@@ -266,7 +264,7 @@ TEST(CexRepairFlow, PdrEngineProvesWithoutLlmHelpAndExportsLemmas) {
   // Exported lemmas are well-formed SVA: they feed back into a second flow
   // run as provable candidates (the bidirectional exchange).
   auto task2 = designs::make_task("token_ring");
-  LemmaManager manager(task2, {{.max_k = 8}, ReviewPolicy{}, true});
+  LemmaManager manager(task2, {{.max_k = 8}, ReviewPolicy{}});
   const auto outcomes = manager.process(report.admitted_lemmas);
   for (const auto& outcome : outcomes) {
     EXPECT_TRUE(outcome.status == CandidateStatus::Proven ||
@@ -297,14 +295,46 @@ property helper; count1 == count2; endproperty
   EXPECT_FALSE(report.admitted_lemmas.empty());
 }
 
+TEST(CexRepairFlow, JointFalsifiedSettlesEachTargetAlone) {
+  // The joint proof fails on hits_three alone; reporting that verdict for
+  // both targets would call count_hits_seven falsified.
+  auto task = two_target_task();
+  ASSERT_EQ(task.target_indices.size(), 2u);
+  ScriptedLlm llm({});
+  FlowOptions options;
+  options.engine.max_k = 8;
+  const FlowReport report = CexRepairFlow(llm, options).run(task);
+
+  ASSERT_EQ(report.targets.size(), 2u);
+  EXPECT_EQ(report.targets[0].name, "count_hits_seven");
+  EXPECT_EQ(report.targets[0].result.verdict, mc::Verdict::Proven);
+  EXPECT_EQ(report.targets[1].name, "hits_three");
+  EXPECT_EQ(report.targets[1].result.verdict, mc::Verdict::Falsified);
+  EXPECT_TRUE(llm.prompts().empty());
+
+  // hits_three's own counterexample replays on the reference simulator:
+  // frame 0 is the init state, every frame steps to the next, and the last
+  // frame violates the target.
+  ASSERT_TRUE(report.targets[1].result.base_cex.has_value());
+  const sim::Trace& cex = *report.targets[1].result.base_cex;
+  const ir::NodeRef count = task.ts.lookup("count");
+  ASSERT_GE(cex.size(), 2u);
+  EXPECT_EQ(cex.value(count, 0), 0u);
+  for (std::size_t i = 1; i < cex.size(); ++i) {
+    EXPECT_EQ(sim::step(task.ts, cex.frame(i - 1)).at(count), cex.value(count, i));
+  }
+  const ir::NodeRef hits_three = task.ts.property(task.target_indices[1]).expr;
+  EXPECT_EQ(sim::evaluate(hits_three, cex.frame(cex.size() - 1)), 0u);
+}
+
 TEST(DirectMinerFlow, TargetEngineProvesTheTargets) {
   // The direct flow reads the same FlowOptions as the LLM flows, so the
   // selected target engine — not a hard-coded k-induction — proves the
   // targets, and the report header names it.
   auto task = designs::make_task("token_ring");
-  DirectMinerOptions options;
-  options.flow.engine.max_k = 8;
-  options.flow.target_engine = mc::EngineKind::Pdr;
+  FlowOptions options;
+  options.engine.max_k = 8;
+  options.target_engine = mc::EngineKind::Pdr;
   const FlowReport report = DirectMinerFlow(options).run(task);
 
   EXPECT_EQ(report.engine, "pdr");

@@ -469,9 +469,7 @@ TEST(FrontendLemmas, InvariantClausesRoundTripThroughLemmaFile) {
   const std::vector<std::string> texts = flow::parse_lemma_file(file_text);
   ASSERT_EQ(texts.size(), svas.size());
 
-  flow::LemmaManagerOptions lm_options;
-  lm_options.engine.max_k = 12;
-  flow::LemmaManager manager(task, lm_options);
+  flow::LemmaManager manager(task, {{.max_k = 12}, {}});
   manager.process(texts);
   EXPECT_EQ(manager.lemma_exprs().size(), texts.size())
       << "an invariant clause failed to re-parse or re-prove";

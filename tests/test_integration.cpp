@@ -1,6 +1,6 @@
 /// End-to-end integration tests: the complete paper pipeline (Listing 1 ->
 /// Listing 2 target -> Fig. 2 induction failure -> Fig. 3 CEX -> Listing 3
-/// helper -> proof), full-zoo convergence with the strong model profiles,
+/// helper -> proof), both flows pinned over the whole zoo with GPT-4o,
 /// and the qualitative model ranking from the Results section.
 
 #include <gtest/gtest.h>
@@ -61,27 +61,60 @@ TEST(PaperPipeline, Figure3ScenarioEndToEnd) {
   EXPECT_TRUE(listing3);
 }
 
-class ZooConvergence : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ZooConvergence, CexRepairFlowProvesEveryDesignWithGpt4o) {
-  auto task = designs::make_task(GetParam());
-  genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), 42);
-  flow::CexRepairFlow repair(llm, default_options());
-  const flow::FlowReport report = repair.run(task);
-  EXPECT_TRUE(report.all_targets_proven()) << report.to_string();
-  // Soundness firewall: every admitted lemma carries a Proven outcome.
-  EXPECT_EQ(report.admitted_lemmas.size(),
-            report.candidates_with(flow::CandidateStatus::Proven));
+/// "<verdict>@<k>" per target, then the round and admitted-lemma counts.
+std::string flow_pin(const flow::FlowReport& report) {
+  std::string pin;
+  for (const auto& t : report.targets) {
+    pin += mc::to_string(t.result.verdict) + "@" + std::to_string(t.result.k) + " ";
+  }
+  return pin + "rounds=" + std::to_string(report.iterations.size()) +
+         " lemmas=" + std::to_string(report.admitted_lemmas.size());
 }
 
-std::vector<std::string> zoo_names() {
-  std::vector<std::string> names;
-  for (const auto& d : designs::all_designs()) names.push_back(d.name);
-  return names;
-}
+struct FlowPin {
+  const char* design;
+  const char* helper;  ///< Fig. 1
+  const char* cex;     ///< Fig. 2
+};
 
-INSTANTIATE_TEST_SUITE_P(AllDesigns, ZooConvergence, ::testing::ValuesIn(zoo_names()),
-                         [](const auto& info) { return info.param; });
+// Both paper flows on every zoo design with a GPT-4o-profile model: the
+// repair flow proves them all, and any drift in how a flow proves its
+// targets or books a round shows up here.
+constexpr FlowPin kFlowPins[] = {
+    {"sync_counters", "proven@1 rounds=1 lemmas=7", "proven@1 rounds=1 lemmas=7"},
+    {"triple_counters", "proven@1 rounds=1 lemmas=10", "proven@1 rounds=1 lemmas=10"},
+    {"gray_counter", "proven@1 rounds=1 lemmas=6", "proven@1 rounds=4 lemmas=6"},
+    {"updown_pair", "proven@1 rounds=1 lemmas=3", "proven@1 rounds=1 lemmas=3"},
+    {"lfsr_pair", "proven@1 rounds=1 lemmas=10", "proven@1 rounds=1 lemmas=10"},
+    {"lfsr16", "proven@1 rounds=1 lemmas=0", "proven@1 rounds=0 lemmas=0"},
+    {"token_ring", "proven@1 rounds=1 lemmas=8", "proven@1 rounds=1 lemmas=3"},
+    {"sequencer", "proven@1 rounds=1 lemmas=9", "proven@1 rounds=1 lemmas=5"},
+    {"dual_accumulator", "unknown@6 rounds=1 lemmas=10", "proven@1 rounds=2 lemmas=14"},
+    {"fifo_ctrl", "proven@1 rounds=1 lemmas=3", "proven@1 rounds=1 lemmas=2"},
+    {"parity_codec", "proven@1 rounds=1 lemmas=1", "proven@1 rounds=1 lemmas=1"},
+    {"hamming74", "proven@1 rounds=1 lemmas=10", "proven@1 rounds=2 lemmas=8"},
+    {"secded84", "proven@1 proven@1 rounds=1 lemmas=10",
+     "proven@1 proven@1 rounds=2 lemmas=9"},
+};
+
+TEST(FlowPins, EveryZooDesignKeepsItsHelperAndCexTrajectory) {
+  ASSERT_EQ(std::size(kFlowPins), designs::all_designs().size());
+  for (const FlowPin& pin : kFlowPins) {
+    for (const bool helper : {true, false}) {
+      auto task = designs::make_task(pin.design);
+      genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), 42);
+      const flow::FlowReport report =
+          helper ? flow::HelperGenFlow(llm, default_options()).run(task)
+                 : flow::CexRepairFlow(llm, default_options()).run(task);
+      EXPECT_EQ(flow_pin(report), helper ? pin.helper : pin.cex)
+          << pin.design << (helper ? " helper" : " cex");
+      // Soundness firewall: every admitted lemma carries a Proven outcome.
+      EXPECT_EQ(report.admitted_lemmas.size(),
+                report.candidates_with(flow::CandidateStatus::Proven))
+          << report.to_string();
+    }
+  }
+}
 
 TEST(HelperGenerationFlow, Figure1FlowProvesCounterFamilies) {
   // The spec+RTL (no CEX) flow suffices for the equality-lemma designs.

@@ -284,6 +284,25 @@ TEST(KInduction, HigherKClosesWithoutLemma) {
   EXPECT_EQ(rl.depth, 1u);
 }
 
+TEST(KInduction, ProvenAtDepthTwoCarriesNoStepCex) {
+  // counter_wrap: 3 bits wrapping at 5, so count == 7 is unreachable. The
+  // step case fails at k=1 (6 -> 7) and closes at k=2 (nothing steps to 6).
+  ir::TransitionSystem ts;
+  auto& nm = ts.nm();
+  const NodeRef count = ts.add_state("count", 3);
+  ts.set_init(count, nm.mk_const(0, 3));
+  ts.set_next(count, nm.mk_ite(nm.mk_eq(count, nm.mk_const(5, 3)), nm.mk_const(0, 3),
+                               nm.mk_add(count, nm.mk_const(1, 3))));
+  const NodeRef target = nm.mk_not(nm.mk_eq(count, nm.mk_const(7, 3)));
+
+  EXPECT_TRUE(KInductionEngine(ts, {.max_steps = 1}).prove(target).step_cex.has_value());
+  const EngineResult r = KInductionEngine(ts, {.max_steps = 8}).prove(target);
+  EXPECT_EQ(r.verdict, Verdict::Proven);
+  EXPECT_EQ(r.depth, 2u);
+  EXPECT_FALSE(r.step_cex.has_value());  // k=1's spurious trace is stale
+  EXPECT_EQ(r.summary().find("induction-step CEX"), std::string::npos);
+}
+
 TEST(KInduction, JointInductionProvesMutuallyDependentSet) {
   // acc pair + sum pair: sum equality is only inductive given acc equality.
   ir::TransitionSystem ts;

@@ -125,25 +125,19 @@ TEST(Vcd, OnlyChangedValuesAreEmittedAfterFrameZero) {
 }
 
 TEST(DirectMinerFlow, ClosesTheZooWithoutAnyModel) {
-  // The non-LLM baseline: all mining passes, no noise, same review gate.
+  // The non-LLM baseline: all mining passes, no noise, same review gate, one
+  // round with no model latency.
   for (const auto& info : designs::all_designs()) {
     auto task = designs::make_task(info);
-    flow::DirectMinerOptions options;
-    options.flow.engine.max_k = 8;
-    flow::DirectMinerFlow direct(options);
-    const flow::FlowReport report = direct.run(task);
+    flow::FlowOptions options;
+    options.engine.max_k = 8;
+    const flow::FlowReport report = flow::DirectMinerFlow(options).run(task);
     EXPECT_TRUE(report.all_targets_proven()) << info.name << "\n" << report.to_string();
     EXPECT_EQ(report.flow, "direct_miner");
+    ASSERT_EQ(report.iterations.size(), 1u);
+    EXPECT_EQ(report.llm_seconds, 0.0);
+    EXPECT_GT(report.candidates_total(), 0u) << info.name;
   }
-}
-
-TEST(DirectMinerFlow, ReportsSingleIterationAndNoModelLatency) {
-  auto task = designs::make_task("fifo_ctrl");
-  flow::DirectMinerFlow direct(flow::DirectMinerOptions{});
-  const flow::FlowReport report = direct.run(task);
-  ASSERT_EQ(report.iterations.size(), 1u);
-  EXPECT_EQ(report.llm_seconds, 0.0);
-  EXPECT_GT(report.candidates_total(), 0u);
 }
 
 }  // namespace

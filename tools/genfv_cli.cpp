@@ -277,9 +277,7 @@ void write_file(const std::string& path, const std::string& content) {
 std::vector<ir::NodeRef> ingest_lemma_file(flow::VerificationTask& task,
                                            const std::string& path, std::size_t max_k) {
   const std::vector<std::string> texts = flow::read_lemma_file(path);
-  flow::LemmaManagerOptions options;
-  options.engine.max_k = max_k;
-  flow::LemmaManager manager(task, options);
+  flow::LemmaManager manager(task, {{.max_k = max_k}, {}});
   manager.process(texts);
   std::printf("lemma file %s: %zu line(s), %zu re-proven and assumed\n", path.c_str(),
               texts.size(), manager.lemma_exprs().size());
@@ -432,19 +430,12 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
 
   flow::FlowReport report;
   if (opts.flow == "direct") {
-    flow::DirectMinerFlow direct({options, 48, 6, opts.seed});
-    report = direct.run(task);
+    report = flow::DirectMinerFlow(options, opts.seed).run(task);
   } else {
     genai::SimulatedLlm llm(genai::profile_by_name(opts.model), opts.seed);
-    if (opts.flow == "helper") {
-      flow::HelperGenFlow helper(llm, options);
-      report = helper.run(task);
-    } else if (opts.flow == "cex") {
-      flow::CexRepairFlow repair(llm, options);
-      report = repair.run(task);
-    } else {
-      usage(("unknown flow '" + opts.flow + "'").c_str());
-    }
+    if (opts.flow == "helper") report = flow::HelperGenFlow(llm, options).run(task);
+    else if (opts.flow == "cex") report = flow::CexRepairFlow(llm, options).run(task);
+    else usage(("unknown flow '" + opts.flow + "'").c_str());
   }
   report.seed = opts.seed;
   std::printf("%s\n", report.to_string().c_str());
