@@ -2,6 +2,8 @@
 
 /// \file bitblaster.hpp
 /// Tseitin bit-blasting of word-level IR expressions into a CDCL solver.
+/// Which gates each operator becomes is decided in lower.hpp, shared with
+/// the AIGER writer; this class supplies the Tseitin gates and the memo.
 ///
 /// Conventions:
 ///  * A blasted vector stores literals LSB-first: bits[0] is bit 0.
@@ -26,13 +28,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bitblast/lower.hpp"
 #include "ir/node_manager.hpp"
 #include "sat/solver.hpp"
 
 namespace genfv::bitblast {
-
-using Bits = std::vector<sat::Lit>;
-using BlastCache = std::unordered_map<ir::NodeRef, Bits>;
 
 class BitBlaster {
  public:
@@ -58,32 +58,18 @@ class BitBlaster {
   sat::Lit lit_true() { return solver_.true_lit(); }
   sat::Lit lit_false() { return ~solver_.true_lit(); }
 
-  // --- gate-level helpers (exposed for the unroller's glue logic) -----------
+  // --- Tseitin gates: the gate builder bitblast::lower runs on -------------
   sat::Lit gate_and(sat::Lit a, sat::Lit b);
   sat::Lit gate_or(sat::Lit a, sat::Lit b);
   sat::Lit gate_xor(sat::Lit a, sat::Lit b);
-  sat::Lit gate_iff(sat::Lit a, sat::Lit b) { return ~gate_xor(a, b); }
   /// mux: cond ? t : e
   sat::Lit gate_mux(sat::Lit cond, sat::Lit t, sat::Lit e);
-  sat::Lit gate_and_all(const Bits& xs);
-  sat::Lit gate_or_all(const Bits& xs);
-  sat::Lit gate_xor_all(const Bits& xs);
 
  private:
   /// One node whose children are all in `cache`: a memo hit, or a fresh
   /// encoding recorded in the memo.
-  Bits blast_node(ir::NodeRef node, BlastCache& cache);
-  Bits blast_uncached(ir::NodeRef node, BlastCache& cache);
-
-  // --- word-level circuit constructions ---------------------------------------
-  Bits circuit_add(const Bits& a, const Bits& b, sat::Lit carry_in);
-  Bits circuit_mul(const Bits& a, const Bits& b);
-  /// Restoring division; returns {quotient, remainder}.
-  std::pair<Bits, Bits> circuit_divmod(const Bits& a, const Bits& b);
-  Bits circuit_shift(const Bits& a, const Bits& amount, bool left, sat::Lit fill);
-  sat::Lit circuit_ult(const Bits& a, const Bits& b);
-  sat::Lit circuit_ule(const Bits& a, const Bits& b);
-  sat::Lit circuit_eq(const Bits& a, const Bits& b);
+  Bits blast_node(ir::NodeRef node, const BlastCache& cache);
+  Bits blast_uncached(ir::NodeRef node, const BlastCache& cache);
 
   bool is_const(sat::Lit p, bool value) const {
     // Recognize the canonical constant literals only (sufficient: all

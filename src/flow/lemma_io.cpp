@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 
+#include "util/files.hpp"
 #include "util/status.hpp"
 #include "util/strings.hpp"
 
@@ -73,10 +74,7 @@ std::vector<std::string> parse_lemma_file(const std::string& text) {
 
 void write_lemma_file(const std::string& path, const std::string& design,
                       const std::vector<std::string>& lemma_svas) {
-  std::ofstream out(path);
-  if (!out) throw UsageError("cannot write lemma file '" + path + "'");
-  out << render_lemma_file(design, lemma_svas);
-  if (!out) throw UsageError("failed writing lemma file '" + path + "'");
+  util::write_file(path, render_lemma_file(design, lemma_svas));
 }
 
 std::vector<std::string> read_lemma_file(const std::string& path) {

@@ -7,27 +7,10 @@
 #include "frontend/btor2.hpp"
 #include "hdl/elaborator.hpp"
 #include "sva/compiler.hpp"
+#include "util/files.hpp"
 #include "util/status.hpp"
 
 namespace genfv::flow {
-
-namespace {
-
-std::string lower_extension(const std::string& path) {
-  const std::size_t slash = path.find_last_of("/\\");
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return "";
-  }
-  std::string ext = path.substr(dot + 1);
-  for (char& c : ext) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  return ext;
-}
-
-}  // namespace
 
 VerificationTask VerificationTask::from_rtl(const std::string& name, const std::string& spec,
                                             const std::string& rtl,
@@ -47,7 +30,7 @@ VerificationTask VerificationTask::from_rtl(const std::string& name, const std::
 
 VerificationTask VerificationTask::from_file(const std::string& path) {
   VerificationTask task;
-  const std::string ext = lower_extension(path);
+  const std::string ext = util::lower_extension(path);
   if (ext == "aag" || ext == "aig") {
     task.ts = frontend::read_aiger_file(path);
   } else if (ext == "btor" || ext == "btor2") {

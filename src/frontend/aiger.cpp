@@ -6,7 +6,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "bitblast/lower.hpp"
 #include "frontend/symbols.hpp"
+#include "util/files.hpp"
 #include "util/status.hpp"
 
 namespace genfv::frontend {
@@ -542,161 +544,50 @@ ir::TransitionSystem read_aiger_file(const std::string& path) {
 
 namespace {
 
-/// AIGER literal algebra over plain uint32 (0 = false, 1 = true, lit^1 =
-/// negation) with structural hashing and the same local simplifications the
-/// CNF bit-blaster applies — the decompositions below mirror
-/// bitblast::BitBlaster so the emitted AIG and the solver see the same
-/// circuit shapes.
+/// The AIGER writer's gate builder for bitblast::lower: structurally hashed
+/// AND nodes, with or/xor/mux derived from them. An AIGER literal is
+/// 2*var + sign with var 0 the constant (0 = false, 1 = true), which is
+/// exactly a sat::Lit code, so the lowering's literals print as `.code`.
 class AigBuilder {
  public:
-  using Lit = std::uint32_t;
-  using Bits = std::vector<Lit>;  // LSB first
+  using Lit = sat::Lit;
 
-  static constexpr Lit kFalse = 0;
-  static constexpr Lit kTrue = 1;
+  static Lit lit_false() { return Lit{0}; }
+  static Lit lit_true() { return Lit{1}; }
 
-  Lit new_leaf() { return 2 * next_var_++; }
+  Lit new_leaf() { return sat::mk_lit(next_var_++); }
   std::uint32_t num_vars() const { return next_var_ - 1; }
   const std::vector<std::pair<Lit, Lit>>& ands() const { return ands_; }
 
   Lit gate_and(Lit a, Lit b) {
-    if (a == kFalse || b == kFalse) return kFalse;
-    if (a == kTrue) return b;
-    if (b == kTrue) return a;
+    if (a == lit_false() || b == lit_false()) return lit_false();
+    if (a == lit_true()) return b;
+    if (b == lit_true()) return a;
     if (a == b) return a;
-    if (a == (b ^ 1U)) return kFalse;
+    if (a == ~b) return lit_false();
     if (a < b) std::swap(a, b);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
+    const std::uint64_t key = (static_cast<std::uint64_t>(a.code) << 32) |
+                              static_cast<std::uint32_t>(b.code);
     const auto it = cons_.find(key);
     if (it != cons_.end()) return it->second;
-    const Lit lit = 2 * next_var_++;
+    const Lit lit = new_leaf();
     ands_.emplace_back(a, b);
     cons_.emplace(key, lit);
     return lit;
   }
 
-  Lit gate_or(Lit a, Lit b) { return gate_and(a ^ 1U, b ^ 1U) ^ 1U; }
+  Lit gate_or(Lit a, Lit b) { return ~gate_and(~a, ~b); }
+  // xor and mux are OR-of-two-ANDs; the second product is built first, which
+  // is the gate order the committed corpus files pin.
   Lit gate_xor(Lit a, Lit b) {
-    return gate_and(gate_and(a, b ^ 1U) ^ 1U, gate_and(a ^ 1U, b) ^ 1U) ^ 1U;
+    const Lit b_only = gate_and(~a, b);
+    const Lit a_only = gate_and(a, ~b);
+    return gate_or(a_only, b_only);
   }
-  Lit gate_iff(Lit a, Lit b) { return gate_xor(a, b) ^ 1U; }
   Lit gate_mux(Lit cond, Lit t, Lit e) {
-    return gate_and(gate_and(cond, t) ^ 1U, gate_and(cond ^ 1U, e) ^ 1U) ^ 1U;
-  }
-  Lit gate_and_all(const Bits& xs) {
-    Lit acc = kTrue;
-    for (const Lit x : xs) acc = gate_and(acc, x);
-    return acc;
-  }
-  Lit gate_or_all(const Bits& xs) {
-    Lit acc = kFalse;
-    for (const Lit x : xs) acc = gate_or(acc, x);
-    return acc;
-  }
-  Lit gate_xor_all(const Bits& xs) {
-    Lit acc = kFalse;
-    for (const Lit x : xs) acc = gate_xor(acc, x);
-    return acc;
-  }
-
-  // --- word-level circuits (bitblaster.cpp shapes) --------------------------
-
-  Bits circuit_add(const Bits& a, const Bits& b, Lit carry_in) {
-    Bits sum;
-    sum.reserve(a.size());
-    Lit carry = carry_in;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const Lit axb = gate_xor(a[i], b[i]);
-      sum.push_back(gate_xor(axb, carry));
-      carry = gate_or(gate_and(a[i], b[i]), gate_and(carry, axb));
-    }
-    return sum;
-  }
-
-  Bits circuit_mul(const Bits& a, const Bits& b) {
-    const std::size_t w = a.size();
-    Bits acc(w, kFalse);
-    for (std::size_t i = 0; i < w; ++i) {
-      Bits partial(w, kFalse);
-      for (std::size_t j = 0; i + j < w; ++j) partial[i + j] = gate_and(a[j], b[i]);
-      acc = circuit_add(acc, partial, kFalse);
-    }
-    return acc;
-  }
-
-  std::pair<Bits, Bits> circuit_divmod(const Bits& a, const Bits& b) {
-    const std::size_t w = a.size();
-    Bits b_ext = b;
-    b_ext.push_back(kFalse);
-    Bits r(w + 1, kFalse);
-    Bits q(w, kFalse);
-    for (std::size_t step = w; step-- > 0;) {
-      Bits shifted;
-      shifted.reserve(w + 1);
-      shifted.push_back(a[step]);
-      for (std::size_t i = 0; i < w; ++i) shifted.push_back(r[i]);
-      const Lit geq = circuit_ult(shifted, b_ext) ^ 1U;
-      Bits neg_b;
-      neg_b.reserve(w + 1);
-      for (const Lit p : b_ext) neg_b.push_back(p ^ 1U);
-      const Bits diff = circuit_add(shifted, neg_b, kTrue);
-      for (std::size_t i = 0; i <= w; ++i) r[i] = gate_mux(geq, diff[i], shifted[i]);
-      q[step] = geq;
-    }
-    const Lit b_zero = gate_or_all(b) ^ 1U;
-    Bits quotient(w, kFalse);
-    Bits remainder(w, kFalse);
-    for (std::size_t i = 0; i < w; ++i) {
-      quotient[i] = gate_mux(b_zero, kTrue, q[i]);
-      remainder[i] = gate_mux(b_zero, a[i], r[i]);
-    }
-    return {quotient, remainder};
-  }
-
-  Bits circuit_shift(const Bits& a, const Bits& amount, bool left, Lit fill) {
-    const std::size_t w = a.size();
-    Bits current = a;
-    for (std::size_t j = 0; j < amount.size() && (1ULL << j) < w; ++j) {
-      const std::uint64_t dist = 1ULL << j;
-      Bits shifted(w, fill);
-      for (std::size_t i = 0; i < w; ++i) {
-        if (left) {
-          if (i >= dist) shifted[i] = current[i - dist];
-        } else {
-          if (i + dist < w) shifted[i] = current[i + dist];
-        }
-      }
-      for (std::size_t i = 0; i < w; ++i) {
-        current[i] = gate_mux(amount[j], shifted[i], current[i]);
-      }
-    }
-    Bits high_bits;
-    for (std::size_t j = 0; j < amount.size(); ++j) {
-      if ((1ULL << j) >= w || j >= 63) high_bits.push_back(amount[j]);
-    }
-    if (!high_bits.empty()) {
-      const Lit overshoot = gate_or_all(high_bits);
-      for (std::size_t i = 0; i < w; ++i) current[i] = gate_mux(overshoot, fill, current[i]);
-    }
-    return current;
-  }
-
-  Lit circuit_ult(const Bits& a, const Bits& b) {
-    Lit lt = kFalse;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      const Lit differ = gate_xor(a[i], b[i]);
-      lt = gate_mux(differ, b[i], lt);
-    }
-    return lt;
-  }
-
-  Lit circuit_ule(const Bits& a, const Bits& b) { return circuit_ult(b, a) ^ 1U; }
-
-  Lit circuit_eq(const Bits& a, const Bits& b) {
-    Bits iffs;
-    iffs.reserve(a.size());
-    for (std::size_t i = 0; i < a.size(); ++i) iffs.push_back(gate_iff(a[i], b[i]));
-    return gate_and_all(iffs);
+    const Lit else_arm = gate_and(~cond, e);
+    const Lit then_arm = gate_and(cond, t);
+    return gate_or(then_arm, else_arm);
   }
 
  private:
@@ -705,162 +596,13 @@ class AigBuilder {
   std::unordered_map<std::uint64_t, Lit> cons_;
 };
 
-using Bits = AigBuilder::Bits;
+using bitblast::Bits;
 
-/// Blast a word-level node into AIG literals, memoized; leaves must already
+/// Lower a word-level node into AIG literals, memoized; leaves must already
 /// be bound in `cache`.
-const Bits& blast(AigBuilder& aig, ir::NodeRef node,
-                  std::unordered_map<ir::NodeRef, Bits>& cache) {
-  std::vector<ir::NodeRef> stack{node};
-  while (!stack.empty()) {
-    const ir::NodeRef n = stack.back();
-    if (cache.contains(n)) {
-      stack.pop_back();
-      continue;
-    }
-    bool ready = true;
-    for (const ir::NodeRef c : n->children()) {
-      if (!cache.contains(c)) {
-        if (ready) ready = false;
-        stack.push_back(c);
-      }
-    }
-    if (!ready) continue;
-    stack.pop_back();
-
-    const unsigned w = n->width();
-    auto bits_of = [&cache](ir::NodeRef c) -> const Bits& { return cache.at(c); };
-    Bits bits;
-    switch (n->op()) {
-      case ir::Op::Const:
-        bits.reserve(w);
-        for (unsigned i = 0; i < w; ++i) {
-          bits.push_back(((n->value() >> i) & 1ULL) != 0 ? AigBuilder::kTrue
-                                                         : AigBuilder::kFalse);
-        }
-        break;
-      case ir::Op::Input:
-      case ir::Op::State:
-        throw UsageError("aiger writer: leaf '" + n->name() + "' is not bound");
-      case ir::Op::Not:
-        bits = bits_of(n->child(0));
-        for (auto& b : bits) b ^= 1U;
-        break;
-      case ir::Op::And:
-      case ir::Op::Or:
-      case ir::Op::Xor: {
-        const Bits& a = bits_of(n->child(0));
-        const Bits& b = bits_of(n->child(1));
-        bits.reserve(w);
-        for (unsigned i = 0; i < w; ++i) {
-          if (n->op() == ir::Op::And) bits.push_back(aig.gate_and(a[i], b[i]));
-          else if (n->op() == ir::Op::Or) bits.push_back(aig.gate_or(a[i], b[i]));
-          else bits.push_back(aig.gate_xor(a[i], b[i]));
-        }
-        break;
-      }
-      case ir::Op::Neg: {
-        Bits nota = bits_of(n->child(0));
-        for (auto& b : nota) b ^= 1U;
-        bits = aig.circuit_add(nota, Bits(w, AigBuilder::kFalse), AigBuilder::kTrue);
-        break;
-      }
-      case ir::Op::Add:
-        bits = aig.circuit_add(bits_of(n->child(0)), bits_of(n->child(1)),
-                               AigBuilder::kFalse);
-        break;
-      case ir::Op::Sub: {
-        Bits notb = bits_of(n->child(1));
-        for (auto& b : notb) b ^= 1U;
-        bits = aig.circuit_add(bits_of(n->child(0)), notb, AigBuilder::kTrue);
-        break;
-      }
-      case ir::Op::Mul:
-        bits = aig.circuit_mul(bits_of(n->child(0)), bits_of(n->child(1)));
-        break;
-      case ir::Op::Udiv:
-        bits = aig.circuit_divmod(bits_of(n->child(0)), bits_of(n->child(1))).first;
-        break;
-      case ir::Op::Urem:
-        bits = aig.circuit_divmod(bits_of(n->child(0)), bits_of(n->child(1))).second;
-        break;
-      case ir::Op::Shl:
-        bits = aig.circuit_shift(bits_of(n->child(0)), bits_of(n->child(1)),
-                                 /*left=*/true, AigBuilder::kFalse);
-        break;
-      case ir::Op::Lshr:
-        bits = aig.circuit_shift(bits_of(n->child(0)), bits_of(n->child(1)),
-                                 /*left=*/false, AigBuilder::kFalse);
-        break;
-      case ir::Op::Ashr: {
-        const Bits& a = bits_of(n->child(0));
-        bits = aig.circuit_shift(a, bits_of(n->child(1)), /*left=*/false, a.back());
-        break;
-      }
-      case ir::Op::Eq:
-        bits = {aig.circuit_eq(bits_of(n->child(0)), bits_of(n->child(1)))};
-        break;
-      case ir::Op::Ult:
-        bits = {aig.circuit_ult(bits_of(n->child(0)), bits_of(n->child(1)))};
-        break;
-      case ir::Op::Ule:
-        bits = {aig.circuit_ule(bits_of(n->child(0)), bits_of(n->child(1)))};
-        break;
-      case ir::Op::Slt:
-      case ir::Op::Sle: {
-        Bits a = bits_of(n->child(0));
-        Bits b = bits_of(n->child(1));
-        a.back() ^= 1U;
-        b.back() ^= 1U;
-        bits = {n->op() == ir::Op::Slt ? aig.circuit_ult(a, b) : aig.circuit_ule(a, b)};
-        break;
-      }
-      case ir::Op::Concat: {
-        const Bits& hi = bits_of(n->child(0));
-        const Bits& lo = bits_of(n->child(1));
-        bits = lo;
-        bits.insert(bits.end(), hi.begin(), hi.end());
-        break;
-      }
-      case ir::Op::Extract: {
-        const Bits& a = bits_of(n->child(0));
-        bits.assign(a.begin() + n->lo(), a.begin() + n->hi() + 1);
-        break;
-      }
-      case ir::Op::ZExt:
-        bits = bits_of(n->child(0));
-        bits.resize(w, AigBuilder::kFalse);
-        break;
-      case ir::Op::SExt: {
-        bits = bits_of(n->child(0));
-        const AigBuilder::Lit msb = bits.back();
-        bits.resize(w, msb);
-        break;
-      }
-      case ir::Op::Ite: {
-        const AigBuilder::Lit cond = bits_of(n->child(0))[0];
-        const Bits& t = bits_of(n->child(1));
-        const Bits& e = bits_of(n->child(2));
-        bits.reserve(w);
-        for (unsigned i = 0; i < w; ++i) bits.push_back(aig.gate_mux(cond, t[i], e[i]));
-        break;
-      }
-      case ir::Op::RedAnd:
-        bits = {aig.gate_and_all(bits_of(n->child(0)))};
-        break;
-      case ir::Op::RedOr:
-        bits = {aig.gate_or_all(bits_of(n->child(0)))};
-        break;
-      case ir::Op::RedXor:
-        bits = {aig.gate_xor_all(bits_of(n->child(0)))};
-        break;
-      case ir::Op::Implies:
-        bits = {aig.gate_or(bits_of(n->child(0))[0] ^ 1U, bits_of(n->child(1))[0])};
-        break;
-    }
-    cache.emplace(n, std::move(bits));
-  }
-  return cache.at(node);
+const Bits& blast(AigBuilder& aig, ir::NodeRef node, bitblast::BlastCache& cache) {
+  return bitblast::blast_dag(node, cache,
+                             [&](ir::NodeRef n) { return bitblast::lower(aig, n, cache); });
 }
 
 std::string bit_name(SymbolTable& symbols, const std::string& base, unsigned width,
@@ -886,7 +628,7 @@ void put_varint(std::ostream& out, std::uint32_t value) {
 /// delta encoding requires, so the two renderings differ only in syntax.
 std::string render_aiger(const ir::TransitionSystem& ts, bool binary) {
   AigBuilder aig;
-  std::unordered_map<ir::NodeRef, Bits> cache;
+  bitblast::BlastCache cache;
   SymbolTable symbols;
 
   // Inputs first, latches second: the writer keeps AIGER's conventional
@@ -918,7 +660,7 @@ std::string render_aiger(const ir::TransitionSystem& ts, bool binary) {
   // Latch next/reset per bit. Init expressions must fold to constants — the
   // format has no richer reset language (AIGER 1.9 resets are 0/1/self).
   struct LatchLine {
-    AigBuilder::Lit next;
+    sat::Lit next;
     int reset;  // 0, 1, or -1 = uninitialized (emitted as the latch's own literal)
   };
   std::vector<LatchLine> latch_lines;
@@ -945,7 +687,7 @@ std::string render_aiger(const ir::TransitionSystem& ts, bool binary) {
 
   // Named signals -> AIGER outputs, one per bit, so a parse -> write round
   // trip of a 1.9 file with an O section is not silently lossy.
-  std::vector<std::pair<std::string, AigBuilder::Lit>> outputs;
+  std::vector<std::pair<std::string, sat::Lit>> outputs;
   for (const auto& [signal_name, expr] : ts.signals()) {
     const Bits& bits = blast(aig, expr, cache);
     for (unsigned b = 0; b < expr->width(); ++b) {
@@ -958,14 +700,14 @@ std::string render_aiger(const ir::TransitionSystem& ts, bool binary) {
   // bads), so collisions resolve identically on both sides and emitted files
   // round-trip with stable names — sanitize alone could produce an empty or
   // duplicate name the reader would reject or rename.
-  std::vector<std::pair<std::string, AigBuilder::Lit>> bads;
+  std::vector<std::pair<std::string, sat::Lit>> bads;
   std::size_t bad_index = 0;
   for (const ir::Property& property : ts.properties()) {
     if (property.role != ir::PropertyRole::Target) continue;
     const Bits& bits = blast(aig, property.expr, cache);
-    bads.emplace_back(symbols.claim(property.name, "bad_", bad_index++), bits[0] ^ 1U);
+    bads.emplace_back(symbols.claim(property.name, "bad_", bad_index++), ~bits[0]);
   }
-  std::vector<AigBuilder::Lit> constraint_lits;
+  std::vector<sat::Lit> constraint_lits;
   for (const ir::NodeRef constraint : ts.constraints()) {
     constraint_lits.push_back(blast(aig, constraint, cache)[0]);
   }
@@ -989,21 +731,21 @@ std::string render_aiger(const ir::TransitionSystem& ts, bool binary) {
   for (std::size_t i = 0; i < latch_lines.size(); ++i) {
     const std::uint32_t lit = 2 * (num_inputs + static_cast<std::uint32_t>(i) + 1);
     if (!binary) out << lit << ' ';
-    out << latch_lines[i].next;
+    out << latch_lines[i].next.code;
     if (latch_lines[i].reset == 1) out << " 1";
     else if (latch_lines[i].reset < 0) out << ' ' << lit;
     out << '\n';
   }
-  for (const auto& [name, lit] : outputs) out << lit << '\n';
-  for (const auto& [name, lit] : bads) out << lit << '\n';
-  for (const AigBuilder::Lit lit : constraint_lits) out << lit << '\n';
+  for (const auto& [name, lit] : outputs) out << lit.code << '\n';
+  for (const auto& [name, lit] : bads) out << lit.code << '\n';
+  for (const sat::Lit lit : constraint_lits) out << lit.code << '\n';
   for (std::size_t g = 0; g < aig.ands().size(); ++g) {
     const std::uint32_t lhs = 2 * (num_inputs + num_latches + static_cast<std::uint32_t>(g) + 1);
     // gate_and stores the larger operand first, so first/second are already
     // the (hi, lo) pair the delta encoding wants; structural ordering
     // guarantees hi < lhs.
-    const std::uint32_t hi = aig.ands()[g].first;
-    const std::uint32_t lo = aig.ands()[g].second;
+    const std::uint32_t hi = aig.ands()[g].first.code;
+    const std::uint32_t lo = aig.ands()[g].second.code;
     if (binary) {
       put_varint(out, lhs - hi);
       put_varint(out, hi - lo);
@@ -1038,13 +780,9 @@ std::string write_aiger_binary(const ir::TransitionSystem& ts) {
 }
 
 void write_aiger_file(const std::string& path, const ir::TransitionSystem& ts) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw UsageError("cannot write AIGER file '" + path + "'");
-  // Extension picks the variant, matching read-side dispatch: .aig is the
-  // binary format, everything else the ASCII one.
-  const std::size_t dot = path.rfind('.');
-  const bool binary = dot != std::string::npos && path.substr(dot) == ".aig";
-  out << render_aiger(ts, binary);
+  // Render before touching the file, so a system the format cannot express
+  // leaves an existing file as it was.
+  util::write_file(path, render_aiger(ts, /*binary=*/util::lower_extension(path) == "aig"));
 }
 
 }  // namespace genfv::frontend

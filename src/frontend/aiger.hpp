@@ -57,8 +57,11 @@ std::string write_aiger(const ir::TransitionSystem& ts);
 /// demands, so this needs no external conversion step.
 std::string write_aiger_binary(const ir::TransitionSystem& ts);
 
-/// File output; a ".aig" extension selects the binary variant, anything
-/// else the ASCII one. Throws UsageError on I/O failure.
+/// File output; a ".aig" extension (any case) selects the binary variant,
+/// anything else the ASCII one. The file is rendered before it is opened, so
+/// a system the format cannot express throws UsageError and leaves an
+/// existing file unchanged. Throws UsageError("cannot write '<path>'") on
+/// I/O failure (util::write_file).
 void write_aiger_file(const std::string& path, const ir::TransitionSystem& ts);
 
 }  // namespace genfv::frontend

@@ -10,6 +10,8 @@
 
 #include <array>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,14 @@ namespace {
 
 std::string corpus_path(const std::string& file) {
   return std::string(GENFV_TEST_CORPUS_DIR) + "/" + file;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 mc::Verdict run_engine(mc::EngineKind kind, flow::VerificationTask& task,
@@ -390,16 +400,48 @@ TEST(FrontendRoundTrip, BinaryWriterMatchesAsciiWriterOverTheZoo) {
 }
 
 TEST(FrontendRoundTrip, WriterFileDispatchPicksBinaryForAigExtension) {
-  // write_aiger_file routes on extension, which is what --dump-aiger and
-  // corpus generation rely on now that the conversion script is gone.
+  // write_aiger_file routes on a case-insensitive extension, which is what
+  // --dump-aiger (it calls write_aiger_file) and corpus generation rely on.
   auto task = designs::make_task("sync_counters");
   const std::string aag_path = testing::TempDir() + "genfv_writer_rt.aag";
   const std::string aig_path = testing::TempDir() + "genfv_writer_rt.aig";
+  const std::string upper_path = testing::TempDir() + "genfv_writer_rt_upper.AIG";
   write_aiger_file(aag_path, task.ts);
   write_aiger_file(aig_path, task.ts);
+  write_aiger_file(upper_path, task.ts);
+  EXPECT_EQ(read_bytes(aag_path), write_aiger(task.ts));
+  EXPECT_EQ(read_bytes(aig_path), write_aiger_binary(task.ts));
+  EXPECT_EQ(read_bytes(upper_path), write_aiger_binary(task.ts));
   ir::TransitionSystem from_ascii = read_aiger_file(aag_path);
   ir::TransitionSystem from_binary = read_aiger_file(aig_path);
   EXPECT_EQ(write_aiger(from_ascii), write_aiger(from_binary));
+}
+
+TEST(FrontendRoundTrip, WriterBytesMatchCommittedCorpus) {
+  // Three corpus files are the writer's output for zoo designs; any drift in
+  // the lowering, its gate order or the rendering shows up here.
+  EXPECT_EQ(write_aiger(designs::make_task("updown_pair").ts),
+            read_bytes(corpus_path("updown_pair_rt.aag")));
+  EXPECT_EQ(write_aiger(designs::make_task("token_ring").ts),
+            read_bytes(corpus_path("token_ring_rt.aag")));
+  EXPECT_EQ(write_aiger_binary(designs::make_task("lfsr16").ts),
+            read_bytes(corpus_path("lfsr16_rt.aig")));
+}
+
+TEST(FrontendRoundTrip, FailedWriteLeavesExistingFileUnchanged) {
+  // A register initialized from an input has no AIGER reset; the writer
+  // throws before it opens the file, so what was there survives.
+  ir::TransitionSystem ts;
+  const ir::NodeRef seed = ts.add_input("seed", 4);
+  const ir::NodeRef reg = ts.add_state("reg", 4);
+  ts.set_init(reg, seed);
+  ts.set_next(reg, reg);
+  const std::string path = testing::TempDir() + "genfv_writer_keep.aag";
+  write_aiger_file(path, designs::make_task("sync_counters").ts);
+  const std::string before = read_bytes(path);
+  ASSERT_FALSE(before.empty());
+  EXPECT_THROW(write_aiger_file(path, ts), UsageError);
+  EXPECT_EQ(read_bytes(path), before);
 }
 
 TEST(FrontendRoundTrip, WriterPreservesNamedSignalsAsOutputs) {

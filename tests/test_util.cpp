@@ -1,10 +1,11 @@
 /// Unit tests for the util module: RNG determinism/uniformity, string
-/// helpers, table rendering.
+/// helpers, file helpers, table rendering.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "util/files.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -124,6 +125,19 @@ TEST(Strings, BinString) {
 
 TEST(Strings, Indent) {
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
+}
+
+TEST(Files, LowerExtensionLooksAtTheLastComponentOnly) {
+  EXPECT_EQ(util::lower_extension("design.AIG"), "aig");
+  EXPECT_EQ(util::lower_extension("dir/x.btor2"), "btor2");
+  EXPECT_EQ(util::lower_extension("dir.v1/design"), "");
+  EXPECT_EQ(util::lower_extension("design"), "");
+}
+
+TEST(Files, WriteFileThrowsWhenTheBytesCannotBeWritten) {
+  EXPECT_THROW(util::write_file("/dev/full", "data"), UsageError);
+  EXPECT_THROW(util::write_file(testing::TempDir() + "no/such/dir/x.txt", "data"),
+               UsageError);
 }
 
 TEST(Table, AlignedRendering) {

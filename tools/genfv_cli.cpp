@@ -80,6 +80,7 @@
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
 #include "sim/vcd.hpp"
+#include "util/files.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/telemetry.hpp"
@@ -261,13 +262,8 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-    std::exit(1);
-  }
-  out << content;
+void write_output(const std::string& path, const std::string& content) {
+  util::write_file(path, content);
   std::printf("wrote %s (%zu bytes)\n", path.c_str(), content.size());
 }
 
@@ -395,9 +391,9 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
                                              sim::default_signals(task.ts), wave)
                             .c_str());
     if (!opts.vcd_path.empty()) {
-      write_file(opts.vcd_path, sim::render_vcd(*wave_trace,
-                                                sim::default_signals(task.ts),
-                                                task.name));
+      write_output(opts.vcd_path, sim::render_vcd(*wave_trace,
+                                                  sim::default_signals(task.ts),
+                                                  task.name));
     }
   }
   return all_proven ? 0 : 1;
@@ -405,13 +401,11 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
 
 int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   if (!opts.dump_ts_path.empty()) {
-    write_file(opts.dump_ts_path, ir::serialize(task.ts));
+    write_output(opts.dump_ts_path, ir::serialize(task.ts));
   }
   if (!opts.dump_aiger_path.empty()) {
-    const std::string& path = opts.dump_aiger_path;
-    const bool binary = path.size() >= 4 && path.compare(path.size() - 4, 4, ".aig") == 0;
-    write_file(path, binary ? frontend::write_aiger_binary(task.ts)
-                            : frontend::write_aiger(task.ts));
+    frontend::write_aiger_file(opts.dump_aiger_path, task.ts);
+    std::printf("wrote %s\n", opts.dump_aiger_path.c_str());
   }
   if (opts.flow == "plain") return run_plain(task, opts);
   for (const auto& e : opts.property_engines) {
@@ -448,12 +442,7 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
 /// True when the path names a standard-format design (AIGER / BTOR2) rather
 /// than HDL source.
 bool is_frontend_path(const std::string& path) {
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos) return false;
-  std::string ext = path.substr(dot + 1);
-  for (char& c : ext) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
+  const std::string ext = util::lower_extension(path);
   return ext == "aag" || ext == "aig" || ext == "btor" || ext == "btor2";
 }
 
