@@ -6,7 +6,7 @@
 
 namespace genfv::mc::pdr {
 
-BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
+BlockOutcome handle_obligations(QueryContext& ctx, ObligationQueue& queue,
                                 std::size_t max_obligations, std::size_t* cex_index) {
   while (!queue.empty()) {
     if (queue.created() > max_obligations) return BlockOutcome::Budget;
@@ -19,7 +19,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
     GENFV_TRACE_SPAN("pdr", "block_one");
     // Already blocked: drop the obligation; its parent retry is queued
     // separately.
-    if (db.is_blocked(cube, level)) continue;
+    if (ctx.frames().is_blocked(cube, level)) continue;
 
     std::vector<sat::Lit> core;
     const sat::LBool answer =
@@ -30,14 +30,14 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
       // Unreachable from F_{level-1}: learn a generalized blocking clause and
       // push it as far forward as it stays relatively inductive.
       const Cube g = generalize(ctx, cube, level, core);
-      const std::size_t frontier = db.frontier();
+      const std::size_t frontier = ctx.frames().frontier();
       std::size_t at = level;
       while (at < frontier &&
              ctx.relative_query(g, at + 1, /*assume_not_cube=*/true, nullptr) ==
                  sat::LBool::False) {
         ++at;
       }
-      db.add_blocked(g, at);
+      ctx.add_blocked(g, at);
       if (at < frontier) {
         queue.at(index).level = at + 1;
         queue.push(index);
@@ -65,7 +65,7 @@ BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue&
   return BlockOutcome::Blocked;
 }
 
-BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
+BlockOutcome strengthen_frontier(QueryContext& ctx, ObligationQueue& queue,
                                  std::size_t max_obligations, std::size_t frontier,
                                  std::size_t* cex_index) {
   while (true) {
@@ -91,7 +91,7 @@ BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue
     queue.push(index);
 
     const BlockOutcome outcome =
-        handle_obligations(ctx, db, queue, max_obligations, cex_index);
+        handle_obligations(ctx, queue, max_obligations, cex_index);
     if (outcome != BlockOutcome::Blocked) return outcome;
   }
 }

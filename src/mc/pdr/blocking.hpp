@@ -2,7 +2,7 @@
 
 /// \file blocking.hpp
 /// Proof-obligation blocking — the heart of the PDR main loop. Given the
-/// `FrameDb` and obligation queue, `strengthen_frontier` enumerates
+/// query context and obligation queue, `strengthen_frontier` enumerates
 /// frontier states that violate the property and blocks each backwards-
 /// reachable predecessor with a generalized relatively-inductive clause,
 /// until the frontier is clean (Blocked), a concrete chain reaches the
@@ -14,7 +14,6 @@
 /// (Budget); the engine passes kMaxObligations.
 
 #include "mc/pdr/context.hpp"
-#include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 
 namespace genfv::mc::pdr {
@@ -31,12 +30,12 @@ enum class BlockOutcome {
 
 /// Drain the obligation queue. On Counterexample, `*cex_index` is the arena index of the init-state end
 /// of the chain.
-BlockOutcome handle_obligations(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
+BlockOutcome handle_obligations(QueryContext& ctx, ObligationQueue& queue,
                                 std::size_t max_obligations, std::size_t* cex_index);
 
 /// One full frontier-strengthening phase: enumerate frontier bad states one
 /// at a time and fully block (or refute) each before the next query.
-BlockOutcome strengthen_frontier(QueryContext& ctx, FrameDb& db, ObligationQueue& queue,
+BlockOutcome strengthen_frontier(QueryContext& ctx, ObligationQueue& queue,
                                  std::size_t max_obligations, std::size_t frontier,
                                  std::size_t* cex_index);
 

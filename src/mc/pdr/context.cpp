@@ -1,5 +1,7 @@
 #include "mc/pdr/context.hpp"
 
+#include <algorithm>
+
 #include "util/status.hpp"
 
 namespace genfv::mc::pdr {
@@ -16,8 +18,8 @@ void configure(sat::Solver& solver, const EngineOptions& options,
 }  // namespace
 
 QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
-                           const EngineOptions& options, FrameDb& db)
-    : ts_(ts), options_(options), db_(db), property_(property) {
+                           const EngineOptions& options)
+    : ts_(ts), options_(options), property_(property) {
   configure(solver_, options, options.drat_path);
   configure(init_solver_, options,
             options.drat_path.empty() ? std::string() : options.drat_path + "-p1");
@@ -28,7 +30,6 @@ QueryContext::QueryContext(const ir::TransitionSystem& ts, ir::NodeRef property,
   init_prop_ = init_unr_->lit_at(property_, 0);
 
   bootstrap();
-  sync();
 }
 
 bool QueryContext::stopped() const noexcept {
@@ -65,62 +66,71 @@ void QueryContext::bootstrap() {
   prop0_ = unr_->lit_at(property_, 0);
 }
 
-void QueryContext::sync() {
-  std::vector<FrameDb::Event> events;
-  synced_epoch_ = db_.events_since(synced_epoch_, &events);
-  for (const FrameDb::Event& event : events) apply_event(event);
+void QueryContext::push_level() {
+  db_.push_level();
+  activations_.push_back(new_gate());
 }
 
-void QueryContext::apply_event(const FrameDb::Event& event) {
-  switch (event.kind) {
-    case FrameDb::Event::Kind::PushLevel:
-      activations_.push_back(new_gate());
-      break;
-    case FrameDb::Event::Kind::Block:
-      assert_blocked(event.cube, event.level);
-      break;
-    case FrameDb::Event::Kind::Graduate:
-      assert_infinity(event.cube);
-      break;
-    case FrameDb::Event::Kind::SeedMay:
-      assert_may(event.cube, event.level);
-      break;
-    case FrameDb::Event::Kind::RetractMay: {
-      const auto it = may_.find(event.level);
-      if (it != may_.end()) {
-        retire_gate(it->second.gate);
-        may_.erase(it);
-      }
-      break;
-    }
-  }
+void QueryContext::add_blocked(const Cube& cube, std::size_t level) {
+  db_.add_blocked(cube, level);
+  add_cube_clause(activations_[level], cube, 0);
 }
 
-void QueryContext::assert_blocked(const Cube& cube, std::size_t level) {
-  GENFV_ASSERT(level < activations_.size(), "blocked level not mirrored yet");
-  std::vector<sat::Lit> clause{~activations_[level]};
-  for (const StateLit& l : cube) clause.push_back(~cube_lit(0, l));
-  solver().add_clause(std::move(clause));
+void QueryContext::graduate(const Cube& cube, std::size_t level) {
+  db_.graduate(cube, level);
+  add_cube_clause(sat::kUndefLit, cube, 0);
+  add_cube_clause(sat::kUndefLit, cube, 1);
 }
 
-void QueryContext::assert_infinity(const Cube& cube) {
-  for (const std::size_t frame : {std::size_t{0}, std::size_t{1}}) {
-    std::vector<sat::Lit> clause;
-    clause.reserve(cube.size());
-    for (const StateLit& l : cube) clause.push_back(~cube_lit(frame, l));
-    solver().add_clause(std::move(clause));
-  }
-}
-
-void QueryContext::assert_may(const Cube& cube, std::size_t id) {
+std::optional<std::size_t> QueryContext::seed_may(const Cube& cube) {
+  if (!may_seen_.insert(cube).second) return std::nullopt;
+  const std::size_t id = may_seen_.size() - 1;
   // Frame 0 only: a may clause strengthens the predecessor frame of a query
   // exactly like a blocked clause would, but behind its own gate so it can
   // be retracted (and excluded from clean re-runs) independently.
   const sat::Lit gate = new_gate();
-  std::vector<sat::Lit> clause{~gate};
-  for (const StateLit& l : cube) clause.push_back(~cube_lit(0, l));
+  add_cube_clause(gate, cube, 0);
+  may_.push_back({cube, id, gate});
+  return id;
+}
+
+std::vector<QueryContext::MayClause>::iterator QueryContext::find_may(std::size_t id) {
+  return std::find_if(may_.begin(), may_.end(),
+                      [&](const MayClause& m) { return m.id == id; });
+}
+
+bool QueryContext::remove_may(std::size_t id, std::size_t* counter) {
+  const auto it = find_may(id);
+  if (it == may_.end()) return false;
+  // Retraction and graduation look alike to the solver: either way the
+  // gated assumption dies (graduation re-enters through add_blocked).
+  retire_gate(it->gate);
+  may_.erase(it);
+  ++*counter;
+  return true;
+}
+
+bool QueryContext::retract_may(std::size_t id) { return remove_may(id, &may_retracted_); }
+
+bool QueryContext::strike_may(std::size_t id) {
+  const auto it = find_may(id);
+  if (it == may_.end()) return false;                    // already gone
+  if (++it->strikes < kCandidateStrikes) return false;  // keep it, on notice
+  return remove_may(id, &may_retracted_);
+}
+
+bool QueryContext::graduate_may(std::size_t id) { return remove_may(id, &may_graduated_); }
+
+void QueryContext::mark_may_init_ok(std::size_t id) {
+  if (const auto it = find_may(id); it != may_.end()) it->init_ok = true;
+}
+
+void QueryContext::add_cube_clause(sat::Lit gate, const Cube& cube, std::size_t frame) {
+  std::vector<sat::Lit> clause;
+  clause.reserve(cube.size() + 1);
+  if (gate != sat::kUndefLit) clause.push_back(~gate);
+  for (const StateLit& l : cube) clause.push_back(~cube_lit(frame, l));
   solver().add_clause(std::move(clause));
-  may_[id] = {gate, cube};
 }
 
 sat::Lit QueryContext::cube_lit(std::size_t frame, const StateLit& l) {
@@ -150,7 +160,7 @@ sat::LBool QueryContext::solve_frames(std::vector<sat::Lit> assumptions,
 
   std::vector<sat::Lit> with_may = assumptions;
   with_may.reserve(with_may.size() + may_.size());
-  for (const auto& [id, entry] : may_) with_may.push_back(entry.gate);
+  for (const MayClause& m : may_) with_may.push_back(m.gate);
   const sat::LBool answer = solver().solve(with_may);
   if (answer != sat::LBool::False) return answer;  // SAT model / budget: sound as-is
 
@@ -159,12 +169,8 @@ sat::LBool QueryContext::solve_frames(std::vector<sat::Lit> assumptions,
   // without may gates certifies the clean fact directly.
   bool contaminated = false;
   for (const sat::Lit p : solver().failed_assumptions()) {
-    for (const auto& [id, entry] : may_) {
-      if (entry.gate == p) {
-        contaminated = true;
-        break;
-      }
-    }
+    contaminated = std::any_of(may_.begin(), may_.end(),
+                               [&](const MayClause& m) { return m.gate == p; });
     if (contaminated) break;
   }
   if (!contaminated) {
@@ -186,24 +192,18 @@ sat::LBool QueryContext::solve_frames(std::vector<sat::Lit> assumptions,
 
 void QueryContext::retract_violated_candidates() {
   std::vector<std::size_t> hit;
-  for (const auto& [id, entry] : may_) {
-    bool violated = true;
-    for (const StateLit& l : entry.cube) {
-      if (solver().model_value(cube_lit(0, l)) != sat::LBool::True) {
-        violated = false;
-        break;
-      }
-    }
-    if (violated) hit.push_back(id);
+  for (const MayClause& m : may_) {
+    const bool violated = std::all_of(m.cube.begin(), m.cube.end(), [&](const StateLit& l) {
+      return solver().model_value(cube_lit(0, l)) == sat::LBool::True;
+    });
+    if (violated) hit.push_back(m.id);
   }
-  // Strike through the database: sub-limit strikes are bookkeeping only; a
-  // repeat offender's RetractMay event retires its gate here at the next
-  // sync.
-  for (const std::size_t id : hit) db_.strike_may(id);
+  // Collect first, strike after: a repeat offender's strike retires its gate
+  // and erases it from may_.
+  for (const std::size_t id : hit) strike_may(id);
 }
 
 sat::LBool QueryContext::solve_frontier_bad(std::size_t frontier) {
-  sync();
   std::vector<sat::Lit> assumptions = this->assumptions(frontier);
   assumptions.push_back(~prop0_);
   return solve_frames(std::move(assumptions), nullptr);
@@ -211,12 +211,15 @@ sat::LBool QueryContext::solve_frontier_bad(std::size_t frontier) {
 
 sat::LBool QueryContext::may_consecution_query(
     const std::vector<std::size_t>& survivor_ids, const Cube& cube, std::size_t level) {
-  sync();
   GENFV_ASSERT(level >= 1, "may-proof consecution starts at level 1");
   std::vector<sat::Lit> assumptions = this->assumptions(level - 1);
-  // Every survivor is live in the mirror: within a may-proof pass only its
-  // own initiation filter retracts, and it drops those candidates first.
-  for (const std::size_t id : survivor_ids) assumptions.push_back(may_.at(id).gate);
+  // Every survivor is live: within a may-proof pass only its own initiation
+  // filter retracts, and it drops those candidates first.
+  for (const std::size_t id : survivor_ids) {
+    const auto it = find_may(id);
+    GENFV_ASSERT(it != may_.end(), "may-proof survivor is not live");
+    assumptions.push_back(it->gate);
+  }
   for (const StateLit& l : cube) assumptions.push_back(cube_lit(1, l));
   return solver().solve(assumptions);
 }
@@ -263,15 +266,12 @@ bool QueryContext::may_intersect_init(const Cube& cube) {
 sat::LBool QueryContext::relative_query(const Cube& cube, std::size_t level,
                                         bool assume_not_cube,
                                         std::vector<sat::Lit>* core_out) {
-  sync();
   GENFV_ASSERT(level >= 1, "relative queries start at level 1");
   std::vector<sat::Lit> assumptions = this->assumptions(level - 1);
   sat::Lit gate = sat::kUndefLit;
   if (assume_not_cube) {
     gate = new_gate();
-    std::vector<sat::Lit> clause{~gate};
-    for (const StateLit& l : cube) clause.push_back(~cube_lit(0, l));
-    solver().add_clause(std::move(clause));
+    add_cube_clause(gate, cube, 0);
     assumptions.push_back(gate);
   }
   for (const StateLit& l : cube) assumptions.push_back(cube_lit(1, l));

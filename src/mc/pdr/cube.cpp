@@ -6,18 +6,6 @@
 
 namespace genfv::mc::pdr {
 
-std::string cube_key(const Cube& cube) {
-  std::string key;
-  for (const StateLit& lit : cube) {
-    key += '|';
-    key += std::to_string(lit.state);
-    key += '.';
-    key += std::to_string(lit.bit);
-    key += lit.negated ? '-' : '+';
-  }
-  return key;
-}
-
 void canonicalize(Cube& cube) {
   std::sort(cube.begin(), cube.end());
   cube.erase(std::unique(cube.begin(), cube.end()), cube.end());

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "ir/transition_system.hpp"
@@ -33,11 +32,6 @@ inline bool operator<(const StateLit& a, const StateLit& b) noexcept {
 
 /// Conjunction of state-bit literals, sorted by (state, bit).
 using Cube = std::vector<StateLit>;
-
-/// Canonical text key of a cube's literals, in their stored order. Equal
-/// keys ⇔ equal literal sequences, so on canonical cubes equal keys mean the
-/// same clause. The frame database dedupes candidate clauses on it.
-std::string cube_key(const Cube& cube);
 
 /// Sort + deduplicate into the canonical form the other helpers expect.
 void canonicalize(Cube& cube);

@@ -4,7 +4,6 @@
 
 #include "mc/pdr/blocking.hpp"
 #include "mc/pdr/context.hpp"
-#include "mc/pdr/frame_db.hpp"
 #include "mc/pdr/obligation.hpp"
 #include "mc/pdr/propagate.hpp"
 #include "sim/interpreter.hpp"
@@ -57,11 +56,10 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     }
   }
 
-  // All mutable state of the run: the solver-neutral frame database and
-  // obligation arena and the one query context mirroring the database.
-  FrameDb db;
-  QueryContext ctx(ts_, prop, options_, db);
-  db.push_level();  // level 1: the first frontier
+  // All mutable state of the run: the query context (which owns the frame
+  // database) and the obligation arena.
+  QueryContext ctx(ts_, prop, options_);
+  ctx.push_level();  // level 1: the first frontier
   ObligationQueue queue;
 
   auto finish = [&](Verdict verdict, std::size_t depth) {
@@ -70,9 +68,9 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     result.stats.absorb(ctx.solver());
     result.stats.absorb(ctx.init_solver());
     result.stats.retired_gates += ctx.retired_gates();
-    result.stats.candidates_seeded += db.may_seeded();
-    result.stats.candidates_graduated += db.may_graduated();
-    result.stats.candidates_retracted += db.may_retracted();
+    result.stats.candidates_seeded += ctx.may_seeded();
+    result.stats.candidates_graduated += ctx.may_graduated();
+    result.stats.candidates_retracted += ctx.may_retracted();
     result.stats.seconds = watch.seconds();
     return result;
   };
@@ -82,7 +80,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // frame database trades exclusively in state-bit clauses.
   if (options_.pdr_seed_candidates) {
     for (const ir::NodeRef cand : options_.pdr_candidate_lemmas) {
-      if (const auto cube = cube_of_clause(ts_, cand)) db.seed_may(*cube);
+      if (const auto cube = cube_of_clause(ts_, cand)) ctx.seed_may(*cube);
     }
   }
 
@@ -125,7 +123,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
   GENFV_TRACE_SPAN("pdr", "prove_all");
   while (true) {
-    const std::size_t frontier = db.frontier();
+    const std::size_t frontier = ctx.frames().frontier();
     if (util::telemetry_on()) frontier_gauge.set(static_cast<std::int64_t>(frontier));
     if (ctx.stopped()) return finish(Verdict::Unknown, frontier);
 
@@ -138,7 +136,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "may_proof");
       util::ScopedTimerNs timer(may_proof_ns);
-      if (!may_proof_pass(ctx, db, options_)) {
+      if (!may_proof_pass(ctx)) {
         return finish(Verdict::Unknown, frontier);
       }
     }
@@ -149,7 +147,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "blocking");
       util::ScopedTimerNs timer(blocking_ns);
-      switch (strengthen_frontier(ctx, db, queue, kMaxObligations, frontier, &cex_index)) {
+      switch (strengthen_frontier(ctx, queue, kMaxObligations, frontier, &cex_index)) {
         case BlockOutcome::Blocked: break;
         case BlockOutcome::Counterexample:
           result.cex = build_cex(cex_index);
@@ -162,7 +160,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "propagate");
       util::ScopedTimerNs timer(propagate_ns);
-      if (propagate_all(ctx, db) == PropagateOutcome::Budget) {
+      if (propagate_all(ctx) == PropagateOutcome::Budget) {
         return finish(Verdict::Unknown, frontier);
       }
     }
@@ -172,7 +170,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     {
       GENFV_TRACE_SPAN("pdr", "push_infinity");
       util::ScopedTimerNs timer(push_infinity_ns);
-      if (!push_to_infinity(ctx, db)) {
+      if (!push_to_infinity(ctx)) {
         return finish(Verdict::Unknown, frontier);
       }
     }
@@ -180,6 +178,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
     // Convergence: an empty level means two adjacent frames agree, and the
     // agreeing frame is an inductive invariant implying the property. F_∞
     // clauses are part of every frame, so they belong to the certificate.
+    const FrameDb& db = ctx.frames();
     for (std::size_t i = 1; i < frontier; ++i) {
       if (!db.cubes_at(i).empty()) continue;
       for (const Cube& cube : db.infinity()) {
@@ -195,7 +194,7 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
 
     if (frontier >= options_.max_steps) return finish(Verdict::Unknown, frontier);
     GENFV_TRACE_INSTANT("pdr", "push_level");
-    db.push_level();
+    ctx.push_level();
   }
 }
 

@@ -20,9 +20,13 @@
 ///    lemmas.
 ///
 /// The engine is layered (this header is only the façade):
-///  * `frame_db.hpp` — the solver-neutral frame database;
+///  * `frame_db.hpp` — the solver-neutral frame database (delta levels and
+///    F_∞);
 ///  * `context.hpp` — the query context (transition + initiation solvers,
-///    unrollers, activation literals, the FrameDb mirror);
+///    unrollers, activation literals, candidate clauses). It owns the run's
+///    FrameDb and asserts each frame fact in the solver when it records it;
+///    the algorithm layers read the database from it and record every fact
+///    through it;
 ///  * `blocking.hpp` / `generalize.hpp` / `propagate.hpp` — the algorithm
 ///    split into frontier strengthening, inductive generalization and
 ///    forward propagation / F_∞ graduation;

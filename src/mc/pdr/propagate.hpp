@@ -6,10 +6,10 @@
 /// Propagation pushes every blocked clause that remains inductive at its
 /// level one level forward; clauses that reach the frontier become
 /// candidates for F_∞, where a mutual-induction fixpoint certifies the
-/// inductive subset invariant. Both passes operate on the run's `FrameDb`.
+/// inductive subset invariant. Both passes record their results through the
+/// run's `QueryContext`.
 
 #include "mc/pdr/context.hpp"
-#include "mc/pdr/frame_db.hpp"
 
 namespace genfv::mc::pdr {
 
@@ -19,10 +19,10 @@ enum class PropagateOutcome {
 };
 
 /// Propagation over levels 1..frontier-1.
-PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db);
+PropagateOutcome propagate_all(QueryContext& ctx);
 
-/// The may-proof pass (EngineOptions::pdr_seed_candidates; no-op otherwise): try to
-/// graduate candidate ("may") clauses into ordinary frame clauses.
+/// The may-proof pass: try to graduate candidate ("may") clauses into
+/// ordinary frame clauses (a no-op when none were seeded).
 ///  1. Initiation filter: a candidate whose cube contains an initial state
 ///     is refuted outright and retracted.
 ///  2. Mutual may-induction fixpoint at the frontier level N: starting from
@@ -34,7 +34,7 @@ PropagateOutcome propagate_all(QueryContext& ctx, FrameDb& db);
 ///     level N and graduates into the delta levels, where propagation and
 ///     the F_∞ fixpoint treat it like any other clause.
 /// Returns false when the budget/stop flag interrupted.
-bool may_proof_pass(QueryContext& ctx, FrameDb& db, const EngineOptions& options);
+bool may_proof_pass(QueryContext& ctx);
 
 /// Push frontier clauses to F_∞ when a subset is mutually inductive: the
 /// greatest fixpoint of "drop any clause with a counterexample-to-
@@ -43,6 +43,6 @@ bool may_proof_pass(QueryContext& ctx, FrameDb& db, const EngineOptions& options
 /// as a set, so each is an invariant — provable long before the frame trace
 /// itself converges. Returns false when the conflict budget or stop flag
 /// interrupted (callers give up on the whole run, as elsewhere).
-bool push_to_infinity(QueryContext& ctx, FrameDb& db);
+bool push_to_infinity(QueryContext& ctx);
 
 }  // namespace genfv::mc::pdr

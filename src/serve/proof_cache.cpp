@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/files.hpp"
+#include "util/log.hpp"
 #include "util/status.hpp"
 #include "util/telemetry.hpp"
 
@@ -187,12 +189,14 @@ void ProofCache::persist(const CacheEntry& entry) const {
   // Write-then-rename so a concurrent reader / crashed writer can never
   // observe a truncated entry (it would be rejected anyway, but noisily).
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) throw UsageError("proof cache: cannot write '" + tmp + "'");
-    out << render_entry(entry);
+  try {
+    util::write_file(tmp, render_entry(entry));
+    std::filesystem::rename(tmp, path);
+  } catch (const std::exception& e) {
+    // The disk copy is an optimization across restarts; the verdict and the
+    // in-memory entry stand without it.
+    GENFV_LOG(Warn, "serve") << "proof cache: entry kept in memory only: " << e.what();
   }
-  std::filesystem::rename(tmp, path);
 }
 
 std::string ProofCache::render_entry(const CacheEntry& entry) {

@@ -119,6 +119,8 @@ class ProofCache {
 
  private:
   std::uint64_t load_dir();
+  /// Write `entry` to its file (write-then-rename). A failure is logged as
+  /// a warning and otherwise ignored: the entry stays in memory.
   void persist(const CacheEntry& entry) const;
   static std::uint64_t entry_key(std::uint64_t sys_hash, std::uint64_t prop_hash);
   std::string entry_path(std::uint64_t key) const;

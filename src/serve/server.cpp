@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -333,10 +334,14 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
   job->max_steps = options_.default_max_steps;
   if (const Json* max_k = optional_field(request, "max_k", Json::Kind::Number,
                                          "a number")) {
-    if (max_k->as_number() < 0) {
-      throw ProtocolError("bad-field", "'max_k' must be non-negative");
+    // The range check keeps the cast below defined.
+    const double value = max_k->as_number();
+    if (value < 0 || value > static_cast<double>(kMaxRequestMaxK) ||
+        std::floor(value) != value) {
+      throw ProtocolError("bad-field", "'max_k' must be a whole number from 0 to " +
+                                           std::to_string(kMaxRequestMaxK));
     }
-    job->max_steps = static_cast<std::size_t>(max_k->as_number());
+    job->max_steps = static_cast<std::size_t>(value);
   }
 
   job->use_cache = options_.cache;
@@ -348,10 +353,11 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
   double deadline_ms = 0.0;
   if (const Json* deadline = optional_field(request, "deadline_ms", Json::Kind::Number,
                                             "a number")) {
-    if (deadline->as_number() <= 0) {
-      throw ProtocolError("bad-field", "'deadline_ms' must be positive");
-    }
     deadline_ms = deadline->as_number();
+    if (deadline_ms <= 0 || deadline_ms > static_cast<double>(kMaxDeadlineMs)) {
+      throw ProtocolError("bad-field", "'deadline_ms' must be positive and at most " +
+                                           std::to_string(kMaxDeadlineMs));
+    }
   }
 
   // Session key: everything that feeds elaboration (different keys must

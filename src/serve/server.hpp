@@ -49,6 +49,10 @@
 
 namespace genfv::serve {
 
+/// Largest "max_k" a verify request may carry. Larger values (and
+/// fractional ones) are answered with `bad-field` rather than converted.
+inline constexpr std::size_t kMaxRequestMaxK = 1'000'000;
+
 struct ServerOptions {
   /// Worker-pool width (concurrent verify jobs).
   std::size_t workers = 2;

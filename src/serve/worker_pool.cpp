@@ -36,6 +36,8 @@ bool WorkerPool::submit(const std::string& id, double deadline_ms, Work work) {
     job.work = std::move(work);
     job.control = control;
     if (deadline_ms > 0) {
+      GENFV_ASSERT(deadline_ms <= static_cast<double>(kMaxDeadlineMs),
+                   "deadline beyond kMaxDeadlineMs");
       job.has_deadline = true;
       job.deadline = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(

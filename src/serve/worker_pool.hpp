@@ -33,6 +33,11 @@
 
 namespace genfv::serve {
 
+/// Longest job deadline, in milliseconds (one day). Capping it keeps the
+/// conversion to a steady_clock offset defined; the server answers a larger
+/// "deadline_ms" with `bad-field`.
+inline constexpr std::int64_t kMaxDeadlineMs = 86'400'000;
+
 /// Why a job's stop flag was raised. Engines only see the bool; the server
 /// reads the reason afterwards to label the response.
 enum class StopReason : int { None = 0, Cancel = 1, Deadline = 2, Shutdown = 3 };
@@ -77,7 +82,8 @@ class WorkerPool {
 
   /// Enqueue a job. `id` is the caller's handle for cancel(); duplicates are
   /// allowed (cancel hits the oldest live one). `deadline_ms <= 0` means no
-  /// deadline. Returns false (job not enqueued) once draining started.
+  /// deadline; a positive one must not exceed kMaxDeadlineMs. Returns false
+  /// (job not enqueued) once draining started.
   bool submit(const std::string& id, double deadline_ms, Work work);
 
   /// Raise the stop flag of the oldest queued-or-running job with this id.

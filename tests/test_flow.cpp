@@ -345,9 +345,10 @@ TEST(DirectMinerFlow, TargetEngineProvesTheTargets) {
 TEST(FlowReport, CountsByStatus) {
   FlowReport report;
   IterationReport it;
-  it.candidates.push_back({.sva = "a", .status = CandidateStatus::Proven});
-  it.candidates.push_back({.sva = "b", .status = CandidateStatus::SimFalsified});
-  it.candidates.push_back({.sva = "c", .status = CandidateStatus::Proven});
+  it.candidates.push_back({.sva = "a", .status = CandidateStatus::Proven, .detail = ""});
+  it.candidates.push_back(
+      {.sva = "b", .status = CandidateStatus::SimFalsified, .detail = ""});
+  it.candidates.push_back({.sva = "c", .status = CandidateStatus::Proven, .detail = ""});
   report.iterations.push_back(it);
   EXPECT_EQ(report.candidates_total(), 3u);
   EXPECT_EQ(report.candidates_with(CandidateStatus::Proven), 2u);

@@ -1,9 +1,10 @@
 /// IC3/PDR engine tests: verdicts on hand-built systems and registry
 /// designs, counterexample reconstruction, cube generalization, lemma
 /// seeding, inductive-invariant export (with an independent SAT check and an
-/// SVA printer round-trip), the FrameDb + QueryContext layering (epoch
-/// sync, the pinned registry trajectory), candidate-lemma frame seeding under
-/// the may-proof discipline, and the uniform mc::Engine interface.
+/// SVA printer round-trip), the FrameDb bookkeeping and the QueryContext
+/// that asserts each recorded fact in its solver, the pinned registry
+/// trajectory, candidate-lemma frame seeding under the may-proof discipline,
+/// and the uniform mc::Engine interface.
 
 #include <gtest/gtest.h>
 
@@ -126,31 +127,6 @@ TEST(PdrFrameDb, DeltaEncodingAndSubsumption) {
   EXPECT_TRUE(db.is_blocked(wide, 2));
 }
 
-TEST(PdrFrameDb, JournalRecordsEveryMutation) {
-  FrameDb db;
-  EXPECT_EQ(db.epoch(), 0u);
-  db.push_level();
-  const Cube cube{{0, 0, false}};
-  db.add_blocked(cube, 1);
-  db.graduate(cube, 1);
-  EXPECT_EQ(db.epoch(), 3u);
-
-  std::vector<FrameDb::Event> events;
-  EXPECT_EQ(db.events_since(0, &events), 3u);
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].kind, FrameDb::Event::Kind::PushLevel);
-  EXPECT_EQ(events[1].kind, FrameDb::Event::Kind::Block);
-  EXPECT_EQ(events[1].cube, cube);
-  EXPECT_EQ(events[1].level, 1u);
-  EXPECT_EQ(events[2].kind, FrameDb::Event::Kind::Graduate);
-
-  // Incremental replay from a mid-journal epoch sees only the tail.
-  events.clear();
-  EXPECT_EQ(db.events_since(2, &events), 3u);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, FrameDb::Event::Kind::Graduate);
-}
-
 TEST(PdrFrameDb, EraseOnGraduation) {
   FrameDb db;
   db.push_level();
@@ -161,30 +137,29 @@ TEST(PdrFrameDb, EraseOnGraduation) {
 
   db.graduate(cube, 1);
   // Graduation moves the cube out of the delta bookkeeping into F_∞; the
-  // delta levels no longer claim it (mirrors re-assert it ungated instead).
+  // delta levels no longer claim it (the context asserts it ungated instead).
   EXPECT_TRUE(db.cubes_at(1).empty());
   ASSERT_EQ(db.infinity().size(), 1u);
   EXPECT_EQ(db.infinity()[0], cube);
   EXPECT_EQ(db.total_cubes(), 0u);
 }
 
-TEST(PdrFrameDb, EpochSyncIntoContext) {
-  // A clause blocked through the database becomes visible to the context's
-  // solver at its next sync; a graduated clause holds even without frame
+TEST(PdrFrameDb, RecordedClausesConstrainTheNextQuery) {
+  // A clause blocked through the context constrains the very next query
+  // inside its frame; a graduated clause holds even without frame
   // assumptions.
   auto ts = stride_counter(4, 1);
   auto& nm = ts.nm();
   const NodeRef prop = nm.mk_true();
 
   EngineOptions options;
-  FrameDb db;
-  QueryContext ctx(ts, prop, options, db);
-  db.push_level();
+  QueryContext ctx(ts, prop, options);
+  ctx.push_level();
+  EXPECT_EQ(ctx.frames().frontier(), 1u);
 
   // count == 3, as a full 4-bit cube.
   const Cube cube{{0, 0, false}, {0, 1, false}, {0, 2, true}, {0, 3, true}};
   auto reaches_cube = [&](bool in_f1) {
-    ctx.sync();
     std::vector<sat::Lit> assumptions;
     if (in_f1) assumptions = ctx.assumptions(1);
     for (const StateLit& l : cube) assumptions.push_back(ctx.cube_lit(0, l));
@@ -193,41 +168,43 @@ TEST(PdrFrameDb, EpochSyncIntoContext) {
 
   // Before blocking: count == 3 is still reachable inside F_1.
   EXPECT_EQ(reaches_cube(true), sat::LBool::True);
-  db.add_blocked(cube, 1);
+  ctx.add_blocked(cube, 1);
+  EXPECT_EQ(ctx.frames().cubes_at(1).size(), 1u);
   EXPECT_EQ(reaches_cube(true), sat::LBool::False);
   EXPECT_EQ(reaches_cube(false), sat::LBool::True);  // gated by F_1 only
 
-  db.graduate(cube, 1);
+  ctx.graduate(cube, 1);
+  EXPECT_EQ(ctx.frames().infinity().size(), 1u);
   EXPECT_EQ(reaches_cube(false), sat::LBool::False);
 }
 
 TEST(PdrFrameDb, StrikesRetractCandidatesOnlyAtTheLimit) {
   static_assert(kCandidateStrikes == 2);
-  FrameDb db;
+  auto ts = stride_counter(4, 1);
+  EngineOptions options;
+  QueryContext ctx(ts, ts.nm().mk_true(), options);
   const Cube cube{{0, 0, false}};
-  const auto id = db.seed_may(cube);
+  const auto id = ctx.seed_may(cube);
   ASSERT_TRUE(id.has_value());
-  const std::uint64_t epoch_after_seed = db.epoch();
+  EXPECT_EQ(ctx.retired_gates(), 0u);
 
-  // A sub-limit strike: candidate stays live, mirrors see nothing.
-  EXPECT_FALSE(db.strike_may(*id));
-  EXPECT_EQ(db.may_clauses().size(), 1u);
-  EXPECT_EQ(db.may_clauses()[0].strikes, 1u);
-  EXPECT_EQ(db.epoch(), epoch_after_seed);
-  EXPECT_EQ(db.may_retracted(), 0u);
+  // A sub-limit strike: the candidate stays live and keeps its gate.
+  EXPECT_FALSE(ctx.strike_may(*id));
+  EXPECT_EQ(ctx.may_clauses().size(), 1u);
+  EXPECT_EQ(ctx.may_clauses()[0].strikes, 1u);
+  EXPECT_EQ(ctx.retired_gates(), 0u);
+  EXPECT_EQ(ctx.may_retracted(), 0u);
 
-  // The second strike retracts and journals a RetractMay for the mirrors.
-  EXPECT_TRUE(db.strike_may(*id));
-  EXPECT_TRUE(db.may_clauses().empty());
-  EXPECT_EQ(db.may_retracted(), 1u);
-  std::vector<FrameDb::Event> events;
-  db.events_since(epoch_after_seed, &events);
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, FrameDb::Event::Kind::RetractMay);
+  // The second strike retracts the candidate and retires its gate.
+  EXPECT_TRUE(ctx.strike_may(*id));
+  EXPECT_TRUE(ctx.may_clauses().empty());
+  EXPECT_EQ(ctx.may_retracted(), 1u);
+  EXPECT_EQ(ctx.retired_gates(), 1u);
 
   // Striking a retracted candidate is a no-op, and the cube stays refused.
-  EXPECT_FALSE(db.strike_may(*id));
-  EXPECT_FALSE(db.seed_may(cube).has_value());
+  EXPECT_FALSE(ctx.strike_may(*id));
+  EXPECT_EQ(ctx.retired_gates(), 1u);
+  EXPECT_FALSE(ctx.seed_may(cube).has_value());
 }
 
 TEST(PdrObligations, LowestLevelFirst) {
@@ -324,14 +301,13 @@ TEST(PdrEngineTest, ObligationCapEndsTheBlockingPhase) {
   const NodeRef prop = nm.mk_ne(ts.lookup("x"), nm.mk_const(3, 8));
   const EngineOptions options;
   const auto run_phase = [&](std::size_t max_obligations, std::size_t* created) {
-    FrameDb db;
-    QueryContext ctx(ts, prop, options, db);
-    db.push_level();
-    db.push_level();
+    QueryContext ctx(ts, prop, options);
+    ctx.push_level();
+    ctx.push_level();
     ObligationQueue queue;
     std::size_t cex_index = 0;
     const BlockOutcome outcome =
-        strengthen_frontier(ctx, db, queue, max_obligations, 2, &cex_index);
+        strengthen_frontier(ctx, queue, max_obligations, 2, &cex_index);
     *created = queue.created();
     return outcome;
   };
@@ -542,53 +518,41 @@ TEST(PdrGateHygiene, RetiredGateLitterIsCollected) {
 
 // --- candidate-lemma frame seeding -------------------------------------------
 
-TEST(PdrFrameDb, MayClauseLifecycleAndJournal) {
-  FrameDb db;
-  db.push_level();
+TEST(PdrFrameDb, MayClauseLifecycleRetiresGates) {
+  auto ts = stride_counter(4, 1);
+  EngineOptions options;
+  QueryContext ctx(ts, ts.nm().mk_true(), options);
+  ctx.push_level();
   const Cube c1{{0, 0, false}};
   const Cube c2{{0, 1, true}};
-  const auto id1 = db.seed_may(c1);
-  const auto id2 = db.seed_may(c2);
+  const auto id1 = ctx.seed_may(c1);
+  const auto id2 = ctx.seed_may(c2);
   ASSERT_TRUE(id1.has_value());
   ASSERT_TRUE(id2.has_value());
-  EXPECT_FALSE(db.seed_may(c1).has_value());  // duplicate cube rejected
-  EXPECT_EQ(db.may_clauses().size(), 2u);
-  EXPECT_EQ(db.may_seeded(), 2u);
+  EXPECT_FALSE(ctx.seed_may(c1).has_value());  // duplicate cube rejected
+  EXPECT_EQ(ctx.may_clauses().size(), 2u);
+  EXPECT_EQ(ctx.may_seeded(), 2u);
+  EXPECT_EQ(ctx.retired_gates(), 0u);
 
-  EXPECT_TRUE(db.retract_may(*id1));
-  EXPECT_FALSE(db.retract_may(*id1));          // idempotent
-  EXPECT_FALSE(db.seed_may(c1).has_value());   // refuted stays refuted
-  EXPECT_TRUE(db.graduate_may(*id2));
-  EXPECT_TRUE(db.may_clauses().empty());
-  EXPECT_EQ(db.may_retracted(), 1u);
-  EXPECT_EQ(db.may_graduated(), 1u);
-
-  std::vector<FrameDb::Event> events;
-  db.events_since(0, &events);
-  ASSERT_EQ(events.size(), 5u);  // PushLevel, 2x SeedMay, 2x RetractMay
-  EXPECT_EQ(events[1].kind, FrameDb::Event::Kind::SeedMay);
-  EXPECT_EQ(events[1].cube, c1);
-  EXPECT_EQ(events[1].level, *id1);
-  EXPECT_EQ(events[3].kind, FrameDb::Event::Kind::RetractMay);
-  EXPECT_EQ(events[3].level, *id1);
-  EXPECT_EQ(events[4].level, *id2);
+  // Retraction and graduation each retire the candidate's gate once.
+  EXPECT_TRUE(ctx.retract_may(*id1));
+  EXPECT_EQ(ctx.retired_gates(), 1u);
+  EXPECT_FALSE(ctx.retract_may(*id1));          // idempotent
+  EXPECT_FALSE(ctx.seed_may(c1).has_value());   // refuted stays refuted
+  EXPECT_TRUE(ctx.graduate_may(*id2));
+  EXPECT_EQ(ctx.retired_gates(), 2u);
+  EXPECT_TRUE(ctx.may_clauses().empty());
+  EXPECT_EQ(ctx.may_retracted(), 1u);
+  EXPECT_EQ(ctx.may_graduated(), 1u);
 
   // Only live candidates are listed.
-  const Cube c3{{1, 2, false}};
-  db.seed_may(c3);
-  ASSERT_EQ(db.may_clauses().size(), 1u);
-  EXPECT_EQ(db.may_clauses()[0].cube, c3);
-}
-
-TEST(PdrCube, CubeKeyIsEqualExactlyForEqualCubes) {
-  // The FrameDb's may-clause dedupe keys on cube_key: equal cubes must share
-  // a key, and no two different cubes may collide (state/bit boundaries and
-  // polarity are all part of the key).
-  const Cube cube{{0, 1, false}, {2, 5, true}};
-  EXPECT_EQ(cube_key(cube), cube_key(Cube{{0, 1, false}, {2, 5, true}}));
-  EXPECT_NE(cube_key(cube), cube_key(Cube{{2, 5, true}}));
-  EXPECT_NE(cube_key(Cube{{1, 12, false}}), cube_key(Cube{{11, 2, false}}));
-  EXPECT_NE(cube_key(Cube{{1, 2, false}}), cube_key(Cube{{1, 2, true}}));
+  const Cube c3{{0, 2, false}};
+  const auto id3 = ctx.seed_may(c3);
+  ASSERT_TRUE(id3.has_value());
+  EXPECT_EQ(*id3, 2u);
+  ASSERT_EQ(ctx.may_clauses().size(), 1u);
+  EXPECT_EQ(ctx.may_clauses()[0].cube, c3);
+  EXPECT_EQ(ctx.retired_gates(), 2u);
 }
 
 TEST(PdrCube, CubeOfClauseRoundTripsAndRejectsNonClauses) {

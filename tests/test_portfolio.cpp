@@ -73,7 +73,9 @@ TEST(SystemClone, DeepCopyPreservesStructureAndRoundTripsExpressions) {
     EXPECT_EQ(cloned.var->name(), orig.var->name());
     EXPECT_EQ(cloned.var->width(), orig.var->width());
     EXPECT_EQ(clone.to_original(cloned.next), orig.next);
-    if (orig.init != nullptr) EXPECT_EQ(clone.to_original(cloned.init), orig.init);
+    if (orig.init != nullptr) {
+      EXPECT_EQ(clone.to_original(cloned.init), orig.init);
+    }
   }
   for (std::size_t i = 0; i < task.ts.num_properties(); ++i) {
     EXPECT_EQ(clone.to_original(copy.property(i).expr), task.ts.property(i).expr);
@@ -159,7 +161,9 @@ TEST(Portfolio, AgreesWithSingleEnginesOnTheRegistry) {
       const EngineResult r = engine->prove_all(task.target_exprs());
       if (conclusive(r.verdict)) {
         // Soundness: conclusive single-engine verdicts can never disagree.
-        if (single_conclusive.has_value()) EXPECT_EQ(*single_conclusive, r.verdict);
+        if (single_conclusive.has_value()) {
+          EXPECT_EQ(*single_conclusive, r.verdict);
+        }
         single_conclusive = r.verdict;
       }
     }

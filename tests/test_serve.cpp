@@ -211,7 +211,14 @@ TEST(ServeProtocol, EveryMalformedRequestClassIsLocated) {
       {R"({"id":1,"op":"verify","design":"sequencer","engine":"magic"})",
        "unknown-engine"},
       {R"({"id":1,"op":"verify","design":"sequencer","max_k":-1})", "bad-field"},
+      {R"({"id":1,"op":"verify","design":"sequencer","max_k":2.5})", "bad-field"},
+      {R"({"id":1,"op":"verify","design":"sequencer","max_k":1e30})", "bad-field"},
+      {R"({"id":1,"op":"verify","design":"sequencer","max_k":1e999})", "bad-field"},
+      {R"({"id":1,"op":"verify","design":"sequencer","max_k":1000001})", "bad-field"},
       {R"({"id":1,"op":"verify","design":"sequencer","deadline_ms":0})", "bad-field"},
+      {R"({"id":1,"op":"verify","design":"sequencer","deadline_ms":1e30})", "bad-field"},
+      {R"({"id":1,"op":"verify","design":"sequencer","deadline_ms":86400001})",
+       "bad-field"},
       {R"({"id":1,"op":"verify","design":"sequencer","cache":"yes"})", "bad-field"},
       {R"({"id":1,"op":"verify","rtl":"module m; endmodule","properties":7})",
        "bad-field"},
@@ -830,6 +837,36 @@ TEST(ServeCache, InterruptedRecertificationNeverDestroysTheEntry) {
       R"({"id":"warm","op":"verify","design":"sequencer","max_k":16})",
       log.sink());
   const Json warm = log.wait_for("\"warm\"");
+  EXPECT_EQ(string_field(warm, "verdict"), "proven");
+  EXPECT_EQ(string_field(warm, "cache"), "hit");
+}
+
+TEST(ServeCache, FailedPersistStillAnswersTheVerdict) {
+  // The cache directory turns into a plain file after the server started:
+  // every entry write fails. The proof stands, and the entry still serves
+  // the next identical job from memory.
+  ScopedTempDir dir;
+  const std::string cache_dir = dir.path() + "/cache";
+  std::filesystem::create_directory(cache_dir);
+  ServerOptions options;
+  options.workers = 1;
+  options.cache_dir = cache_dir;
+  ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
+  Server server(options);
+
+  std::filesystem::remove(cache_dir);
+  std::ofstream(cache_dir) << "not a directory";
+
+  server.handle_line(R"({"id":1,"op":"verify","design":"sequencer","max_k":16})",
+                     log.sink());
+  const Json cold = log.wait_for("1");
+  EXPECT_TRUE(bool_field(cold, "ok")) << cold.dump();
+  EXPECT_EQ(string_field(cold, "verdict"), "proven");
+  EXPECT_EQ(server.cache().size(), 1u);
+
+  server.handle_line(R"({"id":2,"op":"verify","design":"sequencer","max_k":16})",
+                     log.sink());
+  const Json warm = log.wait_for("2");
   EXPECT_EQ(string_field(warm, "verdict"), "proven");
   EXPECT_EQ(string_field(warm, "cache"), "hit");
 }

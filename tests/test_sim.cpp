@@ -173,7 +173,6 @@ TEST(Waveform, RendersAllSignalsAndMarksFailure) {
 
 TEST(Waveform, BitDiffCalloutNamesDifferingBits) {
   ir::TransitionSystem ts;
-  auto& nm = ts.nm();
   const NodeRef a = ts.add_state("count1", 8);
   const NodeRef b = ts.add_state("count2", 8);
   ts.set_next(a, a);
