@@ -2,8 +2,8 @@
 /// k-induction and IC3/PDR attack the same zoo designs at the same step
 /// budget through the uniform `mc::Engine` interface. BMC never proves,
 /// k-induction needs the design to be inductive (or externally supplied
-/// lemmas), and PDR discovers clause strengthenings on its own — each wins
-/// somewhere, which is why the portfolio races them.
+/// lemmas), and PDR discovers clause strengthenings on its own. The
+/// portfolio row runs a k-induction probe at k = 1, then PDR.
 ///
 /// `--json <path>` additionally writes machine-readable records (design,
 /// engine, verdict, wall-ms, solver stats, and per-phase wall
@@ -65,7 +65,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
       "Peled et al. IJCAI'26 motivation, Kumar-Gadde §II-A background",
       "BMC / k-induction / IC3-PDR on identical designs and step budgets; "
       "PDR proves designs the others cannot at this bound, and the portfolio "
-      "races all three.");
+      "runs a k-induction probe at k = 1, then PDR.");
 
   const bool phases = util::telemetry_on();
   std::vector<std::string> columns = {"design",    "engine",    "verdict", "depth",
@@ -152,8 +152,8 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("Same bound, same designs: PDR closes proofs k-induction leaves "
-              "open because it mines its own frame strengthenings, and the "
-              "portfolio adopts whichever member concludes first.\n\n");
+              "open because it mines its own frame strengthenings; the "
+              "portfolio concludes wherever its k = 1 probe or PDR does.\n\n");
 }
 
 /// The proof-cache experiment behind genfv_serve (docs/serve.md): for every
@@ -250,7 +250,6 @@ void run_cache_experiment(bench::JsonRecords* json) {
     const auto near = cache.lookup(ts, edited.target_exprs());
     mc::EngineOptions warm_options = options;
     if (near.outcome == serve::CacheOutcome::Near) {
-      warm_options.pdr_seed_candidates = true;
       warm_options.pdr_candidate_lemmas = serve::surviving_clauses(ts, *near.entry);
     }
     auto warm_engine = mc::make_engine(mc::EngineKind::Pdr, ts, warm_options);

@@ -10,20 +10,20 @@ proofs show up here before anything else. Wall-clock numbers are reported
 but never gate the build: CI machines are too noisy for timing assertions.
 
 With a second argument — a committed trajectory snapshot such as
-BENCH_PR22.json (see docs/benchmarks.md) — every (design, engine) cell
+BENCH_PR23.json (see docs/benchmarks.md) — every (design, engine) cell
 present in both files must additionally agree on its verdict, so a fresh
-run can never silently drift from the checked-in trajectory. Cells whose
-kind is not "portfolio" must also agree exactly on the deterministic work
-counters (DETERMINISTIC_COUNTERS): single-threaded engines replay the same
-search on every machine, so any drift there means the search itself
-changed. Portfolio cells race threads and keep only the verdict gate.
+run can never silently drift from the checked-in trajectory. Every cell
+must also agree exactly on the deterministic work counters
+(DETERMINISTIC_COUNTERS): every engine, the portfolio included, runs on one
+thread and replays the same search on every machine, so any drift there
+means the search itself changed.
 """
 
 import json
 import sys
 
-# Work counters that single-threaded (non-portfolio) cells reproduce exactly
-# from run to run and machine to machine; gated against the baseline. The
+# Work counters that every cell reproduces exactly from run to run and
+# machine to machine; gated against the baseline. The
 # CNF size (variables and problem clauses of the cell's solvers at finish)
 # catches encoding changes that happen to leave the search counts alone.
 DETERMINISTIC_COUNTERS = ("sat_calls", "conflicts", "propagations", "depth",
@@ -128,8 +128,6 @@ def main() -> int:
                 failures.append(
                     f"{key[0]} / {key[1]}: baseline {sys.argv[2]} says "
                     f"{base['verdict']}, this run says {record['verdict']}")
-            if record["kind"] == "portfolio":
-                continue
             for counter in DETERMINISTIC_COUNTERS:
                 if record[counter] != base[counter]:
                     failures.append(

@@ -3,7 +3,7 @@
 /// \file lemma_io.hpp
 /// The portable lemma file format: one SVA boolean expression per line, with
 /// `#` comments and blank lines ignored. This is the hand-off artefact of
-/// the bidirectional exchange — a PDR (or portfolio) win exports its
+/// the bidirectional exchange — a PDR proof (alone or in the portfolio) exports its
 /// inductive-frame clauses here, and a later run re-ingests them through
 /// `LemmaManager::process`, which re-proves every line before assuming it
 /// (so a stale or hand-edited file can never unsoundly influence a proof).

@@ -17,7 +17,6 @@ namespace {
 mc::EngineOptions target_engine_options(const FlowOptions& options,
                                         const LemmaManager& lemmas) {
   mc::EngineOptions out = lemmas.engine_with_lemmas();
-  out.pdr_seed_candidates = options.pdr_seed_candidates;
   if (options.pdr_seed_candidates) {
     // Rejected-but-plausible helpers get a second life as PDR may clauses.
     out.pdr_candidate_lemmas = lemmas.candidate_exprs();

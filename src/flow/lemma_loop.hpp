@@ -26,8 +26,8 @@ struct FlowOptions {
   /// target, its inductive-frame clauses are admitted back as lemmas.
   mc::EngineKind target_engine = mc::EngineKind::KInduction;
   /// Seed PDR frames with the LemmaManager's *unproven* candidates (the
-  /// helpers that failed their k-induction proof) as may clauses; mirrors
-  /// EngineOptions::pdr_seed_candidates. A hallucinated candidate costs SAT
+  /// helpers that failed their k-induction proof) as may clauses, through
+  /// EngineOptions::pdr_candidate_lemmas. A hallucinated candidate costs SAT
   /// work, never soundness — see docs/lemmas.md.
   bool pdr_seed_candidates = false;
 

@@ -45,7 +45,7 @@ class LemmaManager {
   std::vector<CandidateOutcome> process(const std::vector<std::string>& candidate_texts);
 
   /// Admit an invariant proven outside the candidate pipeline — e.g. a
-  /// clause of PDR's (or the portfolio winner's) final inductive frame.
+  /// clause of PDR's final inductive frame (alone or in the portfolio).
   /// `expr` must already live in `task.ts`'s NodeManager and the caller
   /// vouches for its proof. Deduplicates against known facts; returns true
   /// when the lemma was actually added.

@@ -12,8 +12,7 @@
 ///    collide — renaming a register cannot invalidate a cached proof;
 ///  * a semantic edit (different constant, different operator, different
 ///    next-state function) changes the hash;
-///  * the hash is stable across `ir::SystemClone` and across serialize /
-///    deserialize round trips.
+///  * the hash is stable across serialize / deserialize round trips.
 ///
 /// Commutative operators (`ir::is_commutative`) combine their children
 /// order-insensitively, so the id-ordered operand normalization inside

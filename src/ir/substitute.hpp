@@ -20,7 +20,7 @@ NodeRef substitute(NodeRef root, const Substitution& subst, NodeManager& nm);
 /// Rebuild `original`'s operator in `nm` over the (already translated)
 /// `children`, through the public builders so folding and hash-consing
 /// reapply. `original` must be a non-leaf; this is the single op-dispatch
-/// table shared by `substitute` and `ir::translate` (clone.hpp).
+/// table for rebuilding a node.
 NodeRef rebuild_node(NodeManager& nm, NodeRef original,
                      const std::vector<NodeRef>& children);
 

@@ -3,15 +3,14 @@
 /// \file engine.hpp
 /// The abstract model-checking engine interface. BMC (`BmcEngine`),
 /// k-induction (`KInductionEngine`), IC3/PDR (`pdr::PdrEngine`) and the
-/// portfolio scheduler all implement it, so the flows, the CLI and the
-/// benches can select an engine at runtime. Every engine reads its knobs
+/// portfolio (`PortfolioEngine`) all implement it, so the flows, the CLI and
+/// the benches can select an engine at runtime. Every engine reads its knobs
 /// from one `EngineOptions` and answers with one `EngineResult`.
 ///
 /// Contracts shared by every implementation:
 ///  * Engines never mutate the transition system, but they DO create nodes
 ///    in its NodeManager (property conjunction, invariant export), so two
-///    engines must not run concurrently over the same system — the
-///    portfolio runs its members over private `ir::SystemClone`s instead.
+///    engines must not run concurrently over the same system.
 ///  * `Verdict::Proven` means the property holds in every reachable state
 ///    (unbounded); `Falsified` comes with a real counterexample trace from
 ///    the initial states; `Unknown` covers bound/budget exhaustion and
@@ -36,7 +35,7 @@ enum class EngineKind {
   Bmc,         ///< bounded search for counterexamples (never Proven)
   KInduction,  ///< Sheeran-Singh-Stålmarck k-induction
   Pdr,         ///< IC3/property-directed reachability
-  Portfolio,   ///< run several engines, adopt the first conclusive verdict
+  Portfolio,   ///< a k-induction probe at k = 1, then PDR (portfolio.hpp)
 };
 
 std::string to_string(EngineKind kind);
@@ -56,15 +55,13 @@ struct EngineOptions {
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// PDR only: seed frames with *candidate* (unproven) clauses from
-  /// `pdr_candidate_lemmas` under the may-proof discipline. Candidates are
-  /// assumed behind retractable gates, never exported, and only graduate
-  /// into real frame clauses through a clean relative-induction proof; a
-  /// wrong candidate can cost work, never soundness (docs/lemmas.md).
-  bool pdr_seed_candidates = false;
-  /// PDR only (with pdr_seed_candidates): candidate clause expressions,
-  /// e.g. LemmaManager candidates whose k-induction proof failed. Must live
-  /// in the engine's NodeManager; non-clause shapes are skipped.
+  /// PDR only: *candidate* (unproven) clause expressions, e.g. LemmaManager
+  /// candidates whose k-induction proof failed. PDR seeds its frames with
+  /// them under the may-proof discipline: candidates are assumed behind
+  /// retractable gates, never exported, and only graduate into real frame
+  /// clauses through a clean relative-induction proof; a wrong candidate can
+  /// cost work, never soundness (docs/lemmas.md). Must live in the engine's
+  /// NodeManager; non-clause shapes are skipped.
   std::vector<ir::NodeRef> pdr_candidate_lemmas{};
   /// Cooperative cancellation. Engines poll the flag between solver queries
   /// and hand it to their SAT solvers, which poll it at restart boundaries;
@@ -72,40 +69,24 @@ struct EngineOptions {
   /// Thread-safety: engines and solvers only ever *read* the flag (relaxed
   /// loads), so any thread may set it at any time; shared ownership keeps it
   /// alive for detached observers. nullptr (the default) disables
-  /// cancellation. The portfolio sets the flag once a member returns a
-  /// conclusive verdict, which is what cancels the losing engines.
+  /// cancellation.
   std::shared_ptr<std::atomic<bool>> stop{};
   /// When non-empty, SAT solvers log DRAT proofs under this path base
   /// (`<path>.cnf` + `<path>.drat`). BMC uses the base as is, k-induction
   /// appends `_base` / `_step`, PDR's initiation solver appends `-p1`. An
   /// UNSAT run's proof validates with scripts/check_drat.py. Meant for
-  /// single-engine runs.
+  /// single-engine runs and the portfolio, whose two stages do not collide.
   std::string drat_path{};
 
   // --- ignored; kept only for perfbench/ ------------------------------------
   // No engine reads these; the frozen perfbench/ benchmark still sets them.
   std::size_t pdr_workers = 1;
   bool pdr_ternary_lifting = false;
+  bool pdr_seed_candidates = false;  ///< PDR seeds iff pdr_candidate_lemmas is non-empty
   std::size_t pdr_candidate_strikes = 2;
   std::string sat_backend = "internal";
   bool sat_inprocess = true;
   bool exchange = true;
-
-  // --- portfolio only -------------------------------------------------------
-  /// Member engines, in launch order; each runs on its own thread over a
-  /// private clone of the system. Empty = {Bmc, KInduction, Pdr}. Must not
-  /// contain Portfolio itself.
-  std::vector<EngineKind> portfolio_engines{};
-};
-
-/// One portfolio member's outcome, reported alongside the adopted verdict so
-/// the merged result still names who did what.
-struct EngineBreakdown {
-  std::string engine;  ///< member name ("bmc", "k-induction", "pdr")
-  Verdict verdict = Verdict::Unknown;
-  std::size_t depth = 0;
-  EngineStats stats;
-  std::string note;  ///< non-empty when the member aborted (e.g. threw)
 };
 
 /// The one result type every engine returns. Engines fill the fields that
@@ -113,7 +94,8 @@ struct EngineBreakdown {
 struct EngineResult {
   Verdict verdict = Verdict::Unknown;
   /// BMC: deepest frame explored (CEX length - 1); k-induction: final k;
-  /// PDR: frontier frame (CEX length - 1); portfolio: the winner's depth.
+  /// PDR: frontier frame (CEX length - 1); portfolio: the concluding
+  /// stage's depth, PDR's when neither concludes.
   std::size_t depth = 0;
   /// Real counterexample from the initial states (verdict == Falsified).
   std::optional<sim::Trace> cex;
@@ -128,18 +110,15 @@ struct EngineResult {
   /// individually holds in every reachable state, so each can be re-used as
   /// a lemma (and printed as SVA via ir::Printer); PDR's conjunction is
   /// inductive and implies the property relative to any lemmas that seeded
-  /// the run. The portfolio forwards the winner's invariant (translated back
-  /// into the caller's system).
+  /// the run. The portfolio forwards the concluding stage's invariant.
   std::vector<ir::NodeRef> invariant;
-  /// Aggregate effort. For the portfolio this sums every member's counters,
-  /// while `seconds` is the portfolio's wall-clock time (not the sum — the
-  /// members ran concurrently).
+  /// Aggregate effort. For the portfolio this sums both stages' counters,
+  /// and `seconds` is the portfolio's wall-clock time.
   EngineStats stats;
-  /// Portfolio only: name of the member whose conclusive verdict was
-  /// adopted; empty for single engines and for an inconclusive portfolio.
+  /// Portfolio only: the stage whose conclusive verdict this is
+  /// ("k-induction" or "pdr"); empty for single engines and for an
+  /// inconclusive portfolio.
   std::string winner;
-  /// Portfolio only: per-member outcome, in launch order.
-  std::vector<EngineBreakdown> breakdown;
 
   bool proven() const noexcept { return verdict == Verdict::Proven; }
   std::string summary() const;
@@ -163,8 +142,7 @@ class Engine {
 };
 
 /// Instantiate an engine over `ts`. The transition system must outlive the
-/// returned engine. Throws UsageError for a portfolio that lists Portfolio
-/// among its own members.
+/// returned engine.
 std::unique_ptr<Engine> make_engine(EngineKind kind, const ir::TransitionSystem& ts,
                                     const EngineOptions& options = {});
 

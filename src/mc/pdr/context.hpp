@@ -179,7 +179,7 @@ class QueryContext {
   /// SAT(F_{level-1} ∧ survivors ∧ T ∧ cube')? — the may-proof consecution
   /// check: assumes exactly the gates of `survivor_ids` (no other
   /// candidates), so an UNSAT certifies consecution relative to the named
-  /// set only. Requires pdr_seed_candidates; `cube` is one survivor's cube.
+  /// set only. Requires seeded candidates; `cube` is one survivor's cube.
   sat::LBool may_consecution_query(const std::vector<std::size_t>& survivor_ids,
                                    const Cube& cube, std::size_t level);
 

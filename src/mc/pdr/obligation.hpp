@@ -73,7 +73,7 @@ class ObligationQueue {
   std::size_t created() const noexcept { return arena_.size(); }
 
  private:
-  // Process-global gauges: several queues may coexist (portfolio members),
+  // Process-global gauges: several queues may coexist (server workers),
   // but in practice one PDR run dominates and the heartbeat wants a single
   // live depth figure.
   static util::Gauge& queue_depth() {

@@ -78,10 +78,8 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   // Candidate-lemma seeding: admit clause-shaped unproven candidates as
   // "may" clauses (docs/lemmas.md). Non-clause candidates are skipped — the
   // frame database trades exclusively in state-bit clauses.
-  if (options_.pdr_seed_candidates) {
-    for (const ir::NodeRef cand : options_.pdr_candidate_lemmas) {
-      if (const auto cube = cube_of_clause(ts_, cand)) ctx.seed_may(*cube);
-    }
+  for (const ir::NodeRef cand : options_.pdr_candidate_lemmas) {
+    if (const auto cube = cube_of_clause(ts_, cand)) ctx.seed_may(*cube);
   }
 
   // 0-step: a property violation inside the initial states themselves.

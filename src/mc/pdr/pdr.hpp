@@ -45,7 +45,7 @@ namespace genfv::mc::pdr {
 ///    at SAT restart boundaries) — stamped onto both of the run's solvers;
 ///  * drat_path — the transition solver logs to `<drat_path>`, the
 ///    initiation solver to `<drat_path>-p1`;
-///  * pdr_seed_candidates / pdr_candidate_lemmas — admit *unproven* candidate
+///  * pdr_candidate_lemmas — admit *unproven* candidate
 ///    clauses into the frame database as "may" clauses: assumed in queries
 ///    behind dedicated activation gates, never exported, never pushed to
 ///    F_∞. A may-proof pass graduates candidates whose mutual relative-
@@ -72,10 +72,9 @@ namespace genfv::mc::pdr {
 /// Ownership/threading contract: the engine holds a reference to `ts` (which
 /// must outlive it) and *creates nodes in its NodeManager* (property
 /// conjunction, invariant export) — so a PdrEngine must not run concurrently
-/// with anything else touching the same manager; the portfolio gives each
-/// concurrent engine a private `ir::SystemClone` instead. The only state
-/// legally shared with other threads is `EngineOptions::stop`, which is
-/// read-only here and may be set by any thread at any time.
+/// with anything else touching the same manager. The only state legally
+/// shared with other threads is `EngineOptions::stop`, which is read-only
+/// here and may be set by any thread at any time.
 class PdrEngine final : public Engine {
  public:
   PdrEngine(const ir::TransitionSystem& ts, EngineOptions options = {});

@@ -1,28 +1,25 @@
 #pragma once
 
 /// \file portfolio.hpp
-/// Portfolio scheduling over `mc::Engine`: run BMC, k-induction and IC3/PDR
-/// on the same properties and adopt the first conclusive verdict
-/// (Proven/Falsified). Soundness makes this race safe — conclusive verdicts
-/// cannot disagree, so whichever engine finishes first speaks for all.
+/// The robust entry point over `mc::Engine`: a k-induction probe at k = 1,
+/// then IC3/PDR with the full budget, one after the other on the calling
+/// thread and over the caller's system.
 ///
-/// Scheduling: one std::thread per member. NodeManager is not thread-safe,
-/// so every member runs over a private `ir::SystemClone`; properties and
-/// lemmas are translated into each clone before the threads start, and the
-/// winner's counterexample/invariant are translated back after every thread
-/// has been joined. The first conclusive member sets the shared stop flag
-/// (EngineOptions::stop machinery), which cancels the losers cooperatively
-/// at their next poll. The race is pure: the stop flag is the only state the
-/// members share while they run, so each member's search is exactly the one
-/// it makes alone. Lemmas flow between engines at flow level instead
-/// (LemmaManager, and PDR invariants admitted back; docs/lemmas.md).
+/// The probe settles the cheap cases: a property that is 1-inductive
+/// (relative to the seeded lemmas) is Proven, one violated in an initial
+/// state is Falsified. Everything else goes to PDR, which discovers the
+/// strengthening that induction alone lacks and finds counterexamples at any
+/// depth within its frames. Both stages read the portfolio's
+/// `EngineOptions` unchanged (lemmas, candidates, stop flag, DRAT path; the
+/// DRAT files of the two stages do not collide), except that the probe's
+/// `max_steps` is 1.
 ///
-/// The merged `EngineResult` names the winner, sums every member's
-/// `EngineStats`, and carries a per-member `EngineBreakdown` so reports can
-/// show who did what.
-/// An inconclusive portfolio (every member Unknown) forwards a k-induction
-/// step CEX when one was produced, keeping the GenAI repair loop fed even
-/// when no engine concluded.
+/// The result is the concluding stage's, with `winner` naming that stage
+/// ("k-induction" or "pdr"). `stats` sums both stages' counters; `seconds`
+/// is the portfolio's wall time. An inconclusive run forwards the probe's
+/// induction-step CEX so the GenAI repair loop stays fed. A raised stop
+/// flag after the probe skips PDR. Like PDR, the portfolio throws
+/// UsageError on a state whose initial value reads an input.
 
 #include "mc/engine.hpp"
 
@@ -30,8 +27,7 @@ namespace genfv::mc {
 
 class PortfolioEngine final : public Engine {
  public:
-  /// `ts` must outlive the engine. Throws UsageError when
-  /// `options.portfolio_engines` contains EngineKind::Portfolio.
+  /// `ts` must outlive the engine.
   PortfolioEngine(const ir::TransitionSystem& ts, EngineOptions options);
 
   EngineKind kind() const noexcept override { return EngineKind::Portfolio; }
@@ -40,11 +36,8 @@ class PortfolioEngine final : public Engine {
   EngineResult prove_all(const std::vector<ir::NodeRef>& properties) override;
 
  private:
-  EngineResult run_threaded(const std::vector<ir::NodeRef>& properties);
-
   const ir::TransitionSystem& ts_;
   EngineOptions options_;
-  std::vector<EngineKind> members_;
 };
 
 }  // namespace genfv::mc

@@ -57,7 +57,7 @@ struct EngineStats {
   std::uint64_t strengthened_clauses = 0;
   std::uint64_t eliminated_vars = 0;
   std::uint64_t vivified_clauses = 0;
-  /// PDR candidate seeding (EngineOptions::pdr_seed_candidates): candidate
+  /// PDR candidate seeding (EngineOptions::pdr_candidate_lemmas): candidate
   /// clauses admitted as "may" clauses, graduated into real frame clauses by
   /// the may-proof pass, and retracted (refuted at init or implicated in a
   /// spurious blocked answer).

@@ -362,7 +362,6 @@ mc::EngineResult recertify(const ir::TransitionSystem& ts,
   options.max_steps = 1;
   options.lemmas.clear();
   options.pdr_candidate_lemmas.clear();
-  options.pdr_seed_candidates = false;
   const auto engine = mc::make_engine(mc::EngineKind::KInduction, ts, options);
   return engine->prove_all(goals);
 }

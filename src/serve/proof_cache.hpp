@@ -4,7 +4,7 @@
 /// Persistent proof cache for the verification server (docs/serve.md).
 ///
 /// Every (transition system, target set) is keyed on `ir::struct_hash` — a
-/// semantic-structural hash that survives renames, NodeManager clones and
+/// semantic-structural hash that survives renames, fresh NodeManagers and
 /// serialize round trips, and changes under any semantic edit. A Proven
 /// run's inductive invariant is stored as `mc::pdr::Cube`s, one blocked cube
 /// per clause (state declaration index + bit + polarity per literal), the

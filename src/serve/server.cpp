@@ -499,7 +499,6 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
       util::metrics().counter("serve.cache.near_hits").increment();
       // Surviving clauses enter as *candidates* under the may-proof
       // discipline — a stale clause costs work, never soundness.
-      options.pdr_seed_candidates = true;
       options.pdr_candidate_lemmas = surviving_clauses(ts, *lookup.entry);
       cache_status = "near";
     } else if (job->use_cache && cache_status == "miss") {

@@ -11,7 +11,7 @@ namespace genfv::util {
 namespace {
 std::atomic<int> g_level{static_cast<int>(LogLevel::Warn)};
 
-// Serializes emission so concurrent portfolio/PDR workers never interleave
+// Serializes emission so concurrent server workers never interleave
 // partial lines on stderr.
 Mutex& emit_mutex() {
   static Mutex* mu = new Mutex("log.emit");  // immortal

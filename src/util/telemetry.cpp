@@ -106,7 +106,7 @@ struct TraceEvent {
 };
 
 /// Per-thread single-producer event log, grown lazily in fixed chunks so a
-/// short-lived thread (a portfolio member, a server worker) costs
+/// short-lived thread (a server worker) costs
 /// one chunk, not a full preallocated ring. Only the owning thread appends:
 /// it publishes a new chunk with a release store of its pointer and each
 /// event with a release store of the count; readers acquire the count and

@@ -24,10 +24,10 @@
 ///
 /// Every other class is a leaf: nothing is acquired while holding
 /// serve.proof_cache, serve.stdio_out, serve.conn_send, telemetry.trace,
-/// telemetry.heartbeat, log.emit, mc.portfolio or the registry
-/// mutex. With telemetry on, a named Mutex's first lock() also resolves its
-/// contention counters under the registry mutex, an edge from every named
-/// class into the registry, which stays innermost. A new nesting must keep
+/// telemetry.heartbeat, log.emit or the registry mutex. With telemetry on,
+/// a named Mutex's first lock() also resolves its contention counters under
+/// the registry mutex, an edge from every named class into the registry,
+/// which stays innermost. A new nesting must keep
 /// the graph acyclic; TSan's deadlock detector (`detect_deadlocks=1` in CI)
 /// reports an inversion it observes.
 ///
@@ -91,9 +91,9 @@ void mutex_contention_record(const char* name, std::uint64_t wait_ns) noexcept;
 
 /// Annotated mutex. Wraps std::mutex; adds the capability attributes and
 /// (for named instances) contention telemetry:
-/// a Mutex constructed with name "mc.portfolio" attributes its lock waits to
-/// the `mc.portfolio_mutex_wait_ns` / `mc.portfolio_mutex_locks` counters
-/// whenever telemetry is on.
+/// a Mutex constructed with name "serve.proof_cache" attributes its lock
+/// waits to the `serve.proof_cache_mutex_wait_ns` /
+/// `serve.proof_cache_mutex_locks` counters whenever telemetry is on.
 class GENFV_CAPABILITY("mutex") Mutex {
  public:
   /// `name` is the lock class in the documented lock order and the

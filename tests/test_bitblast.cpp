@@ -13,7 +13,7 @@
 
 #include "bitblast/bitblaster.hpp"
 #include "frontend/aiger.hpp"
-#include "ir/clone.hpp"
+#include "ir/substitute.hpp"
 #include "sat/solver.hpp"
 #include "sim/interpreter.hpp"
 #include "util/rng.hpp"
@@ -67,6 +67,15 @@ std::uint64_t blast_and_eval(NodeRef expr,
   return out;
 }
 
+/// Rebuild `n` in `nm` with every leaf replaced by its image in `map`.
+NodeRef rebuild_in(NodeRef n, ir::NodeManager& nm, std::unordered_map<NodeRef, NodeRef>& map) {
+  if (const auto it = map.find(n); it != map.end()) return it->second;
+  if (n->op() == ir::Op::Const) return map[n] = nm.mk_const(n->value(), n->width());
+  std::vector<NodeRef> kids;
+  for (const NodeRef c : n->children()) kids.push_back(rebuild_in(c, nm, map));
+  return map[n] = ir::rebuild_node(nm, n, kids);
+}
+
 /// `expr` through the AIGER writer and reader, evaluated at the given leaf
 /// values. The leaves become the inputs of a small system whose one named
 /// signal is `expr`; the file read back has one input per leaf bit and one
@@ -78,7 +87,7 @@ std::uint64_t aiger_eval(NodeRef expr,
   for (const auto& [leaf, value] : leaves) {
     to_inputs.emplace(leaf, ts.add_input(leaf->name(), leaf->width()));
   }
-  ts.add_signal("out", ir::translate(expr, ts.nm(), to_inputs));
+  ts.add_signal("out", rebuild_in(expr, ts.nm(), to_inputs));
   const ir::TransitionSystem rt = frontend::parse_aiger(frontend::write_aiger(ts));
 
   sim::Assignment env;

@@ -589,7 +589,6 @@ TEST(PdrSeeding, CorrectCandidateGraduatesAndSpeedsTheProof) {
 
   EngineOptions options;
   options.max_steps = 16;
-  options.pdr_seed_candidates = true;
   options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
   PdrEngine engine(ts, options);
   const EngineResult result = engine.prove(prop);
@@ -612,7 +611,6 @@ TEST(PdrSeeding, InitRefutedCandidateIsRetractedAtTheGate) {
 
   EngineOptions options;
   options.max_steps = 16;
-  options.pdr_seed_candidates = true;
   options.pdr_candidate_lemmas = {nm.mk_bit(count, 0)};  // clause count[0]
   PdrEngine engine(ts, options);
   const EngineResult result = engine.prove(prop);
@@ -636,7 +634,6 @@ TEST(PdrSeeding, SpuriousObligationRetractsTheImplicatedCandidate) {
 
   EngineOptions options;
   options.max_steps = 32;
-  options.pdr_seed_candidates = true;
   options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
   PdrEngine engine(ts, options);
   const EngineResult result = engine.prove(prop);
@@ -659,7 +656,6 @@ TEST(PdrSeeding, WrongCandidateNeverCorruptsTheInvariant) {
 
   EngineOptions options;
   options.max_steps = 16;
-  options.pdr_seed_candidates = true;
   options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 1))};
   PdrEngine engine(ts, options);
   const EngineResult result = engine.prove(prop);
@@ -679,7 +675,6 @@ TEST(PdrSeeding, NonClauseCandidatesAreSkipped) {
 
   EngineOptions options;
   options.max_steps = 16;
-  options.pdr_seed_candidates = true;
   // An equality is no clause over state bits; it must be skipped, not
   // mangled into one.
   options.pdr_candidate_lemmas = {nm.mk_eq(count, nm.mk_const(0, 8))};
@@ -696,7 +691,6 @@ TEST(PdrSeeding, EngineInterfaceThreadsCandidateOptions) {
   const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
   mc::EngineOptions options;
   options.max_steps = 16;
-  options.pdr_seed_candidates = true;
   options.pdr_candidate_lemmas = {nm.mk_not(nm.mk_bit(count, 0))};
   auto engine = mc::make_engine(mc::EngineKind::Pdr, ts, options);
   const mc::EngineResult result = engine->prove(prop);
@@ -718,7 +712,6 @@ TEST(PdrSeeding, SeedingAgreesOnRegistry) {
     const NodeRef first = task.ts.states().front().var;
     mc::EngineOptions options;
     options.max_steps = 12;
-    options.pdr_seed_candidates = true;
     options.pdr_candidate_lemmas = {nm->mk_bit(first, 0),
                                     nm->mk_not(nm->mk_bit(first, 0))};
     auto engine = mc::make_engine(mc::EngineKind::Pdr, task.ts, options);

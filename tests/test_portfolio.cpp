@@ -1,8 +1,8 @@
-/// Portfolio engine tests: first-conclusive-verdict scheduling of the
-/// threaded race, cooperative stop-flag
-/// cancellation of every member engine, system cloning across NodeManagers,
-/// result translation back into the caller's system, the lemma-file round
-/// trip through LemmaManager, and flow-level engine selection.
+/// Portfolio engine tests: the sequential schedule (a k-induction probe at
+/// k = 1, then PDR on the caller's thread), which stage concludes, stats
+/// summed over both stages, cooperative stop-flag cancellation of every
+/// engine, the lemma-file round trip through LemmaManager, and flow-level
+/// engine selection.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "flow/lemma_io.hpp"
 #include "flow/lemma_manager.hpp"
 #include "genai/simulated_llm.hpp"
-#include "ir/clone.hpp"
 #include "ir/printer.hpp"
 #include "mc/engine.hpp"
 #include "mc/portfolio.hpp"
@@ -48,54 +47,6 @@ endmodule
       {{"target", property}});
 }
 
-// --- SystemClone -------------------------------------------------------------
-
-TEST(SystemClone, DeepCopyPreservesStructureAndRoundTripsExpressions) {
-  auto task = designs::make_task("token_ring");
-  ir::SystemClone clone(task.ts);
-  const ir::TransitionSystem& copy = clone.system();
-
-  EXPECT_NE(task.ts.nm_ptr().get(), copy.nm_ptr().get());
-  ASSERT_EQ(copy.inputs().size(), task.ts.inputs().size());
-  ASSERT_EQ(copy.states().size(), task.ts.states().size());
-  ASSERT_EQ(copy.constraints().size(), task.ts.constraints().size());
-  ASSERT_EQ(copy.num_properties(), task.ts.num_properties());
-  copy.validate();
-
-  // Declaration order and leaf identity carry over; every copied expression
-  // translates back to the *pointer-identical* original node (hash-consing
-  // makes structural equality pointer equality within one manager). Note the
-  // serialized text may differ: commutative operands sort by node id, and
-  // ids are manager-local.
-  for (std::size_t i = 0; i < task.ts.states().size(); ++i) {
-    const auto& orig = task.ts.states()[i];
-    const auto& cloned = copy.states()[i];
-    EXPECT_EQ(cloned.var->name(), orig.var->name());
-    EXPECT_EQ(cloned.var->width(), orig.var->width());
-    EXPECT_EQ(clone.to_original(cloned.next), orig.next);
-    if (orig.init != nullptr) {
-      EXPECT_EQ(clone.to_original(cloned.init), orig.init);
-    }
-  }
-  for (std::size_t i = 0; i < task.ts.num_properties(); ++i) {
-    EXPECT_EQ(clone.to_original(copy.property(i).expr), task.ts.property(i).expr);
-  }
-  for (const NodeRef expr : task.target_exprs()) {
-    const NodeRef there = clone.to_clone(expr);
-    EXPECT_NE(there, expr);
-    EXPECT_EQ(clone.to_original(there), expr);
-  }
-}
-
-TEST(SystemClone, TranslateRejectsUnmappedLeaves) {
-  ir::TransitionSystem a;
-  const NodeRef x = a.add_state("x", 4);
-  ir::TransitionSystem b;
-  std::unordered_map<NodeRef, NodeRef> empty_map;
-  EXPECT_THROW(ir::translate(a.nm().mk_eq(x, a.nm().mk_const(0, 4)), b.nm(), empty_map),
-               UsageError);
-}
-
 // --- cooperative cancellation ------------------------------------------------
 
 TEST(StopFlag, PresetFlagYieldsUnknownForEveryEngine) {
@@ -113,29 +64,12 @@ TEST(StopFlag, PresetFlagYieldsUnknownForEveryEngine) {
   }
 }
 
-TEST(Portfolio, WinnerCancelsLosers) {
-  // At an absurd step budget, BMC alone would unroll for a very long time;
-  // the only way it reports far fewer frames is the winner's stop flag.
-  auto task = designs::make_task("token_ring");
-  EngineOptions options;
-  options.max_steps = 100000;
-  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-  const EngineResult result = engine->prove_all(task.target_exprs());
+// --- the schedule -------------------------------------------------------------
 
-  EXPECT_EQ(result.verdict, Verdict::Proven);
-  // k-induction alone never closes token_ring (its step case keeps finding
-  // unreachable multi-token states), so PDR takes the flag.
-  EXPECT_EQ(result.winner, "pdr");
-  ASSERT_EQ(result.breakdown.size(), 3u);
-  for (const EngineBreakdown& member : result.breakdown) {
-    if (member.engine == "bmc") {
-      EXPECT_EQ(member.verdict, Verdict::Unknown);
-      EXPECT_LT(member.depth, 100000u);  // cancelled, not exhausted
-    }
-  }
-}
-
-TEST(Portfolio, ExternalStopCancelsTheWholeRace) {
+TEST(Portfolio, PresetStopFlagSkipsPdr) {
+  // The probe sees the raised flag before its first query, and PDR never
+  // starts: no SAT call is made at all (a PDR run would at least pose its
+  // 0-step initiation query).
   auto task = designs::make_task("token_ring");
   EngineOptions options;
   options.max_steps = 64;
@@ -144,9 +78,29 @@ TEST(Portfolio, ExternalStopCancelsTheWholeRace) {
   const EngineResult result = engine->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Unknown);
   EXPECT_TRUE(result.winner.empty());
+  EXPECT_EQ(result.stats.sat_calls, 0u);
 }
 
-// --- first-conclusive-verdict scheduling -------------------------------------
+TEST(Portfolio, OneInductivePropertyConcludesInTheProbe) {
+  auto task = designs::make_task("lfsr16");
+  auto engine = make_engine(EngineKind::Portfolio, task.ts, {.max_steps = 12});
+  const EngineResult result = engine->prove_all(task.target_exprs());
+  EXPECT_EQ(result.verdict, Verdict::Proven);
+  EXPECT_EQ(result.winner, "k-induction");
+  EXPECT_EQ(result.depth, 1u);
+}
+
+TEST(Portfolio, TokenRingConcludesInPdr) {
+  // k-induction alone never closes token_ring (its step case keeps finding
+  // unreachable multi-token states), so the PDR stage does.
+  auto task = designs::make_task("token_ring");
+  auto engine = make_engine(EngineKind::Portfolio, task.ts, {.max_steps = 64});
+  const EngineResult result = engine->prove_all(task.target_exprs());
+  EXPECT_EQ(result.verdict, Verdict::Proven);
+  EXPECT_EQ(result.winner, "pdr");
+  EXPECT_FALSE(result.invariant.empty());
+  EXPECT_FALSE(result.step_cex.has_value());
+}
 
 TEST(Portfolio, AgreesWithSingleEnginesOnTheRegistry) {
   const std::vector<std::string> names = {"sync_counters", "sequencer", "token_ring",
@@ -177,11 +131,11 @@ TEST(Portfolio, AgreesWithSingleEnginesOnTheRegistry) {
       EXPECT_EQ(r.verdict, Verdict::Unknown) << name;
       EXPECT_TRUE(r.winner.empty()) << name;
     }
-    EXPECT_EQ(r.breakdown.size(), 3u) << name;
   }
 }
 
-TEST(Portfolio, FalsifiedCexTranslatesBackToTheOriginalSystem) {
+TEST(Portfolio, DeepCounterexampleComesFromPdr) {
+  // The probe looks only at frame 0; the violation at frame 10 is PDR's.
   auto task = counter_task("property bound; a != 4'd10; endproperty");
   EngineOptions options;
   options.max_steps = 16;
@@ -189,9 +143,8 @@ TEST(Portfolio, FalsifiedCexTranslatesBackToTheOriginalSystem) {
   const EngineResult result = engine->prove_all(task.target_exprs());
 
   EXPECT_EQ(result.verdict, Verdict::Falsified);
+  EXPECT_EQ(result.winner, "pdr");
   ASSERT_TRUE(result.cex.has_value());
-  // The trace must be expressed over the *caller's* system (the threaded
-  // portfolio found it on a clone) and be a genuine execution of it.
   EXPECT_EQ(result.cex->system(), &task.ts);
   EXPECT_TRUE(result.cex->is_consistent());
   const NodeRef target = task.target_exprs().front();
@@ -200,24 +153,20 @@ TEST(Portfolio, FalsifiedCexTranslatesBackToTheOriginalSystem) {
 
 // --- stats conservation ------------------------------------------------------
 
-/// Per-counter check that the merged portfolio stats equal the sum of the
-/// member breakdowns, over EngineStats' one counter list. `seconds` is not
-/// on it by design: the merged value is the race's wall clock, not the sum
-/// of concurrent member clocks.
-testing::AssertionResult stats_conserved(const EngineResult& result) {
-  EngineStats sum;
-  for (const EngineBreakdown& member : result.breakdown) sum += member.stats;
-  testing::AssertionResult conserved = testing::AssertionSuccess();
+/// Per-counter check that the portfolio's stats equal `sum`, over
+/// EngineStats' one counter list. `seconds` is not on it by design: the
+/// portfolio's value is its own wall clock.
+testing::AssertionResult stats_equal(const EngineStats& portfolio, const EngineStats& sum) {
+  testing::AssertionResult equal = testing::AssertionSuccess();
   EngineStats::for_each_counter(
       [&](const char* name, auto merged, auto summed) {
-        if (conserved && merged != summed) {
-          conserved = testing::AssertionFailure()
-                      << name << ": merged result reports " << merged
-                      << " but the member breakdowns sum to " << summed;
+        if (equal && merged != summed) {
+          equal = testing::AssertionFailure() << name << ": the portfolio reports " << merged
+                                              << " but its two stages sum to " << summed;
         }
       },
-      result.stats, sum);
-  return conserved;
+      portfolio, sum);
+  return equal;
 }
 
 TEST(StatsConservation, CounterListCoversEveryField) {
@@ -230,22 +179,33 @@ TEST(StatsConservation, CounterListCoversEveryField) {
   EXPECT_EQ(sizeof(EngineStats), listed * sizeof(std::uint64_t) + sizeof(double));
 }
 
-TEST(StatsConservation, ThreadedPortfolioMergeEqualsMemberSum) {
-  // Default PDR inside a threaded race: every effort counter a member
-  // accumulated must survive into the merged stats — nothing lost, nothing
-  // double-counted.
-  auto task = designs::make_task("sequencer");
+TEST(StatsConservation, PortfolioStatsAreTheSumOfProbeAndPdr) {
+  // The schedule is deterministic, so running its two stages by hand on a
+  // second copy of the design reproduces every counter: nothing lost,
+  // nothing double-counted.
   EngineOptions options;
   options.max_steps = 12;
-  auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
-  const EngineResult result = engine->prove_all(task.target_exprs());
+  auto task = designs::make_task("sequencer");
+  const EngineResult result =
+      make_engine(EngineKind::Portfolio, task.ts, options)->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Proven);
-  ASSERT_EQ(result.breakdown.size(), 3u);
-  EXPECT_TRUE(stats_conserved(result));
-  // The run did real work, so conservation is not vacuous.
-  EXPECT_GT(result.stats.sat_calls, 0u);
-  EXPECT_GT(result.stats.conflicts, 0u);
-  EXPECT_GT(result.stats.retired_gates, 0u);
+  EXPECT_EQ(result.winner, "pdr");
+
+  auto by_hand = designs::make_task("sequencer");
+  EngineOptions probe_options = options;
+  probe_options.max_steps = 1;
+  const EngineResult probe = make_engine(EngineKind::KInduction, by_hand.ts, probe_options)
+                                 ->prove_all(by_hand.target_exprs());
+  EXPECT_EQ(probe.verdict, Verdict::Unknown);
+  const EngineResult pdr =
+      make_engine(EngineKind::Pdr, by_hand.ts, options)->prove_all(by_hand.target_exprs());
+  EngineStats sum = probe.stats;
+  sum += pdr.stats;
+  EXPECT_TRUE(stats_equal(result.stats, sum));
+  // Both stages did real work, so the sum is not vacuous.
+  EXPECT_GT(probe.stats.sat_calls, 0u);
+  EXPECT_GT(pdr.stats.conflicts, 0u);
+  EXPECT_GT(pdr.stats.retired_gates, 0u);
 }
 
 TEST(StatsConservation, AbsorbAccumulatesEveryMappedSolverCounter) {
@@ -271,10 +231,10 @@ TEST(StatsConservation, AbsorbAccumulatesEveryMappedSolverCounter) {
   EXPECT_EQ(stats.learnt_clauses, 26u);
 }
 
-TEST(Portfolio, SeededLemmasReachEveryMemberClone) {
-  // sync_counters is not inductive and not clause-compact, so no member
-  // concludes alone at this bound; with the equality lemma translated into
-  // every clone, k-induction closes immediately.
+TEST(Portfolio, SeededLemmasReachTheProbe) {
+  // sync_counters is not inductive and not clause-compact, so neither stage
+  // concludes alone at this bound; with the equality lemma the probe closes
+  // at k = 1.
   auto task = designs::make_task("sync_counters");
   sva::PropertyCompiler compiler(task.ts);
   const NodeRef lemma = compiler.compile_expr("count1 == count2");
@@ -285,19 +245,12 @@ TEST(Portfolio, SeededLemmasReachEveryMemberClone) {
   auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
   const EngineResult result = engine->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Proven);
-  EXPECT_FALSE(result.winner.empty());
+  EXPECT_EQ(result.winner, "k-induction");
 }
 
-TEST(Portfolio, RejectsItselfAsMember) {
-  auto task = designs::make_task("token_ring");
-  EngineOptions options;
-  options.portfolio_engines = {EngineKind::Pdr, EngineKind::Portfolio};
-  EXPECT_THROW(make_engine(EngineKind::Portfolio, task.ts, options), UsageError);
-}
-
-TEST(Portfolio, UnknownRaceForwardsAStepCexForTheRepairLoop) {
-  // No member concludes on sync_counters without help, but k-induction
-  // produces the induction-step artefact — the portfolio must forward it so
+TEST(Portfolio, UnknownRunForwardsTheProbesStepCex) {
+  // Neither stage concludes on sync_counters without help, but the probe
+  // produces the induction-step artefact; the portfolio must forward it so
   // the GenAI repair loop stays usable behind EngineKind::Portfolio.
   auto task = designs::make_task("sync_counters");
   EngineOptions options;
@@ -305,29 +258,15 @@ TEST(Portfolio, UnknownRaceForwardsAStepCexForTheRepairLoop) {
   auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
   const EngineResult result = engine->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Unknown);
+  EXPECT_TRUE(result.winner.empty());
   ASSERT_TRUE(result.step_cex.has_value());
-  EXPECT_GT(result.step_cex->size(), 0u);
+  EXPECT_EQ(result.step_cex->size(), 2u);  // the k = 1 step case: frames 0..1
 }
 
-TEST(TranslateBetween, CrossCloneRoundTrip) {
-  // translate_between is the general clone-to-clone path: expressions move
-  // between two sibling clones without touching the original's manager.
-  auto task = designs::make_task("token_ring");
-  ir::SystemClone a(task.ts);
-  ir::SystemClone b(task.ts);
-  for (const NodeRef expr : task.target_exprs()) {
-    const NodeRef in_a = a.to_clone(expr);
-    const NodeRef in_b = ir::translate_between(in_a, a.system(), b.system());
-    EXPECT_EQ(b.to_original(in_b), expr);
-    EXPECT_EQ(in_b, b.to_clone(expr));  // hash-consing: same node either way
-  }
-}
-
-TEST(Portfolio, OptionsReachMembersThroughWholesaleCopy) {
-  // Regression for the hand-copied member options: any knob added to
-  // EngineOptions must reach the members. With a zero conflict budget every
-  // member's first solve gives up, so hamming74 (which the portfolio proves
-  // at 12 steps) must come back Unknown from every member.
+TEST(Portfolio, OptionsReachBothStages) {
+  // With a zero conflict budget both stages' first solves give up, so
+  // hamming74 (which PDR proves at 12 steps) comes back Unknown without a
+  // single conflict (the probe alone spends 40 without the budget).
   auto task = designs::make_task("hamming74");
   EngineOptions options;
   options.max_steps = 12;
@@ -335,18 +274,15 @@ TEST(Portfolio, OptionsReachMembersThroughWholesaleCopy) {
   auto engine = make_engine(EngineKind::Portfolio, task.ts, options);
   const EngineResult result = engine->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Unknown);
-  ASSERT_EQ(result.breakdown.size(), 3u);
-  for (const EngineBreakdown& member : result.breakdown) {
-    EXPECT_EQ(member.verdict, Verdict::Unknown) << member.engine;
-    EXPECT_EQ(member.note, "") << member.engine;
-  }
+  EXPECT_TRUE(result.winner.empty());
+  EXPECT_EQ(result.stats.conflicts, 0u);
 }
 
 // --- satellite regressions ---------------------------------------------------
 
 TEST(Portfolio, ZeroStepBudgetIsUniformlyUnknown) {
-  // A zero budget buys no exploration in any member: the portfolio reports
-  // Unknown without running anyone.
+  // A zero budget buys no exploration: the portfolio reports Unknown
+  // without running either stage.
   auto task = counter_task("property bound; a != 4'd0; endproperty");  // fails at t0
   EngineOptions options;
   options.max_steps = 0;
@@ -354,11 +290,7 @@ TEST(Portfolio, ZeroStepBudgetIsUniformlyUnknown) {
   const EngineResult result = engine->prove_all(task.target_exprs());
   EXPECT_EQ(result.verdict, Verdict::Unknown);
   EXPECT_TRUE(result.winner.empty());
-  ASSERT_EQ(result.breakdown.size(), 3u);
-  for (const EngineBreakdown& member : result.breakdown) {
-    EXPECT_EQ(member.note, "zero step budget");
-    EXPECT_EQ(member.stats.sat_calls, 0u);
-  }
+  EXPECT_EQ(result.stats.sat_calls, 0u);
 }
 
 TEST(WideRegisters, ElaborationRejectsWiderThan64WithLocation) {
@@ -499,8 +431,8 @@ TEST(FlowEngineSelection, PortfolioProvesTokenRingAndExportsLemmas) {
 
   EXPECT_EQ(report.engine, "portfolio");
   EXPECT_TRUE(report.all_targets_proven());
-  EXPECT_EQ(llm.calls(), 0u);  // the portfolio's PDR member wins outright
-  // The winner's inductive invariant comes back as admitted lemmas — the
+  EXPECT_EQ(llm.calls(), 0u);  // the portfolio's PDR stage concludes outright
+  // PDR's inductive invariant comes back as admitted lemmas — the
   // bidirectional exchange works behind the portfolio façade too.
   EXPECT_FALSE(report.admitted_lemmas.empty());
 }

@@ -759,7 +759,6 @@ TEST(ServeCache, BogusSeedCandidatesNeverChangeTheVerdict) {
   ASSERT_EQ(cold.verdict, mc::Verdict::Proven);
 
   mc::EngineOptions warm_options = cold_options;
-  warm_options.pdr_seed_candidates = true;
   const ir::NodeRef bit0 = mc::pdr::clause_expr(ts, unit_clause(0, 0, false));
   const ir::NodeRef not_bit0 = mc::pdr::clause_expr(ts, unit_clause(0, 0, true));
   warm_options.pdr_candidate_lemmas = {bit0, not_bit0};
@@ -788,7 +787,6 @@ TEST(ServeCache, WarmSeedingKeepsEveryZooVerdict) {
     ASSERT_EQ(lookup.outcome, CacheOutcome::Exact) << info.name;
 
     mc::EngineOptions warm_options = cold_options;
-    warm_options.pdr_seed_candidates = true;
     warm_options.pdr_candidate_lemmas =
         surviving_clauses(session.task().ts, *lookup.entry);
     ASSERT_FALSE(warm_options.pdr_candidate_lemmas.empty()) << info.name;

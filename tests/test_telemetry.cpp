@@ -269,7 +269,7 @@ TEST(TraceJson, ExportIsWellFormedAndCarriesEvents) {
   {
     GENFV_TRACE_SPAN("pdr", "block_one");
   }
-  GENFV_TRACE_INSTANT("portfolio", "winner");
+  GENFV_TRACE_INSTANT("pdr", "push_level");
   const std::string json = trace_to_json();
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);

@@ -28,7 +28,8 @@
 ///   --engine bmc|kind|pdr|portfolio  target-proof engine (default: kind)
 ///   --seed-candidates on|off         seed PDR frames with unproven candidate
 ///                                    lemmas under the may-proof discipline
-///                                    (default: off; see docs/lemmas.md)
+///                                    (lemma flows only; default: off; see
+///                                    docs/lemmas.md)
 ///   --drat-out <path>                log DRAT proofs: each solver writes
 ///                                    <path>[-p..].cnf/.drat; check
 ///                                    with scripts/check_drat.py (docs/sat.md)
@@ -310,18 +311,11 @@ void print_result(const std::string& label, const mc::EngineResult& result) {
     result.stats.publish_metrics("engine.");
     std::printf("%s\n", telemetry_summary_line().c_str());
   }
-  for (const mc::EngineBreakdown& member : result.breakdown) {
-    std::printf("  %-12s %s (depth=%zu, %zu SAT calls)%s%s\n", member.engine.c_str(),
-                mc::to_string(member.verdict).c_str(), member.depth,
-                member.stats.sat_calls, member.note.empty() ? "" : " — ",
-                member.note.c_str());
-  }
 }
 
 int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
   mc::EngineOptions base;
   base.max_steps = opts.max_k;
-  base.pdr_seed_candidates = opts.seed_candidates;
   base.drat_path = opts.drat_out;
   if (!opts.use_lemmas_path.empty()) {
     base.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
@@ -407,7 +401,13 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
     frontend::write_aiger_file(opts.dump_aiger_path, task.ts);
     std::printf("wrote %s\n", opts.dump_aiger_path.c_str());
   }
-  if (opts.flow == "plain") return run_plain(task, opts);
+  if (opts.flow == "plain") {
+    // Plain proofs have no candidate lemmas to seed.
+    if (opts.seed_candidates) {
+      usage("--seed-candidates requires a lemma flow (cex, helper or direct)");
+    }
+    return run_plain(task, opts);
+  }
   for (const auto& e : opts.property_engines) {
     if (e.has_value()) usage("per-property engine overrides require --flow plain");
   }
