@@ -160,7 +160,7 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
 /// zoo design PDR proves at its budget, compare a cold run against (a) an
 /// exact cache hit replayed through one-step recertification and (b) a
 /// near-miss warm start on an edited copy of the design, where the cached
-/// clauses enter PDR as retractable candidates. Rows carry
+/// clauses enter PDR as unproven candidates. Rows carry
 /// kind="pdr-cache"; scripts/check_shootout.py gates the warm rows directly
 /// (verdict parity everywhere, >=5x fewer conflicts on the recertified hits
 /// for at least two designs, candidates seeded on every warm-edit row).
@@ -170,7 +170,7 @@ void run_cache_experiment(bench::JsonRecords* json) {
       "Kumar-Gadde §V incremental flows, docs/serve.md",
       "An exact struct_hash hit re-certifies the stored invariant with one "
       "induction step instead of re-discovering it; a near miss seeds PDR "
-      "with the surviving clauses as retractable candidates.");
+      "with the surviving clauses as candidates to graduate.");
 
   util::Table table({"design", "engine", "verdict", "depth", "SAT calls",
                      "conflicts", "seeded", "time"});
@@ -241,7 +241,7 @@ void run_cache_experiment(bench::JsonRecords* json) {
     // Warm, edited: graft an extra register onto a fresh elaboration so the
     // system hash changes but every original state signature still matches —
     // the near-miss shape a source edit produces. The surviving clauses ride
-    // into PDR as candidates (may-proof discipline, docs/lemmas.md).
+    // into PDR as candidates that must graduate (docs/lemmas.md).
     auto edited = designs::make_task(source.name);
     ir::TransitionSystem& ts = edited.ts;
     const ir::NodeRef probe = ts.add_state("edit$probe", 4);

@@ -52,13 +52,8 @@ std::vector<std::string> parse_lemma_file(const std::string& text) {
       // fail loudly instead of silently dropping lemmas.
       const std::string prefix = "# lemmas:";
       if (trimmed.rfind(prefix, 0) == 0) {
-        try {
-          declared = static_cast<std::size_t>(
-              std::stoull(util::trim(trimmed.substr(prefix.size()))));
-        } catch (const std::exception&) {
-          throw UsageError("lemma file has an unreadable count header: '" +
-                           trimmed + "'");
-        }
+        declared = util::parse_number<std::size_t>(
+            "lemma file count header", util::trim(trimmed.substr(prefix.size())));
       }
       continue;
     }

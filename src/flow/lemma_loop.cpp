@@ -10,18 +10,12 @@ namespace genfv::flow {
 
 namespace {
 
-/// The options of a target proof: `options.engine` with the admitted lemmas
-/// as assumptions and — with pdr_seed_candidates — the manager's unproven
-/// candidates as PDR may clauses. Built per proof, so everything admitted
-/// since the last one rides along.
-mc::EngineOptions target_engine_options(const FlowOptions& options,
-                                        const LemmaManager& lemmas) {
-  mc::EngineOptions out = lemmas.engine_with_lemmas();
-  if (options.pdr_seed_candidates) {
-    // Rejected-but-plausible helpers get a second life as PDR may clauses.
-    out.pdr_candidate_lemmas = lemmas.candidate_exprs();
-  }
-  return out;
+/// Book one target-proof engine run: its time into the report and, with
+/// telemetry on, its counters into the registry under `engine.`, as
+/// `--flow plain` publishes them.
+void book_proof(const mc::EngineResult& result, FlowReport& report) {
+  report.prove_seconds += result.stats.seconds;
+  if (util::telemetry_on()) result.stats.publish_metrics("engine.");
 }
 
 /// Prove every target at once. Engines without a step-case artefact (BMC,
@@ -30,18 +24,18 @@ mc::EngineOptions target_engine_options(const FlowOptions& options,
 /// verdict outright if it concludes.
 mc::EngineResult prove_jointly(VerificationTask& task, const FlowOptions& options,
                                const LemmaManager& lemmas, FlowReport& report) {
-  const mc::EngineOptions opts = target_engine_options(options, lemmas);
+  const mc::EngineOptions opts = lemmas.engine_with_lemmas();
   auto engine = mc::make_engine(options.target_engine, task.ts, opts);
   mc::EngineResult result = [&] {
     GENFV_TRACE_SPAN("flow", "prove_targets");
     return engine->prove_all(task.target_exprs());
   }();
-  report.prove_seconds += result.stats.seconds;
+  book_proof(result, report);
   if (result.verdict == mc::Verdict::Unknown && !result.step_cex.has_value() &&
       options.target_engine != mc::EngineKind::KInduction) {
     auto kind = mc::make_engine(mc::EngineKind::KInduction, task.ts, opts);
     mc::EngineResult fallback = kind->prove_all(task.target_exprs());
-    report.prove_seconds += fallback.stats.seconds;
+    book_proof(fallback, report);
     if (fallback.verdict != mc::Verdict::Unknown) {
       result = std::move(fallback);
     } else {
@@ -132,14 +126,14 @@ FlowReport run_lemma_loop(VerificationTask& task, const FlowOptions& options,
       target.result = mc::to_induction_result(*joint);
       continue;
     }
-    auto engine = mc::make_engine(options.target_engine, task.ts,
-                                  target_engine_options(options, lemmas));
+    auto engine =
+        mc::make_engine(options.target_engine, task.ts, lemmas.engine_with_lemmas());
     const mc::EngineResult result = [&] {
       GENFV_TRACE_SPAN("flow", "prove_target");
       return engine->prove(prop.expr);
     }();
     admit_invariant(result, lemmas);
-    report.prove_seconds += result.stats.seconds;
+    book_proof(result, report);
     target.result = mc::to_induction_result(result);
   }
   report.admitted_lemmas = lemmas.lemma_svas();

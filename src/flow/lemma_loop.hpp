@@ -25,16 +25,12 @@ struct FlowOptions {
   /// one from a k-induction run under the same lemmas. When PDR proves a
   /// target, its inductive-frame clauses are admitted back as lemmas.
   mc::EngineKind target_engine = mc::EngineKind::KInduction;
-  /// Seed PDR frames with the LemmaManager's *unproven* candidates (the
-  /// helpers that failed their k-induction proof) as may clauses, through
-  /// EngineOptions::pdr_candidate_lemmas. A hallucinated candidate costs SAT
-  /// work, never soundness — see docs/lemmas.md.
-  bool pdr_seed_candidates = false;
 
   // --- ignored; kept only for perfbench/ ------------------------------------
   // No flow reads these; the frozen perfbench/ benchmark still sets them.
   std::size_t pdr_workers = 1;
   bool pdr_ternary = false;
+  bool pdr_seed_candidates = false;
   std::size_t pdr_candidate_strikes = 2;
   bool exchange = true;
 };

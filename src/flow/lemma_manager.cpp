@@ -1,7 +1,5 @@
 #include "flow/lemma_manager.hpp"
 
-#include <algorithm>
-
 #include "mc/kinduction.hpp"
 #include "sva/compiler.hpp"
 #include "util/log.hpp"
@@ -164,23 +162,6 @@ std::vector<CandidateOutcome> LemmaManager::process(
       }
     }
   }
-
-  // Whatever is still unproven (solo and joint proofs both failed, but the
-  // simulation screen never falsified it) stays available as candidate
-  // material for PDR's may-proof frame seeding. Hash-consing makes the
-  // pointer-equality dedupe exact: a candidate re-submitted across repair
-  // iterations appears once, and one that a later round proves is purged —
-  // it is assumed as a lemma from then on, not re-seeded as a may clause.
-  std::erase_if(candidate_exprs_, [&](ir::NodeRef c) { return known_fact(c); });
-  for (const auto& p : proof_failed) {
-    if (outcomes[p.outcome_index].status == CandidateStatus::Proven) continue;
-    if (std::find(candidate_exprs_.begin(), candidate_exprs_.end(), p.expr) !=
-        candidate_exprs_.end()) {
-      continue;
-    }
-    candidate_exprs_.push_back(p.expr);
-  }
-
   return outcomes;
 }
 

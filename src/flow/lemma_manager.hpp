@@ -54,16 +54,6 @@ class LemmaManager {
   const std::vector<ir::NodeRef>& lemma_exprs() const noexcept { return lemma_exprs_; }
   const std::vector<std::string>& lemma_svas() const noexcept { return lemma_svas_; }
 
-  /// Compiled candidates that survived the simulation screen but failed
-  /// their (solo and joint) induction proof — *unproven*, possibly wrong,
-  /// but never observed false. Exactly the material PDR's candidate-lemma
-  /// frame seeding consumes under the may-proof discipline
-  /// (EngineOptions::pdr_candidate_lemmas); they must never be assumed as
-  /// facts. Accumulates across process() calls.
-  const std::vector<ir::NodeRef>& candidate_exprs() const noexcept {
-    return candidate_exprs_;
-  }
-
   /// Cumulative prover time spent on candidates.
   double prove_seconds() const noexcept { return prove_seconds_; }
 
@@ -78,7 +68,6 @@ class LemmaManager {
   ReviewGate gate_;
   std::vector<ir::NodeRef> lemma_exprs_;
   std::vector<std::string> lemma_svas_;
-  std::vector<ir::NodeRef> candidate_exprs_;  ///< screened but unproven
   double prove_seconds_ = 0.0;
 };
 

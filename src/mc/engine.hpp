@@ -55,13 +55,12 @@ struct EngineOptions {
   bool simple_path = false;
   /// Best-effort SAT conflict cap per run; -1 = unlimited.
   std::int64_t conflict_budget = -1;
-  /// PDR only: *candidate* (unproven) clause expressions, e.g. LemmaManager
-  /// candidates whose k-induction proof failed. PDR seeds its frames with
-  /// them under the may-proof discipline: candidates are assumed behind
-  /// retractable gates, never exported, and only graduate into real frame
-  /// clauses through a clean relative-induction proof; a wrong candidate can
-  /// cost work, never soundness (docs/lemmas.md). Must live in the engine's
-  /// NodeManager; non-clause shapes are skipped.
+  /// PDR only: *candidate* (unproven) clause expressions, e.g. the clauses
+  /// of a near-miss proof-cache entry. PDR never assumes them: a candidate
+  /// becomes a frame clause only when a consecution proof graduates it, and
+  /// is never exported otherwise; a wrong candidate can cost work, never
+  /// soundness (docs/lemmas.md). Must live in the engine's NodeManager;
+  /// non-clause shapes are skipped.
   std::vector<ir::NodeRef> pdr_candidate_lemmas{};
   /// Cooperative cancellation. Engines poll the flag between solver queries
   /// and hand it to their SAT solvers, which poll it at restart boundaries;

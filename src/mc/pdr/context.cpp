@@ -1,7 +1,5 @@
 #include "mc/pdr/context.hpp"
 
-#include <algorithm>
-
 #include "util/status.hpp"
 
 namespace genfv::mc::pdr {
@@ -82,49 +80,6 @@ void QueryContext::graduate(const Cube& cube, std::size_t level) {
   add_cube_clause(sat::kUndefLit, cube, 1);
 }
 
-std::optional<std::size_t> QueryContext::seed_may(const Cube& cube) {
-  if (!may_seen_.insert(cube).second) return std::nullopt;
-  const std::size_t id = may_seen_.size() - 1;
-  // Frame 0 only: a may clause strengthens the predecessor frame of a query
-  // exactly like a blocked clause would, but behind its own gate so it can
-  // be retracted (and excluded from clean re-runs) independently.
-  const sat::Lit gate = new_gate();
-  add_cube_clause(gate, cube, 0);
-  may_.push_back({cube, id, gate});
-  return id;
-}
-
-std::vector<QueryContext::MayClause>::iterator QueryContext::find_may(std::size_t id) {
-  return std::find_if(may_.begin(), may_.end(),
-                      [&](const MayClause& m) { return m.id == id; });
-}
-
-bool QueryContext::remove_may(std::size_t id, std::size_t* counter) {
-  const auto it = find_may(id);
-  if (it == may_.end()) return false;
-  // Retraction and graduation look alike to the solver: either way the
-  // gated assumption dies (graduation re-enters through add_blocked).
-  retire_gate(it->gate);
-  may_.erase(it);
-  ++*counter;
-  return true;
-}
-
-bool QueryContext::retract_may(std::size_t id) { return remove_may(id, &may_retracted_); }
-
-bool QueryContext::strike_may(std::size_t id) {
-  const auto it = find_may(id);
-  if (it == may_.end()) return false;                    // already gone
-  if (++it->strikes < kCandidateStrikes) return false;  // keep it, on notice
-  return remove_may(id, &may_retracted_);
-}
-
-bool QueryContext::graduate_may(std::size_t id) { return remove_may(id, &may_graduated_); }
-
-void QueryContext::mark_may_init_ok(std::size_t id) {
-  if (const auto it = find_may(id); it != may_.end()) it->init_ok = true;
-}
-
 void QueryContext::add_cube_clause(sat::Lit gate, const Cube& cube, std::size_t frame) {
   std::vector<sat::Lit> clause;
   clause.reserve(cube.size() + 1);
@@ -148,79 +103,9 @@ std::vector<sat::Lit> QueryContext::assumptions(std::size_t level) const {
   return out;
 }
 
-sat::LBool QueryContext::solve_frames(std::vector<sat::Lit> assumptions,
-                                      std::vector<sat::Lit>* core_out) {
-  if (may_.empty()) {
-    const sat::LBool answer = solver().solve(assumptions);
-    if (answer == sat::LBool::False && core_out != nullptr) {
-      *core_out = solver().failed_assumptions();
-    }
-    return answer;
-  }
-
-  std::vector<sat::Lit> with_may = assumptions;
-  with_may.reserve(with_may.size() + may_.size());
-  for (const MayClause& m : may_) with_may.push_back(m.gate);
-  const sat::LBool answer = solver().solve(with_may);
-  if (answer != sat::LBool::False) return answer;  // SAT model / budget: sound as-is
-
-  // UNSAT: accept only a candidate-free core. failed_assumptions is a subset
-  // of the assumptions whose conjunction is already inconsistent, so a core
-  // without may gates certifies the clean fact directly.
-  bool contaminated = false;
-  for (const sat::Lit p : solver().failed_assumptions()) {
-    contaminated = std::any_of(may_.begin(), may_.end(),
-                               [&](const MayClause& m) { return m.gate == p; });
-    if (contaminated) break;
-  }
-  if (!contaminated) {
-    if (core_out != nullptr) *core_out = solver().failed_assumptions();
-    return sat::LBool::False;
-  }
-
-  // The blockage leans on unproven candidates: re-ask without them. A clean
-  // SAT means some candidate excluded a real (backward-reachable) state —
-  // a spurious "blocked" answer; retract every candidate that state violates
-  // so the board stops paying for the fallback.
-  const sat::LBool clean = solver().solve(assumptions);
-  if (clean == sat::LBool::False && core_out != nullptr) {
-    *core_out = solver().failed_assumptions();
-  }
-  if (clean == sat::LBool::True) retract_violated_candidates();
-  return clean;
-}
-
-void QueryContext::retract_violated_candidates() {
-  std::vector<std::size_t> hit;
-  for (const MayClause& m : may_) {
-    const bool violated = std::all_of(m.cube.begin(), m.cube.end(), [&](const StateLit& l) {
-      return solver().model_value(cube_lit(0, l)) == sat::LBool::True;
-    });
-    if (violated) hit.push_back(m.id);
-  }
-  // Collect first, strike after: a repeat offender's strike retires its gate
-  // and erases it from may_.
-  for (const std::size_t id : hit) strike_may(id);
-}
-
 sat::LBool QueryContext::solve_frontier_bad(std::size_t frontier) {
   std::vector<sat::Lit> assumptions = this->assumptions(frontier);
   assumptions.push_back(~prop0_);
-  return solve_frames(std::move(assumptions), nullptr);
-}
-
-sat::LBool QueryContext::may_consecution_query(
-    const std::vector<std::size_t>& survivor_ids, const Cube& cube, std::size_t level) {
-  GENFV_ASSERT(level >= 1, "may-proof consecution starts at level 1");
-  std::vector<sat::Lit> assumptions = this->assumptions(level - 1);
-  // Every survivor is live: within a may-proof pass only its own initiation
-  // filter retracts, and it drops those candidates first.
-  for (const std::size_t id : survivor_ids) {
-    const auto it = find_may(id);
-    GENFV_ASSERT(it != may_.end(), "may-proof survivor is not live");
-    assumptions.push_back(it->gate);
-  }
-  for (const StateLit& l : cube) assumptions.push_back(cube_lit(1, l));
   return solver().solve(assumptions);
 }
 
@@ -275,7 +160,10 @@ sat::LBool QueryContext::relative_query(const Cube& cube, std::size_t level,
     assumptions.push_back(gate);
   }
   for (const StateLit& l : cube) assumptions.push_back(cube_lit(1, l));
-  const sat::LBool answer = solve_frames(std::move(assumptions), core_out);
+  const sat::LBool answer = solver().solve(assumptions);
+  if (answer == sat::LBool::False && core_out != nullptr) {
+    *core_out = solver().failed_assumptions();
+  }
   if (assume_not_cube) retire_gate(gate);
   return answer;
 }

@@ -2,8 +2,7 @@
 
 /// \file context.hpp
 /// The PDR query context: one transition solver + one initiation solver,
-/// their unrollers, the activation-literal ladder, the run's `FrameDb` and
-/// its candidate ("may") clauses.
+/// their unrollers, the activation-literal ladder and the run's `FrameDb`.
 ///
 /// The context is the only place solver literals exist; everything above it
 /// (blocking, generalization, propagation, orchestration) trades in
@@ -25,15 +24,12 @@
 /// (sat::Solver::collect_satisfied) removes them from the watch lists at the
 /// start of a later solve(), so they stop costing propagation.
 ///
-/// Candidate ("may") clauses: seed_may asserts the clause at frame 0 behind
-/// a dedicated per-candidate gate; retract_may, strike_may and graduate_may
-/// retire that gate. Queries assume the live gates and apply the
-/// clean-rerun discipline (see relative_query), so no answer that leaves
-/// this context ever depends on an unproven candidate.
+/// The context holds no unproven candidate clauses: the orchestration keeps
+/// them, and they reach the solver only behind the one-shot pass gate of a
+/// graduation fixpoint (propagate.hpp). Every query below therefore assumes
+/// recorded frame facts only.
 
 #include <memory>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "mc/pdr/frame_db.hpp"
@@ -44,26 +40,8 @@
 
 namespace genfv::mc::pdr {
 
-/// Spurious-blocked offenses before strike_may retracts a candidate: one
-/// collision with a rare backward-reachable state is tolerated, a repeat
-/// offender is dropped.
-inline constexpr std::size_t kCandidateStrikes = 2;
-
 class QueryContext {
  public:
-  /// One live candidate ("may") clause: the cube it blocks, its stable id,
-  /// and the dedicated gate its clause sits behind. `init_ok` caches the
-  /// outcome of the (immutable) initiation check so the may-proof pass runs
-  /// it once per candidate, not once per frame iteration.
-  struct MayClause {
-    Cube cube;
-    std::size_t id = 0;
-    sat::Lit gate = sat::kUndefLit;
-    bool init_ok = false;
-    /// Spurious-blocked offenses so far (see strike_may).
-    std::size_t strikes = 0;
-  };
-
   /// `ts`, `property` and `options.lemmas` must all live in the same
   /// NodeManager and outlive the context; so must `options`. Both
   /// solvers take the options' budget and stop flag; with `drat_path` set,
@@ -99,44 +77,6 @@ class QueryContext {
   /// FrameDb::graduate, plus the clause ¬cube ungated at both solver frames.
   void graduate(const Cube& cube, std::size_t level);
 
-  // --- candidate ("may") clauses --------------------------------------------
-  // Unproven candidate clauses assumed in queries behind per-candidate
-  // activation gates. Never exported, never part of F_∞ or the delta levels;
-  // graduation re-enters through add_blocked on a *clean* proof. Duplicate
-  // cubes are rejected, including cubes that were seeded before and since
-  // retracted — a refuted candidate stays refuted.
-
-  /// Seed `cube` as a candidate. Returns its id, or nullopt for duplicates.
-  std::optional<std::size_t> seed_may(const Cube& cube);
-
-  /// Retract candidate `id` outright (initiation refutation — an immutable
-  /// fact). Returns false when already retracted/graduated (idempotent).
-  bool retract_may(std::size_t id);
-
-  /// Record one spurious-blocked offense against candidate `id` and retract
-  /// it once its strikes reach kCandidateStrikes. A sub-limit strike leaves
-  /// the gate live — a candidate that collides once with a rare
-  /// backward-reachable state keeps helping until it proves itself a repeat
-  /// offender. Returns true iff this strike retracted the candidate.
-  bool strike_may(std::size_t id);
-
-  /// Remove candidate `id` because a clean may-proof succeeded — the caller
-  /// follows up with add_blocked for the cube. Returns false when already
-  /// gone.
-  bool graduate_may(std::size_t id);
-
-  /// Record that candidate `id` passed the initiation check (SAT(init ∧
-  /// cube) = False — a fact that can never change).
-  void mark_may_init_ok(std::size_t id);
-
-  /// Live (seeded, not yet retracted/graduated) candidates, in id order.
-  const std::vector<MayClause>& may_clauses() const noexcept { return may_; }
-
-  /// Lifetime counters for EngineStats.
-  std::size_t may_seeded() const noexcept { return may_seen_.size(); }
-  std::size_t may_graduated() const noexcept { return may_graduated_; }
-  std::size_t may_retracted() const noexcept { return may_retracted_; }
-
   // --- queries ---------------------------------------------------------------
 
   /// Solver literal that is true iff cube literal `l` holds at `frame`.
@@ -147,7 +87,6 @@ class QueryContext {
   std::vector<sat::Lit> assumptions(std::size_t level) const;
 
   /// SAT(F_frontier ∧ ¬P)? — find a frontier state violating the property.
-  /// Live may clauses are assumed (and fall back cleanly, see solve_frames).
   sat::LBool solve_frontier_bad(std::size_t frontier);
 
   /// Fill `out` with the full frame-0 state cube and the concrete
@@ -155,7 +94,6 @@ class QueryContext {
   void extract_state(Obligation& out);
 
   /// SAT(init ∧ cube)? — does the cube contain an initial state.
-  /// Never assumes may clauses: initiation checks must be exact.
   sat::LBool intersects_init(const Cube& cube);
 
   /// Undef counts as "may intersect" — conservative for generalization,
@@ -165,26 +103,12 @@ class QueryContext {
   /// SAT(F_{level-1} ∧ [¬cube] ∧ T ∧ cube')? On UNSAT, `core_out` (if given)
   /// receives the failed assumptions; intersect with the primed cube
   /// literals to find which were needed.
-  ///
-  /// Candidate seeding: live may clauses are additionally assumed. A SAT
-  /// answer is unaffected (the model is a real transition); an UNSAT answer
-  /// is accepted only when no may gate appears in the failed-assumption
-  /// core — otherwise the query re-runs *clean* (without candidates), and
-  /// if the clean run is SAT, every candidate the found state violates is
-  /// struck (it manufactured a spurious "blocked" answer). Returned
-  /// answers and cores are therefore always candidate-free facts.
   sat::LBool relative_query(const Cube& cube, std::size_t level, bool assume_not_cube,
                             std::vector<sat::Lit>* core_out);
 
-  /// SAT(F_{level-1} ∧ survivors ∧ T ∧ cube')? — the may-proof consecution
-  /// check: assumes exactly the gates of `survivor_ids` (no other
-  /// candidates), so an UNSAT certifies consecution relative to the named
-  /// set only. Requires seeded candidates; `cube` is one survivor's cube.
-  sat::LBool may_consecution_query(const std::vector<std::size_t>& survivor_ids,
-                                   const Cube& cube, std::size_t level);
-
   /// Fresh one-shot activation gate for a temporary clause group (e.g. one
-  /// F_∞ fixpoint pass). Retire it with retire_gate once the group is dead.
+  /// pass of a consecution fixpoint). Retire it with retire_gate once the
+  /// group is dead.
   sat::Lit new_gate();
 
   /// Add the clause ¬cube over solver frame `frame`, behind `gate` unless
@@ -202,24 +126,6 @@ class QueryContext {
   /// gated init equalities, the seeded lemmas and the property literal.
   void bootstrap();
 
-  std::vector<MayClause>::iterator find_may(std::size_t id);
-
-  /// Shared body of retract_may/strike_may/graduate_may: retire candidate
-  /// `id`'s gate, erase it and bump `counter`. False when already gone.
-  bool remove_may(std::size_t id, std::size_t* counter);
-
-  /// Solve with `assumptions` plus every live may gate, applying the
-  /// clean-rerun/strike discipline documented on relative_query. The
-  /// degenerate no-candidates path is exactly a plain solve (bit-for-bit
-  /// with the pre-seeding engine).
-  sat::LBool solve_frames(std::vector<sat::Lit> assumptions,
-                          std::vector<sat::Lit>* core_out);
-
-  /// After a clean SAT that a may-assumed query had blocked: strike every
-  /// live candidate whose cube the model state satisfies (those gates are
-  /// what excluded the state).
-  void retract_violated_candidates();
-
   const ir::TransitionSystem& ts_;
   const EngineOptions& options_;
   ir::NodeRef property_;
@@ -234,11 +140,6 @@ class QueryContext {
   std::vector<sat::Lit> activations_;
   sat::Lit prop0_ = sat::kUndefLit;
   sat::Lit init_prop_ = sat::kUndefLit;
-
-  std::vector<MayClause> may_;  ///< live candidates, ascending id
-  std::set<Cube> may_seen_;     ///< every cube ever seeded
-  std::size_t may_graduated_ = 0;
-  std::size_t may_retracted_ = 0;
 
   std::size_t retired_gates_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "mc/pdr/pdr.hpp"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "mc/pdr/blocking.hpp"
@@ -62,25 +63,33 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   ctx.push_level();  // level 1: the first frontier
   ObligationQueue queue;
 
+  // Candidate-lemma seeding (docs/lemmas.md): clause-shaped unproven
+  // candidates, deduplicated, wait here until graduate_candidates proves
+  // them into a frame. Non-clause candidates are skipped — the frame
+  // database trades exclusively in state-bit clauses.
+  std::vector<Cube> candidates;
+  for (const ir::NodeRef cand : options_.pdr_candidate_lemmas) {
+    const auto cube = cube_of_clause(ts_, cand);
+    if (cube && std::find(candidates.begin(), candidates.end(), *cube) == candidates.end()) {
+      candidates.push_back(*cube);
+    }
+  }
+  const std::size_t seeded = candidates.size();
+  std::size_t graduated = 0;
+  std::size_t retracted = 0;
+
   auto finish = [&](Verdict verdict, std::size_t depth) {
     result.verdict = verdict;
     result.depth = depth;
     result.stats.absorb(ctx.solver());
     result.stats.absorb(ctx.init_solver());
     result.stats.retired_gates += ctx.retired_gates();
-    result.stats.candidates_seeded += ctx.may_seeded();
-    result.stats.candidates_graduated += ctx.may_graduated();
-    result.stats.candidates_retracted += ctx.may_retracted();
+    result.stats.candidates_seeded += seeded;
+    result.stats.candidates_graduated += graduated;
+    result.stats.candidates_retracted += retracted;
     result.stats.seconds = watch.seconds();
     return result;
   };
-
-  // Candidate-lemma seeding: admit clause-shaped unproven candidates as
-  // "may" clauses (docs/lemmas.md). Non-clause candidates are skipped — the
-  // frame database trades exclusively in state-bit clauses.
-  for (const ir::NodeRef cand : options_.pdr_candidate_lemmas) {
-    if (const auto cube = cube_of_clause(ts_, cand)) ctx.seed_may(*cube);
-  }
 
   // 0-step: a property violation inside the initial states themselves.
   {
@@ -120,21 +129,36 @@ EngineResult PdrEngine::prove_all(const std::vector<ir::NodeRef>& properties) {
   static util::Gauge& frontier_gauge = util::metrics().gauge("pdr.frontier");
 
   GENFV_TRACE_SPAN("pdr", "prove_all");
+
+  // Initiation: a candidate whose cube contains an initial state is no
+  // invariant. The fact never changes, so it is checked once, here.
+  {
+    GENFV_TRACE_SPAN("pdr", "may_proof");
+    util::ScopedTimerNs timer(may_proof_ns);
+    for (auto it = candidates.begin(); it != candidates.end();) {
+      const sat::LBool in_init =
+          ctx.stopped() ? sat::LBool::Undef : ctx.intersects_init(*it);
+      if (in_init == sat::LBool::Undef) return finish(Verdict::Unknown, 1);
+      if (in_init == sat::LBool::True) {
+        it = candidates.erase(it);
+        ++retracted;
+      } else {
+        ++it;
+      }
+    }
+  }
+
   while (true) {
     const std::size_t frontier = ctx.frames().frontier();
     if (util::telemetry_on()) frontier_gauge.set(static_cast<std::int64_t>(frontier));
     if (ctx.stopped()) return finish(Verdict::Unknown, frontier);
 
-    // May-proof pass *before* blocking: candidates that are relatively
-    // inductive at the current frontier graduate into real frame clauses
-    // right away — before any frontier query can implicate a still-unproven
-    // candidate in a spurious "blocked" answer and retract it. A true
-    // candidate thus gets its graduation chance first; only speculative ones
-    // survive into the blocking phase as may assumptions.
+    // Graduation before blocking, so a candidate proven at this frontier
+    // already strengthens its queries.
     {
       GENFV_TRACE_SPAN("pdr", "may_proof");
       util::ScopedTimerNs timer(may_proof_ns);
-      if (!may_proof_pass(ctx)) {
+      if (!graduate_candidates(ctx, candidates, graduated)) {
         return finish(Verdict::Unknown, frontier);
       }
     }

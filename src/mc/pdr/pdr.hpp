@@ -23,15 +23,15 @@
 ///  * `frame_db.hpp` — the solver-neutral frame database (delta levels and
 ///    F_∞);
 ///  * `context.hpp` — the query context (transition + initiation solvers,
-///    unrollers, activation literals, candidate clauses). It owns the run's
-///    FrameDb and asserts each frame fact in the solver when it records it;
-///    the algorithm layers read the database from it and record every fact
+///    unrollers, activation literals). It owns the run's FrameDb and
+///    asserts each frame fact in the solver when it records it; the
+///    algorithm layers read the database from it and record every fact
 ///    through it;
 ///  * `blocking.hpp` / `generalize.hpp` / `propagate.hpp` — the algorithm
 ///    split into frontier strengthening, inductive generalization and
-///    forward propagation / F_∞ graduation;
-///  * `pdr.cpp` — orchestration. One run is one query context on the
-///    caller's thread.
+///    forward propagation / candidate and F_∞ graduation;
+///  * `pdr.cpp` — orchestration and the candidate list. One run is one
+///    query context on the caller's thread.
 
 #include "mc/engine.hpp"
 
@@ -45,15 +45,14 @@ namespace genfv::mc::pdr {
 ///    at SAT restart boundaries) — stamped onto both of the run's solvers;
 ///  * drat_path — the transition solver logs to `<drat_path>`, the
 ///    initiation solver to `<drat_path>-p1`;
-///  * pdr_candidate_lemmas — admit *unproven* candidate
-///    clauses into the frame database as "may" clauses: assumed in queries
-///    behind dedicated activation gates, never exported, never pushed to
-///    F_∞. A may-proof pass graduates candidates whose mutual relative-
-///    induction check succeeds into ordinary frame clauses; a candidate
-///    implicated in a spurious "blocked" answer is struck, and retracted on
-///    its kCandidateStrikes-th strike. Only clause-shaped expressions —
-///    disjunctions of state-bit literals — can seed; others are skipped.
-///    See docs/lemmas.md for the full soundness story.
+///  * pdr_candidate_lemmas — *unproven* candidate clauses. A candidate whose
+///    cube contains an initial state is dropped; at every frontier N the
+///    subset whose clauses are mutually consecutive over F_{N-1} graduates
+///    into level N, and the rest wait for the next frontier. No other query
+///    ever assumes a candidate, and none is exported without graduating.
+///    Only clause-shaped expressions — disjunctions of state-bit literals —
+///    can seed; others are skipped. See docs/lemmas.md for the soundness
+///    argument.
 ///
 /// Result contract of `prove_all` (the conjunction of the properties):
 ///  * Proven: holds in every reachable state; `invariant` holds the clauses

@@ -57,10 +57,10 @@ struct EngineStats {
   std::uint64_t strengthened_clauses = 0;
   std::uint64_t eliminated_vars = 0;
   std::uint64_t vivified_clauses = 0;
-  /// PDR candidate seeding (EngineOptions::pdr_candidate_lemmas): candidate
-  /// clauses admitted as "may" clauses, graduated into real frame clauses by
-  /// the may-proof pass, and retracted (refuted at init or implicated in a
-  /// spurious blocked answer).
+  /// PDR candidate seeding (EngineOptions::pdr_candidate_lemmas): distinct
+  /// clause-shaped candidates taken, graduated into real frame clauses by
+  /// the consecution fixpoint, and retracted because their cube contains an
+  /// initial state.
   std::uint64_t candidates_seeded = 0;
   std::uint64_t candidates_graduated = 0;
   std::uint64_t candidates_retracted = 0;

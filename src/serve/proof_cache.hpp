@@ -21,9 +21,10 @@
 ///    cached verdict; a failing one (corrupted entry, hash collision)
 ///    rejects the entry and falls back to a cold run.
 ///  * A **near miss** (state-signature similarity above the threshold)
-///    feeds the surviving clause subset into PDR's *candidate* ("may") path
-///    (`EngineOptions::pdr_candidate_lemmas`), where a wrong clause can cost
-///    work but never soundness (docs/lemmas.md).
+///    feeds the surviving clause subset into PDR as unproven *candidates*
+///    (`EngineOptions::pdr_candidate_lemmas`) that must graduate before they
+///    count, so a wrong clause can cost work but never soundness
+///    (docs/lemmas.md).
 ///  * A cache file that fails to parse — truncated, hand-edited, version
 ///    mismatch — is rejected and counted, never "best-effort" trusted.
 ///
@@ -60,7 +61,7 @@ struct CacheEntry {
 enum class CacheOutcome {
   Miss,   ///< nothing usable
   Exact,  ///< sys+prop hash match; clauses are a recertification candidate
-  Near,   ///< similar state space; clauses are PDR "may" candidates
+  Near,   ///< similar state space; clauses are PDR candidates
 };
 
 std::string to_string(CacheOutcome outcome);

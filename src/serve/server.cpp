@@ -497,8 +497,8 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
     if (lookup.outcome == CacheOutcome::Near) {
       near_.fetch_add(1, std::memory_order_relaxed);
       util::metrics().counter("serve.cache.near_hits").increment();
-      // Surviving clauses enter as *candidates* under the may-proof
-      // discipline — a stale clause costs work, never soundness.
+      // Surviving clauses enter as *candidates* that must graduate before
+      // PDR uses them — a stale clause costs work, never soundness.
       options.pdr_candidate_lemmas = surviving_clauses(ts, *lookup.entry);
       cache_status = "near";
     } else if (job->use_cache && cache_status == "miss") {

@@ -16,6 +16,7 @@
 #include "genai/prompt.hpp"
 #include "genai/simulated_llm.hpp"
 #include "sim/interpreter.hpp"
+#include "util/telemetry.hpp"
 
 namespace genfv::flow {
 namespace {
@@ -271,6 +272,36 @@ TEST(CexRepairFlow, PdrEngineProvesWithoutLlmHelpAndExportsLemmas) {
                 outcome.status == CandidateStatus::Duplicate)
         << outcome.sva << " -> " << to_string(outcome.status);
   }
+}
+
+TEST(CexRepairFlow, TargetProofPublishesEngineCounters) {
+  // With telemetry on, the lemma loop's target proof adds its EngineStats to
+  // the registry under `engine.` once, as --flow plain does. token_ring
+  // closes on its one joint PDR proof, so the published counters equal a
+  // standalone PDR run under the same options.
+  auto task = designs::make_task("token_ring");
+  ScriptedLlm llm({});
+  FlowOptions options;
+  options.engine.max_k = 8;
+  options.target_engine = mc::EngineKind::Pdr;
+  util::metrics().reset();
+  util::set_telemetry_level(util::TelemetryLevel::Metrics);
+  const FlowReport report = CexRepairFlow(llm, options).run(task);
+  util::set_telemetry_level(util::TelemetryLevel::Off);
+  const auto values = util::metrics().snapshot_values();
+  util::metrics().reset();
+  ASSERT_TRUE(report.all_targets_proven());
+
+  auto fresh = designs::make_task("token_ring");
+  auto pdr = mc::make_engine(mc::EngineKind::Pdr, fresh.ts,
+                             mc::to_engine_options(options.engine));
+  const mc::EngineStats alone = pdr->prove_all(fresh.target_exprs()).stats;
+  ASSERT_GT(alone.sat_calls, 0u);
+  ASSERT_TRUE(values.count("engine.sat_calls"));
+  EXPECT_EQ(values.at("engine.sat_calls"), static_cast<std::int64_t>(alone.sat_calls));
+  ASSERT_TRUE(values.count("engine.conflicts"));
+  EXPECT_EQ(values.at("engine.conflicts"), static_cast<std::int64_t>(alone.conflicts));
+  EXPECT_TRUE(values.count("engine.candidates_seeded"));
 }
 
 TEST(CexRepairFlow, PdrUnknownFallsBackToStepCexAndRepairs) {

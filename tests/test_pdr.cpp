@@ -3,7 +3,7 @@
 /// seeding, inductive-invariant export (with an independent SAT check and an
 /// SVA printer round-trip), the FrameDb bookkeeping and the QueryContext
 /// that asserts each recorded fact in its solver, the pinned registry
-/// trajectory, candidate-lemma frame seeding under the may-proof discipline,
+/// trajectory, candidate-lemma seeding (graduate or wait, never assumed),
 /// and the uniform mc::Engine interface.
 
 #include <gtest/gtest.h>
@@ -176,35 +176,6 @@ TEST(PdrFrameDb, RecordedClausesConstrainTheNextQuery) {
   ctx.graduate(cube, 1);
   EXPECT_EQ(ctx.frames().infinity().size(), 1u);
   EXPECT_EQ(reaches_cube(false), sat::LBool::False);
-}
-
-TEST(PdrFrameDb, StrikesRetractCandidatesOnlyAtTheLimit) {
-  static_assert(kCandidateStrikes == 2);
-  auto ts = stride_counter(4, 1);
-  EngineOptions options;
-  QueryContext ctx(ts, ts.nm().mk_true(), options);
-  const Cube cube{{0, 0, false}};
-  const auto id = ctx.seed_may(cube);
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(ctx.retired_gates(), 0u);
-
-  // A sub-limit strike: the candidate stays live and keeps its gate.
-  EXPECT_FALSE(ctx.strike_may(*id));
-  EXPECT_EQ(ctx.may_clauses().size(), 1u);
-  EXPECT_EQ(ctx.may_clauses()[0].strikes, 1u);
-  EXPECT_EQ(ctx.retired_gates(), 0u);
-  EXPECT_EQ(ctx.may_retracted(), 0u);
-
-  // The second strike retracts the candidate and retires its gate.
-  EXPECT_TRUE(ctx.strike_may(*id));
-  EXPECT_TRUE(ctx.may_clauses().empty());
-  EXPECT_EQ(ctx.may_retracted(), 1u);
-  EXPECT_EQ(ctx.retired_gates(), 1u);
-
-  // Striking a retracted candidate is a no-op, and the cube stays refused.
-  EXPECT_FALSE(ctx.strike_may(*id));
-  EXPECT_EQ(ctx.retired_gates(), 1u);
-  EXPECT_FALSE(ctx.seed_may(cube).has_value());
 }
 
 TEST(PdrObligations, LowestLevelFirst) {
@@ -518,43 +489,6 @@ TEST(PdrGateHygiene, RetiredGateLitterIsCollected) {
 
 // --- candidate-lemma frame seeding -------------------------------------------
 
-TEST(PdrFrameDb, MayClauseLifecycleRetiresGates) {
-  auto ts = stride_counter(4, 1);
-  EngineOptions options;
-  QueryContext ctx(ts, ts.nm().mk_true(), options);
-  ctx.push_level();
-  const Cube c1{{0, 0, false}};
-  const Cube c2{{0, 1, true}};
-  const auto id1 = ctx.seed_may(c1);
-  const auto id2 = ctx.seed_may(c2);
-  ASSERT_TRUE(id1.has_value());
-  ASSERT_TRUE(id2.has_value());
-  EXPECT_FALSE(ctx.seed_may(c1).has_value());  // duplicate cube rejected
-  EXPECT_EQ(ctx.may_clauses().size(), 2u);
-  EXPECT_EQ(ctx.may_seeded(), 2u);
-  EXPECT_EQ(ctx.retired_gates(), 0u);
-
-  // Retraction and graduation each retire the candidate's gate once.
-  EXPECT_TRUE(ctx.retract_may(*id1));
-  EXPECT_EQ(ctx.retired_gates(), 1u);
-  EXPECT_FALSE(ctx.retract_may(*id1));          // idempotent
-  EXPECT_FALSE(ctx.seed_may(c1).has_value());   // refuted stays refuted
-  EXPECT_TRUE(ctx.graduate_may(*id2));
-  EXPECT_EQ(ctx.retired_gates(), 2u);
-  EXPECT_TRUE(ctx.may_clauses().empty());
-  EXPECT_EQ(ctx.may_retracted(), 1u);
-  EXPECT_EQ(ctx.may_graduated(), 1u);
-
-  // Only live candidates are listed.
-  const Cube c3{{0, 2, false}};
-  const auto id3 = ctx.seed_may(c3);
-  ASSERT_TRUE(id3.has_value());
-  EXPECT_EQ(*id3, 2u);
-  ASSERT_EQ(ctx.may_clauses().size(), 1u);
-  EXPECT_EQ(ctx.may_clauses()[0].cube, c3);
-  EXPECT_EQ(ctx.retired_gates(), 2u);
-}
-
 TEST(PdrCube, CubeOfClauseRoundTripsAndRejectsNonClauses) {
   auto ts = stride_counter(4, 1);
   auto& nm = ts.nm();
@@ -580,8 +514,8 @@ TEST(PdrCube, CubeOfClauseRoundTripsAndRejectsNonClauses) {
 
 TEST(PdrSeeding, CorrectCandidateGraduatesAndSpeedsTheProof) {
   // "count is even" as the clause !count[0] — true and inductive, but
-  // *unproven* here: it must graduate through the may-proof pass before it
-  // may do any real work.
+  // *unproven* here: it must graduate through the consecution fixpoint
+  // before it may do any real work.
   auto ts = stride_counter(8, 2);
   auto& nm = ts.nm();
   const NodeRef count = ts.lookup("count");
@@ -603,7 +537,7 @@ TEST(PdrSeeding, CorrectCandidateGraduatesAndSpeedsTheProof) {
 
 TEST(PdrSeeding, InitRefutedCandidateIsRetractedAtTheGate) {
   // "count[0] is always 1" is violated by the initial state itself; the
-  // may-proof pass retracts it before it can touch any query again.
+  // initiation check drops it before any frame query runs.
   auto ts = stride_counter(8, 2);
   auto& nm = ts.nm();
   const NodeRef count = ts.lookup("count");
@@ -621,12 +555,12 @@ TEST(PdrSeeding, InitRefutedCandidateIsRetractedAtTheGate) {
   EXPECT_TRUE(check_invariant(ts, result.invariant, {}, prop));
 }
 
-TEST(PdrSeeding, SpuriousObligationRetractsTheImplicatedCandidate) {
+TEST(PdrSeeding, WrongCandidateNeverGraduates) {
   // "count[0] is always 0" passes initiation (init = 0) but is wrong from
-  // step 1 on a stride-1 counter. It masks the odd states every
-  // counterexample chain must pass through, producing may-contaminated
-  // "blocked" answers whose clean re-runs expose — and retract — it. The
-  // verdict and the reconstructed trace must come out untouched.
+  // step 1 on a stride-1 counter: the odd state 1 is reachable in one step,
+  // so the candidate is never consecutive and waits, unproven, at every
+  // frontier. The verdict and the reconstructed trace must come out
+  // untouched.
   auto ts = stride_counter(4, 1);
   auto& nm = ts.nm();
   const NodeRef count = ts.lookup("count");
@@ -638,11 +572,31 @@ TEST(PdrSeeding, SpuriousObligationRetractsTheImplicatedCandidate) {
   PdrEngine engine(ts, options);
   const EngineResult result = engine.prove(prop);
   ASSERT_EQ(result.verdict, Verdict::Falsified);
-  EXPECT_GE(result.stats.candidates_retracted, 1u);
+  EXPECT_EQ(result.stats.candidates_seeded, 1u);
+  EXPECT_EQ(result.stats.candidates_graduated, 0u);
   ASSERT_TRUE(result.cex.has_value());
   EXPECT_TRUE(result.cex->is_consistent());
   EXPECT_EQ(result.cex->size(), 10u);
   EXPECT_TRUE(result.cex->first_violation(prop).has_value());
+}
+
+TEST(PdrSeeding, DuplicateCandidatesSeedOnce) {
+  // The same clause twice, its literals in either order, is one candidate.
+  auto ts = stride_counter(8, 2);
+  auto& nm = ts.nm();
+  const NodeRef count = ts.lookup("count");
+  const NodeRef prop = nm.mk_ne(count, nm.mk_const(7, 8));
+  const NodeRef not0 = nm.mk_not(nm.mk_bit(count, 0));
+  const NodeRef not1 = nm.mk_not(nm.mk_bit(count, 1));
+
+  EngineOptions options;
+  options.max_steps = 16;
+  options.pdr_candidate_lemmas = {nm.mk_or(not0, not1), nm.mk_or(not1, not0)};
+  PdrEngine engine(ts, options);
+  const EngineResult result = engine.prove(prop);
+  EXPECT_EQ(result.verdict, Verdict::Proven);
+  EXPECT_EQ(result.stats.candidates_seeded, 1u);
+  EXPECT_EQ(result.stats.candidates_graduated, 1u);
 }
 
 TEST(PdrSeeding, WrongCandidateNeverCorruptsTheInvariant) {
@@ -702,8 +656,8 @@ TEST(PdrSeeding, EngineInterfaceThreadsCandidateOptions) {
 TEST(PdrSeeding, SeedingAgreesOnRegistry) {
   // The full registry with candidate seeding on and a deliberately mixed
   // candidate diet (one clause per polarity of the first state bit: at most
-  // one can be true; the initiation filter and spurious-obligation
-  // retraction must sort them out on every design).
+  // one can be true; the initiation check and the graduation fixpoint must
+  // sort them out on every design).
   const bool slow_ok = std::getenv("GENFV_SLOW_TESTS") != nullptr;
   for (const LegacyExpectation& expected : kLegacyRegistry) {
     if (expected.slow && !slow_ok) continue;

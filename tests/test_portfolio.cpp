@@ -393,6 +393,14 @@ TEST(LemmaFile, CountHeaderRoundTripsAndDetectsTruncation) {
   const std::string truncated = text.substr(0, text.rfind("c != d"));
   EXPECT_THROW(flow::parse_lemma_file(truncated), UsageError);
   EXPECT_THROW(flow::parse_lemma_file("# lemmas: nonsense\na == b\n"), UsageError);
+  // The whole header must be one count: no trailing junk, no sign.
+  EXPECT_THROW(flow::parse_lemma_file("# lemmas: 2x\na == b\nc != d\n"), UsageError);
+  try {
+    flow::parse_lemma_file("# lemmas: -1\na == b\n");
+    ADD_FAILURE() << "a negative count header parsed";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("got '-1'"), std::string::npos) << e.what();
+  }
 
   // Files without the header stay accepted (older emitters, hand-written).
   EXPECT_EQ(flow::parse_lemma_file("a == b\n").size(), 1u);

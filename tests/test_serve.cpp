@@ -748,8 +748,8 @@ TEST(ServeCache, PersistsAcrossInstancesAndFreshElaboration) {
 }
 
 TEST(ServeCache, BogusSeedCandidatesNeverChangeTheVerdict) {
-  // Seed a run with contradictory candidate clauses: the may-proof
-  // discipline must retract them and still prove the design.
+  // Seed a run with contradictory candidate clauses: PDR must drop or
+  // strand them and still prove the design.
   flow::EngineSession session(designs::make_task("sequencer"));
   const ir::TransitionSystem& ts = session.task().ts;
 

@@ -26,10 +26,6 @@
 /// Options (--opt value and --opt=value are both accepted):
 ///   --flow cex|helper|direct|plain   (default: cex — the paper's Fig. 2 loop)
 ///   --engine bmc|kind|pdr|portfolio  target-proof engine (default: kind)
-///   --seed-candidates on|off         seed PDR frames with unproven candidate
-///                                    lemmas under the may-proof discipline
-///                                    (lemma flows only; default: off; see
-///                                    docs/lemmas.md)
 ///   --drat-out <path>                log DRAT proofs: each solver writes
 ///                                    <path>[-p..].cnf/.drat; check
 ///                                    with scripts/check_drat.py (docs/sat.md)
@@ -99,7 +95,6 @@ struct CliOptions {
   std::string design;
   std::string flow = "cex";
   mc::EngineKind engine = mc::EngineKind::KInduction;
-  bool seed_candidates = false;
   std::string drat_out;
   std::string model = "gpt-4o";
   std::uint64_t seed = 42;
@@ -126,8 +121,7 @@ constexpr const char* kUsage =
     "  genfv_cli designs | models\n"
     "  genfv_cli --help\n"
     "options: --flow cex|helper|direct|plain  --engine bmc|kind|pdr|portfolio\n"
-    "         --seed-candidates on|off  --drat-out <path>\n"
-    "         --emit-lemmas <file>  --use-lemmas <file>\n"
+    "         --drat-out <path>  --emit-lemmas <file>  --use-lemmas <file>\n"
     "         --model <name>  --seed <n>  --max-k <n>  --no-screen\n"
     "         --dump-ts <file>  --dump-aiger <file.aag>  --vcd <file>  --verbose\n"
     "         --trace-out <file.json>  --metrics-out <file.json>\n"
@@ -215,12 +209,6 @@ CliOptions parse_args(int argc, char** argv) {
       const auto kind = mc::engine_kind_from_string(name);
       if (!kind.has_value()) usage(("unknown engine '" + name + "'").c_str());
       opts.engine = *kind;
-    }
-    else if (arg == "--seed-candidates") {
-      const std::string value = need_value("--seed-candidates");
-      if (value == "on") opts.seed_candidates = true;
-      else if (value == "off") opts.seed_candidates = false;
-      else usage("--seed-candidates takes 'on' or 'off'");
     }
     else if (arg == "--drat-out") opts.drat_out = need_value("--drat-out");
     else if (arg == "--model") opts.model = need_value("--model");
@@ -401,13 +389,7 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
     frontend::write_aiger_file(opts.dump_aiger_path, task.ts);
     std::printf("wrote %s\n", opts.dump_aiger_path.c_str());
   }
-  if (opts.flow == "plain") {
-    // Plain proofs have no candidate lemmas to seed.
-    if (opts.seed_candidates) {
-      usage("--seed-candidates requires a lemma flow (cex, helper or direct)");
-    }
-    return run_plain(task, opts);
-  }
+  if (opts.flow == "plain") return run_plain(task, opts);
   for (const auto& e : opts.property_engines) {
     if (e.has_value()) usage("per-property engine overrides require --flow plain");
   }
@@ -416,7 +398,6 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
   options.engine.max_k = opts.max_k;
   options.review.sim_screen = opts.sim_screen;
   options.target_engine = opts.engine;
-  options.pdr_seed_candidates = opts.seed_candidates;
   options.engine.drat_path = opts.drat_out;
   if (!opts.use_lemmas_path.empty()) {
     options.engine.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
