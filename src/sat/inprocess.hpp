@@ -1,8 +1,9 @@
 #pragma once
 
 /// \file inprocess.hpp
-/// Inprocessing for the in-tree CDCL core: formula simplification run
-/// between restarts, inside `Solver::solve`, on a conflict-count cadence.
+/// Inprocessing for the in-tree CDCL core: formula simplification run at
+/// the start of `Solver::solve` on solvers that answer many queries, on a
+/// conflict-count cadence.
 ///
 /// One session runs, in order:
 ///  1. top-level simplification — satisfied clauses are removed and

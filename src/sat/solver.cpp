@@ -701,10 +701,11 @@ LBool Solver::solve(const std::vector<Lit>& assumptions) {
 }
 
 void Solver::simplify_now() {
-  GENFV_ASSERT(decision_level() == 0, "inprocessing runs between restarts, at level 0");
+  GENFV_ASSERT(decision_level() == 0, "inprocessing runs between solves, at level 0");
   if (!ok_) return;
   Inprocessor(*this).run();
   last_inprocess_conflicts_ = stats_.conflicts;
+  last_inprocess_solves_ = stats_.solves;
   collected_originals_ = 0;  // the session swept whatever collection left
 }
 
@@ -745,6 +746,23 @@ LBool Solver::solve_core(const std::vector<Lit>& assumptions) {
   conflicts_at_solve_start_ = stats_.conflicts;
   max_learnts_ = std::max(static_cast<double>(scheduled_clauses()) / 3.0, 4000.0);
 
+  // Inprocessing runs here, once per call, never inside the restart loop:
+  // a session pays for itself only over later queries (kInprocessMinSolves).
+  // Its cost scales with the database (occurrence lists over every clause,
+  // BVE over every variable), so the conflict interval scales with it too:
+  // the huge low-conflict CNFs of deep BMC unrollings would otherwise spend
+  // more time simplifying than solving, while the small hot databases of PDR
+  // queries want the short fixed floor. A stopped or zero-budget call
+  // searches nothing, so it runs no session either.
+  const std::uint64_t inprocess_interval = std::max(
+      kInprocessInterval, static_cast<std::uint64_t>(scheduled_clauses()) / 4);
+  if (conflict_budget_ != 0 && !interrupted() &&
+      stats_.solves - last_inprocess_solves_ >= kInprocessMinSolves &&
+      stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval) {
+    simplify_now();
+    if (!ok_) return LBool::False;
+  }
+
   LBool status = LBool::Undef;
   for (int restarts = 0; status == LBool::Undef; ++restarts) {
     const bool budget_exhausted =
@@ -752,21 +770,6 @@ LBool Solver::solve_core(const std::vector<Lit>& assumptions) {
         stats_.conflicts - conflicts_at_solve_start_ >=
             static_cast<std::uint64_t>(conflict_budget_);
     if (budget_exhausted || interrupted()) break;
-    // A session's cost scales with the database (occurrence lists over
-    // every clause, BVE over every variable), so the conflict interval
-    // between sessions scales with it too: the huge low-conflict CNFs of
-    // deep BMC unrollings would otherwise spend more time simplifying than
-    // solving, while the small hot databases of PDR queries want the short
-    // fixed floor.
-    const std::uint64_t inprocess_interval = std::max(
-        kInprocessInterval, static_cast<std::uint64_t>(scheduled_clauses()) / 4);
-    if (stats_.conflicts - last_inprocess_conflicts_ >= inprocess_interval) {
-      simplify_now();
-      if (!ok_) {
-        status = LBool::False;
-        break;
-      }
-    }
     const double base = luby(2.0, restarts) * 100.0;
     status = search(static_cast<int>(base), assumptions);
   }

@@ -17,11 +17,12 @@
 ///  * level-0 collection at the start of solve(): clauses satisfied by a
 ///    level-0 literal (e.g. retired activation gates) leave the watch lists,
 ///    amortized against the propagations done since the last collection,
-///  * inprocessing between restarts (sat/inprocess.hpp): top-level
+///  * inprocessing at the start of solve() (sat/inprocess.hpp): top-level
 ///    simplification, clause subsumption + self-subsuming strengthening,
-///    bounded variable elimination and vivification, scheduled on a
-///    conflict-count cadence and cooperative with incremental use through
-///    frozen variables and restore-on-import,
+///    bounded variable elimination and vivification, run once a solver has
+///    both answered kInprocessMinSolves queries and done a conflict
+///    interval's worth of search since its last session, and cooperative
+///    with incremental use through frozen variables and restore-on-import,
 ///  * incremental solving under assumptions with final-conflict
 ///    (unsat-core-over-assumptions) extraction,
 ///  * optional conflict budget for best-effort queries,
@@ -62,35 +63,13 @@ struct SolverStats {
   // learnt clauses it removed.
   std::uint64_t collections = 0;
   std::uint64_t collected_clauses = 0;
-  // Inprocessing (sessions between restarts; see sat/inprocess.hpp).
+  // Inprocessing (sessions at solve() entry; see sat/inprocess.hpp).
   std::uint64_t inprocessings = 0;
   std::uint64_t subsumed_clauses = 0;
   std::uint64_t strengthened_clauses = 0;
   std::uint64_t eliminated_vars = 0;
   std::uint64_t restored_vars = 0;
   std::uint64_t vivified_clauses = 0;
-
-  SolverStats& operator+=(const SolverStats& other) noexcept {
-    solves += other.solves;
-    decisions += other.decisions;
-    propagations += other.propagations;
-    conflicts += other.conflicts;
-    restarts += other.restarts;
-    learnt_clauses += other.learnt_clauses;
-    learnt_literals += other.learnt_literals;
-    minimized_literals += other.minimized_literals;
-    deleted_clauses += other.deleted_clauses;
-    reductions += other.reductions;
-    collections += other.collections;
-    collected_clauses += other.collected_clauses;
-    inprocessings += other.inprocessings;
-    subsumed_clauses += other.subsumed_clauses;
-    strengthened_clauses += other.strengthened_clauses;
-    eliminated_vars += other.eliminated_vars;
-    restored_vars += other.restored_vars;
-    vivified_clauses += other.vivified_clauses;
-    return *this;
-  }
 };
 
 class Solver {
@@ -179,7 +158,8 @@ class Solver {
 
   /// Run one inprocessing session immediately (level 0, between solves).
   /// Exposed for presimplification (`genfv_cli sat`) and the soundness
-  /// fuzz tests; the scheduled sessions inside solve() use the same path.
+  /// fuzz tests; the scheduled sessions at solve() entry use the same path,
+  /// and either kind restarts both session counters.
   void simplify_now();
 
  private:
@@ -306,15 +286,24 @@ class Solver {
 
   static constexpr double kVarDecay = 0.95;
   static constexpr float kClaDecay = 0.999f;
-  /// Floor on the conflicts between inprocessing sessions; the effective
-  /// interval is max(this, clauses/4) so session cost stays proportional to
-  /// the solving done between sessions. Tuned on the shootout's SAT-heavy
-  /// rows: 1000 barely fires inside PDR's short budgeted queries, 250 cuts
-  /// fifo_ctrl conflicts ~35% and dual_accumulator ~98% against plain
-  /// CDCL without sessions; 150 starts to thrash, and a shallower size
-  /// scaling (clauses/8) fires zero-payoff sessions on the big low-conflict
+  /// Floor on the conflicts between inprocessing sessions, checked at
+  /// solve() entry; the effective interval is max(this, clauses/4) so
+  /// session cost stays proportional to the solving done between sessions.
+  /// Tuned on the shootout's PDR rows, whose sessions fire at entry: 1000
+  /// barely fires inside PDR's short budgeted queries, 250 cuts fifo_ctrl
+  /// conflicts ~35% and dual_accumulator ~98% against plain CDCL without
+  /// sessions; 150 starts to thrash, and a shallower size scaling
+  /// (clauses/8) fires zero-payoff sessions on the big low-conflict
   /// BMC-style CNFs (sdiv_props).
   static constexpr std::uint64_t kInprocessInterval = 250;
+  /// Fewest solve() calls (the current one included) between sessions. A
+  /// session is paid back only over the queries that reuse the simplified
+  /// database: PDR's frame solvers answer thousands, while k-induction's
+  /// solvers (at most 8 calls at the CLI default), lemma proofs and one-call
+  /// recertifications never recover its cost. On the cli_flows workload
+  /// their sessions took about a quarter of the SAT time, and the same
+  /// proofs took 124,688 conflicts without them against 139,067 with them.
+  static constexpr std::uint64_t kInprocessMinSolves = 16;
   /// Learnt clauses with LBD at or below this are never deleted.
   static constexpr std::uint32_t kCoreLbd = 2;
 
@@ -368,6 +357,7 @@ class Solver {
   std::uint64_t conflicts_at_solve_start_ = 0;
 
   std::uint64_t last_inprocess_conflicts_ = 0;
+  std::uint64_t last_inprocess_solves_ = 0;
   // Level-0 collection trigger (MiniSat's simpDB_assigns / simpDB_props):
   // collect once the level-0 trail has grown and the propagations since the
   // last collection reach the database size.

@@ -80,6 +80,12 @@ struct FlowPin {
 // Both paper flows on every zoo design with a GPT-4o-profile model: the
 // repair flow proves them all, and any drift in how a flow proves its
 // targets or books a round shows up here.
+//
+// secded84's cex row was re-recorded (lemmas 9 -> 7, same verdicts and
+// rounds) when inprocessing sessions moved to solve() entry: k-induction's
+// few-query solvers stopped running sessions, so the step case returns a
+// different counterexample, and the repair prompt built from it draws
+// different helpers.
 constexpr FlowPin kFlowPins[] = {
     {"sync_counters", "proven@1 rounds=1 lemmas=7", "proven@1 rounds=1 lemmas=7"},
     {"triple_counters", "proven@1 rounds=1 lemmas=10", "proven@1 rounds=1 lemmas=10"},
@@ -94,7 +100,7 @@ constexpr FlowPin kFlowPins[] = {
     {"parity_codec", "proven@1 rounds=1 lemmas=1", "proven@1 rounds=1 lemmas=1"},
     {"hamming74", "proven@1 rounds=1 lemmas=10", "proven@1 rounds=2 lemmas=8"},
     {"secded84", "proven@1 proven@1 rounds=1 lemmas=10",
-     "proven@1 proven@1 rounds=2 lemmas=9"},
+     "proven@1 proven@1 rounds=2 lemmas=7"},
 };
 
 TEST(FlowPins, EveryZooDesignKeepsItsHelperAndCexTrajectory) {

@@ -396,6 +396,11 @@ TEST(PdrEngineTest, InvariantRoundTripsThroughSvaPrinter) {
 /// leaves its watch lists in a different order, so its search moves. Every
 /// other row is unchanged, and is the evidence that collection does not
 /// change the search.
+///
+/// secded84 was re-recorded (730 -> 714 conflicts) when inprocessing sessions
+/// moved to solve() entry. Its main solver's second session used to fire
+/// inside a query, after that query's first restart; now the query runs to
+/// its answer without one. No other row moved.
 struct LegacyExpectation {
   const char* design;
   Verdict verdict;
@@ -418,7 +423,7 @@ constexpr LegacyExpectation kLegacyRegistry[] = {
     {"fifo_ctrl", Verdict::Unknown, 12, 15971, 7909, false},
     {"parity_codec", Verdict::Proven, 2, 266, 87, false},
     {"hamming74", Verdict::Proven, 2, 559, 580, false},
-    {"secded84", Verdict::Proven, 2, 669, 730, false},
+    {"secded84", Verdict::Proven, 2, 669, 714, false},
 };
 
 TEST(PdrTrajectory, ReproducesPinnedRegistryTrajectory) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -887,6 +888,80 @@ TEST(ClauseDbReduction, ReductionsInterleavedWithSessionsKeepProofAndVerdict) {
   EXPECT_EQ(replay.bad_line, "");
   EXPECT_GT(replay.deletions, 0u);
   EXPECT_EQ(replay.empty_derived, answer == LBool::False);
+}
+
+// --- inprocessing schedule ----------------------------------------------------
+
+/// Random 3-SAT at the threshold (150 variables, ratio 4.26): UNSAT, and a
+/// few thousand conflicts whether solved in one call or in small slices.
+std::vector<std::vector<int>> threshold_3cnf() {
+  util::Xoshiro256 rng(1);
+  return random_3cnf(rng, 150, 639);
+}
+
+TEST(InprocessSchedule, OneShotSolveRunsNoSession) {
+  // Thousands of conflicts in a single call: the conflict interval passes
+  // many times over, but nothing would reuse a simplified database.
+  Solver solver;
+  ASSERT_TRUE(load_raw(solver, 150, threshold_3cnf()));
+  EXPECT_EQ(solver.solve(), LBool::False);
+  EXPECT_GT(solver.stats().conflicts, 1000u);
+  EXPECT_EQ(solver.stats().inprocessings, 0u);
+}
+
+TEST(InprocessSchedule, BudgetedSlicesRunSessionsAndKeepTheProof) {
+  // The same instance in 50-conflict slices: once 16 queries and a conflict
+  // interval have passed, sessions run at the start of a slice. The answer
+  // is the one-shot answer and the DRAT proof replays.
+  const auto clauses = threshold_3cnf();
+  const std::string base = testing::TempDir() + "genfv_drat_schedule";
+  LBool answer = LBool::Undef;
+  int slices = 0;
+  SolverStats stats;
+  {
+    Solver solver;
+    ASSERT_TRUE(solver.start_proof(base));
+    ASSERT_TRUE(load_raw(solver, 150, clauses));
+    solver.set_conflict_budget(50);
+    while (answer == LBool::Undef) {
+      answer = solver.solve();
+      ++slices;
+    }
+    stats = solver.stats();
+  }  // the writer finalizes the .cnf when the solver dies
+  EXPECT_EQ(answer, LBool::False);
+  EXPECT_GE(slices, 16);
+  EXPECT_GE(stats.inprocessings, 1u);
+
+  const ProofReplay replay =
+      replay_proof(parse_dimacs(slurp(base + ".cnf")).clauses, slurp(base + ".drat"));
+  EXPECT_EQ(replay.bad_line, "");
+  EXPECT_TRUE(replay.empty_derived);
+}
+
+TEST(InprocessSchedule, StopFlagOrZeroBudgetSkipsADueSession) {
+  // 300 conflicts in the first call and 15 calls in all make a session due
+  // at the 16th. A raised stop flag or a zero budget returns Undef without
+  // it; the next unhindered call runs it.
+  Solver solver;
+  ASSERT_TRUE(load_raw(solver, 150, threshold_3cnf()));
+  solver.set_conflict_budget(300);
+  ASSERT_EQ(solver.solve(), LBool::Undef);
+  solver.set_conflict_budget(1);
+  for (int call = 2; call <= 15; ++call) ASSERT_EQ(solver.solve(), LBool::Undef);
+  ASSERT_EQ(solver.stats().inprocessings, 0u);
+
+  std::atomic<bool> stop{true};
+  solver.set_stop_flag(&stop);
+  EXPECT_EQ(solver.solve(), LBool::Undef);
+  solver.set_stop_flag(nullptr);
+  solver.set_conflict_budget(0);
+  EXPECT_EQ(solver.solve(), LBool::Undef);
+  EXPECT_EQ(solver.stats().inprocessings, 0u);
+
+  solver.set_conflict_budget(1);
+  EXPECT_EQ(solver.solve(), LBool::Undef);
+  EXPECT_EQ(solver.stats().inprocessings, 1u);
 }
 
 // --- level-0 collection -------------------------------------------------------

@@ -469,8 +469,8 @@ int cmd_sat(const CliOptions& opts) {
     verdict = sat::LBool::False;
   } else {
     // A standalone solve has no assumptions to protect, so run one
-    // deterministic inprocessing session up front — the same passes the
-    // incremental path runs between restarts.
+    // deterministic inprocessing session up front — the same passes an
+    // incremental solver runs at solve() entry once its queries repeat.
     solver.simplify_now();
     verdict = solver.inconsistent() ? sat::LBool::False : solver.solve();
   }
