@@ -68,6 +68,7 @@ void BM_UnrollFrames(benchmark::State& state) {
 }
 BENCHMARK(BM_UnrollFrames)->Arg(4)->Arg(16)->Arg(64);
 
+/// The reference interpreter: one sim::step over map environments.
 void BM_SimulatorStep(benchmark::State& state) {
   auto task = designs::make_task("secded84");
   sim::RandomSimulator simulator(task.ts, 11);
@@ -89,6 +90,18 @@ void BM_RandomSimRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomSimRun)->Arg(64)->Arg(256);
+
+/// The candidate screen's shape (src/flow/review_policy.cpp): 4 restarts of
+/// 64 cycles against a true target, so every restart runs to the end.
+void BM_RandomSimFalsify(benchmark::State& state) {
+  auto task = designs::make_task("fifo_ctrl");
+  const ir::NodeRef target = task.target_exprs().front();
+  for (auto _ : state) {
+    sim::RandomSimulator simulator(task.ts, 17);
+    benchmark::DoNotOptimize(simulator.falsify(target, 64, 4));
+  }
+}
+BENCHMARK(BM_RandomSimFalsify);
 
 void BM_ElaborateListing1(benchmark::State& state) {
   const std::string rtl = designs::design_by_name("sync_counters").rtl;

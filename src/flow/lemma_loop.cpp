@@ -142,7 +142,8 @@ FlowReport run_lemma_loop(VerificationTask& task, const FlowOptions& options,
   GENFV_LOG(Info, "flow") << report.flow << " on " << task.name << ": "
                           << report.iterations.size() << " round(s), "
                           << report.admitted_lemmas.size()
-                          << " lemmas, targets proven=" << report.all_targets_proven();
+                          << " lemmas, targets proven " << report.targets_proven() << "/"
+                          << report.targets.size();
   return report;
 }
 

@@ -19,11 +19,13 @@ std::string to_string(CandidateStatus status) {
 }
 
 bool FlowReport::all_targets_proven() const {
-  if (targets.empty()) return false;
-  for (const auto& t : targets) {
-    if (t.result.verdict != mc::Verdict::Proven) return false;
-  }
-  return true;
+  return !targets.empty() && targets_proven() == targets.size();
+}
+
+std::size_t FlowReport::targets_proven() const {
+  std::size_t n = 0;
+  for (const auto& t : targets) n += t.result.verdict == mc::Verdict::Proven ? 1 : 0;
+  return n;
 }
 
 std::size_t FlowReport::candidates_total() const {

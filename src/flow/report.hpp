@@ -64,6 +64,7 @@ struct FlowReport {
   double prove_seconds = 0.0;  ///< engine time (lemmas + targets)
 
   bool all_targets_proven() const;
+  std::size_t targets_proven() const;
   std::size_t candidates_total() const;
   std::size_t candidates_with(CandidateStatus status) const;
 

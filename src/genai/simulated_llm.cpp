@@ -1,6 +1,7 @@
 #include "genai/simulated_llm.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "genai/prompt.hpp"
@@ -251,14 +252,10 @@ Completion SimulatedLlm::complete(const Prompt& prompt) {
     auto kills_cex = [&](const CandidateInvariant& c) -> bool {
       try {
         const ir::NodeRef expr = compiler.compile_expr(c.sva);
+        const auto leaves = ir::collect_leaves(expr);
         for (const auto& frame : cex_frames) {
-          bool complete_frame = true;
-          for (const ir::NodeRef leaf : ir::collect_leaves(expr)) {
-            if (!frame.contains(leaf)) {
-              complete_frame = false;
-              break;
-            }
-          }
+          const bool complete_frame = std::all_of(
+              leaves.begin(), leaves.end(), [&](ir::NodeRef leaf) { return frame.contains(leaf); });
           if (complete_frame && sim::evaluate(expr, frame) == 0) return true;
         }
       } catch (const Error&) {
@@ -266,17 +263,15 @@ Completion SimulatedLlm::complete(const Prompt& prompt) {
       }
       return false;
     };
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&](const CandidateInvariant& a, const CandidateInvariant& b) {
-                       return kills_cex(a) > kills_cex(b);
-                     });
-    if (profile_.self_check) {
-      std::vector<CandidateInvariant> focused;
-      for (auto& c : candidates) {
-        if (kills_cex(c)) focused.push_back(std::move(c));
-      }
-      if (!focused.empty()) candidates = std::move(focused);
+    // A stable sort on the kill flag, evaluated once per candidate.
+    std::vector<CandidateInvariant> killers;
+    std::vector<CandidateInvariant> others;
+    for (auto& c : candidates) (kills_cex(c) ? killers : others).push_back(std::move(c));
+    if (!profile_.self_check || killers.empty()) {
+      killers.insert(killers.end(), std::make_move_iterator(others.begin()),
+                     std::make_move_iterator(others.end()));
     }
+    candidates = std::move(killers);
   }
 
   apply_noise(candidates, ts, samples);

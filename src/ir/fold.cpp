@@ -22,8 +22,7 @@ std::int64_t to_signed(std::uint64_t v, unsigned width) {
 }  // namespace
 
 std::uint64_t eval_op(Op op, unsigned width, unsigned p0, unsigned p1,
-                      const std::vector<std::uint64_t>& v,
-                      const std::vector<unsigned>& w) {
+                      std::span<const std::uint64_t> v, std::span<const unsigned> w) {
   const std::uint64_t mask = width_mask(width);
   switch (op) {
     case Op::Const:

@@ -10,6 +10,7 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -124,7 +125,7 @@ std::optional<NodeRef> fold(NodeManager& nm, Op op, const std::vector<NodeRef>& 
 /// the single source of truth for operator semantics, shared by the constant
 /// folder and the simulator.
 std::uint64_t eval_op(Op op, unsigned width, unsigned p0, unsigned p1,
-                      const std::vector<std::uint64_t>& operands,
-                      const std::vector<unsigned>& operand_widths);
+                      std::span<const std::uint64_t> operands,
+                      std::span<const unsigned> operand_widths);
 
 }  // namespace genfv::ir

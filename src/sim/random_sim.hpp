@@ -6,6 +6,16 @@
 ///  * candidate screening (cheaply falsify hallucinated assertions before
 ///    wasting prover time — the mechanical part of "human-in-the-loop"),
 ///  * tests (proven properties must survive long random runs).
+///
+/// Every call compiles the system once into a topologically ordered program
+/// over dense slots, one 64-bit word per node, covering the environment
+/// constraints, every next function and (for falsify) the watched
+/// expression. Operators go through ir::eval_op, so the compiled program and
+/// the reference interpreter (sim::evaluate / sim::step) share one source of
+/// operator semantics. Random draws happen in a fixed order: per frame, the
+/// inputs in ts.inputs() order, redrawn up to 64 times until the constraints
+/// hold; per restart, the reset draws of reset_state(). A leaf outside the
+/// system (or a state referenced by an init) throws UsageError.
 
 #include <cstdint>
 #include <optional>
@@ -29,10 +39,13 @@ class RandomSimulator {
   Trace run(std::size_t steps);
 
   /// Run from a caller-provided state (inputs are randomized per cycle).
-  Trace run_from(Assignment state_values, std::size_t steps);
+  /// Every state of the system must be bound in `state_values` (UsageError
+  /// otherwise); other bindings are ignored.
+  Trace run_from(const Assignment& state_values, std::size_t steps);
 
   /// Try to falsify a width-1 expression: up to `restarts` runs of `steps`
-  /// cycles each; returns a witness trace ending at the violating frame.
+  /// cycles each; returns a witness trace ending at the violating frame. A
+  /// run stops at its first violating frame.
   std::optional<Trace> falsify(ir::NodeRef expr, std::size_t steps, std::size_t restarts);
 
   /// Sample reachable states: `restarts` runs of `steps` cycles; every
@@ -40,11 +53,6 @@ class RandomSimulator {
   std::vector<Assignment> sample_states(std::size_t steps, std::size_t restarts);
 
  private:
-  Assignment random_inputs();
-  /// Inputs rejection-sampled so the environment constraints hold in the
-  /// current state (e.g. reset held inactive).
-  Assignment constrained_inputs(const Assignment& state_values);
-
   const ir::TransitionSystem& ts_;
   util::Xoshiro256 rng_;
 };
