@@ -75,7 +75,7 @@ FlowReport run_lemma_loop(VerificationTask& task, const FlowOptions& options,
   report.model = std::move(model);
   report.engine = mc::to_string(options.target_engine);
 
-  LemmaManager lemmas(task, {options.engine, options.review});
+  LemmaManager lemmas(task, {mc::to_engine_options(options.engine), options.review});
   // One round: the proposal through the gate, booked as an iteration.
   const auto book = [&](const Proposal& proposal) {
     report.llm_seconds += proposal.completion.latency_seconds;

@@ -23,7 +23,7 @@ bool LemmaManager::known_fact(ir::NodeRef expr) const {
 }
 
 mc::EngineOptions LemmaManager::engine_with_lemmas() const {
-  mc::EngineOptions opts = mc::to_engine_options(options_.engine);
+  mc::EngineOptions opts = options_.engine;
   opts.lemmas.insert(opts.lemmas.end(), lemma_exprs_.begin(), lemma_exprs_.end());
   return opts;
 }

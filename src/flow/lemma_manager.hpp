@@ -18,7 +18,7 @@
 namespace genfv::flow {
 
 struct LemmaManagerOptions {
-  mc::KInductionOptions engine;  ///< bounds for candidate/lemma proofs
+  mc::EngineOptions engine;  ///< bounds for candidate/lemma proofs
   ReviewPolicy review;
 };
 

@@ -67,24 +67,4 @@ std::vector<std::string> VerificationTask::target_svas() const {
   return svas;
 }
 
-EngineSession::EngineSession(VerificationTask task)
-    : task_(std::move(task)), pristine_(task_.ts.mark()) {
-  for (const std::size_t i : task_.target_indices) {
-    GENFV_ASSERT(i < pristine_.properties,
-                 "EngineSession: target index beyond the pristine mark");
-  }
-}
-
-void EngineSession::reset() { task_.ts.rollback(pristine_); }
-
-mc::EngineResult EngineSession::run_job(mc::EngineKind kind,
-                                        const mc::EngineOptions& options) {
-  reset();
-  // A fresh engine per job: engine instances absorb solver stats across
-  // prove calls, so reuse would leak job N's counters into job N+1.
-  const auto engine = mc::make_engine(kind, task_.ts, options);
-  ++jobs_run_;
-  return engine->prove_all(task_.target_exprs());
-}
-
 }  // namespace genfv::flow

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ir/transition_system.hpp"
-#include "mc/engine.hpp"
 
 namespace genfv::flow {
 
@@ -42,55 +41,6 @@ struct VerificationTask {
   std::vector<ir::NodeRef> target_exprs() const;
   /// SVA source of every target (prompt rendering).
   std::vector<std::string> target_svas() const;
-};
-
-/// A resident verification session: one task, many jobs.
-///
-/// Historically everything downstream of `VerificationTask` assumed one-shot
-/// lifetime — a process elaborated a task, ran one flow, and exited, so
-/// nobody cared that `LemmaManager` leaves `$past` auxiliary state and
-/// candidate properties behind in `task.ts`, or that reusing one `mc::Engine`
-/// across prove calls accumulates `EngineStats`. A resident server
-/// (`tools/genfv_serve.cpp`) breaks that assumption: the same task runs job
-/// after job, and any residue from job N would silently perturb job N+1.
-///
-/// `EngineSession` is the audited seam: it checkpoints the freshly-built task
-/// (`ir::TransitionSystem::mark`), and `run_job` rolls the system back to
-/// that pristine state and constructs a *fresh* engine before every run — so
-/// two sequential jobs in one session are bit-for-bit two fresh processes
-/// (pinned by FlowSession.SequentialJobsMatchFreshProcesses).
-///
-/// Nodes created by earlier jobs stay alive in the shared NodeManager
-/// (hash-consed; re-creating them is a lookup), which is also what lets a
-/// caller materialize cached lemma clauses into the session's manager before
-/// a job: `reset()` withdraws declarations, never nodes.
-///
-/// Not thread-safe — the NodeManager underneath is single-threaded. A server
-/// gives each concurrent job its own session (serve/worker_pool.hpp).
-class EngineSession {
- public:
-  /// Takes ownership of a freshly-built task and checkpoints it.
-  explicit EngineSession(VerificationTask task);
-
-  VerificationTask& task() noexcept { return task_; }
-  const VerificationTask& task() const noexcept { return task_; }
-  std::size_t jobs_run() const noexcept { return jobs_run_; }
-
-  /// Roll the transition system back to its pristine post-construction
-  /// state, dropping any auxiliary state/properties/constraints a previous
-  /// job appended. Idempotent; `run_job` calls it automatically.
-  void reset();
-
-  /// Run one engine over the session's targets: reset, build a fresh
-  /// `mc::Engine`, prove. `options.lemmas` / `options.pdr_candidate_lemmas`
-  /// must live in this session's NodeManager (materialize them against
-  /// `task().ts` first).
-  mc::EngineResult run_job(mc::EngineKind kind, const mc::EngineOptions& options);
-
- private:
-  VerificationTask task_;
-  ir::TransitionSystem::Mark pristine_;
-  std::size_t jobs_run_ = 0;
 };
 
 }  // namespace genfv::flow

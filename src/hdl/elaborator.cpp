@@ -213,8 +213,7 @@ struct SymState {
 
 class Elaborator {
  public:
-  Elaborator(const Module& m, const ElaborateOptions& options)
-      : module_(m), options_(options) {}
+  explicit Elaborator(const Module& m) : module_(m) {}
 
   ElaborationResult run();
 
@@ -247,7 +246,6 @@ class Elaborator {
   std::string assigned_base_name(const Expr& lhs) const;
 
   const Module& module_;
-  const ElaborateOptions& options_;
 
   ir::TransitionSystem ts_;
   std::map<std::string, SigInfo> signals_;
@@ -339,12 +337,6 @@ void Elaborator::scan_processes() {
       reset_ = blk.reset;
       reset_active_low_ = blk.reset_active_low;
     }
-  }
-
-  // Explicit override from options.
-  if (!options_.reset_name.empty()) {
-    reset_ = options_.reset_name;
-    reset_active_low_ = options_.reset_active_low;
   }
 
   // Sync-reset heuristic: top-level `if (rst) ...` on a reset-named input.
@@ -833,11 +825,9 @@ void Elaborator::derive_inits() {
     // Non-constant: leave uninitialized (over-approximate, sound).
   }
 
-  if (options_.constrain_reset_inactive) {
-    const NodeRef inactive =
-        reset_active_low_ ? nm.mk_ones(rst->width()) : nm.mk_const(0, rst->width());
-    ts_.add_constraint(nm.mk_eq(rst, inactive));
-  }
+  const NodeRef inactive =
+      reset_active_low_ ? nm.mk_ones(rst->width()) : nm.mk_const(0, rst->width());
+  ts_.add_constraint(nm.mk_eq(rst, inactive));
 }
 
 ElaborationResult Elaborator::run() {
@@ -855,15 +845,14 @@ ElaborationResult Elaborator::run() {
 
 }  // namespace
 
-ElaborationResult elaborate(const Module& module, const ElaborateOptions& options) {
-  Elaborator elaborator(module, options);
+ElaborationResult elaborate(const Module& module) {
+  Elaborator elaborator(module);
   return elaborator.run();
 }
 
-ElaborationResult elaborate_source(const std::string& verilog,
-                                   const ElaborateOptions& options) {
+ElaborationResult elaborate_source(const std::string& verilog) {
   const Module m = parse_module(verilog);
-  return elaborate(m, options);
+  return elaborate(m);
 }
 
 }  // namespace genfv::hdl

@@ -29,14 +29,6 @@
 
 namespace genfv::hdl {
 
-struct ElaborateOptions {
-  /// Add the `reset == inactive` constraint when a reset is detected.
-  bool constrain_reset_inactive = true;
-  /// Override reset detection ("": autodetect).
-  std::string reset_name;
-  bool reset_active_low = false;
-};
-
 struct ElaborationResult {
   ir::TransitionSystem ts;
   std::string clock;   ///< detected clock name ("" for purely combinational)
@@ -44,12 +36,11 @@ struct ElaborationResult {
   bool reset_active_low = false;
 };
 
-/// Elaborate a parsed module.
-ElaborationResult elaborate(const Module& module, const ElaborateOptions& options = {});
+/// Elaborate a parsed module. A detected reset is constrained inactive.
+ElaborationResult elaborate(const Module& module);
 
 /// Parse + elaborate in one step.
-ElaborationResult elaborate_source(const std::string& verilog,
-                                   const ElaborateOptions& options = {});
+ElaborationResult elaborate_source(const std::string& verilog);
 
 /// Expression building over the shared HDL/SVA AST. Name resolution and
 /// $system-call handling are injected so the HDL elaborator and the SVA

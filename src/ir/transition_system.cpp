@@ -80,49 +80,6 @@ const StateVar* TransitionSystem::state_of(NodeRef var) const {
   return it == state_index_.end() ? nullptr : &states_[it->second];
 }
 
-TransitionSystem::Mark TransitionSystem::mark() const {
-  Mark m;
-  m.inputs = inputs_.size();
-  m.states = states_.size();
-  m.constraints = constraints_.size();
-  m.properties = properties_.size();
-  m.signals = signals_.size();
-  m.state_snapshot = states_;
-  return m;
-}
-
-void TransitionSystem::rollback(const Mark& m) {
-  if (m.inputs > inputs_.size() || m.states > states_.size() ||
-      m.constraints > constraints_.size() || m.properties > properties_.size() ||
-      m.signals > signals_.size() || m.state_snapshot.size() != m.states) {
-    throw UsageError("rollback: mark does not describe a prefix of this system");
-  }
-  for (std::size_t i = m.states; i < states_.size(); ++i) {
-    state_index_.erase(states_[i].var);
-    by_name_.erase(states_[i].var->name());
-  }
-  for (std::size_t i = m.inputs; i < inputs_.size(); ++i) {
-    by_name_.erase(inputs_[i]->name());
-  }
-  for (std::size_t i = m.signals; i < signals_.size(); ++i) {
-    by_name_.erase(signals_[i].first);
-  }
-  inputs_.resize(m.inputs);
-  states_.resize(m.states);
-  constraints_.resize(m.constraints);
-  properties_.resize(m.properties);
-  signals_.resize(m.signals);
-  // Restore the recorded init/next of surviving states: a job may have
-  // rewired a pre-existing register (e.g. instrumentation), not just
-  // appended new ones.
-  for (std::size_t i = 0; i < m.states; ++i) {
-    if (states_[i].var != m.state_snapshot[i].var) {
-      throw UsageError("rollback: mark belongs to a different system");
-    }
-    states_[i] = m.state_snapshot[i];
-  }
-}
-
 void TransitionSystem::validate() const {
   for (const auto& s : states_) {
     if (s.next == nullptr) {

@@ -91,30 +91,6 @@ class TransitionSystem {
   /// consistent, and properties/constraints are width-1.
   void validate() const;
 
-  // --- checkpoint / rollback --------------------------------------------------
-  // A session that runs many jobs over one pristine system (flow::EngineSession)
-  // must undo per-job mutations — LemmaManager registers auxiliary $past
-  // states and appends candidate properties. `mark()` checkpoints the
-  // declaration lists plus the init/next of every existing state;
-  // `rollback(mark)` restores them. Nodes created after the mark stay alive
-  // in the manager (hash-consed, harmless); only the system's view of them
-  // is withdrawn.
-
-  struct Mark {
-    std::size_t inputs = 0;
-    std::size_t states = 0;
-    std::size_t constraints = 0;
-    std::size_t properties = 0;
-    std::size_t signals = 0;
-    std::vector<StateVar> state_snapshot;  ///< init/next of the first `states`
-  };
-
-  Mark mark() const;
-  /// Restore the system to the state captured by `m`. Throws UsageError when
-  /// `m` does not describe a prefix of the current system (marks are not
-  /// transferable between systems).
-  void rollback(const Mark& m);
-
  private:
   std::shared_ptr<NodeManager> nm_;
   std::string name_;

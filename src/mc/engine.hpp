@@ -123,9 +123,9 @@ struct EngineResult {
   std::string summary() const;
 };
 
-/// Uniform engine façade. Implementations are single-use per construction
-/// but reusable across prove calls; they hold a reference to the transition
-/// system, never own it.
+/// Uniform engine façade. Every `prove_all` call builds fresh solvers, so
+/// one engine may prove several property sets in turn. Engines hold a
+/// reference to the transition system, never own it.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -154,8 +154,8 @@ std::size_t auto_pdr_workers(const ir::TransitionSystem& ts) noexcept;
 // reads TargetReport::result as an InductionResult, so both stay until those
 // fields become an EngineOptions and an EngineResult.
 
-/// The proof bounds the flows carry (FlowOptions::engine,
-/// LemmaManagerOptions::engine). `to_engine_options` is its only reader.
+/// The proof bounds the flows carry (FlowOptions::engine).
+/// `to_engine_options` is its only reader.
 struct KInductionOptions {
   std::size_t max_k = 32;
   /// Proven invariants assumed by every proof.

@@ -363,14 +363,12 @@ void Solver::analyze(Clause* conflict, std::vector<Lit>& out_learnt, int& out_bt
 
   // Local clause minimization: a literal is redundant when its reason clause
   // is fully covered by the remaining learnt literals (or level-0 facts).
-  stats_.learnt_literals += out_learnt.size();
   std::size_t kept = 1;
   for (std::size_t i = 1; i < out_learnt.size(); ++i) {
     if (reason_of(var(out_learnt[i])) == nullptr || !literal_redundant(out_learnt[i])) {
       out_learnt[kept++] = out_learnt[i];
     }
   }
-  stats_.minimized_literals += out_learnt.size() - kept;
   out_learnt.resize(kept);
 
   // Determine the backtrack level and move its literal to slot 1 so that

@@ -55,8 +55,6 @@ struct SolverStats {
   std::uint64_t conflicts = 0;
   std::uint64_t restarts = 0;
   std::uint64_t learnt_clauses = 0;
-  std::uint64_t learnt_literals = 0;
-  std::uint64_t minimized_literals = 0;
   std::uint64_t deleted_clauses = 0;
   std::uint64_t reductions = 0;  // clause-database reductions run
   // Level-0 collection (collect_satisfied): runs, and the original plus

@@ -89,8 +89,8 @@ struct Server::PreparedJob {
   Json id;
   std::string id_text;
   Sink send;
-  std::string session_key;
-  std::shared_ptr<flow::EngineSession> session;
+  std::string task_key;
+  TaskHandle task;
   mc::EngineKind kind = mc::EngineKind::Pdr;
   std::string engine_name;
   std::size_t max_steps = 32;
@@ -204,16 +204,15 @@ void Server::dispatch(const Json& request, const Sink& send) {
   throw ProtocolError("unknown-op", "unknown op '" + name + "'");
 }
 
-std::shared_ptr<flow::EngineSession> Server::checkout_session(const std::string& key,
-                                                              const Json& request) {
+Server::TaskHandle Server::checkout_task(const std::string& key, const Json& request) {
   {
-    util::MutexLock lock(sessions_mu_);
-    auto it = idle_sessions_.find(key);
-    if (it != idle_sessions_.end() && !it->second.empty()) {
-      auto session = std::move(it->second.back());
+    util::MutexLock lock(tasks_mu_);
+    auto it = idle_tasks_.find(key);
+    if (it != idle_tasks_.end() && !it->second.empty()) {
+      TaskHandle task = std::move(it->second.back());
       it->second.pop_back();
       util::metrics().counter("serve.sessions.reused").increment();
-      return session;
+      return task;
     }
   }
 
@@ -289,13 +288,12 @@ std::shared_ptr<flow::EngineSession> Server::checkout_session(const std::string&
     throw ProtocolError("no-targets", "the source carries no target properties");
   }
   util::metrics().counter("serve.sessions.created").increment();
-  return std::make_shared<flow::EngineSession>(std::move(task));
+  return std::make_shared<const flow::VerificationTask>(std::move(task));
 }
 
-void Server::return_session(const std::string& key,
-                            std::shared_ptr<flow::EngineSession> session) {
-  util::MutexLock lock(sessions_mu_);
-  idle_sessions_[key].push_back(std::move(session));
+void Server::return_task(const std::string& key, TaskHandle task) {
+  util::MutexLock lock(tasks_mu_);
+  idle_tasks_[key].push_back(std::move(task));
 }
 
 void Server::handle_verify(const Json& request, const std::string& id_text,
@@ -360,28 +358,28 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
     }
   }
 
-  // Session key: everything that feeds elaboration (different keys must
-  // never share an elaborated session; a stale reuse answers for the wrong
-  // design or the wrong property set).
+  // Task key: everything that feeds elaboration (different keys must never
+  // share an elaborated task; a stale reuse answers for the wrong design or
+  // the wrong property set).
   const Json* design = request.get("design");
   const Json* file = request.get("file");
   const Json* rtl = request.get("rtl");
   if (design != nullptr && design->is_string()) {
-    job->session_key = "design:" + design->as_string();
+    job->task_key = "design:" + design->as_string();
     job->design_label = design->as_string();
   } else if (file != nullptr && file->is_string()) {
     // Mix the file's on-disk identity (mtime + size) into the key: the
     // regression-farm loop this server targets edits files in place between
-    // submissions, and a reused session must not pin the old content. When
-    // the stat fails the key stays path-only and checkout_session's
+    // submissions, and a reused task must not pin the old content. When
+    // the stat fails the key stays path-only and checkout_task's
     // from_file reports the located bad-file error.
-    job->session_key = "file:" + file->as_string();
+    job->task_key = "file:" + file->as_string();
     std::error_code ec;
     const auto mtime = std::filesystem::last_write_time(file->as_string(), ec);
     if (!ec) {
       const std::uintmax_t size = std::filesystem::file_size(file->as_string(), ec);
       if (!ec) {
-        job->session_key += "@" +
+        job->task_key += "@" +
                             std::to_string(mtime.time_since_epoch().count()) +
                             "." + std::to_string(size);
       }
@@ -393,26 +391,26 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
     // goes first, newline-terminated — Json::dump never emits a raw
     // newline, so the free-form RTL text cannot forge another key.
     const Json* properties = request.get("properties");
-    job->session_key =
+    job->task_key =
         "rtl:" + (properties != nullptr ? properties->dump() : std::string()) +
         "\n" + rtl->as_string();
     job->design_label = "rtl";
   }
   if (const Json* property = request.get("property")) {
     if (property->is_string()) {
-      job->session_key += "|property=" + property->as_string();
+      job->task_key += "|property=" + property->as_string();
     }
   }
 
   // Eager task construction: source errors answer the request synchronously
   // (and located), instead of surfacing later from a worker thread.
-  job->session = checkout_session(job->session_key, request);
+  job->task = checkout_task(job->task_key, request);
 
   const bool submitted = pool_.submit(
       job->id_text, deadline_ms,
       [this, job](JobControl& control) { run_verify_job(job, control); });
   if (!submitted) {
-    return_session(job->session_key, std::move(job->session));
+    return_task(job->task_key, std::move(job->task));
     throw ProtocolError("server-draining",
                         "server is draining; new verify jobs are rejected");
   }
@@ -438,17 +436,14 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
     response.set("cache", job->use_cache ? "miss" : "off");
     response.set("stopped", stop_reason_name(control.stop_reason()));
     response.set("wall_ms", job_wall_ms(start));
-    return_session(job->session_key, job->session);
+    return_task(job->task_key, job->task);
     answer(*job, response);
     return;
   }
 
   try {
-    flow::EngineSession& session = *job->session;
-    // Hash/lookup must see the pristine system, not a previous job's residue.
-    session.reset();
-    const ir::TransitionSystem& ts = session.task().ts;
-    const std::vector<ir::NodeRef> targets = session.task().target_exprs();
+    const ir::TransitionSystem& ts = job->task->ts;
+    const std::vector<ir::NodeRef> targets = job->task->target_exprs();
 
     mc::EngineOptions options;
     options.max_steps = job->max_steps;
@@ -477,7 +472,7 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
         response.set("sat_calls", static_cast<std::uint64_t>(certified.stats.sat_calls));
         response.set("candidates_seeded", std::uint64_t{0});
         response.set("wall_ms", job_wall_ms(start));
-        return_session(job->session_key, job->session);
+        return_task(job->task_key, job->task);
         answer(*job, response);
         return;
       }
@@ -509,7 +504,7 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
     mc::EngineResult result;
     {
       GENFV_TRACE_SPAN("serve", "job");
-      result = session.run_job(job->kind, options);
+      result = mc::make_engine(job->kind, ts, options)->prove_all(targets);
     }
     result.stats.publish_metrics("serve.job.");
 
@@ -539,14 +534,14 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
   } catch (const std::exception& e) {
     // Engine code throws genfv Error, but the stdlib underneath it may not
     // (bad_alloc, filesystem): a worker thread must still answer the
-    // request and return the session, never std::terminate the daemon.
+    // request and return the task, never std::terminate the daemon.
     response = error_response(job->id, "internal", e.what());
     response.set("wall_ms", job_wall_ms(start));
   } catch (...) {
     response = error_response(job->id, "internal", "unrecognized exception");
     response.set("wall_ms", job_wall_ms(start));
   }
-  return_session(job->session_key, job->session);
+  return_task(job->task_key, job->task);
   answer(*job, response);
 }
 

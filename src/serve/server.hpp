@@ -21,15 +21,18 @@
 /// verdict plus the run's effort counters and how the proof cache
 /// participated ("cache": "miss" | "hit" | "near" | "rejected" | "off").
 ///
-/// Session reuse: tasks are expensive to elaborate, so finished jobs return
-/// their `flow::EngineSession` to a per-source idle pool; a resubmission
-/// checks the session out instead of re-elaborating. The pool key covers
+/// Task reuse: tasks are expensive to elaborate, so finished jobs return
+/// their task to a per-source idle pool; a resubmission checks a task out
+/// instead of re-elaborating. Pooled tasks are immutable
+/// (`shared_ptr<const flow::VerificationTask>`): a job reads the system and
+/// creates nodes in its NodeManager, never declarations, so the next job
+/// sees the task exactly as it was elaborated. The pool key covers
 /// everything that feeds elaboration: the source (design name; file path +
 /// on-disk mtime/size, so an edited file re-elaborates; RTL text + the full
-/// 'properties' list) plus the 'property' filter. Sessions move between
-/// threads but are only ever *used* by one job at a time (the checkout
+/// 'properties' list) plus the 'property' filter. NodeManager is not
+/// thread-safe, so a task is checked out to one job at a time (the checkout
 /// hand-off is the synchronization point); concurrent jobs on one source
-/// each get their own session.
+/// each get their own task.
 
 #include <atomic>
 #include <cstdint>
@@ -129,9 +132,10 @@ class Server {
   /// Count + emit a verify job's response (see jobs_answered).
   void answer(const PreparedJob& job, const Json& response);
 
-  std::shared_ptr<flow::EngineSession> checkout_session(const std::string& key,
-                                                        const Json& request);
-  void return_session(const std::string& key, std::shared_ptr<flow::EngineSession> session);
+  using TaskHandle = std::shared_ptr<const flow::VerificationTask>;
+
+  TaskHandle checkout_task(const std::string& key, const Json& request);
+  void return_task(const std::string& key, TaskHandle task);
 
   const ServerOptions options_;
   ProofCache cache_;
@@ -141,9 +145,8 @@ class Server {
   std::atomic<std::uint64_t> near_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> answered_{0};
-  util::Mutex sessions_mu_{"serve.sessions"};
-  std::map<std::string, std::vector<std::shared_ptr<flow::EngineSession>>> idle_sessions_
-      GENFV_GUARDED_BY(sessions_mu_);
+  util::Mutex tasks_mu_{"serve.sessions"};
+  std::map<std::string, std::vector<TaskHandle>> idle_tasks_ GENFV_GUARDED_BY(tasks_mu_);
 };
 
 }  // namespace genfv::serve

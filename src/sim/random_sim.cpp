@@ -4,6 +4,7 @@
 #include <array>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "util/status.hpp"
@@ -61,17 +62,22 @@ class Program {
   }
 
   /// Reset draws, in reset_state's order: one value per input (seen only by
-  /// the inits), then a random value per state without an init.
+  /// the inits), then a random value per state without an init. The inits
+  /// then run in dependency order, each once every state it reads holds its
+  /// reset value; they draw nothing.
   void reset(util::Xoshiro256& rng) {
     if (!init_compiled_) compile_init();
     draw_free_inputs(rng);
-    run(init_code_, 0, init_code_.size());
     const auto& states = ts_.states();
     for (std::size_t s = 0; s < states.size(); ++s) {
-      const unsigned width = states[s].var->width();
-      values_[num_inputs_ + s] = init_slot_[s] == kNoSlot
-                                     ? rng.bits(width)
-                                     : values_[init_slot_[s]] & ir::width_mask(width);
+      if (states[s].init == nullptr) values_[num_inputs_ + s] = rng.bits(states[s].var->width());
+    }
+    std::size_t begin = 0;
+    for (const ChainedInit& c : chained_inits_) {
+      run(init_code_, begin, c.code_end);
+      begin = c.code_end;
+      values_[num_inputs_ + c.state] =
+          values_[c.slot] & ir::width_mask(states[c.state].var->width());
     }
   }
 
@@ -188,13 +194,58 @@ class Program {
     return slot_.at(root);
   }
 
-  /// Inits are evaluated under the reset's input draw alone: a state in an
-  /// init's cone is unbound.
-  void compile_init() {
-    for (const auto& s : ts_.states()) {
-      init_slot_.push_back(s.init == nullptr ? kNoSlot : emit(s.init, init_code_, init_ready_));
+  /// Indices of the states in the cone of `root`.
+  std::vector<std::size_t> states_read(ir::NodeRef root) {
+    std::vector<std::size_t> read;
+    std::unordered_set<ir::NodeRef> seen{root};
+    std::vector<ir::NodeRef> stack{root};
+    while (!stack.empty()) {
+      const ir::NodeRef node = stack.back();
+      stack.pop_back();
+      if (const auto it = slot_.find(node);
+          it != slot_.end() && it->second >= num_inputs_ && it->second < num_leaves_) {
+        read.push_back(it->second - num_inputs_);
+      }
+      for (const ir::NodeRef c : node->children()) {
+        if (seen.insert(c).second) stack.push_back(c);
+      }
     }
+    return read;
+  }
+
+  /// The init code computes each init after the inits of the states it reads.
+  void compile_init() {
+    const auto& states = ts_.states();
+    std::vector<std::vector<std::size_t>> reads(states.size());
+    std::vector<InitMark> marks(states.size(), InitMark::Done);
+    for (std::size_t s = 0; s < states.size(); ++s) {
+      if (states[s].init == nullptr) {
+        init_ready_[num_inputs_ + s] = 1;
+      } else {
+        reads[s] = states_read(states[s].init);
+        marks[s] = InitMark::Pending;
+      }
+    }
+    for (std::size_t s = 0; s < states.size(); ++s) chain_init(s, reads, marks);
     init_compiled_ = true;
+  }
+
+  enum class InitMark : char { Pending, Visiting, Done };
+
+  /// Depth-first: emit the inits of the states `s` reads, then its own.
+  void chain_init(std::size_t s, const std::vector<std::vector<std::size_t>>& reads,
+                  std::vector<InitMark>& marks) {
+    if (marks[s] == InitMark::Done) return;
+    const ir::StateVar& state = ts_.states()[s];
+    if (marks[s] == InitMark::Visiting) {
+      throw UsageError("simulate: cyclic init through state '" + state.var->name() + "'");
+    }
+    marks[s] = InitMark::Visiting;
+    for (const std::size_t r : reads[s]) chain_init(r, reads, marks);
+    marks[s] = InitMark::Done;
+    const std::uint32_t slot = emit(state.init, init_code_, init_ready_);
+    chained_inits_.push_back({s, slot, init_code_.size()});
+    init_ready_[num_inputs_ + s] = 1;
   }
 
   void draw_free_inputs(util::Xoshiro256& rng) {
@@ -229,8 +280,15 @@ class Program {
   std::vector<std::uint32_t> next_slot_;
   std::vector<std::uint64_t> latch_;
 
+  /// A state's init: init_code_ up to `code_end` computes it into `slot`.
+  struct ChainedInit {
+    std::size_t state;
+    std::uint32_t slot;
+    std::size_t code_end;
+  };
+
   std::vector<Instr> init_code_;
-  std::vector<std::uint32_t> init_slot_;
+  std::vector<ChainedInit> chained_inits_;
   bool init_compiled_ = false;
 };
 

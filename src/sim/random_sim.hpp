@@ -15,7 +15,8 @@
 /// operator semantics. Random draws happen in a fixed order: per frame, the
 /// inputs in ts.inputs() order, redrawn up to 64 times until the constraints
 /// hold; per restart, the reset draws of reset_state(). A leaf outside the
-/// system (or a state referenced by an init) throws UsageError.
+/// system, or an init that reads its own state through a chain of inits,
+/// throws UsageError.
 
 #include <cstdint>
 #include <optional>
@@ -29,9 +30,10 @@ class RandomSimulator {
  public:
   RandomSimulator(const ir::TransitionSystem& ts, std::uint64_t seed);
 
-  /// Build a reset-state environment: init expressions are evaluated (they
-  /// may reference inputs, which are randomized); uninitialized registers
-  /// get random values.
+  /// Build a reset-state environment: one random value per input (seen only
+  /// by the inits), then one per uninitialized register, in ts order. An
+  /// init may read inputs and other registers' reset values; it is
+  /// evaluated after the inits of the registers it reads.
   Assignment reset_state();
 
   /// Run `steps` cycles from reset, returning the full trace (frame 0 is the

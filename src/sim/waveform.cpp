@@ -28,8 +28,8 @@ std::string render_waveform(const Trace& trace, const std::vector<WaveSignal>& s
     for (std::size_t f = 0; f < frames; ++f) {
       const std::uint64_t v = trace.value(signals[s].expr, f);
       const unsigned w = signals[s].expr->width();
-      if (options.binary || w == 1) {
-        cells[s].push_back(w == 1 ? std::string(v ? "1" : "0") : util::bin_string(v, w));
+      if (w == 1) {
+        cells[s].push_back(v ? "1" : "0");
       } else {
         char buf[24];
         std::snprintf(buf, sizeof buf, "%llx", static_cast<unsigned long long>(v));

@@ -19,12 +19,8 @@ struct WaveSignal {
   ir::NodeRef expr = nullptr;
 };
 
+/// Multi-bit values render in hex, 1-bit values as 0/1.
 struct WaveformOptions {
-  /// Render values in hex (default) or binary.
-  bool binary = false;
-  /// Add a per-bit expansion row for signals whose width exceeds 1 and whose
-  /// value changes between the last two frames (mimics Fig. 3's bit callout).
-  bool annotate_bit_mismatch = true;
   /// Frame index to flag as the failure point (rendered with a marker);
   /// SIZE_MAX = none.
   std::size_t failure_frame = static_cast<std::size_t>(-1);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <sstream>
 
 namespace genfv::util {
 
@@ -50,14 +49,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) noexcept {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
-bool ends_with(std::string_view text, std::string_view suffix) noexcept {
-  return text.size() >= suffix.size() && text.substr(text.size() - suffix.size()) == suffix;
-}
-
 bool contains(std::string_view text, std::string_view needle) noexcept {
   return text.find(needle) != std::string_view::npos;
 }
@@ -95,20 +86,6 @@ std::string format_duration(double seconds) {
     std::snprintf(buf, sizeof buf, "%.2f s", seconds);
   }
   return buf;
-}
-
-std::string indent(std::string_view text, int spaces) {
-  const std::string pad(static_cast<std::size_t>(spaces), ' ');
-  std::string out;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  bool first = true;
-  while (std::getline(in, line)) {
-    if (!first) out += '\n';
-    first = false;
-    out += pad + line;
-  }
-  return out;
 }
 
 }  // namespace genfv::util

@@ -29,8 +29,6 @@ std::string trim(std::string_view text);
 /// Join `parts` with `sep`.
 std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
-bool starts_with(std::string_view text, std::string_view prefix) noexcept;
-bool ends_with(std::string_view text, std::string_view suffix) noexcept;
 bool contains(std::string_view text, std::string_view needle) noexcept;
 
 std::string to_lower(std::string_view text);
@@ -44,9 +42,6 @@ std::string bin_string(std::uint64_t value, unsigned width);
 
 /// Render seconds as a human-friendly duration ("12.3 ms", "4.56 s").
 std::string format_duration(double seconds);
-
-/// Indent every line of `text` by `spaces` spaces.
-std::string indent(std::string_view text, int spaces);
 
 /// The value of numeric flag `flag`: all of `text` must be one number in
 /// T's range (no sign for unsigned T, finite for floating-point T).

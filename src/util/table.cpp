@@ -43,20 +43,6 @@ std::string Table::to_string() const {
   return out;
 }
 
-std::string Table::to_csv() const {
-  std::string out;
-  auto emit = [&out](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c != 0) out += ',';
-      out += row[c];
-    }
-    out += '\n';
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
 std::string fmt_double(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);

@@ -21,9 +21,6 @@ class Table {
   /// Render with box-drawing separators.
   std::string to_string() const;
 
-  /// Render as CSV (no quoting of separators; callers keep cells simple).
-  std::string to_csv() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -305,37 +305,5 @@ endmodule
                ParseError);
 }
 
-TEST(Elaborator, ResetOverrideOption) {
-  ElaborateOptions options;
-  options.reset_name = "clear";
-  options.reset_active_low = false;
-  const auto result = elaborate_source(R"(
-module m (input clk, clear, input d, output logic q);
-  always_ff @(posedge clk) begin
-    if (clear) q <= 1'b0;
-    else q <= d;
-  end
-endmodule
-)",
-                                       options);
-  EXPECT_EQ(result.reset, "clear");
-  EXPECT_EQ(result.ts.states()[0].init->value(), 0u);
-}
-
-TEST(Elaborator, NoResetConstraintWhenDisabled) {
-  ElaborateOptions options;
-  options.constrain_reset_inactive = false;
-  const auto result = elaborate_source(R"(
-module m (input clk, rst, input d, output logic q);
-  always_ff @(posedge clk) begin
-    if (rst) q <= 1'b0;
-    else q <= d;
-  end
-endmodule
-)",
-                                       options);
-  EXPECT_TRUE(result.ts.constraints().empty());
-}
-
 }  // namespace
 }  // namespace genfv::hdl

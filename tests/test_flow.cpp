@@ -85,7 +85,7 @@ TEST(ReviewGate, DisabledScreenPassesEverything) {
 
 TEST(LemmaManager, EveryCandidateStatusIsReachable) {
   auto task = counters_task();
-  LemmaManager manager(task, {{.max_k = 4}, ReviewPolicy{}});
+  LemmaManager manager(task, {{.max_steps = 4}, ReviewPolicy{}});
   const auto outcomes = manager.process({
       "property good; count1 == count2; endproperty",       // Proven
       "property syn; count1 == ; endproperty",              // SyntaxRejected
@@ -109,7 +109,7 @@ TEST(LemmaManager, EveryCandidateStatusIsReachable) {
 
 TEST(LemmaManager, TargetDuplicateIsDetected) {
   auto task = counters_task();
-  LemmaManager manager(task, {{.max_k = 4}, ReviewPolicy{}});
+  LemmaManager manager(task, {{.max_steps = 4}, ReviewPolicy{}});
   const auto outcomes =
       manager.process({"property t; &count1 |-> &count2; endproperty"});
   ASSERT_EQ(outcomes.size(), 1u);
@@ -120,7 +120,7 @@ TEST(LemmaManager, JointInductionRescuesMutuallyDependentCandidates) {
   auto task = designs::make_task("dual_accumulator");
   // max_k = 1: sum equality is 2-inductive on its own, so keep k below that
   // to force the rescue path.
-  LemmaManager manager(task, {{.max_k = 1}, ReviewPolicy{}});
+  LemmaManager manager(task, {{.max_steps = 1}, ReviewPolicy{}});
   // sum equality alone is not inductive; acc equality alone is. Presented in
   // the "wrong" order (sum first), the solo pass fails sum equality, and the
   // joint pass must rescue it together with the target.
@@ -265,7 +265,7 @@ TEST(CexRepairFlow, PdrEngineProvesWithoutLlmHelpAndExportsLemmas) {
   // Exported lemmas are well-formed SVA: they feed back into a second flow
   // run as provable candidates (the bidirectional exchange).
   auto task2 = designs::make_task("token_ring");
-  LemmaManager manager(task2, {{.max_k = 8}, ReviewPolicy{}});
+  LemmaManager manager(task2, {{.max_steps = 8}, ReviewPolicy{}});
   const auto outcomes = manager.process(report.admitted_lemmas);
   for (const auto& outcome : outcomes) {
     EXPECT_TRUE(outcome.status == CandidateStatus::Proven ||
@@ -385,48 +385,6 @@ TEST(FlowReport, CountsByStatus) {
   EXPECT_EQ(report.candidates_with(CandidateStatus::Proven), 2u);
   EXPECT_EQ(report.candidates_with(CandidateStatus::SyntaxRejected), 0u);
   EXPECT_FALSE(report.all_targets_proven());  // no targets recorded
-}
-
-TEST(FlowSession, SequentialJobsMatchFreshProcesses) {
-  // The one-shot-lifetime fix: a resident session that runs job after job
-  // must behave bit-for-bit like a fresh process per job, even when a lemma
-  // pass left residue in the transition system between jobs.
-  mc::EngineOptions options;
-  options.max_steps = 16;
-  const auto fresh_process = [&options] {
-    EngineSession session(designs::make_task("sequencer"));
-    return session.run_job(mc::EngineKind::Pdr, options);
-  };
-  const mc::EngineResult baseline = fresh_process();
-  ASSERT_EQ(baseline.verdict, mc::Verdict::Proven);
-
-  EngineSession session(designs::make_task("sequencer"));
-  const std::size_t pristine_states = session.task().ts.states().size();
-  const std::size_t pristine_properties = session.task().ts.num_properties();
-  const mc::EngineResult first = session.run_job(mc::EngineKind::Pdr, options);
-
-  // Simulate LemmaManager residue: a $past auxiliary register and a
-  // candidate property appended to the session's system after job one.
-  ir::TransitionSystem& ts = session.task().ts;
-  const ir::NodeRef aux = ts.add_state("residue$past", 4);
-  ts.set_init(aux, ts.nm().mk_const(0, 4));
-  ts.set_next(aux, aux);
-  ts.add_property({"residue_candidate", ts.nm().mk_true(),
-                   ir::PropertyRole::Candidate, ""});
-
-  const mc::EngineResult second = session.run_job(mc::EngineKind::Pdr, options);
-  EXPECT_EQ(session.jobs_run(), 2u);
-  EXPECT_EQ(ts.states().size(), pristine_states);
-  EXPECT_EQ(ts.num_properties(), pristine_properties);
-
-  for (const mc::EngineResult* result : {&first, &second}) {
-    EXPECT_EQ(result->verdict, baseline.verdict);
-    EXPECT_EQ(result->depth, baseline.depth);
-    EXPECT_EQ(result->stats.sat_calls, baseline.stats.sat_calls);
-    EXPECT_EQ(result->stats.conflicts, baseline.stats.conflicts);
-    EXPECT_EQ(result->stats.decisions, baseline.stats.decisions);
-    EXPECT_EQ(result->invariant.size(), baseline.invariant.size());
-  }
 }
 
 }  // namespace

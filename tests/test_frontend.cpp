@@ -511,7 +511,7 @@ TEST(FrontendLemmas, InvariantClausesRoundTripThroughLemmaFile) {
   const std::vector<std::string> texts = flow::parse_lemma_file(file_text);
   ASSERT_EQ(texts.size(), svas.size());
 
-  flow::LemmaManager manager(task, {{.max_k = 12}, {}});
+  flow::LemmaManager manager(task, {{.max_steps = 12}, {}});
   manager.process(texts);
   EXPECT_EQ(manager.lemma_exprs().size(), texts.size())
       << "an invariant clause failed to re-parse or re-prove";

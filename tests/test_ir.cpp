@@ -318,58 +318,6 @@ TEST(StructHash, DiffCountsMatchedStatesByDeclarationIndex) {
   EXPECT_DOUBLE_EQ(struct_diff(base, counters_system(1, true)).similarity(), 1.0);
 }
 
-// --- checkpoint / rollback ---------------------------------------------------
-
-TEST(TransitionSystemMark, RollbackRestoresDeclarationsAndTransitions) {
-  TransitionSystem ts = counters_system(1, false);
-  const TransitionSystem::Mark mark = ts.mark();
-  const std::uint64_t pristine_hash = struct_hash(ts);
-
-  // Simulate lemma-pass residue: auxiliary state, new input, extra property,
-  // constraint, signal, and a rewritten next function of an existing state.
-  auto& nm = ts.nm();
-  const NodeRef aux = ts.add_state("aux$past", 8);
-  ts.set_init(aux, nm.mk_const(0, 8));
-  ts.set_next(aux, ts.states()[0].var);
-  ts.add_input("fresh_in", 1);
-  ts.add_signal("probe", aux);
-  ts.add_constraint(nm.mk_eq(aux, aux));
-  ts.add_property({"candidate", nm.mk_true(), PropertyRole::Candidate, ""});
-  ts.set_next(ts.states()[0].var, ts.states()[0].var);
-
-  ts.rollback(mark);
-  EXPECT_EQ(ts.states().size(), 2u);
-  EXPECT_EQ(ts.inputs().size(), 1u);
-  EXPECT_EQ(ts.constraints().size(), 1u);
-  EXPECT_EQ(ts.num_properties(), 1u);
-  EXPECT_EQ(ts.signals().size(), 0u);
-  EXPECT_EQ(ts.lookup("aux$past"), nullptr);
-  EXPECT_EQ(ts.lookup("fresh_in"), nullptr);
-  EXPECT_EQ(struct_hash(ts), pristine_hash);
-  ts.validate();
-
-  // Idempotent.
-  ts.rollback(mark);
-  EXPECT_EQ(struct_hash(ts), pristine_hash);
-}
-
-TEST(TransitionSystemMark, ForeignMarkIsRejected) {
-  TransitionSystem a = counters_system(1, false);
-  TransitionSystem b = counters_system(2, false);
-  const TransitionSystem::Mark mark = a.mark();
-  EXPECT_THROW(b.rollback(mark), UsageError);
-
-  // A mark taken after additions is not a prefix once they are rolled away.
-  TransitionSystem c;
-  const TransitionSystem::Mark empty = c.mark();
-  const NodeRef s = c.add_state("s", 1);
-  c.set_next(s, s);
-  const TransitionSystem::Mark later = c.mark();
-  c.rollback(empty);
-  EXPECT_EQ(c.states().size(), 0u);
-  EXPECT_THROW(c.rollback(later), UsageError);
-}
-
 TEST(Printer, DescribeListsSystemParts) {
   TransitionSystem ts;
   ts.set_name("demo");

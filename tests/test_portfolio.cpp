@@ -356,7 +356,7 @@ TEST(LemmaFile, PortfolioInvariantRoundTripsThroughLemmaManager) {
 
   // Re-ingestion re-proves every clause before assuming it.
   auto task2 = designs::make_task("token_ring");
-  flow::LemmaManager manager(task2, {{.max_k = 8}, flow::ReviewPolicy{}});
+  flow::LemmaManager manager(task2, {{.max_steps = 8}, flow::ReviewPolicy{}});
   const auto outcomes = manager.process(loaded);
   ASSERT_EQ(outcomes.size(), loaded.size());
   for (const auto& outcome : outcomes) {

@@ -31,6 +31,7 @@
 #include "serve/server.hpp"
 #include "serve/worker_pool.hpp"
 #include "util/status.hpp"
+#include "util/telemetry.hpp"
 #include "util/thread_safety.hpp"
 
 namespace genfv::serve {
@@ -130,6 +131,11 @@ class ScopedTempDir {
  private:
   std::string path_;
 };
+
+/// One PDR run over the task's targets, as a serve job runs it.
+mc::EngineResult prove_pdr(const flow::VerificationTask& task, const mc::EngineOptions& options) {
+  return mc::make_engine(mc::EngineKind::Pdr, task.ts, options)->prove_all(task.target_exprs());
+}
 
 // --- JSON layer --------------------------------------------------------------
 
@@ -444,6 +450,53 @@ TEST(ServeProtocol, EditedFileOnDiskIsReElaborated) {
   EXPECT_EQ(string_field(log.wait_for("\"edited\""), "verdict"), "falsified");
 }
 
+TEST(ServeProtocol, PooledTaskJobsMatchAFreshTask) {
+  // A pooled task is immutable: a job on a reused task, even one checked
+  // out right after an exact cache hit re-certified on it, does exactly
+  // the SAT work of a PDR run on a freshly built task.
+  mc::EngineOptions fresh_options;
+  fresh_options.max_steps = 16;
+  const mc::EngineResult fresh = prove_pdr(designs::make_task("sequencer"), fresh_options);
+  ASSERT_EQ(fresh.verdict, mc::Verdict::Proven);
+
+  util::Counter& created = util::metrics().counter("serve.sessions.created");
+  util::Counter& reused = util::metrics().counter("serve.sessions.reused");
+  const std::uint64_t created_before = created.value();
+  const std::uint64_t reused_before = reused.value();
+
+  ServerOptions options;
+  options.workers = 1;
+  ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
+  Server server(options);
+  const auto verify = [&](const std::string& id, bool use_cache) {
+    const std::string cache = use_cache ? "" : R"(,"cache":false)";
+    server.handle_line(R"({"id":")" + id +
+                           R"(","op":"verify","design":"sequencer","engine":"pdr","max_k":16)" +
+                           cache + "}",
+                       log.sink());
+    return log.wait_for("\"" + id + "\"");
+  };
+  const auto expect_fresh = [&](const Json& response, const std::string& what) {
+    EXPECT_EQ(string_field(response, "verdict"), mc::to_string(fresh.verdict)) << what;
+    EXPECT_EQ(number_field(response, "depth"), static_cast<double>(fresh.depth)) << what;
+    EXPECT_EQ(number_field(response, "sat_calls"), static_cast<double>(fresh.stats.sat_calls))
+        << what;
+    EXPECT_EQ(number_field(response, "conflicts"), static_cast<double>(fresh.stats.conflicts))
+        << what;
+  };
+
+  expect_fresh(verify("new_task", false), "new task");
+  const Json primed = verify("prime", true);
+  EXPECT_EQ(string_field(primed, "cache"), "miss");
+  expect_fresh(primed, "cache miss");
+  EXPECT_EQ(string_field(verify("hit", true), "cache"), "hit");
+  expect_fresh(verify("after_hit", false), "after an exact hit");
+  expect_fresh(verify("reused", false), "reused task");
+
+  EXPECT_EQ(created.value() - created_before, 1u);
+  EXPECT_EQ(reused.value() - reused_before, 4u);
+}
+
 // --- worker pool -------------------------------------------------------------
 
 TEST(ServePool, SaturationRunsEveryJob) {
@@ -614,15 +667,15 @@ TEST(ServeCache, StoreRequiresAProvenInvariant) {
 }
 
 TEST(ServeCache, ExactHitIsRecertifiedAndTamperingIsRejected) {
-  flow::EngineSession session(designs::make_task("sequencer"));
+  const flow::VerificationTask task = designs::make_task("sequencer");
   mc::EngineOptions options;
   options.max_steps = 16;
-  const mc::EngineResult cold = session.run_job(mc::EngineKind::Pdr, options);
+  const mc::EngineResult cold = prove_pdr(task, options);
   ASSERT_EQ(cold.verdict, mc::Verdict::Proven);
   ASSERT_FALSE(cold.invariant.empty());
 
-  const ir::TransitionSystem& ts = session.task().ts;
-  const std::vector<ir::NodeRef> targets = session.task().target_exprs();
+  const ir::TransitionSystem& ts = task.ts;
+  const std::vector<ir::NodeRef> targets = task.target_exprs();
   ProofCache cache(ProofCache::Options{});
   ASSERT_TRUE(cache.store("sequencer", ts, targets, cold));
 
@@ -721,14 +774,13 @@ TEST(ServeCache, LoadRejectsCorruptFilesAndKeepsGoodOnes) {
 TEST(ServeCache, PersistsAcrossInstancesAndFreshElaboration) {
   ScopedTempDir dir;
   {
-    flow::EngineSession session(designs::make_task("sequencer"));
+    const flow::VerificationTask task = designs::make_task("sequencer");
     mc::EngineOptions options;
     options.max_steps = 16;
-    const mc::EngineResult cold = session.run_job(mc::EngineKind::Pdr, options);
+    const mc::EngineResult cold = prove_pdr(task, options);
     ASSERT_EQ(cold.verdict, mc::Verdict::Proven);
     ProofCache cache(ProofCache::Options{dir.path(), 0.5});
-    ASSERT_TRUE(cache.store("sequencer", session.task().ts,
-                            session.task().target_exprs(), cold));
+    ASSERT_TRUE(cache.store("sequencer", task.ts, task.target_exprs(), cold));
   }
 
   // A new cache instance over the same directory sees the entry, and a
@@ -750,19 +802,19 @@ TEST(ServeCache, PersistsAcrossInstancesAndFreshElaboration) {
 TEST(ServeCache, BogusSeedCandidatesNeverChangeTheVerdict) {
   // Seed a run with contradictory candidate clauses: PDR must drop or
   // strand them and still prove the design.
-  flow::EngineSession session(designs::make_task("sequencer"));
-  const ir::TransitionSystem& ts = session.task().ts;
+  const flow::VerificationTask task = designs::make_task("sequencer");
+  const ir::TransitionSystem& ts = task.ts;
 
   mc::EngineOptions cold_options;
   cold_options.max_steps = 16;
-  const mc::EngineResult cold = session.run_job(mc::EngineKind::Pdr, cold_options);
+  const mc::EngineResult cold = prove_pdr(task, cold_options);
   ASSERT_EQ(cold.verdict, mc::Verdict::Proven);
 
   mc::EngineOptions warm_options = cold_options;
   const ir::NodeRef bit0 = mc::pdr::clause_expr(ts, unit_clause(0, 0, false));
   const ir::NodeRef not_bit0 = mc::pdr::clause_expr(ts, unit_clause(0, 0, true));
   warm_options.pdr_candidate_lemmas = {bit0, not_bit0};
-  const mc::EngineResult warm = session.run_job(mc::EngineKind::Pdr, warm_options);
+  const mc::EngineResult warm = prove_pdr(task, warm_options);
   // The bogus candidates may cost frames or conflicts, but never the verdict.
   EXPECT_EQ(warm.verdict, cold.verdict);
 }
@@ -774,23 +826,21 @@ TEST(ServeCache, WarmSeedingKeepsEveryZooVerdict) {
   cold_options.max_steps = 8;
   std::size_t proven = 0;
   for (const designs::DesignInfo& info : designs::all_designs()) {
-    flow::EngineSession session(designs::make_task(info.name));
-    const mc::EngineResult cold = session.run_job(mc::EngineKind::Pdr, cold_options);
+    const flow::VerificationTask task = designs::make_task(info.name);
+    const mc::EngineResult cold = prove_pdr(task, cold_options);
     if (cold.verdict != mc::Verdict::Proven || cold.invariant.empty()) continue;
     ++proven;
 
     ProofCache cache(ProofCache::Options{});
-    const std::vector<ir::NodeRef> targets = session.task().target_exprs();
-    ASSERT_TRUE(cache.store(info.name, session.task().ts, targets, cold))
-        << info.name;
-    const CacheLookup lookup = cache.lookup(session.task().ts, targets);
+    const std::vector<ir::NodeRef> targets = task.target_exprs();
+    ASSERT_TRUE(cache.store(info.name, task.ts, targets, cold)) << info.name;
+    const CacheLookup lookup = cache.lookup(task.ts, targets);
     ASSERT_EQ(lookup.outcome, CacheOutcome::Exact) << info.name;
 
     mc::EngineOptions warm_options = cold_options;
-    warm_options.pdr_candidate_lemmas =
-        surviving_clauses(session.task().ts, *lookup.entry);
+    warm_options.pdr_candidate_lemmas = surviving_clauses(task.ts, *lookup.entry);
     ASSERT_FALSE(warm_options.pdr_candidate_lemmas.empty()) << info.name;
-    const mc::EngineResult warm = session.run_job(mc::EngineKind::Pdr, warm_options);
+    const mc::EngineResult warm = prove_pdr(task, warm_options);
     EXPECT_EQ(warm.verdict, cold.verdict) << info.name;
     EXPECT_GT(warm.stats.candidates_seeded, 0u) << info.name;
   }

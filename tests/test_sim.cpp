@@ -12,6 +12,7 @@
 
 #include "designs/design.hpp"
 #include "flow/session.hpp"
+#include "frontend/btor2.hpp"
 #include "sim/random_sim.hpp"
 #include "sim/waveform.hpp"
 #include "util/rng.hpp"
@@ -159,12 +160,26 @@ class ReferenceSimulator {
  public:
   ReferenceSimulator(const ir::TransitionSystem& ts, std::uint64_t seed) : ts_(ts), rng_(seed) {}
 
+  /// Inits that read no state and the draws of uninitialized states, in ts
+  /// order; then rounds over the remaining inits, each evaluated once every
+  /// state it reads is bound, until none is left.
   Assignment reset_state() {
-    const Assignment init_env = random_inputs();
-    Assignment state;
+    Assignment env = random_inputs();
+    std::vector<const ir::StateVar*> pending;
     for (const auto& s : ts_.states()) {
-      state[s.var] = s.init != nullptr ? evaluate(s.init, init_env) : rng_.bits(s.var->width());
+      if (s.init == nullptr) {
+        env[s.var] = rng_.bits(s.var->width());
+      } else if (!bind_init(s, env)) {
+        pending.push_back(&s);
+      }
     }
+    while (!pending.empty()) {
+      const std::size_t before = pending.size();
+      std::erase_if(pending, [&](const ir::StateVar* s) { return bind_init(*s, env); });
+      if (pending.size() == before) throw UsageError("reference: cyclic init");
+    }
+    Assignment state;
+    for (const auto& s : ts_.states()) state[s.var] = env.at(s.var);
     return state;
   }
 
@@ -200,6 +215,17 @@ class ReferenceSimulator {
   }
 
  private:
+  /// Evaluate `s`'s init into `env`; false while it reads an unbound state.
+  static bool bind_init(const ir::StateVar& s, Assignment& env) {
+    try {
+      const std::uint64_t value = evaluate(s.init, env);
+      env[s.var] = value;
+      return true;
+    } catch (const UsageError&) {
+      return false;
+    }
+  }
+
   Assignment random_inputs() {
     Assignment env;
     for (const NodeRef in : ts_.inputs()) env[in] = rng_.bits(in->width());
@@ -329,9 +355,9 @@ TEST(CompiledSim, UnboundLeavesThrowUsageError) {
   EXPECT_THROW(RandomSimulator(ts, 1).falsify(nm.mk_ne(c, ghost), 8, 1), UsageError);
   // A run_from state that leaves a register unbound.
   EXPECT_THROW(RandomSimulator(ts, 1).run_from(Assignment{}, 8), UsageError);
-  // An init that reads a register: inits see only the reset's inputs.
+  // An init that reads its own register.
   const NodeRef d = ts.add_state("d", 4);
-  ts.set_init(d, c);
+  ts.set_init(d, nm.mk_add(d, c));
   ts.set_next(d, c);
   EXPECT_THROW(RandomSimulator(ts, 1).run(8), UsageError);
   // A constraint over a leaf outside the system.
@@ -339,6 +365,100 @@ TEST(CompiledSim, UnboundLeavesThrowUsageError) {
   EXPECT_EQ(RandomSimulator(ts, 1).run(8).size(), 9u);
   ts.add_constraint(nm.mk_eq(ghost, nm.mk_const(0, 4)));
   EXPECT_THROW(RandomSimulator(ts, 1).run(8), UsageError);
+}
+
+TEST(CompiledSim, InitsReadingStatesRunInDependencyOrder) {
+  // c's init reads b and the uninitialized d, b's init reads a, a's init is
+  // a constant: evaluation order is a, then d's draw, then b, then c,
+  // whatever the declaration order.
+  const ir::TransitionSystem ts = frontend::parse_btor2(R"(
+1 sort bitvec 4
+2 input 1 x
+3 state 1 c
+4 state 1 b
+5 state 1 d
+6 state 1 a
+7 add 1 4 5
+8 init 1 3 7
+9 init 1 4 6
+10 constd 1 5
+11 init 1 6 10
+12 one 1
+13 add 1 3 12
+14 add 1 4 2
+15 next 1 3 13
+16 next 1 4 14
+17 next 1 5 5
+18 next 1 6 6
+)");
+  const NodeRef a = ts.lookup("a");
+  const NodeRef b = ts.lookup("b");
+  const NodeRef c = ts.lookup("c");
+  const NodeRef d = ts.lookup("d");
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Trace trace = RandomSimulator(ts, seed).run(6);
+    expect_same_frames(trace, ReferenceSimulator(ts, seed).run(6),
+                       "init chain, seed " + std::to_string(seed));
+    EXPECT_EQ(trace.value(a, 0), 5u);
+    EXPECT_EQ(trace.value(b, 0), 5u);
+    EXPECT_EQ(trace.value(c, 0), (5u + trace.value(d, 0)) & 0xFu);
+    EXPECT_TRUE(trace.is_consistent());
+    EXPECT_EQ(RandomSimulator(ts, seed).reset_state(), ReferenceSimulator(ts, seed).reset_state());
+  }
+}
+
+TEST(CompiledSim, InitChainKeepsTheDrawsOfUninitializedStates) {
+  // Turning a constant init into one that reads a state moves no random
+  // draw: the uninitialized state's values and every input frame match.
+  const std::string base = R"(
+1 sort bitvec 4
+2 input 1 x
+3 state 1 free
+4 state 1 copy
+5 next 1 3 2
+6 next 1 4 3
+7 zero 1
+)";
+  const ir::TransitionSystem plain = frontend::parse_btor2(base + "8 init 1 4 7\n");
+  const ir::TransitionSystem chained = frontend::parse_btor2(base + "8 init 1 4 3\n");
+  const Trace before = RandomSimulator(plain, 9).run(5);
+  const Trace after = RandomSimulator(chained, 9).run(5);
+  ASSERT_EQ(before.size(), after.size());
+  const NodeRef free_before = plain.lookup("free");
+  const NodeRef free_after = chained.lookup("free");
+  EXPECT_EQ(after.value(chained.lookup("copy"), 0), after.value(free_after, 0));
+  for (std::size_t f = 0; f < before.size(); ++f) {
+    EXPECT_EQ(after.value(free_after, f), before.value(free_before, f)) << "frame " << f;
+    EXPECT_EQ(after.value(chained.lookup("x"), f), before.value(plain.lookup("x"), f))
+        << "frame " << f;
+  }
+}
+
+TEST(CompiledSim, CyclicInitThrowsUsageErrorNamingAStateOnTheCycle) {
+  // p reads q, q reads r, r reads q: the cycle is q -> r -> q.
+  const ir::TransitionSystem ts = frontend::parse_btor2(R"(
+1 sort bitvec 4
+2 state 1 p
+3 state 1 q
+4 state 1 r
+5 init 1 2 3
+6 init 1 3 4
+7 init 1 4 3
+8 next 1 2 2
+9 next 1 3 3
+10 next 1 4 4
+)");
+  try {
+    RandomSimulator(ts, 1).reset_state();
+    ADD_FAILURE() << "a cyclic init was simulated";
+  } catch (const UsageError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("cyclic init"), std::string::npos) << message;
+    EXPECT_TRUE(message.find("'q'") != std::string::npos ||
+                message.find("'r'") != std::string::npos)
+        << message;
+  }
+  EXPECT_THROW(ReferenceSimulator(ts, 1).reset_state(), UsageError);
 }
 
 TEST(Trace, FirstViolationIndex) {

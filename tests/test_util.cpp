@@ -106,9 +106,6 @@ TEST(Strings, Trim) {
 
 TEST(Strings, JoinAndAffixes) {
   EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_TRUE(starts_with("foobar", "foo"));
-  EXPECT_FALSE(starts_with("fo", "foo"));
-  EXPECT_TRUE(ends_with("foobar", "bar"));
   EXPECT_TRUE(contains("foobar", "oba"));
 }
 
@@ -121,10 +118,6 @@ TEST(Strings, HexLiteral) {
 TEST(Strings, BinString) {
   EXPECT_EQ(bin_string(0b1010, 4), "1010");
   EXPECT_EQ(bin_string(1, 3), "001");
-}
-
-TEST(Strings, Indent) {
-  EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
 }
 
 TEST(Files, LowerExtensionLooksAtTheLastComponentOnly) {
@@ -152,12 +145,6 @@ TEST(Table, AlignedRendering) {
 TEST(Table, RowArityChecked) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);
-}
-
-TEST(Table, Csv) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
 }
 
 }  // namespace

@@ -262,7 +262,7 @@ void write_output(const std::string& path, const std::string& content) {
 std::vector<ir::NodeRef> ingest_lemma_file(flow::VerificationTask& task,
                                            const std::string& path, std::size_t max_k) {
   const std::vector<std::string> texts = flow::read_lemma_file(path);
-  flow::LemmaManager manager(task, {{.max_k = max_k}, {}});
+  flow::LemmaManager manager(task, {{.max_steps = max_k}, {}});
   manager.process(texts);
   std::printf("lemma file %s: %zu line(s), %zu re-proven and assumed\n", path.c_str(),
               texts.size(), manager.lemma_exprs().size());
