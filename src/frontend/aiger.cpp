@@ -9,6 +9,7 @@
 #include "bitblast/lower.hpp"
 #include "frontend/symbols.hpp"
 #include "util/files.hpp"
+#include "util/line_reader.hpp"
 #include "util/status.hpp"
 
 namespace genfv::frontend {
@@ -19,45 +20,9 @@ namespace {
 /// header must produce a located error, not an OOM.
 constexpr std::uint64_t kMaxVariables = 50'000'000;
 
-[[noreturn]] void fail_at(const std::string& file, std::size_t line,
-                          const std::string& message) {
-  throw ParseError(file + ":" + std::to_string(line), message);
-}
-
 [[noreturn]] void fail_byte(const std::string& file, std::size_t offset,
                             const std::string& message) {
   throw ParseError(file + ":<byte " + std::to_string(offset) + ">", message);
-}
-
-/// Strict decimal parse — anything but [0-9]+ is a located error, which is
-/// what turns "non-numeric fields" from UB into diagnostics.
-std::uint64_t parse_uint(std::string_view token, const std::string& file,
-                         std::size_t line, const char* what) {
-  if (token.empty()) fail_at(file, line, std::string("missing ") + what);
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      fail_at(file, line,
-              std::string("non-numeric ") + what + " '" + std::string(token) + "'");
-    }
-    if (value > (UINT64_MAX - 9) / 10) {
-      fail_at(file, line, std::string(what) + " '" + std::string(token) + "' overflows");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-std::vector<std::string_view> split_tokens(std::string_view text) {
-  std::vector<std::string_view> tokens;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && (text[i] == ' ' || text[i] == '\t' || text[i] == '\r')) ++i;
-    std::size_t start = i;
-    while (i < text.size() && text[i] != ' ' && text[i] != '\t' && text[i] != '\r') ++i;
-    if (i > start) tokens.push_back(text.substr(start, i - start));
-  }
-  return tokens;
 }
 
 /// A latch before the transition system is built: literals only.
@@ -77,12 +42,12 @@ struct RawAnd {
 
 class AigerParser {
  public:
-  AigerParser(std::string_view text, std::string file)
-      : text_(text), file_(std::move(file)) {}
+  AigerParser(std::string_view text, const std::string& file)
+      : text_(text), file_(file), lines_(text, file) {}
 
   ir::TransitionSystem parse() {
     if (text_.find_first_not_of(" \t\r\n") == std::string_view::npos) {
-      fail_at(file_, 1, "empty file");
+      lines_.fail_at(1, "empty file");
     }
     parse_header();
     if (binary_) {
@@ -97,33 +62,21 @@ class AigerParser {
  private:
   // --- line-oriented cursor -------------------------------------------------
 
-  bool eof() const { return pos_ >= text_.size(); }
-
-  /// Next line (without the terminator); `line_` names it for errors.
-  std::string_view next_line() {
-    line_ = ++lines_read_;
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-    std::string_view line = text_.substr(start, pos_ - start);
-    if (pos_ < text_.size()) ++pos_;  // consume '\n'
-    return line;
-  }
-
   std::vector<std::string_view> next_tokens(const char* what) {
-    if (eof()) fail_at(file_, lines_read_ + 1,
-                       std::string("unexpected end of file: expected ") + what);
-    const auto tokens = split_tokens(next_line());
-    if (tokens.empty()) fail_at(file_, line_, std::string("blank line where ") + what +
-                                                  " was expected");
+    if (lines_.eof()) {
+      lines_.fail_at(lines_.line() + 1, std::string("unexpected end of file: expected ") + what);
+    }
+    const auto tokens = util::split_tokens(lines_.next_line());
+    if (tokens.empty()) lines_.fail(std::string("blank line where ") + what + " was expected");
     return tokens;
   }
 
   std::uint32_t parse_literal(std::string_view token, const char* what) {
-    const std::uint64_t lit = parse_uint(token, file_, line_, what);
+    const std::uint64_t lit = lines_.parse_uint(token, what);
     if (lit > 2 * max_var_ + 1) {
-      fail_at(file_, line_, std::string("dangling ") + what + " " + std::to_string(lit) +
-                                " (header allows at most " +
-                                std::to_string(2 * max_var_ + 1) + ")");
+      lines_.fail(std::string("dangling ") + what + " " + std::to_string(lit) +
+                  " (header allows at most " +
+                  std::to_string(2 * max_var_ + 1) + ")");
     }
     return static_cast<std::uint32_t>(lit);
   }
@@ -135,13 +88,13 @@ class AigerParser {
     const std::string_view magic = tokens[0];
     if (magic == "aag") binary_ = false;
     else if (magic == "aig") binary_ = true;
-    else fail_at(file_, line_, "not an AIGER file (header must start with 'aag' or 'aig')");
-    if (tokens.size() < 6) fail_at(file_, line_, "truncated header: need 'aag M I L O A'");
-    if (tokens.size() > 10) fail_at(file_, line_, "header has too many fields");
+    else lines_.fail("not an AIGER file (header must start with 'aag' or 'aig')");
+    if (tokens.size() < 6) lines_.fail("truncated header: need 'aag M I L O A'");
+    if (tokens.size() > 10) lines_.fail("header has too many fields");
     std::uint64_t fields[9] = {0};
     static const char* kNames[9] = {"M", "I", "L", "O", "A", "B", "C", "J", "F"};
     for (std::size_t i = 1; i < tokens.size(); ++i) {
-      fields[i - 1] = parse_uint(tokens[i], file_, line_, kNames[i - 1]);
+      fields[i - 1] = lines_.parse_uint(tokens[i], kNames[i - 1]);
     }
     max_var_ = fields[0];
     num_inputs_ = fields[1];
@@ -152,13 +105,13 @@ class AigerParser {
     num_constraints_ = fields[6];
     has_bad_section_ = tokens.size() > 6;
     if (fields[7] != 0 || fields[8] != 0) {
-      fail_at(file_, line_, "justice/fairness properties are not supported "
-                            "(liveness is out of scope)");
+      lines_.fail("justice/fairness properties are not supported "
+                  "(liveness is out of scope)");
     }
     if (max_var_ > kMaxVariables) {
-      fail_at(file_, line_, "header declares " + std::to_string(max_var_) +
-                                " variables; refusing (limit " +
-                                std::to_string(kMaxVariables) + ")");
+      lines_.fail("header declares " + std::to_string(max_var_) +
+                  " variables; refusing (limit " +
+                  std::to_string(kMaxVariables) + ")");
     }
     // Each field parses up to 2^64-1, so the sum I + L + A can wrap; check
     // every field against M individually first (M <= kMaxVariables here, so
@@ -167,7 +120,7 @@ class AigerParser {
     // loops below index far beyond var_kind_.
     if (num_inputs_ > max_var_ || num_latches_ > max_var_ || num_ands_ > max_var_ ||
         num_inputs_ + num_latches_ + num_ands_ > max_var_) {
-      fail_at(file_, line_, "inconsistent header: I + L + A exceeds M");
+      lines_.fail("inconsistent header: I + L + A exceeds M");
     }
     var_kind_.assign(static_cast<std::size_t>(max_var_) + 1, Kind::Undefined);
     ands_.resize(static_cast<std::size_t>(max_var_) + 1);
@@ -177,32 +130,37 @@ class AigerParser {
 
   void define_input(std::uint32_t lit) {
     if (lit < 2 || (lit & 1) != 0) {
-      fail_at(file_, line_, "input literal must be even and nonzero, got " +
-                                std::to_string(lit));
+      lines_.fail("input literal must be even and nonzero, got " + std::to_string(lit));
     }
     claim_var(lit >> 1, Kind::Input, "input");
     input_lits_.push_back(lit);
   }
 
-  void define_latch(std::uint32_t lit, const std::vector<std::string_view>& tokens,
-                    std::size_t next_index) {
+  void define_latch(std::uint32_t lit, const std::vector<std::string_view>& tokens) {
     if (lit < 2 || (lit & 1) != 0) {
-      fail_at(file_, line_, "latch literal must be even and nonzero, got " +
-                                std::to_string(lit));
+      lines_.fail("latch literal must be even and nonzero, got " + std::to_string(lit));
     }
     claim_var(lit >> 1, Kind::Latch, "latch");
+    add_latch(lit, tokens, 1);
+  }
+
+  /// A latch from its line's next-state and optional reset literal, which
+  /// start at tokens[first] (an ASCII line leads with the latch literal, a
+  /// binary one does not).
+  void add_latch(std::uint32_t lit, const std::vector<std::string_view>& tokens,
+                 std::size_t first) {
     RawLatch latch;
     latch.lit = lit;
-    latch.line = line_;
-    if (tokens.size() <= next_index) fail_at(file_, line_, "latch line is missing its next-state literal");
-    if (tokens.size() > next_index + 2) fail_at(file_, line_, "latch line has trailing fields");
-    latch.next = parse_literal(tokens[next_index], "next-state literal");
+    latch.line = lines_.line();
+    if (tokens.size() <= first) lines_.fail("latch line is missing its next-state literal");
+    if (tokens.size() > first + 2) lines_.fail("latch line has trailing fields");
+    latch.next = parse_literal(tokens[first], "next-state literal");
     latch.reset = 0;  // AIGER default: latches reset to 0
-    if (tokens.size() == next_index + 2) {
-      latch.reset = parse_literal(tokens[next_index + 1], "reset literal");
+    if (tokens.size() == first + 2) {
+      latch.reset = parse_literal(tokens[first + 1], "reset literal");
       if (latch.reset != 0 && latch.reset != 1 && latch.reset != lit) {
-        fail_at(file_, line_, "latch reset must be 0, 1 or the latch literal itself, got " +
-                                  std::to_string(latch.reset));
+        lines_.fail("latch reset must be 0, 1 or the latch literal itself, got " +
+                    std::to_string(latch.reset));
       }
     }
     latches_.push_back(latch);
@@ -211,29 +169,28 @@ class AigerParser {
   void read_ascii_body() {
     for (std::uint64_t i = 0; i < num_inputs_; ++i) {
       const auto tokens = next_tokens("input definition");
-      if (tokens.size() != 1) fail_at(file_, line_, "input line must hold exactly one literal");
+      if (tokens.size() != 1) lines_.fail("input line must hold exactly one literal");
       define_input(parse_literal(tokens[0], "input literal"));
     }
     for (std::uint64_t i = 0; i < num_latches_; ++i) {
       const auto tokens = next_tokens("latch definition");
-      define_latch(parse_literal(tokens[0], "latch literal"), tokens, 1);
+      define_latch(parse_literal(tokens[0], "latch literal"), tokens);
     }
     read_literal_section(num_outputs_, output_lits_, "output literal");
     read_literal_section(num_bads_, bad_lits_, "bad-state literal");
     read_literal_section(num_constraints_, constraint_lits_, "constraint literal");
     for (std::uint64_t i = 0; i < num_ands_; ++i) {
       const auto tokens = next_tokens("and-gate definition");
-      if (tokens.size() != 3) fail_at(file_, line_, "and-gate line needs 'lhs rhs0 rhs1'");
+      if (tokens.size() != 3) lines_.fail("and-gate line needs 'lhs rhs0 rhs1'");
       const std::uint32_t lhs = parse_literal(tokens[0], "and-gate literal");
       if (lhs < 2 || (lhs & 1) != 0) {
-        fail_at(file_, line_, "and-gate literal must be even and nonzero, got " +
-                                  std::to_string(lhs));
+        lines_.fail("and-gate literal must be even and nonzero, got " + std::to_string(lhs));
       }
       claim_var(lhs >> 1, Kind::And, "and gate");
       RawAnd& gate = ands_[lhs >> 1];
       gate.rhs0 = parse_literal(tokens[1], "and-gate operand");
       gate.rhs1 = parse_literal(tokens[2], "and-gate operand");
-      gate.line = line_;
+      gate.line = lines_.line();
       gate.defined = true;
     }
   }
@@ -243,7 +200,7 @@ class AigerParser {
     for (std::uint64_t i = 0; i < count; ++i) {
       const auto tokens = next_tokens(what);
       if (tokens.size() != 1) {
-        fail_at(file_, line_, std::string(what) + " line must hold exactly one literal");
+        lines_.fail(std::string(what) + " line must hold exactly one literal");
       }
       out.push_back(parse_literal(tokens[0], what));
     }
@@ -262,59 +219,48 @@ class AigerParser {
     // next-state (and optional reset) literal.
     for (std::uint64_t i = 0; i < num_latches_; ++i) {
       const std::uint32_t var = static_cast<std::uint32_t>(num_inputs_ + i + 1);
-      const auto tokens = next_tokens("latch definition");
       var_kind_[var] = Kind::Latch;
-      RawLatch latch;
-      latch.lit = 2 * var;
-      latch.line = line_;
-      if (tokens.size() > 2) fail_at(file_, line_, "latch line has trailing fields");
-      latch.next = parse_literal(tokens[0], "next-state literal");
-      latch.reset = 0;
-      if (tokens.size() == 2) {
-        latch.reset = parse_literal(tokens[1], "reset literal");
-        if (latch.reset != 0 && latch.reset != 1 && latch.reset != latch.lit) {
-          fail_at(file_, line_, "latch reset must be 0, 1 or the latch literal itself");
-        }
-      }
-      latches_.push_back(latch);
+      add_latch(2 * var, next_tokens("latch definition"), 0);
     }
     read_literal_section(num_outputs_, output_lits_, "output literal");
     read_literal_section(num_bads_, bad_lits_, "bad-state literal");
     read_literal_section(num_constraints_, constraint_lits_, "constraint literal");
     // Delta-encoded gate section: gate g defines variable I+L+g+1 as
     // lhs = 2*var, rhs0 = lhs - delta0, rhs1 = rhs0 - delta1.
+    std::size_t pos = lines_.offset();
     for (std::uint64_t g = 0; g < num_ands_; ++g) {
       const std::uint32_t var =
           static_cast<std::uint32_t>(num_inputs_ + num_latches_ + g + 1);
       const std::uint64_t lhs = 2ULL * var;
-      const std::uint64_t delta0 = decode_varint();
-      const std::uint64_t delta1 = decode_varint();
+      const std::uint64_t delta0 = decode_varint(pos);
+      const std::uint64_t delta1 = decode_varint(pos);
       if (delta0 == 0 || delta0 > lhs) {
-        fail_byte(file_, pos_, "binary and-gate " + std::to_string(g) +
+        fail_byte(file_, pos, "binary and-gate " + std::to_string(g) +
                                    " has an out-of-order operand (delta0)");
       }
       const std::uint64_t rhs0 = lhs - delta0;
       if (delta1 > rhs0) {
-        fail_byte(file_, pos_, "binary and-gate " + std::to_string(g) +
+        fail_byte(file_, pos, "binary and-gate " + std::to_string(g) +
                                    " has an out-of-order operand (delta1)");
       }
       var_kind_[var] = Kind::And;
       RawAnd& gate = ands_[var];
       gate.rhs0 = static_cast<std::uint32_t>(rhs0);
       gate.rhs1 = static_cast<std::uint32_t>(rhs0 - delta1);
-      gate.line = line_;
+      gate.line = lines_.line();
       gate.defined = true;
     }
     // The symbol/comment sections after the gates are text lines again.
+    lines_.seek(pos);
   }
 
-  std::uint64_t decode_varint() {
+  std::uint64_t decode_varint(std::size_t& pos) const {
     std::uint64_t value = 0;
     unsigned shift = 0;
     while (true) {
-      if (eof()) fail_byte(file_, pos_, "unexpected end of binary gate section");
-      const auto byte = static_cast<unsigned char>(text_[pos_++]);
-      if (shift >= 63) fail_byte(file_, pos_, "binary gate delta overflows");
+      if (pos >= text_.size()) fail_byte(file_, pos, "unexpected end of binary gate section");
+      const auto byte = static_cast<unsigned char>(text_[pos++]);
+      if (shift >= 63) fail_byte(file_, pos, "binary gate delta overflows");
       value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
       if ((byte & 0x80) == 0) return value;
       shift += 7;
@@ -324,20 +270,20 @@ class AigerParser {
   // --- symbols and comments --------------------------------------------------
 
   void parse_symbols_and_comments() {
-    while (!eof()) {
-      const std::string_view line = next_line();
+    while (!lines_.eof()) {
+      const std::string_view line = lines_.next_line();
       if (line == "c" || line == "c\r") return;  // comment section: rest is free text
-      const auto tokens = split_tokens(line);
+      const auto tokens = util::split_tokens(line);
       if (tokens.empty()) continue;
       const std::string_view head = tokens[0];
       const char kind = head.empty() ? '\0' : head[0];
       if (kind != 'i' && kind != 'l' && kind != 'o' && kind != 'b' && kind != 'c' &&
           kind != 'j' && kind != 'f') {
-        fail_at(file_, line_, "expected a symbol table entry or the comment marker 'c', "
-                              "got '" + std::string(line.substr(0, 32)) + "'");
+        lines_.fail("expected a symbol table entry or the comment marker 'c', "
+                    "got '" + std::string(line.substr(0, 32)) + "'");
       }
-      const std::uint64_t pos = parse_uint(head.substr(1), file_, line_, "symbol position");
-      if (tokens.size() < 2) fail_at(file_, line_, "symbol entry is missing its name");
+      const std::uint64_t pos = lines_.parse_uint(head.substr(1), "symbol position");
+      if (tokens.size() < 2) lines_.fail("symbol entry is missing its name");
       // The name is everything after the first token (may contain blanks;
       // the sanitizer flattens them later).
       std::string name;
@@ -356,10 +302,10 @@ class AigerParser {
         default: continue;  // j/f symbols can only appear with J=F=0 rejected above
       }
       if (pos >= limit) {
-        fail_at(file_, line_, "symbol '" + std::string(head) + "' is out of range");
+        lines_.fail("symbol '" + std::string(head) + "' is out of range");
       }
       if (!table->emplace(pos, std::move(name)).second) {
-        fail_at(file_, line_, "duplicate symbol '" + std::string(head) + "'");
+        lines_.fail("duplicate symbol '" + std::string(head) + "'");
       }
     }
   }
@@ -370,11 +316,11 @@ class AigerParser {
 
   void claim_var(std::uint64_t var, Kind kind, const char* what) {
     if (var == 0 || var > max_var_) {
-      fail_at(file_, line_, std::string(what) + " variable out of range");
+      lines_.fail(std::string(what) + " variable out of range");
     }
     if (var_kind_[var] != Kind::Undefined) {
-      fail_at(file_, line_, "variable " + std::to_string(var) +
-                                " is defined twice (as " + std::string(what) + ")");
+      lines_.fail("variable " + std::to_string(var) +
+                  " is defined twice (as " + std::string(what) + ")");
     }
     var_kind_[var] = kind;
   }
@@ -402,13 +348,12 @@ class AigerParser {
         continue;
       }
       if (var_kind_[var] != Kind::And) {
-        fail_at(file_, line, "literal " + std::to_string(2 * var) +
-                                 " references undefined variable " + std::to_string(var));
+        lines_.fail_at(line, "literal " + std::to_string(2 * var) +
+                             " references undefined variable " + std::to_string(var));
       }
       const RawAnd& gate = ands_[var];
       if (!gate.defined) {
-        fail_at(file_, line, "and gate for variable " + std::to_string(var) +
-                                 " is never defined");
+        lines_.fail_at(line, "and gate for variable " + std::to_string(var) + " is never defined");
       }
       const std::uint32_t c0 = gate.rhs0 >> 1;
       const std::uint32_t c1 = gate.rhs1 >> 1;
@@ -416,8 +361,8 @@ class AigerParser {
       for (const std::uint32_t child : {c0, c1}) {
         if (child != 0 && var_expr_[child] == nullptr) {
           if (open[child] == kOpen) {
-            fail_at(file_, gate.line, "combinational cycle through and gate " +
-                                          std::to_string(2 * var));
+            lines_.fail_at(gate.line, "combinational cycle through and gate " +
+                                      std::to_string(2 * var));
           }
           if (ready) ready = false;
           stack.push_back(child);
@@ -472,7 +417,7 @@ class AigerParser {
     if (!outputs_are_bad) {
       for (std::size_t i = 0; i < output_lits_.size(); ++i) {
         const std::string name = symbols.claim(name_of(output_names_, i), "output_", i);
-        ts.add_signal(name, lit_expr(ts, output_lits_[i], line_));
+        ts.add_signal(name, lit_expr(ts, output_lits_[i], lines_.line()));
       }
     }
     for (std::size_t i = 0; i < bads.size(); ++i) {
@@ -482,13 +427,13 @@ class AigerParser {
       const std::string name = symbols.claim(name_of(bad_name_table, i), "bad_", i);
       ir::Property property;
       property.name = name;
-      property.expr = ts.nm().mk_not(lit_expr(ts, bads[i], line_));
+      property.expr = ts.nm().mk_not(lit_expr(ts, bads[i], lines_.line()));
       property.role = ir::PropertyRole::Target;
       property.source_text = name;
       ts.add_property(std::move(property));
     }
     for (const std::uint32_t lit : constraint_lits_) {
-      ts.add_constraint(lit_expr(ts, lit, line_));
+      ts.add_constraint(lit_expr(ts, lit, lines_.line()));
     }
     ts.validate();
     return ts;
@@ -496,9 +441,7 @@ class AigerParser {
 
   std::string_view text_;
   std::string file_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 0;        ///< line number of the line most recently read
-  std::size_t lines_read_ = 0;
+  util::LineReader lines_;
   bool binary_ = false;
 
   std::uint64_t max_var_ = 0;
@@ -520,15 +463,7 @@ class AigerParser {
 ir::TransitionSystem parse_aiger(std::string_view text, const std::string& filename) {
   AigerParser parser(text, filename);
   ir::TransitionSystem ts = parser.parse();
-  // "path/to/foo.aag" -> "foo"
-  std::string stem = filename;
-  if (const std::size_t slash = stem.find_last_of("/\\"); slash != std::string::npos) {
-    stem = stem.substr(slash + 1);
-  }
-  if (const std::size_t dot = stem.rfind('.'); dot != std::string::npos && dot > 0) {
-    stem = stem.substr(0, dot);
-  }
-  ts.set_name(stem);
+  ts.set_name(design_stem(filename));
   return ts;
 }
 

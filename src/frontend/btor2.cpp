@@ -7,82 +7,38 @@
 #include <vector>
 
 #include "frontend/symbols.hpp"
+#include "util/line_reader.hpp"
 #include "util/status.hpp"
 
 namespace genfv::frontend {
 
 namespace {
 
-[[noreturn]] void fail_at(const std::string& file, std::size_t line,
-                          const std::string& message) {
-  throw ParseError(file + ":" + std::to_string(line), message);
-}
-
-std::uint64_t parse_uint(std::string_view token, const std::string& file,
-                         std::size_t line, const char* what) {
-  if (token.empty()) fail_at(file, line, std::string("missing ") + what);
-  std::uint64_t value = 0;
-  for (const char c : token) {
-    if (c < '0' || c > '9') {
-      fail_at(file, line,
-              std::string("non-numeric ") + what + " '" + std::string(token) + "'");
-    }
-    if (value > (UINT64_MAX - 9) / 10) {
-      fail_at(file, line, std::string(what) + " '" + std::string(token) + "' overflows");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
 class Btor2Parser {
  public:
-  Btor2Parser(std::string_view text, std::string file)
-      : text_(text), file_(std::move(file)) {}
+  Btor2Parser(std::string_view text, const std::string& file) : lines_(text, file) {}
 
   ir::TransitionSystem parse() {
     bool saw_line = false;
-    std::size_t pos = 0;
-    std::size_t line_no = 0;
-    while (pos < text_.size()) {
-      const std::size_t start = pos;
-      while (pos < text_.size() && text_[pos] != '\n') ++pos;
-      std::string_view line = text_.substr(start, pos - start);
-      if (pos < text_.size()) ++pos;
-      ++line_no;
+    while (!lines_.eof()) {
+      std::string_view line = lines_.next_line();
       // ';' starts a comment (whole-line or trailing).
       if (const std::size_t semi = line.find(';'); semi != std::string_view::npos) {
         line = line.substr(0, semi);
       }
-      line_ = line_no;
-      const auto tokens = tokenize(line);
+      const auto tokens = util::split_tokens(line);
       if (tokens.empty()) continue;
       saw_line = true;
       parse_line(tokens);
     }
-    if (!saw_line) fail_at(file_, 1, "empty file");
+    if (!saw_line) lines_.fail_at(1, "empty file");
     finish_states();
     ts_.validate();
     return std::move(ts_);
   }
 
  private:
-  static std::vector<std::string_view> tokenize(std::string_view text) {
-    std::vector<std::string_view> tokens;
-    std::size_t i = 0;
-    while (i < text.size()) {
-      while (i < text.size() &&
-             (text[i] == ' ' || text[i] == '\t' || text[i] == '\r')) {
-        ++i;
-      }
-      const std::size_t start = i;
-      while (i < text.size() && text[i] != ' ' && text[i] != '\t' && text[i] != '\r') ++i;
-      if (i > start) tokens.push_back(text.substr(start, i - start));
-    }
-    return tokens;
-  }
-
-  [[noreturn]] void fail(const std::string& message) const { fail_at(file_, line_, message); }
+  [[noreturn]] void fail(const std::string& message) const { lines_.fail(message); }
 
   void need_args(const std::vector<std::string_view>& tokens, std::size_t count,
                  const char* shape) const {
@@ -92,7 +48,7 @@ class Btor2Parser {
   }
 
   unsigned sort_width(std::string_view token) const {
-    const std::uint64_t sid = parse_uint(token, file_, line_, "sort id");
+    const std::uint64_t sid = lines_.parse_uint(token, "sort id");
     const auto it = sorts_.find(sid);
     if (it == sorts_.end()) fail("references undefined sort " + std::to_string(sid));
     return it->second;
@@ -105,7 +61,7 @@ class Btor2Parser {
       negate = true;
       token.remove_prefix(1);
     }
-    const std::uint64_t id = parse_uint(token, file_, line_, "node id");
+    const std::uint64_t id = lines_.parse_uint(token, "node id");
     const auto it = nodes_.find(id);
     if (it == nodes_.end()) fail("references undefined node " + std::to_string(id));
     return negate ? ts_.nm().mk_not(it->second) : it->second;
@@ -141,7 +97,7 @@ class Btor2Parser {
   };
 
   StateRec& state_operand(std::string_view token) {
-    const std::uint64_t id = parse_uint(token, file_, line_, "state id");
+    const std::uint64_t id = lines_.parse_uint(token, "state id");
     const auto it = states_.find(id);
     if (it == states_.end()) {
       fail("node " + std::to_string(id) + " is not a state");
@@ -150,7 +106,7 @@ class Btor2Parser {
   }
 
   void parse_line(const std::vector<std::string_view>& tokens) {
-    const std::uint64_t id = parse_uint(tokens[0], file_, line_, "node id");
+    const std::uint64_t id = lines_.parse_uint(tokens[0], "node id");
     if (tokens.size() < 2) fail("line has an id but no operator");
     const std::string_view tag = tokens[1];
 
@@ -161,7 +117,7 @@ class Btor2Parser {
       }
       if (tokens[2] != "bitvec") fail("unknown sort kind '" + std::string(tokens[2]) + "'");
       need_args(tokens, 4, "<id> sort bitvec <width>");
-      const std::uint64_t width = parse_uint(tokens[3], file_, line_, "sort width");
+      const std::uint64_t width = lines_.parse_uint(tokens[3], "sort width");
       if (width < 1 || width > 64) {
         // Same discipline as the HDL elaborator's register-width rejection:
         // everything downstream models values as uint64.
@@ -299,7 +255,7 @@ class Btor2Parser {
         value = (value << 1) | static_cast<std::uint64_t>(c - '0');
       }
     } else if (tag == "constd") {
-      value = parse_uint(token, file_, line_, "decimal constant");
+      value = lines_.parse_uint(token, "decimal constant");
     } else {
       for (const char c : token) {
         unsigned digit = 0;
@@ -482,8 +438,8 @@ class Btor2Parser {
       need_args(tokens, 6, "<id> slice <sort> <a> <hi> <lo>");
       const unsigned width = sort_width(tokens[2]);
       ir::NodeRef a = operand(tokens[3]);
-      const std::uint64_t hi = parse_uint(tokens[4], file_, line_, "slice upper bound");
-      const std::uint64_t lo = parse_uint(tokens[5], file_, line_, "slice lower bound");
+      const std::uint64_t hi = lines_.parse_uint(tokens[4], "slice upper bound");
+      const std::uint64_t lo = lines_.parse_uint(tokens[5], "slice lower bound");
       if (hi < lo) fail("slice bounds are reversed");
       if (hi >= a->width()) {
         fail("slice upper bound " + std::to_string(hi) + " exceeds operand width " +
@@ -500,7 +456,7 @@ class Btor2Parser {
       need_args(tokens, 5, "<id> uext/sext <sort> <a> <pad>");
       const unsigned width = sort_width(tokens[2]);
       ir::NodeRef a = operand(tokens[3]);
-      const std::uint64_t pad = parse_uint(tokens[4], file_, line_, "extension width");
+      const std::uint64_t pad = lines_.parse_uint(tokens[4], "extension width");
       if (a->width() + pad != width) {
         fail("extension width mismatch: operand " + std::to_string(a->width()) +
              " + pad " + std::to_string(pad) + " != sort " + std::to_string(width));
@@ -528,9 +484,7 @@ class Btor2Parser {
     }
   }
 
-  std::string_view text_;
-  std::string file_;
-  std::size_t line_ = 0;
+  util::LineReader lines_;
 
   ir::TransitionSystem ts_;
   SymbolTable symbols_;
@@ -546,14 +500,7 @@ class Btor2Parser {
 ir::TransitionSystem parse_btor2(std::string_view text, const std::string& filename) {
   Btor2Parser parser(text, filename);
   ir::TransitionSystem ts = parser.parse();
-  std::string stem = filename;
-  if (const std::size_t slash = stem.find_last_of("/\\"); slash != std::string::npos) {
-    stem = stem.substr(slash + 1);
-  }
-  if (const std::size_t dot = stem.rfind('.'); dot != std::string::npos && dot > 0) {
-    stem = stem.substr(0, dot);
-  }
-  ts.set_name(stem);
+  ts.set_name(design_stem(filename));
   return ts;
 }
 

@@ -63,4 +63,15 @@ class SymbolTable {
   std::unordered_set<std::string> taken_;
 };
 
+/// The system name a design file implies: "path/to/foo.aag" -> "foo".
+inline std::string design_stem(std::string path) {
+  if (const std::size_t slash = path.find_last_of("/\\"); slash != std::string::npos) {
+    path.erase(0, slash + 1);
+  }
+  if (const std::size_t dot = path.rfind('.'); dot != std::string::npos && dot > 0) {
+    path.erase(dot);
+  }
+  return path;
+}
+
 }  // namespace genfv::frontend

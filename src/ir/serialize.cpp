@@ -1,21 +1,16 @@
 #include "ir/serialize.hpp"
 
-#include <charconv>
+#include <cstdio>
 #include <sstream>
 #include <unordered_map>
-
-#include "ir/substitute.hpp"
-#include "util/status.hpp"
-#include "util/strings.hpp"
 
 namespace genfv::ir {
 
 namespace {
 
 /// Collect every node reachable from the system's roots, children before
-/// parents. Inputs and states come first, in declaration order, so a
-/// deserialized system re-declares them in the same order (random
-/// simulation and waveform layouts stay reproducible across round trips).
+/// parents. Inputs and states come first, in declaration order, so the dump
+/// lists them as the system declares them.
 std::vector<NodeRef> collect_all_nodes(const TransitionSystem& ts) {
   std::vector<NodeRef> ordered;
   std::unordered_map<NodeRef, char> mark;  // present = done
@@ -65,13 +60,6 @@ const char* role_token(PropertyRole role) {
     case PropertyRole::Lemma: return "lemma";
   }
   return "target";
-}
-
-PropertyRole parse_role(const std::string& token) {
-  if (token == "target") return PropertyRole::Target;
-  if (token == "candidate") return PropertyRole::Candidate;
-  if (token == "lemma") return PropertyRole::Lemma;
-  throw ParseError("serialize: unknown property role '" + token + "'");
 }
 
 }  // namespace
@@ -135,147 +123,6 @@ std::string serialize(const TransitionSystem& ts) {
     out << "signal " << name << ' ' << id.at(expr) << '\n';
   }
   return out.str();
-}
-
-TransitionSystem deserialize(const std::string& text) {
-  TransitionSystem ts;
-  auto& nm = ts.nm();
-  std::unordered_map<std::size_t, NodeRef> by_id;
-
-  auto node_of = [&by_id](const std::string& token) -> NodeRef {
-    std::size_t value = 0;
-    const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc{} || ptr != token.data() + token.size()) {
-      throw ParseError("serialize: expected node id, got '" + token + "'");
-    }
-    const auto it = by_id.find(value);
-    if (it == by_id.end()) {
-      throw ParseError("serialize: forward/unknown node id " + token);
-    }
-    return it->second;
-  };
-  auto to_unsigned = [](const std::string& token) -> unsigned {
-    unsigned value = 0;
-    const auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc{} || ptr != token.data() + token.size()) {
-      throw ParseError("serialize: expected number, got '" + token + "'");
-    }
-    return value;
-  };
-
-  std::istringstream in(text);
-  std::string line;
-  bool header_seen = false;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed[0] == ';') continue;
-    const auto fields = util::split_ws(trimmed);
-
-    if (!header_seen) {
-      if (fields.size() < 2 || fields[0] != "genfv-ts" || fields[1] != "1") {
-        throw ParseError("serialize: missing 'genfv-ts 1' header");
-      }
-      header_seen = true;
-      continue;
-    }
-    if (fields[0] == "name") {
-      if (fields.size() >= 2) ts.set_name(fields[1]);
-      continue;
-    }
-    if (fields[0] == "init" || fields[0] == "next") {
-      if (fields.size() != 3) throw ParseError("serialize: malformed " + fields[0]);
-      const NodeRef var = node_of(fields[1]);
-      const NodeRef expr = node_of(fields[2]);
-      if (fields[0] == "init") ts.set_init(var, expr);
-      else ts.set_next(var, expr);
-      continue;
-    }
-    if (fields[0] == "constraint") {
-      if (fields.size() != 2) throw ParseError("serialize: malformed constraint");
-      ts.add_constraint(node_of(fields[1]));
-      continue;
-    }
-    if (fields[0] == "property") {
-      if (fields.size() < 4) throw ParseError("serialize: malformed property");
-      Property p;
-      p.role = parse_role(fields[1]);
-      p.name = fields[2] == "-" ? "" : fields[2];
-      p.expr = node_of(fields[3]);
-      const std::size_t hash = trimmed.find(" # ");
-      if (hash != std::string::npos) p.source_text = trimmed.substr(hash + 3);
-      ts.add_property(std::move(p));
-      continue;
-    }
-    if (fields[0] == "signal") {
-      if (fields.size() != 3) throw ParseError("serialize: malformed signal");
-      ts.add_signal(fields[1], node_of(fields[2]));
-      continue;
-    }
-
-    // Node definition: <id> <op> <width> ...
-    if (fields.size() < 3) {
-      throw ParseError("serialize: malformed line " + std::to_string(line_no));
-    }
-    const std::size_t id = to_unsigned(fields[0]);
-    const std::string& op = fields[1];
-    const unsigned width = to_unsigned(fields[2]);
-
-    NodeRef node = nullptr;
-    if (op == "input") {
-      if (fields.size() != 4) throw ParseError("serialize: malformed input");
-      node = ts.add_input(fields[3], width);
-    } else if (op == "state") {
-      if (fields.size() != 4) throw ParseError("serialize: malformed state");
-      node = ts.add_state(fields[3], width);
-    } else if (op == "const") {
-      if (fields.size() != 4) throw ParseError("serialize: malformed const");
-      node = nm.mk_const(std::stoull(fields[3], nullptr, 16), width);
-    } else if (op == "extract") {
-      if (fields.size() != 6) throw ParseError("serialize: malformed extract");
-      node = nm.mk_extract(node_of(fields[3]), to_unsigned(fields[4]),
-                           to_unsigned(fields[5]));
-    } else {
-      // Generic operator with child ids from field 3 on.
-      std::vector<NodeRef> kids;
-      for (std::size_t i = 3; i < fields.size(); ++i) kids.push_back(node_of(fields[i]));
-      auto kid = [&kids](std::size_t i) -> NodeRef { return kids.at(i); };
-      if (op == "not") node = nm.mk_not(kid(0));
-      else if (op == "and") node = nm.mk_and(kid(0), kid(1));
-      else if (op == "or") node = nm.mk_or(kid(0), kid(1));
-      else if (op == "xor") node = nm.mk_xor(kid(0), kid(1));
-      else if (op == "neg") node = nm.mk_neg(kid(0));
-      else if (op == "add") node = nm.mk_add(kid(0), kid(1));
-      else if (op == "sub") node = nm.mk_sub(kid(0), kid(1));
-      else if (op == "mul") node = nm.mk_mul(kid(0), kid(1));
-      else if (op == "udiv") node = nm.mk_udiv(kid(0), kid(1));
-      else if (op == "urem") node = nm.mk_urem(kid(0), kid(1));
-      else if (op == "shl") node = nm.mk_shl(kid(0), kid(1));
-      else if (op == "lshr") node = nm.mk_lshr(kid(0), kid(1));
-      else if (op == "ashr") node = nm.mk_ashr(kid(0), kid(1));
-      else if (op == "eq") node = nm.mk_eq(kid(0), kid(1));
-      else if (op == "ult") node = nm.mk_ult(kid(0), kid(1));
-      else if (op == "ule") node = nm.mk_ule(kid(0), kid(1));
-      else if (op == "slt") node = nm.mk_slt(kid(0), kid(1));
-      else if (op == "sle") node = nm.mk_sle(kid(0), kid(1));
-      else if (op == "concat") node = nm.mk_concat(kid(0), kid(1));
-      else if (op == "zext") node = nm.mk_zext(kid(0), width);
-      else if (op == "sext") node = nm.mk_sext(kid(0), width);
-      else if (op == "ite") node = nm.mk_ite(kid(0), kid(1), kid(2));
-      else if (op == "redand") node = nm.mk_redand(kid(0));
-      else if (op == "redor") node = nm.mk_redor(kid(0));
-      else if (op == "redxor") node = nm.mk_redxor(kid(0));
-      else if (op == "implies") node = nm.mk_implies(kid(0), kid(1));
-      else throw ParseError("serialize: unknown op '" + op + "'");
-    }
-    if (node->width() != width) {
-      throw ParseError("serialize: width mismatch at id " + std::to_string(id));
-    }
-    by_id[id] = node;
-  }
-  if (!header_seen) throw ParseError("serialize: empty input");
-  return ts;
 }
 
 }  // namespace genfv::ir

@@ -2,9 +2,9 @@
 
 /// \file serialize.hpp
 /// Text serialization of transition systems, in a BTOR2-inspired line
-/// format. Lets users dump an elaborated design to disk, diff two
-/// elaborations, and reload systems without re-running the HDL frontend
-/// (e.g. to archive the exact model a proof was produced on).
+/// format. Lets users dump an elaborated design to disk (`genfv_cli
+/// --dump-ts`) and diff two elaborations. The format is write-only: genfv
+/// reads designs as SystemVerilog, AIGER or BTOR2, never as a dump.
 ///
 /// Format (one definition per line, SSA-style ids):
 ///   genfv-ts 1
@@ -29,9 +29,5 @@ namespace genfv::ir {
 
 /// Serialize `ts` to the text format above.
 std::string serialize(const TransitionSystem& ts);
-
-/// Parse a serialized system. Throws ParseError on malformed input.
-/// The result owns a fresh NodeManager.
-TransitionSystem deserialize(const std::string& text);
 
 }  // namespace genfv::ir

@@ -12,7 +12,8 @@
 ///    collide — renaming a register cannot invalidate a cached proof;
 ///  * a semantic edit (different constant, different operator, different
 ///    next-state function) changes the hash;
-///  * the hash is stable across serialize / deserialize round trips.
+///  * the hash is stable across NodeManagers: two elaborations of one
+///    design, in one process or in two, hash alike.
 ///
 /// Commutative operators (`ir::is_commutative`) combine their children
 /// order-insensitively, so the id-ordered operand normalization inside

@@ -1,66 +1,62 @@
 #include "sat/dimacs.hpp"
 
-#include <charconv>
 #include <climits>
 #include <cstdlib>
 #include <sstream>
 
 #include "sat/solver.hpp"
-#include "util/status.hpp"
-#include "util/strings.hpp"
+#include "util/line_reader.hpp"
 
 namespace genfv::sat {
-
-namespace {
-
-/// `token` as a whole int in [lo, hi]; anything else (trailing junk, a
-/// number out of range) throws ParseError naming the token.
-int parse_int(const std::string& token, int lo, int hi, const char* what) {
-  int value = 0;
-  const char* end = token.data() + token.size();
-  const auto [stop, ec] = std::from_chars(token.data(), end, value);
-  if (token.empty() || ec != std::errc() || stop != end || value < lo || value > hi) {
-    throw ParseError("dimacs: bad " + std::string(what) + " '" + token +
-                     "' (want a whole integer in [" + std::to_string(lo) + ", " +
-                     std::to_string(hi) + "])");
-  }
-  return value;
-}
-
-}  // namespace
 
 Cnf parse_dimacs(const std::string& text) {
   Cnf cnf;
   int declared_clauses = -1;
-  std::istringstream in(text);
-  std::string line;
+  std::size_t problem_line = 0;
   std::vector<int> current;
-  while (std::getline(in, line)) {
-    const std::string trimmed = util::trim(line);
-    if (trimmed.empty() || trimmed[0] == 'c') continue;
-    if (trimmed[0] == 'p') {
-      const auto fields = util::split_ws(trimmed);
-      if (fields.size() != 4 || fields[1] != "cnf") {
-        throw ParseError("dimacs: malformed problem line: " + trimmed);
+  util::LineReader lines(text, "dimacs");
+  // A header count: a whole decimal in [0, INT_MAX].
+  const auto count = [&lines](std::string_view token, const char* what) {
+    const std::uint64_t value = lines.parse_uint(token, what);
+    if (value > INT_MAX) {
+      lines.fail(std::string(what) + " '" + std::string(token) + "' is out of range [0, " +
+                 std::to_string(INT_MAX) + "]");
+    }
+    return static_cast<int>(value);
+  };
+  while (!lines.eof()) {
+    const auto tokens = util::split_tokens(lines.next_line());
+    if (tokens.empty() || tokens[0][0] == 'c') continue;
+    if (tokens[0][0] == 'p') {
+      if (tokens.size() != 4 || tokens[0] != "p" || tokens[1] != "cnf") {
+        lines.fail("malformed problem line, want 'p cnf <vars> <clauses>'");
       }
-      cnf.num_vars = parse_int(fields[2], 0, INT_MAX, "variable count");
-      declared_clauses = parse_int(fields[3], 0, INT_MAX, "clause count");
+      cnf.num_vars = count(tokens[2], "variable count");
+      declared_clauses = count(tokens[3], "clause count");
+      problem_line = lines.line();
       continue;
     }
-    for (const auto& token : util::split_ws(trimmed)) {
-      const int lit = parse_int(token, -cnf.num_vars, cnf.num_vars, "literal");
-      if (lit == 0) {
+    for (const std::string_view token : tokens) {
+      const bool negated = token[0] == '-';
+      const std::uint64_t var = lines.parse_uint(negated ? token.substr(1) : token, "literal");
+      if (var > static_cast<std::uint64_t>(cnf.num_vars)) {
+        lines.fail("literal '" + std::string(token) + "' is out of range [-" +
+                   std::to_string(cnf.num_vars) + ", " + std::to_string(cnf.num_vars) + "]");
+      }
+      if (var == 0) {
         cnf.clauses.push_back(current);
         current.clear();
       } else {
-        current.push_back(lit);
+        current.push_back(negated ? -static_cast<int>(var) : static_cast<int>(var));
       }
     }
   }
-  if (!current.empty()) throw ParseError("dimacs: unterminated clause");
+  if (!current.empty()) lines.fail("unterminated clause at end of input");
   if (declared_clauses >= 0 &&
       cnf.clauses.size() != static_cast<std::size_t>(declared_clauses)) {
-    throw ParseError("dimacs: clause count mismatch");
+    lines.fail_at(problem_line, "clause count mismatch: declared " +
+                                    std::to_string(declared_clauses) + ", found " +
+                                    std::to_string(cnf.clauses.size()));
   }
   return cnf;
 }

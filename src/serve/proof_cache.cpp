@@ -1,11 +1,14 @@
 #include "serve/proof_cache.hpp"
 
+#include <charconv>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "serve/json.hpp"
 #include "util/files.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
@@ -199,144 +202,117 @@ void ProofCache::persist(const CacheEntry& entry) const {
   }
 }
 
-std::string ProofCache::render_entry(const CacheEntry& entry) {
-  std::ostringstream out;
-  out << "# genfv-proof-cache 1\n";
-  out << "design " << entry.design << "\n";
-  out << "sys " << hex64(entry.sys_hash) << "\n";
-  out << "prop " << hex64(entry.prop_hash) << "\n";
-  out << "depth " << entry.depth << "\n";
-  out << "states " << entry.state_sigs.size() << "\n";
-  for (const auto& sig : entry.state_sigs) {
-    out << "sig " << sig.width << " " << hex64(sig.sig) << "\n";
-  }
-  out << "clauses " << entry.clauses.size() << "\n";
-  for (const auto& clause : entry.clauses) {
-    out << "clause";
-    for (const auto& lit : clause) {
-      out << " " << lit.state << "." << lit.bit << (lit.negated ? "-" : "+");
-    }
-    out << "\n";
-  }
-  return out.str();
-}
-
+// An entry file is one JSON object (docs/serve.md). Hashes are 16-digit hex
+// strings, since a JSON number (a double) cannot hold 64 bits exactly.
 namespace {
 
-/// Line-based parser with located errors ("pcache:line N").
-class EntryParser {
- public:
-  explicit EntryParser(const std::string& text) : in_(text) {}
+constexpr const char* kEntryFormat = "genfv-proof-cache 2";
 
-  CacheEntry run() {
-    expect_line("# genfv-proof-cache 1");
-    CacheEntry entry;
-    entry.design = rest_of(next_line(), "design ");
-    entry.sys_hash = parse_hex(rest_of(next_line(), "sys "));
-    entry.prop_hash = parse_hex(rest_of(next_line(), "prop "));
-    entry.depth = parse_count(rest_of(next_line(), "depth "));
-    const std::size_t num_states = parse_count(rest_of(next_line(), "states "));
-    entry.state_sigs.reserve(num_states);
-    for (std::size_t i = 0; i < num_states; ++i) {
-      std::istringstream fields(rest_of(next_line(), "sig "));
-      ir::StateSig sig;
-      std::string hex;
-      if (!(fields >> sig.width >> hex) || sig.width == 0 || sig.width > 64) {
-        fail("malformed state signature");
-      }
-      sig.sig = parse_hex(hex);
-      entry.state_sigs.push_back(sig);
-    }
-    const std::size_t num_clauses = parse_count(rest_of(next_line(), "clauses "));
-    entry.clauses.reserve(num_clauses);
-    for (std::size_t i = 0; i < num_clauses; ++i) {
-      entry.clauses.push_back(parse_clause(rest_of(next_line(), "clause")));
-    }
-    std::string trailing;
-    if (std::getline(in_, trailing) && !trailing.empty()) {
-      ++line_no_;
-      fail("trailing content after the clause list");
-    }
-    return entry;
+[[noreturn]] void reject(const std::string& what) { throw ParseError("pcache", what); }
+
+const Json& member(const Json& object, const char* key) {
+  const Json* value = object.get(key);
+  if (value == nullptr) reject(std::string("missing field '") + key + "'");
+  return *value;
+}
+
+const std::string& string_of(const Json& value, const char* what) {
+  if (!value.is_string()) reject(std::string(what) + " must be a string");
+  return value.as_string();
+}
+
+const JsonArray& array_of(const Json& value, const char* what) {
+  if (!value.is_array()) reject(std::string(what) + " must be an array");
+  return value.as_array();
+}
+
+std::uint64_t whole(const Json& value, std::uint64_t lo, std::uint64_t hi, const char* what) {
+  const double n = value.is_number() ? value.as_number() : -1.0;
+  if (n != std::floor(n) || n < static_cast<double>(lo) || n > static_cast<double>(hi)) {
+    reject(std::string(what) + " must be a whole number in [" + std::to_string(lo) + ", " +
+           std::to_string(hi) + "]");
   }
+  return static_cast<std::uint64_t>(n);
+}
 
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw ParseError("pcache:line " + std::to_string(line_no_), what);
+std::uint64_t hash_of(const Json& value, const char* what) {
+  std::uint64_t hash = 0;
+  const std::string& text = string_of(value, what);
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, hash, 16);
+  if (text.size() != 16 || ec != std::errc() || stop != end) {
+    reject(std::string(what) + " must be a 16-digit hex string");
   }
-
-  std::string next_line() {
-    std::string line;
-    if (!std::getline(in_, line)) fail("unexpected end of entry");
-    ++line_no_;
-    return line;
-  }
-
-  void expect_line(const std::string& expected) {
-    if (next_line() != expected) fail("expected '" + expected + "'");
-  }
-
-  std::string rest_of(const std::string& line, const std::string& prefix) {
-    if (line.size() < prefix.size() || line.compare(0, prefix.size(), prefix) != 0) {
-      fail("expected a '" + prefix + "' line");
-    }
-    return line.substr(prefix.size());
-  }
-
-  std::uint64_t parse_hex(const std::string& text) {
-    std::uint64_t v = 0;
-    if (text.empty() || text.size() > 16) fail("malformed hash");
-    for (const char c : text) {
-      v <<= 4;
-      if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-      else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-      else fail("malformed hash");
-    }
-    return v;
-  }
-
-  std::size_t parse_count(const std::string& text) {
-    if (text.empty()) fail("malformed count");
-    std::size_t v = 0;
-    for (const char c : text) {
-      if (c < '0' || c > '9') fail("malformed count");
-      if (v > (std::size_t(-1) - 9) / 10) fail("count out of range");
-      v = v * 10 + static_cast<std::size_t>(c - '0');
-    }
-    return v;
-  }
-
-  mc::pdr::Cube parse_clause(const std::string& body) {
-    mc::pdr::Cube clause;
-    std::istringstream fields(body);
-    std::string token;
-    while (fields >> token) {
-      const std::size_t dot = token.find('.');
-      if (dot == std::string::npos || dot == 0 || dot + 2 > token.size()) {
-        fail("malformed clause literal");
-      }
-      const char polarity = token.back();
-      if (polarity != '+' && polarity != '-') fail("malformed clause literal");
-      mc::pdr::StateLit lit;
-      lit.state = static_cast<std::uint32_t>(
-          parse_count(token.substr(0, dot)));
-      lit.bit = static_cast<std::uint32_t>(
-          parse_count(token.substr(dot + 1, token.size() - dot - 2)));
-      lit.negated = polarity == '-';
-      clause.push_back(lit);
-    }
-    if (clause.empty()) fail("empty clause");
-    return clause;
-  }
-
-  std::istringstream in_;
-  std::size_t line_no_ = 0;
-};
+  return hash;
+}
 
 }  // namespace
 
+std::string ProofCache::render_entry(const CacheEntry& entry) {
+  JsonArray states;
+  for (const ir::StateSig& sig : entry.state_sigs) {
+    states.emplace_back(JsonArray{static_cast<int>(sig.width), hex64(sig.sig)});
+  }
+  JsonArray clauses;
+  for (const mc::pdr::Cube& cube : entry.clauses) {
+    JsonArray lits;
+    for (const mc::pdr::StateLit& lit : cube) {
+      lits.emplace_back(JsonArray{static_cast<std::uint64_t>(lit.state),
+                                  static_cast<std::uint64_t>(lit.bit), lit.negated});
+    }
+    clauses.emplace_back(std::move(lits));
+  }
+  const Json json(JsonObject{{"format", kEntryFormat},
+                             {"design", entry.design},
+                             {"sys", hex64(entry.sys_hash)},
+                             {"prop", hex64(entry.prop_hash)},
+                             {"depth", static_cast<std::uint64_t>(entry.depth)},
+                             {"states", std::move(states)},
+                             {"clauses", std::move(clauses)}});
+  return json.dump() + "\n";
+}
+
 CacheEntry ProofCache::parse_entry(const std::string& text) {
-  return EntryParser(text).run();
+  Json json;
+  try {
+    json = Json::parse(text);
+  } catch (const ParseError& e) {
+    reject(e.what());
+  }
+  if (!json.is_object()) reject("an entry must be a JSON object");
+  if (string_of(member(json, "format"), "format") != kEntryFormat) {
+    reject(std::string("format must be \"") + kEntryFormat + "\"");
+  }
+
+  constexpr std::uint64_t kMaxIndex = UINT32_MAX;
+  CacheEntry entry;
+  entry.design = string_of(member(json, "design"), "design");
+  entry.sys_hash = hash_of(member(json, "sys"), "sys");
+  entry.prop_hash = hash_of(member(json, "prop"), "prop");
+  entry.depth = whole(member(json, "depth"), 0, kMaxIndex, "depth");
+  for (const Json& state : array_of(member(json, "states"), "states")) {
+    const JsonArray& pair = array_of(state, "a state signature");
+    if (pair.size() != 2) reject("a state signature must be [width, \"hash\"]");
+    entry.state_sigs.push_back(ir::StateSig{
+        static_cast<unsigned>(whole(pair[0], 1, 64, "a state width")),
+        hash_of(pair[1], "a state hash")});
+  }
+  for (const Json& clause : array_of(member(json, "clauses"), "clauses")) {
+    mc::pdr::Cube cube;
+    for (const Json& lit : array_of(clause, "a clause")) {
+      const JsonArray& triple = array_of(lit, "a literal");
+      if (triple.size() != 3 || !triple[2].is_bool()) {
+        reject("a literal must be [state, bit, negated]");
+      }
+      cube.push_back(mc::pdr::StateLit{
+          static_cast<std::uint32_t>(whole(triple[0], 0, kMaxIndex, "a literal's state")),
+          static_cast<std::uint32_t>(whole(triple[1], 0, kMaxIndex, "a literal's bit")),
+          triple[2].as_bool()});
+    }
+    if (cube.empty()) reject("empty clause");
+    entry.clauses.push_back(std::move(cube));
+  }
+  return entry;
 }
 
 mc::EngineResult recertify(const ir::TransitionSystem& ts,

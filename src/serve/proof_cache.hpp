@@ -4,8 +4,8 @@
 /// Persistent proof cache for the verification server (docs/serve.md).
 ///
 /// Every (transition system, target set) is keyed on `ir::struct_hash` — a
-/// semantic-structural hash that survives renames, fresh NodeManagers and
-/// serialize round trips, and changes under any semantic edit. A Proven
+/// semantic-structural hash that survives renames and fresh NodeManagers,
+/// and changes under any semantic edit. A Proven
 /// run's inductive invariant is stored as `mc::pdr::Cube`s, one blocked cube
 /// per clause (state declaration index + bit + polarity per literal), the
 /// same manager-neutral currency PDR's frame database uses: it carries no
@@ -112,10 +112,12 @@ class ProofCache {
                                     const std::vector<ir::NodeRef>& targets);
 
   // --- entry (de)serialization, public for tests ----------------------------
-  /// Text rendering of one entry (versioned header; line-based).
+  /// One entry as a single-line JSON object with a format tag
+  /// (docs/serve.md has the shape).
   static std::string render_entry(const CacheEntry& entry);
-  /// Parse a rendering; throws ParseError (located "pcache:line N") on any
-  /// malformed content — count mismatches, bad numbers, missing header.
+  /// Parse a rendering; throws ParseError ("pcache: ...") on any malformed
+  /// content — bad JSON, a wrong format tag, a missing or wrong-typed field,
+  /// a number that is not whole or out of range, a hash that is not hex.
   static CacheEntry parse_entry(const std::string& text);
 
  private:

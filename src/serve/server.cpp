@@ -11,6 +11,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -84,6 +85,20 @@ const char* stop_reason_name(StopReason reason) {
 }
 
 }  // namespace
+
+/// A verify request's source, parsed and type-checked once, before the pool
+/// is consulted: the pool key and what `checkout_task` needs to build a task
+/// on a pool miss.
+struct Server::TaskSource {
+  enum class Kind { Design, File, Rtl };
+  Kind kind = Kind::Design;
+  std::string text;                       ///< design name, file path or RTL text
+  std::vector<flow::TargetSpec> targets;  ///< `rtl` only: the 'properties' list
+  std::optional<std::string> property;    ///< target filter by property name
+  /// Everything that feeds elaboration: different keys never share a task,
+  /// since a stale reuse answers for the wrong design or property set.
+  std::string key;
+};
 
 struct Server::PreparedJob {
   Json id;
@@ -204,10 +219,85 @@ void Server::dispatch(const Json& request, const Sink& send) {
   throw ProtocolError("unknown-op", "unknown op '" + name + "'");
 }
 
-Server::TaskHandle Server::checkout_task(const std::string& key, const Json& request) {
+Server::TaskSource Server::parse_source(const Json& request) {
+  // Exactly one source selector.
+  int sources = 0;
+  for (const char* field : {"design", "file", "rtl"}) {
+    if (request.get(field) != nullptr) ++sources;
+  }
+  if (sources > 1) {
+    throw ProtocolError("conflicting-source",
+                        "give exactly one of 'design', 'file', 'rtl'");
+  }
+
+  TaskSource source;
+  if (const Json* design = optional_field(request, "design", Json::Kind::String,
+                                          "a string")) {
+    source.kind = TaskSource::Kind::Design;
+    source.text = design->as_string();
+    source.key = "design:" + source.text;
+  } else if (const Json* file = optional_field(request, "file", Json::Kind::String,
+                                               "a string")) {
+    source.kind = TaskSource::Kind::File;
+    source.text = file->as_string();
+    // Mix the file's on-disk identity (mtime + size) into the key: the
+    // regression-farm loop this server targets edits files in place between
+    // submissions, and a reused task must not pin the old content. When
+    // the stat fails the key stays path-only and checkout_task's
+    // from_file reports the located bad-file error.
+    source.key = "file:" + source.text;
+    std::error_code ec;
+    const auto mtime = std::filesystem::last_write_time(source.text, ec);
+    if (!ec) {
+      const std::uintmax_t size = std::filesystem::file_size(source.text, ec);
+      if (!ec) {
+        source.key += "@" + std::to_string(mtime.time_since_epoch().count()) + "." +
+                      std::to_string(size);
+      }
+    }
+  } else if (const Json* rtl = optional_field(request, "rtl", Json::Kind::String,
+                                              "a string")) {
+    source.kind = TaskSource::Kind::Rtl;
+    source.text = rtl->as_string();
+    const Json* properties = optional_field(request, "properties", Json::Kind::Array,
+                                            "an array");
+    const JsonArray none;
+    for (const Json& p : properties != nullptr ? properties->as_array() : none) {
+      // An SVA string, or a {name, sva} object (Json::get on a string is null).
+      const Json* sva = p.is_string() ? &p : p.get("sva");
+      if (sva == nullptr || !sva->is_string()) {
+        throw ProtocolError("bad-field",
+                            "'properties' entries must be SVA strings or {name, sva} objects");
+      }
+      const Json* name = p.get("name");
+      source.targets.push_back(flow::TargetSpec{
+          name != nullptr && name->is_string() ? name->as_string()
+                                               : "p" + std::to_string(source.targets.size()),
+          sva->as_string()});
+    }
+    // The property list is part of the key: identical RTL verified against
+    // different property sets elaborates different target sets. The dump
+    // goes first, newline-terminated — Json::dump never emits a raw
+    // newline, so the free-form RTL text cannot forge another key.
+    source.key = "rtl:" + (properties != nullptr ? properties->dump() : std::string()) +
+                 "\n" + source.text;
+  } else {
+    throw ProtocolError("missing-source",
+                        "verify needs exactly one of 'design', 'file', 'rtl'");
+  }
+
+  if (const Json* property = optional_field(request, "property", Json::Kind::String,
+                                            "a string")) {
+    source.property = property->as_string();
+    source.key += "|property=" + *source.property;
+  }
+  return source;
+}
+
+Server::TaskHandle Server::checkout_task(const TaskSource& source) {
   {
     util::MutexLock lock(tasks_mu_);
-    auto it = idle_tasks_.find(key);
+    auto it = idle_tasks_.find(source.key);
     if (it != idle_tasks_.end() && !it->second.empty()) {
       TaskHandle task = std::move(it->second.back());
       it->second.pop_back();
@@ -219,68 +309,27 @@ Server::TaskHandle Server::checkout_task(const std::string& key, const Json& req
   // Build a fresh task for the request source. Source errors surface as the
   // protocol's located error classes.
   flow::VerificationTask task;
-  if (const Json* design = optional_field(request, "design", Json::Kind::String,
-                                          "a string")) {
-    try {
-      task = designs::make_task(design->as_string());
-    } catch (const Error& e) {
-      throw ProtocolError("unknown-design", e.what());
+  try {
+    switch (source.kind) {
+      case TaskSource::Kind::Design: task = designs::make_task(source.text); break;
+      case TaskSource::Kind::File: task = flow::VerificationTask::from_file(source.text); break;
+      case TaskSource::Kind::Rtl:
+        task = flow::VerificationTask::from_rtl("serve_rtl", "", source.text, source.targets);
+        break;
     }
-  } else if (const Json* file = optional_field(request, "file", Json::Kind::String,
-                                               "a string")) {
-    try {
-      task = flow::VerificationTask::from_file(file->as_string());
-    } catch (const Error& e) {
-      throw ProtocolError("bad-file", e.what());
-    }
-  } else if (const Json* rtl = optional_field(request, "rtl", Json::Kind::String,
-                                              "a string")) {
-    std::vector<flow::TargetSpec> targets;
-    const Json* properties = request.get("properties");
-    if (properties != nullptr) {
-      if (!properties->is_array()) {
-        throw ProtocolError("bad-field", "'properties' must be an array");
-      }
-      for (const Json& p : properties->as_array()) {
-        if (p.is_string()) {
-          targets.push_back(flow::TargetSpec{
-              "p" + std::to_string(targets.size()), p.as_string()});
-        } else if (p.is_object() && p.get("sva") != nullptr &&
-                   p.get("sva")->is_string()) {
-          const Json* prop_name = p.get("name");
-          targets.push_back(flow::TargetSpec{
-              prop_name != nullptr && prop_name->is_string()
-                  ? prop_name->as_string()
-                  : "p" + std::to_string(targets.size()),
-              p.get("sva")->as_string()});
-        } else {
-          throw ProtocolError("bad-field",
-                              "'properties' entries must be SVA strings or "
-                              "{name, sva} objects");
-        }
-      }
-    }
-    try {
-      task = flow::VerificationTask::from_rtl("serve_rtl", "", rtl->as_string(),
-                                              targets);
-    } catch (const Error& e) {
-      throw ProtocolError("bad-rtl", e.what());
-    }
-  } else {
-    throw ProtocolError("missing-source",
-                        "verify needs exactly one of 'design', 'file', 'rtl'");
+  } catch (const Error& e) {
+    static constexpr const char* kCodes[] = {"unknown-design", "bad-file", "bad-rtl"};
+    throw ProtocolError(kCodes[static_cast<int>(source.kind)], e.what());
   }
 
-  // Optional target filter by property name.
-  if (const Json* property = optional_field(request, "property", Json::Kind::String,
-                                            "a string")) {
+  if (source.property.has_value()) {
     std::vector<std::size_t> filtered;
     for (const std::size_t i : task.target_indices) {
-      if (task.ts.property(i).name == property->as_string()) filtered.push_back(i);
+      if (task.ts.property(i).name == *source.property) filtered.push_back(i);
     }
     if (filtered.empty()) {
       throw ProtocolError("unknown-property",
-                          "no target property named '" + property->as_string() + "'");
+                          "no target property named '" + *source.property + "'");
     }
     task.target_indices = std::move(filtered);
   }
@@ -307,16 +356,9 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
   job->id = request_id(request);
   job->id_text = id_text;
   job->send = send;
-
-  // Exactly one source selector.
-  int sources = 0;
-  for (const char* field : {"design", "file", "rtl"}) {
-    if (request.get(field) != nullptr) ++sources;
-  }
-  if (sources > 1) {
-    throw ProtocolError("conflicting-source",
-                        "give exactly one of 'design', 'file', 'rtl'");
-  }
+  // The source is parsed in full before the pool is consulted, so a bad
+  // field is answered the same whether or not a task is pooled.
+  TaskSource source = parse_source(request);
 
   job->engine_name = options_.default_engine;
   if (const Json* engine = optional_field(request, "engine", Json::Kind::String,
@@ -358,53 +400,11 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
     }
   }
 
-  // Task key: everything that feeds elaboration (different keys must never
-  // share an elaborated task; a stale reuse answers for the wrong design or
-  // the wrong property set).
-  const Json* design = request.get("design");
-  const Json* file = request.get("file");
-  const Json* rtl = request.get("rtl");
-  if (design != nullptr && design->is_string()) {
-    job->task_key = "design:" + design->as_string();
-    job->design_label = design->as_string();
-  } else if (file != nullptr && file->is_string()) {
-    // Mix the file's on-disk identity (mtime + size) into the key: the
-    // regression-farm loop this server targets edits files in place between
-    // submissions, and a reused task must not pin the old content. When
-    // the stat fails the key stays path-only and checkout_task's
-    // from_file reports the located bad-file error.
-    job->task_key = "file:" + file->as_string();
-    std::error_code ec;
-    const auto mtime = std::filesystem::last_write_time(file->as_string(), ec);
-    if (!ec) {
-      const std::uintmax_t size = std::filesystem::file_size(file->as_string(), ec);
-      if (!ec) {
-        job->task_key += "@" +
-                            std::to_string(mtime.time_since_epoch().count()) +
-                            "." + std::to_string(size);
-      }
-    }
-    job->design_label = file->as_string();
-  } else if (rtl != nullptr && rtl->is_string()) {
-    // The property list is part of the key: identical RTL verified against
-    // different property sets elaborates different target sets. The dump
-    // goes first, newline-terminated — Json::dump never emits a raw
-    // newline, so the free-form RTL text cannot forge another key.
-    const Json* properties = request.get("properties");
-    job->task_key =
-        "rtl:" + (properties != nullptr ? properties->dump() : std::string()) +
-        "\n" + rtl->as_string();
-    job->design_label = "rtl";
-  }
-  if (const Json* property = request.get("property")) {
-    if (property->is_string()) {
-      job->task_key += "|property=" + property->as_string();
-    }
-  }
-
   // Eager task construction: source errors answer the request synchronously
   // (and located), instead of surfacing later from a worker thread.
-  job->task = checkout_task(job->task_key, request);
+  job->task = checkout_task(source);
+  job->task_key = std::move(source.key);
+  job->design_label = source.kind == TaskSource::Kind::Rtl ? "rtl" : std::move(source.text);
 
   const bool submitted = pool_.submit(
       job->id_text, deadline_ms,

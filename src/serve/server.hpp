@@ -134,7 +134,12 @@ class Server {
 
   using TaskHandle = std::shared_ptr<const flow::VerificationTask>;
 
-  TaskHandle checkout_task(const std::string& key, const Json& request);
+  struct TaskSource;
+  /// Parse and type-check a verify request's source fields (throws the
+  /// protocol's `bad-field` / `missing-source` / `conflicting-source`).
+  static TaskSource parse_source(const Json& request);
+  /// A pooled task for `source.key`, or a fresh one built from `source`.
+  TaskHandle checkout_task(const TaskSource& source);
   void return_task(const std::string& key, TaskHandle task);
 
   const ServerOptions options_;

@@ -20,18 +20,6 @@ std::vector<std::string> split(std::string_view text, char sep) {
   }
 }
 
-std::vector<std::string> split_ws(std::string_view text) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    std::size_t start = i;
-    while (i < text.size() && !std::isspace(static_cast<unsigned char>(text[i]))) ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();

@@ -20,9 +20,6 @@ namespace genfv::util {
 /// Split `text` on `sep`, keeping empty fields.
 std::vector<std::string> split(std::string_view text, char sep);
 
-/// Split `text` into non-empty whitespace-delimited tokens.
-std::vector<std::string> split_ws(std::string_view text);
-
 /// Trim ASCII whitespace from both ends.
 std::string trim(std::string_view text);
 

@@ -6,7 +6,6 @@
 #include "util/status.hpp"
 
 #include "ir/printer.hpp"
-#include "ir/serialize.hpp"
 #include "ir/struct_hash.hpp"
 #include "ir/substitute.hpp"
 #include "ir/transition_system.hpp"
@@ -252,14 +251,6 @@ TEST(StructHash, SemanticEditsChangeTheHash) {
   const NodeRef extra = wider.add_state("extra", 1);
   wider.set_next(extra, extra);
   EXPECT_NE(struct_hash(wider), base_hash);
-}
-
-TEST(StructHash, StableAcrossSerializeRoundTrip) {
-  TransitionSystem ts = counters_system(3, false);
-  const std::uint64_t original = struct_hash(ts);
-
-  TransitionSystem reloaded = deserialize(serialize(ts));
-  EXPECT_EQ(struct_hash(reloaded), original);
 }
 
 TEST(StructHash, CommutativeOperandOrderDoesNotLeakCreationOrder) {

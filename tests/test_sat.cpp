@@ -319,31 +319,36 @@ TEST(Dimacs, ParsesCommentsAndWhitespace) {
 }
 
 TEST(Dimacs, RejectsMalformedInput) {
-  // Each error names its cause. Every header field and literal must be a
-  // whole, in-range integer: the last four rows used to parse, because a
-  // prefix-reading number parser took "1x" as 1, "abc" as 0 variables and a
-  // negative count as is, and |INT_MIN| overflowed past the variable bound.
+  // Each error names its cause and is located at its line ("dimacs:<n>").
+  // Every header field and literal must be a whole, in-range integer: the
+  // last four rows used to parse, because a prefix-reading number parser
+  // took "1x" as 1, "abc" as 0 variables and a negative count as is, and
+  // |INT_MIN| overflowed past the variable bound.
   struct Row {
     const char* text;
+    const char* where;
     const char* cause;
   };
   const Row rows[] = {
-      {"p cnf x y\n1 0\n", "'x'"},
-      {"p cnf 1 1\n1\n", "unterminated"},
-      {"p cnf 1 1\n5 0\n", "'5'"},  // var out of range
-      {"p cnf 1 2\n1 0\n", "mismatch"},
-      {"p cnf 1 1\n1x 0\n", "'1x'"},
-      {"p cnf abc 1\n0\n", "'abc'"},
-      {"p cnf -4 0\n", "'-4'"},
-      {"p cnf 3 1\n-2147483648 0\n", "'-2147483648'"},
+      {"p cnf x y\n1 0\n", "dimacs:1:", "'x'"},
+      {"p cnf 1 1\n1\n", "dimacs:2:", "unterminated"},
+      {"p cnf 1 1\n5 0\n", "dimacs:2:", "'5'"},  // var out of range
+      {"c header\np cnf 1 2\n1 0\n", "dimacs:2:", "mismatch"},  // at the 'p' line
+      {"p cnf 1 1\r\n\r\n1x 0\r\n", "dimacs:3:", "'1x'"},
+      {"p cnf abc 1\n0\n", "dimacs:1:", "'abc'"},
+      {"p cnf -4 0\n", "dimacs:1:", "'-4'"},
+      {"p cnf 3 1\n-2147483648 0\n", "dimacs:2:", "'-2147483648'"},
+      {"p cnf 1 1\n1 0\np cnf 1\n", "dimacs:3:", "problem line"},
+      {"p cnf 18446744073709551616 0\n", "dimacs:1:", "overflows"},
   };
   for (const Row& row : rows) {
     try {
       (void)parse_dimacs(row.text);
       ADD_FAILURE() << "accepted: " << row.text;
     } catch (const ParseError& e) {
-      EXPECT_NE(std::string(e.what()).find(row.cause), std::string::npos)
-          << row.text << " -> " << e.what();
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(row.where, 0), 0u) << row.text << " -> " << what;
+      EXPECT_NE(what.find(row.cause), std::string::npos) << row.text << " -> " << what;
     }
   }
 }

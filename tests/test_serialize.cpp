@@ -8,7 +8,6 @@
 #include "designs/design.hpp"
 #include "flow/direct_miner_flow.hpp"
 #include "ir/serialize.hpp"
-#include "mc/kinduction.hpp"
 #include "sim/random_sim.hpp"
 #include "sim/vcd.hpp"
 
@@ -17,42 +16,35 @@ namespace {
 
 class SerializeZoo : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(SerializeZoo, RoundTripPreservesStructureAndSemantics) {
-  auto task = designs::make_task(GetParam());
+TEST_P(SerializeZoo, DumpNamesEveryDeclarationAndIsStableAcrossElaborations) {
+  const auto task = designs::make_task(GetParam());
   const std::string text = ir::serialize(task.ts);
-  ir::TransitionSystem copy = ir::deserialize(text);
-
-  // Structure.
-  ASSERT_EQ(copy.inputs().size(), task.ts.inputs().size());
-  ASSERT_EQ(copy.states().size(), task.ts.states().size());
-  ASSERT_EQ(copy.constraints().size(), task.ts.constraints().size());
-  ASSERT_EQ(copy.properties().size(), task.ts.properties().size());
-  ASSERT_EQ(copy.signals().size(), task.ts.signals().size());
-  EXPECT_EQ(copy.name(), task.ts.name());
-  for (std::size_t i = 0; i < copy.properties().size(); ++i) {
-    EXPECT_EQ(copy.properties()[i].name, task.ts.properties()[i].name);
-    EXPECT_EQ(copy.properties()[i].role, task.ts.properties()[i].role);
+  const auto has = [&text](const std::string& piece) {
+    return text.find(piece) != std::string::npos;
+  };
+  ASSERT_EQ(text.rfind("genfv-ts 1\nname " + task.ts.name() + "\n", 0), 0u);
+  for (const ir::NodeRef input : task.ts.inputs()) {
+    EXPECT_TRUE(has(" input " + std::to_string(input->width()) + " " + input->name() + "\n"))
+        << input->name();
   }
-
-  // Semantics: run lock-step random simulations of original and copy with
-  // the same seed; every named signal must agree on every frame.
-  sim::RandomSimulator sim_a(task.ts, 991);
-  sim::RandomSimulator sim_b(copy, 991);
-  const sim::Trace trace_a = sim_a.run(60);
-  const sim::Trace trace_b = sim_b.run(60);
-  for (std::size_t f = 0; f < trace_a.size(); ++f) {
-    for (const auto& s : task.ts.states()) {
-      const ir::NodeRef other = copy.lookup(s.var->name());
-      ASSERT_NE(other, nullptr);
-      ASSERT_EQ(trace_a.value(s.var, f), trace_b.value(other, f))
-          << GetParam() << " state " << s.var->name() << " frame " << f;
-    }
+  for (const ir::StateVar& state : task.ts.states()) {
+    const ir::NodeRef var = state.var;
+    EXPECT_TRUE(has(" state " + std::to_string(var->width()) + " " + var->name() + "\n"))
+        << var->name();
   }
-
-  // A second round trip must also parse (byte-identity is NOT guaranteed:
-  // commutative operands are normalized by node id, which is assigned in
-  // construction order and may differ after a round trip).
-  EXPECT_NO_THROW(ir::deserialize(ir::serialize(copy)));
+  for (const ir::Property& property : task.ts.properties()) {
+    const char* role = property.role == ir::PropertyRole::Target      ? "target"
+                       : property.role == ir::PropertyRole::Candidate ? "candidate"
+                                                                      : "lemma";
+    EXPECT_TRUE(has(std::string("\nproperty ") + role + " " + property.name + " "))
+        << property.name;
+  }
+  for (const auto& [name, expr] : task.ts.signals()) {
+    EXPECT_TRUE(has("\nsignal " + name + " ")) << name;
+  }
+  // A second elaboration (a fresh NodeManager) dumps the same bytes, so two
+  // dumps of one design can be diffed.
+  EXPECT_EQ(ir::serialize(designs::make_task(GetParam()).ts), text);
 }
 
 std::vector<std::string> zoo_names() {
@@ -63,30 +55,6 @@ std::vector<std::string> zoo_names() {
 
 INSTANTIATE_TEST_SUITE_P(Zoo, SerializeZoo, ::testing::ValuesIn(zoo_names()),
                          [](const auto& info) { return info.param; });
-
-TEST(Serialize, DeserializedSystemIsProvable) {
-  auto task = designs::make_task("sync_counters");
-  ir::TransitionSystem copy = ir::deserialize(ir::serialize(task.ts));
-  auto& nm = copy.nm();
-  const ir::NodeRef helper = nm.mk_eq(copy.lookup("count1"), copy.lookup("count2"));
-  mc::KInductionEngine engine(copy, {.max_steps = 4, .lemmas = {helper}});
-  EXPECT_EQ(engine.prove(copy.property(0).expr).verdict, mc::Verdict::Proven);
-}
-
-TEST(Serialize, Diagnostics) {
-  EXPECT_THROW(ir::deserialize(""), ParseError);
-  EXPECT_THROW(ir::deserialize("bogus header\n"), ParseError);
-  EXPECT_THROW(ir::deserialize("genfv-ts 1\n1 add 4 7 8\n"), ParseError);  // fwd refs
-  EXPECT_THROW(ir::deserialize("genfv-ts 1\n1 frobnicate 4\n"), ParseError);
-  EXPECT_THROW(ir::deserialize("genfv-ts 1\n1 const 4 3\ninit 1 1\n"), Error)
-      << "init on a non-state must be rejected";
-  // Comments and blank lines are fine.
-  EXPECT_NO_THROW(ir::deserialize("genfv-ts 1\n; comment\n\n1 input 4 x\n"));
-}
-
-TEST(Serialize, WidthMismatchRejected) {
-  EXPECT_THROW(ir::deserialize("genfv-ts 1\n1 input 4 x\n2 not 5 1\n"), Error);
-}
 
 TEST(Vcd, ContainsHeaderVarsAndChanges) {
   auto task = designs::make_task("sync_counters");

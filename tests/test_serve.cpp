@@ -414,6 +414,36 @@ TEST(ServeProtocol, SameRtlDifferentPropertySetsDoNotShareSessions) {
   EXPECT_EQ(string_field(without, "error"), "no-targets");
 }
 
+TEST(ServeProtocol, BadSourceFieldIsRejectedWithAndWithoutAPooledTask) {
+  // The source fields are type-checked before the task pool is consulted, so
+  // a pooled lfsr16 task must not let a non-string 'property' filter through
+  // to a job that proves every target.
+  ServerOptions options;
+  options.workers = 1;
+  ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
+  Server server(options);
+  const std::string bad =
+      R"({"id":2,"op":"verify","design":"lfsr16","max_k":1,"cache":false,"property":5})";
+
+  server.handle_line(bad, log.sink());
+  const Json fresh = log.wait_for("2");
+  EXPECT_FALSE(bool_field(fresh, "ok"));
+  EXPECT_EQ(string_field(fresh, "error"), "bad-field");
+  EXPECT_EQ(string_field(fresh, "message"), "'property' must be a string");
+
+  server.handle_line(R"({"id":1,"op":"verify","design":"lfsr16","max_k":1,"cache":false})",
+                     log.sink());
+  EXPECT_TRUE(bool_field(log.wait_for("1"), "ok"));  // its task is back in the pool
+
+  server.handle_line(R"({"id":3,"op":"verify","design":"lfsr16","max_k":1,"cache":false,)"
+                     R"("property":5})",
+                     log.sink());
+  const Json pooled = log.wait_for("3");
+  EXPECT_FALSE(bool_field(pooled, "ok"));
+  EXPECT_EQ(string_field(pooled, "error"), "bad-field");
+  EXPECT_EQ(string_field(pooled, "message"), "'property' must be a string");
+}
+
 TEST(ServeProtocol, EditedFileOnDiskIsReElaborated) {
   ScopedTempDir dir;
   const std::string path = dir.path() + "/latch.aag";
@@ -722,26 +752,42 @@ TEST(ServeCache, EntryTextRoundTripsAndEveryCorruptionIsRejected) {
   EXPECT_EQ(back.clauses, entry.clauses);
   EXPECT_EQ(ProofCache::render_entry(back), text);
 
+  // The entry is one JSON object; hashes are hex strings (a JSON number
+  // cannot hold 64 bits exactly).
+  EXPECT_EQ(text,
+            "{\"format\":\"genfv-proof-cache 2\",\"design\":\"micro\","
+            "\"sys\":\"0123456789abcdef\",\"prop\":\"fedcba9876543210\",\"depth\":7,"
+            "\"states\":[[4,\"1111222233334444\"],[1,\"5555666677778888\"]],"
+            "\"clauses\":[[[0,3,true]],[[1,0,false],[0,2,true]]]}\n");
+
+  const auto with = [&text](const std::string& from, const std::string& to) {
+    std::string t = text;
+    const std::size_t at = t.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? std::string() : t.replace(at, from.size(), to);
+  };
   const std::string corruptions[] = {
-      "",                                          // empty file
-      "# some other format\n",                     // wrong header
-      text.substr(0, text.size() / 2),             // truncated
-      text + "trailing junk\n",                    // extra content
-      [&] {                                        // broken clause literal
-        std::string t = text;
-        t.replace(t.find("0.3-"), 4, "0.z-");
-        return t;
-      }(),
-      [&] {                                        // count mismatch
-        std::string t = text;
-        t.replace(t.find("states 2"), 8, "states 3");
-        return t;
-      }(),
-      [&] {                                        // non-hex hash
-        std::string t = text;
-        t.replace(t.find("0123456789abcdef"), 16, "0123456789abcdeg");
-        return t;
-      }(),
+      "",                                                  // empty input
+      with("genfv-proof-cache 2", "genfv-proof-cache 1"),  // wrong format tag
+      with("\"format\":\"genfv-proof-cache 2\",", ""),     // no format tag
+      "# genfv-proof-cache 1\ndesign micro\n",             // the v1 line format
+      text.substr(0, text.size() / 2),                     // truncated
+      text + "trailing junk\n",                            // trailing junk
+      with("[0,3,true]", "[0,3,tru]"),                     // broken literal
+      with("[0,3,true]", "[0,3]"),                         // literal missing a field
+      with("[0,3,true]", "[0,3,1]"),                       // polarity not a bool
+      with("[0,3,true]", "[0,2.5,true]"),                  // fractional bit
+      with("[0,3,true]", "[-1,3,true]"),                   // negative state
+      with("[0,3,true]", "[4294967296,3,true]"),           // state beyond uint32_t
+      with("[[0,3,true]]", "[]"),                          // empty clause
+      with("[4,", "[65,"),                                 // width above 64
+      with("[4,", "[0,"),                                  // width 0
+      with("\"depth\":7", "\"depth\":\"7\""),              // wrong-typed field
+      with("\"design\":\"micro\"", "\"design\":3"),        // wrong-typed field
+      with("\"states\":[[4,", "\"states\":[{\"width\":4},"),  // wrong-typed field
+      with("0123456789abcdef", "0123456789abcdeg"),        // non-hex hash
+      with("0123456789abcdef", "123456789abcdef"),         // short hash
+      with("\"0123456789abcdef\"", "81985529216486895"),   // hash as a number
   };
   for (const std::string& corrupt : corruptions) {
     try {
@@ -763,12 +809,18 @@ TEST(ServeCache, LoadRejectsCorruptFilesAndKeepsGoodOnes) {
   entry.state_sigs.push_back(ir::StateSig{1, 42});
   entry.clauses.push_back(unit_clause(0, 0, false));
   std::ofstream(dir.path() + "/good.pcache") << ProofCache::render_entry(entry);
-  std::ofstream(dir.path() + "/bad.pcache") << "# genfv-proof-cache 1\ndesign\n";
+  std::ofstream(dir.path() + "/bad.pcache") << "{\"format\":\"genfv-proof-cache 2\"";
+  // The same entry in the retired line format (v1): rejected like any other
+  // file that does not parse, never read best-effort.
+  std::ofstream(dir.path() + "/v1.pcache")
+      << "# genfv-proof-cache 1\ndesign micro\nsys 0000000000000001\n"
+         "prop 0000000000000002\ndepth 1\nstates 1\nsig 1 000000000000002a\n"
+         "clauses 1\nclause 0.0+\n";
   std::ofstream(dir.path() + "/ignored.txt") << "not a cache file";
 
   ProofCache cache(ProofCache::Options{dir.path(), 0.5});
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.rejected_files(), 1u);
+  EXPECT_EQ(cache.rejected_files(), 2u);
 }
 
 TEST(ServeCache, PersistsAcrossInstancesAndFreshElaboration) {

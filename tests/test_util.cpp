@@ -1,11 +1,12 @@
 /// Unit tests for the util module: RNG determinism/uniformity, string
-/// helpers, file helpers, table rendering.
+/// helpers, file helpers, the strict line reader, table rendering.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "util/files.hpp"
+#include "util/line_reader.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -91,13 +92,6 @@ TEST(Strings, SplitKeepsEmptyFields) {
   EXPECT_EQ(parts[1], "");
 }
 
-TEST(Strings, SplitWsDropsAllWhitespace) {
-  const auto parts = split_ws("  foo\t bar\nbaz  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "foo");
-  EXPECT_EQ(parts[2], "baz");
-}
-
 TEST(Strings, Trim) {
   EXPECT_EQ(trim("  x y  "), "x y");
   EXPECT_EQ(trim("\t\n"), "");
@@ -131,6 +125,53 @@ TEST(Files, WriteFileThrowsWhenTheBytesCannotBeWritten) {
   EXPECT_THROW(util::write_file("/dev/full", "data"), UsageError);
   EXPECT_THROW(util::write_file(testing::TempDir() + "no/such/dir/x.txt", "data"),
                UsageError);
+}
+
+TEST(LineReader, SplitsCrlfLinesIntoTokensNumberedFromOne) {
+  LineReader lines("a  b\t c\r\n\r\nlast", "f");
+  ASSERT_FALSE(lines.eof());
+  const auto first = split_tokens(lines.next_line());
+  EXPECT_EQ(first, (std::vector<std::string_view>{"a", "b", "c"}));
+  EXPECT_EQ(lines.line(), 1u);
+  EXPECT_TRUE(split_tokens(lines.next_line()).empty());  // "\r" alone is blank
+  EXPECT_EQ(lines.next_line(), "last");
+  EXPECT_EQ(lines.line(), 3u);
+  EXPECT_TRUE(lines.eof());
+}
+
+TEST(LineReader, ParseUintIsStrictAndNamesTheLineInEveryError) {
+  struct Row {
+    const char* text;   // the token is the last one on the last line ("" if blank)
+    const char* error;  // expected what(), empty when the token parses
+    std::uint64_t value;
+  };
+  const Row rows[] = {
+      {"0", "", 0},
+      {"x\r\n007", "", 7},
+      {"18446744073709551615", "", UINT64_MAX},
+      {"1\n2\n \t\r", "in.aag:3: missing width", 0},
+      {"12x", "in.aag:1: non-numeric width '12x'", 0},
+      {"\n-1", "in.aag:2: non-numeric width '-1'", 0},
+      {"+1", "in.aag:1: non-numeric width '+1'", 0},
+      {"1.5", "in.aag:1: non-numeric width '1.5'", 0},
+      {"\r\n\r\n18446744073709551616\r", "in.aag:3: width '18446744073709551616' overflows",
+       0},
+      {"99999999999999999999", "in.aag:1: width '99999999999999999999' overflows", 0},
+  };
+  for (const Row& row : rows) {
+    LineReader lines(row.text, "in.aag");
+    std::vector<std::string_view> tokens;
+    while (!lines.eof()) tokens = split_tokens(lines.next_line());
+    const std::string_view token = tokens.empty() ? std::string_view() : tokens.back();
+    try {
+      EXPECT_EQ(lines.parse_uint(token, "width"), row.value) << row.text;
+      EXPECT_STREQ(row.error, "") << row.text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()), row.error) << row.text;
+      const std::string error = row.error;
+      EXPECT_EQ(e.location(), error.substr(0, error.find(": "))) << row.text;
+    }
+  }
 }
 
 TEST(Table, AlignedRendering) {

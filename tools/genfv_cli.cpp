@@ -58,6 +58,7 @@
 ///                                    level every <seconds> (implies metrics)
 ///   --verbose                        info-level logging
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -309,50 +310,48 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
     base.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
   }
 
-  const bool has_overrides = [&] {
-    for (const auto& e : opts.property_engines) {
-      if (e.has_value()) return true;
+  // Proof groups: without per-property engine overrides one joint proof of
+  // every target, labelled "plain <engine>"; with them, one proof per
+  // target, labelled "<name> [<engine>]".
+  struct ProofGroup {
+    std::string property;  ///< "" for the joint proof
+    mc::EngineKind kind;
+    std::vector<ir::NodeRef> targets;
+  };
+  std::vector<ProofGroup> groups;
+  const bool has_overrides =
+      std::any_of(opts.property_engines.begin(), opts.property_engines.end(),
+                  [](const auto& e) { return e.has_value(); });
+  if (!has_overrides) {
+    groups.push_back({"", opts.engine, task.target_exprs()});
+  } else {
+    for (std::size_t t = 0; t < task.target_indices.size(); ++t) {
+      const auto& prop = task.ts.property(task.target_indices[t]);
+      const bool overridden =
+          t < opts.property_engines.size() && opts.property_engines[t].has_value();
+      groups.push_back({prop.name, overridden ? *opts.property_engines[t] : opts.engine,
+                        {prop.expr}});
     }
-    return false;
-  }();
+  }
 
   bool all_proven = true;
   std::vector<std::string> exported;
+  std::vector<mc::EngineResult> results;  // keeps the traces alive for the waveform
+  results.reserve(groups.size());
   const sim::Trace* wave_trace = nullptr;
-  mc::EngineResult joint;  // keeps the trace alive for waveform rendering
-  std::vector<mc::EngineResult> per_target;
-
-  if (!has_overrides) {
-    auto engine = mc::make_engine(opts.engine, task.ts, base);
-    joint = engine->prove_all(task.target_exprs());
-    print_result("plain " + engine->name(), joint);
-    all_proven = joint.verdict == mc::Verdict::Proven;
-    for (const ir::NodeRef clause : joint.invariant) {
+  for (const ProofGroup& group : groups) {
+    auto engine = mc::make_engine(group.kind, task.ts, base);
+    const mc::EngineResult& result = results.emplace_back(engine->prove_all(group.targets));
+    print_result(group.property.empty() ? "plain " + engine->name()
+                                        : group.property + " [" + engine->name() + "]",
+                 result);
+    all_proven = all_proven && result.verdict == mc::Verdict::Proven;
+    for (const ir::NodeRef clause : result.invariant) {
       exported.push_back(ir::to_string(clause));
     }
-    if (joint.cex.has_value()) wave_trace = &*joint.cex;
-    else if (joint.step_cex.has_value()) wave_trace = &*joint.step_cex;
-  } else {
-    // Per-property engine overrides: prove each target on its own engine.
-    per_target.reserve(task.target_indices.size());
-    for (std::size_t t = 0; t < task.target_indices.size(); ++t) {
-      const auto& prop = task.ts.property(task.target_indices[t]);
-      const mc::EngineKind kind = t < opts.property_engines.size() &&
-                                          opts.property_engines[t].has_value()
-                                      ? *opts.property_engines[t]
-                                      : opts.engine;
-      auto engine = mc::make_engine(kind, task.ts, base);
-      per_target.push_back(engine->prove(prop.expr));
-      const mc::EngineResult& result = per_target.back();
-      print_result(prop.name + " [" + engine->name() + "]", result);
-      all_proven = all_proven && result.verdict == mc::Verdict::Proven;
-      for (const ir::NodeRef clause : result.invariant) {
-        exported.push_back(ir::to_string(clause));
-      }
-      if (wave_trace == nullptr) {
-        if (result.cex.has_value()) wave_trace = &*result.cex;
-        else if (result.step_cex.has_value()) wave_trace = &*result.step_cex;
-      }
+    if (wave_trace == nullptr) {
+      if (result.cex.has_value()) wave_trace = &*result.cex;
+      else if (result.step_cex.has_value()) wave_trace = &*result.step_cex;
     }
   }
 
