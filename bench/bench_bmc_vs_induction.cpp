@@ -47,9 +47,7 @@ void run_experiment() {
     // k-induction with GenAI lemmas.
     {
       auto task = designs::make_task(name);
-      genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), bench::kSeed);
-      flow::CexRepairFlow flow(llm, bench::default_flow_options());
-      const auto report = flow.run(task);
+      const auto report = flow::run_flow(flow::JobSpec::cli(), task);
       const auto& r = report.targets.empty() ? mc::InductionResult{}
                                              : report.targets[0].result;
       table.add_row({name, "k-induction + GenAI lemmas", "k=" + std::to_string(r.k),

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file bench_common.hpp
-/// Shared plumbing for the experiment benches: deterministic seeds, default
-/// flow options, and a tiny helper to run google-benchmark registrations
-/// after the experiment tables have been printed.
+/// Shared plumbing for the experiment benches: the header every experiment
+/// prints, a tiny helper to run google-benchmark registrations after the
+/// experiment tables have been printed, and JSON result records. Flow runs
+/// start from flow::JobSpec::cli(), the configuration genfv_cli ships.
 
 #include <benchmark/benchmark.h>
 
@@ -15,30 +16,22 @@
 #include <vector>
 
 #include "designs/design.hpp"
-#include "flow/cex_repair_flow.hpp"
-#include "flow/helper_gen_flow.hpp"
-#include "genai/simulated_llm.hpp"
+#include "flow/job.hpp"
+#include "genai/model_profile.hpp"
 #include "mc/result.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
 namespace genfv::bench {
 
-/// Every bench prints its seed so results are reproducible by construction.
-inline constexpr std::uint64_t kSeed = 42;
-
-inline flow::FlowOptions default_flow_options() {
-  flow::FlowOptions options;
-  options.engine.max_k = 8;
-  return options;
-}
-
+/// Every bench prints the CLI seed its flow runs start from, so results are
+/// reproducible by construction.
 inline void print_header(const char* experiment, const char* paper_source,
                          const char* claim) {
   std::printf("==============================================================\n");
   std::printf("%s  (reproduces: %s)\n", experiment, paper_source);
   std::printf("%s\n", claim);
-  std::printf("seed = %llu\n", static_cast<unsigned long long>(kSeed));
+  std::printf("seed = %llu\n", static_cast<unsigned long long>(flow::JobSpec::cli().seed));
   std::printf("==============================================================\n");
 }
 

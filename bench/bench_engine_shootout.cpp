@@ -23,7 +23,7 @@
 #include <filesystem>
 
 #include "bench_common.hpp"
-#include "flow/session.hpp"
+#include "flow/job.hpp"
 #include "mc/engine.hpp"
 #include "serve/proof_cache.hpp"
 #include "util/telemetry.hpp"
@@ -95,8 +95,8 @@ void run_experiment(bench::JsonRecords* json, const std::string& corpus_dir) {
   for (const DesignSource& source : sources) {
     const std::string& name = source.name;
     for (const mc::EngineKind kind : contenders) {
-      auto task = source.path.empty() ? designs::make_task(name)
-                                      : flow::VerificationTask::from_file(source.path);
+      auto task = flow::build_task(source.path.empty() ? flow::JobSource::design(name)
+                                                       : flow::JobSource::file(source.path));
       mc::EngineOptions options;
       options.max_steps = source.max_steps;
       auto engine = mc::make_engine(kind, task.ts, options);

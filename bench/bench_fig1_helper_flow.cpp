@@ -19,11 +19,11 @@ void run_experiment() {
 
   util::Table table({"design", "category", "candidates", "lemmas", "targets proven",
                      "target k", "prove time", "model latency"});
+  flow::JobSpec spec = flow::JobSpec::cli();
+  spec.flow = flow::FlowKind::Helper;
   for (const auto& info : designs::all_designs()) {
     auto task = designs::make_task(info);
-    genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), bench::kSeed);
-    flow::HelperGenFlow flow(llm, bench::default_flow_options());
-    const flow::FlowReport report = flow.run(task);
+    const flow::FlowReport report = flow::run_flow(spec, task);
 
     std::size_t max_k = 0;
     for (const auto& t : report.targets) max_k = std::max(max_k, t.result.k);
@@ -39,11 +39,11 @@ void run_experiment() {
 }
 
 void BM_HelperGenFlowSyncCounters(benchmark::State& state) {
+  flow::JobSpec spec = flow::JobSpec::cli();
+  spec.flow = flow::FlowKind::Helper;
   for (auto _ : state) {
     auto task = designs::make_task("sync_counters");
-    genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), bench::kSeed);
-    flow::HelperGenFlow flow(llm, bench::default_flow_options());
-    benchmark::DoNotOptimize(flow.run(task));
+    benchmark::DoNotOptimize(flow::run_flow(spec, task));
   }
 }
 BENCHMARK(BM_HelperGenFlowSyncCounters);

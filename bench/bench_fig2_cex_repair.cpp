@@ -21,9 +21,7 @@ void run_experiment() {
                      "prove time", "model latency"});
   for (const auto& info : designs::all_designs()) {
     auto task = designs::make_task(info);
-    genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), bench::kSeed);
-    flow::CexRepairFlow flow(llm, bench::default_flow_options());
-    const flow::FlowReport report = flow.run(task);
+    const flow::FlowReport report = flow::run_flow(flow::JobSpec::cli(), task);
     table.add_row({info.name, std::to_string(report.iterations.size()),
                    std::to_string(report.candidates_total()),
                    std::to_string(report.admitted_lemmas.size()),
@@ -39,9 +37,7 @@ void run_experiment() {
 void BM_CexRepairHamming74(benchmark::State& state) {
   for (auto _ : state) {
     auto task = designs::make_task("hamming74");
-    genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), bench::kSeed);
-    flow::CexRepairFlow flow(llm, bench::default_flow_options());
-    benchmark::DoNotOptimize(flow.run(task));
+    benchmark::DoNotOptimize(flow::run_flow(flow::JobSpec::cli(), task));
   }
 }
 BENCHMARK(BM_CexRepairHamming74);

@@ -28,11 +28,11 @@ GateStats run_zoo(bool sim_screen) {
   for (const auto& info : designs::all_designs()) {
     for (const std::uint64_t seed : {3ull, 1337ull}) {
       auto task = designs::make_task(info);
-      genai::SimulatedLlm llm(genai::profile_by_name("llama-3-70b"), seed);
-      flow::FlowOptions options = bench::default_flow_options();
-      options.review.sim_screen = sim_screen;
-      flow::CexRepairFlow flow(llm, options);
-      const flow::FlowReport report = flow.run(task);
+      flow::JobSpec spec = flow::JobSpec::cli();
+      spec.model = "llama-3-70b";
+      spec.seed = seed;
+      spec.sim_screen = sim_screen;
+      const flow::FlowReport report = flow::run_flow(spec, task);
       stats.candidates += report.candidates_total();
       stats.sim_falsified += report.candidates_with(flow::CandidateStatus::SimFalsified);
       stats.proof_failed += report.candidates_with(flow::CandidateStatus::ProofFailed);

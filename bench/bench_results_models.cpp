@@ -20,10 +20,11 @@ void run_experiment() {
       "OpenAI-profile models out-generate Llama/Gemini profiles on deep "
       "(XOR/one-hot) invariants and hallucinate less.");
 
-  const std::uint64_t seeds[] = {1, 7, 42};
+  const std::uint64_t seeds[] = {1, 7, flow::JobSpec::cli().seed};
 
-  util::Table per_design({"design", "gpt-4-turbo", "gpt-4o", "llama-3-70b",
-                          "gemini-1.5-pro"});
+  std::vector<std::string> columns{"design"};
+  for (const auto& model : genai::known_models()) columns.push_back(model);
+  util::Table per_design(columns);
   struct Aggregate {
     std::size_t solved = 0;
     std::size_t candidates = 0;
@@ -42,9 +43,10 @@ void run_experiment() {
       std::size_t wins = 0;
       for (const std::uint64_t seed : seeds) {
         auto task = designs::make_task(info);
-        genai::SimulatedLlm llm(genai::profile_by_name(model), seed);
-        flow::CexRepairFlow flow(llm, bench::default_flow_options());
-        const flow::FlowReport report = flow.run(task);
+        flow::JobSpec spec = flow::JobSpec::cli();
+        spec.model = model;
+        spec.seed = seed;
+        const flow::FlowReport report = flow::run_flow(spec, task);
         if (report.all_targets_proven()) ++wins;
         auto& a = agg[model_index];
         a.candidates += report.candidates_total();

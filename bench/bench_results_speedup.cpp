@@ -13,7 +13,6 @@
 /// millisecond proofs.
 
 #include "bench_common.hpp"
-#include "flow/direct_miner_flow.hpp"
 #include "mc/kinduction.hpp"
 
 namespace genfv {
@@ -35,6 +34,8 @@ void run_experiment() {
 
   util::Table table({"design", "plain k-ind (k<=12)", "simple-path (k<=12)",
                      "direct miner (no LLM)", "GenAI flow", "GenAI engine time"});
+  flow::JobSpec direct = flow::JobSpec::cli();
+  direct.flow = flow::FlowKind::Direct;
   for (const auto& info : designs::all_designs()) {
     auto plain_task = designs::make_task(info);
     mc::KInductionEngine plain(plain_task.ts, {.max_steps = 12});
@@ -47,16 +48,13 @@ void run_experiment() {
 
     // The classical comparator: same analyses, no LLM in the loop.
     auto miner_task = designs::make_task(info);
-    flow::DirectMinerFlow miner(bench::default_flow_options());
-    const auto miner_report = miner.run(miner_task);
+    const auto miner_report = flow::run_flow(direct, miner_task);
     const std::string miner_cell =
         std::string(miner_report.all_targets_proven() ? "proven" : "unproven") + " " +
         util::format_duration(miner_report.prove_seconds);
 
     auto genai_task = designs::make_task(info);
-    genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), bench::kSeed);
-    flow::CexRepairFlow flow(llm, bench::default_flow_options());
-    const auto report = flow.run(genai_task);
+    const auto report = flow::run_flow(flow::JobSpec::cli(), genai_task);
     std::string genai_cell = report.all_targets_proven() ? "proven" : "unproven";
     if (!report.targets.empty()) {
       genai_cell += " k=" + std::to_string(report.targets[0].result.k);

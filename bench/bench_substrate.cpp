@@ -6,6 +6,7 @@
 #include "bench_common.hpp"
 #include "bitblast/bitblaster.hpp"
 #include "genai/prompt.hpp"
+#include "genai/simulated_llm.hpp"
 #include "hdl/elaborator.hpp"
 #include "mc/bmc.hpp"
 #include "mc/kinduction.hpp"
@@ -130,7 +131,7 @@ void BM_SimulatedLlmRoundTrip(benchmark::State& state) {
   inputs.spec = info.spec;
   inputs.rtl = info.rtl;
   const genai::Prompt prompt = genai::render_helper_generation_prompt(inputs);
-  genai::SimulatedLlm llm(genai::profile_by_name("gpt-4o"), 1);
+  genai::SimulatedLlm llm(genai::profile_by_name(flow::JobSpec::cli().model), 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(llm.complete(prompt));
   }

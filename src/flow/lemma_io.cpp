@@ -1,6 +1,5 @@
 #include "flow/lemma_io.hpp"
 
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -73,11 +72,7 @@ void write_lemma_file(const std::string& path, const std::string& design,
 }
 
 std::vector<std::string> read_lemma_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw UsageError("cannot open lemma file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_lemma_file(buffer.str());
+  return parse_lemma_file(util::read_file(path));
 }
 
 }  // namespace genfv::flow

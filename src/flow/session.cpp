@@ -1,8 +1,5 @@
 #include "flow/session.hpp"
 
-#include <fstream>
-#include <sstream>
-
 #include "frontend/aiger.hpp"
 #include "frontend/btor2.hpp"
 #include "hdl/elaborator.hpp"
@@ -36,11 +33,7 @@ VerificationTask VerificationTask::from_file(const std::string& path) {
   } else if (ext == "btor" || ext == "btor2") {
     task.ts = frontend::read_btor2_file(path);
   } else {
-    std::ifstream in(path);
-    if (!in) throw Error("cannot open '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    task.rtl = buffer.str();
+    task.rtl = util::read_file(path);
     auto elab = hdl::elaborate_source(task.rtl);
     task.ts = std::move(elab.ts);
   }

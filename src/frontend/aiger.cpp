@@ -1,7 +1,6 @@
 #include "frontend/aiger.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -468,11 +467,7 @@ ir::TransitionSystem parse_aiger(std::string_view text, const std::string& filen
 }
 
 ir::TransitionSystem read_aiger_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError(path, "cannot open AIGER file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_aiger(buffer.str(), path);
+  return parse_aiger(util::read_file(path), path);
 }
 
 // --- writer ---------------------------------------------------------------------

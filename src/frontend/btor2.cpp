@@ -1,12 +1,11 @@
 #include "frontend/btor2.hpp"
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <unordered_map>
 #include <vector>
 
 #include "frontend/symbols.hpp"
+#include "util/files.hpp"
 #include "util/line_reader.hpp"
 #include "util/status.hpp"
 
@@ -505,11 +504,7 @@ ir::TransitionSystem parse_btor2(std::string_view text, const std::string& filen
 }
 
 ir::TransitionSystem read_btor2_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError(path, "cannot open BTOR2 file");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_btor2(buffer.str(), path);
+  return parse_btor2(util::read_file(path), path);
 }
 
 }  // namespace genfv::frontend

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "serve/json.hpp"
 #include "util/files.hpp"
@@ -81,11 +79,9 @@ std::uint64_t ProofCache::load_dir() {
   std::map<std::uint64_t, std::shared_ptr<const CacheEntry>> loaded;
   for (const auto& dirent : std::filesystem::directory_iterator(options_.dir)) {
     if (dirent.path().extension() != ".pcache") continue;
-    std::ifstream in(dirent.path());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     try {
-      auto entry = std::make_shared<const CacheEntry>(parse_entry(buffer.str()));
+      auto entry =
+          std::make_shared<const CacheEntry>(parse_entry(util::read_file(dirent.path())));
       loaded[entry_key(entry->sys_hash, entry->prop_hash)] = std::move(entry);
     } catch (const Error&) {
       // Corrupted/truncated/foreign file: reject, never best-effort trust.

@@ -11,11 +11,9 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <optional>
 #include <thread>
 #include <utility>
 
-#include "designs/design.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
 #include "util/telemetry.hpp"
@@ -84,21 +82,37 @@ const char* stop_reason_name(StopReason reason) {
   return "";
 }
 
-}  // namespace
+/// The task-pool key of a source: everything that feeds elaboration (see
+/// server.hpp). A file's key mixes in its mtime and size, since the
+/// regression farms this server targets edit files in place; when the stat
+/// fails it stays path-only and build_task reports the bad-file error. RTL
+/// targets go first, newline-terminated: Json::dump never emits a raw
+/// newline, so the free-form RTL text cannot forge another key.
+std::string pool_key(const flow::JobSource& source) {
+  using Kind = flow::JobSource::Kind;
+  std::string key = source.kind == Kind::Design ? "design:" + source.name
+                    : source.kind == Kind::File ? "file:" + source.name
+                                                : "rtl:";
+  if (source.kind == Kind::File) {
+    std::error_code ec;
+    const auto mtime = std::filesystem::last_write_time(source.name, ec);
+    const std::uintmax_t size = ec ? 0 : std::filesystem::file_size(source.name, ec);
+    if (!ec) {
+      key += "@" + std::to_string(mtime.time_since_epoch().count()) + "." +
+             std::to_string(size);
+    }
+  } else if (source.kind == Kind::Rtl) {
+    JsonArray targets;
+    for (const flow::TargetSpec& t : source.targets) {
+      targets.emplace_back(JsonObject{{"name", t.name}, {"sva", t.sva}});
+    }
+    key += Json(std::move(targets)).dump() + "\n" + source.rtl;
+  }
+  for (const std::string& name : source.select) key += "|property=" + name;
+  return key;
+}
 
-/// A verify request's source, parsed and type-checked once, before the pool
-/// is consulted: the pool key and what `checkout_task` needs to build a task
-/// on a pool miss.
-struct Server::TaskSource {
-  enum class Kind { Design, File, Rtl };
-  Kind kind = Kind::Design;
-  std::string text;                       ///< design name, file path or RTL text
-  std::vector<flow::TargetSpec> targets;  ///< `rtl` only: the 'properties' list
-  std::optional<std::string> property;    ///< target filter by property name
-  /// Everything that feeds elaboration: different keys never share a task,
-  /// since a stale reuse answers for the wrong design or property set.
-  std::string key;
-};
+}  // namespace
 
 struct Server::PreparedJob {
   Json id;
@@ -106,16 +120,16 @@ struct Server::PreparedJob {
   Sink send;
   std::string task_key;
   TaskHandle task;
-  mc::EngineKind kind = mc::EngineKind::Pdr;
+  /// JobSpec::server() with the request's "engine" and "max_k" applied.
+  flow::JobSpec spec = flow::JobSpec::server();
+  /// The engine as the request spelled it, echoed in the response.
   std::string engine_name;
-  std::size_t max_steps = 32;
   bool use_cache = true;
-  std::string design_label;
 };
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      cache_(ProofCache::Options{options_.cache_dir, options_.near_threshold}),
+      cache_(options_.proof_cache),
       pool_(options_.workers == 0 ? 1 : options_.workers) {}
 
 Server::~Server() { begin_shutdown(); }
@@ -219,7 +233,7 @@ void Server::dispatch(const Json& request, const Sink& send) {
   throw ProtocolError("unknown-op", "unknown op '" + name + "'");
 }
 
-Server::TaskSource Server::parse_source(const Json& request) {
+flow::JobSource Server::parse_source(const Json& request) {
   // Exactly one source selector.
   int sources = 0;
   for (const char* field : {"design", "file", "rtl"}) {
@@ -230,37 +244,18 @@ Server::TaskSource Server::parse_source(const Json& request) {
                         "give exactly one of 'design', 'file', 'rtl'");
   }
 
-  TaskSource source;
+  flow::JobSource source;
   if (const Json* design = optional_field(request, "design", Json::Kind::String,
                                           "a string")) {
-    source.kind = TaskSource::Kind::Design;
-    source.text = design->as_string();
-    source.key = "design:" + source.text;
+    source = flow::JobSource::design(design->as_string());
   } else if (const Json* file = optional_field(request, "file", Json::Kind::String,
                                                "a string")) {
-    source.kind = TaskSource::Kind::File;
-    source.text = file->as_string();
-    // Mix the file's on-disk identity (mtime + size) into the key: the
-    // regression-farm loop this server targets edits files in place between
-    // submissions, and a reused task must not pin the old content. When
-    // the stat fails the key stays path-only and checkout_task's
-    // from_file reports the located bad-file error.
-    source.key = "file:" + source.text;
-    std::error_code ec;
-    const auto mtime = std::filesystem::last_write_time(source.text, ec);
-    if (!ec) {
-      const std::uintmax_t size = std::filesystem::file_size(source.text, ec);
-      if (!ec) {
-        source.key += "@" + std::to_string(mtime.time_since_epoch().count()) + "." +
-                      std::to_string(size);
-      }
-    }
+    source = flow::JobSource::file(file->as_string());
   } else if (const Json* rtl = optional_field(request, "rtl", Json::Kind::String,
                                               "a string")) {
-    source.kind = TaskSource::Kind::Rtl;
-    source.text = rtl->as_string();
     const Json* properties = optional_field(request, "properties", Json::Kind::Array,
                                             "an array");
+    std::vector<flow::TargetSpec> targets;
     const JsonArray none;
     for (const Json& p : properties != nullptr ? properties->as_array() : none) {
       // An SVA string, or a {name, sva} object (Json::get on a string is null).
@@ -270,17 +265,12 @@ Server::TaskSource Server::parse_source(const Json& request) {
                             "'properties' entries must be SVA strings or {name, sva} objects");
       }
       const Json* name = p.get("name");
-      source.targets.push_back(flow::TargetSpec{
+      targets.push_back(flow::TargetSpec{
           name != nullptr && name->is_string() ? name->as_string()
-                                               : "p" + std::to_string(source.targets.size()),
+                                               : "p" + std::to_string(targets.size()),
           sva->as_string()});
     }
-    // The property list is part of the key: identical RTL verified against
-    // different property sets elaborates different target sets. The dump
-    // goes first, newline-terminated — Json::dump never emits a raw
-    // newline, so the free-form RTL text cannot forge another key.
-    source.key = "rtl:" + (properties != nullptr ? properties->dump() : std::string()) +
-                 "\n" + source.text;
+    source = flow::JobSource::rtl_text("serve_rtl", rtl->as_string(), std::move(targets));
   } else {
     throw ProtocolError("missing-source",
                         "verify needs exactly one of 'design', 'file', 'rtl'");
@@ -288,16 +278,16 @@ Server::TaskSource Server::parse_source(const Json& request) {
 
   if (const Json* property = optional_field(request, "property", Json::Kind::String,
                                             "a string")) {
-    source.property = property->as_string();
-    source.key += "|property=" + *source.property;
+    source.select.push_back(property->as_string());
   }
   return source;
 }
 
-Server::TaskHandle Server::checkout_task(const TaskSource& source) {
+Server::TaskHandle Server::checkout_task(const flow::JobSource& source,
+                                         const std::string& key) {
   {
     util::MutexLock lock(tasks_mu_);
-    auto it = idle_tasks_.find(source.key);
+    auto it = idle_tasks_.find(key);
     if (it != idle_tasks_.end() && !it->second.empty()) {
       TaskHandle task = std::move(it->second.back());
       it->second.pop_back();
@@ -310,28 +300,12 @@ Server::TaskHandle Server::checkout_task(const TaskSource& source) {
   // protocol's located error classes.
   flow::VerificationTask task;
   try {
-    switch (source.kind) {
-      case TaskSource::Kind::Design: task = designs::make_task(source.text); break;
-      case TaskSource::Kind::File: task = flow::VerificationTask::from_file(source.text); break;
-      case TaskSource::Kind::Rtl:
-        task = flow::VerificationTask::from_rtl("serve_rtl", "", source.text, source.targets);
-        break;
-    }
+    task = flow::build_task(source);
+  } catch (const flow::UnknownTargetError& e) {
+    throw ProtocolError("unknown-property", e.what());
   } catch (const Error& e) {
     static constexpr const char* kCodes[] = {"unknown-design", "bad-file", "bad-rtl"};
     throw ProtocolError(kCodes[static_cast<int>(source.kind)], e.what());
-  }
-
-  if (source.property.has_value()) {
-    std::vector<std::size_t> filtered;
-    for (const std::size_t i : task.target_indices) {
-      if (task.ts.property(i).name == *source.property) filtered.push_back(i);
-    }
-    if (filtered.empty()) {
-      throw ProtocolError("unknown-property",
-                          "no target property named '" + *source.property + "'");
-    }
-    task.target_indices = std::move(filtered);
   }
   if (task.target_indices.empty()) {
     throw ProtocolError("no-targets", "the source carries no target properties");
@@ -358,20 +332,19 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
   job->send = send;
   // The source is parsed in full before the pool is consulted, so a bad
   // field is answered the same whether or not a task is pooled.
-  TaskSource source = parse_source(request);
+  job->spec.source = parse_source(request);
 
-  job->engine_name = options_.default_engine;
+  job->engine_name = mc::to_string(job->spec.engine);
   if (const Json* engine = optional_field(request, "engine", Json::Kind::String,
                                           "a string")) {
     job->engine_name = engine->as_string();
+    const auto kind = mc::engine_kind_from_string(job->engine_name);
+    if (!kind.has_value()) {
+      throw ProtocolError("unknown-engine", "unknown engine '" + job->engine_name + "'");
+    }
+    job->spec.engine = *kind;
   }
-  const auto kind = mc::engine_kind_from_string(job->engine_name);
-  if (!kind.has_value()) {
-    throw ProtocolError("unknown-engine", "unknown engine '" + job->engine_name + "'");
-  }
-  job->kind = *kind;
 
-  job->max_steps = options_.default_max_steps;
   if (const Json* max_k = optional_field(request, "max_k", Json::Kind::Number,
                                          "a number")) {
     // The range check keeps the cast below defined.
@@ -381,7 +354,7 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
       throw ProtocolError("bad-field", "'max_k' must be a whole number from 0 to " +
                                            std::to_string(kMaxRequestMaxK));
     }
-    job->max_steps = static_cast<std::size_t>(value);
+    job->spec.max_steps = static_cast<std::size_t>(value);
   }
 
   job->use_cache = options_.cache;
@@ -402,9 +375,8 @@ void Server::handle_verify(const Json& request, const std::string& id_text,
 
   // Eager task construction: source errors answer the request synchronously
   // (and located), instead of surfacing later from a worker thread.
-  job->task = checkout_task(source);
-  job->task_key = std::move(source.key);
-  job->design_label = source.kind == TaskSource::Kind::Rtl ? "rtl" : std::move(source.text);
+  job->task_key = pool_key(job->spec.source);
+  job->task = checkout_task(job->spec.source, job->task_key);
 
   const bool submitted = pool_.submit(
       job->id_text, deadline_ms,
@@ -446,7 +418,7 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
     const std::vector<ir::NodeRef> targets = job->task->target_exprs();
 
     mc::EngineOptions options;
-    options.max_steps = job->max_steps;
+    options.max_steps = job->spec.max_steps;
     options.stop = control.stop;
 
     std::string cache_status = job->use_cache ? "miss" : "off";
@@ -504,13 +476,15 @@ void Server::run_verify_job(const std::shared_ptr<PreparedJob>& job,
     mc::EngineResult result;
     {
       GENFV_TRACE_SPAN("serve", "job");
-      result = mc::make_engine(job->kind, ts, options)->prove_all(targets);
+      result = mc::make_engine(job->spec.engine, ts, options)->prove_all(targets);
     }
     result.stats.publish_metrics("serve.job.");
 
     if (job->use_cache && result.verdict == mc::Verdict::Proven &&
         !control.stopped()) {
-      cache_.store(job->design_label, ts, targets, result);
+      const flow::JobSource& source = job->spec.source;
+      cache_.store(source.kind == flow::JobSource::Kind::Rtl ? "rtl" : source.name, ts,
+                   targets, result);
     }
 
     response.set("ok", true);

@@ -27,9 +27,8 @@
 /// (`shared_ptr<const flow::VerificationTask>`): a job reads the system and
 /// creates nodes in its NodeManager, never declarations, so the next job
 /// sees the task exactly as it was elaborated. The pool key covers
-/// everything that feeds elaboration: the source (design name; file path +
-/// on-disk mtime/size, so an edited file re-elaborates; RTL text + the full
-/// 'properties' list) plus the 'property' filter. NodeManager is not
+/// everything that feeds elaboration: the source (an edited file
+/// re-elaborates) and its 'property' selection. NodeManager is not
 /// thread-safe, so a task is checked out to one job at a time (the checkout
 /// hand-off is the synchronization point); concurrent jobs on one source
 /// each get their own task.
@@ -44,7 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "flow/session.hpp"
+#include "flow/job.hpp"
 #include "serve/json.hpp"
 #include "serve/proof_cache.hpp"
 #include "serve/worker_pool.hpp"
@@ -56,19 +55,15 @@ namespace genfv::serve {
 /// fractional ones) are answered with `bad-field` rather than converted.
 inline constexpr std::size_t kMaxRequestMaxK = 1'000'000;
 
+/// A verify request without "engine" or "max_k" runs flow::JobSpec::server().
 struct ServerOptions {
   /// Worker-pool width (concurrent verify jobs).
   std::size_t workers = 2;
   /// Proof cache on by default; "cache": false per request opts out too.
   bool cache = true;
-  /// Cache persistence directory; "" keeps the cache in memory only.
-  std::string cache_dir;
-  /// Near-miss similarity threshold (ProofCache::Options).
-  double near_threshold = 0.5;
-  /// Default engine bound when a request carries no "max_k".
-  std::size_t default_max_steps = 32;
-  /// Default engine when a request carries no "engine".
-  std::string default_engine = "pdr";
+  /// Persistence directory ("" keeps the cache in memory only) and near-miss
+  /// similarity threshold.
+  ProofCache::Options proof_cache;
 };
 
 class Server {
@@ -134,12 +129,11 @@ class Server {
 
   using TaskHandle = std::shared_ptr<const flow::VerificationTask>;
 
-  struct TaskSource;
   /// Parse and type-check a verify request's source fields (throws the
   /// protocol's `bad-field` / `missing-source` / `conflicting-source`).
-  static TaskSource parse_source(const Json& request);
-  /// A pooled task for `source.key`, or a fresh one built from `source`.
-  TaskHandle checkout_task(const TaskSource& source);
+  static flow::JobSource parse_source(const Json& request);
+  /// A pooled task under `key`, or a fresh one built from `source`.
+  TaskHandle checkout_task(const flow::JobSource& source, const std::string& key);
   void return_task(const std::string& key, TaskHandle task);
 
   const ServerOptions options_;

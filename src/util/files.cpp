@@ -23,4 +23,17 @@ void write_file(const std::string& path, std::string_view content) {
   if (!out) throw UsageError("cannot write '" + path + "'");
 }
 
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string content;
+  char chunk[1 << 16];
+  // istream::read turns a failing read (EISDIR) into badbit; only a clean
+  // end of file leaves eofbit without badbit.
+  while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+    content.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad() || !in.eof()) throw UsageError("cannot read '" + path + "'");
+  return content;
+}
+
 }  // namespace genfv::util

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file files.hpp
-/// File-name and output helpers shared by the frontends, the flows and the
-/// tools, so every output file fails the same way and every format is
+/// File-name, input and output helpers shared by the frontends, the flows
+/// and the tools, so every file fails the same way and every format is
 /// picked by the same extension rule.
 
 #include <string>
@@ -19,5 +19,11 @@ std::string lower_extension(const std::string& path);
 /// byte of it cannot be written (a full disk, /dev/full), so a failed
 /// output is never reported as written.
 void write_file(const std::string& path, std::string_view content);
+
+/// The bytes of `path`, exactly as stored. Throws UsageError("cannot read
+/// '<path>'") when the file cannot be opened or a read fails (a directory
+/// opens but cannot be read), so unreadable input is never taken for an
+/// empty file.
+std::string read_file(const std::string& path);
 
 }  // namespace genfv::util

@@ -11,8 +11,8 @@
 
 #include "designs/design.hpp"
 #include "flow/cex_repair_flow.hpp"
-#include "flow/direct_miner_flow.hpp"
 #include "flow/helper_gen_flow.hpp"
+#include "flow/job.hpp"
 #include "genai/prompt.hpp"
 #include "genai/simulated_llm.hpp"
 #include "sim/interpreter.hpp"
@@ -363,10 +363,10 @@ TEST(DirectMinerFlow, TargetEngineProvesTheTargets) {
   // selected target engine — not a hard-coded k-induction — proves the
   // targets, and the report header names it.
   auto task = designs::make_task("token_ring");
-  FlowOptions options;
-  options.engine.max_k = 8;
-  options.target_engine = mc::EngineKind::Pdr;
-  const FlowReport report = DirectMinerFlow(options).run(task);
+  JobSpec spec = JobSpec::cli();
+  spec.flow = FlowKind::Direct;
+  spec.engine = mc::EngineKind::Pdr;
+  const FlowReport report = run_flow(spec, task);
 
   EXPECT_EQ(report.engine, "pdr");
   EXPECT_NE(report.to_string().find("engine=pdr"), std::string::npos);

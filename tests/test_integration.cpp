@@ -10,6 +10,7 @@
 #include "designs/design.hpp"
 #include "flow/cex_repair_flow.hpp"
 #include "flow/helper_gen_flow.hpp"
+#include "flow/job.hpp"
 #include "genai/simulated_llm.hpp"
 #include "mc/kinduction.hpp"
 #include "sim/waveform.hpp"
@@ -119,6 +120,34 @@ TEST(FlowPins, EveryZooDesignKeepsItsHelperAndCexTrajectory) {
                 report.candidates_with(flow::CandidateStatus::Proven))
           << report.to_string();
     }
+  }
+}
+
+// What `genfv_cli demo <design>` runs with no flags — JobSpec::cli(), the
+// Fig. 2 loop at the CLI's bound — pinned per design as the CLI prints it.
+constexpr std::pair<const char*, const char*> kCliDefaultPins[] = {
+    {"sync_counters", "proven@1 rounds=1 lemmas=7"},
+    {"triple_counters", "proven@1 rounds=1 lemmas=10"},
+    {"gray_counter", "proven@1 rounds=4 lemmas=6"},
+    {"updown_pair", "proven@1 rounds=1 lemmas=3"},
+    {"lfsr_pair", "proven@1 rounds=1 lemmas=10"},
+    {"lfsr16", "proven@1 rounds=0 lemmas=0"},
+    {"token_ring", "proven@1 rounds=1 lemmas=4"},
+    {"sequencer", "proven@1 rounds=1 lemmas=5"},
+    {"dual_accumulator", "proven@1 rounds=2 lemmas=11"},
+    {"fifo_ctrl", "proven@1 rounds=1 lemmas=2"},
+    {"parity_codec", "proven@1 rounds=1 lemmas=1"},
+    {"hamming74", "proven@1 rounds=2 lemmas=8"},
+    {"secded84", "proven@1 proven@1 rounds=1 lemmas=7"},
+};
+
+TEST(ShippedDefaults, CliSpecKeepsItsTrajectoryOnEveryZooDesign) {
+  ASSERT_EQ(std::size(kCliDefaultPins), designs::all_designs().size());
+  for (const auto& [design, pin] : kCliDefaultPins) {
+    auto task = designs::make_task(design);
+    const flow::FlowReport report = flow::run_flow(flow::JobSpec::cli(), task);
+    EXPECT_EQ(flow_pin(report), pin) << design;
+    EXPECT_EQ(report.flow, "cex_repair") << design;
   }
 }
 

@@ -1,12 +1,12 @@
 /// Tests for the transition-system serializer, the VCD exporter and the
-/// non-LLM DirectMinerFlow baseline.
+/// non-LLM direct-miner baseline.
 
 #include <gtest/gtest.h>
 
 #include "util/status.hpp"
 
 #include "designs/design.hpp"
-#include "flow/direct_miner_flow.hpp"
+#include "flow/job.hpp"
 #include "ir/serialize.hpp"
 #include "sim/random_sim.hpp"
 #include "sim/vcd.hpp"
@@ -93,13 +93,13 @@ TEST(Vcd, OnlyChangedValuesAreEmittedAfterFrameZero) {
 }
 
 TEST(DirectMinerFlow, ClosesTheZooWithoutAnyModel) {
-  // The non-LLM baseline: all mining passes, no noise, same review gate, one
-  // round with no model latency.
+  // The non-LLM baseline on the CLI's `--flow direct`: all mining passes, no
+  // noise, same review gate, one round with no model latency.
+  flow::JobSpec spec = flow::JobSpec::cli();
+  spec.flow = flow::FlowKind::Direct;
   for (const auto& info : designs::all_designs()) {
     auto task = designs::make_task(info);
-    flow::FlowOptions options;
-    options.engine.max_k = 8;
-    const flow::FlowReport report = flow::DirectMinerFlow(options).run(task);
+    const flow::FlowReport report = flow::run_flow(spec, task);
     EXPECT_TRUE(report.all_targets_proven()) << info.name << "\n" << report.to_string();
     EXPECT_EQ(report.flow, "direct_miner");
     ASSERT_EQ(report.iterations.size(), 1u);

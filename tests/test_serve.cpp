@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "designs/design.hpp"
-#include "flow/session.hpp"
+#include "flow/job.hpp"
 #include "ir/struct_hash.hpp"
 #include "mc/engine.hpp"
 #include "mc/pdr/cube.hpp"
@@ -375,6 +375,30 @@ TEST(ServeProtocol, RtlSourceWithNamedPropertyFilter) {
   const Json response = log.wait_for("\"rtl1\"");
   EXPECT_TRUE(bool_field(response, "ok"));
   EXPECT_EQ(string_field(response, "verdict"), "proven");
+}
+
+TEST(ServeProtocol, RequestWithoutEngineOrBoundRunsTheServerSpec) {
+  ServerOptions options;
+  options.workers = 1;
+  ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
+  Server server(options);
+
+  server.handle_line(R"({"id":"spec","op":"verify","design":"sequencer","cache":false})",
+                     log.sink());
+  const Json response = log.wait_for("\"spec\"");
+
+  const flow::JobSpec spec = flow::JobSpec::server();
+  auto task = designs::make_task("sequencer");
+  mc::EngineOptions engine_options;
+  engine_options.max_steps = spec.max_steps;
+  const mc::EngineResult direct =
+      mc::make_engine(spec.engine, task.ts, engine_options)->prove_all(task.target_exprs());
+
+  EXPECT_TRUE(bool_field(response, "ok"));
+  EXPECT_EQ(string_field(response, "engine"), "pdr");
+  EXPECT_EQ(string_field(response, "verdict"), mc::to_string(direct.verdict));
+  EXPECT_EQ(number_field(response, "depth"), static_cast<double>(direct.depth));
+  EXPECT_EQ(number_field(response, "conflicts"), static_cast<double>(direct.stats.conflicts));
 }
 
 TEST(ServeProtocol, SameRtlDifferentPropertySetsDoNotShareSessions) {
@@ -950,7 +974,7 @@ TEST(ServeCache, FailedPersistStillAnswersTheVerdict) {
   std::filesystem::create_directory(cache_dir);
   ServerOptions options;
   options.workers = 1;
-  options.cache_dir = cache_dir;
+  options.proof_cache.dir = cache_dir;
   ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
   Server server(options);
 
@@ -976,7 +1000,7 @@ TEST(ServeCache, FailedPersistStillAnswersTheVerdict) {
 TEST(ServeIncremental, OneExpressionEditWarmStartsFromSurvivingClauses) {
   ServerOptions options;
   options.workers = 1;
-  options.near_threshold = 0.4;
+  options.proof_cache.near_threshold = 0.4;
   ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
   Server server(options);
 

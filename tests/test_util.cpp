@@ -127,6 +127,21 @@ TEST(Files, WriteFileThrowsWhenTheBytesCannotBeWritten) {
                UsageError);
 }
 
+TEST(Files, ReadFileReturnsTheBytesAndThrowsOnUnreadableInput) {
+  // Every byte value, CR/LF and NUL included, comes back unchanged.
+  std::string bytes;
+  for (int i = 0; i < 256; ++i) bytes.push_back(static_cast<char>(i));
+  bytes += "\r\n\n";
+  const std::string path = testing::TempDir() + "genfv_read_file.bin";
+  util::write_file(path, bytes);
+  EXPECT_EQ(util::read_file(path), bytes);
+
+  // A directory opens but cannot be read; neither it nor a missing path may
+  // pass for an empty file.
+  EXPECT_THROW(util::read_file(testing::TempDir()), UsageError);
+  EXPECT_THROW(util::read_file(testing::TempDir() + "no/such/file"), UsageError);
+}
+
 TEST(LineReader, SplitsCrlfLinesIntoTokensNumberedFromOne) {
   LineReader lines("a  b\t c\r\n\r\nlast", "f");
   ASSERT_FALSE(lines.eof());

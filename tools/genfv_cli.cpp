@@ -1,77 +1,22 @@
-/// genfv_cli — command-line front door to the library.
-///
-///   genfv_cli prove --rtl design.sv --property "<sva>" [options]
-///       Verify RTL from a file: elaborate, compile the target properties,
-///       and run the selected flow.
-///   genfv_cli prove --rtl design.aag [options]
-///       Verify a standard-format design: .aag/.aig go through the AIGER
-///       frontend, .btor/.btor2 through the BTOR2 frontend. Targets are the
-///       file's embedded properties; --property then *selects* properties by
-///       name ("bad_0", with an optional engine prefix "pdr:bad_0") instead
-///       of compiling SVA.
-///   genfv_cli <file.aag|file.aig|file.btor|file.btor2|file.sv> [options]
-///       Shorthand for `prove --rtl <file>`.
-///   genfv_cli demo <design> [options]
-///       Run a built-in zoo design through the selected flow.
-///   genfv_cli sat <file.cnf> [options]
-///       Solve a DIMACS CNF with the SAT solver directly (no model
-///       checking). Prints "s SATISFIABLE" / "s UNSATISFIABLE"; honours
-///       --drat-out, which makes it the harness the DRAT-certificate CI
-///       check drives (scripts/check_drat.py).
-///   genfv_cli designs
-///       List the built-in design zoo.
-///   genfv_cli models
-///       List the simulated model profiles.
-///
-/// Options (--opt value and --opt=value are both accepted):
-///   --flow cex|helper|direct|plain   (default: cex — the paper's Fig. 2 loop)
-///   --engine bmc|kind|pdr|portfolio  target-proof engine (default: kind)
-///   --drat-out <path>                log DRAT proofs: each solver writes
-///                                    <path>[-p..].cnf/.drat; check
-///                                    with scripts/check_drat.py (docs/sat.md)
-///   --property "<sva>"               may repeat; an `<engine>:` prefix (e.g.
-///                                    "pdr:count <= 8") overrides the engine
-///                                    for that property (plain flow only)
-///   --emit-lemmas <file>             export proven lemmas / the winning
-///                                    engine's inductive invariant as a lemma
-///                                    file (docs/cli.md) for later re-use
-///   --use-lemmas <file>              re-ingest a lemma file: every line is
-///                                    re-proven via LemmaManager before it is
-///                                    assumed (sound even for stale files)
-///   --model <name>                   (default: gpt-4o)
-///   --seed <n>                       (default: 42)
-///   --max-k <n>                      step bound: BMC depth / induction k /
-///                                    PDR frames (default: 8)
-///   --no-screen                      disable the simulation review screen
-///   --dump-aiger <file.aag|file.aig> bit-blast the design and write it as an
-///                                    AIGER 1.9 file — ASCII, or binary when
-///                                    the extension is .aig (corpus
-///                                    generation; docs/frontends.md)
-///   --dump-ts <file>                 serialize the elaborated system
-///   --vcd <file>                     dump the last step-CEX (plain flow) as VCD
-///   --trace-out <file.json>          record trace spans across the whole run
-///                                    and write Chrome trace-format JSON
-///                                    (open in Perfetto; docs/observability.md)
-///   --metrics-out <file.json>        snapshot the metrics registry (counters,
-///                                    gauges, histograms) to JSON at exit
-///   --progress <seconds>             live one-line status heartbeat at Info
-///                                    level every <seconds> (implies metrics)
-///   --verbose                        info-level logging
+/// genfv_cli — command-line front door to the library: `prove` (HDL with SVA
+/// targets, or an AIGER/BTOR2 file with embedded ones), the bare-file
+/// shorthand for it, `demo` (a zoo design), `sat` (a DIMACS CNF, the DRAT
+/// check's harness), `designs` and `models`. kUsage below is the one-screen
+/// summary; docs/cli.md documents every command and option, and the
+/// defaults are flow::JobSpec::cli(). Options take "--opt value" or
+/// "--opt=value".
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "designs/design.hpp"
-#include "flow/cex_repair_flow.hpp"
-#include "frontend/aiger.hpp"
-#include "flow/direct_miner_flow.hpp"
-#include "flow/helper_gen_flow.hpp"
+#include "flow/job.hpp"
 #include "flow/lemma_io.hpp"
-#include "genai/simulated_llm.hpp"
+#include "flow/lemma_manager.hpp"
+#include "frontend/aiger.hpp"
+#include "genai/model_profile.hpp"
 #include "ir/printer.hpp"
 #include "ir/serialize.hpp"
 #include "mc/engine.hpp"
@@ -94,13 +39,9 @@ struct CliOptions {
   /// Parallel to `properties`: per-property engine override (plain flow).
   std::vector<std::optional<mc::EngineKind>> property_engines;
   std::string design;
-  std::string flow = "cex";
-  mc::EngineKind engine = mc::EngineKind::KInduction;
+  /// JobSpec::cli() with the flags applied; main() fills in the source.
+  flow::JobSpec spec = flow::JobSpec::cli();
   std::string drat_out;
-  std::string model = "gpt-4o";
-  std::uint64_t seed = 42;
-  std::size_t max_k = 8;
-  bool sim_screen = true;
   std::string dump_ts_path;
   std::string dump_aiger_path;
   std::string vcd_path;
@@ -204,22 +145,30 @@ CliOptions parse_args(int argc, char** argv) {
       opts.properties.push_back(value);
       opts.property_engines.push_back(override_kind);
     }
-    else if (arg == "--flow") opts.flow = need_value("--flow");
+    else if (arg == "--flow") {
+      const std::string name = need_value("--flow");
+      const auto kind = flow::flow_kind_from_string(name);
+      if (!kind.has_value()) usage(("unknown flow '" + name + "'").c_str());
+      opts.spec.flow = *kind;
+    }
     else if (arg == "--engine") {
       const std::string name = need_value("--engine");
       const auto kind = mc::engine_kind_from_string(name);
       if (!kind.has_value()) usage(("unknown engine '" + name + "'").c_str());
-      opts.engine = *kind;
+      opts.spec.engine = *kind;
     }
     else if (arg == "--drat-out") opts.drat_out = need_value("--drat-out");
-    else if (arg == "--model") opts.model = need_value("--model");
+    else if (arg == "--model") {
+      opts.spec.model = need_value("--model");
+      genai::profile_by_name(opts.spec.model);  // throws UsageError when unknown
+    }
     else if (arg == "--seed") {
-      opts.seed = util::parse_number<std::uint64_t>("--seed", need_value("--seed"));
+      opts.spec.seed = util::parse_number<std::uint64_t>("--seed", need_value("--seed"));
     }
     else if (arg == "--max-k") {
-      opts.max_k = util::parse_number<std::size_t>("--max-k", need_value("--max-k"));
+      opts.spec.max_steps = util::parse_number<std::size_t>("--max-k", need_value("--max-k"));
     }
-    else if (arg == "--no-screen") { no_value("--no-screen"); opts.sim_screen = false; }
+    else if (arg == "--no-screen") { no_value("--no-screen"); opts.spec.sim_screen = false; }
     else if (arg == "--dump-ts") opts.dump_ts_path = need_value("--dump-ts");
     else if (arg == "--dump-aiger") opts.dump_aiger_path = need_value("--dump-aiger");
     else if (arg == "--vcd") opts.vcd_path = need_value("--vcd");
@@ -238,18 +187,12 @@ CliOptions parse_args(int argc, char** argv) {
     else if (arg == "--help" || arg == "-h") help();
     else usage(("unknown option " + arg).c_str());
   }
-  return opts;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", path.c_str());
-    std::exit(1);
+  if (opts.spec.flow != flow::FlowKind::Plain &&
+      std::any_of(opts.property_engines.begin(), opts.property_engines.end(),
+                  [](const auto& e) { return e.has_value(); })) {
+    usage("per-property engine overrides require --flow plain");
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return opts;
 }
 
 void write_output(const std::string& path, const std::string& content) {
@@ -302,13 +245,12 @@ void print_result(const std::string& label, const mc::EngineResult& result) {
   }
 }
 
-int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
+int run_plain(flow::VerificationTask& task, const CliOptions& opts,
+              std::vector<ir::NodeRef> lemmas) {
   mc::EngineOptions base;
-  base.max_steps = opts.max_k;
+  base.max_steps = opts.spec.max_steps;
   base.drat_path = opts.drat_out;
-  if (!opts.use_lemmas_path.empty()) {
-    base.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
-  }
+  base.lemmas = std::move(lemmas);
 
   // Proof groups: without per-property engine overrides one joint proof of
   // every target, labelled "plain <engine>"; with them, one proof per
@@ -323,13 +265,13 @@ int run_plain(flow::VerificationTask& task, const CliOptions& opts) {
       std::any_of(opts.property_engines.begin(), opts.property_engines.end(),
                   [](const auto& e) { return e.has_value(); });
   if (!has_overrides) {
-    groups.push_back({"", opts.engine, task.target_exprs()});
+    groups.push_back({"", opts.spec.engine, task.target_exprs()});
   } else {
     for (std::size_t t = 0; t < task.target_indices.size(); ++t) {
       const auto& prop = task.ts.property(task.target_indices[t]);
       const bool overridden =
           t < opts.property_engines.size() && opts.property_engines[t].has_value();
-      groups.push_back({prop.name, overridden ? *opts.property_engines[t] : opts.engine,
+      groups.push_back({prop.name, overridden ? *opts.property_engines[t] : opts.spec.engine,
                         {prop.expr}});
     }
   }
@@ -388,30 +330,13 @@ int run_task(flow::VerificationTask& task, const CliOptions& opts) {
     frontend::write_aiger_file(opts.dump_aiger_path, task.ts);
     std::printf("wrote %s\n", opts.dump_aiger_path.c_str());
   }
-  if (opts.flow == "plain") return run_plain(task, opts);
-  for (const auto& e : opts.property_engines) {
-    if (e.has_value()) usage("per-property engine overrides require --flow plain");
-  }
-
-  flow::FlowOptions options;
-  options.engine.max_k = opts.max_k;
-  options.review.sim_screen = opts.sim_screen;
-  options.target_engine = opts.engine;
-  options.engine.drat_path = opts.drat_out;
+  std::vector<ir::NodeRef> lemmas;
   if (!opts.use_lemmas_path.empty()) {
-    options.engine.lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.max_k);
+    lemmas = ingest_lemma_file(task, opts.use_lemmas_path, opts.spec.max_steps);
   }
+  if (opts.spec.flow == flow::FlowKind::Plain) return run_plain(task, opts, std::move(lemmas));
 
-  flow::FlowReport report;
-  if (opts.flow == "direct") {
-    report = flow::DirectMinerFlow(options, opts.seed).run(task);
-  } else {
-    genai::SimulatedLlm llm(genai::profile_by_name(opts.model), opts.seed);
-    if (opts.flow == "helper") report = flow::HelperGenFlow(llm, options).run(task);
-    else if (opts.flow == "cex") report = flow::CexRepairFlow(llm, options).run(task);
-    else usage(("unknown flow '" + opts.flow + "'").c_str());
-  }
-  report.seed = opts.seed;
+  const flow::FlowReport report = flow::run_flow(opts.spec, task, std::move(lemmas), opts.drat_out);
   std::printf("%s\n", report.to_string().c_str());
   if (!opts.emit_lemmas_path.empty()) {
     emit_lemmas(opts.emit_lemmas_path, task.name, report.admitted_lemmas);
@@ -426,30 +351,23 @@ bool is_frontend_path(const std::string& path) {
   return ext == "aag" || ext == "aig" || ext == "btor" || ext == "btor2";
 }
 
-/// On frontend files --property selects embedded properties by name (order
-/// follows the flags, so per-property engine overrides stay aligned).
-void select_targets(flow::VerificationTask& task, const std::vector<std::string>& names) {
-  std::vector<std::size_t> selected;
-  for (const std::string& name : names) {
-    bool found = false;
-    for (const std::size_t idx : task.target_indices) {
-      if (task.ts.property(idx).name == name) {
-        selected.push_back(idx);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::string known;
-      for (const std::size_t idx : task.target_indices) {
-        if (!known.empty()) known += ", ";
-        known += task.ts.property(idx).name;
-      }
-      throw UsageError("no property named '" + name + "' in this design (has: " +
-                       (known.empty() ? "none" : known) + ")");
-    }
+/// The job's source: a zoo design or a standard-format file, whose
+/// --property flags select targets by name (in flag order, so per-property
+/// engine overrides stay aligned), or HDL whose --property flags are
+/// compiled as SVA targets.
+flow::JobSource job_source(const CliOptions& opts) {
+  if (opts.command == "demo") return flow::JobSource::design(opts.design, opts.properties);
+  if (opts.rtl_path.empty()) usage("prove requires --rtl");
+  if (is_frontend_path(opts.rtl_path)) {
+    return flow::JobSource::file(opts.rtl_path, opts.properties);
   }
-  task.target_indices = std::move(selected);
+  if (opts.properties.empty()) usage("prove requires at least one --property");
+  std::vector<flow::TargetSpec> targets;
+  for (std::size_t i = 0; i < opts.properties.size(); ++i) {
+    targets.push_back({"target_" + std::to_string(i + 1), opts.properties[i]});
+  }
+  return flow::JobSource::rtl_text(opts.rtl_path, util::read_file(opts.rtl_path),
+                                   std::move(targets));
 }
 
 /// `genfv_cli sat <file.cnf>` — solve a DIMACS CNF directly. This is the
@@ -457,7 +375,7 @@ void select_targets(flow::VerificationTask& task, const std::vector<std::string>
 /// with --drat-out and validates the resulting certificate with
 /// scripts/check_drat.py.
 int cmd_sat(const CliOptions& opts) {
-  const sat::Cnf cnf = sat::parse_dimacs(read_file(opts.rtl_path));
+  const sat::Cnf cnf = sat::parse_dimacs(util::read_file(opts.rtl_path));
   sat::Solver solver;
   if (!opts.drat_out.empty() && !solver.start_proof(opts.drat_out)) {
     std::fprintf(stderr, "error: cannot write a proof to '%s'\n", opts.drat_out.c_str());
@@ -507,7 +425,7 @@ int cmd_models() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const CliOptions opts = [&] {
+  CliOptions opts = [&] {
     try {
       return parse_args(argc, argv);
     } catch (const UsageError& e) {
@@ -539,31 +457,13 @@ int main(int argc, char** argv) {
     if (opts.command == "designs") rc = cmd_designs();
     else if (opts.command == "models") rc = cmd_models();
     else if (opts.command == "sat") rc = cmd_sat(opts);
-    else if (opts.command == "demo") {
-      auto task = designs::make_task(opts.design);
-      rc = run_task(task, opts);
-    }
-    else if (opts.command == "prove") {
-      if (opts.rtl_path.empty()) usage("prove requires --rtl");
-      if (is_frontend_path(opts.rtl_path)) {
-        // Standard-format designs carry their own properties; --property
-        // selects among them by name instead of compiling SVA.
-        auto task = flow::VerificationTask::from_file(opts.rtl_path);
-        if (!opts.properties.empty()) select_targets(task, opts.properties);
-        if (task.target_indices.empty()) {
-          throw UsageError("'" + opts.rtl_path + "' has no properties to prove");
-        }
-        rc = run_task(task, opts);
-      } else {
-        if (opts.properties.empty()) usage("prove requires at least one --property");
-        std::vector<flow::TargetSpec> targets;
-        for (std::size_t i = 0; i < opts.properties.size(); ++i) {
-          targets.push_back({"target_" + std::to_string(i + 1), opts.properties[i]});
-        }
-        auto task = flow::VerificationTask::from_rtl(
-            opts.rtl_path, /*spec=*/"", read_file(opts.rtl_path), targets);
-        rc = run_task(task, opts);
+    else if (opts.command == "demo" || opts.command == "prove") {
+      opts.spec.source = job_source(opts);
+      auto task = flow::build_task(opts.spec.source);
+      if (task.target_indices.empty()) {
+        throw UsageError("'" + opts.rtl_path + "' has no properties to prove");
       }
+      rc = run_task(task, opts);
     }
     else usage(("unknown command '" + opts.command + "'").c_str());
   } catch (const genfv::Error& e) {

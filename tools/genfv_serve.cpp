@@ -41,33 +41,38 @@ struct ServeCliOptions {
   bool verbose = false;
 };
 
-constexpr const char* kUsage =
-    "usage: genfv_serve [options]\n"
-    "\n"
-    "Resident verification server; line-delimited JSON protocol\n"
-    "(docs/serve.md). Without --socket, serves stdin/stdout.\n"
-    "\n"
-    "options:\n"
-    "  --socket <path>      serve an AF_UNIX socket instead of stdio\n"
-    "  --workers <n|auto>   worker pool width (default 2)\n"
-    "  --cache <on|off>     proof cache (default on)\n"
-    "  --cache-dir <dir>    persist cache entries under <dir>\n"
-    "  --near-threshold <f> near-miss similarity threshold (default 0.5)\n"
-    "  --max-k <n>          default step bound for jobs (default 32)\n"
-    "  --engine <name>      default engine for jobs (default pdr)\n"
-    "  --metrics-out <file> write the metrics registry JSON at exit\n"
-    "  --verbose            log at Info\n"
-    "  --help, -h           print this help and exit\n";
+/// The usage text; the defaults it names are read from ServerOptions.
+std::string usage_text() {
+  const genfv::serve::ServerOptions defaults;
+  char text[1024];
+  std::snprintf(text, sizeof text,
+                "usage: genfv_serve [options]\n"
+                "\n"
+                "Resident verification server; line-delimited JSON protocol\n"
+                "(docs/serve.md). Without --socket, serves stdin/stdout.\n"
+                "\n"
+                "options:\n"
+                "  --socket <path>      serve an AF_UNIX socket instead of stdio\n"
+                "  --workers <n|auto>   worker pool width (default %zu)\n"
+                "  --cache <on|off>     proof cache (default on)\n"
+                "  --cache-dir <dir>    persist cache entries under <dir>\n"
+                "  --near-threshold <f> near-miss similarity threshold (default %g)\n"
+                "  --metrics-out <file> write the metrics registry JSON at exit\n"
+                "  --verbose            log at Info\n"
+                "  --help, -h           print this help and exit\n",
+                defaults.workers, defaults.proof_cache.near_threshold);
+  return text;
+}
 
 /// `--help` / `-h`: the usage text on stdout, exit 0.
 [[noreturn]] void help() {
-  std::fputs(kUsage, stdout);
+  std::fputs(usage_text().c_str(), stdout);
   std::exit(0);
 }
 
 [[noreturn]] void usage(const char* error = nullptr) {
   if (error != nullptr) std::fprintf(stderr, "error: %s\n\n", error);
-  std::fputs(kUsage, stderr);
+  std::fputs(usage_text().c_str(), stderr);
   std::exit(2);
 }
 
@@ -108,19 +113,12 @@ ServeCliOptions parse_args(int argc, char** argv) {
       else if (value == "off") opts.server.cache = false;
       else usage("--cache takes 'on' or 'off'");
     }
-    else if (arg == "--cache-dir") opts.server.cache_dir = need_value("--cache-dir");
+    else if (arg == "--cache-dir") opts.server.proof_cache.dir = need_value("--cache-dir");
     else if (arg == "--near-threshold") {
-      opts.server.near_threshold =
-          genfv::util::parse_number<double>("--near-threshold", need_value("--near-threshold"));
-      if (opts.server.near_threshold <= 0.0 || opts.server.near_threshold > 1.0) {
-        usage("--near-threshold takes a fraction in (0, 1]");
-      }
+      double& near = opts.server.proof_cache.near_threshold;
+      near = genfv::util::parse_number<double>("--near-threshold", need_value("--near-threshold"));
+      if (near <= 0.0 || near > 1.0) usage("--near-threshold takes a fraction in (0, 1]");
     }
-    else if (arg == "--max-k") {
-      opts.server.default_max_steps =
-          genfv::util::parse_number<std::size_t>("--max-k", need_value("--max-k"));
-    }
-    else if (arg == "--engine") opts.server.default_engine = need_value("--engine");
     else if (arg == "--metrics-out") opts.metrics_out_path = need_value("--metrics-out");
     else if (arg == "--verbose") opts.verbose = true;
     else if (arg == "--help" || arg == "-h") help();
