@@ -297,10 +297,15 @@ class Solver {
   /// Fewest solve() calls (the current one included) between sessions. A
   /// session is paid back only over the queries that reuse the simplified
   /// database: PDR's frame solvers answer thousands, while k-induction's
-  /// solvers (at most 8 calls at the CLI default), lemma proofs and one-call
-  /// recertifications never recover its cost. On the cli_flows workload
-  /// their sessions took about a quarter of the SAT time, and the same
-  /// proofs took 124,688 conflicts without them against 139,067 with them.
+  /// solvers (at most 8 calls at the CLI default) and lemma proofs never
+  /// recover its cost. On the cli_flows workload their sessions took about a
+  /// quarter of the SAT time, and the same proofs took 124,688 conflicts
+  /// without them against 139,067 with them. A proof-cache recertification
+  /// asks one query per stored clause, so an entry of 16 or more clauses
+  /// can reach sessions too: dual_accumulator's 64-clause hit (66 calls)
+  /// runs two, which save 19 conflicts (773 -> 754) and cost about 1.3 ms
+  /// of a 6 ms recertification; secded84's and hamming74's hits (51 and 44
+  /// calls) do too little conflict work to start one.
   static constexpr std::uint64_t kInprocessMinSolves = 16;
   /// Learnt clauses with LBD at or below this are never deleted.
   static constexpr std::uint32_t kCoreLbd = 2;

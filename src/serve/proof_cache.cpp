@@ -6,10 +6,13 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "mc/unroller.hpp"
+#include "sat/solver.hpp"
 #include "serve/json.hpp"
 #include "util/files.hpp"
 #include "util/log.hpp"
 #include "util/status.hpp"
+#include "util/stopwatch.hpp"
 #include "util/telemetry.hpp"
 
 namespace genfv::serve {
@@ -314,28 +317,62 @@ CacheEntry ProofCache::parse_entry(const std::string& text) {
 mc::EngineResult recertify(const ir::TransitionSystem& ts,
                            const std::vector<ir::NodeRef>& targets,
                            const CacheEntry& entry, const mc::EngineOptions& base) {
-  std::vector<ir::NodeRef> goals = targets;
-  goals.reserve(targets.size() + entry.clauses.size());
+  util::Stopwatch watch;
+  mc::EngineResult result;
+  std::vector<ir::NodeRef> clauses;
+  clauses.reserve(entry.clauses.size());
   for (const auto& clause : entry.clauses) {
     const ir::NodeRef expr = clause_in(ts, clause);
-    if (expr == nullptr) {
-      // The clause names a state this system does not have: the entry cannot
-      // certify here, report the refutation without burning SAT time.
-      mc::EngineResult failed;
-      failed.verdict = mc::Verdict::Unknown;
-      return failed;
-    }
-    goals.push_back(expr);
+    // The clause names a state this system does not have: the entry cannot
+    // certify here, report the refutation without burning SAT time.
+    if (expr == nullptr) return result;
+    clauses.push_back(expr);
   }
-  // One-step induction over targets ∧ clauses: init ⊨ all, and all at frame
-  // k force all at frame k+1 — the textbook inductive-invariant check,
-  // discharged by an independent SAT run over the *current* system.
-  mc::EngineOptions options = base;
-  options.max_steps = 1;
-  options.lemmas.clear();
-  options.pdr_candidate_lemmas.clear();
-  const auto engine = mc::make_engine(mc::EngineKind::KInduction, ts, options);
-  return engine->prove_all(goals);
+  const ir::NodeRef prop = mc::conjoin_properties(ts, targets);
+
+  sat::Solver init_solver;
+  sat::Solver step_solver;
+  for (sat::Solver* solver : {&init_solver, &step_solver}) {
+    solver->set_conflict_budget(base.conflict_budget);
+    solver->set_stop_flag(base.stop.get());
+  }
+  // Any answer but UNSAT — a model, a spent budget, the stop flag — leaves
+  // the verdict Unknown.
+  const auto finish = [&](bool proven) {
+    if (proven) result.verdict = mc::Verdict::Proven;
+    result.depth = 1;
+    result.stats.absorb(init_solver);
+    result.stats.absorb(step_solver);
+    result.stats.seconds = watch.seconds();
+    return result;
+  };
+  const auto unsat = [](sat::Solver& solver, sat::Lit bad) {
+    return solver.solve({bad}) == sat::LBool::False;
+  };
+
+  // Initiation: init ⊨ Inv ∧ P.
+  mc::Unroller init(ts, init_solver, mc::FrameZero::Init);
+  std::vector<ir::NodeRef> goals = clauses;
+  goals.push_back(prop);
+  if (!unsat(init_solver, ~init.lit_at(mc::conjoin_properties(ts, goals), 0))) {
+    return finish(false);
+  }
+
+  // Consecution, one clause at a time on one incremental solver:
+  // Inv ∧ P ∧ T ⊨ c′ for every clause c, then Inv ∧ P ∧ T ⊨ P′. A clause
+  // proven at frame 1 is implied by the solver's formula, so adding it
+  // changes no later answer; it hands the later queries Inv′ as facts.
+  mc::Unroller step(ts, step_solver);
+  step.extend_to(1);
+  for (const ir::NodeRef clause : clauses) step.assert_at(clause, 0);
+  step.assert_at(prop, 0);
+  for (const ir::NodeRef clause : clauses) {
+    const sat::Lit next = step.lit_at(clause, 1);
+    if (!unsat(step_solver, ~next)) return finish(false);
+    step_solver.add_clause(next);
+  }
+  if (!unsat(step_solver, ~step.lit_at(prop, 1))) return finish(false);
+  return finish(true);
 }
 
 std::vector<ir::NodeRef> surviving_clauses(const ir::TransitionSystem& ts,

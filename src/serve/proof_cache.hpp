@@ -15,11 +15,11 @@
 /// Soundness story (the part that makes a *persistent* cache safe):
 /// **cached invariants are candidates, never facts.**
 ///  * An **exact hit** (system and property hash both match) replays the
-///    stored clauses through a one-step induction check over the *current*
-///    system (`recertify`) — an independent SAT proof that the conjunction
-///    is inductive and implies the targets. Only a passing check yields the
-///    cached verdict; a failing one (corrupted entry, hash collision)
-///    rejects the entry and falls back to a cold run.
+///    stored clauses through an inductive-invariant check over the
+///    *current* system (`recertify`), one SAT query per clause — an
+///    independent proof that targets ∧ clauses is inductive. Only a
+///    passing check yields the cached verdict; a failing one (corrupted
+///    entry, hash collision) rejects the entry and falls back to a cold run.
 ///  * A **near miss** (state-signature similarity above the threshold)
 ///    feeds the surviving clause subset into PDR as unproven *candidates*
 ///    (`EngineOptions::pdr_candidate_lemmas`) that must graduate before they
@@ -134,13 +134,21 @@ class ProofCache {
   std::uint64_t rejected_ GENFV_GUARDED_BY(mu_) = 0;
 };
 
-/// Independent re-certification of a cached invariant over the *current*
-/// system: render every clause into `ts`'s manager and run a one-step
-/// induction (`KInduction`, max_steps = 1) on targets ∧ clauses. Returns the
-/// engine result — Proven means the cached verdict is re-established by a
-/// fresh SAT proof; anything else means the entry must be rejected. Clauses
-/// that do not fit `ts` (state index out of range) fail the certification
-/// immediately rather than being silently dropped.
+/// Independent re-certification of a cached invariant Inv (the entry's
+/// clauses rendered into `ts`'s manager) for the targets P over the
+/// *current* system: Proven iff init ⊨ Inv ∧ P and Inv ∧ P ∧ T ⊨ Inv′ ∧ P′
+/// (T includes the environment constraints of both frames), each
+/// re-established by fresh SAT queries. One initiation query runs on an
+/// init-unrolled solver; consecution runs on one incremental two-frame
+/// solver with Inv ∧ P asserted at frame 0, asked ¬c@1 for each clause c in
+/// entry order (asserting c@1 once proven) and then ¬P@1: |Inv| + 2 queries
+/// in all. Any answer but UNSAT (a model, a spent `conflict_budget`, the
+/// `stop` flag) leaves the verdict Unknown, and the entry must then be
+/// rejected unless the check was stopped. Clauses that do not fit `ts`
+/// (state index out of range) fail the certification immediately, with no
+/// SAT call, rather than being silently dropped. Of `base` only
+/// `conflict_budget` and `stop` are read. `depth` is 1, the one transition
+/// step the check spans.
 mc::EngineResult recertify(const ir::TransitionSystem& ts,
                            const std::vector<ir::NodeRef>& targets,
                            const CacheEntry& entry, const mc::EngineOptions& base);

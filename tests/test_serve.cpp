@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -25,11 +26,13 @@
 #include "flow/job.hpp"
 #include "ir/struct_hash.hpp"
 #include "mc/engine.hpp"
+#include "mc/kinduction.hpp"
 #include "mc/pdr/cube.hpp"
 #include "serve/json.hpp"
 #include "serve/proof_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/worker_pool.hpp"
+#include "sim/random_sim.hpp"
 #include "util/status.hpp"
 #include "util/telemetry.hpp"
 #include "util/thread_safety.hpp"
@@ -708,6 +711,164 @@ TEST(ServeCache, RecertifyFailsClosedOnClausesThatDoNotFit) {
   EXPECT_EQ(surviving_clauses(ts, entry).size(), 1u);
 }
 
+TEST(ServeCache, RecertifyAssumesThePropertyWhenTheClausesDoNotImplyIt) {
+  // Two held bits, both starting at 1; P = a, Inv = {b}. Inv alone does not
+  // imply P, but Inv ∧ P is inductive: consecution assumes P@0.
+  ir::TransitionSystem ts;
+  const ir::NodeRef a = ts.add_state("a", 1);
+  const ir::NodeRef b = ts.add_state("b", 1);
+  for (const ir::NodeRef bit : {a, b}) {
+    ts.set_init(bit, ts.nm().mk_true());
+    ts.set_next(bit, bit);
+  }
+  CacheEntry entry;
+  entry.clauses.push_back(unit_clause(1, 0, true));  // clause: b
+  const mc::EngineResult result = recertify(ts, {a}, entry, mc::EngineOptions{});
+  EXPECT_EQ(result.verdict, mc::Verdict::Proven);
+  // Initiation, ¬b@1 and ¬P@1.
+  EXPECT_EQ(result.stats.sat_calls, 3u);
+}
+
+TEST(ServeCache, RecertifyRejectsAnEntryAnInitialStateEscapes) {
+  // "c is 0" holds from every state where it holds and implies the trivial
+  // target, but c starts at 1: only initiation refutes it.
+  ir::TransitionSystem ts = holding_bit_system();
+  CacheEntry entry;
+  entry.clauses.push_back(unit_clause(0, 0, false));  // clause: !c
+  const std::vector<ir::NodeRef> targets{ts.nm().mk_true()};
+  const mc::EngineResult result = recertify(ts, targets, entry, mc::EngineOptions{});
+  EXPECT_NE(result.verdict, mc::Verdict::Proven);
+  EXPECT_EQ(result.stats.sat_calls, 1u);
+}
+
+/// A `width`-bit counter x from 0, stepping by 1, under the environment
+/// constraint x != `excluded`. The state before `excluded` is a dead end:
+/// its only successor breaks the constraint, so constrained traces stop
+/// there.
+ir::TransitionSystem constrained_counter(unsigned width, std::uint64_t excluded) {
+  ir::TransitionSystem ts;
+  ir::NodeManager& nm = ts.nm();
+  const ir::NodeRef x = ts.add_state("x", width);
+  ts.set_init(x, nm.mk_const(0, width));
+  ts.set_next(x, nm.mk_add(x, nm.mk_const(1, width)));
+  ts.add_constraint(nm.mk_ne(x, nm.mk_const(excluded, width)));
+  return ts;
+}
+
+/// The monolithic check the per-clause `recertify` replaced, kept as its
+/// oracle: one-step induction over targets ∧ clauses. Only acceptance is
+/// compared; the oracle reports an initiation failure as Falsified.
+bool one_step_induction_accepts(const ir::TransitionSystem& ts,
+                                const std::vector<ir::NodeRef>& targets,
+                                const CacheEntry& entry) {
+  std::vector<ir::NodeRef> goals = targets;
+  const std::vector<ir::NodeRef> clauses = surviving_clauses(ts, entry);
+  goals.insert(goals.end(), clauses.begin(), clauses.end());
+  mc::EngineOptions options;
+  options.max_steps = 1;
+  return mc::KInductionEngine(ts, options).prove_all(goals).verdict == mc::Verdict::Proven;
+}
+
+TEST(ServeCache, RecertifyAcceptsExactlyWhatOneStepInductionAccepts) {
+  // Every zoo design and corpus file PDR proves at the server's 32 frames,
+  // and a 3-bit counter with a dead end under a state constraint, each with
+  // its stored entry and three tampered copies of it; then a bogus entry
+  // whose bad state is a dead end.
+  std::vector<flow::VerificationTask> tasks;
+  for (const designs::DesignInfo& info : designs::all_designs()) {
+    tasks.push_back(designs::make_task(info));
+  }
+  std::vector<std::filesystem::path> files;
+  for (const auto& file : std::filesystem::directory_iterator(GENFV_TEST_CORPUS_DIR)) {
+    files.push_back(file.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& file : files) {
+    tasks.push_back(flow::VerificationTask::from_file(file.string()));
+    tasks.back().name = file.filename().string();
+  }
+  {
+    // x = 4 is a dead end under x != 5; the target x != 7 needs a clause
+    // that rules out x = 6.
+    flow::VerificationTask counter;
+    counter.name = "constrained_counter";
+    counter.ts = constrained_counter(3, 5);
+    ir::NodeManager& nm = counter.ts.nm();
+    counter.ts.add_property({"never_seven",
+                             nm.mk_ne(counter.ts.states()[0].var, nm.mk_const(7, 3)),
+                             ir::PropertyRole::Target, ""});
+    counter.target_indices.push_back(0);
+    tasks.push_back(std::move(counter));
+  }
+
+  mc::EngineOptions options;
+  options.max_steps = 32;
+  std::size_t entries = 0;
+  std::size_t rejected = 0;
+  for (const flow::VerificationTask& task : tasks) {
+    const ir::TransitionSystem& ts = task.ts;
+    const std::vector<ir::NodeRef> targets = task.target_exprs();
+    const mc::EngineResult cold = prove_pdr(task, options);
+    ProofCache cache(ProofCache::Options{});
+    // A proof with an empty invariant (the targets alone are inductive)
+    // leaves no entry.
+    if (!cache.store(task.name, ts, targets, cold)) {
+      EXPECT_NE(task.name, "constrained_counter");
+      continue;
+    }
+    const CacheLookup lookup = cache.lookup(ts, targets);
+    ASSERT_EQ(lookup.outcome, CacheOutcome::Exact) << task.name;
+    const CacheEntry& stored = *lookup.entry;
+
+    CacheEntry dropped = stored;
+    dropped.clauses.erase(dropped.clauses.begin() + dropped.clauses.size() / 2);
+    CacheEntry flipped = stored;
+    flipped.clauses.front().front().negated = !flipped.clauses.front().front().negated;
+    // A unit clause pinning state 0, bit 0 to the opposite of its value in
+    // one initial state (the clause asserts the bit equals `negated`).
+    const ir::NodeRef state0 = ts.states().front().var;
+    const bool init_bit = (sim::RandomSimulator(ts, 1).reset_state().at(state0) & 1) != 0;
+    CacheEntry escaped = stored;
+    escaped.clauses.push_back(unit_clause(0, 0, !init_bit));
+
+    const std::pair<const char*, const CacheEntry*> cases[] = {
+        {"stored", &stored}, {"dropped", &dropped}, {"flipped", &flipped}, {"escaped", &escaped}};
+    for (const auto& [label, entry] : cases) {
+      const bool accepted =
+          recertify(ts, targets, *entry, mc::EngineOptions{}).verdict == mc::Verdict::Proven;
+      EXPECT_EQ(accepted, one_step_induction_accepts(ts, targets, *entry))
+          << task.name << " / " << label;
+      if (entry == &stored) {
+        EXPECT_TRUE(accepted) << task.name;
+      } else if (entry == &escaped) {
+        EXPECT_FALSE(accepted) << task.name;
+      }
+      rejected += accepted ? 0 : 1;
+      ++entries;
+    }
+  }
+  {
+    // A bogus entry whose bad state is a dead end. 2-bit x under x != 3;
+    // P = x != 2, Inv = {x != 3}. x = 2 is reached in two steps with the
+    // constraint holding throughout, and its only successor 3 breaks the
+    // constraint. A ¬P query posed with the frame-1 constraint in force
+    // cannot see that state; ¬P@1 from Inv ∧ P@0 does.
+    ir::TransitionSystem ts = constrained_counter(2, 3);
+    const std::vector<ir::NodeRef> targets{
+        ts.nm().mk_ne(ts.states()[0].var, ts.nm().mk_const(2, 2))};
+    CacheEntry bogus;
+    bogus.clauses.push_back({mc::pdr::StateLit{0, 0, false},
+                             mc::pdr::StateLit{0, 1, false}});  // clause: x != 3
+    const bool accepted =
+        recertify(ts, targets, bogus, mc::EngineOptions{}).verdict == mc::Verdict::Proven;
+    EXPECT_FALSE(accepted);
+    EXPECT_EQ(accepted, one_step_induction_accepts(ts, targets, bogus));
+  }
+  // Neither side may be vacuous: many entries, accepted and rejected alike.
+  EXPECT_GE(entries, 4 * 8u);
+  EXPECT_GT(rejected, entries / 4);
+}
+
 TEST(ServeCache, StoreRequiresAProvenInvariant) {
   ProofCache cache(ProofCache::Options{});
   const ir::TransitionSystem ts = holding_bit_system();
@@ -993,6 +1154,39 @@ TEST(ServeCache, FailedPersistStillAnswersTheVerdict) {
   const Json warm = log.wait_for("2");
   EXPECT_EQ(string_field(warm, "verdict"), "proven");
   EXPECT_EQ(string_field(warm, "cache"), "hit");
+}
+
+TEST(ServeCache, RecertifySpanClosesBeforeTheReplyIsSent) {
+  // serve/recertify times the check alone: the reply is built and sent
+  // after the span ends, so a ledger that splits wall_ms by spans never
+  // counts the send twice.
+  util::set_telemetry_level(util::TelemetryLevel::Tracing);
+  util::trace_reset();
+  std::atomic<std::uint64_t> hit_sent_ns{0};
+  ResponseLog log;  // outlives the server: ~Server drains jobs into the sink
+  {
+    ServerOptions options;
+    options.workers = 1;
+    Server server(options);
+    server.handle_line(R"({"id":1,"op":"verify","design":"sequencer","max_k":16})",
+                       log.sink());
+    EXPECT_EQ(string_field(log.wait_for("1"), "verdict"), "proven");
+    server.handle_line(R"({"id":2,"op":"verify","design":"sequencer","max_k":16})",
+                       [&](const std::string& line) {
+                         hit_sent_ns = util::telemetry_now_ns();
+                         log.push(line);
+                       });
+    EXPECT_EQ(string_field(log.wait_for("2"), "cache"), "hit");
+  }  // joins the worker: every span is recorded
+  std::size_t spans = 0;
+  for (const util::TraceEventView& event : util::trace_snapshot()) {
+    if (std::string(event.name) != "recertify") continue;
+    ++spans;
+    EXPECT_LE(event.start_ns + event.dur_ns, hit_sent_ns.load());
+  }
+  EXPECT_EQ(spans, 1u);
+  util::set_telemetry_level(util::TelemetryLevel::Off);
+  util::trace_reset();
 }
 
 // --- end-to-end incremental re-verification ----------------------------------
